@@ -53,7 +53,6 @@ from repro.serve import (
     PagedKVCache,
     PlanCache,
     PoolExhausted,
-    ServingSession,
     compile_plan,
     decode_reference_mask,
     plan_cache_key,
@@ -81,7 +80,6 @@ __all__ = [
     "PagedKVCache",
     "PlanCache",
     "PoolExhausted",
-    "ServingSession",
     "__version__",
     "bigbird_attention",
     "compile_plan",

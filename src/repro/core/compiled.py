@@ -177,23 +177,26 @@ def _try_cext() -> bool:
         _backend_error = "no C compiler on PATH"
         return False
     try:
-        build_dir = tempfile.mkdtemp(prefix="repro-compiled-")
-        src = os.path.join(build_dir, "repro_compiled.c")
-        lib_path = os.path.join(build_dir, "repro_compiled.so")
-        with open(src, "w", encoding="utf-8") as handle:
-            handle.write(_C_SOURCE)
-        # -O2 without -ffast-math: the dequant path must keep IEEE float32
-        # semantics so results stay bit-identical to the NumPy fallback
-        result = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-o", lib_path, src],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if result.returncode != 0:
-            _backend_error = f"{cc} failed: {result.stderr.strip()[:500]}"
-            return False
-        lib = ctypes.CDLL(lib_path)
+        # the build directory goes once the library is loaded: the process
+        # keeps its mapping of the unlinked file (POSIX), and nothing is left
+        # behind in the temp directory
+        with tempfile.TemporaryDirectory(prefix="repro-compiled-") as build_dir:
+            src = os.path.join(build_dir, "repro_compiled.c")
+            lib_path = os.path.join(build_dir, "repro_compiled.so")
+            with open(src, "w", encoding="utf-8") as handle:
+                handle.write(_C_SOURCE)
+            # -O2 without -ffast-math: the dequant path must keep IEEE float32
+            # semantics so results stay bit-identical to the NumPy fallback
+            result = subprocess.run(
+                [cc, "-O2", "-fPIC", "-shared", "-o", lib_path, src],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            if result.returncode != 0:
+                _backend_error = f"{cc} failed: {result.stderr.strip()[:500]}"
+                return False
+            lib = ctypes.CDLL(lib_path)
         for name in ("gather_rows_f32", "gather_dequant_i8", "segment_weighted_sum_f64"):
             getattr(lib, name).restype = None
         _cext = lib

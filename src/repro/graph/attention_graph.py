@@ -8,15 +8,17 @@ from token ``j`` during the attention computation.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.masks.base import MaskSpec, as_mask_spec
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    import networkx
 
 
 class AttentionGraph:
@@ -139,8 +141,12 @@ class AttentionGraph:
     # ------------------------------------------------------------------ #
     # Interop
     # ------------------------------------------------------------------ #
-    def to_networkx(self, *, max_vertices: int = 100_000) -> nx.DiGraph:
+    def to_networkx(self, *, max_vertices: int = 100_000) -> networkx.DiGraph:
         """Export to a ``networkx.DiGraph`` (small graphs only)."""
+        # imported here: only this export needs networkx, and importing it
+        # costs every ``import repro`` a large share of its start-up
+        import networkx as nx
+
         require(
             self.num_vertices <= max_vertices,
             f"graph too large to export ({self.num_vertices} > {max_vertices} vertices)",

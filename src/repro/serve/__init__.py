@@ -20,7 +20,7 @@ Three layers turn the paper's kernels into a serving stack:
   :class:`BlockPool` of fixed-size K/V blocks shared by every paged session,
   :class:`PagedKVCache` block tables with chained-hash prefix sharing and
   copy-on-write divergence, LRU eviction of finished sessions' blocks,
-  reject-or-queue admission control on the server, and a host-side
+  all-or-nothing admission grants on the server, and a host-side
   :class:`SwapStore` parking preempted sessions' serialized caches.
 * :mod:`repro.serve.quant` — quantized block storage: pools accept a
   ``storage="fp32"|"fp16"|"int8"`` axis (int8 rows carry per-row affine
@@ -138,7 +138,7 @@ from repro.serve.plan import (
     mask_key,
     plan_cache_key,
 )
-from repro.serve.scheduler import AttentionServer, DecodeTicket, RequestBatch
+from repro.serve.scheduler import AttentionServer, RequestBatch
 from repro.serve.speculate import (
     DEFAULT_DRAFT_FRACTION,
     SpeculationOutcome,
@@ -149,7 +149,6 @@ from repro.serve.session import (
     AttentionResponse,
     ServerStats,
     ServerStatsSnapshot,
-    ServingSession,
 )
 
 __all__ = [
@@ -166,7 +165,6 @@ __all__ = [
     "DEFAULT_DRAFT_FRACTION",
     "DEFAULT_HEAD_DIM",
     "DecodeSession",
-    "DecodeTicket",
     "EdgeClosed",
     "EdgeStats",
     "EncodedChunk",
@@ -197,7 +195,6 @@ __all__ = [
     "ServerStats",
     "ServerStatsSnapshot",
     "ServingClient",
-    "ServingSession",
     "SlackPolicy",
     "SpeculationOutcome",
     "StreamCancelled",

@@ -1,10 +1,6 @@
 """``ServingClient`` — the one public façade over the serving stack.
 
-Before this module there were three divergent ways to get attention served:
-``AttentionServer.open_decode_session`` (reject-mode paged or plain
-sessions), ``request_decode_session`` (queue-mode tickets), and raw
-``scheduler.submit`` against the continuous-batching loop.  The client
-consolidates them:
+Every way to get attention served goes through one object:
 
 * :meth:`ServingClient.generate` — synchronous end-to-end: submit one
   :class:`~repro.serve.loop.LoopRequest` (or raw ``q/k/v``) and drive the
@@ -13,11 +9,12 @@ consolidates them:
 * :meth:`ServingClient.agenerate` — the same contract ``async``, routed
   through a lazily-started :class:`~repro.serve.edge.AsyncServingEdge` on
   the current event loop (tenant limits and SLO scheduling included).
-* :meth:`ServingClient.open_session` / :meth:`ServingClient.request_session`
-  — the session-level escape hatches the old entry points exposed, for
-  callers that drive :class:`~repro.serve.decode.DecodeSession` steps
-  themselves.  The deprecated ``AttentionServer`` methods now shim onto the
-  same internals and warn.
+* :meth:`ServingClient.open_session` / :meth:`ServingClient.close_session`
+  — the session-level escape hatch for callers that drive
+  :class:`~repro.serve.decode.DecodeSession` steps themselves.  A paged
+  open is admitted or rejected at once; requests that should wait for
+  capacity go through the loop, whose policy-ranked queue is the one
+  admission queue.
 
 Constructor keywords follow the stack-wide normalized style (``obs=``,
 ``clock=``, ``policy=``, ``storage=``), validated by the shared
@@ -46,7 +43,7 @@ from repro.serve.loop import (
 from repro.serve.paging import DEFAULT_BLOCK_SIZE, SwapStore
 from repro.serve.quant import resolve_storage
 from repro.serve.router import ReplicaRouter
-from repro.serve.scheduler import AttentionServer, DecodeTicket
+from repro.serve.scheduler import AttentionServer
 from repro.serve.decode import DecodeSession
 from repro.utils.validation import require
 
@@ -483,7 +480,7 @@ class ServingClient:
         )
 
     # ------------------------------------------------------------------ #
-    # Session-level entry points (the consolidated old paths)
+    # Session-level entry points
     # ------------------------------------------------------------------ #
     def open_session(
         self,
@@ -492,14 +489,15 @@ class ServingClient:
         *,
         retain_outputs: bool = False,
         paged: bool = False,
-        pool=None,
         reserve_tokens: Optional[int] = None,
     ) -> DecodeSession:
         """Open a decode session (reject-mode admission for paged sessions).
 
-        The consolidated form of the deprecated
-        ``AttentionServer.open_decode_session``; see that shim's target for
-        full semantics.
+        ``paged=True`` draws the KV cache from the server's block pool and
+        holds blocks for ``reserve_tokens`` tokens (default: one block) up
+        front, or raises :exc:`~repro.serve.paging.PoolExhausted`; see
+        :meth:`AttentionServer._open_decode_session
+        <repro.serve.scheduler.AttentionServer._open_decode_session>`.
         """
         require(
             self.server is not None,
@@ -511,41 +509,17 @@ class ServingClient:
             horizon,
             retain_outputs=retain_outputs,
             paged=paged,
-            pool=pool,
             reserve_tokens=reserve_tokens,
         )
 
-    def request_session(
-        self,
-        mask: MaskInput,
-        horizon: int,
-        *,
-        retain_outputs: bool = False,
-        pool=None,
-        reserve_tokens: Optional[int] = None,
-    ) -> DecodeTicket:
-        """Queue-mode admission (the consolidated ``request_decode_session``)."""
+    def close_session(self, session: DecodeSession) -> None:
+        """Finish a session and return its blocks to the pool."""
         require(
             self.server is not None,
             "session entry points address one server; a replicas>1 client "
             "has no single server (use the replica handles on client.router)",
         )
-        return self.server._request_decode_session(
-            mask,
-            horizon,
-            retain_outputs=retain_outputs,
-            pool=pool,
-            reserve_tokens=reserve_tokens,
-        )
-
-    def close_session(self, session: DecodeSession) -> List[DecodeTicket]:
-        """Finish a session; returns any queued tickets admitted by the space."""
-        require(
-            self.server is not None,
-            "session entry points address one server; a replicas>1 client "
-            "has no single server (use the replica handles on client.router)",
-        )
-        return self.server.close_decode_session(session)
+        self.server.close_decode_session(session)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

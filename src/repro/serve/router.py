@@ -54,7 +54,7 @@ import numpy as np
 from repro.distributed.comm import CommunicationStats, SimulatedWorld
 from repro.distributed.partition_balance import balanced_worker_bins
 from repro.distributed.sequence_parallel import kv_parallel_attention
-from repro.obs.recorder import NULL_OBS, Observability
+from repro.obs.recorder import Observability
 from repro.perfmodel.decode import blocks_for_tokens
 from repro.perfmodel.devices import DeviceSpec
 from repro.serve.decode import decode_reference_mask

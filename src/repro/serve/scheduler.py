@@ -23,26 +23,23 @@ pick-work-by-expected-cost idea the distributed partitioners apply to query
 rows.
 
 Autoregressive decoding streams through the same front-end: the
-:class:`~repro.serve.client.ServingClient` façade (``open_session`` /
-``request_session``) hands out :class:`~repro.serve.decode.DecodeSession`
-objects whose decode-mode plans share the server's plan cache, and
-:meth:`AttentionServer.decode_steps` coalesces same-plan same-position steps
-from concurrent sessions into one stacked kernel pass (continuous batching).
-The old ``open_decode_session`` / ``request_decode_session`` entry points
-survive as deprecation shims over the same internals.
+continuous-batching loop and :meth:`repro.serve.client.ServingClient.open_session`
+open :class:`~repro.serve.decode.DecodeSession` objects whose decode-mode
+plans share the server's plan cache, and :meth:`AttentionServer.decode_steps`
+coalesces same-plan same-position steps from concurrent sessions into one
+stacked kernel pass.  A paged open is one capacity grant against the shared
+block pool, admitted or rejected at once; the loop's policy-ranked waiting
+queue is the only place a request waits for capacity.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import threading
 import time
-import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,32 +88,6 @@ class RequestBatch:
 
 
 @dataclass
-class DecodeTicket:
-    """Admission-queue entry for a paged decode session.
-
-    Returned by :meth:`repro.serve.client.ServingClient.request_session`: when the pool
-    had room the ticket is already admitted (``session`` set); otherwise it
-    waits FIFO until :meth:`AttentionServer.close_decode_session` (or an
-    explicit :meth:`AttentionServer.admit_queued`) frees enough blocks.
-    """
-
-    mask: MaskInput
-    horizon: int
-    retain_outputs: bool
-    pool: "BlockPool"
-    reserve_tokens: Optional[int]
-    session: Optional[DecodeSession] = None
-    #: decode plan compiled at request time (outside the admission lock), so
-    #: admitting the ticket later is a pure capacity grant
-    plan: Optional[ExecutionPlan] = None
-    plan_cache_hit: bool = False
-
-    @property
-    def admitted(self) -> bool:
-        return self.session is not None
-
-
-@dataclass
 class ExecutionGroup:
     """Same-plan requests whose tensors stack into one kernel invocation.
 
@@ -138,8 +109,10 @@ class AttentionServer:
 
     Request intake (``submit``/``serve``/``flush``) is single-threaded: the
     server parallelises kernel execution internally via ``max_workers``, but
-    its pending queue, plan cache and statistics are not synchronised, so
-    calls into one server must come from one client thread at a time.
+    its pending queue and plan cache are not synchronised, so calls into one
+    server must come from one client thread at a time.  The capacity grant
+    behind a paged session open is all-or-nothing under the block pool's own
+    lock, so concurrent opens can be refused but never over-commit the pool.
 
     Parameters
     ----------
@@ -195,11 +168,6 @@ class AttentionServer:
             pool=block_pool.stats if block_pool is not None else None,
         )
         self._pending: List[AttentionRequest] = []
-        self._admission_queue: Deque[DecodeTicket] = deque()
-        #: serializes queue-mode admission (request/admit/queue inspection):
-        #: the queue-empty check and the open-or-enqueue decision must be one
-        #: atomic step, or concurrent callers admit out of FIFO order
-        self._admission_lock = threading.Lock()
         self._ids = itertools.count()
         self._pool: Optional[ThreadPoolExecutor] = None
 
@@ -369,19 +337,6 @@ class AttentionServer:
             )
         return snapshot
 
-    def _admission_blocks(self, pool: BlockPool, reserve_tokens: Optional[int]) -> int:
-        tokens = pool.block_size if reserve_tokens is None else int(reserve_tokens)
-        require(tokens >= 0, "reserve_tokens must be non-negative")
-        blocks = blocks_for_tokens(tokens, pool.block_size)
-        # an infeasible grant must fail its caller now: queued, it would wedge
-        # the FIFO head forever (PoolExhausted on every admit, even empty)
-        require(
-            blocks <= pool.num_blocks,
-            f"reserve_tokens={tokens} needs {blocks} blocks but the pool "
-            f"holds only {pool.num_blocks}",
-        )
-        return blocks
-
     def _grant_paged(
         self,
         plan: ExecutionPlan,
@@ -389,22 +344,38 @@ class AttentionServer:
         horizon: int,
         *,
         retain_outputs: bool,
-        pool: BlockPool,
         reserve_tokens: Optional[int],
     ) -> DecodeSession:
         """The admission capacity grant: prereserve blocks, build the session.
 
         The cache prereserves ``ceil(reserve_tokens / block_size)`` blocks up
-        front (all-or-nothing), so admission is a real capacity grant — a
-        racing stream cannot take the blocks between admission and prefill.
-        Raises :exc:`~repro.serve.paging.PoolExhausted` untouched; callers
-        decide between reject and queue.  Callers compile ``plan`` *before*
-        taking the admission lock (an invalid mask must fail with no blocks
-        held and no lock held, or repeated bad opens would leak the pool dry
-        and serialize every other open behind the compile).
+        front, all-or-nothing under the pool's own lock, so admission is a
+        real capacity grant — a racing stream cannot take the blocks between
+        admission and prefill.  A refusal is counted once and re-raised as
+        :exc:`~repro.serve.paging.PoolExhausted`.  Callers compile ``plan``
+        first, so an invalid mask fails with no blocks held (repeated bad
+        opens would otherwise leak the pool dry).
         """
+        pool = self.block_pool
+        tokens = pool.block_size if reserve_tokens is None else int(reserve_tokens)
+        require(tokens >= 0, "reserve_tokens must be non-negative")
+        blocks = blocks_for_tokens(tokens, pool.block_size)
+        # a grant no pool state could satisfy fails as a bad argument: as
+        # PoolExhausted, a caller retrying on exhaustion would wait forever
+        require(
+            blocks <= pool.num_blocks,
+            f"reserve_tokens={tokens} needs {blocks} blocks but the pool "
+            f"holds only {pool.num_blocks}",
+        )
         cache = PagedKVCache(pool, max_length=horizon)
-        cache.prereserve(self._admission_blocks(pool, reserve_tokens))
+        try:
+            cache.prereserve(blocks)
+        except PoolExhausted:
+            with self.stats.lock:
+                self.stats.admission_rejected += 1
+            if self.obs.enabled:
+                self.obs.server_rejections.inc()
+            raise
         try:
             session = DecodeSession(
                 plan,
@@ -421,38 +392,6 @@ class AttentionServer:
             self.stats.paged_sessions += 1
         return session
 
-    def open_decode_session(
-        self,
-        mask: MaskInput,
-        horizon: int,
-        *,
-        retain_outputs: bool = False,
-        paged: bool = False,
-        pool: Optional[BlockPool] = None,
-        reserve_tokens: Optional[int] = None,
-    ) -> DecodeSession:
-        """Deprecated shim: use :meth:`repro.serve.client.ServingClient.open_session`.
-
-        The unified client façade is the one public way to open sessions;
-        this name survives one deprecation cycle for existing callers and
-        simply delegates (with a :class:`DeprecationWarning`).
-        """
-        warnings.warn(
-            "AttentionServer.open_decode_session is deprecated; open sessions "
-            "through repro.serve.ServingClient (client.open_session / "
-            "client.generate) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._open_decode_session(
-            mask,
-            horizon,
-            retain_outputs=retain_outputs,
-            paged=paged,
-            pool=pool,
-            reserve_tokens=reserve_tokens,
-        )
-
     def _open_decode_session(
         self,
         mask: MaskInput,
@@ -460,7 +399,6 @@ class AttentionServer:
         *,
         retain_outputs: bool = False,
         paged: bool = False,
-        pool: Optional[BlockPool] = None,
         reserve_tokens: Optional[int] = None,
     ) -> DecodeSession:
         """Open an autoregressive decoding stream against this server.
@@ -470,50 +408,30 @@ class AttentionServer:
         concurrent sessions over one mask shape pay compilation once and can
         coalesce their steps in :meth:`decode_steps`.
 
-        With ``paged=True`` (or an explicit ``pool``) the session's KV cache
-        is a :class:`~repro.serve.paging.PagedKVCache` over the shared block
-        pool — identical prompts map the same physical blocks.  Admission is
-        a real capacity grant: blocks for ``reserve_tokens`` tokens (default:
-        one block) are held by the session up front, or the session is
-        *rejected* with :exc:`~repro.serve.paging.PoolExhausted`.  Use
-        :meth:`_request_decode_session` (``ServingClient.request_session``)
-        for queue-instead-of-reject admission.
-
-        Reject-mode opens serialize with queue-mode admission under the
-        server's admission lock, but they do not *wait behind* the FIFO
-        queue: an open that fits is admitted even while tickets are queued
-        (the two are different admission policies — mix them knowing
-        reject-mode callers can take capacity ahead of queued tickets).
+        With ``paged=True`` the session's KV cache is a
+        :class:`~repro.serve.paging.PagedKVCache` over the server's shared
+        block pool — identical prompts map the same physical blocks.
+        Admission is a real capacity grant (:meth:`_grant_paged`): blocks for
+        ``reserve_tokens`` tokens (default: one block) are held by the
+        session up front, or the session is *rejected* with
+        :exc:`~repro.serve.paging.PoolExhausted`.  Waiting for capacity is
+        the continuous-batching loop's job: its policy-ranked queue retries
+        a rejected stream on a later iteration.
         """
-        pool = pool if pool is not None else (self.block_pool if paged else None)
-        # compile outside the admission lock: concurrent opens over distinct
-        # masks pay compilation in parallel, and the lock is held only for
-        # the capacity grant itself
         key = self.key_for(mask, horizon, mode="decode")
         plan, hit = self._plan_for_key(key, mask, horizon, "auto", mode="decode")
-        if paged or pool is not None:
+        if paged:
             require(
-                pool is not None,
-                "paged sessions need a shared pool: call create_block_pool first "
-                "or pass pool=",
+                self.block_pool is not None,
+                "paged sessions need a shared pool: call create_block_pool first",
             )
-            with self._admission_lock:
-                try:
-                    return self._grant_paged(
-                        plan,
-                        hit,
-                        horizon,
-                        retain_outputs=retain_outputs,
-                        pool=pool,
-                        reserve_tokens=reserve_tokens,
-                    )
-                except PoolExhausted:
-                    # counted under the lock like the other admission stats
-                    with self.stats.lock:
-                        self.stats.admission_rejected += 1
-                    if self.obs.enabled:
-                        self.obs.server_rejections.inc()
-                    raise
+            return self._grant_paged(
+                plan,
+                hit,
+                horizon,
+                retain_outputs=retain_outputs,
+                reserve_tokens=reserve_tokens,
+            )
         session = DecodeSession(
             plan, retain_outputs=retain_outputs, session_id=self.next_request_id()
         )
@@ -522,158 +440,17 @@ class AttentionServer:
             self.stats.decode_sessions += 1
         return session
 
-    def request_decode_session(
-        self,
-        mask: MaskInput,
-        horizon: int,
-        *,
-        retain_outputs: bool = False,
-        pool: Optional[BlockPool] = None,
-        reserve_tokens: Optional[int] = None,
-    ) -> DecodeTicket:
-        """Deprecated shim: use :meth:`repro.serve.client.ServingClient.request_session`.
-
-        Delegates to the internal queue-mode admission path with a
-        :class:`DeprecationWarning`, exactly like :meth:`open_decode_session`.
-        """
-        warnings.warn(
-            "AttentionServer.request_decode_session is deprecated; use "
-            "repro.serve.ServingClient.request_session instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._request_decode_session(
-            mask,
-            horizon,
-            retain_outputs=retain_outputs,
-            pool=pool,
-            reserve_tokens=reserve_tokens,
-        )
-
-    def _request_decode_session(
-        self,
-        mask: MaskInput,
-        horizon: int,
-        *,
-        retain_outputs: bool = False,
-        pool: Optional[BlockPool] = None,
-        reserve_tokens: Optional[int] = None,
-    ) -> DecodeTicket:
-        """Queue-mode admission: always returns a :class:`DecodeTicket`.
-
-        When the pool has room the ticket comes back admitted (``session``
-        set); otherwise it joins a FIFO queue that
-        :meth:`close_decode_session` drains as finished sessions return their
-        blocks.
-        """
-        pool = pool if pool is not None else self.block_pool
-        require(pool is not None, "request_decode_session needs a shared block pool")
-        # validate the reservation spec now: a bad ticket must fail its own
-        # caller, not explode out of someone else's close_decode_session when
-        # admit_queued finally pops it
-        self._admission_blocks(pool, reserve_tokens)
-        ticket = DecodeTicket(
-            mask=mask,
-            horizon=horizon,
-            retain_outputs=retain_outputs,
-            pool=pool,
-            reserve_tokens=reserve_tokens,
-        )
-        # compile outside the admission lock: an invalid mask fails here,
-        # before the ticket queues, and the ticket carries its compiled plan
-        # so admitting it later is a pure capacity grant
-        key = self.key_for(mask, horizon, mode="decode")
-        plan, hit = self._plan_for_key(key, mask, horizon, "auto", mode="decode")
-        ticket.plan, ticket.plan_cache_hit = plan, hit
-        with self._admission_lock:
-            # drain first: capacity freed by a direct session.close() (not
-            # through close_decode_session) would otherwise strand the queue
-            # head forever while this request queued behind it
-            self._admit_queued_locked()
-            # FIFO is per pool: only a waiting ticket for *this* pool forces
-            # the new request behind it
-            if not any(t.pool is pool for t in self._admission_queue):
-                try:
-                    ticket.session = self._grant_paged(
-                        plan,
-                        hit,
-                        horizon,
-                        retain_outputs=retain_outputs,
-                        pool=pool,
-                        reserve_tokens=reserve_tokens,
-                    )
-                    return ticket
-                except PoolExhausted:
-                    pass
-            self._admission_queue.append(ticket)
-            with self.stats.lock:
-                self.stats.admission_queued += 1
-            return ticket
-
-    @property
-    def queued_sessions(self) -> int:
-        """Tickets waiting for admission."""
-        with self._admission_lock:
-            return len(self._admission_queue)
-
-    def admit_queued(self) -> List[DecodeTicket]:
-        """Admit queued tickets FIFO-per-pool while their pools have room.
-
-        Within each pool, the first ticket that does not fit blocks the ones
-        behind it (head-of-line order keeps admission fair); tickets bound
-        for *other* pools keep draining, so one exhausted pool cannot starve
-        the rest.  Returns the tickets admitted now.
-        """
-        with self._admission_lock:
-            return self._admit_queued_locked()
-
-    def _admit_queued_locked(self) -> List[DecodeTicket]:
-        admitted: List[DecodeTicket] = []
-        exhausted: Set[BlockPool] = set()  # pools whose head ticket did not fit
-        kept: List[DecodeTicket] = []
-        try:
-            while self._admission_queue:
-                # pop before opening: a ticket whose spec turns out invalid is
-                # dropped as its error propagates, not left poisoning the head
-                ticket = self._admission_queue.popleft()
-                if ticket.pool in exhausted:
-                    kept.append(ticket)  # FIFO holds behind its pool's head
-                    continue
-                try:
-                    ticket.session = self._grant_paged(
-                        ticket.plan,
-                        ticket.plan_cache_hit,
-                        ticket.horizon,
-                        retain_outputs=ticket.retain_outputs,
-                        pool=ticket.pool,
-                        reserve_tokens=ticket.reserve_tokens,
-                    )
-                except PoolExhausted:
-                    exhausted.add(ticket.pool)
-                    kept.append(ticket)
-                    continue
-                with self.stats.lock:
-                    self.stats.admission_admitted += 1
-                admitted.append(ticket)
-        finally:
-            # waiting tickets return to the head in arrival order — also when
-            # an invalid ticket's error propagates mid-drain
-            self._admission_queue.extendleft(reversed(kept))
-        return admitted
-
-    def close_decode_session(self, session: DecodeSession) -> List[DecodeTicket]:
-        """Finish a stream: release its blocks, then admit queued tickets.
+    def close_decode_session(self, session: DecodeSession) -> None:
+        """Finish a stream and release its blocks.
 
         A paged session's prefix-registered blocks park in the pool's
-        evictable LRU (the prompt stays warm for the next identical prompt);
-        the freed capacity admits as many queued tickets as now fit, FIFO.
+        evictable LRU (the prompt stays warm for the next identical prompt).
         """
         already_closed = session.closed
         session.close()
         if not already_closed:
             with self.stats.lock:
                 self.stats.sessions_closed += 1
-        return self.admit_queued()
 
     def decode_step(
         self, session: DecodeSession, q: np.ndarray, k: np.ndarray, v: np.ndarray

@@ -1,4 +1,4 @@
-"""Request/response containers and client sessions for attention serving.
+"""Request/response containers and server statistics for attention serving.
 
 An :class:`AttentionRequest` carries one Q/K/V triple plus the mask it wants
 attended; the :class:`~repro.serve.scheduler.AttentionServer` answers with an
@@ -6,17 +6,13 @@ attended; the :class:`~repro.serve.scheduler.AttentionServer` answers with an
 it, whether that plan came from the warm cache, and the request's kernel
 latency.  :class:`ServerStats` aggregates a server's lifetime counters into
 the throughput numbers the benchmarks report.
-
-:class:`ServingSession` is a small client-side convenience: it stamps
-monotonically increasing request ids, accumulates requests, and flushes them
-to its server as one batch.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -111,8 +107,6 @@ _SERVER_COUNTER_FIELDS = (
     "paged_sessions",
     "sessions_closed",
     "admission_rejected",
-    "admission_queued",
-    "admission_admitted",
 )
 
 
@@ -153,8 +147,6 @@ class ServerStats:
     paged_sessions: int = 0
     sessions_closed: int = 0
     admission_rejected: int = 0
-    admission_queued: int = 0
-    admission_admitted: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
     #: Live stats of the server's shared block pool (``None`` until one exists).
     pool: Optional[BlockPoolStats] = None
@@ -240,8 +232,6 @@ class ServerStatsSnapshot:
     paged_sessions: int
     sessions_closed: int
     admission_rejected: int
-    admission_queued: int
-    admission_admitted: int
     cache: CacheStats
     pool: Optional[BlockPoolStats]
 
@@ -252,49 +242,3 @@ class ServerStatsSnapshot:
     block_occupancy = ServerStats.block_occupancy
     block_share_hits = ServerStats.block_share_hits
 
-
-class ServingSession:
-    """Client-side handle batching requests toward one server.
-
-    Requests accumulate locally via :meth:`ask` and are executed together on
-    :meth:`flush`, which lets the server group them by plan key; responses of
-    every flush are appended to :attr:`history`.  Request ids are drawn from
-    the server's counter, so they stay unique even when several sessions (or
-    direct submissions) share one server.
-    """
-
-    def __init__(self, server) -> None:
-        self.server = server
-        self.history: List[AttentionResponse] = []
-        self._pending: List[AttentionRequest] = []
-
-    def ask(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        mask: MaskInput = None,
-        *,
-        algorithm: str = "auto",
-    ) -> AttentionRequest:
-        """Queue one request; returns it (with its assigned id) for tracking."""
-        request = AttentionRequest(
-            q=q,
-            k=k,
-            v=v,
-            mask=mask,
-            algorithm=algorithm,
-            request_id=self.server.next_request_id(),
-        )
-        self._pending.append(request)
-        return request
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def flush(self) -> List[AttentionResponse]:
-        """Serve every queued request as one batch and return its responses."""
-        pending, self._pending = self._pending, []
-        responses = self.server.serve(pending)
-        self.history.extend(responses)
-        return responses

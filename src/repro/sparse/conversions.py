@@ -8,16 +8,22 @@ the callers having to know about canonical ordering rules.
 
 from __future__ import annotations
 
-from typing import Union
+import sys
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.utils.dtypes import resolve_dtype
 
-MaskLike = Union[np.ndarray, sp.spmatrix, COOMatrix, CSRMatrix]
+# scipy is imported by the helpers that touch it, not here: importing it costs
+# every ``import repro`` a large share of its start-up, and only numpy is a
+# required dependency
+if TYPE_CHECKING:
+    import scipy.sparse
+
+    MaskLike = Union[np.ndarray, scipy.sparse.spmatrix, COOMatrix, CSRMatrix]
 
 
 def from_dense(dense: np.ndarray, *, fmt: str = "csr", dtype=np.float32):
@@ -29,8 +35,10 @@ def from_dense(dense: np.ndarray, *, fmt: str = "csr", dtype=np.float32):
     raise ValueError(f"unknown sparse format {fmt!r} (expected 'coo' or 'csr')")
 
 
-def coo_from_scipy(matrix: sp.spmatrix, *, dtype=np.float32) -> COOMatrix:
+def coo_from_scipy(matrix: scipy.sparse.spmatrix, *, dtype=np.float32) -> COOMatrix:
     """Convert any scipy sparse matrix to a canonical :class:`COOMatrix`."""
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(matrix)
     return COOMatrix(
         shape=coo.shape,
@@ -40,8 +48,10 @@ def coo_from_scipy(matrix: sp.spmatrix, *, dtype=np.float32) -> COOMatrix:
     )
 
 
-def csr_from_scipy(matrix: sp.spmatrix, *, dtype=np.float32) -> CSRMatrix:
+def csr_from_scipy(matrix: scipy.sparse.spmatrix, *, dtype=np.float32) -> CSRMatrix:
     """Convert any scipy sparse matrix to a canonical :class:`CSRMatrix`."""
+    import scipy.sparse as sp
+
     csr = sp.csr_matrix(matrix)
     csr.sort_indices()
     return CSRMatrix(
@@ -52,8 +62,10 @@ def csr_from_scipy(matrix: sp.spmatrix, *, dtype=np.float32) -> CSRMatrix:
     )
 
 
-def to_scipy_coo(matrix: Union[COOMatrix, CSRMatrix]) -> sp.coo_matrix:
+def to_scipy_coo(matrix: Union[COOMatrix, CSRMatrix]) -> scipy.sparse.coo_matrix:
     """Export to ``scipy.sparse.coo_matrix`` (e.g. for spy plots or graph IO)."""
+    import scipy.sparse as sp
+
     if isinstance(matrix, CSRMatrix):
         matrix = matrix.to_coo()
     return sp.coo_matrix(
@@ -61,8 +73,10 @@ def to_scipy_coo(matrix: Union[COOMatrix, CSRMatrix]) -> sp.coo_matrix:
     )
 
 
-def to_scipy_csr(matrix: Union[COOMatrix, CSRMatrix]) -> sp.csr_matrix:
+def to_scipy_csr(matrix: Union[COOMatrix, CSRMatrix]) -> scipy.sparse.csr_matrix:
     """Export to ``scipy.sparse.csr_matrix``."""
+    import scipy.sparse as sp
+
     if isinstance(matrix, COOMatrix):
         matrix = matrix.to_csr()
     return sp.csr_matrix(
@@ -80,7 +94,9 @@ def coerce_mask(mask: MaskLike, *, fmt: str = "csr", dtype=np.float32):
         return mask if fmt == "coo" else mask.to_csr()
     if isinstance(mask, CSRMatrix):
         return mask if fmt == "csr" else mask.to_coo()
-    if sp.issparse(mask):
+    # a scipy matrix cannot exist unless scipy is loaded, so never import it
+    scipy_sparse = sys.modules.get("scipy.sparse")
+    if scipy_sparse is not None and scipy_sparse.issparse(mask):
         return coo_from_scipy(mask, dtype=dtype) if fmt == "coo" else csr_from_scipy(mask, dtype=dtype)
     dense = np.asarray(mask)
     return from_dense(dense, fmt=fmt, dtype=dtype)

@@ -7,10 +7,16 @@ agrees with ``np.add.reduceat`` to accumulator round-off, and the
 runs without any compiler present.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import repro
 from repro.core import compiled
 from repro.serve.quant import quantize_rows
 
@@ -51,6 +57,30 @@ class TestBackendSelection:
         with compiled.force_backend("numpy"):
             assert compiled.backend() == "numpy"
         assert compiled.backend() == before
+
+    def test_cext_build_leaves_no_directory(self, tmp_path):
+        if compiled._find_cc() is None:
+            pytest.skip("no C compiler on PATH")
+        # a fresh process, so the build really runs: the check holds while
+        # the process lives, and the loaded library still computes
+        script = (
+            "import glob, os, tempfile\n"
+            "import numpy as np\n"
+            "from repro.core import compiled\n"
+            "assert compiled.backend() == 'cext', compiled.backend_error()\n"
+            "assert not glob.glob(os.path.join(tempfile.gettempdir(), 'repro-compiled-*'))\n"
+            "arena = np.arange(12, dtype=np.float32).reshape(4, 3)\n"
+            "rows = np.array([3, 0], dtype=np.int64)\n"
+            "assert (compiled.gather_rows(arena, rows) == arena[rows]).all()\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, TMPDIR=str(tmp_path), REPRO_COMPILED="cext", PYTHONPATH=path)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert not list(tmp_path.glob("repro-compiled-*"))
 
 
 class TestGatherRows:

@@ -1,8 +1,4 @@
-"""ServingClient: the one public surface over sessions, loop, and edge.
-
-Also the only tests allowed to call the deprecated ``AttentionServer``
-session entry points — everything else in the tree goes through the client.
-"""
+"""ServingClient: the one public surface over sessions, loop, and edge."""
 
 import asyncio
 import warnings
@@ -19,6 +15,7 @@ from repro.serve import (
     DecodeSession,
     FCFSPolicy,
     GenerationResult,
+    PoolExhausted,
     ServingClient,
     SlackPolicy,
     VirtualClock,
@@ -186,40 +183,43 @@ class TestConstructorKeywords:
 
 
 class TestSessionFacade:
-    def test_queue_mode_admission_via_client(self):
+    def test_refused_open_succeeds_on_retry_after_close(self):
         client = _client(num_blocks=5, block_size=4)
         hog = client.open_session(MASK, 16, paged=True, reserve_tokens=16)
-        ticket = client.request_session(MASK, 8, reserve_tokens=8)
-        assert not ticket.admitted
+        with pytest.raises(PoolExhausted):
+            client.open_session(MASK, 8, paged=True, reserve_tokens=8)
         client.close_session(hog)
-        assert ticket.admitted
-        session = ticket.session
+        session = client.open_session(
+            MASK, 8, retain_outputs=True, paged=True, reserve_tokens=8
+        )
         q, k, v = _data(8, seed=13)
         session.prefill(q[:4], k[:4], v[:4])
+        for i in range(4, 8):
+            session.step(q[i], k[i], v[i])
+        np.testing.assert_array_equal(session.outputs(), _oracle(q, k, v, MASK, 4))
+        assert client.server.stats.admission_rejected == 1
         client.close_session(session)
         client.close()
 
+    def test_ticket_queue_entry_points_are_gone(self):
+        # the loop's waiting queue is the one admission queue
+        for name in (
+            "open_decode_session",
+            "request_decode_session",
+            "admit_queued",
+            "queued_sessions",
+        ):
+            assert not hasattr(AttentionServer, name), name
+        assert not hasattr(ServingClient, "request_session")
 
-class TestDeprecatedShims:
-    """Old entry points still work (their tests elsewhere must keep passing)
-    but warn; the new client paths stay silent."""
+    def test_packages_export_no_ticket_or_one_shot_session(self):
+        import repro
+        import repro.serve
 
-    def test_open_decode_session_warns_and_delegates(self):
-        with AttentionServer() as server:
-            with pytest.warns(DeprecationWarning, match="ServingClient"):
-                session = server.open_decode_session(MASK, 8, retain_outputs=True)
-            q, k, v = _data(8, seed=15)
-            session.prefill(q[:4], k[:4], v[:4])
-            for i in range(4, 8):
-                session.step(q[i], k[i], v[i])
-            np.testing.assert_array_equal(session.outputs(), _oracle(q, k, v, MASK, 4))
-
-    def test_request_decode_session_warns_and_delegates(self):
-        with AttentionServer() as server:
-            server.create_block_pool(key_dim=DIM, num_blocks=8, block_size=4)
-            with pytest.warns(DeprecationWarning, match="ServingClient"):
-                ticket = server.request_decode_session(MASK, 8, reserve_tokens=4)
-            assert ticket.admitted
+        for module in (repro, repro.serve):
+            for name in ("DecodeTicket", "ServingSession"):
+                assert not hasattr(module, name), (module.__name__, name)
+                assert name not in module.__all__
 
     def test_client_paths_do_not_warn(self):
         with warnings.catch_warnings():

@@ -332,6 +332,85 @@ class TestSchedulerMechanics:
         assert rid in scheduler.run(max_iterations=100)
         server.close()
 
+    def test_blocked_stream_admitted_once_an_open_session_frees_blocks(self):
+        # the loop's waiting queue is the one admission queue: a stream
+        # refused its grant stays queued, and the first iteration after the
+        # blocks come back admits it, whoever held them
+        server = AttentionServer()
+        pool = server.create_block_pool(key_dim=DIM, num_blocks=2, block_size=4)
+        client = ServingClient(server)
+        hog = client.open_session(MASK, 8, paged=True, reserve_tokens=8)
+        scheduler = ContinuousBatchingScheduler(server, clock=VirtualClock(), prefill_chunk=4)
+        request = self._request(8, 4, seed=40)
+        rid = scheduler.submit(request)
+        report = scheduler.step()
+        assert report.admitted == [] and report.tokens == 0
+        assert scheduler.waiting == 1 and scheduler.stats.admission_blocked == 1
+        client.close_session(hog)
+        results = scheduler.run(max_iterations=100)
+        oracle = GraphAttentionEngine().run(
+            request.q, request.k, request.v, decode_reference_mask(MASK, 8)
+        )
+        np.testing.assert_allclose(results[rid], oracle.output, atol=1e-6, rtol=1e-6)
+        assert pool.blocks_in_use == 0
+        server.close()
+
+    def test_admission_follows_arrival_order_under_pool_pressure(self):
+        # two one-block grants fill a two-block pool: the first two arrivals
+        # are admitted in order and the third waits its turn
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=2, block_size=4)
+        scheduler = ContinuousBatchingScheduler(
+            server, policy=FCFSPolicy(), clock=VirtualClock(), prefill_chunk=4
+        )
+        rids = scheduler.submit_many([self._request(4, 4, seed=50 + i) for i in range(3)])
+        report = scheduler.step()
+        assert report.admitted == rids[:2]
+        assert scheduler.waiting == 1 and scheduler.stats.admission_blocked == 1
+        report = scheduler.step()
+        assert report.admitted == rids[2:]
+        server.close()
+
+    def _blocked_head(self):
+        """A three-block pool with two blocks held outside the loop and an
+        FCFS loop whose head stream needs both of them for its first chunk."""
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=3, block_size=4)
+        client = ServingClient(server)
+        hog = client.open_session(MASK, 8, paged=True, reserve_tokens=8)
+        scheduler = ContinuousBatchingScheduler(
+            server, policy=FCFSPolicy(), clock=VirtualClock(), prefill_chunk=8
+        )
+        head = scheduler.submit(self._request(8, 8, seed=60))
+        return server, client, hog, scheduler, head
+
+    def test_blocked_head_is_not_jumped_by_a_stream_that_fits(self):
+        server, client, hog, scheduler, head = self._blocked_head()
+        small = scheduler.submit(self._request(4, 4, seed=61))  # one block: fits
+        report = scheduler.step()
+        assert report.admitted == [] and scheduler.waiting == 2
+        assert server.block_pool.blocks_in_use == 2
+        client.close_session(hog)
+        report = scheduler.step()
+        assert report.admitted == [head, small]
+        server.close()
+
+    def test_session_open_is_not_queued_behind_a_blocked_stream(self):
+        # one capacity grant and no second queue: a reject-mode open takes
+        # the free block at once while the loop's head waits for two
+        server, client, hog, scheduler, head = self._blocked_head()
+        scheduler.step()
+        assert scheduler.waiting == 1
+        assert server.stats.admission_rejected == 1  # the loop's refusal
+        session = client.open_session(MASK, 4, paged=True, reserve_tokens=4)
+        assert server.block_pool.blocks_in_use == 3
+        assert server.stats.admission_rejected == 1
+        client.close_session(session)
+        client.close_session(hog)
+        assert head in scheduler.run(max_iterations=100)
+        assert server.block_pool.blocks_in_use == 0
+        server.close()
+
     def test_priority_policy_admits_urgent_request_first(self):
         server = AttentionServer()
         server.create_block_pool(key_dim=DIM, num_blocks=64, block_size=4)

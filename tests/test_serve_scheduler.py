@@ -11,7 +11,7 @@ from repro.distributed.partition_balance import balanced_worker_bins
 from repro.masks.presets import longformer_mask
 from repro.masks.windowed import LocalMask
 from repro.serve.client import ServingClient
-from repro.serve.paging import BlockPool, PoolExhausted
+from repro.serve.paging import PoolExhausted
 from repro.serve.scheduler import AttentionServer
 from repro.serve.session import AttentionRequest
 from repro.utils.rng import random_qkv
@@ -88,6 +88,26 @@ class TestBatching:
         assert server.pending == 1
         flushed = server.flush()
         assert [r.request_id for r in flushed] == [queued_id]
+
+    def test_serve_stamps_fresh_ids_in_order_and_keeps_given_ones(self, server):
+        reqs = _requests(3, mask=LocalMask(window=5))
+        reqs[1].request_id = 1000
+        responses = server.serve(reqs)
+        ids = [r.request_id for r in responses]
+        assert ids[1] == 1000
+        assert ids[0] < ids[2] < 1000
+        # the stamped ids land on the request objects too
+        assert [r.request_id for r in reqs] == ids
+
+    def test_ids_unique_across_intake_paths(self, server):
+        # serve, handle, submit and session opens all draw from one counter
+        q, k, v = random_qkv(96, 12, seed=5)
+        served = server.serve([AttentionRequest(q=q, k=k, v=v, mask=LocalMask(window=5))])
+        handled = server.handle(q, k, v, LocalMask(window=5))
+        queued = server.submit(AttentionRequest(q=q, k=k, v=v, mask=LocalMask(window=5)))
+        session = ServingClient(server).open_session(LocalMask(window=5), 8)
+        ids = [served[0].request_id, handled.request_id, queued, session.session_id]
+        assert len(set(ids)) == 4
 
 
 class TestCorrectness:
@@ -305,96 +325,35 @@ class TestPagedAdmission:
                 )
             assert server.stats.admission_rejected == 1
 
-    def test_queued_ticket_admitted_when_blocks_free(self):
+    @pytest.mark.parametrize("close", ["server", "session"])
+    def test_refused_open_is_granted_once_blocks_free(self, close):
+        # no server-side queue sits between the pool and the grant, so
+        # blocks freed by either close path are grantable at once
         with self._server(num_blocks=2, block_size=4) as server:
-            first = ServingClient(server).open_session(
-                LocalMask(window=3), 8, paged=True, reserve_tokens=8
-            )
+            client = ServingClient(server)
+            first = client.open_session(LocalMask(window=3), 8, paged=True, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=3)
             first.prefill(q, k, v)
-            ticket = ServingClient(server).request_session(
-                LocalMask(window=3), 8, reserve_tokens=8
-            )
-            assert not ticket.admitted
-            assert server.queued_sessions == 1
-            assert server.stats.admission_queued == 1
-            admitted = server.close_decode_session(first)
-            assert ticket in admitted and ticket.admitted
-            assert server.queued_sessions == 0
-            assert server.stats.admission_admitted == 1
-            # the queued session is fully usable once admitted
-            ticket.session.prefill(q, k, v)
-            assert ticket.session.position == 8
-
-    def test_queue_preserves_fifo_order(self):
-        with self._server(num_blocks=2, block_size=4) as server:
-            first = ServingClient(server).open_session(
-                LocalMask(window=3), 8, paged=True, reserve_tokens=8
-            )
+            with pytest.raises(PoolExhausted):
+                client.open_session(LocalMask(window=3), 8, paged=True, reserve_tokens=8)
+            if close == "server":
+                server.close_decode_session(first)
+            else:
+                first.close()  # bypasses the server's bookkeeping
+            second = client.open_session(LocalMask(window=3), 8, paged=True, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=4)
-            first.prefill(q, k, v)
-            tickets = [
-                ServingClient(server).request_session(LocalMask(window=3), 8, reserve_tokens=4)
-                for _ in range(3)
-            ]
-            server.close_decode_session(first)
-            # two single-block-reserving tickets fit; head-of-line order holds
-            assert [t.admitted for t in tickets] == [True, True, False]
-
-    def test_request_drains_queue_after_direct_session_close(self):
-        # regression: capacity freed by session.close() (bypassing
-        # close_decode_session) left queued tickets stranded, and every later
-        # request queued behind them despite a fully free pool
-        with self._server(num_blocks=2, block_size=4) as server:
-            first = ServingClient(server).open_session(
-                LocalMask(window=3), 8, paged=True, reserve_tokens=8
-            )
-            stranded = ServingClient(server).request_session(
-                LocalMask(window=3), 8, reserve_tokens=8
-            )
-            assert not stranded.admitted
-            first.close()  # frees the pool without touching the server queue
-            later = ServingClient(server).request_session(
-                LocalMask(window=3), 8, reserve_tokens=8
-            )
-            assert stranded.admitted  # drained before the new request decided
-            assert not later.admitted and server.queued_sessions == 1
-            server.close_decode_session(stranded.session)
-            assert later.admitted
-
-    def test_exhausted_pool_does_not_starve_other_pools(self):
-        # regression: the admission FIFO is per pool — a stuck head ticket
-        # for an exhausted pool must not block tickets (or fresh requests)
-        # bound for a different pool with free blocks
-        with self._server(num_blocks=2, block_size=4) as server:
-            hog = ServingClient(server).open_session(
-                LocalMask(window=3), 8, paged=True, reserve_tokens=8
-            )
-            stuck = ServingClient(server).request_session(
-                LocalMask(window=3), 8, reserve_tokens=8
-            )
-            assert not stuck.admitted
-            other_pool = BlockPool(2, 4, key_dim=self.DIM)
-            ticket = ServingClient(server).request_session(
-                LocalMask(window=3), 8, pool=other_pool, reserve_tokens=8
-            )
-            assert ticket.admitted  # other pool has room; no cross-pool wait
-            drained = server.close_decode_session(ticket.session)
-            assert drained == [] and not stuck.admitted  # still head for its pool
-            server.close_decode_session(hog)
-            assert stuck.admitted
-            server.close_decode_session(stuck.session)
+            second.prefill(q, k, v)
+            assert second.position == 8
+            assert server.stats.admission_rejected == 1
+            server.close_decode_session(second)
+            assert server.block_pool.blocks_in_use == 0
 
     def test_infeasible_reserve_tokens_fails_its_caller(self):
-        # regression: a grant no pool state could ever satisfy must raise at
-        # request time — queued, it would wedge the FIFO head forever
+        # regression: a grant no pool state could ever satisfy must raise a
+        # ValueError — as PoolExhausted, a caller retrying on exhaustion
+        # would wait forever
         with self._server(num_blocks=2, block_size=4) as server:
             too_big = 2 * 4 + 1  # needs 3 blocks of 2
-            with pytest.raises(ValueError):
-                ServingClient(server).request_session(
-                    LocalMask(window=3), 16, reserve_tokens=too_big
-                )
-            assert server.queued_sessions == 0
             with pytest.raises(ValueError):
                 ServingClient(server).open_session(
                     LocalMask(window=3), 16, paged=True, reserve_tokens=too_big

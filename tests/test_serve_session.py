@@ -1,14 +1,11 @@
-"""Tests for serving request/response containers and sessions (repro.serve.session)."""
+"""Tests for serving request/response containers and stats (repro.serve.session)."""
 
-import numpy as np
 import pytest
 
-from repro.masks.windowed import LocalMask
 from repro.perfmodel.runtime import RuntimeModel, combine_estimates
 from repro.perfmodel.devices import A100_SXM4_80GB
 from repro.serve.cache import CacheStats
-from repro.serve.scheduler import AttentionServer
-from repro.serve.session import AttentionRequest, ServerStats, ServingSession
+from repro.serve.session import AttentionRequest, ServerStats
 from repro.utils.rng import random_qkv
 
 
@@ -55,60 +52,6 @@ class TestServerStats:
         assert stats.throughput_rps == pytest.approx(5.0)
         assert stats.mean_latency_s == pytest.approx(0.1)
         assert stats.cache.hit_rate == pytest.approx(0.9)
-
-
-class TestServingSession:
-    def test_ask_assigns_monotonic_ids(self):
-        session = ServingSession(AttentionServer())
-        q, k, v = random_qkv(48, 8, seed=1)
-        first = session.ask(q, k, v, LocalMask(window=3))
-        second = session.ask(q, k, v)
-        assert (first.request_id, second.request_id) == (0, 1)
-        assert len(session) == 2
-
-    def test_flush_serves_and_records_history(self):
-        session = ServingSession(AttentionServer())
-        q, k, v = random_qkv(48, 8, seed=2)
-        session.ask(q, k, v, LocalMask(window=3))
-        session.ask(q, k, v, LocalMask(window=3))
-        responses = session.flush()
-        assert len(responses) == 2
-        assert len(session) == 0
-        assert session.history == responses
-        np.testing.assert_array_equal(responses[0].output, responses[1].output)
-
-    def test_session_flush_excludes_direct_server_submissions(self):
-        # a request queued directly on the server must not leak into the
-        # session's flush (and must stay pending for the server's own flush)
-        server = AttentionServer()
-        q, k, v = random_qkv(48, 8, seed=4)
-        direct = AttentionRequest(q=q, k=k, v=v, mask=LocalMask(window=3))
-        direct_id = server.submit(direct)
-        session = ServingSession(server)
-        session.ask(q, k, v, LocalMask(window=3))
-        responses = session.flush()
-        assert len(responses) == 1
-        assert responses[0].request_id != direct_id
-        assert server.pending == 1
-        assert [r.request_id for r in server.flush()] == [direct_id]
-
-    def test_ids_unique_across_session_and_direct_requests(self):
-        server = AttentionServer()
-        session = ServingSession(server)
-        q, k, v = random_qkv(48, 8, seed=5)
-        asked = session.ask(q, k, v, LocalMask(window=3))
-        direct = server.handle(q, k, v, LocalMask(window=3))
-        assert asked.request_id != direct.request_id
-
-    def test_second_flush_appends_history(self):
-        session = ServingSession(AttentionServer())
-        q, k, v = random_qkv(48, 8, seed=3)
-        session.ask(q, k, v, LocalMask(window=3))
-        session.flush()
-        session.ask(q, k, v, LocalMask(window=3))
-        session.flush()
-        assert len(session.history) == 2
-        assert session.history[1].cache_hit  # same shape re-used the cached plan
 
 
 class TestCombineEstimates:

@@ -17,6 +17,7 @@ sweeps.  The assertions:
 * when the dust settles the pool accounts for every block.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -126,6 +127,54 @@ def test_threaded_streams_tiny_pool_no_deadlock_no_leaks():
     pool.check_consistency()
     # every stream completed (retries may add extra open/close pairs)
     assert server.stats.sessions_closed >= WORKERS * STREAMS_PER_WORKER
+    server.close()
+
+
+def test_unserialised_paged_opens_never_overcommit_the_pool():
+    """Opens racing with no outside lock: each grant is all-or-nothing.
+
+    Every worker opens two-block sessions until the pool refuses it; nothing
+    closes meanwhile, so exactly ``num_blocks // 2`` opens can succeed and
+    each worker is refused exactly once.
+    """
+    server = AttentionServer(cache_capacity=8)
+    pool = server.create_block_pool(key_dim=DIM, num_blocks=65, block_size=4)
+    client = ServingClient(server)
+    start = threading.Barrier(WORKERS)
+
+    def _worker():
+        sessions = []
+        start.wait(timeout=TIMEOUT_S)
+        # bounded: a grant that held no blocks would otherwise never refuse
+        for _ in range(pool.num_blocks + 1):
+            try:
+                sessions.append(
+                    client.open_session(MASK, LENGTH, paged=True, reserve_tokens=8)
+                )
+            except PoolExhausted:
+                return sessions
+            assert pool.blocks_in_use <= pool.num_blocks
+        raise AssertionError("the pool never refused this worker")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: races show sooner
+    try:
+        with ThreadPoolExecutor(max_workers=WORKERS) as executor:
+            futures = [executor.submit(_worker) for _ in range(WORKERS)]
+            sessions = [s for future in futures for s in future.result(timeout=TIMEOUT_S)]
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert len(sessions) == pool.num_blocks // 2
+    assert sum(s.cache.prereserved_blocks for s in sessions) == pool.blocks_in_use
+    assert pool.blocks_in_use == 2 * len(sessions) <= pool.num_blocks
+    pool.check_consistency()
+    assert server.stats.admission_rejected == WORKERS
+    for session in sessions:
+        client.close_session(session)
+    assert pool.blocks_in_use == 0
+    pool.check_consistency()
+    assert server.stats.sessions_closed == len(sessions)
     server.close()
 
 
