@@ -16,7 +16,7 @@ Instruments are grouped into label *families* (``family.labels(plan=key)``
 returns the per-label-value child, created on first use), mirroring the
 Prometheus client data model so :meth:`MetricsSnapshot.to_prometheus` is a
 faithful text-format render and :meth:`MetricsSnapshot.to_dict` gives the
-JSON schema the benchmarks and the ``repro-ops`` CLI share.
+JSON schema the ``repro-ops`` CLI writes.
 
 Everything mutating takes a lock (one per family, one for the registry), so
 kernels on the server's thread pool and the pool's own locked sections can
@@ -358,7 +358,7 @@ class MetricsSnapshot:
         return [sample for sample in self.samples if sample.name == name]
 
     def to_dict(self) -> dict:
-        """JSON-ready schema shared by BENCH_*.json and the repro-ops CLI."""
+        """JSON-ready schema the repro-ops CLI writes."""
         metrics = []
         for sample in self.samples:
             entry: dict = {

@@ -3,8 +3,9 @@
 Every instrumented layer holds a reference to one :class:`Observability`
 object and guards each hook with ``if obs.enabled:``.  The disabled
 singleton :data:`NULL_OBS` keeps ``enabled = False`` so the hot path costs a
-single attribute check and branch — no allocation, no lock — which is what
-keeps the <2% overhead bound on ``bench_continuous_batching --quick``.
+single attribute check and branch — no allocation, no lock.  A disabled
+recorder declares no metric families, so a hook left unguarded raises
+``AttributeError`` in every test that runs on the default recorder.
 
 Metric families used by the serving stack are pre-declared here (names,
 kinds, labels, buckets) so the registry's schema is uniform across layers

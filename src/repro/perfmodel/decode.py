@@ -20,7 +20,8 @@ full invocation).  Autoregressive decoding has a different cost structure:
 :meth:`DecodeRuntimeModel.speedup_vs_recompute` compares an incremental step
 against recomputing the whole prefix through the CSR kernel (what a stack
 without a KV cache pays per token); the margin widens linearly with the
-prefix's edge count, the effect ``benchmarks/bench_decode.py`` measures.
+prefix's edge count, the effect ``tests/test_serve_decode.py`` counts in
+dot products.
 
 **Preemption** adds a third cost axis: a serving loop that must evict a live
 stream under memory pressure either *swaps* its KV cache to host memory
@@ -186,9 +187,7 @@ def paged_sessions_supported(
     so the remainder counts as private.  Each stream then owns its private
     prompt tail plus ``decode_tokens`` generated tokens, rounded up to
     blocks.  ``storage`` prices the blocks at a quantized storage format —
-    the ≥2x sessions-per-GiB int8 capacity lever.  This is the capacity
-    model ``benchmarks/bench_paging.py`` validates against the real
-    :class:`~repro.serve.paging.BlockPool`.
+    the ≥2x sessions-per-GiB int8 capacity lever.
     """
     require(budget_bytes >= 0, "budget must be non-negative")
     require(
@@ -414,8 +413,8 @@ def min_feasible_slo(
     ``decode_tokens`` incremental steps at the *final* row width
     (``row_edges`` defaults to the full ``prompt_tokens + decode_tokens``
     context) — a conservative per-step cost for sparse masks, exact for
-    dense causal rows.  The edge and the bench use this to sanity-check
-    scenario deadlines: an SLO below the returned floor is unattainable by
+    dense causal rows.  The edge uses this to sanity-check scenario
+    deadlines: an SLO below the returned floor is unattainable by
     construction, not a scheduling failure.
     """
     require(prompt_tokens >= 1, "prompt_tokens must be positive")

@@ -21,8 +21,7 @@ kinds of decisions this module prices analytically:
   the shared prefill its warm replica would have skipped.  With route-hit
   rate ``h`` and a fraction ``s`` of each stream's tokens in the shared
   prefix, the per-stream work inflates by ``(1 - h) · s``, giving
-  ``N / (1 + (1 - h) · s)`` — the curve ``benchmarks/bench_router.py``
-  measures at ``h ≈ 0.9``.
+  ``N / (1 + (1 - h) · s)``.
 
 Like the rest of :mod:`repro.perfmodel`, nothing here imports the serving
 stack; shared constants are defined independently and kept in sync by tests.
@@ -227,8 +226,7 @@ def router_throughput_scaling(
 
     At ``h = 1`` (perfect affinity) or ``s = 0`` (nothing shared) the
     scaling is exactly ``N``; at ``h = 0, s = 0.9`` four replicas deliver
-    only ``4 / 1.9 ≈ 2.1x`` — why the bench's 1.8x floor at four replicas
-    requires the affinity router, not just the fan-out.
+    only ``4 / 1.9 ≈ 2.1x``.
     """
     require(num_replicas >= 1, "num_replicas must be >= 1")
     require(0.0 <= route_hit_rate <= 1.0, "route_hit_rate must lie in [0, 1]")

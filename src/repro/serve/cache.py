@@ -10,6 +10,7 @@ eviction statistics so operators can size the cache from observed traffic.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -45,6 +46,12 @@ class PlanCache:
     ``capacity`` bounds the number of cached plans; inserting beyond it evicts
     the least recently *used* entry (both :meth:`get` hits and :meth:`put`
     updates refresh recency).
+
+    One lock covers the entries and the counters, and :meth:`get_or_compile`
+    holds it across lookup, compile and insert, so threads racing on one key
+    compile it once.  ``compile_fn`` runs under that lock: it may take
+    leaf locks (the server's stats lock), but nothing may take this lock
+    while holding one of those.
     """
 
     def __init__(self, capacity: int = 128, *, obs: Optional[Observability] = None):
@@ -53,6 +60,7 @@ class PlanCache:
         self._entries: "OrderedDict[str, ExecutionPlan]" = OrderedDict()
         self.stats = CacheStats()
         self.obs = obs if obs is not None else NULL_OBS
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     @property
@@ -68,11 +76,16 @@ class PlanCache:
 
     def keys(self) -> List[str]:
         """Cached keys from least to most recently used."""
-        return list(self._entries)
+        with self._lock:
+            return list(self._entries)
 
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional[ExecutionPlan]:
         """Return the cached plan for ``key`` (refreshing recency) or ``None``."""
+        with self._lock:
+            return self._get(key)
+
+    def _get(self, key: str) -> Optional[ExecutionPlan]:
         plan = self._entries.get(key)
         if plan is None:
             self.stats.misses += 1
@@ -87,6 +100,10 @@ class PlanCache:
 
     def put(self, key: str, plan: ExecutionPlan) -> None:
         """Insert (or refresh) a plan, evicting the LRU entry beyond capacity."""
+        with self._lock:
+            self._put(key, plan)
+
+    def _put(self, key: str, plan: ExecutionPlan) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
         self._entries[key] = plan
@@ -100,13 +117,15 @@ class PlanCache:
         self, key: str, compile_fn: Callable[[], ExecutionPlan]
     ) -> Tuple[ExecutionPlan, bool]:
         """Fetch ``key`` or compile-and-insert it; returns ``(plan, was_hit)``."""
-        plan = self.get(key)
-        if plan is not None:
-            return plan, True
-        plan = compile_fn()
-        self.put(key, plan)
-        return plan, False
+        with self._lock:
+            plan = self._get(key)
+            if plan is not None:
+                return plan, True
+            plan = compile_fn()
+            self._put(key, plan)
+            return plan, False
 
     def clear(self) -> None:
         """Drop all entries (statistics are preserved)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()

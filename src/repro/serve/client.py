@@ -378,18 +378,15 @@ class ServingClient:
         # step, so the stall tolerance is one strike wider there
         strikes = 3 if self._router is not None else 2
         stalled = 0
+        iterations = 0  # max_iterations bounds this call, not the loop's lifetime
         while any(rid not in engine.results for rid in rids):
-            iterations = (
-                engine.iterations
-                if self._router is not None
-                else engine.stats.iterations
-            )
             if max_iterations is not None and iterations >= max_iterations:
                 raise RuntimeError(
                     f"generation exceeded {max_iterations} iterations with "
                     f"{engine.active} streams still active"
                 )
             report = engine.step()
+            iterations += 1
             if report.tokens == 0 and not report.admitted and not report.finished:
                 stalled += 1
                 require(

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -487,12 +486,6 @@ def resolve_serving_kwargs(
 # --------------------------------------------------------------------------- #
 # Loop statistics
 # --------------------------------------------------------------------------- #
-#: Iterations of ``(duration, tokens)`` history :class:`LoopStats` retains —
-#: ample for any benchmark window while keeping a perpetual server's
-#: footprint constant.
-ITERATION_LOG_LIMIT = 4096
-
-
 @dataclass
 class IterationReport:
     """What one :meth:`ContinuousBatchingScheduler.step` accomplished."""
@@ -537,7 +530,6 @@ class LoopStatsSnapshot:
     speculate_disabled: int
     preemption_seconds: float
     wall_seconds: float
-    iteration_log: Tuple[Tuple[float, int], ...]
 
     @property
     def tokens_total(self) -> int:
@@ -601,12 +593,6 @@ class LoopStats:
     preemption_seconds: float = 0.0
     #: host wall time spent inside ``step()`` (independent of the injected clock)
     wall_seconds: float = 0.0
-    #: the most recent ``(host_seconds, tokens)`` pair per iteration — the
-    #: benchmark's per-token latency source.  Bounded so a long-lived
-    #: production loop does not grow memory with its uptime.
-    iteration_log: "deque[Tuple[float, int]]" = field(
-        default_factory=lambda: deque(maxlen=ITERATION_LOG_LIMIT)
-    )
     #: re-entrant: ``step()`` holds it for a whole iteration, and a
     #: cancellation can land *inside* the iteration (a client disconnect
     #: observed mid-batch, e.g. between a speculative draft and its verify
@@ -661,7 +647,6 @@ class LoopStats:
                 speculate_disabled=self.speculate_disabled,
                 preemption_seconds=self.preemption_seconds,
                 wall_seconds=self.wall_seconds,
-                iteration_log=tuple(self.iteration_log),
             )
 
 
@@ -1026,9 +1011,7 @@ class ContinuousBatchingScheduler:
             self._execute(plan, report)
             self._finish_streams(report)
 
-            duration = time.perf_counter() - started
-            self.stats.wall_seconds += duration
-            self.stats.iteration_log.append((duration, report.tokens))
+            self.stats.wall_seconds += time.perf_counter() - started
         obs = self.obs
         if obs.enabled:
             obs.iterations.inc()
@@ -1051,18 +1034,21 @@ class ContinuousBatchingScheduler:
     def run(self, *, max_iterations: Optional[int] = None) -> Dict[int, np.ndarray]:
         """Iterate until every submitted stream finishes; returns the outputs.
 
-        Guards forward progress: an iteration that admits nothing, emits
-        nothing and finishes nothing twice in a row can never unwedge
+        ``max_iterations`` bounds this call's iterations, counted from its
+        first.  Guards forward progress: an iteration that admits nothing,
+        emits nothing and finishes nothing twice in a row can never unwedge
         itself, so the loop fails loudly instead of spinning.
         """
         stalled = 0
+        iterations = 0
         while self._waiting or self._running:
-            if max_iterations is not None and self.stats.iterations >= max_iterations:
+            if max_iterations is not None and iterations >= max_iterations:
                 raise RuntimeError(
                     f"loop exceeded {max_iterations} iterations with "
                     f"{self.active} streams still active"
                 )
             report = self.step()
+            iterations += 1
             if report.tokens == 0 and not report.admitted and not report.finished:
                 stalled += 1
                 require(stalled < 2, "scheduler stalled: no admission, tokens, or finishes")

@@ -181,20 +181,16 @@ class _Placement:
 def aggregate_loop_stats(snapshots: Sequence[LoopStatsSnapshot]) -> LoopStatsSnapshot:
     """Sum per-replica loop snapshots into one cluster-wide snapshot.
 
-    Counters add; ``iteration_log`` concatenates in replica order.  The
-    result is what the router-level invariants (registry == summed stats)
-    and the aggregate-throughput bench compare against.
+    Every counter adds.  The result is what the router-level invariants
+    (registry == summed stats) compare against.
     """
     require(len(snapshots) >= 1, "need at least one snapshot to aggregate")
-    totals: Dict[str, object] = {}
-    for spec in fields(LoopStatsSnapshot):
-        if spec.name == "iteration_log":
-            totals[spec.name] = tuple(
-                entry for snap in snapshots for entry in snap.iteration_log
-            )
-        else:
-            totals[spec.name] = sum(getattr(snap, spec.name) for snap in snapshots)
-    return LoopStatsSnapshot(**totals)
+    return LoopStatsSnapshot(
+        **{
+            spec.name: sum(getattr(snap, spec.name) for snap in snapshots)
+            for spec in fields(LoopStatsSnapshot)
+        }
+    )
 
 
 class ReplicaRouter:
@@ -530,15 +526,20 @@ class ReplicaRouter:
         return report
 
     def run(self, *, max_iterations: Optional[int] = None) -> Dict[int, np.ndarray]:
-        """Step until every placed stream finishes; returns :attr:`results`."""
+        """Step until every placed stream finishes; returns :attr:`results`.
+
+        ``max_iterations`` bounds this call's steps, counted from its first.
+        """
         stalled = 0
+        steps = 0
         while self.active:
-            if max_iterations is not None and self._steps >= max_iterations:
+            if max_iterations is not None and steps >= max_iterations:
                 raise RuntimeError(
                     f"router exceeded {max_iterations} steps with "
                     f"{self.active} streams still active"
                 )
             report = self.step()
+            steps += 1
             if report.tokens == 0 and not report.admitted and not report.finished:
                 stalled += 1
                 require(

@@ -39,7 +39,7 @@ import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +76,7 @@ from repro.utils.validation import require
 
 @dataclass
 class RequestBatch:
-    """Requests of one flush that share an execution plan."""
+    """Requests of one :meth:`AttentionServer.serve` call that share a plan."""
 
     plan: ExecutionPlan
     cache_hit: bool
@@ -91,8 +91,8 @@ class RequestBatch:
 class ExecutionGroup:
     """Same-plan requests whose tensors stack into one kernel invocation.
 
-    ``positions`` are the requests' submission indices within the flush, used
-    to restore response ordering after the stacked execution is sliced.
+    ``positions`` are the requests' indices within the serve call, used to
+    restore response ordering after the stacked execution is sliced.
     """
 
     batch: RequestBatch
@@ -107,12 +107,13 @@ class ExecutionGroup:
 class AttentionServer:
     """Serves attention requests through cached execution plans.
 
-    Request intake (``submit``/``serve``/``flush``) is single-threaded: the
-    server parallelises kernel execution internally via ``max_workers``, but
-    its pending queue and plan cache are not synchronised, so calls into one
-    server must come from one client thread at a time.  The capacity grant
-    behind a paged session open is all-or-nothing under the block pool's own
-    lock, so concurrent opens can be refused but never over-commit the pool.
+    One-shot requests go through :meth:`serve` (or :meth:`handle`), which
+    executes exactly the requests it is given.  The plan cache takes its own
+    lock, so threads opening sessions over one mask compile its plan once;
+    the capacity grant behind a paged session open is all-or-nothing under
+    the block pool's own lock, so concurrent opens can be refused but never
+    over-commit the pool.  Kernel execution is parallelised internally via
+    ``max_workers``.
 
     Parameters
     ----------
@@ -128,8 +129,8 @@ class AttentionServer:
         Head dimension assumed by runtime prediction (defaults to the plan
         compiler's constant).
     max_workers:
-        ``None`` or ``1`` executes serially; larger values execute each flush
-        on a thread pool with load-balanced request bins.
+        ``None`` or ``1`` executes serially; larger values execute each
+        :meth:`serve` call on a thread pool with load-balanced request bins.
     obs:
         An :class:`~repro.obs.recorder.Observability` recorder shared with
         the plan cache, any pool created by :meth:`create_block_pool`, and
@@ -167,7 +168,6 @@ class AttentionServer:
             cache=self.cache.stats,
             pool=block_pool.stats if block_pool is not None else None,
         )
-        self._pending: List[AttentionRequest] = []
         self._ids = itertools.count()
         self._pool: Optional[ThreadPoolExecutor] = None
 
@@ -222,36 +222,14 @@ class AttentionServer:
         return self.cache.get_or_compile(key, _compile)
 
     # ------------------------------------------------------------------ #
-    # Request intake
+    # One-shot requests
     # ------------------------------------------------------------------ #
     def next_request_id(self) -> int:
         """Allocate a request id unique across everything this server serves."""
         return next(self._ids)
 
-    def submit(self, request: AttentionRequest) -> int:
-        """Queue one request; returns its (possibly newly assigned) id."""
-        if request.request_id is None:
-            request.request_id = self.next_request_id()
-        self._pending.append(request)
-        return request.request_id
-
-    def submit_many(self, requests: Iterable[AttentionRequest]) -> List[int]:
-        return [self.submit(request) for request in requests]
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    def flush(self) -> List[AttentionResponse]:
-        """Execute every queued request; responses follow submission order."""
-        requests, self._pending = self._pending, []
-        return self._process(requests)
-
     def serve(self, requests: Sequence[AttentionRequest]) -> List[AttentionResponse]:
-        """Execute exactly ``requests`` (queued submissions stay queued)."""
+        """Execute exactly ``requests``; responses follow their order."""
         requests = list(requests)
         for request in requests:
             if request.request_id is None:
@@ -773,7 +751,7 @@ class AttentionServer:
         def _run_bin(indices: np.ndarray) -> List[Tuple[int, AttentionResponse]]:
             return [pair for i in indices for pair in self._execute_group(groups[i])]
 
-        if self._pool is None:  # lazily created, reused across flushes
+        if self._pool is None:  # lazily created, reused across serve calls
             self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
         chunks = list(self._pool.map(_run_bin, [b for b in bins if b.size]))
         return [pair for chunk in chunks for pair in chunk]

@@ -35,6 +35,17 @@ def test_scenario_families_have_distinct_shapes():
     assert run_scenario("quick", seed=0).loop_stats.preemptions == 0
 
 
+def test_slack_meets_the_slo_burst_deadlines_fcfs_misses():
+    # one workload, two orders: reordering alone closes the gap
+    attainment = {
+        policy: run_scenario("slo-burst", seed=0, policy=policy).slo_attainment()
+        for policy in ("fcfs", "slack")
+    }
+    assert attainment["slack"]["attainment"] >= 0.9
+    assert attainment["fcfs"]["attainment"] < 0.6
+    assert attainment["slack"]["requests"] == attainment["fcfs"]["requests"]
+
+
 def test_unknown_scenario_raises():
     with pytest.raises(ValueError):
         build_scenario("nope")

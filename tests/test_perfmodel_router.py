@@ -92,14 +92,14 @@ class TestScalingLaw:
         ) == pytest.approx(4.0)
 
     def test_cold_routing_pays_the_shared_prefill_again(self):
-        # h=0, s=0.9: four replicas deliver only 4/1.9 -- why the bench's
-        # 1.8x floor needs the affinity router, not just the fan-out
+        # h=0, s=0.9: four replicas deliver only 4/1.9
         assert router_throughput_scaling(
             4, route_hit_rate=0.0, shared_prefill_fraction=0.9
         ) == pytest.approx(4 / 1.9)
 
     def test_bench_regime_clears_the_ci_floor(self):
-        # the bench workload: 4 replicas, hit rate >= 0.8, 90% shared prefix
+        # test_serve_router's scaling workload: 4 replicas, hit rate >= 0.8,
+        # 90% shared prefix
         assert router_throughput_scaling(
             4, route_hit_rate=0.8, shared_prefill_fraction=0.9
         ) > 1.8

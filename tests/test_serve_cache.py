@@ -1,5 +1,9 @@
 """Tests for the LRU plan cache (repro.serve.cache)."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -149,3 +153,43 @@ class TestCachedPlanCorrectness:
         np.testing.assert_array_equal(served.output, uncached.output)
         np.testing.assert_array_equal(served.row_sum, uncached.row_sum)
         assert served.ops.dot_products == uncached.ops.dot_products
+
+
+class TestConcurrentCompile:
+    def test_racing_threads_compile_one_key_once(self):
+        # more threads than the host's cores race on one key whose compile is
+        # slow enough that an unlocked cache lets every thread miss
+        threads_n = 4
+        cache = PlanCache(capacity=4)
+        key, plan = _plan(3)
+        compiles = []
+
+        def slow_compile():
+            compiles.append(plan)
+            time.sleep(0.05)
+            return plan
+
+        start = threading.Barrier(threads_n)
+        results = []
+
+        def worker():
+            start.wait(timeout=10)
+            results.append(cache.get_or_compile(key, slow_compile))
+
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: races show sooner
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == threads_n
+        assert len(compiles) == 1
+        assert cache.stats.misses == 1 and cache.stats.hits == threads_n - 1
+        assert all(got is plan for got, _ in results)
+        assert sorted(hit for _, hit in results) == [False] + [True] * (threads_n - 1)

@@ -96,6 +96,21 @@ class TestGenerate:
         np.testing.assert_array_equal(asyncio.run(run()), expected)
 
 
+class TestIterationLimit:
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_limit_counts_from_each_calls_first_iteration(self, replicas):
+        # one call takes 9 iterations: a limit of 12 fits one call, not two
+        q, k, v = _data(12, seed=3)
+        with _client(replicas=replicas) as client:
+            first = client.generate(q, k, v, MASK, prompt_tokens=4, max_iterations=12)
+            second = client.generate(q, k, v, MASK, prompt_tokens=4, max_iterations=12)
+            np.testing.assert_array_equal(second.output, first.output)
+            engine = client.router if replicas > 1 else client.scheduler
+            engine.submit(client._as_request(q, k, v, MASK, prompt_tokens=4))
+            outputs = engine.run(max_iterations=12)
+            assert len(outputs) == 1
+
+
 class TestConstructorKeywords:
     """The uniform obs=/clock=/policy=/storage= surface (one shared validator)."""
 

@@ -108,6 +108,23 @@ class TestDecodeMatchesOneShot:
         np.testing.assert_allclose(session.outputs(), reference.output, atol=1e-6, rtol=1e-6)
 
 
+class TestDecodeStepWork:
+    """An incremental step's work is one mask row, bounded by the window,
+    where recomputing the causal prefix grows with it."""
+
+    @pytest.mark.parametrize("length, recompute", [(256, 24_768), (2048, 255_936)])
+    def test_step_does_one_row_where_recompute_does_the_prefix(self, length, recompute):
+        mask = LocalMask(window=129)
+        q, k, v = random_qkv(length, 64, dtype=np.float32, seed=11)
+        session = DecodeSession.start(mask, length)
+        session.prefill(q[:-1], k[:-1], v[:-1])
+        step = session.step(q[-1], k[-1], v[-1])
+        full = GraphAttentionEngine().run(q, k, v, decode_reference_mask(mask, length))
+        assert step.ops.dot_products == 129
+        assert full.ops.dot_products == recompute
+        assert full.ops.dot_products >= 5 * step.ops.dot_products
+
+
 class TestDecodeSession:
     def test_generation_from_scratch_no_prefill(self):
         length, dim = 24, 8

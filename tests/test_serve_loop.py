@@ -429,3 +429,78 @@ class TestSchedulerMechanics:
             < scheduler.telemetry[low].first_scheduled_time
         )
         server.close()
+
+
+def _kernel_passes(stats):
+    """Kernel passes the server ran: singleton plus stacked groups."""
+    return (
+        stats.decode_steps
+        - stats.decode_coalesced_steps
+        + stats.decode_stacked_executions
+        + stats.prefill_chunks
+        - stats.prefill_coalesced_chunks
+        + stats.prefill_stacked_executions
+    )
+
+
+class TestIterationBatching:
+    """32 aligned streams (prompt 32, +48 decoded, ``LocalMask(17)``, d=32):
+    the loop stacks every stream into one pass per iteration, where callers
+    stepping their own sessions pay a pass per stream per token."""
+
+    STREAMS, PROMPT, DECODE, HEAD_DIM, BLOCK_SIZE = 32, 32, 48, 32, 16
+    MASK = LocalMask(window=17)
+
+    def _server(self):
+        server = AttentionServer(cache_capacity=8)
+        horizon = self.PROMPT + self.DECODE
+        server.create_block_pool(
+            key_dim=self.HEAD_DIM,
+            num_blocks=self.STREAMS * (horizon // self.BLOCK_SIZE + 2),
+            block_size=self.BLOCK_SIZE,
+        )
+        return server
+
+    def test_loop_drains_in_half_the_passes_of_caller_driven_steps(self):
+        horizon = self.PROMPT + self.DECODE
+        data = [
+            random_qkv(horizon, self.HEAD_DIM, dtype=np.float32, seed=s)
+            for s in range(self.STREAMS)
+        ]
+
+        server = self._server()
+        client = ServingClient(server)
+        sessions = []
+        for q, k, v in data:
+            session = client.open_session(self.MASK, horizon, retain_outputs=True, paged=True)
+            server.prefill_chunks(
+                [(session, q[: self.PROMPT], k[: self.PROMPT], v[: self.PROMPT])]
+            )
+            sessions.append(session)
+        for i in range(self.PROMPT, horizon):
+            for session, (q, k, v) in zip(sessions, data):
+                server.decode_step(session, q[i], k[i], v[i])
+        caller_passes = _kernel_passes(server.stats_snapshot())
+        caller_outputs = [session.outputs() for session in sessions]
+        for session in sessions:
+            client.close_session(session)
+        server.close()
+
+        server = self._server()
+        scheduler = ContinuousBatchingScheduler(
+            server, max_streams=self.STREAMS, prefill_chunk=self.PROMPT
+        )
+        rids = [
+            scheduler.submit(
+                LoopRequest(q=q, k=k, v=v, mask=self.MASK, prompt_tokens=self.PROMPT)
+            )
+            for q, k, v in data
+        ]
+        results = scheduler.run()
+        loop_passes = _kernel_passes(server.stats_snapshot())
+        server.close()
+
+        for rid, expected in zip(rids, caller_outputs):
+            np.testing.assert_array_equal(results[rid], expected)
+        assert caller_passes == self.STREAMS * (1 + self.DECODE)
+        assert 2 * loop_passes <= caller_passes

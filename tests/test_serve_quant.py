@@ -13,7 +13,9 @@ The invariants this file pins down:
   zero added error), and SwapStore round-trips preserve the quantized
   payload exactly;
 * pools of different storage dtypes coexist on one server/registry, and
-  ``from_budget`` carves ≥2x the int8 sessions from a byte budget.
+  ``from_budget`` carves ≥2x the int8 sessions from a byte budget;
+* streams that share 90% of their prompt fit in a third of the dense
+  layout's bytes, and int8 blocks hold them in at most half of fp32's.
 """
 
 import numpy as np
@@ -22,14 +24,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from repro.core.engine import GraphAttentionEngine
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import LocalMask
 from repro.obs.recorder import Observability
-from repro.perfmodel.decode import kv_block_bytes
-from repro.serve.decode import DecodeSession
+from repro.perfmodel.decode import kv_block_bytes, kv_cache_bytes
+from repro.serve.client import ServingClient
+from repro.serve.decode import DecodeSession, decode_reference_mask
 from repro.serve.paging import BlockPool, PagedKVCache, SwapStore
 from repro.serve.quant import (
     STORAGE_DTYPES,
+    attention_tolerance,
     decode_chunk,
     dequantize_rows,
     encode_chunk,
@@ -326,3 +331,84 @@ class TestCapacityAccounting:
         cache = PagedKVCache(pool)
         cache.extend(_rows(0, 3, 1.0), _rows(1, 3, 1.0))
         assert cache.gather_keys(np.array([0, 2])).dtype == np.float32
+
+
+# --------------------------------------------------------------------------- #
+# Capacity under prefix sharing, per storage dtype
+# --------------------------------------------------------------------------- #
+class TestSharedPrefixCapacity:
+    """8 streams with 256-token prompts whose first 232 tokens are shared,
+    each decoding 8 more (d=64, ``LocalMask(65)``, block size 8), served
+    through one server's pool per storage dtype."""
+
+    STREAMS, PROMPT, SHARED, DECODE, HEAD_DIM, BLOCK_SIZE = 8, 256, 232, 8, 64, 8
+    MASK = LocalMask(window=65)
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        horizon = self.PROMPT + self.DECODE
+        shared = random_qkv(self.SHARED, self.HEAD_DIM, dtype=np.float32, seed=1)
+        streams = []
+        for s in range(self.STREAMS):
+            tail = random_qkv(
+                horizon - self.SHARED, self.HEAD_DIM, dtype=np.float32, seed=100 + s
+            )
+            streams.append([np.concatenate(pair) for pair in zip(shared, tail)])
+        runs = {}
+        for storage in STORAGE_DTYPES:
+            client = ServingClient(
+                key_dim=self.HEAD_DIM,
+                num_blocks=self.STREAMS * (horizon // self.BLOCK_SIZE + 2),
+                block_size=self.BLOCK_SIZE,
+                storage=storage,
+            )
+            sessions = []
+            for q, k, v in streams:
+                session = client.open_session(
+                    self.MASK, horizon, retain_outputs=True, paged=True, reserve_tokens=0
+                )
+                session.prefill(q[: self.PROMPT], k[: self.PROMPT], v[: self.PROMPT])
+                sessions.append(session)
+            for i in range(self.PROMPT, horizon):
+                client.server.decode_steps(
+                    [(s, q[i], k[i], v[i]) for s, (q, k, v) in zip(sessions, streams)]
+                )
+            runs[storage] = (client.server.block_pool.used_bytes, sessions[0].outputs())
+            for session in sessions:
+                client.close_session(session)
+            client.close()
+        return streams, runs
+
+    def test_fp32_pool_holds_the_streams_in_a_third_of_the_dense_bytes(self, served):
+        _, runs = served
+        dense = self.STREAMS * kv_cache_bytes(
+            self.PROMPT + self.DECODE, self.HEAD_DIM, dtype="fp32"
+        )
+        assert 3 * runs["fp32"][0] <= dense
+
+    def test_int8_fits_twice_the_fp32_sessions_per_byte(self, served):
+        _, runs = served
+        assert runs["fp32"][0] >= 2 * runs["int8"][0]
+
+    def test_fp32_paged_equals_a_private_session(self, served):
+        streams, runs = served
+        horizon = self.PROMPT + self.DECODE
+        private = DecodeSession.start(self.MASK, horizon, retain_outputs=True)
+        q, k, v = streams[0]
+        assert_array_equal(
+            runs["fp32"][1], _decode(private, q, k, v, self.PROMPT, horizon)
+        )
+
+    def test_every_storage_within_its_tolerance_of_the_oracle(self, served):
+        streams, runs = served
+        q, k, v = streams[0]
+        horizon = self.PROMPT + self.DECODE
+        oracle = GraphAttentionEngine().run(
+            q, k, v, decode_reference_mask(self.MASK, horizon)
+        )
+        amplitude = max(float(np.abs(k).max()), float(np.abs(v).max()))
+        for storage, (_, outputs) in runs.items():
+            # fp32 storage adds no codec error: its floor is online-softmax
+            # against one-shot accumulation roundoff
+            bound = max(attention_tolerance(storage, amplitude, self.HEAD_DIM), 1e-5)
+            assert float(np.abs(outputs - oracle.output).max()) <= bound, storage

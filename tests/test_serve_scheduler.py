@@ -50,9 +50,8 @@ class TestBatching:
         for i in range(8):
             mask = LocalMask(window=5) if i % 2 else LocalMask(window=7)
             reqs.extend(_requests(1, mask=mask, seed0=100 + i))
-        ids = server.submit_many(reqs)
-        responses = server.flush()
-        assert [r.request_id for r in responses] == ids
+        responses = server.serve(reqs)
+        assert [r.request_id for r in responses] == [r.request_id for r in reqs]
 
     def test_duplicate_request_objects_keep_submission_order(self, server):
         # the same request object submitted twice must not shuffle responses
@@ -73,21 +72,9 @@ class TestBatching:
         assert all(r.cache_hit for r in second)
         assert server.stats.plans_compiled == 1
 
-    def test_flush_with_nothing_pending(self, server):
-        assert server.flush() == []
+    def test_serve_with_no_requests(self, server):
+        assert server.serve([]) == []
         assert server.stats.flushes == 0
-
-    def test_serve_does_not_drain_queued_submissions(self, server):
-        # a direct serve() call must not execute (or return) someone else's
-        # queued requests
-        queued = _requests(1, mask=LocalMask(window=5))[0]
-        queued_id = server.submit(queued)
-        responses = server.serve(_requests(2, mask=LocalMask(window=7), seed0=60))
-        assert len(responses) == 2
-        assert queued_id not in {r.request_id for r in responses}
-        assert server.pending == 1
-        flushed = server.flush()
-        assert [r.request_id for r in flushed] == [queued_id]
 
     def test_serve_stamps_fresh_ids_in_order_and_keeps_given_ones(self, server):
         reqs = _requests(3, mask=LocalMask(window=5))
@@ -100,14 +87,13 @@ class TestBatching:
         assert [r.request_id for r in reqs] == ids
 
     def test_ids_unique_across_intake_paths(self, server):
-        # serve, handle, submit and session opens all draw from one counter
+        # serve, handle and session opens all draw from one counter
         q, k, v = random_qkv(96, 12, seed=5)
         served = server.serve([AttentionRequest(q=q, k=k, v=v, mask=LocalMask(window=5))])
         handled = server.handle(q, k, v, LocalMask(window=5))
-        queued = server.submit(AttentionRequest(q=q, k=k, v=v, mask=LocalMask(window=5)))
         session = ServingClient(server).open_session(LocalMask(window=5), 8)
-        ids = [served[0].request_id, handled.request_id, queued, session.session_id]
-        assert len(set(ids)) == 4
+        ids = [served[0].request_id, handled.request_id, session.session_id]
+        assert len(set(ids)) == 3
 
 
 class TestCorrectness:

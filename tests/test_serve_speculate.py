@@ -24,13 +24,19 @@ from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.perfmodel.decode import speculation_cost
 from repro.perfmodel.devices import get_device
-from repro.serve import speculate
+from repro.serve import (
+    AttentionServer,
+    ContinuousBatchingScheduler,
+    LoopRequest,
+    speculate,
+)
 from repro.serve.decode import DecodeSession
 from repro.serve.paging import BlockPool, PoolExhausted
 from repro.serve.speculate import (
     draft_program_for,
     speculative_decode_steps,
 )
+from repro.utils.rng import random_qkv
 
 DIM = 4
 HORIZON = 18
@@ -440,3 +446,81 @@ class TestSpeculationCostModel:
         )
         assert estimate.expected_emitted(1.0) == pytest.approx(4.0)
         assert estimate.expected_emitted(0.0) == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------------- #
+# Speculation inside the continuous-batching loop
+# --------------------------------------------------------------------------- #
+class TestLoopSpeculation:
+    """8 streams (prompt 16, +64 decoded, ``LocalMask(17)``, d=32) drained by
+    the loop one token per iteration, or ``k=4`` tokens per draft-and-verify
+    pass."""
+
+    STREAMS, PROMPT, DECODE, HEAD_DIM, BLOCK_SIZE = 8, 16, 64, 32, 16
+    MASK = LocalMask(window=17)
+
+    def _streams(self, peaked):
+        horizon = self.PROMPT + self.DECODE
+        streams = []
+        for seed in range(self.STREAMS):
+            q, k, v = random_qkv(horizon, self.HEAD_DIM, dtype=np.float32, seed=seed)
+            if peaked:
+                # key magnitude grows with position: every row's attention
+                # peak is its newest column, which every draft row keeps
+                direction = np.zeros(self.HEAD_DIM, dtype=np.float32)
+                direction[0] = 1.0
+                scale = (1.0 + np.arange(horizon, dtype=np.float32))[:, None]
+                k = np.broadcast_to(direction, (horizon, self.HEAD_DIM)) * scale
+                q = np.broadcast_to(direction, (horizon, self.HEAD_DIM)).copy()
+            streams.append((q, k, v))
+        return streams
+
+    def _drain(self, streams, speculate_k):
+        horizon = self.PROMPT + self.DECODE
+        server = AttentionServer(cache_capacity=8)
+        server.create_block_pool(
+            key_dim=self.HEAD_DIM,
+            num_blocks=self.STREAMS * (horizon // self.BLOCK_SIZE + 2),
+            block_size=self.BLOCK_SIZE,
+        )
+        scheduler = ContinuousBatchingScheduler(
+            server, max_streams=self.STREAMS, prefill_chunk=self.PROMPT
+        )
+        rids = [
+            scheduler.submit(
+                LoopRequest(
+                    q=q,
+                    k=k,
+                    v=v,
+                    mask=self.MASK,
+                    prompt_tokens=self.PROMPT,
+                    speculate_k=speculate_k,
+                )
+            )
+            for q, k, v in streams
+        ]
+        results = scheduler.run()
+        server.close()
+        return [results[rid] for rid in rids], scheduler.stats.snapshot()
+
+    @pytest.fixture(scope="class")
+    def peaked(self):
+        streams = self._streams(peaked=True)
+        return self._drain(streams, 0), self._drain(streams, 4)
+
+    def test_speculation_drains_in_two_thirds_of_the_iterations(self, peaked):
+        (_, one_token), (_, speculative) = peaked
+        assert 1.5 * speculative.iterations <= one_token.iterations
+
+    def test_peaked_drafts_are_accepted(self, peaked):
+        _, (_, speculative) = peaked
+        assert speculative.speculate_accept_rate >= 0.7
+
+    def test_speculative_outputs_equal_the_one_token_loop(self, peaked):
+        (one_token, _), (speculative, _) = peaked
+        for got, want in zip(speculative, one_token):
+            assert_array_equal(got, want)
+
+    def test_iid_tensors_disable_speculation_on_every_stream(self):
+        _, stats = self._drain(self._streams(peaked=False), 4)
+        assert stats.speculate_disabled == self.STREAMS
