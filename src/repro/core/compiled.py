@@ -1,62 +1,74 @@
-"""Optional compiled fast paths for the paged-KV gather/dequant hot loops.
+"""Algorithm 1's fused row kernel, with a compiled and a NumPy backend.
 
-The serving stack's per-token inner loops are short, gather-shaped kernels:
-fancy-index K/V rows out of the block arena (dequantizing int8 storage on the
-way) and segment-reduce the weighted value rows.  Pure NumPy evaluates each
-as a chain of whole-array passes with temporaries; this module offers a fused
-single-pass implementation behind an auto-detected backend:
+Every vectorised attention core in the package ends in :func:`edge_attention`:
+the one-shot CSR/COO kernels (every plan's ``csr`` step) and the serving
+stack's prefill, decode, stacked and speculative passes.  It runs Algorithm 1
+per query row: one sweep over the row's CSR edges does one dot product per
+edge, a float64 online softmax and the value accumulation, reading the K/V
+rows *in place* from an arena by row index.  Nothing per edge is
+materialised, so memory stays O(L·d) — Q/K/V/O plus the two O(L) softmax
+statistics, the paper's own bound (Section IV-B, Table II) — where gathering
+per-edge K/V copies costs O(nnz·d).
 
-* **numba** — ``@njit`` kernels, used when :mod:`numba` is importable;
-* **cext** — a tiny C file compiled at first use with the system C compiler
-  and loaded through :mod:`ctypes` (no build step, no install);
-* **numpy** — the pure-NumPy fallback, always available.
+Two backends:
 
-The gather/dequant kernels are **bit-identical** to the NumPy fallback: they
-perform the same float32 operations per element in the same order (a gather
-is a copy; int8 dequant is ``(float(q) - zp) * scale``), so switching
-backends never changes a single output bit at fp32 or int8 storage.  The
-fused segment-reduce accumulates *sequentially* where ``np.add.reduceat``
-reduces pairwise, so it agrees with the fallback only to accumulator-dtype
-round-off (~1e-12 relative at float64); every decode path shares one
-implementation per process, which keeps the stack's internal bit-exactness
-invariants (paged == private, stacked == individual) intact either way.
+* **cext** — a small C file compiled with the system C compiler at first use
+  and loaded through :mod:`ctypes` (no build step, no install).  The library
+  is cached per hash of its source, flags and compiler path in
+  ``<tempdir>/repro-compiled-<sha256>/``, so only the first process on a
+  host pays the build; a cache directory that is not the user's own with
+  mode 0700 is never trusted (the library is then built privately, in a
+  temporary directory removed once it is loaded).
+* **numpy** — the pure-NumPy fallback, always available, and the tests'
+  reference.  It gathers, scores and reduces one chunk of rows at a time
+  (:data:`_FALLBACK_CHUNK_ELEMENTS`), so its memory is bounded too.
+
+Exactness: each row's reduction is sequential and independent of every
+other row of the call, so within one backend a row's result depends only on
+its own query and K/V rows — stacked == individual, paged == private,
+speculative == one-token all hold by construction.  The C kernel sums each
+dot product in a fixed order (four interleaved partial sums) and is built
+with ``-ffp-contract=off``, so no target fuses it or the int8 dequant
+``(float(q) - zero) * scale`` into FMAs; across backends results agree to
+float64 round-off.  :func:`gather_dequant_int8` (the paged cache's
+``gather_keys``/``gather_values`` on int8 storage) is bit-identical across
+backends.
 
 Backend selection honours ``REPRO_COMPILED``:
 
-* unset / ``auto`` / ``1`` — numba if importable, else cext, else numpy;
-* ``0`` / ``off`` / ``numpy`` — force the pure-NumPy fallback;
-* ``numba`` / ``cext`` — force one compiled backend (falls back to numpy,
-  recording the reason in :func:`backend_error`, when it cannot be built).
+* unset / ``auto`` / ``1`` / ``cext`` — the C kernels when they build, else
+  numpy (the reason is recorded in :func:`backend_error`);
+* ``0`` / ``off`` / ``numpy`` — the pure-NumPy fallback.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import shutil
+import stat
 import subprocess
 import tempfile
 import threading
-from typing import Optional
+from dataclasses import dataclass
+from functools import cached_property
+from math import prod
+from typing import Optional, Tuple
 
 import numpy as np
 
-_C_SOURCE = r"""
-#include <stdint.h>
+from repro.core.online_softmax import (
+    accumulator_dtype,
+    segment_softmax_stats,
+    segment_weighted_sum,
+)
+from repro.utils.validation import require
 
-void gather_rows_f32(const float *arena, const int64_t *rows,
-                     int64_t batch, int64_t arena_rows, int64_t count,
-                     int64_t dim, float *out)
-{
-    for (int64_t b = 0; b < batch; b++) {
-        const float *src_base = arena + b * arena_rows * dim;
-        float *dst = out + b * count * dim;
-        for (int64_t e = 0; e < count; e++) {
-            const float *src = src_base + rows[e] * dim;
-            for (int64_t j = 0; j < dim; j++)
-                dst[e * dim + j] = src[j];
-        }
-    }
-}
+_C_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
 
 void gather_dequant_i8(const int8_t *arena, const float *scale,
                        const float *zero, const int64_t *rows,
@@ -78,152 +90,354 @@ void gather_dequant_i8(const int8_t *arena, const float *scale,
     }
 }
 
-void segment_weighted_sum_f64(const double *weights, const double *values,
-                              const int64_t *indptr, int64_t batch,
-                              int64_t num_rows, int64_t num_edges,
-                              int64_t dim, double *out)
+enum { ARENA_F32 = 0, ARENA_F64 = 1, ARENA_I8 = 2 };
+
+#define LOAD_F32(p, j) ((double)(p)[j])
+#define LOAD_F64(p, j) ((p)[j])
+#define LOAD_I8(p, j) ((double)(((float)(p)[j] - zero) * scale))
+
+/* dot(q, p) summed in a fixed order: four interleaved partial sums, then the
+   tail; fold: acc = acc * keep + weight * p (keep == 1 skips an exact no-op) */
+#define ROW_LOOPS(SUFFIX, T, LOAD)                                            \
+static double dot_##SUFFIX(const double *q, const T *p, int64_t n,            \
+                           float scale, float zero)                           \
+{                                                                             \
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;                            \
+    int64_t j = 0;                                                            \
+    for (; j + 4 <= n; j += 4) {                                              \
+        a0 += q[j] * LOAD(p, j);                                              \
+        a1 += q[j + 1] * LOAD(p, j + 1);                                      \
+        a2 += q[j + 2] * LOAD(p, j + 2);                                      \
+        a3 += q[j + 3] * LOAD(p, j + 3);                                      \
+    }                                                                         \
+    for (; j < n; j++)                                                        \
+        a0 += q[j] * LOAD(p, j);                                              \
+    return (a0 + a1) + (a2 + a3);                                             \
+}                                                                             \
+static void fold_##SUFFIX(double *acc, double keep, double weight,           \
+                          const T *p, int64_t n, float scale, float zero)     \
+{                                                                             \
+    if (keep == 1.0) {                                                        \
+        for (int64_t j = 0; j < n; j++)                                       \
+            acc[j] += weight * LOAD(p, j);                                    \
+    } else {                                                                  \
+        for (int64_t j = 0; j < n; j++)                                       \
+            acc[j] = acc[j] * keep + weight * LOAD(p, j);                     \
+    }                                                                         \
+}
+
+ROW_LOOPS(f32, float, LOAD_F32)
+ROW_LOOPS(f64, double, LOAD_F64)
+ROW_LOOPS(i8, int8_t, LOAD_I8)
+
+/* one arena slice: its K or V rows and, for int8, the per-row scale/zero */
+typedef struct {
+    const void *data;
+    const float *scale;
+    const float *zero;
+} slice_t;
+
+static double dot_row(int kind, slice_t s, int64_t row, int64_t n,
+                      const double *q)
 {
-    for (int64_t b = 0; b < batch; b++) {
-        const double *w = weights + b * num_edges;
-        const double *v = values + b * num_edges * dim;
-        double *dst = out + b * num_rows * dim;
+    switch (kind) {
+    case ARENA_F32:
+        return dot_f32(q, (const float *)s.data + row * n, n, 0.0f, 0.0f);
+    case ARENA_F64:
+        return dot_f64(q, (const double *)s.data + row * n, n, 0.0f, 0.0f);
+    default:
+        return dot_i8(q, (const int8_t *)s.data + row * n, n, s.scale[row],
+                      s.zero[row]);
+    }
+}
+
+static void fold_row(int kind, slice_t s, int64_t row, int64_t n,
+                     double *acc, double keep, double weight)
+{
+    switch (kind) {
+    case ARENA_F32:
+        fold_f32(acc, keep, weight, (const float *)s.data + row * n, n,
+                 0.0f, 0.0f);
+        break;
+    case ARENA_F64:
+        fold_f64(acc, keep, weight, (const double *)s.data + row * n, n,
+                 0.0f, 0.0f);
+        break;
+    default:
+        fold_i8(acc, keep, weight, (const int8_t *)s.data + row * n, n,
+                s.scale[row], s.zero[row]);
+    }
+}
+
+static slice_t arena_slice(int kind, const void *data, const float *scale,
+                           const float *zero, int64_t a, int64_t arena_rows,
+                           int64_t dim)
+{
+    static const int64_t itemsize[] = {4, 8, 1};
+    slice_t s;
+    s.data = (const char *)data + a * arena_rows * dim * itemsize[kind];
+    s.scale = scale ? scale + a * arena_rows : NULL;
+    s.zero = zero ? zero + a * arena_rows : NULL;
+    return s;
+}
+
+/* Algorithm 1 for num_rows query rows of groups * slices query slices.
+   Slice b reads arena slice b % slices through the row vector of group
+   b / slices; edge e of a row reads arena row rows[group * num_edges + e].
+   Returns 0, or 1 for a malformed indptr, 2 for an arena row out of range,
+   3 when the per-call scratch cannot be allocated (nothing is read then). */
+int edge_attention(const void *q, int q_f64,
+                   const void *k, const void *v, int kind,
+                   const float *k_scale, const float *k_zero,
+                   const float *v_scale, const float *v_zero,
+                   const void *rows, int rows_i64, const int64_t *indptr,
+                   int64_t groups, int64_t slices, int64_t arena_rows,
+                   int64_t num_rows, int64_t num_edges, int64_t dk,
+                   int64_t dv, double scale, double *out, double *row_max,
+                   double *row_sum, double *scores)
+{
+    const int32_t *rows32 = (const int32_t *)rows;
+    const int64_t *rows64 = (const int64_t *)rows;
+    if (indptr[0] != 0 || indptr[num_rows] != num_edges)
+        return 1;
+    for (int64_t i = 0; i < num_rows; i++)
+        if (indptr[i] > indptr[i + 1])
+            return 1;
+    for (int64_t e = 0; e < groups * num_edges; e++) {
+        const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
+        if (r < 0 || r >= arena_rows)
+            return 2;
+    }
+    double *qrow = malloc((size_t)(dk > 0 ? dk : 1) * sizeof(double));
+    if (qrow == NULL)
+        return 3;
+    for (int64_t b = 0; b < groups * slices; b++) {
+        const int64_t g = b / slices;
+        const slice_t ks = arena_slice(kind, k, k_scale, k_zero, b % slices,
+                                       arena_rows, dk);
+        const slice_t vs = arena_slice(kind, v, v_scale, v_zero, b % slices,
+                                       arena_rows, dv);
         for (int64_t i = 0; i < num_rows; i++) {
-            double *acc = dst + i * dim;
-            for (int64_t j = 0; j < dim; j++)
-                acc[j] = 0.0;
-            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-                const double we = w[e];
-                const double *ve = v + e * dim;
-                for (int64_t j = 0; j < dim; j++)
-                    acc[j] += we * ve[j];
+            const int64_t at = b * num_rows + i;
+            if (q_f64) {
+                const double *src = (const double *)q + at * dk;
+                for (int64_t j = 0; j < dk; j++)
+                    qrow[j] = src[j];
+            } else {
+                const float *src = (const float *)q + at * dk;
+                for (int64_t j = 0; j < dk; j++)
+                    qrow[j] = (double)src[j];
             }
+            double *acc = out + at * dv;
+            for (int64_t j = 0; j < dv; j++)
+                acc[j] = 0.0;
+            double m = -INFINITY, l = 0.0;
+            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
+                const int64_t x = g * num_edges + e;
+                const int64_t r = rows_i64 ? rows64[x] : (int64_t)rows32[x];
+                const double s = dot_row(kind, ks, r, dk, qrow) * scale;
+                if (scores)
+                    scores[b * num_edges + e] = s;
+                if (s > m) {
+                    /* the running max grows: rescale what is folded so far */
+                    const double keep = exp(m - s);
+                    l = l * keep + 1.0;
+                    fold_row(kind, vs, r, dv, acc, keep, 1.0);
+                    m = s;
+                } else {
+                    const double w = exp(s - m);
+                    l += w;
+                    fold_row(kind, vs, r, dv, acc, 1.0, w);
+                }
+            }
+            row_max[at] = m;
+            row_sum[at] = l;
+            if (l != 0.0)
+                for (int64_t j = 0; j < dv; j++)
+                    acc[j] /= l;
         }
     }
+    free(qrow);
+    return 0;
 }
 """
 
+#: compiler flags, hashed into the cache key with the source and compiler
+#: path.  No ``-ffast-math``: the int8 dequant keeps IEEE float32 semantics,
+#: and ``-ffp-contract=off`` keeps every target from fusing it or the dot
+#: products into FMAs.  ``-ftree-vectorize`` only packs independent lanes
+#: (the value fold, the four dot-product partial sums); without
+#: reassociation flags it never reorders a sum, so results stay bit-equal.
+_CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
+_LIB_NAME = "repro_compiled.so"
+
+_P = ctypes.c_void_p
+_INT = ctypes.c_int
 _I64 = ctypes.c_int64
+_ARGTYPES = {
+    "gather_dequant_i8": ([_P] * 4 + [_I64] * 4 + [_P], None),
+    "edge_attention": (
+        [_P, _INT, _P, _P, _INT] + [_P] * 4 + [_P, _INT, _P] + [_I64] * 7 + [ctypes.c_double] + [_P] * 4,
+        _INT,
+    ),
+}
+_KERNEL_ERRORS = {
+    1: "indptr must start at 0, never decrease and end at the edge count",
+    2: "an edge reads an arena row out of range",
+    3: "out of memory for the kernel's scratch row",
+}
+_ARENA_KINDS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_ARENA_I8 = 2
+
 _lock = threading.Lock()
-_backend: Optional[str] = None  # resolved lazily: "numba" | "cext" | "numpy"
+_backend: Optional[str] = None  # resolved lazily: "cext" | "numpy"
 _backend_error: Optional[str] = None
 _cext = None  # loaded ctypes library
-_numba_kernels = None  # dict of jitted functions
+
+#: Row chunks of the NumPy fallback hold at most this many per-edge elements
+#: (query slices x edges x head dim) in each temporary — 8 MB at float64 — so
+#: the fallback's memory stays O(L·d) whatever the mask's edge count.
+_FALLBACK_CHUNK_ELEMENTS = 1 << 20
 
 
 # --------------------------------------------------------------------------- #
-# Backend detection
+# Build and load
 # --------------------------------------------------------------------------- #
-def _try_numba() -> bool:
-    global _numba_kernels
-    try:  # pragma: no cover - exercised only where numba is installed
-        import numba
-    except ImportError:
-        return False
-
-    @numba.njit(cache=False)  # pragma: no cover
-    def gather_rows(arena, rows, out):
-        batch, count, dim = out.shape
-        for b in range(batch):
-            for e in range(count):
-                src = rows[e]
-                for j in range(dim):
-                    out[b, e, j] = arena[b, src, j]
-
-    @numba.njit(cache=False)  # pragma: no cover
-    def gather_dequant(arena, scale, zero, rows, out):
-        batch, count, dim = out.shape
-        for b in range(batch):
-            for e in range(count):
-                src = rows[e]
-                s = scale[b, src]
-                z = zero[b, src]
-                for j in range(dim):
-                    out[b, e, j] = (np.float32(arena[b, src, j]) - z) * s
-
-    @numba.njit(cache=False)  # pragma: no cover
-    def segment_sum(weights, values, indptr, out):
-        batch, num_rows, dim = out.shape
-        for b in range(batch):
-            for i in range(num_rows):
-                for j in range(dim):
-                    out[b, i, j] = 0.0
-                for e in range(indptr[i], indptr[i + 1]):
-                    we = weights[b, e]
-                    for j in range(dim):
-                        out[b, i, j] += we * values[b, e, j]
-
-    _numba_kernels = {
-        "gather_rows": gather_rows,
-        "gather_dequant": gather_dequant,
-        "segment_sum": segment_sum,
-    }
-    return True
-
-
 def _find_cc() -> Optional[str]:
-    import shutil
-
     for candidate in (os.environ.get("CC"), "cc", "gcc", "clang"):
         if candidate and shutil.which(candidate):
             return candidate
     return None
 
 
+def _build_key(cc_path: str) -> str:
+    digest = hashlib.sha256()
+    for part in (_C_SOURCE, " ".join(_CFLAGS), cc_path):
+        digest.update(part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def _cache_dir(cc_path: str) -> Optional[str]:
+    """The shared build directory, or ``None`` when it cannot be trusted.
+
+    Trusted means a real directory (not a symlink) owned by this user with
+    mode 0700: nobody else can have planted or altered a library in it.
+    """
+    if not hasattr(os, "getuid"):
+        return None
+    path = os.path.join(tempfile.gettempdir(), "repro-compiled-" + _build_key(cc_path))
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    info = os.lstat(path)
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or stat.S_IMODE(info.st_mode) != 0o700:
+        return None
+    return path
+
+
+def _sha256_file(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+class _BuildError(Exception):
+    """The C compiler rejected the source (its message is the reason)."""
+
+
+def _compile(cc: str, build_dir: str, lib_path: str) -> None:
+    """Compile the source to ``lib_path`` (raises :exc:`_BuildError`)."""
+    fd, src = tempfile.mkstemp(prefix="build-", suffix=".c", dir=build_dir)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(_C_SOURCE)
+        result = subprocess.run(
+            [cc, *_CFLAGS, "-o", lib_path, src, "-lm"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.unlink(src)
+    if result.returncode != 0:
+        raise _BuildError(f"{cc} failed: {result.stderr.strip()[:500]}")
+
+
+def _load_or_build_cached(cc: str, cache_dir: str):
+    """Load the cached library if its digest checks out, else build it in.
+
+    The library and its digest are written under unique temporary names and
+    moved in with ``os.replace``, so a concurrent process never loads a
+    half-written file; a library whose bytes do not match the recorded digest
+    (corrupt, or caught between two replaces) is rebuilt, never loaded.
+    """
+    lib_path = os.path.join(cache_dir, _LIB_NAME)
+    digest_path = lib_path + ".sha256"
+    try:
+        with open(digest_path, encoding="ascii") as handle:
+            expected = handle.read().strip()
+        if _sha256_file(lib_path) == expected:
+            return ctypes.CDLL(lib_path)
+    except (OSError, UnicodeDecodeError):
+        pass  # missing, unreadable or not loadable: build it again
+    fd, tmp_lib = tempfile.mkstemp(prefix="build-", suffix=".so", dir=cache_dir)
+    os.close(fd)
+    tmp_digest = tmp_lib + ".sha256"
+    try:
+        _compile(cc, cache_dir, tmp_lib)
+        with open(tmp_digest, "w", encoding="ascii") as handle:
+            handle.write(_sha256_file(tmp_lib))
+        os.replace(tmp_lib, lib_path)
+        os.replace(tmp_digest, digest_path)
+    finally:
+        for leftover in (tmp_lib, tmp_digest):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
+    return ctypes.CDLL(lib_path)
+
+
+def _build_private(cc: str):
+    # the build directory goes once the library is loaded: the process keeps
+    # its mapping of the unlinked file (POSIX), and nothing is left behind
+    with tempfile.TemporaryDirectory(prefix="repro-private-") as build_dir:
+        lib_path = os.path.join(build_dir, _LIB_NAME)
+        _compile(cc, build_dir, lib_path)
+        return ctypes.CDLL(lib_path)
+
+
 def _try_cext() -> bool:
-    """Compile and load the C kernels; False (with the reason recorded) on failure."""
+    """Load (building if needed) the C kernels; False, with the reason, on failure."""
     global _cext, _backend_error
     cc = _find_cc()
     if cc is None:
         _backend_error = "no C compiler on PATH"
         return False
     try:
-        # the build directory goes once the library is loaded: the process
-        # keeps its mapping of the unlinked file (POSIX), and nothing is left
-        # behind in the temp directory
-        with tempfile.TemporaryDirectory(prefix="repro-compiled-") as build_dir:
-            src = os.path.join(build_dir, "repro_compiled.c")
-            lib_path = os.path.join(build_dir, "repro_compiled.so")
-            with open(src, "w", encoding="utf-8") as handle:
-                handle.write(_C_SOURCE)
-            # -O2 without -ffast-math: the dequant path must keep IEEE float32
-            # semantics so results stay bit-identical to the NumPy fallback
-            result = subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", lib_path, src],
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            if result.returncode != 0:
-                _backend_error = f"{cc} failed: {result.stderr.strip()[:500]}"
-                return False
-            lib = ctypes.CDLL(lib_path)
-        for name in ("gather_rows_f32", "gather_dequant_i8", "segment_weighted_sum_f64"):
-            getattr(lib, name).restype = None
+        cache_dir = _cache_dir(shutil.which(cc))
+        if cache_dir is not None:
+            lib = _load_or_build_cached(cc, cache_dir)
+        else:
+            lib = _build_private(cc)
+        for name, (argtypes, restype) in _ARGTYPES.items():
+            function = getattr(lib, name)
+            function.argtypes = argtypes
+            function.restype = restype
         _cext = lib
         return True
+    except _BuildError as exc:
+        _backend_error = str(exc)
+        return False
     except (OSError, subprocess.SubprocessError) as exc:
         _backend_error = f"cext build failed: {exc}"
         return False
 
 
 def _resolve_backend() -> str:
-    global _backend_error
     raw = os.environ.get("REPRO_COMPILED", "auto").strip().lower()
     if raw in {"0", "off", "false", "no", "numpy"}:
         return "numpy"
-    if raw == "numba":
-        if _try_numba():
-            return "numba"
-        _backend_error = _backend_error or "numba is not importable"
-        return "numpy"
-    if raw == "cext":
-        return "cext" if _try_cext() else "numpy"
-    # auto: prefer numba (no toolchain dependency), then the C extension
-    if _try_numba():
-        return "numba"
-    if _try_cext():
-        return "cext"
-    return "numpy"
+    return "cext" if _try_cext() else "numpy"
 
 
 def _ensure_backend() -> str:
@@ -236,12 +450,12 @@ def _ensure_backend() -> str:
 
 
 def backend() -> str:
-    """The active backend name: ``"numba"``, ``"cext"`` or ``"numpy"``."""
+    """The active backend name: ``"cext"`` or ``"numpy"``."""
     return _ensure_backend()
 
 
 def backend_error() -> Optional[str]:
-    """Why a requested compiled backend fell back to numpy, if it did."""
+    """Why the compiled backend fell back to numpy, if it did."""
     _ensure_backend()
     return _backend_error
 
@@ -255,10 +469,10 @@ def reset_backend() -> None:
 
 
 class force_backend:
-    """Context manager pinning the backend (benchmarks compare paths with it)."""
+    """Context manager pinning the backend (tests compare paths with it)."""
 
     def __init__(self, name: str) -> None:
-        if name not in {"numba", "cext", "numpy"}:
+        if name not in {"cext", "numpy"}:
             raise ValueError(f"unknown backend {name!r}")
         self.name = name
         self._saved: Optional[str] = None
@@ -268,8 +482,6 @@ class force_backend:
         _ensure_backend()
         with _lock:
             self._saved = _backend
-            if self.name == "numba" and _numba_kernels is None and not _try_numba():
-                raise RuntimeError("numba backend is not available")
             if self.name == "cext" and _cext is None and not _try_cext():
                 raise RuntimeError(f"cext backend is not available: {_backend_error}")
             _backend = self.name
@@ -282,49 +494,44 @@ class force_backend:
 
 
 # --------------------------------------------------------------------------- #
-# Shape plumbing
+# Kernels
 # --------------------------------------------------------------------------- #
+@dataclass(frozen=True, eq=False)
+class Arena:
+    """K/V rows :func:`edge_attention` reads in place, addressed by row index.
+
+    ``keys``/``values`` are ``(..., N, d_k)`` / ``(..., N, d_v)``.  An int8
+    arena carries per-row float32 ``(scale, zero)`` pairs shaped ``(..., N)``
+    and dequantizes as ``(float(q) - zero) * scale`` in float32, exactly like
+    :func:`gather_dequant_int8`.  A block pool builds its arena once, so the
+    C kernel's view of it (:attr:`c_operands`) is made once too.
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+    k_params: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    v_params: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    @cached_property
+    def c_operands(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[Optional[int], ...]]:
+        """Contiguous arrays for the C kernel (held here) and their six addresses:
+        keys, values, then the int8 scale/zero of keys and values (``None``
+        when the arena is not quantized)."""
+        arrays = [np.ascontiguousarray(self.keys), np.ascontiguousarray(self.values)]
+        if self.k_params is not None:
+            arrays += [np.ascontiguousarray(p, dtype=np.float32) for p in (*self.k_params, *self.v_params)]
+            require(
+                all(p.shape == self.keys.shape[:-1] for p in arrays[2:]),
+                "int8 scale/zero must be shaped like the arena's rows",
+            )
+        addresses = [a.ctypes.data for a in arrays]
+        return tuple(arrays), tuple(addresses + [None] * (6 - len(addresses)))
+
+
 def _flat3(array: np.ndarray) -> np.ndarray:
     """View ``(..., R, d)`` as contiguous ``(B, R, d)`` (copying only if needed)."""
     rows, dim = array.shape[-2], array.shape[-1]
     return np.ascontiguousarray(array).reshape(-1, rows, dim)
-
-
-def _ptr(array: np.ndarray, ctype):
-    return array.ctypes.data_as(ctypes.POINTER(ctype))
-
-
-# --------------------------------------------------------------------------- #
-# Kernels
-# --------------------------------------------------------------------------- #
-def gather_rows(arena: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Fancy-index ``arena[..., rows, :]`` — a fused copy on compiled backends.
-
-    ``arena`` is ``(..., R, d)`` float32; ``rows`` is a 1-D int64 index
-    vector.  All backends return bit-identical results (a gather moves
-    bytes), so this is safe on every decode path.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    which = _ensure_backend()
-    if which == "numpy" or arena.dtype != np.float32:
-        return arena[..., rows, :]
-    flat = _flat3(arena)
-    batch, arena_rows, dim = flat.shape
-    out = np.empty((batch, rows.size, dim), dtype=np.float32)
-    if rows.size:
-        if which == "numba":  # pragma: no cover - requires numba
-            _numba_kernels["gather_rows"](flat, rows, out)
-        else:
-            _cext.gather_rows_f32(
-                _ptr(flat, ctypes.c_float),
-                _ptr(rows, _I64),
-                _I64(batch),
-                _I64(arena_rows),
-                _I64(rows.size),
-                _I64(dim),
-                _ptr(out, ctypes.c_float),
-            )
-    return out.reshape(arena.shape[:-2] + (rows.size, dim))
 
 
 def gather_dequant_int8(
@@ -337,13 +544,12 @@ def gather_dequant_int8(
 
     ``arena`` is ``(..., R, d)`` int8; ``scale``/``zero`` are ``(..., R)``
     float32 per-row affine parameters sharing the arena's row indexing;
-    ``rows`` is 1-D int64.  Compiled backends fuse the gather and the two
-    float32 ops into one pass and are bit-identical to the NumPy fallback
+    ``rows`` is 1-D int64.  The C backend fuses the gather and the two
+    float32 ops into one pass and is bit-identical to the NumPy fallback
     (same operations, same order, per element).
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    which = _ensure_backend()
-    if which == "numpy":
+    if _ensure_backend() == "numpy":
         gathered = arena[..., rows, :].astype(np.float32)
         z = zero[..., rows]
         s = scale[..., rows]
@@ -354,78 +560,215 @@ def gather_dequant_int8(
     zero2 = np.ascontiguousarray(zero, dtype=np.float32).reshape(batch, arena_rows)
     out = np.empty((batch, rows.size, dim), dtype=np.float32)
     if rows.size:
-        if which == "numba":  # pragma: no cover - requires numba
-            _numba_kernels["gather_dequant"](flat, scale2, zero2, rows, out)
-        else:
-            _cext.gather_dequant_i8(
-                _ptr(flat, ctypes.c_int8),
-                _ptr(scale2, ctypes.c_float),
-                _ptr(zero2, ctypes.c_float),
-                _ptr(rows, _I64),
-                _I64(batch),
-                _I64(arena_rows),
-                _I64(rows.size),
-                _I64(dim),
-                _ptr(out, ctypes.c_float),
-            )
+        _cext.gather_dequant_i8(
+            flat.ctypes.data,
+            scale2.ctypes.data,
+            zero2.ctypes.data,
+            rows.ctypes.data,
+            batch,
+            arena_rows,
+            rows.size,
+            dim,
+            out.ctypes.data,
+        )
     return out.reshape(arena.shape[:-2] + (rows.size, dim))
 
 
-def try_segment_weighted_sum(
-    weights: np.ndarray, values: np.ndarray, indptr: np.ndarray, value_dim: int
-) -> Optional[np.ndarray]:
-    """Fused per-row ``sum(weights * values)`` over CSR segments, or ``None``.
+def _arena_kind(q: np.ndarray, arena: Arena) -> Optional[int]:
+    """The C kernel's arena code, or ``None`` when it must run on NumPy."""
+    if q.dtype not in _ARENA_KINDS or arena.keys.dtype != arena.values.dtype:
+        return None  # fp16 compute accumulates in float32: NumPy only
+    if arena.k_params is not None or arena.v_params is not None:
+        quantized = arena.k_params is not None and arena.v_params is not None
+        return _ARENA_I8 if quantized and arena.keys.dtype == np.int8 else None
+    return _ARENA_KINDS.get(arena.keys.dtype)
 
-    Returns ``None`` when no compiled backend is active or the dtypes are not
-    the float64 accumulator layout the decode paths use — the caller then
-    falls through to the ``np.add.reduceat`` implementation.  The compiled
-    reduction is sequential per segment (reduceat is pairwise), so results
-    agree to float64 round-off rather than bit-for-bit; all serving paths
-    share whichever implementation is active, preserving cross-path
-    bit-exactness within a process.
+
+def edge_attention(
+    q: np.ndarray,
+    arena: Arena,
+    rows: np.ndarray,
+    indptr: np.ndarray,
+    scale: float,
+    *,
+    return_scores: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Algorithm 1 for ``R`` query rows over K/V rows read in place.
+
+    ``indptr`` (``R + 1`` entries) delimits each query row's edges, and edge
+    ``e`` reads arena row ``rows[..., e]``.  With 1-D ``rows`` (one-shot
+    kernels, a private cache) ``q`` is ``arena.keys.shape[:-2] + (R, d_k)``
+    and each query slice reads its own arena slice.  With ``(G, E)`` rows (a
+    stacked group of sessions paging one pool) ``q`` is
+    ``(G,) + arena.keys.shape[:-2] + (R, d_k)`` and group ``g`` reads its
+    arena slices through ``rows[g]``.
+
+    Returns ``(output, row_max, row_sum, scores)``: the normalised output in
+    the accumulator dtype (``q.shape[:-1] + (d_v,)``), the per-row softmax
+    maximum and normaliser (``q.shape[:-1]``), and — with ``return_scores``
+    — the scaled edge scores (``q.shape[:-2] + (E,)``), else ``None``.  Empty
+    rows finalise to zero with ``row_max = -inf`` and ``row_sum = 0``.
     """
-    which = _ensure_backend()
-    if which == "numpy":
-        return None
-    if weights.dtype != np.float64 or values.dtype != np.float64:
-        return None
+    q = np.asarray(q)
+    rows = np.asarray(rows)
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    keys, values = arena.keys, arena.values
+    slices_shape = keys.shape[:-2]
+    if rows.ndim == 2:
+        groups, expected = rows.shape[0], (rows.shape[0],) + slices_shape
+    else:
+        require(rows.ndim == 1, "rows must be (E,) or (groups, E)")
+        groups, expected = 1, slices_shape
+    if q.ndim < 2 or q.shape[:-2] != expected:
+        raise ValueError(f"query slices {q.shape[:-2]} do not match the arena's {expected}")
+    require(values.shape[:-1] == keys.shape[:-1], "K and V arenas must share their rows")
+    require(q.shape[-1] == keys.shape[-1], "Q and K must share the head dimension d_k")
+    require(indptr.size == q.shape[-2] + 1, "indptr must have one entry per query row + 1")
+    kind = _arena_kind(q, arena)
+    if kind is None or _ensure_backend() == "numpy":
+        return _edge_attention_numpy(q, arena, rows, indptr, scale, return_scores)
+
+    q = np.ascontiguousarray(q)
+    if rows.dtype != np.int32:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+    else:
+        rows = np.ascontiguousarray(rows)
+    _, arena_addresses = arena.c_operands
+    num_rows, num_edges, value_dim = q.shape[-2], rows.shape[-1], values.shape[-1]
+    output = np.empty(q.shape[:-1] + (value_dim,), dtype=np.float64)
+    # one buffer holds row_max, row_sum and the scores: one address to take
+    stats = prod(q.shape[:-1])
+    scores_size = prod(q.shape[:-2]) * num_edges if return_scores else 0
+    buffer = np.empty(2 * stats + scores_size, dtype=np.float64)
+    base = buffer.ctypes.data
+    status = _cext.edge_attention(
+        q.ctypes.data,
+        int(q.dtype == np.float64),
+        *arena_addresses[:2],
+        kind,
+        *arena_addresses[2:],
+        rows.ctypes.data,
+        int(rows.dtype == np.int64),
+        indptr.ctypes.data,
+        groups,
+        prod(slices_shape),
+        keys.shape[-2],
+        num_rows,
+        num_edges,
+        keys.shape[-1],
+        value_dim,
+        float(scale),
+        output.ctypes.data,
+        base,
+        base + 8 * stats,
+        base + 16 * stats if return_scores else None,
+    )
+    if status:
+        raise ValueError(f"edge_attention: {_KERNEL_ERRORS[status]}")
+    return (
+        output,
+        buffer[:stats].reshape(q.shape[:-1]),
+        buffer[stats : 2 * stats].reshape(q.shape[:-1]),
+        buffer[2 * stats :].reshape(q.shape[:-2] + (num_edges,)) if return_scores else None,
+    )
+
+
+def _gather(
+    arena: np.ndarray,
+    params: Optional[Tuple[np.ndarray, np.ndarray]],
+    rows: np.ndarray,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Rows ``rows`` (``(G, E)``) of every ``(A, N, d)`` arena slice as ``(G·A, E, d)``."""
+    slices, (groups, edges), dim = arena.shape[0], rows.shape, arena.shape[-1]
+    flat = rows.reshape(-1)
+    gathered = arena[:, flat, :]
+    if params is not None:
+        scale, zero = params
+        gathered = (gathered.astype(np.float32) - zero[:, flat, None]) * scale[:, flat, None]
+    if groups > 1 and slices > 1:
+        gathered = gathered.reshape(slices, groups, edges, dim).swapaxes(0, 1)
+    return np.ascontiguousarray(gathered, dtype=dtype).reshape(groups * slices, edges, dim)
+
+
+def _edge_attention_numpy(
+    q: np.ndarray,
+    arena: Arena,
+    rows: np.ndarray,
+    indptr: np.ndarray,
+    scale: float,
+    return_scores: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The NumPy fallback of :func:`edge_attention`, one chunk of rows at a time.
+
+    Per chunk: gather the edges' K rows, score them with one einsum, reduce
+    a segment softmax, gather the V rows and segment-sum them.  Chunks split
+    only between rows, and every reduction is per row, so the chunking never
+    changes a result.
+    """
+    acc_dtype = accumulator_dtype(q.dtype)
+    keys, values = arena.keys, arena.values
+    slices, arena_rows = prod(keys.shape[:-2]), keys.shape[-2]
+    key_dim, value_dim = keys.shape[-1], values.shape[-1]
+    k3 = keys.reshape(slices, arena_rows, key_dim)
+    v3 = values.reshape(slices, arena_rows, value_dim)
+    k_params, v_params = (
+        None if params is None else tuple(p.reshape(slices, arena_rows) for p in params)
+        for params in (arena.k_params, arena.v_params)
+    )
+    rows2 = rows if rows.ndim == 2 else rows[None, :]
+    num_edges = rows2.shape[1]
     num_rows = indptr.size - 1
-    num_edges = weights.shape[-1]
-    if num_rows <= 0 or num_edges == 0 or value_dim == 0:
-        return None  # degenerate shapes: the reduceat fallback handles them
-    if values.shape[-2] != num_edges or values.shape[-1] != value_dim:
-        return None
-    batch_shape = weights.shape[:-1]
-    if values.shape[:-2] != batch_shape:
-        return None
-    w2 = np.ascontiguousarray(weights).reshape(-1, num_edges)
-    v3 = _flat3(values)
-    batch = w2.shape[0]
-    out = np.zeros((batch, num_rows, value_dim), dtype=np.float64)
-    if num_edges and num_rows:
-        if which == "numba":  # pragma: no cover - requires numba
-            _numba_kernels["segment_sum"](w2, v3, indptr, out)
-        else:
-            _cext.segment_weighted_sum_f64(
-                _ptr(w2, ctypes.c_double),
-                _ptr(v3, ctypes.c_double),
-                _ptr(indptr, _I64),
-                _I64(batch),
-                _I64(num_rows),
-                _I64(num_edges),
-                _I64(value_dim),
-                _ptr(out, ctypes.c_double),
-            )
-    return out.reshape(batch_shape + (num_rows, value_dim))
+    require(
+        int(indptr[0]) == 0 and int(indptr[-1]) == num_edges,
+        "indptr must start at 0 and end at the edge count",
+    )
+    batch = rows2.shape[0] * slices
+    q3 = np.asarray(q, dtype=acc_dtype).reshape(batch, num_rows, key_dim)
+
+    accumulator = np.zeros((batch, num_rows, value_dim), dtype=acc_dtype)
+    row_max = np.full((batch, num_rows), -np.inf, dtype=acc_dtype)
+    row_sum = np.zeros((batch, num_rows), dtype=acc_dtype)
+    scores = np.empty((batch, num_edges), dtype=acc_dtype) if return_scores else None
+    budget = max(1, _FALLBACK_CHUNK_ELEMENTS // max(1, batch * max(key_dim, value_dim)))
+    start = 0
+    while start < num_rows:
+        lo = int(indptr[start])
+        stop = int(np.searchsorted(indptr, lo + budget, side="right")) - 1
+        stop = min(max(stop, start + 1), num_rows)
+        hi = int(indptr[stop])
+        local = indptr[start : stop + 1] - lo
+        chunk_rows = rows2[:, lo:hi]
+        edge_rows = np.repeat(np.arange(stop - start), np.diff(local))
+        k_sel = _gather(k3, k_params, chunk_rows, acc_dtype)
+        chunk_scores = np.einsum("bed,bed->be", q3[:, start:stop][:, edge_rows], k_sel) * scale
+        del k_sel  # before the V rows are gathered: one chunk temporary at a time
+        chunk_max, chunk_sum, weights = segment_softmax_stats(chunk_scores, local)
+        v_sel = _gather(v3, v_params, chunk_rows, acc_dtype)
+        accumulator[:, start:stop] = segment_weighted_sum(weights, v_sel, local, value_dim)
+        row_max[:, start:stop] = chunk_max
+        row_sum[:, start:stop] = chunk_sum
+        if scores is not None:
+            scores[:, lo:hi] = chunk_scores
+        start = stop
+
+    empty = row_sum == 0
+    output = accumulator / np.where(empty, 1.0, row_sum)[..., None]
+    output[empty] = 0.0
+    return (
+        output.reshape(q.shape[:-1] + (value_dim,)),
+        row_max.reshape(q.shape[:-1]),
+        row_sum.reshape(q.shape[:-1]),
+        None if scores is None else scores.reshape(q.shape[:-2] + (num_edges,)),
+    )
 
 
 __all__ = [
+    "Arena",
     "backend",
     "backend_error",
+    "edge_attention",
     "force_backend",
     "gather_dequant_int8",
-    "gather_rows",
     "reset_backend",
-    "try_segment_weighted_sum",
 ]

@@ -9,16 +9,16 @@ executor cores they share:
 * :func:`streamed_attention` — the literal Algorithm 1 loop: one neighbour at
   a time, one online-softmax update per edge.  It is the executable
   specification used for verification and op accounting, not a fast path.
-* :func:`csr_ordered_attention` — the vectorised work-optimal core: edge
-  scores are evaluated in one fused pass over the CSR-ordered edge list and
-  reduced per row with segment operations.  Exactly ``nnz`` dot products and
-  ``nnz`` value accumulations are performed per batch slice.
+* :func:`csr_ordered_attention` — the vectorised work-optimal core: one call
+  of the fused row kernel :func:`repro.core.compiled.edge_attention`, which
+  sweeps each query row's CSR edges once, reading K/V rows in place.
+  Exactly ``nnz`` dot products and ``nnz`` value accumulations are performed
+  per batch slice, and memory stays O(L·d) whatever ``nnz`` is.
 
 Both cores accept ``(..., L, d)`` inputs: any leading axes (batch, heads) are
-independent slices sharing one mask.  The vectorised core executes the whole
-stack in fused NumPy passes — one gather, one einsum, one segment reduction —
-so a ``(B, H)`` batch costs one kernel's worth of Python overhead, not
-``B·H``.
+independent slices sharing one mask.  The vectorised core runs the whole
+stack in one kernel call, so a ``(B, H)`` batch costs one kernel's worth of
+Python overhead, not ``B·H``.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.core import compiled
 from repro.core.dense import batch_size, resolve_scale, validate_qkv
-from repro.core.online_softmax import (
-    OnlineSoftmaxState,
-    accumulator_dtype,
-    segment_softmax_stats,
-    segment_weighted_sum,
-)
+from repro.core.online_softmax import OnlineSoftmaxState, accumulator_dtype
 from repro.core.result import AttentionResult, OpCounts
 from repro.utils.validation import require
 
@@ -139,38 +135,29 @@ def csr_ordered_attention(
 ) -> AttentionResult:
     """Vectorised work-optimal core over CSR-ordered edges.
 
-    ``indptr`` delimits each query row's edges inside ``cols``.  One fused
-    pass computes the ``nnz`` edge scores for every batch slice at once, a
-    segment softmax reduces them per row and a segment weighted sum
-    accumulates the value rows — no dense ``L x L`` intermediate is ever
-    formed and the leading batch axes never touch a Python loop.
+    ``indptr`` delimits each query row's edges inside ``cols``.  Every batch
+    slice runs Algorithm 1 row by row in one call of
+    :func:`~repro.core.compiled.edge_attention`, with ``k``/``v`` as the
+    arena and ``cols`` as the rows it reads — no dense ``L x L``
+    intermediate and no per-edge copy is ever formed, and the leading batch
+    axes never touch a Python loop.
     """
-    q_acc, k_acc, v_acc, scale_value, _ = prepare_inputs(q, k, v, scale)
+    validate_qkv(q, k, v)
     length, head_dim = q.shape[-2], q.shape[-1]
     value_dim = v.shape[-1]
-    slices = batch_size(q)
     indptr = np.asarray(indptr, dtype=np.int64)
     cols = np.asarray(cols)
     require(indptr.size == length + 1, "indptr must have length L + 1")
     require(int(indptr[-1]) == cols.size, "indptr[-1] must equal the edge count")
 
-    lengths = np.diff(indptr)
-    edge_rows = np.repeat(np.arange(length), lengths)
-    scores = (
-        np.einsum("...ed,...ed->...e", q_acc[..., edge_rows, :], k_acc[..., cols, :])
-        * scale_value
+    output, row_max, row_sum, _ = compiled.edge_attention(
+        q,
+        compiled.Arena(np.asarray(k), np.asarray(v)),
+        cols,
+        indptr,
+        resolve_scale(scale, head_dim),
     )
-    row_max, row_sum, weights = segment_softmax_stats(scores, indptr)
-    acc = segment_weighted_sum(weights, v_acc[..., cols, :], indptr, value_dim)
-
-    empty = row_sum == 0
-    safe = np.where(empty, 1.0, row_sum)
-    output = acc / safe[..., None]
-    output[empty] = 0.0
-
-    ops = OpCounts.for_edges(
-        int(cols.size), head_dim, value_dim, search_steps=search_steps, batch=slices
-    )
+    ops = OpCounts.for_edges(int(cols.size), head_dim, value_dim, search_steps=search_steps, batch=batch_size(q))
     return AttentionResult(
         output=output.astype(q.dtype),
         row_max=row_max.astype(np.float64),

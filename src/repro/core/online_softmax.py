@@ -11,7 +11,8 @@ and rescaling the partial output whenever ``m`` grows.  This module provides:
   updates (one tile / neighbour-set at a time) and state merging (used to
   combine the partial results of sequentially executed kernels, e.g.
   Local + Global for Longformer).
-* segment-reduction helpers used by the vectorised executors to evaluate a
+* segment-reduction helpers the NumPy fallback of the fused row kernel
+  (:func:`repro.core.compiled.edge_attention`) uses to evaluate a
   numerically stable softmax over CSR-ordered edge scores without ever
   materialising the dense score matrix.
 
@@ -27,7 +28,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core import compiled
 from repro.utils.validation import require
 
 
@@ -255,18 +255,12 @@ def segment_weighted_sum(
 
     ``values`` holds one value-row per edge (already gathered via the column
     indices, ``(..., nnz, d_v)``); the result has shape
-    ``(..., num_rows, value_dim)`` with zero rows for empty segments.
-
-    When a compiled backend is active (:mod:`repro.core.compiled`), the
-    float64 path runs a fused single-pass reduction instead of materializing
-    the ``weights * values`` temporary; every caller in the process shares
-    whichever implementation is active, so cross-path bit-exactness
-    invariants hold within a backend.
+    ``(..., num_rows, value_dim)`` with zero rows for empty segments.  This
+    is the reduction step of the NumPy fallback of
+    :func:`repro.core.compiled.edge_attention`, which calls it one bounded
+    chunk of rows at a time.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
-    fused = compiled.try_segment_weighted_sum(weights, values, indptr, value_dim)
-    if fused is not None:
-        return fused
     num_rows = indptr.size - 1
     batch_shape = weights.shape[:-1]
     acc = np.zeros(batch_shape + (num_rows, value_dim), dtype=values.dtype)

@@ -15,6 +15,10 @@ Rows come in two flavours, mirroring :meth:`repro.masks.base.MaskSpec.row`:
 * :meth:`RowProgram.causal_row` — the same row clipped to keys ``j <= i``,
   the set an autoregressive decode step actually attends (only tokens
   ``0..i`` exist in the KV cache when token ``i`` is generated).
+* :meth:`RowProgram.causal_rows` — a range of causal rows as one CSR layout
+  ``(indptr, cols)``, the shape a prefill chunk or a speculative window
+  hands the attention kernel; stencil, global and union programs build it
+  vectorised instead of row by row.
 
 Composites union their component programs at extraction time; masks with no
 specialised shape fall back to calling ``spec.row`` directly, which is still
@@ -61,16 +65,47 @@ class RowProgram(abc.ABC):
         cols = self.row(i)
         return cols[cols <= i]
 
+    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Causal rows ``start..stop-1`` as one CSR layout ``(indptr, cols)``.
+
+        ``cols`` is the concatenation of the :meth:`causal_row` outputs and
+        ``indptr`` (int64, ``stop - start + 1`` entries) delimits them.  The
+        base class loops over :meth:`causal_row`; structured programs
+        override it with a vectorised construction of the same arrays.
+        """
+        self._check_range(start, stop)
+        return _csr_layout([self.causal_row(i) for i in range(start, stop)])
+
     # ------------------------------------------------------------------ #
     def _check_row(self, i: int) -> int:
         require(0 <= i < self.horizon, "row index out of range for the decode horizon")
         return int(i)
+
+    def _check_range(self, start: int, stop: int) -> None:
+        require(
+            0 <= start <= stop <= self.horizon,
+            "row range out of bounds for the decode horizon",
+        )
 
     def causal_nnz(self) -> int:
         """Total causal edges over the horizon (sum of :meth:`causal_degrees`)."""
         if self._causal_nnz < 0:
             self._causal_nnz = int(np.sum(self.causal_degrees()))
         return self._causal_nnz
+
+
+def _csr_layout(rows) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, cols)`` of per-row column arrays laid end to end."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    cols = np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
+    return indptr, cols
+
+
+def _indptr(degrees: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return indptr
 
 
 @dataclass(frozen=True)
@@ -98,6 +133,12 @@ class StencilRowProgram(RowProgram):
         i = self._check_row(i)
         cols = i + self.stencil.past
         return cols[cols >= 0].astype(INDEX_DTYPE)
+
+    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        self._check_range(start, stop)
+        cols = np.arange(start, stop, dtype=np.int64)[:, None] + self.stencil.past
+        keep = cols >= 0
+        return _indptr(keep.sum(axis=1)), cols[keep].astype(INDEX_DTYPE)
 
     def causal_degrees(self) -> np.ndarray:
         # offset -o (o >= 0) contributes to every row i >= o
@@ -138,6 +179,24 @@ class GlobalRowProgram(RowProgram):
             return np.arange(max(upper + 1, 0), dtype=INDEX_DTYPE)
         cols = self.tokens[self.tokens <= upper]
         return cols.astype(INDEX_DTYPE)
+
+    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        self._check_range(start, stop)
+        rows = np.arange(start, stop, dtype=np.int64)
+        upper = rows - self.window if self.window else rows
+        # a token row attends the whole prefix 0..upper, any other row the
+        # global tokens up to upper
+        is_token = np.isin(rows, self.tokens)
+        degrees = np.where(
+            is_token,
+            np.maximum(upper + 1, 0),
+            np.searchsorted(self.tokens, upper, side="right"),
+        )
+        indptr = _indptr(degrees)
+        within = np.arange(indptr[-1], dtype=np.int64) - np.repeat(indptr[:-1], degrees)
+        prefix = np.repeat(is_token, degrees)
+        cols = np.where(prefix, within, self.tokens[np.minimum(within, self.tokens.size - 1)])
+        return indptr, cols.astype(INDEX_DTYPE)
 
     def causal_degrees(self) -> np.ndarray:
         rows = np.arange(self.horizon, dtype=np.int64)
@@ -215,6 +274,20 @@ class UnionRowProgram(RowProgram):
 
     def causal_row(self, i: int) -> np.ndarray:
         return merge_neighbor_sets(p.causal_row(i) for p in self.programs)
+
+    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+        self._check_range(start, stop)
+        count = stop - start
+        # each row's sorted union: unique (row, col) keys, row-major
+        keys = []
+        for program in self.programs:
+            indptr, cols = program.causal_rows(start, stop)
+            rows = np.repeat(np.arange(count, dtype=np.int64), np.diff(indptr))
+            keys.append(rows * self.horizon + cols)
+        merged = np.unique(np.concatenate(keys))
+        rows = merged // self.horizon
+        cols = (merged - rows * self.horizon).astype(INDEX_DTYPE)
+        return _indptr(np.bincount(rows, minlength=count)), cols
 
     def causal_degrees(self) -> np.ndarray:
         # upper bound: overlapping component edges are deduplicated at

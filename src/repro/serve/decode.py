@@ -13,8 +13,8 @@ that path:
 * :class:`DecodeSession` — one decoding stream: a decode-mode
   :class:`~repro.serve.plan.ExecutionPlan` (whose precompiled
   :class:`~repro.masks.rows.RowProgram` yields each new token's neighbour
-  set), the growing KV cache, and the incremental attention step that scores
-  one query row against the cached keys via the online-softmax state.
+  set), the growing KV cache, and the incremental attention step that runs
+  Algorithm 1 for the new query row against the cached keys in place.
 * :func:`stacked_decode_step` / :func:`stacked_prefill` — the
   continuous-batching primitives: decode steps (or same-position prompt
   chunks) of several sessions that share one plan stack into a single
@@ -39,14 +39,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core import compiled
 from repro.core.dense import resolve_scale
 from repro.core.engine import MaskInput
-from repro.core.online_softmax import (
-    OnlineSoftmaxState,
-    accumulator_dtype,
-    segment_softmax_stats,
-    segment_weighted_sum,
-)
 from repro.core.result import AttentionResult, OpCounts
 from repro.masks.base import as_mask_spec
 from repro.masks.rows import compile_row_program
@@ -142,16 +137,24 @@ class KVCache:
         """Key rows of live token ``positions``, ``batch_shape + (E, d_k)``.
 
         Same contract as :meth:`PagedKVCache.gather_keys
-        <repro.serve.paging.PagedKVCache.gather_keys>` — the kernels consume
-        only gathered views, so contiguous and paged caches interchange
-        (including the refusal to read past the live rows into slack
-        capacity).
+        <repro.serve.paging.PagedKVCache.gather_keys>`, including the refusal
+        to read past the live rows into slack capacity.
         """
         return self._keys[..., self._check_live(positions), :]
 
     def gather_values(self, positions: np.ndarray) -> np.ndarray:
         """Value rows of live token ``positions``, ``batch_shape + (E, d_v)``."""
         return self._values[..., self._check_live(positions), :]
+
+    def attention_operands(self, positions: np.ndarray) -> Tuple[compiled.Arena, np.ndarray]:
+        """``(arena, rows)`` the attention kernel reads ``positions`` through.
+
+        The private buffers are the arena and the checked positions its rows
+        — same contract as :meth:`PagedKVCache.attention_operands
+        <repro.serve.paging.PagedKVCache.attention_operands>`, so contiguous
+        and paged caches interchange.
+        """
+        return compiled.Arena(self._keys, self._values), self._check_live(positions)
 
     # ------------------------------------------------------------------ #
     def _ensure_capacity(self, extra: int) -> None:
@@ -216,71 +219,81 @@ class KVCache:
 # --------------------------------------------------------------------------- #
 # Row attention core
 # --------------------------------------------------------------------------- #
+#: Either cache flavour a session may own: the private contiguous buffer or a
+#: block-table view over a shared pool.  Both hand the kernel their arena and
+#: the rows to read (:meth:`KVCache.attention_operands`).
+AnyKVCache = Union[KVCache, PagedKVCache]
+
+
 def _edge_attention(
-    q_rows: np.ndarray,
-    k_edges: np.ndarray,
-    v_edges: np.ndarray,
+    q_stack: np.ndarray,
+    caches: Sequence[AnyKVCache],
+    cols: np.ndarray,
     indptr: np.ndarray,
     *,
     scale_value: float,
     out_dtype,
     return_scores: bool = False,
-):
-    """Attention of ``R`` query rows over pre-gathered per-edge K/V rows.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Attention of ``R`` query rows per session over K/V read in place.
 
-    ``q_rows`` is ``(..., R, d_k)``; ``k_edges``/``v_edges`` hold one
-    key/value row per mask edge in CSR order (``(..., E, d)``), ``indptr``
-    delimits each query row's edges.  The per-row softmax statistics are
-    folded through an :class:`OnlineSoftmaxState` so empty rows (fully masked
-    queries) finalise to zero exactly like the one-shot kernels.
+    ``q_stack`` is ``(S,) + batch_shape + (R, d_k)``, one slice per cache in
+    ``caches``; ``cols`` holds the logical key positions of every query
+    row's edges in CSR order, ``indptr`` delimits them, and all sessions
+    share them.  Sessions whose caches read one arena (a shared pool) run as
+    a single :func:`~repro.core.compiled.edge_attention` call over their
+    stacked physical rows; each other arena gets its own call.  Empty rows
+    (fully masked queries) finalise to zero exactly like the one-shot
+    kernels.
 
-    ``return_scores=True`` appends the raw scaled ``(..., E)`` score vector to
-    the return tuple — the speculative verify pass reads per-row argmaxes off
-    it without recomputing the dot products.
+    Returns ``(output, row_max, row_sum, scores)`` with the session axis
+    leading; ``scores`` — the raw scaled ``(S,) + batch_shape + (E,)`` edge
+    scores, from which the speculative passes read per-row argmaxes — is
+    ``None`` unless ``return_scores``.
     """
-    acc_dtype = accumulator_dtype(q_rows.dtype)
-    q_acc = np.asarray(q_rows, dtype=acc_dtype)
-    k_acc = np.asarray(k_edges, dtype=acc_dtype)
-    v_acc = np.asarray(v_edges, dtype=acc_dtype)
-    num_rows = int(indptr.size - 1)
-    lengths = np.diff(indptr)
-    edge_rows = np.repeat(np.arange(num_rows), lengths)
-    scores = (
-        np.einsum("...ed,...ed->...e", q_acc[..., edge_rows, :], k_acc) * scale_value
-    )
-    row_max, row_sum, weights = segment_softmax_stats(scores, indptr)
-    accumulator = segment_weighted_sum(weights, v_acc, indptr, v_acc.shape[-1])
-    state = OnlineSoftmaxState(row_max=row_max, row_sum=row_sum, accumulator=accumulator)
-    if return_scores:
-        return state.finalize(dtype=out_dtype), state, scores
-    return state.finalize(dtype=out_dtype), state
-
-
-#: Either cache flavour a session may own: the private contiguous buffer or a
-#: block-table view over a shared pool.  Kernels only ever see gathered rows.
-AnyKVCache = Union[KVCache, PagedKVCache]
+    operands = [cache.attention_operands(cols) for cache in caches]
+    by_arena: Dict[int, List[int]] = {}
+    for index, (arena, _) in enumerate(operands):
+        by_arena.setdefault(id(arena.keys), []).append(index)
+    parts = []
+    for members in by_arena.values():
+        rows = np.stack([operands[i][1] for i in members])
+        q_part = q_stack if len(members) == len(caches) else q_stack[members]
+        arena = operands[members[0]][0]
+        part = compiled.edge_attention(q_part, arena, rows, indptr, scale_value, return_scores=return_scores)
+        parts.append((members, part))
+    if len(parts) == 1:
+        output, row_max, row_sum, scores = parts[0][1]
+    else:
+        slots = [None] * len(caches)
+        for members, part in parts:
+            for offset, index in enumerate(members):
+                slots[index] = [None if a is None else a[offset] for a in part]
+        output, row_max, row_sum, scores = (
+            None if slots[0][n] is None else np.stack([slot[n] for slot in slots])
+            for n in range(4)
+        )
+    return output.astype(out_dtype), row_max, row_sum, scores
 
 
 def _rows_attention(
     q_rows: np.ndarray,
     cache: AnyKVCache,
-    cols_list: Sequence[np.ndarray],
+    indptr: np.ndarray,
+    cols: np.ndarray,
     *,
     scale: Optional[float],
-) -> Tuple[np.ndarray, OnlineSoftmaxState, int]:
-    """Attend ``R`` query rows against the cache via per-row column lists."""
-    indptr = np.concatenate(([0], np.cumsum([c.size for c in cols_list]))).astype(np.int64)
-    cols = np.concatenate(cols_list) if len(cols_list) > 1 else np.asarray(cols_list[0])
-    scale_value = resolve_scale(scale, q_rows.shape[-1])
-    output, state = _edge_attention(
-        q_rows,
-        cache.gather_keys(cols),
-        cache.gather_values(cols),
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attend one session's ``R`` query rows against its cache (CSR rows)."""
+    output, row_max, row_sum, _ = _edge_attention(
+        q_rows[None],
+        [cache],
+        cols,
         indptr,
-        scale_value=scale_value,
+        scale_value=resolve_scale(scale, q_rows.shape[-1]),
         out_dtype=q_rows.dtype,
     )
-    return output, state, int(cols.size)
+    return output[0], row_max[0], row_sum[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -459,15 +472,16 @@ class DecodeSession:
             f"prefill of {count} tokens at position {start} exceeds horizon {self.horizon}",
         )
         self.cache.extend(k, v)
-        cols_list = [self.program.causal_row(i) for i in range(start, start + count)]
-        output, state, edges = _rows_attention(q, self.cache, cols_list, scale=self.plan.scale)
+        indptr, cols = self.program.causal_rows(start, start + count)
+        output, row_max, row_sum = _rows_attention(q, self.cache, indptr, cols, scale=self.plan.scale)
+        edges = int(cols.size)
         ops = OpCounts.for_edges(
             edges, q.shape[-1], v.shape[-1], batch=prod(self.cache.batch_shape)
         )
         result = AttentionResult(
             output=output,
-            row_max=state.row_max,
-            row_sum=state.row_sum,
+            row_max=row_max,
+            row_sum=row_sum,
             ops=ops,
             algorithm="decode-prefill",
             meta={"positions": (start, start + count), "edges": edges},
@@ -497,14 +511,17 @@ class DecodeSession:
         )
         self.cache.extend(k, v)
         cols = self.program.causal_row(position)
-        output, state, edges = _rows_attention(q, self.cache, [cols], scale=self.plan.scale)
+        output, row_max, row_sum = _rows_attention(
+            q, self.cache, np.array([0, cols.size], dtype=np.int64), cols, scale=self.plan.scale
+        )
+        edges = int(cols.size)
         ops = OpCounts.for_edges(
             edges, q.shape[-1], v.shape[-1], batch=prod(self.cache.batch_shape)
         )
         result = AttentionResult(
             output=output,
-            row_max=state.row_max,
-            row_sum=state.row_sum,
+            row_max=row_max,
+            row_sum=row_sum,
             ops=ops,
             algorithm="decode-step",
             meta={"position": position, "edges": edges},
@@ -607,8 +624,8 @@ def stacked_prefill(
 
     The chunked-prefill twin of :func:`stacked_decode_step`: sessions sharing
     one plan and position append identically-shaped ``batch_shape + (P, d)``
-    prompt chunks, and all their causal rows run through one stacked
-    segment-softmax pass.  Block reservation is atomic per pool, so exhaustion
+    prompt chunks, and all their causal rows run through one fused kernel
+    call per arena.  Block reservation is atomic per pool, so exhaustion
     fails the whole group before any block table advances.  Returns one
     per-session :class:`~repro.core.result.AttentionResult`, exactly equal to
     what individual :meth:`DecodeSession.prefill` calls would produce.
@@ -660,16 +677,17 @@ def stacked_prefill(
 
     _stacked_extend(sessions, k_list, v_list, count)
 
-    cols_list = [first.program.causal_row(i) for i in range(position, position + count)]
-    indptr = np.concatenate(([0], np.cumsum([c.size for c in cols_list]))).astype(np.int64)
-    cols = np.concatenate(cols_list) if len(cols_list) > 1 else np.asarray(cols_list[0])
+    indptr, cols = first.program.causal_rows(position, position + count)
     scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
-    # stack sessions on a new leading axis: (S,) + batch_shape + (P|E, d)
+    # stack sessions on a new leading axis: (S,) + batch_shape + (P, d)
     q_stack = np.stack(q_list)
-    k_sel = np.stack([s.cache.gather_keys(cols) for s in sessions])
-    v_sel = np.stack([s.cache.gather_values(cols) for s in sessions])
-    output, state = _edge_attention(
-        q_stack, k_sel, v_sel, indptr, scale_value=scale_value, out_dtype=q_stack.dtype
+    output, row_max, row_sum, _ = _edge_attention(
+        q_stack,
+        [s.cache for s in sessions],
+        cols,
+        indptr,
+        scale_value=scale_value,
+        out_dtype=q_stack.dtype,
     )
 
     edges = int(cols.size)
@@ -678,13 +696,13 @@ def stacked_prefill(
         ops = OpCounts.for_edges(
             edges,
             q_stack.shape[-1],
-            v_sel.shape[-1],
+            output.shape[-1],
             batch=prod(session.cache.batch_shape),
         )
         result = AttentionResult(
             output=output[index],
-            row_max=state.row_max[index],
-            row_sum=state.row_sum[index],
+            row_max=row_max[index],
+            row_sum=row_sum[index],
             ops=ops,
             algorithm="decode-prefill",
             meta={
@@ -709,9 +727,10 @@ def stacked_decode_step(
 
     All sessions must share one plan (same mask/horizon/scale) and sit at the
     same position with identically-shaped caches, so they also share the new
-    token's neighbour set; their query rows and gathered K/V stack along a
-    new leading axis and the whole group runs through one vectorized
-    segment-softmax pass — the continuous-batching shape of decode serving.
+    token's neighbour set; their query rows stack along a new leading axis
+    and the whole group runs through one fused kernel call per arena,
+    reading each session's K/V rows in place — the continuous-batching shape
+    of decode serving.
     Returns one per-session :class:`~repro.core.result.AttentionResult`,
     exactly equal to what individual :meth:`DecodeSession.step` calls would
     produce.
@@ -757,12 +776,15 @@ def stacked_decode_step(
     cols = first.program.causal_row(position)
     indptr = np.array([0, cols.size], dtype=np.int64)
     scale_value = resolve_scale(first.plan.scale, q_rows[0].shape[-1])
-    # stack sessions on a new leading axis: (S,) + batch_shape + (E, d)
+    # stack sessions on a new leading axis: (S,) + batch_shape + (1, d)
     q_stack = np.stack(q_rows)
-    k_sel = np.stack([s.cache.gather_keys(cols) for s in sessions])
-    v_sel = np.stack([s.cache.gather_values(cols) for s in sessions])
-    output, state = _edge_attention(
-        q_stack, k_sel, v_sel, indptr, scale_value=scale_value, out_dtype=q_stack.dtype
+    output, row_max, row_sum, _ = _edge_attention(
+        q_stack,
+        [s.cache for s in sessions],
+        cols,
+        indptr,
+        scale_value=scale_value,
+        out_dtype=q_stack.dtype,
     )
 
     results: List[AttentionResult] = []
@@ -770,13 +792,13 @@ def stacked_decode_step(
         ops = OpCounts.for_edges(
             int(cols.size),
             q_stack.shape[-1],
-            v_sel.shape[-1],
+            output.shape[-1],
             batch=prod(session.cache.batch_shape),
         )
         result = AttentionResult(
             output=output[index],
-            row_max=state.row_max[index],
-            row_sum=state.row_sum[index],
+            row_max=row_max[index],
+            row_sum=row_sum[index],
             ops=ops,
             algorithm="decode-step",
             meta={"position": position, "edges": int(cols.size), "coalesced": len(sessions)},
@@ -806,6 +828,10 @@ def decode_reference_mask(
     horizon = length if horizon is None else int(horizon)
     require(horizon >= length, "horizon must be at least the decoded length")
     spec = DenseMask() if mask is None else as_mask_spec(mask)
-    program = compile_row_program(spec, horizon)
-    rows = [program.causal_row(i) for i in range(length)]
-    return CSRMatrix.from_row_lists((length, length), rows)
+    indptr, cols = compile_row_program(spec, horizon).causal_rows(0, length)
+    return CSRMatrix(
+        shape=(length, length),
+        indptr=indptr,
+        indices=cols,
+        values=np.ones(cols.shape, dtype=np.float32),
+    )

@@ -30,16 +30,17 @@ pool can share a pool; reservation (:meth:`BlockPool.reserve`) is
 all-or-nothing, which is what lets a batched decode step fail *before*
 touching any session's block table.
 
-The gather/scatter contract keeps decoding bit-exact: a block table lookup
-maps logical token positions to physical arena rows, and the kernels consume
-exactly the same gathered ``(..., E, d)`` views they would have read from a
-contiguous cache.
+The block table keeps decoding bit-exact: a lookup maps logical token
+positions to physical arena rows, and the attention kernel
+(:func:`repro.core.compiled.edge_attention`) reads exactly those rows in
+place — the same values it would have read from a contiguous cache, with no
+gathered copy in between.
 
 **Quantized storage** (:mod:`repro.serve.quant`): a pool's ``storage`` axis
 (``"fp32"`` / ``"fp16"`` / ``"int8"``) decouples what the arenas hold from
 the compute dtype its gathers return.  Chunks are encoded on write (int8
 rows carry per-row float32 scale/zero parameters in parallel arenas) and
-dequantized on gather through the optional compiled fast path
+dequantized inside the attention kernel as it reads each row, or on gather
 (:mod:`repro.core.compiled`); fingerprints hash the *encoded* payload, so
 prefix sharing, copy-on-write and byte-exact swap restores all operate on
 quantized blocks without ever inflating them to fp32.
@@ -237,6 +238,19 @@ class BlockPool:
             self._v_zero = np.zeros(param_shape, dtype=np.float32)
         else:
             self._k_scale = self._k_zero = self._v_scale = self._v_zero = None
+        #: what the attention kernel reads in place; None when rows must be
+        #: decoded through a gather first (fp16 storage, int8 under a
+        #: non-fp32 compute dtype — the kernel dequantizes to float32)
+        self._kernel_arena: Optional[compiled.Arena] = None
+        if self._identity:
+            self._kernel_arena = compiled.Arena(self._keys, self._values)
+        elif self.storage == "int8" and self._dtype == np.float32:
+            self._kernel_arena = compiled.Arena(
+                self._keys,
+                self._values,
+                (self._k_scale, self._k_zero),
+                (self._v_scale, self._v_zero),
+            )
         self._refcounts = np.zeros(self.num_blocks, dtype=np.int64)
         self._in_use = 0  # blocks with refcount > 0, maintained on 0<->1 edges
         self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
@@ -894,13 +908,29 @@ class PagedKVCache:
 
         Rows come back in the pool's *compute* dtype: identity storage is the
         same single fancy-index as before, quantized storage dequantizes
-        through the compiled gather path.
+        through the compiled gather path.  The attention paths read rows in
+        place instead (:meth:`attention_operands`).
         """
         return self.pool.decode_key_rows(self._physical(positions))
 
     def gather_values(self, positions: np.ndarray) -> np.ndarray:
         """Value rows of logical token ``positions``, ``batch_shape + (E, d_v)``."""
         return self.pool.decode_value_rows(self._physical(positions))
+
+    def attention_operands(self, positions: np.ndarray) -> Tuple[compiled.Arena, np.ndarray]:
+        """``(arena, rows)`` the attention kernel reads ``positions`` through.
+
+        The pool's own arenas and the positions' physical rows (O(E)
+        integers), so the kernel reads K/V in place.  Storage the kernel
+        cannot read (fp16, or int8 under a non-fp32 compute dtype) decodes
+        through the gathers first and hands over the copy as the arena.
+        """
+        arena = self.pool._kernel_arena
+        if arena is not None:
+            return arena, self._physical(positions)
+        keys = self.gather_keys(positions)
+        rows = np.arange(keys.shape[-2], dtype=np.int64)
+        return compiled.Arena(keys, self.gather_values(positions)), rows
 
     def keys(self) -> np.ndarray:
         """All live key rows gathered contiguously (copy, for inspection/tests)."""

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -170,6 +171,9 @@ class AttentionServer:
         )
         self._ids = itertools.count()
         self._pool: Optional[ThreadPoolExecutor] = None
+        #: guards creating and shutting down ``_pool``: concurrent ``serve``
+        #: calls must share one executor, and ``close`` must reach it
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Planning
@@ -751,9 +755,11 @@ class AttentionServer:
         def _run_bin(indices: np.ndarray) -> List[Tuple[int, AttentionResponse]]:
             return [pair for i in indices for pair in self._execute_group(groups[i])]
 
-        if self._pool is None:  # lazily created, reused across serve calls
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        chunks = list(self._pool.map(_run_bin, [b for b in bins if b.size]))
+        with self._pool_lock:
+            if self._pool is None:  # lazily created, reused across serve calls
+                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+            pool = self._pool
+        chunks = list(pool.map(_run_bin, [b for b in bins if b.size]))
         return [pair for chunk in chunks for pair in chunk]
 
     def _execute_group(self, group: ExecutionGroup) -> List[Tuple[int, AttentionResponse]]:
@@ -797,10 +803,13 @@ class AttentionServer:
         the server, since its worker threads would otherwise leak until
         interpreter shutdown.
         """
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._pool = None
+        lock = getattr(self, "_pool_lock", None)
+        if lock is None:  # __init__ failed before the pool could exist
+            return
+        with lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
 
     def __enter__(self) -> "AttentionServer":
         return self

@@ -1,10 +1,10 @@
 """Speculative multi-token decoding: draft-and-verify with bit-exact outputs.
 
-A one-token decode step pays one full kernel launch (gather, einsum, segment
-softmax) per generated token; the launch overhead, not the per-edge math,
-dominates the numpy stack's decode throughput.  This module amortises that
-overhead over ``k`` tokens at a time with the classic draft-and-verify
-recipe, adapted to the repo's mask-structured attention:
+A one-token decode step pays one full pass of Python around the fused row
+kernel per generated token; that overhead, not the per-edge math, dominates
+the stack's decode throughput.  This module amortises it over ``k`` tokens
+at a time with the classic draft-and-verify recipe, adapted to the repo's
+mask-structured attention:
 
 * **Draft pass** — the ``k`` candidate query rows are scored against a
   *thinned* variant of the serving mask (each family's
@@ -13,17 +13,18 @@ recipe, adapted to the repo's mask-structured attention:
   stacked pass over roughly ``draft_fraction`` of the row edges.
 * **Verify pass** — all ``k`` rows attend their *full* causal mask rows in a
   single stacked pass over the provisionally-appended tokens.  Because the
-  per-row online-softmax segments of
-  :func:`~repro.serve.decode._edge_attention` are independent, row ``j`` of
-  the stacked pass is **bit-identical** to the ``j``-th sequential
+  fused row kernel behind :func:`~repro.serve.decode._edge_attention`
+  reduces every row on its own, row ``j`` of the stacked pass is
+  **bit-identical** to the ``j``-th sequential
   :meth:`~repro.serve.decode.DecodeSession.step` — emitted outputs always
   come from the verify pass, so wrong drafts cost rollback, never wrong
   bytes.
 * **Acceptance oracle** — position ``j`` is accepted iff the draft row's
   top-attended column (argmax of the raw scaled scores) equals the verify
   row's, reduced over all batch/head axes; the accepted count is the longest
-  agreeing prefix.  Draft scores are a subset of the verify scores (same
-  dot products), so agreement means the full row's attention peak was inside
+  agreeing prefix.  Both passes take their scores from the same kernel, so
+  draft scores are a subset of the verify scores (same dot products), and
+  agreement means the full row's attention peak was inside
   the thinned row — a discrete, deterministic, backend-independent criterion
   whose rate tracks how well the thin mask predicts the full one.
 * **Rollback** — rejected positions are erased as if they never happened:
@@ -50,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dense import resolve_scale
-from repro.core.online_softmax import accumulator_dtype
 from repro.core.result import AttentionResult, OpCounts
 from repro.masks.rows import RowProgram, compile_row_program
 from repro.masks.structured import DenseMask
@@ -144,43 +144,8 @@ def draft_program_for(
 
 
 # --------------------------------------------------------------------------- #
-# Stacked row helpers
+# Acceptance
 # --------------------------------------------------------------------------- #
-def _rows_layout(
-    program: RowProgram, start: int, count: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR layout (cols, indptr) of rows ``start..start+count-1`` causally."""
-    cols_list = [program.causal_row(i) for i in range(start, start + count)]
-    indptr = np.concatenate(([0], np.cumsum([c.size for c in cols_list]))).astype(
-        np.int64
-    )
-    cols = np.concatenate(cols_list) if len(cols_list) > 1 else np.asarray(cols_list[0])
-    return cols, indptr
-
-
-def _stacked_scores(
-    sessions: Sequence[DecodeSession],
-    q_stack: np.ndarray,
-    cols: np.ndarray,
-    indptr: np.ndarray,
-    scale_value: float,
-) -> np.ndarray:
-    """Raw scaled scores of stacked query rows over gathered key edges.
-
-    The exact score stage of :func:`~repro.serve.decode._edge_attention`
-    (same accumulator dtype, same einsum), without the softmax — the draft
-    pass only needs per-row argmaxes.
-    """
-    k_sel = np.stack([s.cache.gather_keys(cols) for s in sessions])
-    acc_dtype = accumulator_dtype(q_stack.dtype)
-    q_acc = np.asarray(q_stack, dtype=acc_dtype)
-    k_acc = np.asarray(k_sel, dtype=acc_dtype)
-    edge_rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    return (
-        np.einsum("...ed,...ed->...e", q_acc[..., edge_rows, :], k_acc) * scale_value
-    )
-
-
 def _top_columns(scores: np.ndarray, cols: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-row top-attended column id, ``-1`` for empty rows.
 
@@ -375,11 +340,19 @@ def speculative_decode_steps(
 
         # ---- draft pass ---------------------------------------------------- #
         scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
-        draft_cols, draft_indptr = _rows_layout(draft_program, position, count)
+        draft_indptr, draft_cols = draft_program.causal_rows(position, position + count)
         q_stack = np.stack(q_list)
-        draft_scores = _stacked_scores(
-            sessions, q_stack, draft_cols, draft_indptr, scale_value
-        )
+        # the verify pass's own kernel, so a draft edge's score is the very
+        # dot product the verify pass computes for it
+        draft_scores = _edge_attention(
+            q_stack,
+            [s.cache for s in sessions],
+            draft_cols,
+            draft_indptr,
+            scale_value=scale_value,
+            out_dtype=q_stack.dtype,
+            return_scores=True,
+        )[3]
         draft_tops = _top_columns(draft_scores, draft_cols, draft_indptr)
         draft_edges = int(draft_cols.size)
 
@@ -396,14 +369,12 @@ def speculative_decode_steps(
 
     # ---- verify pass ------------------------------------------------------- #
     scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
-    verify_cols, verify_indptr = _rows_layout(first.program, position, count)
+    verify_indptr, verify_cols = first.program.causal_rows(position, position + count)
     q_stack = np.stack([q_list[i] for i in alive])
-    k_sel = np.stack([s.cache.gather_keys(verify_cols) for s in live_sessions])
-    v_sel = np.stack([s.cache.gather_values(verify_cols) for s in live_sessions])
-    output, state, scores = _edge_attention(
+    output, row_max, row_sum, scores = _edge_attention(
         q_stack,
-        k_sel,
-        v_sel,
+        [s.cache for s in live_sessions],
+        verify_cols,
         verify_indptr,
         scale_value=scale_value,
         out_dtype=q_stack.dtype,
@@ -451,13 +422,13 @@ def speculative_decode_steps(
                 ops = OpCounts.for_edges(
                     edges,
                     q_stack.shape[-1],
-                    v_sel.shape[-1],
+                    output.shape[-1],
                     batch=prod(session.cache.batch_shape),
                 )
                 result = AttentionResult(
                     output=output[stack_index][..., j : j + 1, :],
-                    row_max=state.row_max[stack_index][..., j : j + 1],
-                    row_sum=state.row_sum[stack_index][..., j : j + 1],
+                    row_max=row_max[stack_index][..., j : j + 1],
+                    row_sum=row_sum[stack_index][..., j : j + 1],
                     ops=ops,
                     algorithm="decode-step",
                     meta={

@@ -1,16 +1,23 @@
-"""Tests for the optional compiled fast path (repro.core.compiled).
+"""Tests for the compiled kernels (repro.core.compiled).
 
-The contract under test: the gather/dequant kernels are bit-identical across
-backends (numba / runtime-compiled C / pure NumPy), the fused segment-reduce
-agrees with ``np.add.reduceat`` to accumulator round-off, and the
-``REPRO_COMPILED`` escape hatch forces the NumPy fallback so the whole stack
-runs without any compiler present.
+The contract under test: the fused row kernel ``edge_attention`` agrees with
+its NumPy fallback to float64 round-off on every arena storage, layout and
+row shape, and exactly with itself across the layouts the serving stack
+relies on (stacked == per-group, int8 == fp32 fed the dequantized rows);
+its memory stays O(L·d); the int8 dequant-gather is bit-identical across
+backends; the C library is built once per source hash and never loaded from
+an untrusted or corrupt cache; and ``REPRO_COMPILED`` forces the NumPy
+fallback so the whole stack runs without any compiler present.
 """
 
+import hashlib
 import os
 import pathlib
+import shutil
+import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +25,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import repro
 from repro.core import compiled
+from repro.core.explicit_kernels import csr_attention
+from repro.masks.windowed import LocalMask
 from repro.serve.quant import quantize_rows
 
 
@@ -35,8 +44,8 @@ def _compiled_name():
 
 
 class TestBackendSelection:
-    def test_backend_is_one_of_the_three(self):
-        assert compiled.backend() in {"numba", "cext", "numpy"}
+    def test_backend_is_one_of_the_two(self):
+        assert compiled.backend() in {"cext", "numpy"}
 
     def test_env_zero_forces_numpy(self, monkeypatch, restore_backend):
         monkeypatch.setenv("REPRO_COMPILED", "0")
@@ -51,62 +60,14 @@ class TestBackendSelection:
     def test_force_backend_rejects_unknown(self):
         with pytest.raises(ValueError):
             compiled.force_backend("cuda")
+        with pytest.raises(ValueError):
+            compiled.force_backend("numba")
 
     def test_force_backend_numpy_pins_and_restores(self):
         before = compiled.backend()
         with compiled.force_backend("numpy"):
             assert compiled.backend() == "numpy"
         assert compiled.backend() == before
-
-    def test_cext_build_leaves_no_directory(self, tmp_path):
-        if compiled._find_cc() is None:
-            pytest.skip("no C compiler on PATH")
-        # a fresh process, so the build really runs: the check holds while
-        # the process lives, and the loaded library still computes
-        script = (
-            "import glob, os, tempfile\n"
-            "import numpy as np\n"
-            "from repro.core import compiled\n"
-            "assert compiled.backend() == 'cext', compiled.backend_error()\n"
-            "assert not glob.glob(os.path.join(tempfile.gettempdir(), 'repro-compiled-*'))\n"
-            "arena = np.arange(12, dtype=np.float32).reshape(4, 3)\n"
-            "rows = np.array([3, 0], dtype=np.int64)\n"
-            "assert (compiled.gather_rows(arena, rows) == arena[rows]).all()\n"
-        )
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, TMPDIR=str(tmp_path), REPRO_COMPILED="cext", PYTHONPATH=path)
-        completed = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
-        )
-        assert completed.returncode == 0, completed.stderr[-2000:]
-        assert not list(tmp_path.glob("repro-compiled-*"))
-
-
-class TestGatherRows:
-    @pytest.mark.parametrize("batch_shape", [(), (2,), (2, 3)])
-    def test_bit_identical_to_numpy_fallback(self, batch_shape):
-        name = _compiled_name()
-        if name is None:
-            pytest.skip("no compiled backend available")
-        rng = np.random.default_rng(0)
-        arena = rng.normal(size=batch_shape + (32, 5)).astype(np.float32)
-        rows = rng.integers(0, 32, size=17).astype(np.int64)
-        fast = compiled.gather_rows(arena, rows)
-        with compiled.force_backend("numpy"):
-            slow = compiled.gather_rows(arena, rows)
-        assert_array_equal(fast, slow)
-        assert_array_equal(fast, arena[..., rows, :])
-
-    def test_empty_gather(self):
-        arena = np.zeros((4, 3), dtype=np.float32)
-        out = compiled.gather_rows(arena, np.zeros(0, dtype=np.int64))
-        assert out.shape == (0, 3)
-
-    def test_non_float32_falls_through(self):
-        arena = np.arange(12, dtype=np.float64).reshape(4, 3)
-        rows = np.array([3, 0], dtype=np.int64)
-        assert_array_equal(compiled.gather_rows(arena, rows), arena[rows])
 
 
 class TestGatherDequantInt8:
@@ -135,50 +96,231 @@ class TestGatherDequantInt8:
         assert_array_equal(out, expect)
 
 
-class TestSegmentWeightedSum:
-    def _case(self, seed=3, batch_shape=(2,), num_rows=6, dim=4):
-        rng = np.random.default_rng(seed)
-        lengths = rng.integers(0, 5, size=num_rows)
-        indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        nnz = int(indptr[-1])
-        weights = rng.normal(size=batch_shape + (nnz,))
-        values = rng.normal(size=batch_shape + (nnz, dim))
-        return weights, values, indptr, dim
+# --------------------------------------------------------------------------- #
+# Build cache
+# --------------------------------------------------------------------------- #
+_CHILD = """
+import numpy as np
+from repro.core import compiled
+assert compiled.backend() == "cext", compiled.backend_error()
+q = (np.arange(12, dtype=np.float32).reshape(3, 4) - 5) / 4
+arena = compiled.Arena(q, q[:, :3])
+rows, indptr = np.array([0, 2, 1, 0]), np.array([0, 1, 1, 4])
+fast = compiled.edge_attention(q, arena, rows, indptr, 0.5)
+with compiled.force_backend("numpy"):
+    slow = compiled.edge_attention(q, arena, rows, indptr, 0.5)
+for a, b in zip(fast[:3], slow[:3]):
+    assert np.allclose(a, b, rtol=1e-12, atol=0), (a, b)
+"""
 
-    def _reduceat(self, weights, values, indptr, dim):
-        num_rows = indptr.size - 1
-        acc = np.zeros(weights.shape[:-1] + (num_rows, dim), dtype=values.dtype)
-        lengths = np.diff(indptr)
-        nonempty = np.flatnonzero(lengths > 0)
-        acc[..., nonempty, :] = np.add.reduceat(
-            weights[..., None] * values, indptr[nonempty], axis=-2
-        )
-        return acc
 
-    def test_matches_reduceat_to_roundoff(self):
+@pytest.fixture
+def wrapped_cc(tmp_path):
+    """A ``CC`` that logs one line per compile, then runs the real compiler."""
+    real = compiled._find_cc()
+    if real is None:
+        pytest.skip("no C compiler on PATH")
+    log = tmp_path / "compiles.log"
+    wrapper = tmp_path / "cc-wrapper"
+    wrapper.write_text(f'#!/bin/sh\necho compile >> "{log}"\nexec "{shutil.which(real)}" "$@"\n')
+    wrapper.chmod(0o755)
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    return wrapper, log, temp
+
+
+def _run_child(wrapper, temp):
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, TMPDIR=str(temp), CC=str(wrapper), REPRO_COMPILED="cext", PYTHONPATH=path)
+    completed = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True, text=True, timeout=300, env=env)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+
+
+def _compiles(log):
+    return len(log.read_text().splitlines()) if log.exists() else 0
+
+
+class TestBuildCache:
+    def test_processes_share_one_build_and_a_corrupt_library_is_rebuilt(self, wrapped_cc):
+        wrapper, log, temp = wrapped_cc
+        _run_child(wrapper, temp)
+        assert _compiles(log) == 1
+        _run_child(wrapper, temp)  # loads the first process's library
+        assert _compiles(log) == 1
+        (cache_dir,) = temp.glob("repro-compiled-*")
+        assert stat.S_IMODE(cache_dir.stat().st_mode) == 0o700
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "repro_compiled.so",
+            "repro_compiled.so.sha256",
+        ]
+        (cache_dir / "repro_compiled.so").write_bytes(b"\x7fELF not a library")
+        _run_child(wrapper, temp)  # digest mismatch: rebuilt, never loaded
+        assert _compiles(log) == 2
+        assert list(temp.glob("repro-compiled-*")) == [cache_dir]
+        _run_child(wrapper, temp)
+        assert _compiles(log) == 2
+
+    def test_untrusted_cache_directory_is_never_loaded_from(self, wrapped_cc):
+        wrapper, log, temp = wrapped_cc
+        planted = temp / ("repro-compiled-" + compiled._build_key(str(wrapper)))
+        planted.mkdir()
+        planted.chmod(0o777)  # world-writable: anyone could have put this here
+        payload = b"\x7fELF planted"
+        (planted / "repro_compiled.so").write_bytes(payload)
+        (planted / "repro_compiled.so.sha256").write_text(hashlib.sha256(payload).hexdigest())
+        _run_child(wrapper, temp)  # builds privately and still runs the kernel
+        assert _compiles(log) == 1
+        assert (planted / "repro_compiled.so").read_bytes() == payload
+        assert list(temp.glob("repro-*")) == [planted]
+
+
+# --------------------------------------------------------------------------- #
+# The fused row kernel
+# --------------------------------------------------------------------------- #
+LENGTH, KEY_DIM, VALUE_DIM = 16, 7, 5  # d_k = 7 runs the dot product's tail
+
+#: per-row degrees: empty rows, one-edge rows and a degree-L row among others
+DEGREES = [0, 1, LENGTH, 3, 0, 1, 5, 2, 4, 0, 6, 1, 2, 3, 0, 7]
+
+
+def _layout(rng, groups=None):
+    indptr = np.concatenate([[0], np.cumsum(DEGREES)]).astype(np.int64)
+    picks = [np.arange(LENGTH) if n == LENGTH else rng.integers(0, LENGTH, size=n) for n in DEGREES]
+    cols = np.concatenate(picks).astype(np.int32)
+    if groups is None:
+        return cols, indptr
+    return np.stack([rng.permutation(LENGTH)[cols] for _ in range(groups)]), indptr
+
+
+def _arena(rng, batch_shape, storage):
+    keys = rng.standard_normal(batch_shape + (LENGTH, KEY_DIM)).astype(np.float32)
+    values = rng.standard_normal(batch_shape + (LENGTH, VALUE_DIM)).astype(np.float32)
+    if storage == "int8":
+        k8, k_scale, k_zero = quantize_rows(keys)
+        v8, v_scale, v_zero = quantize_rows(values)
+        return compiled.Arena(k8, v8, (k_scale, k_zero), (v_scale, v_zero))
+    dtype = {"fp32": np.float32, "fp64": np.float64, "fp16": np.float16}[storage]
+    return compiled.Arena(keys.astype(dtype), values.astype(dtype))
+
+
+def _assert_round_off(fast, slow):
+    for a, b in zip(fast, slow):
+        assert a.shape == b.shape
+        assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("storage", ["fp32", "fp64", "fp16", "int8"])
+@pytest.mark.parametrize("q_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch_shape", [(), (2,), (2, 3)])
+class TestEdgeAttentionAgainstFallback:
+    def test_kernel_matches_numpy_fallback(self, batch_shape, q_dtype, storage):
         if _compiled_name() is None:
             pytest.skip("no compiled backend available")
-        weights, values, indptr, dim = self._case()
-        fused = compiled.try_segment_weighted_sum(weights, values, indptr, dim)
-        assert fused is not None
-        assert_allclose(fused, self._reduceat(weights, values, indptr, dim), rtol=1e-12)
-
-    def test_returns_none_under_numpy_backend(self):
-        weights, values, indptr, dim = self._case()
+        rng = np.random.default_rng(7)
+        cols, indptr = _layout(rng)
+        arena = _arena(rng, batch_shape, storage)
+        q = rng.standard_normal(batch_shape + (LENGTH, KEY_DIM)).astype(q_dtype)
+        fast = compiled.edge_attention(q, arena, cols, indptr, 0.4, return_scores=True)
         with compiled.force_backend("numpy"):
-            assert compiled.try_segment_weighted_sum(weights, values, indptr, dim) is None
+            slow = compiled.edge_attention(q, arena, cols, indptr, 0.4, return_scores=True)
+        _assert_round_off(fast, slow)
+        output, row_max, row_sum, scores = fast
+        assert output.shape == batch_shape + (LENGTH, VALUE_DIM)
+        assert scores.shape == batch_shape + (cols.size,)
+        empty = np.asarray(DEGREES) == 0
+        assert np.all(output[..., empty, :] == 0)
+        assert np.all(row_max[..., empty] == -np.inf) and np.all(row_sum[..., empty] == 0)
 
-    def test_returns_none_for_float32(self):
-        weights, values, indptr, dim = self._case()
-        assert (
-            compiled.try_segment_weighted_sum(
-                weights.astype(np.float32), values.astype(np.float32), indptr, dim
-            )
-            is None
+    def test_grouped_rows_equal_per_group_calls(self, batch_shape, q_dtype, storage):
+        """Stacked == individual, exactly, on whichever backend is active."""
+        rng = np.random.default_rng(11)
+        rows, indptr = _layout(rng, groups=3)
+        arena = _arena(rng, batch_shape, storage)
+        q = rng.standard_normal((3,) + batch_shape + (LENGTH, KEY_DIM)).astype(q_dtype)
+        stacked = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
+        for g in range(3):
+            single = compiled.edge_attention(q[g], arena, rows[g], indptr, 0.4, return_scores=True)
+            for a, b in zip(stacked, single):
+                assert_array_equal(a[g], b)
+        with compiled.force_backend("numpy"):
+            slow = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
+        _assert_round_off(stacked, slow)
+
+
+class TestEdgeAttentionExactness:
+    @pytest.mark.parametrize("backend_name", ["cext", "numpy"])
+    def test_int8_arena_equals_fp32_arena_of_dequantized_rows(self, backend_name):
+        if backend_name == "cext" and _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        rng = np.random.default_rng(5)
+        cols, indptr = _layout(rng)
+        arena = _arena(rng, (2,), "int8")
+        (k_scale, k_zero), (v_scale, v_zero) = arena.k_params, arena.v_params
+        dequantized = compiled.Arena(
+            (arena.keys.astype(np.float32) - k_zero[..., None]) * k_scale[..., None],
+            (arena.values.astype(np.float32) - v_zero[..., None]) * v_scale[..., None],
         )
+        q = rng.standard_normal((2, LENGTH, KEY_DIM)).astype(np.float32)
+        with compiled.force_backend(backend_name):
+            quantized = compiled.edge_attention(q, arena, cols, indptr, 0.4, return_scores=True)
+            oracle = compiled.edge_attention(q, dequantized, cols, indptr, 0.4, return_scores=True)
+        for a, b in zip(quantized, oracle):
+            assert_array_equal(a, b)
 
-    def test_returns_none_for_empty_edges(self):
-        indptr = np.zeros(5, dtype=np.int64)
-        weights = np.zeros((2, 0))
-        values = np.zeros((2, 0, 4))
-        assert compiled.try_segment_weighted_sum(weights, values, indptr, 4) is None
+    def test_rows_with_no_edges_at_all(self):
+        q = np.ones((3, 4), dtype=np.float32)
+        arena = compiled.Arena(np.ones((2, 4), np.float32), np.ones((2, 3), np.float32))
+        output, row_max, row_sum, scores = compiled.edge_attention(
+            q, arena, np.zeros(0, np.int64), np.zeros(4, np.int64), 1.0, return_scores=True
+        )
+        assert output.shape == (3, 3) and not output.any()
+        assert np.all(row_max == -np.inf) and not row_sum.any()
+        assert scores.shape == (0,)
+
+    def test_kernel_refuses_rows_outside_the_arena(self):
+        if _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        q = np.ones((2, 4), dtype=np.float32)
+        arena = compiled.Arena(np.ones((3, 4), np.float32), np.ones((3, 4), np.float32))
+        indptr = np.array([0, 1, 2])
+        for bad in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                compiled.edge_attention(q, arena, np.array(bad), indptr, 1.0)
+        with pytest.raises(ValueError, match="indptr"):
+            compiled.edge_attention(q, arena, np.array([0, 1]), np.array([0, 2, 1]), 1.0)
+
+    def test_indptr_must_cover_the_edges(self):
+        q = np.ones((2, 4), dtype=np.float32)
+        arena = compiled.Arena(np.ones((3, 4), np.float32), np.ones((3, 4), np.float32))
+        with pytest.raises(ValueError):
+            compiled.edge_attention(q, arena, np.array([0, 1, 2]), np.array([0, 1, 2]), 1.0)
+
+
+@pytest.fixture(scope="module")
+def local_masks_16k():
+    return {window: LocalMask(window).to_csr(16384) for window in (32, 64)}
+
+
+class TestMemoryBound:
+    """The one-shot CSR kernel holds O(L·d), not O(nnz·d), on both backends."""
+
+    @pytest.mark.parametrize("backend_name", ["cext", "numpy"])
+    def test_csr_attention_peak_does_not_grow_with_edges(self, backend_name, local_masks_16k):
+        if backend_name == "cext" and _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((16384, 16), dtype=np.float32) for _ in range(3))
+        assert local_masks_16k[64].nnz == 2_076_736
+        peaks = {}
+        with compiled.force_backend(backend_name):
+            for window, csr in local_masks_16k.items():
+                tracemalloc.start()
+                try:
+                    csr_attention(q, k, v, csr)
+                    peaks[window] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[64] <= 64 * 2**20, peaks
+        assert peaks[64] < 1.1 * peaks[32], peaks
+

@@ -26,6 +26,7 @@ from repro.masks.rows import (
 )
 from repro.masks.structured import BlockDiagonalMask, CausalMask, DenseMask, StridedMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
+from repro.utils.dtypes import INDEX_DTYPE
 
 LENGTHS = (17, 48)
 
@@ -138,3 +139,43 @@ class TestProgramSpecialisation:
     def test_global_token_beyond_horizon_rejected(self):
         with pytest.raises(ValueError):
             compile_row_program(GlobalMask((40,)), 16)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+class TestCausalRows:
+    """``causal_rows`` is the concatenated ``causal_row`` outputs, bit for bit."""
+
+    def _programs(self, length):
+        explicit = as_mask_spec(RandomMask(sparsity=0.3, seed=7).to_csr(length))
+        return [compile_row_program(spec, length) for spec in PRESET_SPECS + [explicit]]
+
+    def test_every_program_class_is_covered(self, length):
+        assert {type(p) for p in self._programs(length)} == {
+            StencilRowProgram,
+            GlobalRowProgram,
+            Dilated2DRowProgram,
+            CSRRowProgram,
+            UnionRowProgram,
+            SpecRowProgram,
+        }
+
+    def test_range_equals_concatenated_rows(self, length):
+        rng = np.random.default_rng(length)
+        ranges = [(0, length), (0, 0), (length, length), (0, 1), (length - 1, length)]
+        ranges += [tuple(sorted(rng.integers(0, length + 1, size=2))) for _ in range(8)]
+        for program in self._programs(length):
+            for start, stop in ranges:
+                indptr, cols = program.causal_rows(int(start), int(stop))
+                rows = [program.causal_row(i) for i in range(start, stop)]
+                expected = np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
+                assert cols.dtype == expected.dtype == INDEX_DTYPE
+                np.testing.assert_array_equal(cols, expected)
+                assert indptr.dtype == np.int64
+                np.testing.assert_array_equal(indptr, np.cumsum([0] + [r.size for r in rows]))
+
+    def test_range_bounds_enforced(self, length):
+        program = compile_row_program(LocalMask(window=3), length)
+        for start, stop in [(-1, 2), (3, 2), (0, length + 1)]:
+            with pytest.raises(ValueError):
+                program.causal_rows(start, stop)
+

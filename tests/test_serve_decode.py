@@ -8,6 +8,7 @@ a one-shot ``engine.run`` over the causally clipped reference mask within
 import numpy as np
 import pytest
 
+from repro.core import compiled
 from repro.core.engine import GraphAttentionEngine
 from repro.masks.dilated2d import Dilated2DMask
 from repro.masks.global_ import GlobalMask
@@ -19,9 +20,13 @@ from repro.serve.decode import (
     KVCache,
     decode_reference_mask,
     stacked_decode_step,
+    stacked_prefill,
 )
 from repro.serve.client import ServingClient
+from repro.serve.paging import BlockPool, PagedKVCache
+from repro.serve.quant import decode_chunk, encode_chunk
 from repro.serve.scheduler import AttentionServer
+from repro.serve.speculate import speculative_decode_steps
 from repro.utils.rng import random_qkv
 
 DECODE_SPECS = [
@@ -261,6 +266,87 @@ class TestStackedDecode:
         assert a.position == 1 and b.position == 1
         good = stacked_decode_step([a, b], [q[1], q[1]], [k[1], k[1]], [v[1], v[1]])
         assert all(r.meta["position"] == 1 for r in good)
+
+
+class TestKernelReadsKVInPlace:
+    """Every attention pass reads K/V where the cache keeps it.
+
+    With the C kernel active the gathers are off the hot path altogether:
+    they raise here, and decode, prefill, stacked groups and the speculative
+    draft and verify passes still serve, matching the one-shot oracle.
+    """
+
+    MASK = longformer_mask(reach=4, global_tokens=(0,))
+    LENGTH, DIM, HEADS = 40, 8, 2
+
+    @pytest.fixture
+    def no_gathers(self, monkeypatch):
+        if compiled.backend() != "cext":
+            pytest.skip("reading K/V in place is the C kernel's")
+
+        def refuse(self, positions):
+            raise AssertionError("K/V gathered on the attention path")
+
+        for cls in (KVCache, PagedKVCache):
+            monkeypatch.setattr(cls, "gather_keys", refuse)
+            monkeypatch.setattr(cls, "gather_values", refuse)
+
+    def _drive(self, sessions, q, k, v):
+        """Solo and stacked prefill, stacked steps, a speculative pass, solo steps."""
+        first, rest = sessions[0], sessions[1:]
+        first.prefill(q[..., :8, :], k[..., :8, :], v[..., :8, :])
+        stacked_prefill(rest, *([x[..., :8, :]] * len(rest) for x in (q, k, v)))
+        stacked_prefill(sessions, *([x[..., 8:16, :]] * len(sessions) for x in (q, k, v)))
+        for i in range(16, 20):
+            stacked_decode_step(sessions, *([x[..., i, :]] * len(sessions) for x in (q, k, v)))
+        outcomes = speculative_decode_steps(sessions, *([x[..., 20:24, :]] * len(sessions) for x in (q, k, v)))
+        assert all(outcome.emitted >= 1 for outcome in outcomes)
+        for session in sessions:
+            for i in range(session.position, self.LENGTH):
+                session.step(q[..., i, :], k[..., i, :], v[..., i, :])
+
+    @pytest.mark.parametrize("storage", ["fp32", "int8", None])
+    def test_every_pass_serves_without_gathers(self, no_gathers, storage):
+        q, k, v = random_qkv(self.LENGTH, self.DIM, heads=self.HEADS, seed=5)
+        pool = None
+        if storage is not None:
+            pool = BlockPool(64, 4, key_dim=self.DIM, batch_shape=(self.HEADS,), storage=storage)
+        sessions = [DecodeSession.start(self.MASK, self.LENGTH, retain_outputs=True, pool=pool) for _ in range(3)]
+        self._drive(sessions, q, k, v)
+        if storage == "int8":  # the oracle sees what the pool reproduces
+            k, v = decode_chunk(encode_chunk(k, v, "int8"), np.float32)
+        reference = GraphAttentionEngine().run(q, k, v, decode_reference_mask(self.MASK, self.LENGTH))
+        for session in sessions:
+            np.testing.assert_allclose(session.outputs(), reference.output, atol=1e-6, rtol=1e-6)
+
+    def test_group_spanning_arenas_equals_individual_steps(self):
+        """Sessions of one group on two pools and a private cache: one kernel
+        call per arena, and each session's rows exactly its solo step's."""
+        length, dim = 24, 6
+        q, k, v = random_qkv(length, dim, heads=self.HEADS, seed=9)
+        pools = [BlockPool(32, 4, key_dim=dim, batch_shape=(self.HEADS,)) for _ in range(2)]
+
+        def group():
+            return [
+                DecodeSession.start(self.MASK, length, pool=pools[0]),
+                DecodeSession.start(self.MASK, length, pool=pools[1]),
+                DecodeSession.start(self.MASK, length, pool=pools[0]),
+                DecodeSession.start(self.MASK, length),
+            ]
+
+        stacked, solo = group(), group()
+        streams = len(stacked)
+        data = [[x + 0.1 * s for x in (q, k, v)] for s in range(streams)]  # every stream its own rows
+        for s in range(streams):
+            for session in (stacked[s], solo[s]):
+                session.prefill(*(x[..., :8, :] for x in data[s]))
+        for i in range(8, length):
+            rows = ([data[s][n][..., i, :] for s in range(streams)] for n in range(3))
+            results = stacked_decode_step(stacked, *rows)
+            for s in range(streams):
+                expected = solo[s].step(*(x[..., i, :] for x in data[s]))
+                np.testing.assert_array_equal(results[s].output, expected.output)
+                np.testing.assert_array_equal(results[s].row_sum, expected.row_sum)
 
 
 class TestServerStreaming:

@@ -1,6 +1,9 @@
 """Tests for the batched request scheduler (repro.serve.scheduler)."""
 
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from repro.distributed.partition_balance import balanced_worker_bins
 from repro.masks.presets import longformer_mask
 from repro.masks.windowed import LocalMask
 from repro.serve.client import ServingClient
+from repro.serve import scheduler as scheduler_module
 from repro.serve.paging import PoolExhausted
 from repro.serve.scheduler import AttentionServer
 from repro.serve.session import AttentionRequest
@@ -185,6 +189,54 @@ class TestThreadPool:
         for thread in threads:
             thread.join(timeout=5.0)
         assert not any(thread.is_alive() for thread in threads)
+
+    def test_concurrent_serves_build_one_pool_and_close_shuts_it(self, monkeypatch):
+        """Concurrent ``serve`` calls share one lazily built executor.
+
+        The constructor sleeps, so unlocked check-then-act would let every
+        thread see no pool and build its own; ``close`` could then shut down
+        only the last one.
+        """
+        built, shut = [], []
+
+        class SlowExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.05)
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def shutdown(self, *args, **kwargs):
+                shut.append(self)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "ThreadPoolExecutor", SlowExecutor)
+        server = AttentionServer(max_workers=2)
+        errors = []
+
+        def serve(seed0):
+            try:
+                # two masks -> two execution groups, so the pool path runs
+                reqs = _requests(2, length=48, mask=LocalMask(window=5), seed0=seed0)
+                reqs += _requests(2, length=48, mask=LocalMask(window=7), seed0=seed0 + 2)
+                assert len(server.serve(reqs)) == 4
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(10 * i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(built) == 1
+        server.close()
+        assert shut == built
 
 
 class TestWorkerBins:
