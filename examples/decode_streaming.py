@@ -7,8 +7,8 @@ Demonstrates the incremental decoding subsystem (``repro.serve.decode``):
    ``AttentionServer`` — the decode-mode plan (per-row stencil program) is
    compiled once and shared through the plan cache,
 3. prefill each stream's prompt, then stream new tokens through
-   ``server.decode_steps`` — same-plan same-position steps coalesce into one
-   stacked kernel pass (continuous batching),
+   ``server.decode_steps`` — every stream's step runs in one ragged kernel
+   pass, whatever its mask and position (continuous batching),
 4. verify a stream against a one-shot ``engine.run`` over the causally
    clipped reference mask,
 5. report per-token cost, KV-cache growth and coalescing statistics.

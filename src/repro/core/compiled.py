@@ -181,9 +181,8 @@ static slice_t arena_slice(int kind, const void *data, const float *scale,
     return s;
 }
 
-/* Algorithm 1 for num_rows query rows of groups * slices query slices.
-   Slice b reads arena slice b % slices through the row vector of group
-   b / slices; edge e of a row reads arena row rows[group * num_edges + e].
+/* Algorithm 1 for num_rows query rows of each of slices query slices.
+   Slice b reads arena slice b; edge e of a row reads arena row rows[e].
    Returns 0, or 1 for a malformed indptr, 2 for an arena row out of range,
    3 when the per-call scratch cannot be allocated (nothing is read then). */
 int edge_attention(const void *q, int q_f64,
@@ -191,10 +190,10 @@ int edge_attention(const void *q, int q_f64,
                    const float *k_scale, const float *k_zero,
                    const float *v_scale, const float *v_zero,
                    const void *rows, int rows_i64, const int64_t *indptr,
-                   int64_t groups, int64_t slices, int64_t arena_rows,
-                   int64_t num_rows, int64_t num_edges, int64_t dk,
-                   int64_t dv, double scale, double *out, double *row_max,
-                   double *row_sum, double *scores)
+                   int64_t slices, int64_t arena_rows, int64_t num_rows,
+                   int64_t num_edges, int64_t dk, int64_t dv, double scale,
+                   double *out, double *row_max, double *row_sum,
+                   double *scores)
 {
     const int32_t *rows32 = (const int32_t *)rows;
     const int64_t *rows64 = (const int64_t *)rows;
@@ -203,7 +202,7 @@ int edge_attention(const void *q, int q_f64,
     for (int64_t i = 0; i < num_rows; i++)
         if (indptr[i] > indptr[i + 1])
             return 1;
-    for (int64_t e = 0; e < groups * num_edges; e++) {
+    for (int64_t e = 0; e < num_edges; e++) {
         const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
         if (r < 0 || r >= arena_rows)
             return 2;
@@ -211,11 +210,10 @@ int edge_attention(const void *q, int q_f64,
     double *qrow = malloc((size_t)(dk > 0 ? dk : 1) * sizeof(double));
     if (qrow == NULL)
         return 3;
-    for (int64_t b = 0; b < groups * slices; b++) {
-        const int64_t g = b / slices;
-        const slice_t ks = arena_slice(kind, k, k_scale, k_zero, b % slices,
+    for (int64_t b = 0; b < slices; b++) {
+        const slice_t ks = arena_slice(kind, k, k_scale, k_zero, b,
                                        arena_rows, dk);
-        const slice_t vs = arena_slice(kind, v, v_scale, v_zero, b % slices,
+        const slice_t vs = arena_slice(kind, v, v_scale, v_zero, b,
                                        arena_rows, dv);
         for (int64_t i = 0; i < num_rows; i++) {
             const int64_t at = b * num_rows + i;
@@ -233,8 +231,7 @@ int edge_attention(const void *q, int q_f64,
                 acc[j] = 0.0;
             double m = -INFINITY, l = 0.0;
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-                const int64_t x = g * num_edges + e;
-                const int64_t r = rows_i64 ? rows64[x] : (int64_t)rows32[x];
+                const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
                 const double s = dot_row(kind, ks, r, dk, qrow) * scale;
                 if (scores)
                     scores[b * num_edges + e] = s;
@@ -277,7 +274,7 @@ _I64 = ctypes.c_int64
 _ARGTYPES = {
     "gather_dequant_i8": ([_P] * 4 + [_I64] * 4 + [_P], None),
     "edge_attention": (
-        [_P, _INT, _P, _P, _INT] + [_P] * 4 + [_P, _INT, _P] + [_I64] * 7 + [ctypes.c_double] + [_P] * 4,
+        [_P, _INT, _P, _P, _INT] + [_P] * 4 + [_P, _INT, _P] + [_I64] * 6 + [ctypes.c_double] + [_P] * 4,
         _INT,
     ),
 }
@@ -596,12 +593,12 @@ def edge_attention(
     """Algorithm 1 for ``R`` query rows over K/V rows read in place.
 
     ``indptr`` (``R + 1`` entries) delimits each query row's edges, and edge
-    ``e`` reads arena row ``rows[..., e]``.  With 1-D ``rows`` (one-shot
-    kernels, a private cache) ``q`` is ``arena.keys.shape[:-2] + (R, d_k)``
-    and each query slice reads its own arena slice.  With ``(G, E)`` rows (a
-    stacked group of sessions paging one pool) ``q`` is
-    ``(G,) + arena.keys.shape[:-2] + (R, d_k)`` and group ``g`` reads its
-    arena slices through ``rows[g]``.
+    ``e`` reads arena row ``rows[e]``.  ``q`` is
+    ``arena.keys.shape[:-2] + (R, d_k)``, and each query slice reads its own
+    arena slice.  Rows are independent, so several sessions paging one arena
+    run as one call: their query rows concatenated along the row axis, their
+    rows concatenated and their ``indptr`` arrays offset by the running edge
+    count.
 
     Returns ``(output, row_max, row_sum, scores)``: the normalised output in
     the accumulator dtype (``q.shape[:-1] + (d_v,)``), the per-row softmax
@@ -614,13 +611,9 @@ def edge_attention(
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     keys, values = arena.keys, arena.values
     slices_shape = keys.shape[:-2]
-    if rows.ndim == 2:
-        groups, expected = rows.shape[0], (rows.shape[0],) + slices_shape
-    else:
-        require(rows.ndim == 1, "rows must be (E,) or (groups, E)")
-        groups, expected = 1, slices_shape
-    if q.ndim < 2 or q.shape[:-2] != expected:
-        raise ValueError(f"query slices {q.shape[:-2]} do not match the arena's {expected}")
+    require(rows.ndim == 1, "rows must be one arena row per edge")
+    if q.ndim < 2 or q.shape[:-2] != slices_shape:
+        raise ValueError(f"query slices {q.shape[:-2]} do not match the arena's {slices_shape}")
     require(values.shape[:-1] == keys.shape[:-1], "K and V arenas must share their rows")
     require(q.shape[-1] == keys.shape[-1], "Q and K must share the head dimension d_k")
     require(indptr.size == q.shape[-2] + 1, "indptr must have one entry per query row + 1")
@@ -634,7 +627,7 @@ def edge_attention(
     else:
         rows = np.ascontiguousarray(rows)
     _, arena_addresses = arena.c_operands
-    num_rows, num_edges, value_dim = q.shape[-2], rows.shape[-1], values.shape[-1]
+    num_rows, num_edges, value_dim = q.shape[-2], rows.size, values.shape[-1]
     output = np.empty(q.shape[:-1] + (value_dim,), dtype=np.float64)
     # one buffer holds row_max, row_sum and the scores: one address to take
     stats = prod(q.shape[:-1])
@@ -650,7 +643,6 @@ def edge_attention(
         rows.ctypes.data,
         int(rows.dtype == np.int64),
         indptr.ctypes.data,
-        groups,
         prod(slices_shape),
         keys.shape[-2],
         num_rows,
@@ -679,16 +671,12 @@ def _gather(
     rows: np.ndarray,
     dtype: np.dtype,
 ) -> np.ndarray:
-    """Rows ``rows`` (``(G, E)``) of every ``(A, N, d)`` arena slice as ``(G·A, E, d)``."""
-    slices, (groups, edges), dim = arena.shape[0], rows.shape, arena.shape[-1]
-    flat = rows.reshape(-1)
-    gathered = arena[:, flat, :]
+    """Rows ``rows`` (``(E,)``) of every ``(A, N, d)`` arena slice as ``(A, E, d)``."""
+    gathered = arena[:, rows, :]
     if params is not None:
         scale, zero = params
-        gathered = (gathered.astype(np.float32) - zero[:, flat, None]) * scale[:, flat, None]
-    if groups > 1 and slices > 1:
-        gathered = gathered.reshape(slices, groups, edges, dim).swapaxes(0, 1)
-    return np.ascontiguousarray(gathered, dtype=dtype).reshape(groups * slices, edges, dim)
+        gathered = (gathered.astype(np.float32) - zero[:, rows, None]) * scale[:, rows, None]
+    return np.ascontiguousarray(gathered, dtype=dtype)
 
 
 def _edge_attention_numpy(
@@ -716,21 +704,19 @@ def _edge_attention_numpy(
         None if params is None else tuple(p.reshape(slices, arena_rows) for p in params)
         for params in (arena.k_params, arena.v_params)
     )
-    rows2 = rows if rows.ndim == 2 else rows[None, :]
-    num_edges = rows2.shape[1]
+    num_edges = rows.size
     num_rows = indptr.size - 1
     require(
         int(indptr[0]) == 0 and int(indptr[-1]) == num_edges,
         "indptr must start at 0 and end at the edge count",
     )
-    batch = rows2.shape[0] * slices
-    q3 = np.asarray(q, dtype=acc_dtype).reshape(batch, num_rows, key_dim)
+    q3 = np.asarray(q, dtype=acc_dtype).reshape(slices, num_rows, key_dim)
 
-    accumulator = np.zeros((batch, num_rows, value_dim), dtype=acc_dtype)
-    row_max = np.full((batch, num_rows), -np.inf, dtype=acc_dtype)
-    row_sum = np.zeros((batch, num_rows), dtype=acc_dtype)
-    scores = np.empty((batch, num_edges), dtype=acc_dtype) if return_scores else None
-    budget = max(1, _FALLBACK_CHUNK_ELEMENTS // max(1, batch * max(key_dim, value_dim)))
+    accumulator = np.zeros((slices, num_rows, value_dim), dtype=acc_dtype)
+    row_max = np.full((slices, num_rows), -np.inf, dtype=acc_dtype)
+    row_sum = np.zeros((slices, num_rows), dtype=acc_dtype)
+    scores = np.empty((slices, num_edges), dtype=acc_dtype) if return_scores else None
+    budget = max(1, _FALLBACK_CHUNK_ELEMENTS // max(1, slices * max(key_dim, value_dim)))
     start = 0
     while start < num_rows:
         lo = int(indptr[start])
@@ -738,7 +724,7 @@ def _edge_attention_numpy(
         stop = min(max(stop, start + 1), num_rows)
         hi = int(indptr[stop])
         local = indptr[start : stop + 1] - lo
-        chunk_rows = rows2[:, lo:hi]
+        chunk_rows = rows[lo:hi]
         edge_rows = np.repeat(np.arange(stop - start), np.diff(local))
         k_sel = _gather(k3, k_params, chunk_rows, acc_dtype)
         chunk_scores = np.einsum("bed,bed->be", q3[:, start:stop][:, edge_rows], k_sel) * scale

@@ -14,8 +14,9 @@ Three layers turn the paper's kernels into a serving stack:
   per-request latencies plus aggregate throughput stats.
 * :mod:`repro.serve.decode` — incremental autoregressive decoding:
   :class:`DecodeSession` KV-cache streams whose per-token steps cost O(edges
-  of the new token's mask row), with same-plan steps from concurrent
-  sessions coalesced into stacked kernel passes (continuous batching).
+  of the new token's mask row), with the steps of concurrent sessions —
+  whatever their masks, horizons and positions — run as one ragged kernel
+  pass (continuous batching).
 * :mod:`repro.serve.paging` — paged KV memory: a refcounted
   :class:`BlockPool` of fixed-size K/V blocks shared by every paged session,
   :class:`PagedKVCache` block tables with chained-hash prefix sharing and

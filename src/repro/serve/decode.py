@@ -16,12 +16,15 @@ that path:
   set), the growing KV cache, and the incremental attention step that runs
   Algorithm 1 for the new query row against the cached keys in place.
 * :func:`stacked_decode_step` / :func:`stacked_prefill` — the
-  continuous-batching primitives: decode steps (or same-position prompt
-  chunks) of several sessions that share one plan stack into a single
-  vectorized kernel pass (used by
+  continuous-batching primitives: the decode steps (or prompt chunks) of
+  any sessions, whatever their masks, horizons, positions and chunk
+  lengths, run as one ragged kernel pass per arena — each session's rows
+  from its own program, laid end to end in one CSR (used by
   :meth:`repro.serve.scheduler.AttentionServer.decode_steps` /
-  :meth:`~repro.serve.scheduler.AttentionServer.prefill_chunks` and the
-  iteration-level loop in :mod:`repro.serve.loop`).
+  :meth:`~repro.serve.scheduler.AttentionServer.prefill_chunks`, the
+  iteration-level loop in :mod:`repro.serve.loop`, and under
+  :meth:`DecodeSession.step` / :meth:`DecodeSession.prefill` as one-session
+  passes).
 * :func:`decode_reference_mask` — the causally-clipped CSR mask a full decode
   loop attends, so ``engine.run`` on it reproduces an entire prefill+steps
   loop in one shot (the verification oracle for tests and benchmarks).
@@ -34,8 +37,9 @@ run over :func:`decode_reference_mask`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -224,76 +228,74 @@ class KVCache:
 #: the rows to read (:meth:`KVCache.attention_operands`).
 AnyKVCache = Union[KVCache, PagedKVCache]
 
+#: One session's query rows as CSR over its logical key positions:
+#: ``(indptr, cols)``.
+Layout = Tuple[np.ndarray, np.ndarray]
+
+
+def _ragged_indptr(indptrs: Sequence[np.ndarray]) -> np.ndarray:
+    """One ``indptr`` for sessions' rows laid end to end: each session's
+    offsets shift by the edge count of the sessions before it."""
+    shifts = np.cumsum([0] + [int(p[-1]) for p in indptrs[:-1]])
+    tails = np.concatenate([p[1:] for p in indptrs])
+    return np.concatenate(([0], tails + np.repeat(shifts, [p.size - 1 for p in indptrs])))
+
 
 def _edge_attention(
-    q_stack: np.ndarray,
+    q_blocks: Sequence[np.ndarray],
     caches: Sequence[AnyKVCache],
-    cols: np.ndarray,
-    indptr: np.ndarray,
+    layouts: Sequence[Layout],
+    scales: Sequence[float],
     *,
-    scale_value: float,
-    out_dtype,
     return_scores: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Attention of ``R`` query rows per session over K/V read in place.
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """One ragged pass of Algorithm 1 over several sessions' query rows.
 
-    ``q_stack`` is ``(S,) + batch_shape + (R, d_k)``, one slice per cache in
-    ``caches``; ``cols`` holds the logical key positions of every query
-    row's edges in CSR order, ``indptr`` delimits them, and all sessions
-    share them.  Sessions whose caches read one arena (a shared pool) run as
-    a single :func:`~repro.core.compiled.edge_attention` call over their
-    stacked physical rows; each other arena gets its own call.  Empty rows
-    (fully masked queries) finalise to zero exactly like the one-shot
-    kernels.
+    Session ``s`` brings its query block ``q_blocks[s]``
+    (``batch_shape + (R_s, d_k)``), its cache, its own ``(indptr, cols)``
+    layout of logical key positions and its scale, so sessions may differ in
+    mask, horizon, position and row count.  Sessions whose caches read one
+    arena with one query dtype and scale run as a single
+    :func:`~repro.core.compiled.edge_attention` call: their query rows
+    concatenated along the row axis, their physical rows concatenated and
+    their ``indptr`` arrays offset by the running edge count.  Every other arena
+    (a private cache, a second pool) gets its own call.  Empty rows (fully
+    masked queries) finalise to zero exactly like the one-shot kernels.
 
-    Returns ``(output, row_max, row_sum, scores)`` with the session axis
-    leading; ``scores`` — the raw scaled ``(S,) + batch_shape + (E,)`` edge
-    scores, from which the speculative passes read per-row argmaxes — is
-    ``None`` unless ``return_scores``.
+    Returns one ``(output, row_max, row_sum, scores)`` per session, sliced
+    from its call: the output in the session's query dtype and — with
+    ``return_scores`` — the raw scaled ``batch_shape + (E_s,)`` edge scores
+    the speculative passes read per-row argmaxes from, else ``None``.
     """
-    operands = [cache.attention_operands(cols) for cache in caches]
-    by_arena: Dict[int, List[int]] = {}
+    operands = [cache.attention_operands(cols) for cache, (_, cols) in zip(caches, layouts)]
+    calls: Dict[Tuple, List[int]] = {}
     for index, (arena, _) in enumerate(operands):
-        by_arena.setdefault(id(arena.keys), []).append(index)
-    parts = []
-    for members in by_arena.values():
-        rows = np.stack([operands[i][1] for i in members])
-        q_part = q_stack if len(members) == len(caches) else q_stack[members]
-        arena = operands[members[0]][0]
-        part = compiled.edge_attention(q_part, arena, rows, indptr, scale_value, return_scores=return_scores)
-        parts.append((members, part))
-    if len(parts) == 1:
-        output, row_max, row_sum, scores = parts[0][1]
-    else:
-        slots = [None] * len(caches)
-        for members, part in parts:
-            for offset, index in enumerate(members):
-                slots[index] = [None if a is None else a[offset] for a in part]
-        output, row_max, row_sum, scores = (
-            None if slots[0][n] is None else np.stack([slot[n] for slot in slots])
-            for n in range(4)
+        key = (id(arena.keys), q_blocks[index].dtype, scales[index])
+        calls.setdefault(key, []).append(index)
+    parts: List = [None] * len(caches)
+    for members in calls.values():
+        first = members[0]
+        if len(members) == 1:
+            q, rows, indptr = q_blocks[first], operands[first][1], layouts[first][0]
+        else:
+            q = np.concatenate([q_blocks[i] for i in members], axis=-2)
+            rows = np.concatenate([operands[i][1] for i in members])
+            indptr = _ragged_indptr([layouts[i][0] for i in members])
+        output, row_max, row_sum, scores = compiled.edge_attention(
+            q, operands[first][0], rows, indptr, scales[first], return_scores=return_scores
         )
-    return output.astype(out_dtype), row_max, row_sum, scores
-
-
-def _rows_attention(
-    q_rows: np.ndarray,
-    cache: AnyKVCache,
-    indptr: np.ndarray,
-    cols: np.ndarray,
-    *,
-    scale: Optional[float],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Attend one session's ``R`` query rows against its cache (CSR rows)."""
-    output, row_max, row_sum, _ = _edge_attention(
-        q_rows[None],
-        [cache],
-        cols,
-        indptr,
-        scale_value=resolve_scale(scale, q_rows.shape[-1]),
-        out_dtype=q_rows.dtype,
-    )
-    return output[0], row_max[0], row_sum[0]
+        output = output.astype(q.dtype, copy=False)
+        row = edge = 0
+        for i in members:
+            count, edges = q_blocks[i].shape[-2], layouts[i][1].size
+            parts[i] = (
+                output[..., row : row + count, :],
+                row_max[..., row : row + count],
+                row_sum[..., row : row + count],
+                None if scores is None else scores[..., edge : edge + edges],
+            )
+            row, edge = row + count, edge + edges
+    return parts
 
 
 # --------------------------------------------------------------------------- #
@@ -359,8 +361,8 @@ class DecodeSession:
         """Compile a decode plan for ``mask`` at ``horizon`` and open a session.
 
         The plan keeps its canonical cache key, so independently started
-        sessions over the same mask shape can still coalesce their steps
-        (see :func:`stacked_decode_step`).  Passing ``pool`` backs the session
+        sessions over the same mask shape share it.  Passing ``pool`` backs
+        the session
         with a :class:`~repro.serve.paging.PagedKVCache` over that shared
         block pool instead of a private buffer.
         """
@@ -400,7 +402,8 @@ class DecodeSession:
         return isinstance(self.cache, PagedKVCache)
 
     # ------------------------------------------------------------------ #
-    def _ensure_cache(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
+    def _check_layout(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
+        """Refuse a block whose batch shape or head dims differ from the cache's."""
         if self.cache is not None:
             require(
                 k_block.shape[:-2] == self.cache.batch_shape
@@ -411,6 +414,10 @@ class DecodeSession:
                 f"cache layout {self.cache.batch_shape} + "
                 f"({self.cache.key_dim}, {self.cache.value_dim})",
             )
+
+    def _ensure_cache(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
+        if self.cache is not None:
+            self._check_layout(k_block, v_block)
             return
         self.cache = KVCache(
             k_block.shape[:-2],
@@ -458,37 +465,7 @@ class DecodeSession:
         row (keys up to and including themselves), in one vectorized pass
         over the block's edges.  May be called repeatedly (chunked prefill).
         """
-        require(not self.closed, "session is closed")
-        q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-        require(q.ndim >= 2, "prefill takes (..., P, d) blocks")
-        require(q.shape == k.shape, "q and k must have matching shapes")
-        require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
-        count = int(q.shape[-2])
-        require(count >= 1, "prefill needs at least one token")
-        self._ensure_cache(k, v)
-        start = self.cache.length
-        require(
-            start + count <= self.horizon,
-            f"prefill of {count} tokens at position {start} exceeds horizon {self.horizon}",
-        )
-        self.cache.extend(k, v)
-        indptr, cols = self.program.causal_rows(start, start + count)
-        output, row_max, row_sum = _rows_attention(q, self.cache, indptr, cols, scale=self.plan.scale)
-        edges = int(cols.size)
-        ops = OpCounts.for_edges(
-            edges, q.shape[-1], v.shape[-1], batch=prod(self.cache.batch_shape)
-        )
-        result = AttentionResult(
-            output=output,
-            row_max=row_max,
-            row_sum=row_sum,
-            ops=ops,
-            algorithm="decode-prefill",
-            meta={"positions": (start, start + count), "edges": edges},
-        )
-        self.prefilled_tokens += count
-        self._absorb(result)
-        return result
+        return stacked_prefill([self], [q], [k], [v])[0]
 
     def step(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> AttentionResult:
         """Append one token and attend its mask row against the cached K/V.
@@ -497,38 +474,7 @@ class DecodeSession:
         ``(..., 1, d)``).  The returned result's output is
         ``batch_shape + (1, d_v)`` — the new token's attention row.
         """
-        require(not self.closed, "session is closed")
-        q = self._as_token_slice(q)
-        k = self._as_token_slice(k)
-        v = self._as_token_slice(v)
-        require(q.shape == k.shape, "q and k must have matching shapes")
-        require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
-        self._ensure_cache(k, v)
-        position = self.cache.length
-        require(
-            position < self.horizon,
-            f"decode step at position {position} exceeds horizon {self.horizon}",
-        )
-        self.cache.extend(k, v)
-        cols = self.program.causal_row(position)
-        output, row_max, row_sum = _rows_attention(
-            q, self.cache, np.array([0, cols.size], dtype=np.int64), cols, scale=self.plan.scale
-        )
-        edges = int(cols.size)
-        ops = OpCounts.for_edges(
-            edges, q.shape[-1], v.shape[-1], batch=prod(self.cache.batch_shape)
-        )
-        result = AttentionResult(
-            output=output,
-            row_max=row_max,
-            row_sum=row_sum,
-            ops=ops,
-            algorithm="decode-step",
-            meta={"position": position, "edges": edges},
-        )
-        self.steps_taken += 1
-        self._absorb(result)
-        return result
+        return stacked_decode_step([self], [q], [k], [v])[0]
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -558,60 +504,166 @@ class DecodeSession:
 
 
 # --------------------------------------------------------------------------- #
-# Continuous batching: stacked same-plan decode steps
+# Continuous batching: ragged passes over any sessions
 # --------------------------------------------------------------------------- #
-def _require_shared_plan_and_position(sessions: Sequence["DecodeSession"], verb: str) -> int:
-    """Assert every session shares the first one's plan and position."""
-    first = sessions[0]
-    position = first.position
-    for session in sessions[1:]:
-        shared = session.plan is first.plan or (
-            first.plan.key is not None and session.plan.key == first.plan.key
-        )
-        require(shared, f"{verb} needs sessions sharing one plan")
-        require(session.position == position, f"{verb} needs sessions at one position")
-    return position
+@contextmanager
+def _pass_reservation(
+    sessions: Sequence["DecodeSession"], counts: Sequence[int]
+) -> Iterator[Dict[BlockPool, List[int]]]:
+    """Reserve, per pool and all-or-nothing, every block a pass's appends need.
 
-
-def _stacked_extend(
-    sessions: Sequence["DecodeSession"],
-    k_rows: Sequence[np.ndarray],
-    v_rows: Sequence[np.ndarray],
-    tokens: int,
-) -> None:
-    """Atomically extend every session's cache by one ``tokens``-row block.
-
-    Paged sessions reserve every block the batch needs per pool BEFORE any
-    cache advances — pool exhaustion fails the whole batch with no block
-    table advanced (the PR 3 atomicity guarantee).  Prefix-share hits consume
-    no reservation; leftover entries return to their pools.
+    Yields ``{pool: blocks}``, which paged appends draw from.  Everything is
+    reserved BEFORE any cache advances, so pool exhaustion fails the whole
+    pass with no block table advanced.  Prefix-share hits consume no
+    reservation; whatever is left returns to its pool on exit.
     """
     pending: Dict[BlockPool, int] = {}
-    for session in sessions:
+    for session, count in zip(sessions, counts):
         if isinstance(session.cache, PagedKVCache):
             pool = session.cache.pool
-            pending[pool] = pending.get(pool, 0) + session.cache.plan_extend(tokens)
+            pending[pool] = pending.get(pool, 0) + session.cache.plan_extend(count)
     reservations: Dict[BlockPool, List[int]] = {pool: [] for pool in pending}
     try:
         for pool, count in pending.items():
             reservations[pool].extend(pool.reserve(count))
-    except Exception:
-        for pool, blocks in reservations.items():
-            if blocks:
-                pool.release(blocks)
-        raise
-    try:
-        for session, k, v in zip(sessions, k_rows, v_rows):
-            session._ensure_cache(k, v)
-            if isinstance(session.cache, PagedKVCache):
-                session.cache.extend(k, v, reserved=reservations[session.cache.pool])
-            else:
-                session.cache.extend(k, v)
+        yield reservations
     finally:
-        # share hits consume no reservation; return what the batch left over
         for pool, blocks in reservations.items():
             if blocks:
                 pool.release(blocks)
+
+
+def _stacked_extend(
+    sessions: Sequence["DecodeSession"],
+    k_blocks: Sequence[np.ndarray],
+    v_blocks: Sequence[np.ndarray],
+) -> None:
+    """Atomically extend every session's cache by its own block.
+
+    A lone session's extend is atomic by itself and reserves only what its
+    prefix-share probe leaves unmet; several sessions share one
+    :func:`_pass_reservation`.
+    """
+    if len(sessions) == 1:
+        sessions[0]._ensure_cache(k_blocks[0], v_blocks[0])
+        sessions[0].cache.extend(k_blocks[0], v_blocks[0])
+        return
+    with _pass_reservation(sessions, [k.shape[-2] for k in k_blocks]) as reserved:
+        for session, k, v in zip(sessions, k_blocks, v_blocks):
+            session._ensure_cache(k, v)
+            cache = session.cache
+            if isinstance(cache, PagedKVCache):
+                cache.extend(k, v, reserved=reserved[cache.pool])
+            else:
+                cache.extend(k, v)
+
+
+def _check_blocks(
+    sessions: Sequence["DecodeSession"],
+    qs: Sequence[np.ndarray],
+    ks: Sequence[np.ndarray],
+    vs: Sequence[np.ndarray],
+    *,
+    verb: str,
+    one_token: bool = False,
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+    """Validate every session's block before any cache advances.
+
+    A failure on a later session must not leave earlier sessions' caches
+    advanced with orphan tokens.  ``one_token`` blocks are decode steps
+    (:meth:`DecodeSession._as_token_slice`); the rest are
+    ``batch_shape + (R, d)`` blocks.  Returns the normalised ``(q, k, v)``
+    blocks.
+    """
+    require(len(sessions) >= 1, "need at least one session")
+    require(
+        len(sessions) == len(qs) == len(ks) == len(vs),
+        "sessions and token blocks must align",
+    )
+    require(
+        len({id(session) for session in sessions}) == len(sessions),
+        f"a session may appear at most once per {verb} pass",
+    )
+    q_list: List[np.ndarray] = []
+    k_list: List[np.ndarray] = []
+    v_list: List[np.ndarray] = []
+    for session, q, k, v in zip(sessions, qs, ks, vs):
+        require(not session.closed, f"{verb} on a closed session")
+        if one_token:
+            q, k, v = (session._as_token_slice(x) for x in (q, k, v))
+        else:
+            q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
+            require(q.ndim >= 2, f"{verb} takes (..., R, d) blocks")
+        require(q.shape == k.shape, "q and k must have matching shapes")
+        require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
+        count = int(q.shape[-2])
+        require(count >= 1, f"{verb} needs at least one token")
+        session._check_layout(k, v)
+        require(
+            session.position + count <= session.horizon,
+            f"{verb} of {count} token(s) at position {session.position} "
+            f"exceeds horizon {session.horizon}",
+        )
+        q_list.append(q)
+        k_list.append(k)
+        v_list.append(v)
+    return q_list, k_list, v_list
+
+
+def _ragged_pass(
+    sessions: Sequence["DecodeSession"],
+    qs: Sequence[np.ndarray],
+    ks: Sequence[np.ndarray],
+    vs: Sequence[np.ndarray],
+    *,
+    step: bool,
+) -> List[AttentionResult]:
+    """Append every session's block, then attend all their new rows in one
+    ragged kernel pass per arena (:func:`_edge_attention`).
+
+    A step attends :meth:`~repro.masks.rows.RowProgram.causal_row` of the
+    new token's position, a prefill chunk
+    :meth:`~repro.masks.rows.RowProgram.causal_rows` of its positions, each
+    under the session's own program.  Each result is exactly what the
+    session's solo call produces.
+    """
+    verb = "decode step" if step else "prefill"
+    q_list, k_list, v_list = _check_blocks(sessions, qs, ks, vs, verb=verb, one_token=step)
+    positions = [session.position for session in sessions]
+    _stacked_extend(sessions, k_list, v_list)
+    layouts: List[Layout] = []
+    for session, position, q in zip(sessions, positions, q_list):
+        if step:
+            cols = session.program.causal_row(position)
+            layouts.append((np.array([0, cols.size], dtype=np.int64), cols))
+        else:
+            layouts.append(session.program.causal_rows(position, position + q.shape[-2]))
+    scales = [resolve_scale(session.plan.scale, q.shape[-1]) for session, q in zip(sessions, q_list)]
+    parts = _edge_attention(q_list, [session.cache for session in sessions], layouts, scales)
+
+    results: List[AttentionResult] = []
+    for session, position, q, (_, cols), (output, row_max, row_sum, _) in zip(
+        sessions, positions, q_list, layouts, parts
+    ):
+        edges, count = int(cols.size), int(q.shape[-2])
+        ops = OpCounts.for_edges(edges, q.shape[-1], output.shape[-1], batch=prod(session.cache.batch_shape))
+        if step:
+            algorithm, where = "decode-step", {"position": position}
+            session.steps_taken += 1
+        else:
+            algorithm, where = "decode-prefill", {"positions": (position, position + count)}
+            session.prefilled_tokens += count
+        result = AttentionResult(
+            output=output,
+            row_max=row_max,
+            row_sum=row_sum,
+            ops=ops,
+            algorithm=algorithm,
+            meta={**where, "edges": edges, "coalesced": len(sessions)},
+        )
+        session._absorb(result)
+        results.append(result)
+    return results
 
 
 def stacked_prefill(
@@ -620,101 +672,18 @@ def stacked_prefill(
     ks: Sequence[np.ndarray],
     vs: Sequence[np.ndarray],
 ) -> List[AttentionResult]:
-    """One prefill chunk for several sessions fused into a single kernel pass.
+    """One prefill chunk for each of several sessions in one ragged pass.
 
-    The chunked-prefill twin of :func:`stacked_decode_step`: sessions sharing
-    one plan and position append identically-shaped ``batch_shape + (P, d)``
-    prompt chunks, and all their causal rows run through one fused kernel
-    call per arena.  Block reservation is atomic per pool, so exhaustion
-    fails the whole group before any block table advances.  Returns one
-    per-session :class:`~repro.core.result.AttentionResult`, exactly equal to
-    what individual :meth:`DecodeSession.prefill` calls would produce.
+    The chunked-prefill twin of :func:`stacked_decode_step`: each session
+    appends its own ``batch_shape + (P_s, d)`` prompt chunk at its own
+    position, whatever its mask and horizon, and all the chunks' causal rows
+    run through one fused kernel call per arena.  Block reservation is
+    atomic per pool, so exhaustion fails the whole pass before any block
+    table advances.  Returns one per-session
+    :class:`~repro.core.result.AttentionResult`, exactly equal to what
+    individual :meth:`DecodeSession.prefill` calls would produce.
     """
-    require(len(sessions) >= 1, "need at least one session")
-    require(
-        len(sessions) == len(qs) == len(ks) == len(vs),
-        "sessions and prompt chunks must align",
-    )
-    first = sessions[0]
-    if len(sessions) == 1:
-        return [first.prefill(qs[0], ks[0], vs[0])]
-    position = _require_shared_plan_and_position(sessions, "stacked prefill")
-
-    # validate every chunk fully before mutating any session: a failure below
-    # must not leave earlier sessions' caches advanced with orphan tokens
-    q_list: List[np.ndarray] = []
-    k_list: List[np.ndarray] = []
-    v_list: List[np.ndarray] = []
-    for session, q, k, v in zip(sessions, qs, ks, vs):
-        require(not session.closed, "prefill on a closed session")
-        q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-        require(q.ndim >= 2, "prefill takes (..., P, d) blocks")
-        require(q.shape == k.shape, "q and k must have matching shapes")
-        require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
-        if q_list:
-            require(
-                q.shape == q_list[0].shape and v.shape == v_list[0].shape,
-                "stacked prefill needs identically-shaped chunks",
-            )
-        if session.cache is not None:
-            require(
-                k.shape[:-2] == session.cache.batch_shape
-                and k.shape[-1] == session.cache.key_dim
-                and v.shape[-1] == session.cache.value_dim,
-                "prompt chunk does not match the session's cache layout",
-            )
-        count = int(q.shape[-2])
-        require(count >= 1, "prefill needs at least one token")
-        require(
-            position + count <= session.horizon,
-            f"prefill of {count} tokens at position {position} exceeds "
-            f"horizon {session.horizon}",
-        )
-        q_list.append(q)
-        k_list.append(k)
-        v_list.append(v)
-    count = int(q_list[0].shape[-2])
-
-    _stacked_extend(sessions, k_list, v_list, count)
-
-    indptr, cols = first.program.causal_rows(position, position + count)
-    scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
-    # stack sessions on a new leading axis: (S,) + batch_shape + (P, d)
-    q_stack = np.stack(q_list)
-    output, row_max, row_sum, _ = _edge_attention(
-        q_stack,
-        [s.cache for s in sessions],
-        cols,
-        indptr,
-        scale_value=scale_value,
-        out_dtype=q_stack.dtype,
-    )
-
-    edges = int(cols.size)
-    results: List[AttentionResult] = []
-    for index, session in enumerate(sessions):
-        ops = OpCounts.for_edges(
-            edges,
-            q_stack.shape[-1],
-            output.shape[-1],
-            batch=prod(session.cache.batch_shape),
-        )
-        result = AttentionResult(
-            output=output[index],
-            row_max=row_max[index],
-            row_sum=row_sum[index],
-            ops=ops,
-            algorithm="decode-prefill",
-            meta={
-                "positions": (position, position + count),
-                "edges": edges,
-                "coalesced": len(sessions),
-            },
-        )
-        session.prefilled_tokens += count
-        session._absorb(result)
-        results.append(result)
-    return results
+    return _ragged_pass(sessions, qs, ks, vs, step=False)
 
 
 def stacked_decode_step(
@@ -723,90 +692,17 @@ def stacked_decode_step(
     ks: Sequence[np.ndarray],
     vs: Sequence[np.ndarray],
 ) -> List[AttentionResult]:
-    """One decode step for several sessions fused into a single kernel pass.
+    """One decode step for each of several sessions in one ragged pass.
 
-    All sessions must share one plan (same mask/horizon/scale) and sit at the
-    same position with identically-shaped caches, so they also share the new
-    token's neighbour set; their query rows stack along a new leading axis
-    and the whole group runs through one fused kernel call per arena,
-    reading each session's K/V rows in place — the continuous-batching shape
-    of decode serving.
+    Sessions may differ in mask, horizon and position: each new token's row
+    comes from its own session's program, the rows lie end to end, and the
+    pass makes one fused kernel call per arena, reading each session's K/V
+    rows in place — the continuous-batching shape of decode serving.
     Returns one per-session :class:`~repro.core.result.AttentionResult`,
     exactly equal to what individual :meth:`DecodeSession.step` calls would
     produce.
     """
-    require(len(sessions) >= 1, "need at least one session")
-    require(
-        len(sessions) == len(qs) == len(ks) == len(vs),
-        "sessions and token slices must align",
-    )
-    first = sessions[0]
-    if len(sessions) == 1:
-        return [first.step(qs[0], ks[0], vs[0])]
-
-    position = _require_shared_plan_and_position(sessions, "stacked decode steps")
-
-    # validate every step fully before mutating any session: a failure below
-    # must not leave earlier sessions' caches advanced with orphan tokens
-    q_rows, k_rows, v_rows = [], [], []
-    for session, q, k, v in zip(sessions, qs, ks, vs):
-        require(not session.closed, "decode step on a closed session")
-        q, k, v = session._as_token_slice(q), session._as_token_slice(k), session._as_token_slice(v)
-        require(q.shape == k.shape, "q and k must have matching shapes")
-        require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
-        require(position < session.horizon, "decode step exceeds the session horizon")
-        if session.cache is not None:
-            require(
-                k.shape[:-2] == session.cache.batch_shape
-                and k.shape[-1] == session.cache.key_dim
-                and v.shape[-1] == session.cache.value_dim,
-                "token slice does not match the session's cache layout",
-            )
-        if q_rows:
-            require(
-                q.shape == q_rows[0].shape and v.shape == v_rows[0].shape,
-                "stacked decode steps need identically-shaped sessions",
-            )
-        q_rows.append(q)
-        k_rows.append(k)
-        v_rows.append(v)
-
-    _stacked_extend(sessions, k_rows, v_rows, 1)
-
-    cols = first.program.causal_row(position)
-    indptr = np.array([0, cols.size], dtype=np.int64)
-    scale_value = resolve_scale(first.plan.scale, q_rows[0].shape[-1])
-    # stack sessions on a new leading axis: (S,) + batch_shape + (1, d)
-    q_stack = np.stack(q_rows)
-    output, row_max, row_sum, _ = _edge_attention(
-        q_stack,
-        [s.cache for s in sessions],
-        cols,
-        indptr,
-        scale_value=scale_value,
-        out_dtype=q_stack.dtype,
-    )
-
-    results: List[AttentionResult] = []
-    for index, session in enumerate(sessions):
-        ops = OpCounts.for_edges(
-            int(cols.size),
-            q_stack.shape[-1],
-            output.shape[-1],
-            batch=prod(session.cache.batch_shape),
-        )
-        result = AttentionResult(
-            output=output[index],
-            row_max=row_max[index],
-            row_sum=row_sum[index],
-            ops=ops,
-            algorithm="decode-step",
-            meta={"position": position, "edges": int(cols.size), "coalesced": len(sessions)},
-        )
-        session.steps_taken += 1
-        session._absorb(result)
-        results.append(result)
-    return results
+    return _ragged_pass(sessions, qs, ks, vs, step=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -15,11 +15,11 @@ the field:
 2. **Batch formation** — each iteration mixes *prefill chunks* (at most
    ``prefill_chunk`` prompt tokens per stream per iteration, so a long
    prompt cannot monopolize an iteration) with one *decode step* per
-   generating stream; work is grouped by plan key and coalesced into one
-   stacked kernel pass per group
+   generating stream; each kind of work runs as one ragged kernel pass,
+   whatever the streams' masks, horizons and positions
    (:meth:`~repro.serve.scheduler.AttentionServer.prefill_chunks` /
    :meth:`~repro.serve.scheduler.AttentionServer.decode_steps`).
-3. **Preemption** — when a group's atomic block reservation fails with
+3. **Preemption** — when a pass's atomic block reservation fails with
    :exc:`~repro.serve.paging.PoolExhausted`, a policy-chosen victim is
    evicted: either *swap-out* (its registered blocks park in the pool's warm
    LRU while the live K/V serialize to a host-side
@@ -28,10 +28,11 @@ the field:
    nothing, replay the causal prefill on resume), chosen per victim by
    :func:`repro.perfmodel.decode.preemption_cost`.
 4. **Policy** — :class:`FCFSPolicy`, :class:`PriorityPolicy`, or
-   :class:`WeightedFairPolicy`: the last picks the next stream by
-   priority-weighted sampling, the way the stochastic Kaczmarz literature
-   picks the next row by norm-weighted sampling — every positive-weight
-   participant is sampled eventually, so no stream starves.
+   :class:`WeightedFairPolicy`: the last orders streams by
+   priority-weighted sampling without replacement (one vectorised draw), the
+   way the stochastic Kaczmarz literature picks the next row by
+   norm-weighted sampling — every positive-weight participant is sampled
+   eventually, so no stream starves.
 
 The loop is driven through an injected clock: production threads a
 :class:`WallClock`; tests tick a :class:`VirtualClock`, which makes queueing
@@ -368,13 +369,11 @@ class WeightedFairPolicy(SchedulingPolicy):
             [s.request.priority / (1.0 + s.telemetry.tokens_emitted) for s in pool],
             dtype=np.float64,
         )
-        order: List[_Stream] = []
-        alive = list(range(len(pool)))
-        while alive:
-            w = weights[alive]
-            pick = int(self._rng.choice(len(alive), p=w / w.sum()))
-            order.append(pool[alive.pop(pick)])
-        return order
+        # Efraimidis-Spirakis: sorting by log(u) / w, descending, draws the
+        # whole order at once, distributed exactly as successive
+        # weight-proportional picks without replacement (w > 0)
+        keys = np.log(self._rng.random(len(pool))) / weights
+        return [pool[i] for i in np.argsort(-keys, kind="stable")]
 
 
 class SlackPolicy(SchedulingPolicy):
@@ -1214,35 +1213,26 @@ class ContinuousBatchingScheduler:
         return plan
 
     def _execute(self, plan: List[Tuple[_Stream, str, int]], report: IterationReport) -> None:
-        """Run the iteration's groups, preempting victims on pool exhaustion."""
+        """Run the iteration's passes, preempting victims on pool exhaustion."""
         for group in self._group(plan):
             self._execute_group(group, report)
 
     def _group(
         self, plan: List[Tuple[_Stream, str, int]]
     ) -> List[List[Tuple[_Stream, str, int]]]:
-        """Coalesce the batch: same-plan same-position same-shape work fuses.
+        """Split the batch by kind: each kind of work is one ragged pass.
 
-        The key mirrors the server's grouping exactly, so each group maps to
-        one stacked kernel pass — and one *atomic* block reservation, which
-        is what lets :meth:`_execute_group` retry a failed group after
-        preempting a victim without any partial advance.
+        Every prefill chunk, every decode step and every speculative window
+        of the iteration runs in one pass of its kind, whatever the streams'
+        masks, horizons and positions — one kernel call per arena, and one
+        *atomic* block reservation, which is what lets
+        :meth:`_execute_group` retry a failed pass after preempting a victim
+        without any partial advance.  Passes run in the order the policy
+        ranked their first stream.
         """
-        groups: Dict[Tuple, List[Tuple[_Stream, str, int]]] = {}
-        for stream, kind, count in plan:
-            session = stream.session
-            key = (
-                kind,
-                count,
-                session.plan.key or id(session.plan),
-                session.position,
-                stream.request.batch_shape,
-                stream.request.q.dtype.str,
-                stream.request.v.dtype.str,
-                stream.request.q.shape[-1],
-                stream.request.v.shape[-1],
-            )
-            groups.setdefault(key, []).append((stream, kind, count))
+        groups: Dict[str, List[Tuple[_Stream, str, int]]] = {}
+        for entry in plan:
+            groups.setdefault(entry[1], []).append(entry)
         return list(groups.values())
 
     def _execute_group(
@@ -1279,25 +1269,27 @@ class ContinuousBatchingScheduler:
             responses = self.server.prefill_chunks(chunks)
             obs = self.obs
             now = self.clock.now()
+            tokens = 0
             for (stream, _, count), response in zip(group, responses):
                 stream.outputs.append(response.result.output)
                 self._notify_emit(stream, "prefill", response.result.output)
                 stream.emitted += count
                 stream.telemetry.tokens_emitted += count
                 stream.telemetry.iterations_scheduled += 1
-                report.prefill_tokens += count
-                self.stats.prefill_tokens += count
-                if obs.enabled:
-                    obs.prefill_tokens.inc(count)
-                    if obs.trace is not None:
-                        obs.trace.event(
-                            "prefill_chunk",
-                            now,
-                            span=stream.span,
-                            request_id=stream.request.request_id,
-                            tokens=count,
-                            position=stream.emitted,
-                        )
+                tokens += count
+                if obs.enabled and obs.trace is not None:
+                    obs.trace.event(
+                        "prefill_chunk",
+                        now,
+                        span=stream.span,
+                        request_id=stream.request.request_id,
+                        tokens=count,
+                        position=stream.emitted,
+                    )
+            report.prefill_tokens += tokens
+            self.stats.prefill_tokens += tokens
+            if obs.enabled:
+                obs.prefill_tokens.inc(tokens)
         elif kind == "speculate":
             steps = []
             for stream, _, count in group:
@@ -1328,6 +1320,7 @@ class ContinuousBatchingScheduler:
                 if span is not None:
                     obs.trace.end_span(span, self.clock.now())
             now = self.clock.now()
+            tokens = 0
             for (stream, _, count), outcome in zip(group, outcomes):
                 if outcome is None:
                     continue
@@ -1347,10 +1340,7 @@ class ContinuousBatchingScheduler:
                     self._notify_emit(stream, "decode", output)
                     stream.emitted += 1
                     telemetry.tokens_emitted += 1
-                    report.decode_tokens += 1
-                    self.stats.decode_tokens += 1
-                    if obs.enabled:
-                        obs.decode_tokens.inc()
+                tokens += outcome.emitted
                 telemetry.iterations_scheduled += 1
                 if outcome.emitted > 0 and telemetry.first_token_time is None:
                     # first generated token past the prompt: TTFT lands here
@@ -1369,6 +1359,10 @@ class ContinuousBatchingScheduler:
                         fallback=outcome.fallback,
                         position=stream.emitted,
                     )
+            report.decode_tokens += tokens
+            self.stats.decode_tokens += tokens
+            if obs.enabled:
+                obs.decode_tokens.inc(tokens)
         else:
             steps = []
             for stream, _, _ in group:
@@ -1391,23 +1385,23 @@ class ContinuousBatchingScheduler:
                 telemetry = stream.telemetry
                 telemetry.tokens_emitted += 1
                 telemetry.iterations_scheduled += 1
-                report.decode_tokens += 1
-                self.stats.decode_tokens += 1
                 if telemetry.first_token_time is None:
                     # first generated token past the prompt: TTFT lands here
                     telemetry.first_token_time = now
                     if obs.enabled:
                         obs.ttft_seconds.observe(now - telemetry.arrival_time)
-                if obs.enabled:
-                    obs.decode_tokens.inc()
-                    if obs.trace is not None:
-                        obs.trace.event(
-                            "decode_step",
-                            now,
-                            span=stream.span,
-                            request_id=stream.request.request_id,
-                            position=stream.emitted,
-                        )
+                if obs.enabled and obs.trace is not None:
+                    obs.trace.event(
+                        "decode_step",
+                        now,
+                        span=stream.span,
+                        request_id=stream.request.request_id,
+                        position=stream.emitted,
+                    )
+            report.decode_tokens += len(group)
+            self.stats.decode_tokens += len(group)
+            if obs.enabled:
+                obs.decode_tokens.inc(len(group))
 
     # ------------------------------------------------------------------ #
     # Speculation control

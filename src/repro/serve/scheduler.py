@@ -26,10 +26,12 @@ Autoregressive decoding streams through the same front-end: the
 continuous-batching loop and :meth:`repro.serve.client.ServingClient.open_session`
 open :class:`~repro.serve.decode.DecodeSession` objects whose decode-mode
 plans share the server's plan cache, and :meth:`AttentionServer.decode_steps`
-coalesces same-plan same-position steps from concurrent sessions into one
-stacked kernel pass.  A paged open is one capacity grant against the shared
-block pool, admitted or rejected at once; the loop's policy-ranked waiting
-queue is the only place a request waits for capacity.
+runs the steps of concurrent sessions — whatever their masks, horizons and
+positions — as one ragged kernel pass (:meth:`~AttentionServer.prefill_chunks`
+and :meth:`~AttentionServer.speculate_steps` likewise).  A paged open is one
+capacity grant against the shared block pool, admitted or rejected at once;
+the loop's policy-ranked waiting queue is the only place a request waits for
+capacity.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import dataclasses
 import itertools
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,6 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import MaskInput
+from repro.core.result import AttentionResult
 from repro.distributed.partition_balance import balanced_worker_bins
 from repro.masks.base import as_mask_spec
 from repro.obs.recorder import Observability, default_observability
@@ -446,73 +450,27 @@ class AttentionServer:
     ) -> List[AttentionResponse]:
         """Serve one prompt chunk per ``(session, q, k, v)`` entry.
 
-        The chunked-prefill twin of :meth:`decode_steps`: chunks whose
-        sessions share one plan, sit at the same position and carry
-        identically-shaped ``batch_shape + (P, d)`` tensors fuse into a
-        single stacked kernel pass
-        (:func:`~repro.serve.decode.stacked_prefill`); ragged chunks execute
-        as singleton groups.  Responses follow the input order; a session may
-        appear at most once per call.
+        The chunked-prefill twin of :meth:`decode_steps`: every chunk, whatever
+        its session's mask, horizon, position and chunk length, runs in one
+        ragged pass (:func:`~repro.serve.decode.stacked_prefill`) — one
+        fused kernel call per arena.  Responses follow the input order; a
+        session may appear at most once per call.
         """
         chunks = list(chunks)
         if not chunks:
             return []
         started = time.perf_counter()
-        seen_sessions = set()
-        groups: "Dict[Tuple, List[int]]" = {}
-        for index, (session, q, k, v) in enumerate(chunks):
-            require(
-                id(session) not in seen_sessions,
-                "a session may appear at most once per prefill_chunks call",
-            )
-            seen_sessions.add(id(session))
-            group_key = (
-                session.plan.key or id(session.plan),
-                session.position,
-                np.shape(q),
-                np.shape(v),
-                np.asarray(q).dtype.str,
-                np.asarray(k).dtype.str,
-                np.asarray(v).dtype.str,
-            )
-            groups.setdefault(group_key, []).append(index)
-
-        responses: List[Optional[AttentionResponse]] = [None] * len(chunks)
-        tokens = 0
-        for indices in groups.values():
-            group_started = time.perf_counter()
-            sessions = [chunks[i][0] for i in indices]
-            results = stacked_prefill(
-                sessions,
-                [chunks[i][1] for i in indices],
-                [chunks[i][2] for i in indices],
-                [chunks[i][3] for i in indices],
-            )
-            latency = (time.perf_counter() - group_started) / len(indices)
-            if len(indices) > 1:
-                with self.stats.lock:
-                    self.stats.prefill_stacked_executions += 1
-                    self.stats.prefill_coalesced_chunks += len(indices)
-            if self.obs.enabled:
-                plan_key = sessions[0].plan.key or "adhoc"
-                kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase="prefill")
-                for _ in indices:
-                    kernel.observe(latency)
-            for index, session, result in zip(indices, sessions, results):
-                start, stop = result.meta["positions"]
-                tokens += stop - start
-                responses[index] = AttentionResponse(
-                    request_id=self.next_request_id(),
-                    result=result,
-                    plan_key=session.plan.key,
-                    cache_hit=session.plan_cache_hit,
-                    latency_s=latency,
-                )
-
+        results = stacked_prefill(*zip(*chunks))
+        elapsed = time.perf_counter() - started
+        responses = self._pass_responses(chunks, results, elapsed, "prefill")
+        tokens = sum(stop - start for start, stop in (r.meta["positions"] for r in results))
         with self.stats.lock:
             self.stats.prefill_chunks += len(chunks)
+            if len(chunks) > 1:
+                self.stats.prefill_stacked_executions += 1
+                self.stats.prefill_coalesced_chunks += len(chunks)
             self.stats.prefill_tokens += tokens
-            self.stats.prefill_wall_seconds += time.perf_counter() - started
+            self.stats.prefill_wall_seconds += elapsed
         if self.obs.enabled:
             self.obs.server_requests.labels(phase="prefill").inc(len(chunks))
         return responses
@@ -523,72 +481,59 @@ class AttentionServer:
     ) -> List[AttentionResponse]:
         """Serve one decode step per ``(session, q, k, v)`` entry.
 
-        Continuous batching: steps whose sessions share one plan, sit at the
-        same position and carry identically-shaped tensors are fused into a
-        single stacked kernel pass (:func:`~repro.serve.decode.stacked_decode_step`);
-        ragged steps execute as singleton groups.  Responses follow the input
-        order.  A session may appear at most once per call — its position
-        advances with every step, so two steps for one stream are inherently
-        sequential.
+        Continuous batching: every step, whatever its session's mask, horizon
+        and position, runs in one ragged pass
+        (:func:`~repro.serve.decode.stacked_decode_step`) — one fused kernel
+        call per arena.  Responses follow the input order.  A session may
+        appear at most once per call — its position advances with every
+        step, so two steps for one stream are inherently sequential.
         """
         steps = list(steps)
         if not steps:
             return []
         started = time.perf_counter()
-        seen_sessions = set()
-        groups: "Dict[Tuple, List[int]]" = {}
-        for index, (session, q, k, v) in enumerate(steps):
-            require(
-                id(session) not in seen_sessions,
-                "a session may appear at most once per decode_steps call",
-            )
-            seen_sessions.add(id(session))
-            group_key = (
-                session.plan.key or id(session.plan),
-                session.position,
-                np.shape(q),
-                np.shape(v),
-                np.asarray(q).dtype.str,
-                np.asarray(k).dtype.str,
-                np.asarray(v).dtype.str,
-            )
-            groups.setdefault(group_key, []).append(index)
-
-        responses: List[Optional[AttentionResponse]] = [None] * len(steps)
-        for indices in groups.values():
-            group_started = time.perf_counter()
-            sessions = [steps[i][0] for i in indices]
-            results = stacked_decode_step(
-                sessions,
-                [steps[i][1] for i in indices],
-                [steps[i][2] for i in indices],
-                [steps[i][3] for i in indices],
-            )
-            latency = (time.perf_counter() - group_started) / len(indices)
-            if len(indices) > 1:
-                with self.stats.lock:
-                    self.stats.decode_stacked_executions += 1
-                    self.stats.decode_coalesced_steps += len(indices)
-            if self.obs.enabled:
-                plan_key = sessions[0].plan.key or "adhoc"
-                kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase="decode")
-                for _ in indices:
-                    kernel.observe(latency)
-            for index, session, result in zip(indices, sessions, results):
-                responses[index] = AttentionResponse(
-                    request_id=self.next_request_id(),
-                    result=result,
-                    plan_key=session.plan.key,
-                    cache_hit=session.plan_cache_hit,
-                    latency_s=latency,
-                )
-
+        results = stacked_decode_step(*zip(*steps))
+        elapsed = time.perf_counter() - started
+        responses = self._pass_responses(steps, results, elapsed, "decode")
         with self.stats.lock:
             self.stats.decode_steps += len(steps)
-            self.stats.decode_wall_seconds += time.perf_counter() - started
+            if len(steps) > 1:
+                self.stats.decode_stacked_executions += 1
+                self.stats.decode_coalesced_steps += len(steps)
+            self.stats.decode_wall_seconds += elapsed
         if self.obs.enabled:
             self.obs.server_requests.labels(phase="decode").inc(len(steps))
         return responses
+
+    def _pass_responses(
+        self,
+        work: Sequence[Tuple[DecodeSession, np.ndarray, np.ndarray, np.ndarray]],
+        results: Sequence[AttentionResult],
+        elapsed: float,
+        phase: str,
+    ) -> List[AttentionResponse]:
+        """One response per stream of a pass, each charged an equal share of
+        its wall time (also one ``server_kernel_seconds`` sample per stream)."""
+        latency = elapsed / len(work)
+        if self.obs.enabled:
+            self._observe_kernel_seconds([entry[0] for entry in work], latency, phase)
+        return [
+            AttentionResponse(
+                request_id=self.next_request_id(),
+                result=result,
+                plan_key=session.plan.key,
+                cache_hit=session.plan_cache_hit,
+                latency_s=latency,
+            )
+            for (session, *_), result in zip(work, results)
+        ]
+
+    def _observe_kernel_seconds(self, sessions: Sequence[DecodeSession], latency: float, phase: str) -> None:
+        streams_per_plan = Counter(session.plan.key or "adhoc" for session in sessions)
+        for plan_key, streams in streams_per_plan.items():
+            kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase=phase)
+            for _ in range(streams):
+                kernel.observe(latency)
 
     def speculate_steps(
         self,
@@ -600,64 +545,31 @@ class AttentionServer:
 
         The multi-token twin of :meth:`decode_steps`: ``q``/``k``/``v`` carry
         ``batch_shape + (k, d)`` stacks of the next ``k`` candidate tokens,
-        and entries whose sessions share one plan, position and tensor shape
-        fuse into one :func:`~repro.serve.speculate.speculative_decode_steps`
-        group.  Outcomes follow the input order; emitted outputs are
-        bit-exact equal to what ``k`` sequential one-token steps would have
-        produced (``None`` marks a session closed concurrently inside the
-        append window).
+        and every entry, whatever its mask, position and window length, runs
+        in one :func:`~repro.serve.speculate.speculative_decode_steps` pass.
+        Outcomes follow the input order; emitted outputs are bit-exact equal
+        to what ``k`` sequential one-token steps would have produced
+        (``None`` marks a session closed concurrently inside the append
+        window).
         """
         steps = list(steps)
         if not steps:
             return []
         started = time.perf_counter()
-        seen_sessions = set()
-        groups: "Dict[Tuple, List[int]]" = {}
-        for index, (session, q, k, v) in enumerate(steps):
-            require(
-                id(session) not in seen_sessions,
-                "a session may appear at most once per speculate_steps call",
-            )
-            seen_sessions.add(id(session))
-            group_key = (
-                session.plan.key or id(session.plan),
-                session.position,
-                np.shape(q),
-                np.shape(v),
-                np.asarray(q).dtype.str,
-                np.asarray(k).dtype.str,
-                np.asarray(v).dtype.str,
-            )
-            groups.setdefault(group_key, []).append(index)
-
-        outcomes: List[Optional[SpeculationOutcome]] = [None] * len(steps)
+        outcomes = speculative_decode_steps(*zip(*steps), draft_fraction=draft_fraction)
+        elapsed = time.perf_counter() - started
+        if self.obs.enabled:
+            self._observe_kernel_seconds([entry[0] for entry in steps], elapsed / len(steps), "speculate")
         drafted = accepted = rolled_back = fallbacks = 0
-        for indices in groups.values():
-            group_started = time.perf_counter()
-            sessions = [steps[i][0] for i in indices]
-            group_outcomes = speculative_decode_steps(
-                sessions,
-                [steps[i][1] for i in indices],
-                [steps[i][2] for i in indices],
-                [steps[i][3] for i in indices],
-                draft_fraction=draft_fraction,
-            )
-            latency = (time.perf_counter() - group_started) / len(indices)
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            drafted += outcome.drafted
+            accepted += outcome.accepted
+            rolled_back += outcome.rolled_back
+            fallbacks += int(outcome.fallback)
             if self.obs.enabled:
-                plan_key = sessions[0].plan.key or "adhoc"
-                kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase="speculate")
-                for _ in indices:
-                    kernel.observe(latency)
-            for index, outcome in zip(indices, group_outcomes):
-                outcomes[index] = outcome
-                if outcome is None:
-                    continue
-                drafted += outcome.drafted
-                accepted += outcome.accepted
-                rolled_back += outcome.rolled_back
-                fallbacks += int(outcome.fallback)
-                if self.obs.enabled:
-                    self.obs.speculate_accept_rate.observe(outcome.accept_rate)
+                self.obs.speculate_accept_rate.observe(outcome.accept_rate)
 
         with self.stats.lock:
             self.stats.speculate_passes += len(steps)
@@ -665,7 +577,7 @@ class AttentionServer:
             self.stats.speculate_accepted += accepted
             self.stats.speculate_rolled_back += rolled_back
             self.stats.speculate_fallbacks += fallbacks
-            self.stats.speculate_wall_seconds += time.perf_counter() - started
+            self.stats.speculate_wall_seconds += elapsed
         if self.obs.enabled:
             self.obs.server_requests.labels(phase="speculate").inc(len(steps))
             self.obs.speculate_drafted.inc(drafted)

@@ -36,10 +36,12 @@ mask-structured attention:
   for tokens that survived.  Zero acceptance falls back to one genuine
   single-token step, so every pass makes progress.
 
-:func:`speculative_decode_steps` is the group primitive the scheduler's
-``speculate_steps`` and the continuous-batching loop drive; sessions that
-accept different prefix lengths simply diverge in position and regroup on
-the next loop iteration.
+:func:`speculative_decode_steps` is the pass primitive the scheduler's
+``speculate_steps`` and the continuous-batching loop drive.  Its sessions
+may differ in mask, horizon, position and window length: the draft and the
+verify pass are each one ragged kernel pass over every session's rows, so
+sessions that accept different prefix lengths simply carry on from their
+own positions in the next iteration's pass.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from repro.masks.rows import RowProgram, compile_row_program
 from repro.masks.structured import DenseMask
 from repro.serve.decode import (
     DecodeSession,
+    _check_blocks,
     _edge_attention,
-    _require_shared_plan_and_position,
-    _stacked_extend,
+    _pass_reservation,
     stacked_decode_step,
 )
 from repro.serve.paging import PagedKVCache, PoolExhausted
@@ -188,53 +190,38 @@ def _begin_windows(
     sessions: Sequence[DecodeSession],
     ks: Sequence[np.ndarray],
     vs: Sequence[np.ndarray],
-    count: int,
-) -> List[object]:
-    """Open one speculative append window per session, atomically per pool.
+    drafted: Sequence[bool],
+) -> List[Optional[object]]:
+    """Append every session's window under one reservation per pool.
 
-    Mirrors :func:`~repro.serve.decode._stacked_extend`: every paged block
-    the whole group needs is reserved before any cache advances, so
-    :exc:`~repro.serve.paging.PoolExhausted` fails the batch with no window
+    A drafted session opens a speculative window, rolled back or committed
+    once the verify pass decides; a session without a draft (its whole
+    window is accepted) extends through the normal, publishing append and
+    gets ``None``.  Every paged block the pass needs is reserved before any
+    cache advances (:func:`~repro.serve.decode._pass_reservation`), so
+    :exc:`~repro.serve.paging.PoolExhausted` fails the pass with no window
     opened and no block table touched.
     """
-    pending: Dict[object, int] = {}
-    for session in sessions:
-        if isinstance(session.cache, PagedKVCache):
-            pool = session.cache.pool
-            pending[pool] = pending.get(pool, 0) + session.cache.plan_extend(count)
-    reservations: Dict[object, List[int]] = {pool: [] for pool in pending}
-    try:
-        for pool, needed in pending.items():
-            reservations[pool].extend(pool.reserve(needed))
-    except Exception:
-        for pool, blocks in reservations.items():
-            if blocks:
-                pool.release(blocks)
-        raise
-    windows: List[object] = []
-    try:
-        for session, k_block, v_block in zip(sessions, ks, vs):
-            session._ensure_cache(k_block, v_block)
-            if isinstance(session.cache, PagedKVCache):
-                windows.append(
-                    session.cache.begin_speculative(
-                        k_block, v_block, reserved=reservations[session.cache.pool]
-                    )
-                )
-            else:
-                start = session.cache.length
-                session.cache.extend(k_block, v_block)
-                windows.append(_ContiguousWindow(session.cache, start))
-    except Exception:
-        for window in windows:
-            window.rollback()
-        raise
-    finally:
-        # speculative probes take no share hits, so reservations are exact;
-        # anything left over (admission prereserves covered it) goes back
-        for pool, blocks in reservations.items():
-            if blocks:
-                pool.release(blocks)
+    windows: List[Optional[object]] = []
+    with _pass_reservation(sessions, [k.shape[-2] for k in ks]) as reserved:
+        try:
+            for session, k_block, v_block, draft in zip(sessions, ks, vs, drafted):
+                session._ensure_cache(k_block, v_block)
+                cache = session.cache
+                paged = isinstance(cache, PagedKVCache)
+                if draft and paged:
+                    windows.append(cache.begin_speculative(k_block, v_block, reserved=reserved[cache.pool]))
+                    continue
+                windows.append(_ContiguousWindow(cache, cache.length) if draft else None)
+                if paged:
+                    cache.extend(k_block, v_block, reserved=reserved[cache.pool])
+                else:
+                    cache.extend(k_block, v_block)
+        except Exception:
+            for window in windows:
+                if window is not None:
+                    window.rollback()
+            raise
     return windows
 
 
@@ -276,85 +263,52 @@ def speculative_decode_steps(
     *,
     draft_fraction: float = DEFAULT_DRAFT_FRACTION,
 ) -> List[Optional[SpeculationOutcome]]:
-    """One draft-and-verify pass of ``k`` candidate tokens per session.
+    """One draft-and-verify pass of ``k_i`` candidate tokens per session ``i``.
 
-    ``qs[i]``/``ks[i]``/``vs[i]`` are ``batch_shape + (k, d)`` stacks of the
-    next ``k`` tokens of session ``i``; all sessions share one plan and
-    position (the continuous-batching group contract).  Returns one
-    :class:`SpeculationOutcome` per session — ``None`` for sessions that
-    were closed concurrently inside the append window (the cancellation
-    race; their blocks were already retracted by ``close``).
+    ``qs[i]``/``ks[i]``/``vs[i]`` are ``batch_shape + (k_i, d)`` stacks of
+    the next ``k_i`` tokens of session ``i``; sessions may differ in mask,
+    horizon, position and window length, and each may appear once.  The
+    draft pass and the verify pass are one ragged kernel pass each over
+    every session's rows.  Returns one :class:`SpeculationOutcome` per
+    session — ``None`` for sessions that were closed concurrently inside the
+    append window (the cancellation race; their blocks were already
+    retracted by ``close``).
 
     Emitted outputs are bit-exact equal to the sequential one-token loop's:
     accepted tokens are verify-pass rows (per-row online-softmax segments
-    are independent, so a stacked causal pass equals ``k`` sequential
+    are independent, so a ragged causal pass equals ``k`` sequential
     steps), and the zero-acceptance fallback is a genuine
     :func:`~repro.serve.decode.stacked_decode_step`.
     """
-    require(len(sessions) >= 1, "need at least one session")
-    require(
-        len(sessions) == len(qs) == len(ks) == len(vs),
-        "sessions and token stacks must align",
-    )
     require(0.0 < draft_fraction <= 1.0, "draft fraction must be in (0, 1]")
-    first = sessions[0]
-    position = _require_shared_plan_and_position(sessions, "speculative decode")
-    q_list: List[np.ndarray] = []
-    k_list: List[np.ndarray] = []
-    v_list: List[np.ndarray] = []
-    for session, q, k, v in zip(sessions, qs, ks, vs):
-        require(not session.closed, "speculative decode on a closed session")
-        q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-        require(q.ndim >= 2, "speculative decode takes (..., k, d) stacks")
-        require(q.shape == k.shape, "q and k must have matching shapes")
-        require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
-        if q_list:
-            require(
-                q.shape == q_list[0].shape and v.shape == v_list[0].shape,
-                "speculative decode needs identically-shaped sessions",
-            )
-        q_list.append(q)
-        k_list.append(k)
-        v_list.append(v)
-    count = int(q_list[0].shape[-2])
-    require(count >= 1, "speculative decode needs at least one candidate token")
-    require(
-        position + count <= first.horizon,
-        f"speculative window of {count} tokens at position {position} exceeds "
-        f"horizon {first.horizon}",
-    )
-
-    draft_program = draft_program_for(first.plan, draft_fraction)
-    identity = draft_program is None
+    q_list, k_list, v_list = _check_blocks(sessions, qs, ks, vs, verb="speculative decode")
+    counts = [int(q.shape[-2]) for q in q_list]
+    positions = [session.position for session in sessions]
+    scales = [resolve_scale(session.plan.scale, q.shape[-1]) for session, q in zip(sessions, q_list)]
+    # a mask whose draft would equal itself has nothing cheaper to score
+    # against: its window runs as pure multi-token batching (all accepted)
+    drafts = [draft_program_for(session.plan, draft_fraction) for session in sessions]
 
     # ---- provisional append ------------------------------------------------ #
-    if identity:
-        # the draft would equal the full mask: skip it and run the window as
-        # pure multi-token batching through the normal (publishing) append
-        _stacked_extend(sessions, k_list, v_list, count)
-        windows: List[object] = [None] * len(sessions)
-        draft_tops = None
-        draft_edges = 0
-    else:
-        windows = _begin_windows(sessions, k_list, v_list, count)
+    windows = _begin_windows(sessions, k_list, v_list, [d is not None for d in drafts])
 
-        # ---- draft pass ---------------------------------------------------- #
-        scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
-        draft_indptr, draft_cols = draft_program.causal_rows(position, position + count)
-        q_stack = np.stack(q_list)
+    # ---- draft pass -------------------------------------------------------- #
+    drafted = [i for i, draft in enumerate(drafts) if draft is not None]
+    draft_layouts = {i: drafts[i].causal_rows(positions[i], positions[i] + counts[i]) for i in drafted}
+    draft_tops: Dict[int, np.ndarray] = {}
+    if drafted:
         # the verify pass's own kernel, so a draft edge's score is the very
         # dot product the verify pass computes for it
-        draft_scores = _edge_attention(
-            q_stack,
-            [s.cache for s in sessions],
-            draft_cols,
-            draft_indptr,
-            scale_value=scale_value,
-            out_dtype=q_stack.dtype,
+        parts = _edge_attention(
+            [q_list[i] for i in drafted],
+            [sessions[i].cache for i in drafted],
+            [draft_layouts[i] for i in drafted],
+            [scales[i] for i in drafted],
             return_scores=True,
-        )[3]
-        draft_tops = _top_columns(draft_scores, draft_cols, draft_indptr)
-        draft_edges = int(draft_cols.size)
+        )
+        for i, part in zip(drafted, parts):
+            indptr, cols = draft_layouts[i]
+            draft_tops[i] = _top_columns(part[3], cols, indptr)
 
     # ---- cancellation seam ------------------------------------------------- #
     if _between_draft_and_verify is not None:
@@ -365,98 +319,75 @@ def speculative_decode_steps(
         # every stream cancelled mid-window: close() already rolled the
         # blocks back (release closes an open window), nothing to verify
         return outcomes
-    live_sessions = [sessions[i] for i in alive]
 
     # ---- verify pass ------------------------------------------------------- #
-    scale_value = resolve_scale(first.plan.scale, q_list[0].shape[-1])
-    verify_indptr, verify_cols = first.program.causal_rows(position, position + count)
-    q_stack = np.stack([q_list[i] for i in alive])
-    output, row_max, row_sum, scores = _edge_attention(
-        q_stack,
-        [s.cache for s in live_sessions],
-        verify_cols,
-        verify_indptr,
-        scale_value=scale_value,
-        out_dtype=q_stack.dtype,
+    verify_layouts = [sessions[i].program.causal_rows(positions[i], positions[i] + counts[i]) for i in alive]
+    parts = _edge_attention(
+        [q_list[i] for i in alive],
+        [sessions[i].cache for i in alive],
+        verify_layouts,
+        [scales[i] for i in alive],
         return_scores=True,
     )
-    verify_edges = int(verify_cols.size)
 
     # ---- acceptance + finalize --------------------------------------------- #
-    if identity:
-        accepted_counts = [count] * len(alive)
-    else:
-        verify_tops = _top_columns(scores, verify_cols, verify_indptr)
-        accepted_counts = []
-        for stack_index, session_index in enumerate(alive):
-            agree = (
-                draft_tops[session_index] == verify_tops[stack_index]
-            )
-            accepted_counts.append(_accepted_prefix(agree, count))
-
-    fallback_sessions: List[DecodeSession] = []
-    fallback_slots: List[int] = []
-    for stack_index, session_index in enumerate(alive):
-        session = sessions[session_index]
-        accepted = accepted_counts[stack_index]
-        committed = True
-        if not identity:
-            committed = _finalize(
-                session,
-                windows[session_index],
-                k_list[session_index],
-                v_list[session_index],
-                accepted,
-            )
+    fallback: List[int] = []
+    for i, (verify_indptr, verify_cols), (output, row_max, row_sum, scores) in zip(alive, verify_layouts, parts):
+        session, count = sessions[i], counts[i]
+        accepted, committed = count, True
+        if i in draft_tops:
+            verify_tops = _top_columns(scores, verify_cols, verify_indptr)
+            accepted = _accepted_prefix(draft_tops[i] == verify_tops, count)
+            committed = _finalize(session, windows[i], k_list[i], v_list[i], accepted)
         outcome = SpeculationOutcome(
             drafted=count,
             accepted=accepted if committed else 0,
             degraded=not committed,
-            draft_edges=draft_edges,
-            verify_edges=verify_edges,
+            draft_edges=int(draft_layouts[i][1].size) if i in draft_layouts else 0,
+            verify_edges=int(verify_cols.size),
         )
-        if committed:
-            row_edges = np.diff(verify_indptr)
-            for j in range(accepted):
-                edges = int(row_edges[j])
-                ops = OpCounts.for_edges(
-                    edges,
-                    q_stack.shape[-1],
-                    output.shape[-1],
-                    batch=prod(session.cache.batch_shape),
-                )
-                result = AttentionResult(
-                    output=output[stack_index][..., j : j + 1, :],
-                    row_max=row_max[stack_index][..., j : j + 1],
-                    row_sum=row_sum[stack_index][..., j : j + 1],
-                    ops=ops,
-                    algorithm="decode-step",
-                    meta={
-                        "position": position + j,
-                        "edges": edges,
-                        "coalesced": len(live_sessions),
-                        "speculative": True,
-                        "drafted": count,
-                        "accepted": accepted,
-                    },
-                )
-                session.steps_taken += 1
-                session._absorb(result)
-                outcome.results.append(result)
-            if accepted == 0:
-                outcome.fallback = True
-                fallback_sessions.append(session)
-                fallback_slots.append(session_index)
-        outcomes[session_index] = outcome
+        outcomes[i] = outcome
+        if not committed:
+            continue
+        row_edges = np.diff(verify_indptr)
+        for j in range(accepted):
+            edges = int(row_edges[j])
+            ops = OpCounts.for_edges(
+                edges,
+                q_list[i].shape[-1],
+                output.shape[-1],
+                batch=prod(session.cache.batch_shape),
+            )
+            result = AttentionResult(
+                output=output[..., j : j + 1, :],
+                row_max=row_max[..., j : j + 1],
+                row_sum=row_sum[..., j : j + 1],
+                ops=ops,
+                algorithm="decode-step",
+                meta={
+                    "position": positions[i] + j,
+                    "edges": edges,
+                    "coalesced": len(alive),
+                    "speculative": True,
+                    "drafted": count,
+                    "accepted": accepted,
+                },
+            )
+            session.steps_taken += 1
+            session._absorb(result)
+            outcome.results.append(result)
+        if accepted == 0:
+            outcome.fallback = True
+            fallback.append(i)
 
     # ---- zero-acceptance fallback ------------------------------------------ #
-    if fallback_sessions:
+    if fallback:
         results = stacked_decode_step(
-            fallback_sessions,
-            [q_list[i][..., :1, :] for i in fallback_slots],
-            [k_list[i][..., :1, :] for i in fallback_slots],
-            [v_list[i][..., :1, :] for i in fallback_slots],
+            [sessions[i] for i in fallback],
+            [q_list[i][..., :1, :] for i in fallback],
+            [k_list[i][..., :1, :] for i in fallback],
+            [v_list[i][..., :1, :] for i in fallback],
         )
-        for session_index, result in zip(fallback_slots, results):
-            outcomes[session_index].results.append(result)
+        for i, result in zip(fallback, results):
+            outcomes[i].results.append(result)
     return outcomes

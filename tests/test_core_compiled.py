@@ -3,7 +3,7 @@
 The contract under test: the fused row kernel ``edge_attention`` agrees with
 its NumPy fallback to float64 round-off on every arena storage, layout and
 row shape, and exactly with itself across the layouts the serving stack
-relies on (stacked == per-group, int8 == fp32 fed the dequantized rows);
+relies on (ragged == per-session, int8 == fp32 fed the dequantized rows);
 its memory stays O(L·d); the int8 dequant-gather is bit-identical across
 backends; the C library is built once per source hash and never loaded from
 an untrusted or corrupt cache; and ``REPRO_COMPILED`` forces the NumPy
@@ -184,13 +184,10 @@ LENGTH, KEY_DIM, VALUE_DIM = 16, 7, 5  # d_k = 7 runs the dot product's tail
 DEGREES = [0, 1, LENGTH, 3, 0, 1, 5, 2, 4, 0, 6, 1, 2, 3, 0, 7]
 
 
-def _layout(rng, groups=None):
+def _layout(rng):
     indptr = np.concatenate([[0], np.cumsum(DEGREES)]).astype(np.int64)
     picks = [np.arange(LENGTH) if n == LENGTH else rng.integers(0, LENGTH, size=n) for n in DEGREES]
-    cols = np.concatenate(picks).astype(np.int32)
-    if groups is None:
-        return cols, indptr
-    return np.stack([rng.permutation(LENGTH)[cols] for _ in range(groups)]), indptr
+    return np.concatenate(picks).astype(np.int32), indptr
 
 
 def _arena(rng, batch_shape, storage):
@@ -232,20 +229,36 @@ class TestEdgeAttentionAgainstFallback:
         assert np.all(output[..., empty, :] == 0)
         assert np.all(row_max[..., empty] == -np.inf) and np.all(row_sum[..., empty] == 0)
 
-    def test_grouped_rows_equal_per_group_calls(self, batch_shape, q_dtype, storage):
-        """Stacked == individual, exactly, on whichever backend is active."""
+    def test_ragged_rows_equal_per_session_calls(self, batch_shape, q_dtype, storage):
+        """Sessions' rows laid end to end in one call == one call each, exactly,
+        on whichever backend is active."""
         rng = np.random.default_rng(11)
-        rows, indptr = _layout(rng, groups=3)
         arena = _arena(rng, batch_shape, storage)
-        q = rng.standard_normal((3,) + batch_shape + (LENGTH, KEY_DIM)).astype(q_dtype)
-        stacked = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
-        for g in range(3):
-            single = compiled.edge_attention(q[g], arena, rows[g], indptr, 0.4, return_scores=True)
-            for a, b in zip(stacked, single):
-                assert_array_equal(a[g], b)
+        sessions = []
+        for count in (3, 1, 9):
+            lo = int(rng.integers(0, LENGTH - count))
+            indptr = np.concatenate([[0], np.cumsum(DEGREES[lo : lo + count])]).astype(np.int64)
+            rows = rng.integers(0, LENGTH, size=int(indptr[-1])).astype(np.int64)
+            q = rng.standard_normal(batch_shape + (count, KEY_DIM)).astype(q_dtype)
+            sessions.append((q, rows, indptr))
+        shifts = np.cumsum([0] + [int(p[-1]) for _, _, p in sessions[:-1]])
+        q = np.concatenate([s[0] for s in sessions], axis=-2)
+        rows = np.concatenate([s[1] for s in sessions])
+        indptr = np.concatenate([[0]] + [p[1:] + shift for (_, _, p), shift in zip(sessions, shifts)])
+        ragged = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
+        output, row_max, row_sum, scores = ragged
+        row = edge = 0
+        for session_q, session_rows, session_indptr in sessions:
+            single = compiled.edge_attention(session_q, arena, session_rows, session_indptr, 0.4, return_scores=True)
+            count, edges = session_q.shape[-2], session_rows.size
+            assert_array_equal(output[..., row : row + count, :], single[0])
+            assert_array_equal(row_max[..., row : row + count], single[1])
+            assert_array_equal(row_sum[..., row : row + count], single[2])
+            assert_array_equal(scores[..., edge : edge + edges], single[3])
+            row, edge = row + count, edge + edges
         with compiled.force_backend("numpy"):
             slow = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
-        _assert_round_off(stacked, slow)
+        _assert_round_off(ragged, slow)
 
 
 class TestEdgeAttentionExactness:

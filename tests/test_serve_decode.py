@@ -15,9 +15,11 @@ from repro.masks.global_ import GlobalMask
 from repro.masks.presets import bigbird_mask, longformer_mask
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
+from repro.core.dense import resolve_scale
 from repro.serve.decode import (
     DecodeSession,
     KVCache,
+    _edge_attention,
     decode_reference_mask,
     stacked_decode_step,
     stacked_prefill,
@@ -235,21 +237,38 @@ class TestStackedDecode:
                 expected = solo[s].step(data[s][0][i], data[s][1][i], data[s][2][i])
                 np.testing.assert_array_equal(results[s].output, expected.output)
 
-    def test_mismatched_positions_rejected(self):
+    def test_mismatched_positions_equal_individual_steps(self):
         mask = LocalMask(window=3)
-        a = DecodeSession.start(mask, 16)
-        b = DecodeSession.start(mask, 16)
         q, k, v = random_qkv(4, 4, dtype=np.float32, seed=67)
-        a.step(q[0], k[0], v[0])
-        with pytest.raises(ValueError):
-            stacked_decode_step([a, b], [q[1], q[1]], [k[1], k[1]], [v[1], v[1]])
+        stacked = [DecodeSession.start(mask, 16) for _ in range(2)]
+        solo = [DecodeSession.start(mask, 16) for _ in range(2)]
+        for session in (stacked[0], solo[0]):
+            session.step(q[0], k[0], v[0])
+        results = stacked_decode_step(stacked, [q[1], q[1]], [k[1], k[1]], [v[1], v[1]])
+        assert [r.meta["position"] for r in results] == [1, 0]
+        for result, session in zip(results, solo):
+            expected = session.step(q[1], k[1], v[1])
+            np.testing.assert_array_equal(result.output, expected.output)
+            assert result.meta["edges"] == expected.meta["edges"]
 
-    def test_mismatched_plans_rejected(self):
-        a = DecodeSession.start(LocalMask(window=3), 16)
-        b = DecodeSession.start(LocalMask(window=5), 16)
-        q, k, v = random_qkv(2, 4, dtype=np.float32, seed=71)
-        with pytest.raises(ValueError):
-            stacked_decode_step([a, b], [q[0], q[0]], [k[0], k[0]], [v[0], v[0]])
+    def test_mismatched_plans_equal_individual_steps(self):
+        masks = (LocalMask(window=3), LocalMask(window=5))
+        q, k, v = random_qkv(6, 4, dtype=np.float32, seed=71)
+        stacked = [DecodeSession.start(mask, 16) for mask in masks]
+        solo = [DecodeSession.start(mask, 16) for mask in masks]
+        for session in stacked + solo:
+            session.prefill(q[:5], k[:5], v[:5])
+        results = stacked_decode_step(stacked, [q[5], q[5]], [k[5], k[5]], [v[5], v[5]])
+        assert [r.meta["edges"] for r in results] == [3, 5]
+        for result, session in zip(results, solo):
+            np.testing.assert_array_equal(result.output, session.step(q[5], k[5], v[5]).output)
+
+    def test_duplicate_session_rejected_before_any_advance(self):
+        session = DecodeSession.start(LocalMask(window=3), 16)
+        q, k, v = random_qkv(2, 4, dtype=np.float32, seed=72)
+        with pytest.raises(ValueError, match="at most once"):
+            stacked_decode_step([session, session], [q[0], q[1]], [k[0], k[1]], [v[0], v[1]])
+        assert session.position == 0
 
     def test_failed_stacked_step_leaves_no_session_advanced(self):
         # a validation failure on a later tuple must not have appended tokens
@@ -266,6 +285,160 @@ class TestStackedDecode:
         assert a.position == 1 and b.position == 1
         good = stacked_decode_step([a, b], [q[1], q[1]], [k[1], k[1]], [v[1], v[1]])
         assert all(r.meta["position"] == 1 for r in good)
+
+
+class _NoDraft(LocalMask):
+    """A local window whose draft is itself (no cheaper mask to draft with)."""
+
+    def draft_variant(self, fraction=0.5):
+        return self
+
+
+#: One session per row: (mask, horizon, arena, query dtype).  Every
+#: RowProgram class, four arenas (an fp32 pool, an int8 pool, a second fp32
+#: pool, a private cache) and both query dtypes, so one pass mixes them all
+#: and most of its kernel calls carry several sessions.
+RAGGED_FLEET = [
+    (LocalMask(window=5), 30, "fp32", np.float32),  # stencil
+    (Dilated1DMask(window=9, dilation=2), 34, "int8", np.float32),  # dilated stencil
+    (GlobalMask((0, 7)), 28, "fp32-b", np.float32),  # global
+    (longformer_mask(reach=4, global_tokens=(0, 9)), 36, "fp32", np.float64),  # union
+    (Dilated2DMask(block_size=8, dilation=1), 32, "fp32", np.float64),  # 2-D dilated
+    (np.random.default_rng(3).random((31, 31)) < 0.3, 31, "int8", np.float32),  # explicit CSR
+    (CausalMask(), 33, "fp32", np.float32),  # spec fallback
+    (_NoDraft(window=3), 40, "private", np.float64),  # stencil again, other horizon
+]
+RAGGED_HEADS, RAGGED_DIM = 2, 6
+
+
+def _ragged_fleet():
+    """Fresh sessions (and pools) for :data:`RAGGED_FLEET`, with their tensors."""
+    pools = {
+        name: BlockPool(96, 4, key_dim=RAGGED_DIM, batch_shape=(RAGGED_HEADS,), storage=storage)
+        for name, storage in (("fp32", "fp32"), ("int8", "int8"), ("fp32-b", "fp32"))
+    }
+    sessions, data = [], []
+    for index, (mask, horizon, arena, dtype) in enumerate(RAGGED_FLEET):
+        sessions.append(DecodeSession.start(mask, horizon, retain_outputs=True, pool=pools.get(arena)))
+        data.append(random_qkv(horizon, RAGGED_DIM, heads=RAGGED_HEADS, dtype=dtype, seed=200 + index))
+    return sessions, data
+
+
+#: two prefill passes of uneven chunks, then decode passes: every pass mixes
+#: positions, horizons and chunk lengths
+RAGGED_CHUNKS = ([4, 7, 1, 9, 3, 5, 6, 2], [3, 1, 5, 2, 8, 4, 1, 6])
+RAGGED_STEPS = 4
+
+
+def _assert_results_equal(actual, expected):
+    np.testing.assert_array_equal(actual.output, expected.output)
+    np.testing.assert_array_equal(actual.row_max, expected.row_max)
+    np.testing.assert_array_equal(actual.row_sum, expected.row_sum)
+    assert actual.output.dtype == expected.output.dtype
+    for key in ("position", "positions", "edges"):
+        assert actual.meta.get(key) == expected.meta.get(key)
+
+
+def _drive_ragged(sessions, data):
+    """Run the fleet's passes ragged; returns every pass's per-session results."""
+    passes = []
+    for chunks in RAGGED_CHUNKS:
+        blocks = [[x[..., s.position : s.position + n, :] for x in d] for s, d, n in zip(sessions, data, chunks)]
+        passes.append(stacked_prefill(sessions, *zip(*blocks)))
+    for _ in range(RAGGED_STEPS):
+        rows = [[x[..., s.position, :] for x in d] for s, d in zip(sessions, data)]
+        passes.append(stacked_decode_step(sessions, *zip(*rows)))
+    return passes
+
+
+def _drive_solo(sessions, data):
+    """The same work one session and one call at a time."""
+    passes = []
+    for chunks in RAGGED_CHUNKS:
+        passes.append(
+            [
+                s.prefill(*(x[..., s.position : s.position + n, :] for x in d))
+                for s, d, n in zip(sessions, data, chunks)
+            ]
+        )
+    for _ in range(RAGGED_STEPS):
+        passes.append([s.step(*(x[..., s.position, :] for x in d)) for s, d in zip(sessions, data)])
+    return passes
+
+
+def _scored_rows(sessions, data):
+    """Each session's last prefill-like block and last decode row, scored."""
+    blocks, layouts = [], []
+    for session, (q, _, _) in zip(sessions, data):
+        end = session.position
+        if end % 2:  # a decode row
+            cols = session.program.causal_row(end - 1)
+            layouts.append((np.array([0, cols.size]), cols))
+            blocks.append(q[..., end - 1 : end, :])
+        else:  # a prefill block
+            layouts.append(session.program.causal_rows(end // 2, end))
+            blocks.append(q[..., end // 2 : end, :])
+    scales = [resolve_scale(s.plan.scale, RAGGED_DIM) for s in sessions]
+    return blocks, [s.cache for s in sessions], layouts, scales
+
+
+class TestRaggedPasses:
+    """One pass over sessions that differ in mask, horizon, position, chunk
+    length, arena and query dtype equals each session's solo calls, bit for
+    bit, on both backends: outputs, ``row_max``, ``row_sum`` and scores."""
+
+    @pytest.fixture(params=["cext", "numpy"])
+    def backend(self, request):
+        if request.param == "cext" and compiled.backend() != "cext":
+            pytest.skip("no compiled backend available")
+        with compiled.force_backend(request.param):
+            yield request.param
+
+    def _check_fleets(self, ragged_sessions, ragged_data, solo_sessions, solo_data):
+        for ragged_pass, solo_pass in zip(
+            _drive_ragged(ragged_sessions, ragged_data), _drive_solo(solo_sessions, solo_data)
+        ):
+            assert all(r.meta["coalesced"] == len(RAGGED_FLEET) for r in ragged_pass)
+            for actual, expected in zip(ragged_pass, solo_pass):
+                _assert_results_equal(actual, expected)
+        for ragged, solo in zip(ragged_sessions, solo_sessions):
+            np.testing.assert_array_equal(ragged.outputs(), solo.outputs())
+
+    def test_ragged_prefill_and_decode_equal_solo_calls(self, backend):
+        self._check_fleets(*_ragged_fleet(), *_ragged_fleet())
+
+    def test_ragged_scores_equal_solo_scores(self, backend):
+        sessions, data = _ragged_fleet()
+        _drive_ragged(sessions, data)
+        scored = _scored_rows(sessions, data)
+        ragged = _edge_attention(*scored, return_scores=True)
+        for index, parts in enumerate(ragged):
+            solo = _edge_attention(*([part[index]] for part in scored), return_scores=True)[0]
+            for actual, expected in zip(parts, solo):
+                np.testing.assert_array_equal(actual, expected)
+
+    def test_numpy_chunks_split_inside_and_across_sessions(self, monkeypatch):
+        """The fallback's row chunks end inside one session's rows or span
+        several; a few rows per chunk still equals whole per-session calls."""
+        with compiled.force_backend("numpy"):
+            solo_sessions, solo_data = _ragged_fleet()
+            solo_passes = _drive_solo(solo_sessions, solo_data)
+            solo_scored = _scored_rows(solo_sessions, solo_data)
+            solo_scores = [
+                _edge_attention(*([part[i]] for part in solo_scored), return_scores=True)[0]
+                for i in range(len(RAGGED_FLEET))
+            ]
+            # about 24 edges per chunk: a few rows of a prefill chunk, or a
+            # few sessions' decode rows
+            monkeypatch.setattr(compiled, "_FALLBACK_CHUNK_ELEMENTS", 24 * RAGGED_HEADS * RAGGED_DIM)
+            sessions, data = _ragged_fleet()
+            for ragged_pass, solo_pass in zip(_drive_ragged(sessions, data), solo_passes):
+                for actual, expected in zip(ragged_pass, solo_pass):
+                    _assert_results_equal(actual, expected)
+            ragged_scores = _edge_attention(*_scored_rows(sessions, data), return_scores=True)
+        for actual, expected in zip(ragged_scores, solo_scores):
+            for a, b in zip(actual, expected):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestKernelReadsKVInPlace:
@@ -399,16 +572,17 @@ class TestServerStreaming:
                 solo.step(q[i], k[i], v[i])
             np.testing.assert_array_equal(sessions[s].outputs(), solo.outputs())
 
-    def test_ragged_sessions_form_singleton_groups(self):
+    def test_ragged_sessions_form_one_stacked_pass(self):
         with AttentionServer(cache_capacity=8) as server:
-            a = ServingClient(server).open_session(LocalMask(window=3), 16)
-            b = ServingClient(server).open_session(LocalMask(window=5), 16)
-            q, k, v = random_qkv(2, 4, dtype=np.float32, seed=91)
-            responses = server.decode_steps(
-                [(a, q[0], k[0], v[0]), (b, q[0], k[0], v[0])]
-            )
-            assert len(responses) == 2
-            assert server.stats.decode_stacked_executions == 0
+            server.create_block_pool(key_dim=4, num_blocks=16, block_size=4)
+            a = ServingClient(server).open_session(LocalMask(window=3), 16, paged=True)
+            b = ServingClient(server).open_session(LocalMask(window=5), 12, paged=True)
+            q, k, v = random_qkv(3, 4, dtype=np.float32, seed=91)
+            server.prefill_chunks([(a, q[:2], k[:2], v[:2])])
+            responses = server.decode_steps([(a, q[2], k[2], v[2]), (b, q[0], k[0], v[0])])
+            assert [r.result.meta["position"] for r in responses] == [2, 0]
+            assert server.stats.decode_stacked_executions == 1
+            assert server.stats.decode_coalesced_steps == 2
 
     def test_single_session_step_helper(self):
         with AttentionServer(cache_capacity=8) as server:

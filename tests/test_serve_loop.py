@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.engine import GraphAttentionEngine
-from repro.masks.windowed import LocalMask
+from repro.masks.presets import longformer_mask
+from repro.masks.windowed import Dilated1DMask, LocalMask
+from repro.obs.recorder import Observability
 from repro.serve import (
     AttentionServer,
     ServingClient,
@@ -102,6 +104,16 @@ class TestPolicies:
         heads = [policy.rank(streams, now=0.0)[0].request.request_id for _ in range(50)]
         assert heads.count(0) > 40
 
+    def test_weighted_fair_first_pick_follows_the_weights(self):
+        # one vectorised draw per rank: its order is distributed as successive
+        # weight-proportional picks, so the head is stream i w.p. w_i / sum(w)
+        weights = np.array([1.0, 2.0, 3.0, 4.0])
+        streams = [_stream(i, arrival=float(i), priority=w) for i, w in enumerate(weights)]
+        policy, ranks = WeightedFairPolicy(seed=0), 20_000
+        heads = np.bincount([policy.rank(streams, now=0.0)[0].request.request_id for _ in range(ranks)], minlength=4)
+        p = weights / weights.sum()
+        assert np.all(np.abs(heads - ranks * p) <= 4 * np.sqrt(ranks * p * (1 - p)))
+
     def test_factory(self):
         assert isinstance(scheduling_policy("fcfs"), FCFSPolicy)
         assert isinstance(scheduling_policy("priority"), PriorityPolicy)
@@ -189,19 +201,24 @@ class TestStackedPrefill:
             s.close()
         assert pool.blocks_in_use == 0
 
-    def test_rejects_mismatched_sessions(self):
+    def test_mismatched_sessions_equal_individual_prefills(self):
         pool = BlockPool(64, 4, key_dim=DIM)
-        a = DecodeSession.start(MASK, 12, pool=pool)
-        b = DecodeSession.start(MASK, 12, pool=pool)
+        masks = (MASK, MASK, LocalMask(window=9))
+        stacked = [DecodeSession.start(mask, 12, pool=pool) for mask in masks]
+        solo = [DecodeSession.start(mask, 12, pool=pool) for mask in masks]
         q, k, v = random_qkv(12, DIM, dtype=np.float32, seed=4)
-        b.prefill(q[:4], k[:4], v[:4])  # positions now differ
-        with pytest.raises(ValueError):
-            stacked_prefill([a, b], [q[:4]] * 2, [k[:4]] * 2, [v[:4]] * 2)
-        other = DecodeSession.start(LocalMask(window=9), 12, pool=pool)
-        with pytest.raises(ValueError):
-            stacked_prefill([a, other], [q[:4]] * 2, [k[:4]] * 2, [v[:4]] * 2)
-        for s in (a, b, other):
+        for session in (stacked[1], solo[1]):
+            session.prefill(q[:4], k[:4], v[:4])  # positions now differ
+        chunks = [(0, 4), (4, 9), (0, 3)]
+        results = stacked_prefill(stacked, *([x[a:b] for a, b in chunks] for x in (q, k, v)))
+        for result, session, (a, b) in zip(results, solo, chunks):
+            expected = session.prefill(q[a:b], k[a:b], v[a:b])
+            np.testing.assert_array_equal(result.output, expected.output)
+            assert result.meta["positions"] == expected.meta["positions"]
+        assert [s.position for s in stacked] == [4, 9, 3]
+        for s in stacked + solo:
             s.close()
+        assert pool.blocks_in_use == 0
 
     def test_pool_exhaustion_advances_no_session(self):
         pool = BlockPool(4, 2, key_dim=DIM)
@@ -431,16 +448,12 @@ class TestSchedulerMechanics:
         server.close()
 
 
-def _kernel_passes(stats):
-    """Kernel passes the server ran: singleton plus stacked groups."""
-    return (
-        stats.decode_steps
-        - stats.decode_coalesced_steps
-        + stats.decode_stacked_executions
-        + stats.prefill_chunks
-        - stats.prefill_coalesced_chunks
-        + stats.prefill_stacked_executions
-    )
+def _kernel_passes(stats, kind=None):
+    """Kernel passes the server ran (of ``kind``, else both): singleton plus
+    stacked passes."""
+    decode = stats.decode_steps - stats.decode_coalesced_steps + stats.decode_stacked_executions
+    prefill = stats.prefill_chunks - stats.prefill_coalesced_chunks + stats.prefill_stacked_executions
+    return {"decode": decode, "prefill": prefill, None: decode + prefill}[kind]
 
 
 class TestIterationBatching:
@@ -504,3 +517,58 @@ class TestIterationBatching:
             np.testing.assert_array_equal(results[rid], expected)
         assert caller_passes == self.STREAMS * (1 + self.DECODE)
         assert 2 * loop_passes <= caller_passes
+
+    def test_staggered_streams_run_one_pass_per_kind_per_iteration(self):
+        """Streams of three mask families, staggered prompts and different
+        horizons: every iteration runs at most one prefill and one decode
+        pass, and each stream's output equals its own session replay."""
+        masks = (LocalMask(17), Dilated1DMask(window=9, dilation=2), longformer_mask(reach=6, global_tokens=(0,)))
+        requests = []
+        for s in range(12):
+            prompt, total = 5 + 7 * s, 60 + 3 * s
+            q, k, v = random_qkv(total, self.HEAD_DIM, dtype=np.float32, seed=100 + s)
+            requests.append(LoopRequest(q=q, k=k, v=v, mask=masks[s % 3], prompt_tokens=prompt))
+
+        server = self._server()
+        scheduler = ContinuousBatchingScheduler(server, max_streams=len(requests), prefill_chunk=16)
+        rids = scheduler.submit_many(requests)
+        previous = server.stats_snapshot()
+        iterations = prefill_iterations = 0
+        while scheduler.active:
+            report = scheduler.step()
+            stats = server.stats_snapshot()
+            prefill = _kernel_passes(stats, "prefill") - _kernel_passes(previous, "prefill")
+            decode = _kernel_passes(stats, "decode") - _kernel_passes(previous, "decode")
+            assert prefill == (report.prefill_tokens > 0) and decode == (report.decode_tokens > 0)
+            iterations += 1
+            prefill_iterations += prefill
+            previous = stats
+        results = scheduler.results
+        server.close()
+
+        assert _kernel_passes(previous) <= 2 * iterations < stats.decode_steps + stats.prefill_chunks
+        assert prefill_iterations > 1  # prompts really were staggered over iterations
+        for rid, request in zip(rids, requests):
+            replay = DecodeSession.start(request.mask, request.total_tokens, retain_outputs=True)
+            prompt = request.prompt_tokens
+            replay.prefill(request.q[:prompt], request.k[:prompt], request.v[:prompt])
+            for i in range(prompt, request.total_tokens):
+                replay.step(request.q[i], request.k[i], request.v[i])
+            np.testing.assert_array_equal(results[rid], replay.outputs())
+
+    def test_a_decode_pass_counts_its_tokens_once(self):
+        obs = Observability()
+        server = self._server()
+        scheduler = ContinuousBatchingScheduler(server, max_streams=self.STREAMS, prefill_chunk=self.PROMPT, obs=obs)
+        for s in range(self.STREAMS):
+            q, k, v = random_qkv(self.PROMPT + 2, self.HEAD_DIM, dtype=np.float32, seed=s)
+            scheduler.submit(LoopRequest(q=q, k=k, v=v, mask=self.MASK, prompt_tokens=self.PROMPT))
+        scheduler.step()  # every prompt in one prefill pass
+        increments = []
+        counter = obs.decode_tokens
+        original = counter.inc
+        counter.inc = lambda amount=1.0: (increments.append(amount), original(amount))[1]
+        report = scheduler.step()
+        server.close()
+        assert report.decode_tokens == self.STREAMS
+        assert increments == [self.STREAMS]

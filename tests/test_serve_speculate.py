@@ -187,6 +187,79 @@ def _hidden_column(session):
     return hidden[-1]
 
 
+class _NoDraft(LocalMask):
+    """A local window whose draft is itself: its window is pure multi-token
+    batching inside the same pass."""
+
+    def draft_variant(self, fraction=0.5):
+        return self
+
+
+#: (mask, horizon, arena, query dtype, prompt, window): masks, horizons,
+#: positions, window lengths, four arenas and both query dtypes in one pass
+RAGGED_SPEC = [
+    (LocalMask(window=5), 20, "fp32", np.float32, 6, 4),
+    (CausalMask(), 22, "int8", np.float32, 9, 3),
+    (Dilated1DMask(window=7, dilation=2), 18, "fp32-b", np.float32, 4, 2),
+    (GlobalMask((0, 3)), 24, "fp32", np.float64, 7, 5),
+    (longformer_mask(reach=4, global_tokens=(0,)), 26, "private", np.float32, 5, 3),
+    (_NoDraft(window=3), 19, "fp32", np.float32, 8, 4),
+    (None, 21, "int8", np.float32, 3, 2),
+    (longformer_mask(reach=4, global_tokens=(0,)), 23, "fp32", np.float64, 10, 3),
+]
+
+
+def _ragged_spec_fleet():
+    pools = {
+        name: _pool(storage, (2,), num_blocks=64)
+        for name, storage in (("fp32", "fp32"), ("int8", "int8"), ("fp32-b", "fp32"))
+    }
+    sessions, data = [], []
+    for index, (mask, horizon, arena, dtype, prompt, _) in enumerate(RAGGED_SPEC):
+        session = DecodeSession.start(mask, horizon, pool=pools.get(arena))
+        rng = np.random.default_rng(300 + index)
+        q, k, v = (rng.normal(size=(2, horizon, DIM)).astype(dtype) for _ in range(3))
+        session.prefill(q[..., :prompt, :], k[..., :prompt, :], v[..., :prompt, :])
+        sessions.append(session)
+        data.append((q, k, v))
+    return sessions, data
+
+
+class TestRaggedSpeculation:
+    """One draft-and-verify pass over sessions that differ in everything
+    equals each session's solo pass, bit for bit, on both backends."""
+
+    @pytest.mark.parametrize("backend", ["cext", "numpy"])
+    def test_ragged_pass_equals_solo_passes(self, backend):
+        from repro.core import compiled
+
+        if backend == "cext" and compiled.backend() != "cext":
+            pytest.skip("no compiled backend available")
+        with compiled.force_backend(backend):
+            ragged, ragged_data = _ragged_spec_fleet()
+            solo, solo_data = _ragged_spec_fleet()
+            for _ in range(2):  # the second pass starts from diverged positions
+                windows = [
+                    [x[..., s.position : s.position + row[-1], :] for x in d]
+                    for s, d, row in zip(ragged, ragged_data, RAGGED_SPEC)
+                ]
+                outcomes = speculative_decode_steps(ragged, *zip(*windows))
+                for session, data, row, outcome in zip(solo, solo_data, RAGGED_SPEC, outcomes):
+                    window = [x[..., session.position : session.position + row[-1], :] for x in data]
+                    [expected] = speculative_decode_steps([session], *([w] for w in window))
+                    for field_name in ("drafted", "accepted", "fallback", "degraded", "draft_edges", "verify_edges"):
+                        assert getattr(outcome, field_name) == getattr(expected, field_name)
+                    assert outcome.emitted == expected.emitted
+                    for actual, wanted in zip(outcome.results, expected.results):
+                        assert_array_equal(actual.output, wanted.output)
+                        assert_array_equal(actual.row_max, wanted.row_max)
+                        assert_array_equal(actual.row_sum, wanted.row_sum)
+                        assert actual.meta["position"] == wanted.meta["position"]
+                assert [s.position for s in ragged] == [s.position for s in solo]
+        assert any(o.draft_edges == 0 for o in outcomes)  # the no-draft session rode along
+        assert len({o.verify_edges for o in outcomes}) > 1
+
+
 class TestAcceptanceOracle:
     def test_full_acceptance_on_peaked_stream(self):
         q, k, v = _peaked_stream()
