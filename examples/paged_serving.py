@@ -4,8 +4,8 @@ Demonstrates the paged KV-cache subsystem (``repro.serve.paging``):
 
 1. give the server a **fixed KV memory budget** — ``create_block_pool``
    carves it into fixed-size K/V blocks behind a free list,
-2. fan one prompt out to many concurrent decode streams (the speculative /
-   best-of-N serving shape): every stream's prefill maps the *same* physical
+2. fan one prompt out to many concurrent decode streams (the best-of-N
+   serving shape): every stream's prefill maps the *same* physical
    blocks via chained-hash prefix sharing, so the prompt is resident once,
 3. decode a divergent continuation per stream — the shared partial tail
    block is copied-on-write at the first divergent token,

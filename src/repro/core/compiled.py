@@ -2,7 +2,7 @@
 
 Every vectorised attention core in the package ends in :func:`edge_attention`:
 the one-shot CSR/COO kernels (every plan's ``csr`` step) and the serving
-stack's prefill, decode, stacked and speculative passes.  It runs Algorithm 1
+stack's prefill, decode and stacked passes.  It runs Algorithm 1
 per query row: one sweep over the row's CSR edges does one dot product per
 edge, a float64 online softmax and the value accumulation, reading the K/V
 rows *in place* from an arena by row index.  Nothing per edge is
@@ -25,8 +25,8 @@ Two backends:
 
 Exactness: each row's reduction is sequential and independent of every
 other row of the call, so within one backend a row's result depends only on
-its own query and K/V rows — stacked == individual, paged == private,
-speculative == one-token all hold by construction.  The C kernel sums each
+its own query and K/V rows — stacked == individual and paged == private
+hold by construction.  The C kernel sums each
 dot product in a fixed order (four interleaved partial sums) and is built
 with ``-ffp-contract=off``, so no target fuses it or the int8 dequant
 ``(float(q) - zero) * scale`` into FMAs; across backends results agree to
@@ -192,8 +192,7 @@ int edge_attention(const void *q, int q_f64,
                    const void *rows, int rows_i64, const int64_t *indptr,
                    int64_t slices, int64_t arena_rows, int64_t num_rows,
                    int64_t num_edges, int64_t dk, int64_t dv, double scale,
-                   double *out, double *row_max, double *row_sum,
-                   double *scores)
+                   double *out, double *row_max, double *row_sum)
 {
     const int32_t *rows32 = (const int32_t *)rows;
     const int64_t *rows64 = (const int64_t *)rows;
@@ -233,8 +232,6 @@ int edge_attention(const void *q, int q_f64,
             for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
                 const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
                 const double s = dot_row(kind, ks, r, dk, qrow) * scale;
-                if (scores)
-                    scores[b * num_edges + e] = s;
                 if (s > m) {
                     /* the running max grows: rescale what is folded so far */
                     const double keep = exp(m - s);
@@ -274,7 +271,7 @@ _I64 = ctypes.c_int64
 _ARGTYPES = {
     "gather_dequant_i8": ([_P] * 4 + [_I64] * 4 + [_P], None),
     "edge_attention": (
-        [_P, _INT, _P, _P, _INT] + [_P] * 4 + [_P, _INT, _P] + [_I64] * 6 + [ctypes.c_double] + [_P] * 4,
+        [_P, _INT, _P, _P, _INT] + [_P] * 4 + [_P, _INT, _P] + [_I64] * 6 + [ctypes.c_double] + [_P] * 3,
         _INT,
     ),
 }
@@ -587,9 +584,7 @@ def edge_attention(
     rows: np.ndarray,
     indptr: np.ndarray,
     scale: float,
-    *,
-    return_scores: bool = False,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Algorithm 1 for ``R`` query rows over K/V rows read in place.
 
     ``indptr`` (``R + 1`` entries) delimits each query row's edges, and edge
@@ -600,11 +595,10 @@ def edge_attention(
     rows concatenated and their ``indptr`` arrays offset by the running edge
     count.
 
-    Returns ``(output, row_max, row_sum, scores)``: the normalised output in
-    the accumulator dtype (``q.shape[:-1] + (d_v,)``), the per-row softmax
-    maximum and normaliser (``q.shape[:-1]``), and — with ``return_scores``
-    — the scaled edge scores (``q.shape[:-2] + (E,)``), else ``None``.  Empty
-    rows finalise to zero with ``row_max = -inf`` and ``row_sum = 0``.
+    Returns ``(output, row_max, row_sum)``: the normalised output in the
+    accumulator dtype (``q.shape[:-1] + (d_v,)``) and the per-row softmax
+    maximum and normaliser (``q.shape[:-1]``).  Empty rows finalise to zero
+    with ``row_max = -inf`` and ``row_sum = 0``.
     """
     q = np.asarray(q)
     rows = np.asarray(rows)
@@ -619,7 +613,7 @@ def edge_attention(
     require(indptr.size == q.shape[-2] + 1, "indptr must have one entry per query row + 1")
     kind = _arena_kind(q, arena)
     if kind is None or _ensure_backend() == "numpy":
-        return _edge_attention_numpy(q, arena, rows, indptr, scale, return_scores)
+        return _edge_attention_numpy(q, arena, rows, indptr, scale)
 
     q = np.ascontiguousarray(q)
     if rows.dtype != np.int32:
@@ -629,10 +623,9 @@ def edge_attention(
     _, arena_addresses = arena.c_operands
     num_rows, num_edges, value_dim = q.shape[-2], rows.size, values.shape[-1]
     output = np.empty(q.shape[:-1] + (value_dim,), dtype=np.float64)
-    # one buffer holds row_max, row_sum and the scores: one address to take
+    # one buffer holds row_max and row_sum: one address to take
     stats = prod(q.shape[:-1])
-    scores_size = prod(q.shape[:-2]) * num_edges if return_scores else 0
-    buffer = np.empty(2 * stats + scores_size, dtype=np.float64)
+    buffer = np.empty(2 * stats, dtype=np.float64)
     base = buffer.ctypes.data
     status = _cext.edge_attention(
         q.ctypes.data,
@@ -653,16 +646,10 @@ def edge_attention(
         output.ctypes.data,
         base,
         base + 8 * stats,
-        base + 16 * stats if return_scores else None,
     )
     if status:
         raise ValueError(f"edge_attention: {_KERNEL_ERRORS[status]}")
-    return (
-        output,
-        buffer[:stats].reshape(q.shape[:-1]),
-        buffer[stats : 2 * stats].reshape(q.shape[:-1]),
-        buffer[2 * stats :].reshape(q.shape[:-2] + (num_edges,)) if return_scores else None,
-    )
+    return output, buffer[:stats].reshape(q.shape[:-1]), buffer[stats:].reshape(q.shape[:-1])
 
 
 def _gather(
@@ -685,8 +672,7 @@ def _edge_attention_numpy(
     rows: np.ndarray,
     indptr: np.ndarray,
     scale: float,
-    return_scores: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The NumPy fallback of :func:`edge_attention`, one chunk of rows at a time.
 
     Per chunk: gather the edges' K rows, score them with one einsum, reduce
@@ -715,7 +701,6 @@ def _edge_attention_numpy(
     accumulator = np.zeros((slices, num_rows, value_dim), dtype=acc_dtype)
     row_max = np.full((slices, num_rows), -np.inf, dtype=acc_dtype)
     row_sum = np.zeros((slices, num_rows), dtype=acc_dtype)
-    scores = np.empty((slices, num_edges), dtype=acc_dtype) if return_scores else None
     budget = max(1, _FALLBACK_CHUNK_ELEMENTS // max(1, slices * max(key_dim, value_dim)))
     start = 0
     while start < num_rows:
@@ -734,8 +719,6 @@ def _edge_attention_numpy(
         accumulator[:, start:stop] = segment_weighted_sum(weights, v_sel, local, value_dim)
         row_max[:, start:stop] = chunk_max
         row_sum[:, start:stop] = chunk_sum
-        if scores is not None:
-            scores[:, lo:hi] = chunk_scores
         start = stop
 
     empty = row_sum == 0
@@ -745,7 +728,6 @@ def _edge_attention_numpy(
         output.reshape(q.shape[:-1] + (value_dim,)),
         row_max.reshape(q.shape[:-1]),
         row_sum.reshape(q.shape[:-1]),
-        None if scores is None else scores.reshape(q.shape[:-2] + (num_edges,)),
     )
 
 

@@ -150,7 +150,7 @@ def csr_ordered_attention(
     require(indptr.size == length + 1, "indptr must have length L + 1")
     require(int(indptr[-1]) == cols.size, "indptr[-1] must equal the edge count")
 
-    output, row_max, row_sum, _ = compiled.edge_attention(
+    output, row_max, row_sum = compiled.edge_attention(
         q,
         compiled.Arena(np.asarray(k), np.asarray(v)),
         cols,

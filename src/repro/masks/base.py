@@ -111,21 +111,6 @@ class MaskSpec(abc.ABC):
         """Whether query ``i`` attends to key ``j`` under this pattern."""
         return bool(np.isin(j, self.neighbors(i, length)))
 
-    def draft_variant(self, fraction: float = 0.5) -> "MaskSpec":
-        """A cheaper variant of this pattern for speculative draft passes.
-
-        Speculative decoding (:mod:`repro.serve.speculate`) proposes tokens
-        with a *draft* pass over a narrowed mask and verifies them against
-        the full one; ``fraction`` is the rough share of each row's edges
-        the draft should keep (families round to their natural parameter
-        granularity).  Subclasses override with a structurally thinner
-        member of their own family; the base fallback returns ``self`` —
-        a draft identical to the target always agrees, so speculation
-        degenerates to pure multi-token batching (safe, never wrong).
-        """
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        return self
-
     # ------------------------------------------------------------------ #
     # Algebra
     # ------------------------------------------------------------------ #

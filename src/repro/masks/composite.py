@@ -60,13 +60,6 @@ class UnionMask(MaskSpec):
         """Sum of component edge counts — the work a sequential multi-kernel run does."""
         return int(sum(c.nnz(length) for c in self.components))
 
-    def draft_variant(self, fraction: float = 0.5) -> "UnionMask":
-        """Union of the component drafts (each family thins itself)."""
-        return UnionMask(
-            [c.draft_variant(fraction) for c in self.components],
-            name=f"{self._name}-draft",
-        )
-
     def describe(self) -> str:
         inner = " | ".join(c.describe() for c in self.components)
         return f"{self._name}({inner})"
@@ -87,12 +80,6 @@ class IntersectionMask(MaskSpec):
             result = np.intersect1d(result, comp.neighbors(i, length), assume_unique=False)
         return result.astype(INDEX_DTYPE)
 
-    def draft_variant(self, fraction: float = 0.5) -> "IntersectionMask":
-        """Thin the first component only: stays a subset of the intersection's superset."""
-        return IntersectionMask(
-            [self.components[0].draft_variant(fraction), *self.components[1:]]
-        )
-
     def describe(self) -> str:
         inner = " & ".join(c.describe() for c in self.components)
         return f"intersection({inner})"
@@ -112,10 +99,6 @@ class DifferenceMask(MaskSpec):
             self.left.neighbors(i, length), self.right.neighbors(i, length), assume_unique=False
         )
         return keep.astype(INDEX_DTYPE)
-
-    def draft_variant(self, fraction: float = 0.5) -> "DifferenceMask":
-        """Thin the left side; the subtracted set stays exact."""
-        return DifferenceMask(self.left.draft_variant(fraction), self.right)
 
     def describe(self) -> str:
         return f"difference({self.left.describe()} - {self.right.describe()})"

@@ -86,18 +86,5 @@ class Dilated2DMask(MaskSpec):
             total += per_rem * per_rem
         return int(total)
 
-    def draft_variant(self, fraction: float = 0.5) -> "Dilated2DMask":
-        """Coarsen the dilation grid so roughly ``fraction`` of columns survive.
-
-        Rows keep their grid membership (the draft stride is a multiple of the
-        full stride), so a row that attends under the full mask still attends
-        under the draft — only with fewer columns.
-        """
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        factor = max(1, int(round(1.0 / fraction)))
-        if factor == 1:
-            return self
-        return Dilated2DMask(self.block_size, dilation=self.stride * factor - 1)
-
     def describe(self) -> str:
         return f"block_size={self.block_size}, dilation={self.dilation}"

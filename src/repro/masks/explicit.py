@@ -83,24 +83,5 @@ class ExplicitMask(MaskSpec):
         self.validate_length(length)
         return self._matrix.to_dense().astype(dtype)
 
-    def draft_variant(self, fraction: float = 0.5) -> "ExplicitMask":
-        """Row-thinned copy at the same fixed length.
-
-        Keeps the *last* ``ceil(degree·fraction)`` columns of every row — the
-        entries closest to (and including) the diagonal, which are the ones a
-        causal decode row actually reaches — so the draft stays a subset of
-        the full mask at identical shape.
-        """
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        if fraction == 1.0:
-            return self
-        rows = []
-        for i in range(self.length):
-            cols = self._matrix.row_neighbors(i)
-            keep = max(1, int(np.ceil(cols.size * fraction))) if cols.size else 0
-            rows.append(cols[cols.size - keep :])
-        thinned = CSRMatrix.from_row_lists((self.length, self.length), rows)
-        return ExplicitMask(thinned, name=f"{self._name}-draft")
-
     def describe(self) -> str:
         return f"{self._name}: L={self.length}, nnz={self._matrix.nnz}"

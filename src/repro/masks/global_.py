@@ -70,12 +70,6 @@ class GlobalMask(MaskSpec):
         g = self.num_global
         return int(g * length + g * (length - g))
 
-    def draft_variant(self, fraction: float = 0.5) -> "GlobalMask":
-        """Keep only the leading ``ceil(g·fraction)`` global tokens."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        keep = max(1, int(np.ceil(self.num_global * fraction)))
-        return GlobalMask(self.global_tokens[:keep])
-
     def describe(self) -> str:
         return f"global_tokens={list(self.global_tokens)}"
 
@@ -135,12 +129,6 @@ class GlobalNonLocalMask(MaskSpec):
             hi = min(length, g + self.window)
             degrees[g] = length - (hi - lo)
         return degrees
-
-    def draft_variant(self, fraction: float = 0.5) -> "GlobalNonLocalMask":
-        """Keep only the leading ``ceil(g·fraction)`` global tokens, same window."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        keep = max(1, int(np.ceil(self.num_global * fraction)))
-        return GlobalNonLocalMask(self.global_tokens[:keep], window=self.window)
 
     def describe(self) -> str:
         return f"global_tokens={list(self.global_tokens)}, window={self.window}"

@@ -95,20 +95,6 @@ class RandomMask(MaskSpec):
     def sparsity_factor(self, length: int) -> float:
         return self.nnz(length) / float(length * length)
 
-    def draft_variant(self, fraction: float = 0.5) -> "RandomMask":
-        """Same seed, roughly ``fraction`` of the random keys per row."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        if self.keys_per_row is not None:
-            keep = max(1, int(np.ceil(self.keys_per_row * fraction)))
-            return RandomMask(
-                keys_per_row=keep, seed=self.seed, include_diagonal=self.include_diagonal
-            )
-        return RandomMask(
-            sparsity=max(self.sparsity * fraction, np.finfo(float).tiny),
-            seed=self.seed,
-            include_diagonal=self.include_diagonal,
-        )
-
     def describe(self) -> str:
         if self.sparsity is not None:
             return f"sparsity={self.sparsity}, seed={self.seed}"

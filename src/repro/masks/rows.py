@@ -16,9 +16,9 @@ Rows come in two flavours, mirroring :meth:`repro.masks.base.MaskSpec.row`:
   the set an autoregressive decode step actually attends (only tokens
   ``0..i`` exist in the KV cache when token ``i`` is generated).
 * :meth:`RowProgram.causal_rows` — a range of causal rows as one CSR layout
-  ``(indptr, cols)``, the shape a prefill chunk or a speculative window
-  hands the attention kernel; stencil, global and union programs build it
-  vectorised instead of row by row.
+  ``(indptr, cols)``, the shape a prefill chunk hands the attention kernel;
+  stencil, global and union programs build it vectorised instead of row by
+  row.
 
 Composites union their component programs at extraction time; masks with no
 specialised shape fall back to calling ``spec.row`` directly, which is still

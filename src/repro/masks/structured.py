@@ -36,12 +36,6 @@ class CausalMask(MaskSpec):
         self.validate_length(length)
         return length * (length + 1) // 2
 
-    def draft_variant(self, fraction: float = 0.5) -> MaskSpec:
-        """Strided thinning: keep every ``round(1/fraction)``-th previous token."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        stride = max(1, int(round(1.0 / fraction)))
-        return self if stride == 1 else StridedMask(stride=stride)
-
     def describe(self) -> str:
         return "causal"
 
@@ -64,12 +58,6 @@ class DenseMask(MaskSpec):
     def nnz(self, length: int) -> int:
         self.validate_length(length)
         return length * length
-
-    def draft_variant(self, fraction: float = 0.5) -> MaskSpec:
-        """Strided thinning, as for :class:`CausalMask` (decode rows are causal)."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        stride = max(1, int(round(1.0 / fraction)))
-        return self if stride == 1 else StridedMask(stride=stride)
 
     def describe(self) -> str:
         return "dense"
@@ -105,12 +93,6 @@ class BlockDiagonalMask(MaskSpec):
         full, rem = divmod(length, self.block_size)
         return full * self.block_size * self.block_size + rem * rem
 
-    def draft_variant(self, fraction: float = 0.5) -> MaskSpec:
-        """Same blocks, strided within them (intersection with a strided comb)."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        stride = max(1, int(round(1.0 / fraction)))
-        return self if stride == 1 else self & StridedMask(stride=stride)
-
     def describe(self) -> str:
         return f"block_size={self.block_size}"
 
@@ -143,12 +125,6 @@ class StridedMask(MaskSpec):
     def nnz(self, length: int) -> int:
         self.validate_length(length)
         return int(self.row_degrees(length).sum())
-
-    def draft_variant(self, fraction: float = 0.5) -> "StridedMask":
-        """A coarser stride (every ``round(1/fraction)``-th attended offset kept)."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        factor = max(1, int(round(1.0 / fraction)))
-        return self if factor == 1 else StridedMask(stride=self.stride * factor)
 
     def describe(self) -> str:
         return f"stride={self.stride}"

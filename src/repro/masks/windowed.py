@@ -53,11 +53,6 @@ class LocalMask(TranslationInvariantMask):
         w = min(self.window, length)
         return int(length * (2 * w - 1) - (w - 1) * w)
 
-    def draft_variant(self, fraction: float = 0.5) -> "LocalMask":
-        """A narrower window keeping roughly ``fraction`` of each row's edges."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        return LocalMask(window=max(1, int(np.ceil(self.window * fraction))))
-
     def describe(self) -> str:
         return f"window={self.window} (reach {self.reach})"
 
@@ -100,13 +95,6 @@ class Dilated1DMask(TranslationInvariantMask):
         self.validate_length(length)
         offsets = np.abs(self.offsets())
         return int(np.maximum(length - offsets, 0).sum())
-
-    def draft_variant(self, fraction: float = 0.5) -> "Dilated1DMask":
-        """Same dilation, narrower window (roughly ``fraction`` of the edges)."""
-        require(0.0 < fraction <= 1.0, "draft fraction must be in (0, 1]")
-        return Dilated1DMask(
-            window=max(1, int(np.ceil(self.window * fraction))), dilation=self.dilation
-        )
 
     def describe(self) -> str:
         return f"window={self.window}, dilation={self.dilation}"

@@ -57,9 +57,6 @@ SLACK_SECONDS_BUCKETS = (
     + tuple(float(2.0**e) for e in range(-2, 13))
 )
 
-#: Uniform [0, 1] bounds for per-pass speculative acceptance rates.
-ACCEPT_RATE_BUCKETS = tuple(round(0.1 * i, 1) for i in range(0, 11))
-
 
 def _label_values(label_names: Tuple[str, ...], labels: Mapping[str, object]) -> Tuple[str, ...]:
     require(
@@ -496,7 +493,6 @@ class MetricsRegistry:
 
 
 __all__ = [
-    "ACCEPT_RATE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",

@@ -26,7 +26,6 @@ import threading
 from typing import Optional
 
 from repro.obs.metrics import (
-    ACCEPT_RATE_BUCKETS,
     KERNEL_SECONDS_BUCKETS,
     MetricsRegistry,
     MetricsSnapshot,
@@ -111,26 +110,6 @@ class Observability:
             "loop_iteration_batch_tokens",
             "Tokens scheduled per iteration",
             buckets=TOKEN_BUCKETS,
-        )
-        # -- speculative decoding ------------------------------------------ #
-        self.speculate_drafted = reg.counter(
-            "speculate_drafted_tokens_total", "Draft tokens proposed"
-        )
-        self.speculate_accepted = reg.counter(
-            "speculate_accepted_tokens_total", "Draft tokens accepted by verification"
-        )
-        self.speculate_rolled_back = reg.counter(
-            "speculate_rolled_back_tokens_total",
-            "Draft tokens erased by rollback after rejection",
-        )
-        self.speculate_fallbacks = reg.counter(
-            "speculate_fallback_steps_total",
-            "Zero-acceptance passes resolved by a standard single-token step",
-        )
-        self.speculate_accept_rate = reg.histogram(
-            "speculate_accept_rate",
-            "Per-pass accepted fraction of drafted tokens",
-            buckets=ACCEPT_RATE_BUCKETS,
         )
         # -- serving edge / tenants --------------------------------------- #
         self.edge_requests = reg.counter(

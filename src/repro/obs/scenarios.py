@@ -76,8 +76,6 @@ class ScenarioRequest:
     seed: int
     tenant: Optional[str] = None
     slo: Optional[float] = None
-    #: speculation depth submitted as ``LoopRequest.speculate_k`` (0 = off)
-    speculate: int = 0
 
     @property
     def total(self) -> int:
@@ -129,7 +127,6 @@ def _requests(entries: Sequence[dict]) -> Tuple[ScenarioRequest, ...]:
                 seed=int(entry.get("seed", 1000 + index)),
                 tenant=entry.get("tenant"),
                 slo=None if entry.get("slo") is None else float(entry["slo"]),
-                speculate=int(entry.get("speculate", 0)),
             )
         )
     return tuple(out)
@@ -146,9 +143,6 @@ def _quick(seed: int) -> Scenario:
             "decode": 4,
             "gap": 1.0,
             "seed": seed * 97 + i,
-            # alternate plain / speculative streams so the CI smoke snapshot
-            # always carries the speculate_* counters and accept-rate series
-            "speculate": 3 if i % 2 else 0,
         }
         for i in range(6)
     ]
@@ -529,7 +523,6 @@ def _loop_request(request: ScenarioRequest) -> LoopRequest:
         priority=request.priority,
         tenant=request.tenant,
         slo_latency_seconds=request.slo,
-        speculate_k=request.speculate,
     )
 
 

@@ -48,7 +48,6 @@ from repro.perfmodel.decode import (
     DecodeStepEstimate,
     PreemptionCostEstimate,
     SloEstimate,
-    SpeculationCostEstimate,
     blocks_for_tokens,
     decode_step_flops,
     kv_block_bytes,
@@ -59,7 +58,6 @@ from repro.perfmodel.decode import (
     paged_sessions_supported,
     paging_fragmentation_overhead,
     preemption_cost,
-    speculation_cost,
 )
 from repro.perfmodel.router import (
     RebalanceEstimate,
@@ -87,7 +85,6 @@ __all__ = [
     "RoutingCostEstimate",
     "RuntimeEstimate",
     "SloEstimate",
-    "SpeculationCostEstimate",
     "RuntimeModel",
     "V100_SXM2_32GB",
     "balanced_makespan",
@@ -110,5 +107,4 @@ __all__ = [
     "rebalance_gain",
     "router_throughput_scaling",
     "routing_cost",
-    "speculation_cost",
 ]

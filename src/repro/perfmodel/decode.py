@@ -29,13 +29,6 @@ stream under memory pressure either *swaps* its KV cache to host memory
 from the prompt on resume (paying the causal edges again).
 :func:`preemption_cost` prices both and names the cheaper one — the policy
 input the continuous-batching scheduler's ``preemption="auto"`` mode uses.
-
-**Speculation** is the fourth axis: a draft-and-verify pass buys up to ``k``
-tokens for one thinned draft pass plus one stacked verify pass, but only
-when enough drafted tokens are accepted.  :func:`speculation_cost` prices
-the pass against ``k`` one-token steps and solves for the break-even
-acceptance rate — the threshold the serving loop uses to switch a stream
-back to plain stepping when its observed accept rate collapses.
 """
 
 from __future__ import annotations
@@ -549,119 +542,6 @@ def preemption_cost(
         swap_in_seconds=copy_seconds,
         recompute_flops=recompute.flops,
         recompute_seconds=recompute.seconds,
-    )
-
-
-@dataclass(frozen=True)
-class SpeculationCostEstimate:
-    """Modelled economics of one draft-and-verify pass vs. ``k`` plain steps.
-
-    A speculative pass pays a thinned draft pass plus one stacked verify pass
-    over all ``k`` positions up front, then keeps only the accepted prefix; a
-    zero-acceptance pass additionally falls back to one standard step.  With
-    per-position acceptance probability ``a`` the accepted prefix length is
-    geometric, so the pass emits ``a(1-a^k)/(1-a) + (1-a)`` tokens in
-    expectation.  :attr:`break_even_accept_rate` is the acceptance rate at
-    which expected tokens/second matches ``k`` one-token steps — the
-    threshold the serving loop compares a stream's *observed* accept rate
-    against before switching speculation off.
-    """
-
-    device: str
-    k: int
-    draft_seconds: float
-    verify_seconds: float
-    step_seconds: float
-    break_even_accept_rate: float
-
-    @property
-    def pass_seconds(self) -> float:
-        """Up-front cost of one speculative pass (draft plus verify)."""
-        return self.draft_seconds + self.verify_seconds
-
-    def expected_emitted(self, accept_rate: float) -> float:
-        """Expected tokens emitted by one pass at a per-token accept rate."""
-        require(0.0 <= accept_rate <= 1.0, "accept_rate must lie in [0, 1]")
-        a, k = accept_rate, self.k
-        if a >= 1.0:
-            return float(k)
-        return a * (1.0 - a**k) / (1.0 - a) + (1.0 - a)
-
-    def expected_seconds(self, accept_rate: float) -> float:
-        """Expected wall cost of one pass (fallback step charged at ``1-a``)."""
-        require(0.0 <= accept_rate <= 1.0, "accept_rate must lie in [0, 1]")
-        return self.pass_seconds + (1.0 - accept_rate) * self.step_seconds
-
-    def expected_speedup(self, accept_rate: float) -> float:
-        """Modelled tokens/second advantage over one-token stepping."""
-        cost = self.expected_seconds(accept_rate)
-        if cost <= 0.0:
-            return float("inf")
-        return self.expected_emitted(accept_rate) * self.step_seconds / cost
-
-    def preferred(self, accept_rate: float) -> str:
-        """``"speculate"`` or ``"stepwise"`` at an observed acceptance rate."""
-        return "speculate" if accept_rate >= self.break_even_accept_rate else "stepwise"
-
-
-def speculation_cost(
-    device: DeviceSpec,
-    k: int,
-    *,
-    row_edges: int,
-    draft_row_edges: int,
-    head_dim: int,
-    value_dim: Optional[int] = None,
-    heads: int = 1,
-    batch: int = 1,
-    dtype: str = "fp16",
-) -> SpeculationCostEstimate:
-    """Price a ``k``-token draft-and-verify pass against ``k`` plain steps.
-
-    The draft pass attends ``k`` rows of the thinned draft mask
-    (``draft_row_edges`` edges each); the verify pass attends ``k`` rows of
-    the full mask (``row_edges`` each).  Both are one stacked kernel launch,
-    so each pays the launch overhead once — the same amortisation the
-    continuous-batching step groups enjoy.  The break-even acceptance rate is
-    found by bisection on the monotone expected-speedup curve; ``1.0`` means
-    the draft is too expensive for speculation to ever pay off at this shape.
-    """
-    require(k >= 1, "k must be >= 1")
-    require(row_edges >= 0, "row_edges must be non-negative")
-    require(0 <= draft_row_edges <= max(row_edges, 0), "draft rows cannot exceed full rows")
-    model = DecodeRuntimeModel(device)
-    kwargs = dict(value_dim=value_dim, dtype=dtype, heads=heads, batch=batch)
-    step = model.estimate_step(row_edges, head_dim, **kwargs).seconds
-    verify = model.estimate_step(k * row_edges, head_dim, **kwargs).seconds
-    draft = model.estimate_step(k * draft_row_edges, head_dim, **kwargs).seconds
-    estimate = SpeculationCostEstimate(
-        device=device.name,
-        k=int(k),
-        draft_seconds=draft,
-        verify_seconds=verify,
-        step_seconds=step,
-        break_even_accept_rate=0.0,
-    )
-    if estimate.expected_speedup(1.0) < 1.0:
-        break_even = 1.0
-    elif estimate.expected_speedup(0.0) >= 1.0:
-        break_even = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if estimate.expected_speedup(mid) >= 1.0:
-                hi = mid
-            else:
-                lo = mid
-        break_even = hi
-    return SpeculationCostEstimate(
-        device=estimate.device,
-        k=estimate.k,
-        draft_seconds=draft,
-        verify_seconds=verify,
-        step_seconds=step,
-        break_even_accept_rate=break_even,
     )
 
 

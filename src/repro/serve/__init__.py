@@ -28,12 +28,6 @@ Three layers turn the paper's kernels into a serving stack:
   scale/zero-point parameters) with explicit, property-tested error bounds
   per storage dtype; sharing, copy-on-write and swap round-trips operate on
   the encoded payload without ever inflating it to fp32.
-* :mod:`repro.serve.speculate` — speculative multi-token decoding: a thinned
-  *draft* pass proposes up to ``k`` tokens per stream
-  (:meth:`~repro.masks.base.MaskSpec.draft_variant` mask per family), one
-  stacked *verify* pass accepts the longest agreeing prefix, and rejected
-  tokens roll back atomically from the paged KV cache — emitted outputs are
-  bit-exact against one-token decoding by construction.
 * :mod:`repro.serve.loop` — iteration-level continuous batching: a
   :class:`ContinuousBatchingScheduler` that owns the request lifecycle
   (admission, chunked-prefill/decode batch formation, preemption by
@@ -140,11 +134,6 @@ from repro.serve.plan import (
     plan_cache_key,
 )
 from repro.serve.scheduler import AttentionServer, RequestBatch
-from repro.serve.speculate import (
-    DEFAULT_DRAFT_FRACTION,
-    SpeculationOutcome,
-    speculative_decode_steps,
-)
 from repro.serve.session import (
     AttentionRequest,
     AttentionResponse,
@@ -163,7 +152,6 @@ __all__ = [
     "ContinuousBatchingScheduler",
     "DEFAULT_AFFINITY_CAPACITY",
     "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_DRAFT_FRACTION",
     "DEFAULT_HEAD_DIM",
     "DecodeSession",
     "EdgeClosed",
@@ -197,7 +185,6 @@ __all__ = [
     "ServerStatsSnapshot",
     "ServingClient",
     "SlackPolicy",
-    "SpeculationOutcome",
     "StreamCancelled",
     "SwapHandle",
     "SwapStore",
@@ -219,7 +206,6 @@ __all__ = [
     "resolve_storage",
     "scheduling_policy",
     "roundtrip_bound",
-    "speculative_decode_steps",
     "stacked_decode_step",
     "stacked_prefill",
 ]

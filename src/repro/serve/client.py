@@ -306,7 +306,6 @@ class ServingClient:
         priority: float = 1.0,
         tenant: Optional[str] = None,
         slo_latency_seconds: Optional[float] = None,
-        speculate_k: int = 0,
     ) -> LoopRequest:
         return LoopRequest(
             q=q,
@@ -317,7 +316,6 @@ class ServingClient:
             priority=priority,
             tenant=tenant,
             slo_latency_seconds=slo_latency_seconds,
-            speculate_k=speculate_k,
         )
 
     def submit(self, request: LoopRequest) -> int:
@@ -337,14 +335,9 @@ class ServingClient:
         priority: float = 1.0,
         tenant: Optional[str] = None,
         slo_latency_seconds: Optional[float] = None,
-        speculate_k: int = 0,
         max_iterations: Optional[int] = None,
     ) -> GenerationResult:
-        """Serve one stream end to end through the loop, synchronously.
-
-        ``speculate_k > 1`` decodes the stream speculatively (draft-and-verify
-        multi-token steps); outputs are bit-identical to plain stepping.
-        """
+        """Serve one stream end to end through the loop, synchronously."""
         request = self._as_request(
             q,
             k,
@@ -354,7 +347,6 @@ class ServingClient:
             priority=priority,
             tenant=tenant,
             slo_latency_seconds=slo_latency_seconds,
-            speculate_k=speculate_k,
         )
         rid = self.submit(request)
         self._drive({rid}, max_iterations)
@@ -453,7 +445,6 @@ class ServingClient:
         priority: float = 1.0,
         tenant: Optional[str] = None,
         slo_latency_seconds: Optional[float] = None,
-        speculate_k: int = 0,
     ) -> GenerationResult:
         """``generate``'s async twin: same stream, same bits, via the edge."""
         edge = await self._ensure_edge()
@@ -466,7 +457,6 @@ class ServingClient:
             priority=priority,
             tenant=tenant,
             slo_latency_seconds=slo_latency_seconds,
-            speculate_k=speculate_k,
         )
         handle = await edge.submit(request)
         output = await handle.collect()

@@ -208,17 +208,6 @@ class KVCache:
             np.asarray(k_row)[..., None, :], np.asarray(v_row)[..., None, :]
         )
 
-    def truncate(self, length: int) -> None:
-        """Discard tokens past ``length`` (speculative-decode rollback).
-
-        The contiguous twin of the paged cache's speculative window: rows
-        above ``length`` become dead capacity (never re-read — every gather
-        checks the live range), so rejected draft tokens vanish without a
-        copy and the accepted prefix keeps its exact written bytes.
-        """
-        require(0 <= length <= self._length, "truncate target outside the live range")
-        self._length = int(length)
-
 
 # --------------------------------------------------------------------------- #
 # Row attention core
@@ -246,9 +235,7 @@ def _edge_attention(
     caches: Sequence[AnyKVCache],
     layouts: Sequence[Layout],
     scales: Sequence[float],
-    *,
-    return_scores: bool = False,
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One ragged pass of Algorithm 1 over several sessions' query rows.
 
     Session ``s`` brings its query block ``q_blocks[s]``
@@ -262,10 +249,10 @@ def _edge_attention(
     (a private cache, a second pool) gets its own call.  Empty rows (fully
     masked queries) finalise to zero exactly like the one-shot kernels.
 
-    Returns one ``(output, row_max, row_sum, scores)`` per session, sliced
-    from its call: the output in the session's query dtype and — with
-    ``return_scores`` — the raw scaled ``batch_shape + (E_s,)`` edge scores
-    the speculative passes read per-row argmaxes from, else ``None``.
+    Returns one ``(output, row_max, row_sum)`` per session, the output in
+    the session's query dtype.  Each session's arrays are copies of its own
+    rows of the call, so a retained output never pins the other sessions'
+    rows of the pass.
     """
     operands = [cache.attention_operands(cols) for cache, (_, cols) in zip(caches, layouts)]
     calls: Dict[Tuple, List[int]] = {}
@@ -281,20 +268,15 @@ def _edge_attention(
             q = np.concatenate([q_blocks[i] for i in members], axis=-2)
             rows = np.concatenate([operands[i][1] for i in members])
             indptr = _ragged_indptr([layouts[i][0] for i in members])
-        output, row_max, row_sum, scores = compiled.edge_attention(
-            q, operands[first][0], rows, indptr, scales[first], return_scores=return_scores
-        )
-        output = output.astype(q.dtype, copy=False)
-        row = edge = 0
+        output, row_max, row_sum = compiled.edge_attention(q, operands[first][0], rows, indptr, scales[first])
+        row = 0
         for i in members:
-            count, edges = q_blocks[i].shape[-2], layouts[i][1].size
+            lo, row = row, row + q_blocks[i].shape[-2]
             parts[i] = (
-                output[..., row : row + count, :],
-                row_max[..., row : row + count],
-                row_sum[..., row : row + count],
-                None if scores is None else scores[..., edge : edge + edges],
+                output[..., lo:row, :].astype(q.dtype),
+                row_max[..., lo:row].copy(),
+                row_sum[..., lo:row].copy(),
             )
-            row, edge = row + count, edge + edges
     return parts
 
 
@@ -642,7 +624,7 @@ def _ragged_pass(
     parts = _edge_attention(q_list, [session.cache for session in sessions], layouts, scales)
 
     results: List[AttentionResult] = []
-    for session, position, q, (_, cols), (output, row_max, row_sum, _) in zip(
+    for session, position, q, (_, cols), (output, row_max, row_sum) in zip(
         sessions, positions, q_list, layouts, parts
     ):
         edges, count = int(cols.size), int(q.shape[-2])

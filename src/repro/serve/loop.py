@@ -54,12 +54,12 @@ import numpy as np
 from repro.core.engine import MaskInput
 from repro.obs.recorder import NULL_OBS, Observability
 from repro.obs.tracing import Span
-from repro.perfmodel.decode import blocks_for_tokens, preemption_cost, speculation_cost
+from repro.perfmodel.decode import blocks_for_tokens, preemption_cost
 from repro.perfmodel.devices import DeviceSpec
 from repro.serve.decode import DecodeSession
 from repro.serve.paging import PagedKVCache, PoolExhausted, SwapStore
 from repro.utils.rng import default_rng
-from repro.utils.validation import require
+from repro.utils.validation import check_real_finite, require
 
 
 class InfeasibleRequest(RuntimeError):
@@ -112,23 +112,19 @@ class LoopRequest:
     """One end-to-end stream for the loop: prompt plus tokens to generate.
 
     ``q``/``k``/``v`` are the full stream tensors ``batch_shape + (T, d)``
-    (the attention-only analogue of prompt + generated token embeddings): the
-    first ``prompt_tokens`` rows are the prompt the scheduler prefills in
-    chunks, the remaining ``T - prompt_tokens`` rows feed one decode step
-    each.  ``priority`` weighs the request under priority/weighted-fair
-    policies (higher = more urgent; must be positive).  ``tenant`` names the
-    principal the request bills to (the serving edge keys quotas, rate
-    limits, and SLO-attainment metrics on it).  ``slo_latency_seconds`` is an
+    (the attention-only analogue of prompt + generated token embeddings),
+    real floating point and finite: the first ``prompt_tokens`` rows are the
+    prompt the scheduler prefills in chunks, the remaining
+    ``T - prompt_tokens`` rows feed one decode step each.  ``priority``
+    weighs the request under priority/weighted-fair policies (higher = more
+    urgent; must be positive).  ``tenant`` names the principal the request
+    bills to (the serving edge keys quotas, rate limits, and SLO-attainment
+    metrics on it).  ``slo_latency_seconds`` is an
     optional end-to-end deadline measured from submit on the scheduler's
     clock: :class:`SlackPolicy` schedules by the remaining budget, and
     :class:`RequestTelemetry` records whether it was attained.
-    ``speculate_k`` asks the loop to decode this stream speculatively: up to
-    ``speculate_k`` tokens are drafted and verified per iteration instead of
-    one (``0``/``1`` = plain stepping).  Outputs are bit-identical either
-    way; the loop falls back to one-token steps for a stream whose observed
-    acceptance rate drops below the :func:`~repro.perfmodel.decode.speculation_cost`
-    break-even.  ``request_id`` is assigned by the scheduler at submit (ids
-    double as swap-store keys, so they come from one collision-free counter).
+    ``request_id`` is assigned by the scheduler at submit (ids double as
+    swap-store keys, so they come from one collision-free counter).
     """
 
     q: np.ndarray
@@ -139,7 +135,6 @@ class LoopRequest:
     priority: float = 1.0
     tenant: Optional[str] = None
     slo_latency_seconds: Optional[float] = None
-    speculate_k: int = 0
     request_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -163,8 +158,8 @@ class LoopRequest:
         if self.slo_latency_seconds is not None:
             self.slo_latency_seconds = float(self.slo_latency_seconds)
             require(self.slo_latency_seconds > 0.0, "slo_latency_seconds must be positive")
-        self.speculate_k = int(self.speculate_k)
-        require(self.speculate_k >= 0, "speculate_k must be non-negative")
+        for name in ("q", "k", "v"):
+            check_real_finite(getattr(self, name), name)
 
     @property
     def total_tokens(self) -> int:
@@ -209,14 +204,6 @@ class RequestTelemetry:
     recompute_restores: int = 0
     tokens_emitted: int = 0
     iterations_scheduled: int = 0
-    #: speculative decoding: tokens drafted / accepted for this stream, and
-    #: zero-acceptance passes resolved by a standard fallback step
-    speculate_drafted: int = 0
-    speculate_accepted: int = 0
-    speculate_fallbacks: int = 0
-    #: the loop switched this stream back to one-token stepping (observed
-    #: accept rate below break-even, or a degraded pass under pool pressure)
-    speculate_disabled: bool = False
     #: set at finish for SLO-carrying requests: did turnaround beat the SLO?
     slo_attained: Optional[bool] = None
     #: SLO budget left at finish (negative = missed by that much); ``None``
@@ -249,13 +236,6 @@ class RequestTelemetry:
             return None
         return self.finish_time - self.arrival_time
 
-    @property
-    def speculate_accept_rate(self) -> float:
-        """Accepted fraction of this stream's drafted tokens (0.0 before any)."""
-        if self.speculate_drafted <= 0:
-            return 0.0
-        return self.speculate_accepted / self.speculate_drafted
-
 
 # stream lifecycle states
 _WAITING = "waiting"
@@ -281,8 +261,6 @@ class _Stream:
     #: lifecycle trace spans (None when tracing is off)
     span: Optional[Span] = None
     queue_span: Optional[Span] = None
-    #: speculation switched off for this stream (accept rate below break-even)
-    speculate_off: bool = False
 
     @property
     def prompt_remaining(self) -> int:
@@ -521,12 +499,6 @@ class LoopStatsSnapshot:
     swap_ins: int
     recompute_restores: int
     recompute_replayed_tokens: int
-    speculate_passes: int
-    speculate_drafted: int
-    speculate_accepted: int
-    speculate_rolled_back: int
-    speculate_fallbacks: int
-    speculate_disabled: int
     preemption_seconds: float
     wall_seconds: float
 
@@ -541,12 +513,6 @@ class LoopStatsSnapshot:
     @property
     def tokens_per_second(self) -> float:
         return self.tokens_total / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def speculate_accept_rate(self) -> float:
-        if self.speculate_drafted <= 0:
-            return 0.0
-        return self.speculate_accepted / self.speculate_drafted
 
 
 @dataclass
@@ -579,23 +545,14 @@ class LoopStats:
     recompute_restores: int = 0
     #: prefix tokens re-prefilled by recompute restores (work paid twice)
     recompute_replayed_tokens: int = 0
-    #: speculative decoding: draft-and-verify passes run, tokens drafted /
-    #: accepted / erased by rollback, zero-acceptance fallback steps, and
-    #: streams switched back to plain stepping by the break-even check
-    speculate_passes: int = 0
-    speculate_drafted: int = 0
-    speculate_accepted: int = 0
-    speculate_rolled_back: int = 0
-    speculate_fallbacks: int = 0
-    speculate_disabled: int = 0
     #: host wall time spent serializing/restoring preempted caches
     preemption_seconds: float = 0.0
     #: host wall time spent inside ``step()`` (independent of the injected clock)
     wall_seconds: float = 0.0
     #: re-entrant: ``step()`` holds it for a whole iteration, and a
     #: cancellation can land *inside* the iteration (a client disconnect
-    #: observed mid-batch, e.g. between a speculative draft and its verify
-    #: pass) — ``cancel()`` must be able to re-acquire it on the same thread
+    #: observed mid-batch, e.g. by an emit listener) — ``cancel()`` must be
+    #: able to re-acquire it on the same thread
     lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False, compare=False
     )
@@ -611,13 +568,6 @@ class LoopStats:
     @property
     def tokens_per_second(self) -> float:
         return self.tokens_total / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def speculate_accept_rate(self) -> float:
-        """Accepted fraction of all drafted speculative tokens (0.0 before any)."""
-        if self.speculate_drafted <= 0:
-            return 0.0
-        return self.speculate_accepted / self.speculate_drafted
 
     def snapshot(self) -> LoopStatsSnapshot:
         """Tear-free immutable copy (taken under the scheduler's stats lock)."""
@@ -638,12 +588,6 @@ class LoopStats:
                 swap_ins=self.swap_ins,
                 recompute_restores=self.recompute_restores,
                 recompute_replayed_tokens=self.recompute_replayed_tokens,
-                speculate_passes=self.speculate_passes,
-                speculate_drafted=self.speculate_drafted,
-                speculate_accepted=self.speculate_accepted,
-                speculate_rolled_back=self.speculate_rolled_back,
-                speculate_fallbacks=self.speculate_fallbacks,
-                speculate_disabled=self.speculate_disabled,
                 preemption_seconds=self.preemption_seconds,
                 wall_seconds=self.wall_seconds,
             )
@@ -1200,16 +1144,8 @@ class ContinuousBatchingScheduler:
                 plan.append((stream, "prefill", count))
                 budget -= count
             elif not stream.finished:
-                request = stream.request
-                remaining = request.total_tokens - stream.emitted
-                count = 1
-                if request.speculate_k > 1 and not stream.speculate_off:
-                    count = int(min(request.speculate_k, remaining, budget))
-                if count > 1:
-                    plan.append((stream, "speculate", count))
-                else:
-                    plan.append((stream, "decode", 1))
-                budget -= count
+                plan.append((stream, "decode", 1))
+                budget -= 1
         return plan
 
     def _execute(self, plan: List[Tuple[_Stream, str, int]], report: IterationReport) -> None:
@@ -1222,9 +1158,9 @@ class ContinuousBatchingScheduler:
     ) -> List[List[Tuple[_Stream, str, int]]]:
         """Split the batch by kind: each kind of work is one ragged pass.
 
-        Every prefill chunk, every decode step and every speculative window
-        of the iteration runs in one pass of its kind, whatever the streams'
-        masks, horizons and positions — one kernel call per arena, and one
+        Every prefill chunk and every decode step of the iteration runs in
+        one pass of its kind, whatever the streams' masks, horizons and
+        positions — one kernel call per arena, and one
         *atomic* block reservation, which is what lets
         :meth:`_execute_group` retry a failed pass after preempting a victim
         without any partial advance.  Passes run in the order the policy
@@ -1290,79 +1226,6 @@ class ContinuousBatchingScheduler:
             self.stats.prefill_tokens += tokens
             if obs.enabled:
                 obs.prefill_tokens.inc(tokens)
-        elif kind == "speculate":
-            steps = []
-            for stream, _, count in group:
-                request, position = stream.request, stream.emitted
-                steps.append(
-                    (
-                        stream.session,
-                        request.q[..., position : position + count, :],
-                        request.k[..., position : position + count, :],
-                        request.v[..., position : position + count, :],
-                    )
-                )
-            obs = self.obs
-            span = None
-            if obs.enabled and obs.trace is not None:
-                span = obs.trace.start_span(
-                    "speculate",
-                    self.clock.now(),
-                    streams=len(group),
-                    drafted=sum(count for _, _, count in group),
-                )
-            try:
-                outcomes = self.server.speculate_steps(steps)
-            finally:
-                # the pass may raise PoolExhausted (zero-accept fallback
-                # steps still extend the cache); the preemption retry path
-                # must not leave the span open
-                if span is not None:
-                    obs.trace.end_span(span, self.clock.now())
-            now = self.clock.now()
-            tokens = 0
-            for (stream, _, count), outcome in zip(group, outcomes):
-                if outcome is None:
-                    continue
-                telemetry = stream.telemetry
-                telemetry.speculate_drafted += outcome.drafted
-                telemetry.speculate_accepted += outcome.accepted
-                self.stats.speculate_passes += 1
-                self.stats.speculate_drafted += outcome.drafted
-                self.stats.speculate_accepted += outcome.accepted
-                self.stats.speculate_rolled_back += outcome.rolled_back
-                if outcome.fallback:
-                    telemetry.speculate_fallbacks += 1
-                    self.stats.speculate_fallbacks += 1
-                for result in outcome.results:
-                    output = result.output
-                    stream.outputs.append(output)
-                    self._notify_emit(stream, "decode", output)
-                    stream.emitted += 1
-                    telemetry.tokens_emitted += 1
-                tokens += outcome.emitted
-                telemetry.iterations_scheduled += 1
-                if outcome.emitted > 0 and telemetry.first_token_time is None:
-                    # first generated token past the prompt: TTFT lands here
-                    telemetry.first_token_time = now
-                    if obs.enabled:
-                        obs.ttft_seconds.observe(now - telemetry.arrival_time)
-                self._maybe_disable_speculation(stream, outcome)
-                if obs.enabled and obs.trace is not None:
-                    obs.trace.event(
-                        "speculate",
-                        now,
-                        span=stream.span,
-                        request_id=stream.request.request_id,
-                        drafted=outcome.drafted,
-                        accepted=outcome.accepted,
-                        fallback=outcome.fallback,
-                        position=stream.emitted,
-                    )
-            report.decode_tokens += tokens
-            self.stats.decode_tokens += tokens
-            if obs.enabled:
-                obs.decode_tokens.inc(tokens)
         else:
             steps = []
             for stream, _, _ in group:
@@ -1402,71 +1265,6 @@ class ContinuousBatchingScheduler:
             self.stats.decode_tokens += len(group)
             if obs.enabled:
                 obs.decode_tokens.inc(len(group))
-
-    # ------------------------------------------------------------------ #
-    # Speculation control
-    # ------------------------------------------------------------------ #
-    def _maybe_disable_speculation(self, stream: _Stream, outcome) -> None:
-        """Fall back to one-token stepping when speculation stops paying off.
-
-        A *degraded* pass (rollback under pool pressure) disables immediately
-        — re-drafting into an exhausted pool next iteration would thrash,
-        while a plain step routes the shortage into the normal preemption
-        machinery.  Otherwise the stream's cumulative accept rate is compared
-        against the :func:`~repro.perfmodel.decode.speculation_cost`
-        break-even once at least two full windows of evidence accumulated.
-        """
-        if stream.speculate_off:
-            return
-        telemetry = stream.telemetry
-        reason = None
-        if outcome.degraded:
-            reason = "degraded"
-        elif telemetry.speculate_drafted >= 2 * stream.request.speculate_k:
-            threshold = self._speculation_break_even(stream, outcome)
-            if telemetry.speculate_accept_rate < threshold:
-                reason = "accept_rate"
-        if reason is None:
-            return
-        stream.speculate_off = True
-        telemetry.speculate_disabled = True
-        self.stats.speculate_disabled += 1
-        obs = self.obs
-        if obs.enabled and obs.trace is not None:
-            obs.trace.event(
-                "speculate_disable",
-                self.clock.now(),
-                span=stream.span,
-                request_id=stream.request.request_id,
-                reason=reason,
-                accept_rate=telemetry.speculate_accept_rate,
-            )
-
-    def _speculation_break_even(self, stream: _Stream, outcome) -> float:
-        """Accept-rate threshold below which speculation loses to stepping."""
-        k = max(2, stream.request.speculate_k)
-        drafted = max(1, outcome.drafted)
-        if self.device is None:
-            # no cost model: charge passes by edges alone.  A pass attends
-            # draft + verify edges to emit at most k tokens, so it breaks
-            # even when a·k >= 1 + draft/verify — the launch-overhead-free
-            # limit of the device model.
-            fraction = (
-                outcome.draft_edges / outcome.verify_edges if outcome.verify_edges else 1.0
-            )
-            return min(1.0, (1.0 + fraction) / k)
-        cache = stream.session.cache
-        estimate = speculation_cost(
-            self.device,
-            k,
-            row_edges=max(1, outcome.verify_edges // drafted),
-            draft_row_edges=outcome.draft_edges // drafted,
-            head_dim=cache.key_dim,
-            value_dim=cache.value_dim,
-            batch=prod(cache.batch_shape) if cache.batch_shape else 1,
-            dtype=cache.dtype,
-        )
-        return estimate.break_even_accept_rate
 
     # ------------------------------------------------------------------ #
     # Preemption

@@ -53,7 +53,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -739,58 +739,6 @@ class _Step(NamedTuple):
     chunk: Optional[EncodedChunk] = None  # tail/fresh: the rows to scatter
 
 
-@dataclass
-class SpeculativeWindow:
-    """One open provisional (draft-token) append on a :class:`PagedKVCache`.
-
-    Created by :meth:`PagedKVCache.begin_speculative`; carries everything
-    :meth:`rollback` needs to restore the cache to its pre-append state
-    bit-exactly: the block-table/length/chain/tail snapshot, the blocks
-    drawn from the admission prereserve (returned there), the fresh block
-    references the append took (released back to the pool), and the
-    copy-on-written old tail (whose reference was never dropped — it simply
-    returns to the table with the snapshot).
-    """
-
-    cache: "PagedKVCache"
-    start: int  # logical position of the first speculative token
-    count: int  # speculative tokens appended
-    snapshot: Tuple = ()
-    held: List[int] = field(default_factory=list)
-    acquired: List[int] = field(default_factory=list)
-    deferred: List[int] = field(default_factory=list)
-    closed: bool = False
-
-    def rollback(self) -> None:
-        """Restore the cache to its state before the speculative append.
-
-        Idempotent.  Because the speculative extend published nothing (no
-        fingerprints, no share lookups, chain unchanged), this is pure
-        local restoration plus returning block references: the pool's
-        fingerprint maps and warm LRU never saw the draft tokens, so a full
-        rejection cannot evict or pollute anything another stream shares.
-        """
-        if self.closed:
-            return
-        self.closed = True
-        cache = self.cache
-        (
-            cache._blocks,
-            cache._length,
-            cache._chain,
-            cache._tail.fill,
-            cache.share_hits,
-            cache.cow_copies,
-        ) = self.snapshot
-        cache._blocks_set = set(cache._blocks)
-        cache._table_dirty = True
-        cache._tail_claimed = None
-        cache._prereserved.extend(self.held)
-        if self.acquired:
-            cache.pool.release(self.acquired)
-        cache._speculative = None
-
-
 class PagedKVCache:
     """Block-table KV cache over a shared :class:`BlockPool`.
 
@@ -830,8 +778,6 @@ class PagedKVCache:
         self._tail_claimed: Optional[bool] = None
         #: admission-reserved blocks, consumed before any pool allocation
         self._prereserved: List[int] = []
-        #: open draft-token window (at most one); see :meth:`begin_speculative`
-        self._speculative: Optional[SpeculativeWindow] = None
         self.released = False
         self.share_hits = 0
         self.cow_copies = 0
@@ -957,7 +903,6 @@ class PagedKVCache:
         in the list.
         """
         require(count >= 0, "count must be non-negative")
-        self._require_no_window("plan_extend")
         if count == 0:
             return 0
         size = self.pool.block_size
@@ -975,12 +920,6 @@ class PagedKVCache:
     def _take(self, reserved: List[int]) -> int:
         require(len(reserved) > 0, "reservation exhausted mid-extend")
         return reserved.pop()
-
-    def _require_no_window(self, verb: str) -> None:
-        require(
-            self._speculative is None,
-            f"{verb} with an open speculative window (roll it back first)",
-        )
 
     def extend(
         self,
@@ -1003,16 +942,6 @@ class PagedKVCache:
         unused entries then stay in the list for the caller to release.
         """
         require(not self.released, "cache was released back to the pool")
-        self._require_no_window("extend")
-        payload, count = self._encode_block(k_block, v_block)
-        if count == 0:
-            return self._length
-        return self._extend_encoded(payload, count, reserved)
-
-    def _encode_block(
-        self, k_block: np.ndarray, v_block: np.ndarray
-    ) -> Tuple[Optional[EncodedChunk], int]:
-        """Validate an append block against the pool layout and encode it."""
         k_block = np.asarray(k_block)
         v_block = np.asarray(v_block)
         require(k_block.ndim >= 2, "key block must be batch_shape + (T, d_k)")
@@ -1026,50 +955,18 @@ class PagedKVCache:
             "value block shape does not match the pool layout",
         )
         if count == 0:
-            return None, 0
+            return self._length
         # one whole-extend encode; per-row coding means slicing the payload
         # per block below is identical to encoding each block separately
         k_compute = np.ascontiguousarray(k_block, dtype=self.pool.dtype)
         v_compute = np.ascontiguousarray(v_block, dtype=self.pool.dtype)
-        return self.pool.encode(k_compute, v_compute), count
-
-    def begin_speculative(
-        self,
-        k_block: np.ndarray,
-        v_block: np.ndarray,
-        *,
-        reserved: Optional[List[int]] = None,
-    ) -> SpeculativeWindow:
-        """Append draft tokens provisionally; returns the window to roll back.
-
-        The rows become gatherable immediately (a stacked verify pass reads
-        them), but nothing speculative is ever *published*: no chunk
-        fingerprint is computed or registered, the prefix chain does not
-        advance, and the pool's share LRU is never probed — so a rejected
-        draft token can never be prefix-shared by another stream, and a full
-        rejection leaves the warm LRU untouched.  At most one window may be
-        open per cache, and while it is open every other mutation
-        (``extend``, ``plan_extend``, ``swap_out``) is refused;
-        :meth:`SpeculativeWindow.rollback` is the only exit.  Callers
-        re-append the accepted prefix through the normal :meth:`extend`
-        afterwards — that pass is what publishes fingerprints and sharing
-        for the tokens that survived verification.
-        """
-        require(not self.released, "cache was released back to the pool")
-        self._require_no_window("begin_speculative")
-        payload, count = self._encode_block(k_block, v_block)
-        require(count >= 1, "speculative window needs at least one token")
-        window = SpeculativeWindow(cache=self, start=self._length, count=count)
-        self._extend_encoded(payload, count, reserved, window=window)
-        self._speculative = window
-        return window
+        return self._extend_encoded(self.pool.encode(k_compute, v_compute), count, reserved)
 
     def _extend_encoded(
         self,
         payload: EncodedChunk,
         count: int,
         reserved: Optional[List[int]],
-        window: Optional[SpeculativeWindow] = None,
     ) -> int:
         """Probe/commit an already-encoded payload (extend and swap restore)."""
         require(
@@ -1093,9 +990,7 @@ class PagedKVCache:
         pending: List[Tuple[str, int]] = []  # fingerprints published on commit
         shares: List[int] = []  # token counts credited per probe share hit
         try:
-            steps, fresh_needed, chain = self._probe_extend(
-                payload, count, acquired, shares, speculative=window is not None
-            )
+            steps, fresh_needed, chain = self._probe_extend(payload, count, acquired, shares)
             if owns_reservation:
                 shortfall = max(0, fresh_needed - len(self._prereserved))
                 reserved = self.pool.reserve(shortfall) if shortfall else []
@@ -1130,19 +1025,10 @@ class PagedKVCache:
             if owns_reservation and reserved:
                 self.pool.release(reserved)  # entries _take never popped
             raise
-        if window is not None:
-            # nothing was published (pending is empty by construction); stash
-            # what rollback must undo and keep the COW'd old tail referenced
-            # so rollback can re-map it without a pool round-trip
-            window.snapshot = snapshot
-            window.held = held
-            window.acquired = acquired
-            window.deferred = deferred
-        else:
-            for fingerprint, block in pending:
-                self.pool.register(fingerprint, block)
-            if deferred:
-                self.pool.release(deferred)
+        for fingerprint, block in pending:
+            self.pool.register(fingerprint, block)
+        if deferred:
+            self.pool.release(deferred)
         if owns_reservation and reserved:
             self.pool.release(reserved)  # exact on success, so normally empty
         return start
@@ -1179,8 +1065,6 @@ class PagedKVCache:
         count: int,
         acquired: List[int],
         shares: List[int],
-        *,
-        speculative: bool = False,
     ) -> Tuple[List[_Step], int, str]:
         """Dry-run an extend: fingerprint every chunk, write nothing.
 
@@ -1216,7 +1100,7 @@ class PagedKVCache:
             take = min(size - fill, count)
             chunk = payload.slice(0, take)
             fingerprint = None
-            if fill + take == size and not speculative:
+            if fill + take == size:
                 full = self.pool.encoded_block_rows(self._blocks[-1], fill).concat(
                     chunk
                 )
@@ -1227,13 +1111,6 @@ class PagedKVCache:
         while pos < count:
             take = min(size, count - pos)
             chunk = payload.slice(pos, pos + take)
-            if speculative:
-                # draft tokens are never published: no fingerprint, no share
-                # lookup, and the chain stays where the committed prefix left it
-                fresh_needed += 1
-                steps.append(_Step("fresh", take, None, chunk=chunk))
-                pos += take
-                continue
             fingerprint = self.pool.chunk_fingerprint(chain, chunk, take)
             shared = self.pool.lookup(fingerprint, tokens=take)
             if shared is not None:
@@ -1306,9 +1183,7 @@ class PagedKVCache:
                     pending.append((step.fingerprint, tail))
                     self._tail.fill = 0
                 else:
-                    # a speculative append may fill the tail exactly without
-                    # registering it; fill stays modular either way
-                    self._tail.fill = 0 if fill + take == size else fill + take
+                    self._tail.fill = fill + take
             self._length += take
 
     # ------------------------------------------------------------------ #
@@ -1322,13 +1197,6 @@ class PagedKVCache:
             return
         self.released = True
         blocks = self._blocks + self._prereserved
-        if self._speculative is not None:
-            # a mid-window cancellation: the speculative blocks sit in the
-            # table (released above), but a COW'd old tail is only referenced
-            # by the window — return it too, or it would leak
-            blocks = blocks + self._speculative.deferred
-            self._speculative.closed = True
-            self._speculative = None
         self._blocks, self._prereserved = [], []
         self._blocks_set = set()
         self._table_dirty = True
@@ -1352,7 +1220,6 @@ class PagedKVCache:
         was reclaimed.
         """
         require(not self.released, "cache was released back to the pool")
-        self._require_no_window("swap_out")
         physical = self._physical(np.arange(self._length, dtype=np.int64))
         handle = SwapHandle(
             payload=self.pool.encoded_rows(physical),

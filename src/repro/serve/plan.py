@@ -188,9 +188,6 @@ class ExecutionPlan:
     batch: int = 1
     mode: str = "full"
     decode: Optional[RowProgram] = None
-    #: decode plans keep the spec they were compiled from, so derived variants
-    #: (the speculative draft pass's thinned mask) can be compiled on demand
-    spec: Optional[MaskSpec] = None
 
     @property
     def num_kernel_calls(self) -> int:
@@ -372,8 +369,7 @@ def compile_plan(
 
     if mode == "decode":
         require(algorithm == "auto", "decode plans always dispatch per row (auto)")
-        spec = DenseMask() if mask is None else mask
-        program = compile_row_program(spec, length)
+        program = compile_row_program(DenseMask() if mask is None else mask, length)
         return ExecutionPlan(
             key=key,
             length=length,
@@ -387,7 +383,6 @@ def compile_plan(
             batch=batch,
             mode="decode",
             decode=program,
-            spec=spec,
         )
 
     if mask is None:

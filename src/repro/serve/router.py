@@ -364,7 +364,6 @@ class ReplicaRouter:
                 self.shard_oversized
                 and request.batch_shape == ()
                 and request.decode_tokens == 0
-                and request.speculate_k == 0
             ):
                 return self._submit_sharded(request)
             raise InfeasibleRequest(

@@ -28,10 +28,9 @@ open :class:`~repro.serve.decode.DecodeSession` objects whose decode-mode
 plans share the server's plan cache, and :meth:`AttentionServer.decode_steps`
 runs the steps of concurrent sessions — whatever their masks, horizons and
 positions — as one ragged kernel pass (:meth:`~AttentionServer.prefill_chunks`
-and :meth:`~AttentionServer.speculate_steps` likewise).  A paged open is one
-capacity grant against the shared block pool, admitted or rejected at once;
-the loop's policy-ranked waiting queue is the only place a request waits for
-capacity.
+likewise).  A paged open is one capacity grant against the shared block
+pool, admitted or rejected at once; the loop's policy-ranked waiting queue
+is the only place a request waits for capacity.
 """
 
 from __future__ import annotations
@@ -65,11 +64,6 @@ from repro.serve.paging import (
     PoolExhausted,
 )
 from repro.serve.plan import ExecutionPlan, compile_plan, plan_cache_key
-from repro.serve.speculate import (
-    DEFAULT_DRAFT_FRACTION,
-    SpeculationOutcome,
-    speculative_decode_steps,
-)
 from repro.serve.session import (
     AttentionRequest,
     AttentionResponse,
@@ -534,57 +528,6 @@ class AttentionServer:
             kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase=phase)
             for _ in range(streams):
                 kernel.observe(latency)
-
-    def speculate_steps(
-        self,
-        steps: Sequence[Tuple[DecodeSession, np.ndarray, np.ndarray, np.ndarray]],
-        *,
-        draft_fraction: float = DEFAULT_DRAFT_FRACTION,
-    ) -> List[Optional[SpeculationOutcome]]:
-        """Serve one draft-and-verify pass per ``(session, q, k, v)`` entry.
-
-        The multi-token twin of :meth:`decode_steps`: ``q``/``k``/``v`` carry
-        ``batch_shape + (k, d)`` stacks of the next ``k`` candidate tokens,
-        and every entry, whatever its mask, position and window length, runs
-        in one :func:`~repro.serve.speculate.speculative_decode_steps` pass.
-        Outcomes follow the input order; emitted outputs are bit-exact equal
-        to what ``k`` sequential one-token steps would have produced
-        (``None`` marks a session closed concurrently inside the append
-        window).
-        """
-        steps = list(steps)
-        if not steps:
-            return []
-        started = time.perf_counter()
-        outcomes = speculative_decode_steps(*zip(*steps), draft_fraction=draft_fraction)
-        elapsed = time.perf_counter() - started
-        if self.obs.enabled:
-            self._observe_kernel_seconds([entry[0] for entry in steps], elapsed / len(steps), "speculate")
-        drafted = accepted = rolled_back = fallbacks = 0
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            drafted += outcome.drafted
-            accepted += outcome.accepted
-            rolled_back += outcome.rolled_back
-            fallbacks += int(outcome.fallback)
-            if self.obs.enabled:
-                self.obs.speculate_accept_rate.observe(outcome.accept_rate)
-
-        with self.stats.lock:
-            self.stats.speculate_passes += len(steps)
-            self.stats.speculate_drafted += drafted
-            self.stats.speculate_accepted += accepted
-            self.stats.speculate_rolled_back += rolled_back
-            self.stats.speculate_fallbacks += fallbacks
-            self.stats.speculate_wall_seconds += elapsed
-        if self.obs.enabled:
-            self.obs.server_requests.labels(phase="speculate").inc(len(steps))
-            self.obs.speculate_drafted.inc(drafted)
-            self.obs.speculate_accepted.inc(accepted)
-            self.obs.speculate_rolled_back.inc(rolled_back)
-            self.obs.speculate_fallbacks.inc(fallbacks)
-        return outcomes
 
     def _process(self, requests: List[AttentionRequest]) -> List[AttentionResponse]:
         if not requests:

@@ -20,7 +20,7 @@ from repro.core.engine import MaskInput
 from repro.core.result import AttentionResult
 from repro.serve.cache import CacheStats
 from repro.serve.paging import BlockPoolStats
-from repro.utils.validation import require
+from repro.utils.validation import check_real_finite, require
 
 
 @dataclass(eq=False)
@@ -30,10 +30,10 @@ class AttentionRequest:
     ``q``/``k``/``v`` are ``(..., L, d)``: a bare single-head slice or any
     stack of batch/head slices (e.g. ``(B, H, L, d_head)`` for a whole
     multi-head layer) sharing one mask — the plan executes every leading axis
-    in one vectorized kernel pass.  ``request_id`` may be left ``None``; the
-    server assigns one at submission.  ``algorithm`` chooses between the
-    engine's auto dispatch (``"auto"``) and forced composed execution
-    (``"composed"``).
+    in one vectorized kernel pass; they must be real floating point and
+    finite.  ``request_id`` may be left ``None``; the server assigns one at
+    submission.  ``algorithm`` chooses between the engine's auto dispatch
+    (``"auto"``) and forced composed execution (``"composed"``).
     """
 
     q: np.ndarray
@@ -44,6 +44,7 @@ class AttentionRequest:
     request_id: Optional[int] = None
 
     def __post_init__(self) -> None:
+        self.q, self.k, self.v = np.asarray(self.q), np.asarray(self.k), np.asarray(self.v)
         require(self.q.ndim >= 2, "q must be a (..., L, d_k) array")
         require(self.k.shape == self.q.shape, "q and k must have matching shapes")
         require(
@@ -51,6 +52,8 @@ class AttentionRequest:
             "v must cover the same batch axes and rows as q",
         )
         require(self.algorithm in ("auto", "composed"), "requests dispatch auto or composed")
+        for name in ("q", "k", "v"):
+            check_real_finite(getattr(self, name), name)
 
     @property
     def length(self) -> int:
@@ -98,12 +101,6 @@ _SERVER_COUNTER_FIELDS = (
     "prefill_stacked_executions",
     "prefill_coalesced_chunks",
     "prefill_wall_seconds",
-    "speculate_passes",
-    "speculate_drafted",
-    "speculate_accepted",
-    "speculate_rolled_back",
-    "speculate_fallbacks",
-    "speculate_wall_seconds",
     "paged_sessions",
     "sessions_closed",
     "admission_rejected",
@@ -138,12 +135,6 @@ class ServerStats:
     prefill_stacked_executions: int = 0
     prefill_coalesced_chunks: int = 0
     prefill_wall_seconds: float = 0.0
-    speculate_passes: int = 0
-    speculate_drafted: int = 0
-    speculate_accepted: int = 0
-    speculate_rolled_back: int = 0
-    speculate_fallbacks: int = 0
-    speculate_wall_seconds: float = 0.0
     paged_sessions: int = 0
     sessions_closed: int = 0
     admission_rejected: int = 0
@@ -184,13 +175,6 @@ class ServerStats:
         return self.decode_steps / self.decode_wall_seconds
 
     @property
-    def speculate_accept_rate(self) -> float:
-        """Accepted fraction of drafted speculative tokens (0.0 before any pass)."""
-        if self.speculate_drafted <= 0:
-            return 0.0
-        return self.speculate_accepted / self.speculate_drafted
-
-    @property
     def block_occupancy(self) -> float:
         """Fraction of the shared pool's blocks mapped by live sessions."""
         return self.pool.occupancy if self.pool is not None else 0.0
@@ -223,12 +207,6 @@ class ServerStatsSnapshot:
     prefill_stacked_executions: int
     prefill_coalesced_chunks: int
     prefill_wall_seconds: float
-    speculate_passes: int
-    speculate_drafted: int
-    speculate_accepted: int
-    speculate_rolled_back: int
-    speculate_fallbacks: int
-    speculate_wall_seconds: float
     paged_sessions: int
     sessions_closed: int
     admission_rejected: int
@@ -238,7 +216,6 @@ class ServerStatsSnapshot:
     throughput_rps = ServerStats.throughput_rps
     mean_latency_s = ServerStats.mean_latency_s
     decode_steps_per_second = ServerStats.decode_steps_per_second
-    speculate_accept_rate = ServerStats.speculate_accept_rate
     block_occupancy = ServerStats.block_occupancy
     block_share_hits = ServerStats.block_share_hits
 

@@ -36,6 +36,19 @@ def check_finite(array: np.ndarray, name: str = "array") -> None:
         raise ValueError(f"{name} contains {bad} non-finite entries")
 
 
+def check_real_finite(array: np.ndarray, name: str = "array") -> None:
+    """Raise ``ValueError`` unless ``array`` holds finite real floating-point values.
+
+    Attention computed in an integer or boolean dtype truncates, and a
+    complex tensor loses its imaginary part on its way into a real KV arena.
+    """
+    require(
+        np.issubdtype(array.dtype, np.floating),
+        f"{name} must be a real floating-point array, got {array.dtype}",
+    )
+    check_finite(array, name)
+
+
 @dataclass(frozen=True)
 class AllcloseReport:
     """Outcome of an elementwise comparison between two attention outputs."""

@@ -3,7 +3,7 @@
 One seeded driver is the single source of randomized serving workloads for
 the whole test suite: Poisson arrivals on a **virtual clock**, ragged
 prompt/output lengths, a mask drawn from the canonical zoo, a scheduling
-policy, a preemption mode, a per-request speculation depth and a pool sized
+policy, a preemption mode, a per-request tensor profile and a pool sized
 anywhere from comfortable to storm-tight all come from one ``numpy``
 generator, so every run is addressable by a single integer seed.
 
@@ -123,11 +123,10 @@ def sim_seeds(default_count: int = 3) -> List[int]:
 # --------------------------------------------------------------------------- #
 #: Tensor profiles a simulated stream can decode over.  ``iid`` is the
 #: default random stream; ``peaked`` makes every row's attention peak its own
-#: most recent column (which every family's thinned draft row keeps), so a
-#: speculative stream accepts every drafted token; ``collapse`` is peaked for
-#: the first half of the horizon and iid after it, so a stream's accept rate
-#: collapses mid-run and forces rollbacks/fallbacks (and, eventually, the
-#: loop's break-even auto-disable).
+#: most recent column with scores that grow along the stream, so the online
+#: softmax rescales its running maximum at every new key; ``collapse`` is
+#: peaked for the first half of the horizon and iid after it, so one stream
+#: crosses from near one-hot rows to flat ones mid-run.
 PROFILES = ("iid", "peaked", "collapse")
 
 
@@ -141,8 +140,6 @@ class SimRequestSpec:
     priority: float
     arrival: float
     seed: int
-    #: speculation depth submitted as ``LoopRequest.speculate_k`` (0 = off)
-    speculate: int = 0
     #: tensor profile (see :data:`PROFILES`)
     profile: str = "iid"
 
@@ -151,9 +148,8 @@ class SimRequestSpec:
         if self.profile == "iid":
             return q, k, v
         # peaked: queries aim along e0 and key magnitude grows with position,
-        # so each row's argmax is its newest column -- deterministic full
-        # acceptance under speculation.  collapse: same, but the growth stops
-        # at the midpoint and keys go back to iid noise.
+        # so each row's argmax is its newest column.  collapse: same, but the
+        # growth stops at the midpoint and keys go back to iid noise.
         direction = np.zeros(dim, dtype=np.float32)
         direction[0] = 1.0
         scale = 1.0 + np.arange(self.total, dtype=np.float32)
@@ -228,9 +224,8 @@ def build_workload(
 
     Each entry carries ``mask`` (index), ``prompt``, ``decode``, ``priority``
     (index into :data:`PRIORITIES`), ``gap`` (inter-arrival scaled to
-    iterations), ``seed`` and optional ``speculate`` (speculation depth,
-    default off) / ``profile`` (tensor profile, default ``iid``); arrivals
-    are the running sum of gaps.  The pool is sized ``min_feasible +
+    iterations), ``seed`` and optional ``profile`` (tensor profile, default
+    ``iid``); arrivals are the running sum of gaps.  The pool is sized ``min_feasible +
     extra_blocks``, so ``extra_blocks=0`` is the preemption-storm edge and
     large values are comfortable.
     """
@@ -248,7 +243,6 @@ def build_workload(
                 priority=PRIORITIES[int(entry.get("priority", 1)) % len(PRIORITIES)],
                 arrival=arrival,
                 seed=int(entry["seed"]),
-                speculate=int(entry.get("speculate", 0)),
                 profile=PROFILES[int(entry.get("profile", 0)) % len(PROFILES)],
             )
         )
@@ -278,7 +272,7 @@ def sample_workload(
 
     Poisson arrivals (exponential inter-arrival gaps at ``arrival_rate``
     requests per virtual second), ragged prompt/output lengths, random mask,
-    priority, speculation depth and tensor profile, policy, preemption mode,
+    priority and tensor profile, policy, preemption mode,
     a pool tightness anywhere from storm (``min_feasible``) to comfortable,
     and a replica count + router policy (drawn *last*, so seeds sampled
     before the router existed reproduce identical workloads; the env var
@@ -295,8 +289,6 @@ def sample_workload(
             "priority": int(rng.integers(len(PRIORITIES))),
             "gap": float(rng.exponential(1.0 / arrival_rate)),
             "seed": int(rng.integers(2**16)),
-            # ~half the streams decode speculatively at depth 2-4
-            "speculate": int(rng.integers(2, 5)) if rng.integers(2) else 0,
             "profile": int(rng.integers(len(PROFILES))),
         }
         for _ in range(count)
@@ -400,7 +392,6 @@ def workload_strategy(max_requests: int = 5) -> st.SearchStrategy:
             "priority": st.integers(min_value=0, max_value=len(PRIORITIES) - 1),
             "gap": st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
             "seed": st.integers(min_value=0, max_value=2**16),
-            "speculate": st.sampled_from((0, 0, 2, 3, 4)),
             "profile": st.integers(min_value=0, max_value=len(PROFILES) - 1),
         }
     )
@@ -563,7 +554,6 @@ def run_simulation(
                     mask=spec.mask,
                     prompt_tokens=spec.prompt,
                     priority=spec.priority,
-                    speculate_k=spec.speculate,
                 )
             )
             requests[rid] = spec
@@ -596,25 +586,7 @@ def run_simulation(
         assert scheduler.stats.tokens_total == workload.total_tokens, (
             f"loop counters disagree with the workload token count{replay}"
         )
-        # speculation accounting: every drafted token is either accepted or
-        # rolled back, never emitted twice and never silently dropped
         stats = scheduler.stats
-        assert (
-            stats.speculate_accepted + stats.speculate_rolled_back == stats.speculate_drafted
-        ), f"speculation token accounting broke{replay}"
-        assert stats.speculate_fallbacks <= stats.speculate_passes, replay
-        drafted = sum(t.speculate_drafted for t in scheduler.telemetry.values())
-        accepted = sum(t.speculate_accepted for t in scheduler.telemetry.values())
-        assert drafted == stats.speculate_drafted, (
-            f"per-request speculation telemetry disagrees with loop totals{replay}"
-        )
-        assert accepted == stats.speculate_accepted, (
-            f"per-request speculation telemetry disagrees with loop totals{replay}"
-        )
-        if not any(spec.speculate > 1 for spec in requests.values()):
-            assert stats.speculate_passes == 0, (
-                f"speculation ran on a workload that never requested it{replay}"
-            )
         # clean drain: every block accounted for, nothing left swapped
         assert pool.blocks_in_use == 0, f"blocks leaked at drain{replay}"
         pool.check_consistency()
@@ -632,16 +604,6 @@ def run_simulation(
             assert metric("loop_iterations_total") == stats.iterations, replay
             assert metric("loop_prefill_tokens_total") == stats.prefill_tokens, replay
             assert metric("loop_decode_tokens_total") == stats.decode_tokens, replay
-            assert metric("speculate_drafted_tokens_total") == stats.speculate_drafted, replay
-            assert metric("speculate_accepted_tokens_total") == stats.speculate_accepted, (
-                replay
-            )
-            assert (
-                metric("speculate_rolled_back_tokens_total") == stats.speculate_rolled_back
-            ), replay
-            assert metric("speculate_fallback_steps_total") == stats.speculate_fallbacks, (
-                replay
-            )
             preempted = sum(
                 sample.value
                 for sample in snap.with_name("loop_preemptions_total")
@@ -713,7 +675,6 @@ def _run_routed_simulation(
                     mask=spec.mask,
                     prompt_tokens=spec.prompt,
                     priority=spec.priority,
-                    speculate_k=spec.speculate,
                 )
             )
             requests[rid] = spec
@@ -764,11 +725,6 @@ def _run_routed_simulation(
         assert stats.withdrawn == rstats.moved_streams, (
             f"withdrawals disagree with moved streams{replay}"
         )
-        # speculation accounting holds on the summed counters too
-        assert (
-            stats.speculate_accepted + stats.speculate_rolled_back == stats.speculate_drafted
-        ), f"speculation token accounting broke{replay}"
-        assert stats.speculate_fallbacks <= stats.speculate_passes, replay
         # clean drain on *every* replica: refcounts zero, nothing swapped
         for handle in router.replicas:
             assert handle.pool.blocks_in_use == 0, (
@@ -794,12 +750,6 @@ def _run_routed_simulation(
             assert metric("loop_iterations_total") == stats.iterations, replay
             assert metric("loop_prefill_tokens_total") == stats.prefill_tokens, replay
             assert metric("loop_decode_tokens_total") == stats.decode_tokens, replay
-            assert metric("speculate_drafted_tokens_total") == stats.speculate_drafted, (
-                replay
-            )
-            assert metric("speculate_accepted_tokens_total") == stats.speculate_accepted, (
-                replay
-            )
             preempted = sum(
                 sample.value for sample in snap.with_name("loop_preemptions_total")
             )

@@ -109,7 +109,7 @@ rows, indptr = np.array([0, 2, 1, 0]), np.array([0, 1, 1, 4])
 fast = compiled.edge_attention(q, arena, rows, indptr, 0.5)
 with compiled.force_backend("numpy"):
     slow = compiled.edge_attention(q, arena, rows, indptr, 0.5)
-for a, b in zip(fast[:3], slow[:3]):
+for a, b in zip(fast, slow):
     assert np.allclose(a, b, rtol=1e-12, atol=0), (a, b)
 """
 
@@ -218,13 +218,12 @@ class TestEdgeAttentionAgainstFallback:
         cols, indptr = _layout(rng)
         arena = _arena(rng, batch_shape, storage)
         q = rng.standard_normal(batch_shape + (LENGTH, KEY_DIM)).astype(q_dtype)
-        fast = compiled.edge_attention(q, arena, cols, indptr, 0.4, return_scores=True)
+        fast = compiled.edge_attention(q, arena, cols, indptr, 0.4)
         with compiled.force_backend("numpy"):
-            slow = compiled.edge_attention(q, arena, cols, indptr, 0.4, return_scores=True)
+            slow = compiled.edge_attention(q, arena, cols, indptr, 0.4)
         _assert_round_off(fast, slow)
-        output, row_max, row_sum, scores = fast
+        output, row_max, row_sum = fast
         assert output.shape == batch_shape + (LENGTH, VALUE_DIM)
-        assert scores.shape == batch_shape + (cols.size,)
         empty = np.asarray(DEGREES) == 0
         assert np.all(output[..., empty, :] == 0)
         assert np.all(row_max[..., empty] == -np.inf) and np.all(row_sum[..., empty] == 0)
@@ -245,19 +244,18 @@ class TestEdgeAttentionAgainstFallback:
         q = np.concatenate([s[0] for s in sessions], axis=-2)
         rows = np.concatenate([s[1] for s in sessions])
         indptr = np.concatenate([[0]] + [p[1:] + shift for (_, _, p), shift in zip(sessions, shifts)])
-        ragged = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
-        output, row_max, row_sum, scores = ragged
-        row = edge = 0
+        ragged = compiled.edge_attention(q, arena, rows, indptr, 0.4)
+        output, row_max, row_sum = ragged
+        row = 0
         for session_q, session_rows, session_indptr in sessions:
-            single = compiled.edge_attention(session_q, arena, session_rows, session_indptr, 0.4, return_scores=True)
-            count, edges = session_q.shape[-2], session_rows.size
+            single = compiled.edge_attention(session_q, arena, session_rows, session_indptr, 0.4)
+            count = session_q.shape[-2]
             assert_array_equal(output[..., row : row + count, :], single[0])
             assert_array_equal(row_max[..., row : row + count], single[1])
             assert_array_equal(row_sum[..., row : row + count], single[2])
-            assert_array_equal(scores[..., edge : edge + edges], single[3])
-            row, edge = row + count, edge + edges
+            row += count
         with compiled.force_backend("numpy"):
-            slow = compiled.edge_attention(q, arena, rows, indptr, 0.4, return_scores=True)
+            slow = compiled.edge_attention(q, arena, rows, indptr, 0.4)
         _assert_round_off(ragged, slow)
 
 
@@ -276,20 +274,42 @@ class TestEdgeAttentionExactness:
         )
         q = rng.standard_normal((2, LENGTH, KEY_DIM)).astype(np.float32)
         with compiled.force_backend(backend_name):
-            quantized = compiled.edge_attention(q, arena, cols, indptr, 0.4, return_scores=True)
-            oracle = compiled.edge_attention(q, dequantized, cols, indptr, 0.4, return_scores=True)
+            quantized = compiled.edge_attention(q, arena, cols, indptr, 0.4)
+            oracle = compiled.edge_attention(q, dequantized, cols, indptr, 0.4)
         for a, b in zip(quantized, oracle):
             assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("backend_name", ["cext", "numpy"])
+    def test_row_stats_are_the_softmax_statistics_of_the_scaled_scores(self, backend_name):
+        """``row_max`` and ``row_sum`` against scores computed densely here:
+        the maximum of ``scale · q·k`` over a row's edges and the sum of
+        ``exp(score - row_max)``; the output is that softmax over the values."""
+        if backend_name == "cext" and _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        rng = np.random.default_rng(13)
+        cols, indptr = _layout(rng)
+        arena = _arena(rng, (2,), "fp64")
+        q = rng.standard_normal((2, LENGTH, KEY_DIM))
+        with compiled.force_backend(backend_name):
+            output, row_max, row_sum = compiled.edge_attention(q, arena, cols, indptr, 0.4)
+        for head in range(2):
+            for row, (lo, hi) in enumerate(zip(indptr[:-1], indptr[1:])):
+                if lo == hi:
+                    continue
+                keys = arena.keys[head, cols[lo:hi]]
+                scores = 0.4 * (keys @ q[head, row])
+                weights = np.exp(scores - scores.max())
+                assert_allclose(row_max[head, row], scores.max(), rtol=1e-12, atol=0)
+                assert_allclose(row_sum[head, row], weights.sum(), rtol=1e-12, atol=0)
+                expected = weights @ arena.values[head, cols[lo:hi]] / weights.sum()
+                assert_allclose(output[head, row], expected, rtol=1e-12, atol=1e-14)
 
     def test_rows_with_no_edges_at_all(self):
         q = np.ones((3, 4), dtype=np.float32)
         arena = compiled.Arena(np.ones((2, 4), np.float32), np.ones((2, 3), np.float32))
-        output, row_max, row_sum, scores = compiled.edge_attention(
-            q, arena, np.zeros(0, np.int64), np.zeros(4, np.int64), 1.0, return_scores=True
-        )
+        output, row_max, row_sum = compiled.edge_attention(q, arena, np.zeros(0, np.int64), np.zeros(4, np.int64), 1.0)
         assert output.shape == (3, 3) and not output.any()
         assert np.all(row_max == -np.inf) and not row_sum.any()
-        assert scores.shape == (0,)
 
     def test_kernel_refuses_rows_outside_the_arena(self):
         if _compiled_name() is None:

@@ -5,20 +5,30 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import compiled
+from repro.masks.base import MaskSpec
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.obs.recorder import Observability
 from repro.obs.scenarios import run_scenario
 from repro.serve import (
+    AttentionRequest,
     AttentionServer,
+    BlockPool,
     ContinuousBatchingScheduler,
     DecodeSession,
     FCFSPolicy,
     GenerationResult,
+    KVCache,
+    LoopRequest,
+    PagedKVCache,
     PoolExhausted,
     ServingClient,
     SlackPolicy,
     VirtualClock,
+    compile_plan,
     resolve_serving_kwargs,
     scheduling_policy,
 )
@@ -236,6 +246,26 @@ class TestSessionFacade:
                 assert not hasattr(module, name), (module.__name__, name)
                 assert name not in module.__all__
 
+    def test_speculative_decoding_is_gone(self):
+        # one decode pass kind: no module, option, rollback window or scores
+        # output is left for speculative decoding
+        with pytest.raises(ImportError):
+            import repro.serve.speculate  # noqa: F401
+        q, k, v = _data(8, seed=19)
+        with pytest.raises(TypeError):
+            LoopRequest(q=q, k=k, v=v, mask=MASK, speculate_k=2)
+        with _client() as client:
+            with pytest.raises(TypeError):
+                client.generate(q, k, v, MASK, prompt_tokens=4, speculate_k=2)
+        assert not hasattr(AttentionServer, "speculate_steps")
+        assert not hasattr(KVCache, "truncate")
+        assert not hasattr(PagedKVCache, "begin_speculative")
+        assert not hasattr(MaskSpec, "draft_variant")
+        arena = compiled.Arena(k, v)
+        with pytest.raises(TypeError):
+            compiled.edge_attention(q, arena, np.arange(8), np.arange(9), 0.5, return_scores=True)
+        assert len(compiled.edge_attention(q, arena, np.arange(8), np.arange(9), 0.5)) == 3
+
     def test_client_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -244,3 +274,109 @@ class TestSessionFacade:
                 client.close_session(session)
                 q, k, v = _data(8, seed=17)
                 client.generate(q, k, v, MASK, prompt_tokens=4)
+
+
+#: Every dtype family a caller might hand in: only real floating point is
+#: attention input; the rest truncate (int, bool) or drop a component (complex).
+INPUT_DTYPES = (np.int8, np.int64, np.bool_, np.complex64, np.complex128, np.float16, np.float32, np.float64)
+
+
+@st.composite
+def _inputs(draw):
+    """q/k/v of one short stream in a drawn dtype, maybe with one NaN or inf."""
+    total = draw(st.integers(min_value=2, max_value=8))
+    dtype = np.dtype(draw(st.sampled_from(INPUT_DTYPES)))
+    q, k, v = (x.astype(dtype) for x in _data(total, seed=draw(st.integers(0, 2**16))))
+    poison = None
+    if dtype.kind in "fc":
+        poison = draw(
+            st.none()
+            | st.tuples(
+                st.integers(0, 2),
+                st.integers(0, total * DIM - 1),
+                st.sampled_from((np.nan, np.inf, -np.inf)),
+            )
+        )
+    if poison is not None:
+        which, index, value = poison
+        (q, k, v)[which].flat[index] = value
+    valid = dtype.kind == "f" and poison is None
+    return q, k, v, valid
+
+
+def _pool_replay(q, k, v, prompt):
+    """The stream decoded alone on a pool laid out like the client's."""
+    pool = BlockPool(32, 4, key_dim=DIM)
+    session = DecodeSession.start(MASK, q.shape[-2], retain_outputs=True, pool=pool)
+    session.prefill(q[:prompt], k[:prompt], v[:prompt])
+    for i in range(prompt, q.shape[-2]):
+        session.step(q[i], k[i], v[i])
+    return session.outputs()
+
+
+class TestInputValidation:
+    """Requests refuse q/k/v that are not finite real floating point, and
+    pass valid ones through unchanged."""
+
+    @given(inputs=_inputs())
+    def test_generate_and_submit(self, inputs):
+        q, k, v, valid = inputs
+        with _client() as client:
+            if not valid:
+                with pytest.raises(ValueError):
+                    client.generate(q, k, v, MASK, prompt_tokens=1)
+                with pytest.raises(ValueError):
+                    client.submit(LoopRequest(q=q, k=k, v=v, mask=MASK, prompt_tokens=1))
+                assert client.scheduler.active == 0
+                return
+            expected = _pool_replay(q, k, v, 1)
+            generated = client.generate(q, k, v, MASK, prompt_tokens=1).output
+            rid = client.submit(LoopRequest(q=q, k=k, v=v, mask=MASK, prompt_tokens=1))
+            submitted = client.scheduler.run()[rid]
+        for output in (generated, submitted):
+            assert output.dtype == q.dtype
+            np.testing.assert_array_equal(output, expected)
+
+    @given(inputs=_inputs())
+    def test_serve(self, inputs):
+        q, k, v, valid = inputs
+        server = AttentionServer()
+        try:
+            if not valid:
+                with pytest.raises(ValueError):
+                    server.serve([AttentionRequest(q=q, k=k, v=v, mask=MASK)])
+                return
+            output = server.serve([AttentionRequest(q=q, k=k, v=v, mask=MASK)])[0].output
+        finally:
+            server.close()
+        np.testing.assert_array_equal(output, compile_plan(MASK, q.shape[-2]).execute(q, k, v).output)
+
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    def test_refusal_names_the_operand(self, name):
+        q, k, v = _data(6, seed=23)
+        operands = {"q": q, "k": k, "v": v}
+        operands[name] = operands[name].astype(np.int64)
+        with pytest.raises(ValueError, match=f"{name} must be a real floating-point array, got int64"):
+            LoopRequest(**operands, mask=MASK)
+        with pytest.raises(ValueError, match=f"{name} must be a real floating-point array, got int64"):
+            AttentionRequest(**operands, mask=MASK)
+        operands[name] = operands[name].astype(np.float32)
+        operands[name][3, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} contains 1 non-finite entries"):
+            LoopRequest(**operands, mask=MASK)
+        with pytest.raises(ValueError, match=f"{name} contains 1 non-finite entries"):
+            AttentionRequest(**operands, mask=MASK)
+
+    def test_attention_request_takes_array_likes(self):
+        """Nested lists become arrays, as :class:`LoopRequest` converts them."""
+        q, k, v = _data(6, seed=29)
+        request = AttentionRequest(q=q.tolist(), k=k.tolist(), v=v.tolist(), mask=MASK)
+        assert request.q.dtype == np.float64 and request.length == 6
+        with pytest.raises(ValueError, match="q must be a real floating-point array"):
+            AttentionRequest(q=[[1, 2], [3, 4]], k=[[1, 2], [3, 4]], v=[[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=r"q must be a \(\.\.\., L, d_k\) array"):
+            AttentionRequest(q=[0.1, 0.2], k=[0.1, 0.2], v=[0.1, 0.2])
+        with AttentionServer() as server:
+            output = server.serve([request])[0].output
+        expected = compile_plan(MASK, 6).execute(*(x.astype(np.float64) for x in (q, k, v))).output
+        np.testing.assert_array_equal(output, expected)

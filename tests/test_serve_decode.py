@@ -15,11 +15,9 @@ from repro.masks.global_ import GlobalMask
 from repro.masks.presets import bigbird_mask, longformer_mask
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
-from repro.core.dense import resolve_scale
 from repro.serve.decode import (
     DecodeSession,
     KVCache,
-    _edge_attention,
     decode_reference_mask,
     stacked_decode_step,
     stacked_prefill,
@@ -28,7 +26,6 @@ from repro.serve.client import ServingClient
 from repro.serve.paging import BlockPool, PagedKVCache
 from repro.serve.quant import decode_chunk, encode_chunk
 from repro.serve.scheduler import AttentionServer
-from repro.serve.speculate import speculative_decode_steps
 from repro.utils.rng import random_qkv
 
 DECODE_SPECS = [
@@ -287,13 +284,6 @@ class TestStackedDecode:
         assert all(r.meta["position"] == 1 for r in good)
 
 
-class _NoDraft(LocalMask):
-    """A local window whose draft is itself (no cheaper mask to draft with)."""
-
-    def draft_variant(self, fraction=0.5):
-        return self
-
-
 #: One session per row: (mask, horizon, arena, query dtype).  Every
 #: RowProgram class, four arenas (an fp32 pool, an int8 pool, a second fp32
 #: pool, a private cache) and both query dtypes, so one pass mixes them all
@@ -306,7 +296,7 @@ RAGGED_FLEET = [
     (Dilated2DMask(block_size=8, dilation=1), 32, "fp32", np.float64),  # 2-D dilated
     (np.random.default_rng(3).random((31, 31)) < 0.3, 31, "int8", np.float32),  # explicit CSR
     (CausalMask(), 33, "fp32", np.float32),  # spec fallback
-    (_NoDraft(window=3), 40, "private", np.float64),  # stencil again, other horizon
+    (LocalMask(window=3), 40, "private", np.float64),  # stencil again, other horizon
 ]
 RAGGED_HEADS, RAGGED_DIM = 2, 6
 
@@ -366,26 +356,10 @@ def _drive_solo(sessions, data):
     return passes
 
 
-def _scored_rows(sessions, data):
-    """Each session's last prefill-like block and last decode row, scored."""
-    blocks, layouts = [], []
-    for session, (q, _, _) in zip(sessions, data):
-        end = session.position
-        if end % 2:  # a decode row
-            cols = session.program.causal_row(end - 1)
-            layouts.append((np.array([0, cols.size]), cols))
-            blocks.append(q[..., end - 1 : end, :])
-        else:  # a prefill block
-            layouts.append(session.program.causal_rows(end // 2, end))
-            blocks.append(q[..., end // 2 : end, :])
-    scales = [resolve_scale(s.plan.scale, RAGGED_DIM) for s in sessions]
-    return blocks, [s.cache for s in sessions], layouts, scales
-
-
 class TestRaggedPasses:
     """One pass over sessions that differ in mask, horizon, position, chunk
     length, arena and query dtype equals each session's solo calls, bit for
-    bit, on both backends: outputs, ``row_max``, ``row_sum`` and scores."""
+    bit, on both backends: outputs, ``row_max`` and ``row_sum``."""
 
     @pytest.fixture(params=["cext", "numpy"])
     def backend(self, request):
@@ -407,15 +381,57 @@ class TestRaggedPasses:
     def test_ragged_prefill_and_decode_equal_solo_calls(self, backend):
         self._check_fleets(*_ragged_fleet(), *_ragged_fleet())
 
-    def test_ragged_scores_equal_solo_scores(self, backend):
+    def test_each_session_owns_its_rows_of_a_pass(self, backend):
+        """Sessions sharing one kernel call get arrays of their own, so a
+        retained output never keeps the other sessions' rows alive."""
+        pool = BlockPool(32, 4, key_dim=8, batch_shape=(2,))
+        sessions = [DecodeSession.start(LocalMask(window=3), 16, pool=pool) for _ in range(3)]
+        data = [random_qkv(16, 8, heads=2, dtype=np.float32, seed=90 + i) for i in range(3)]
+        prefill = stacked_prefill(sessions, *zip(*[[x[..., :6, :] for x in d] for d in data]))
+        step = stacked_decode_step(sessions, *zip(*[[x[..., 6, :] for x in d] for d in data]))
+        assert all(result.meta["coalesced"] == 3 for result in prefill + step)
+        for result in prefill + step:
+            for array in (result.output, result.row_max, result.row_sum):
+                assert array.base is None or array.base.nbytes == array.nbytes
+
+    def test_each_session_owns_its_rows_across_arenas(self, backend):
+        """The same over the mixed fleet: calls of several sessions and of one,
+        on fp32, int8 and private arenas, with fp32 and fp64 queries."""
         sessions, data = _ragged_fleet()
-        _drive_ragged(sessions, data)
-        scored = _scored_rows(sessions, data)
-        ragged = _edge_attention(*scored, return_scores=True)
-        for index, parts in enumerate(ragged):
-            solo = _edge_attention(*([part[index]] for part in scored), return_scores=True)[0]
-            for actual, expected in zip(parts, solo):
-                np.testing.assert_array_equal(actual, expected)
+        for results in _drive_ragged(sessions, data):
+            for result in results:
+                for array in (result.output, result.row_max, result.row_sum):
+                    assert array.base is None or array.base.nbytes == array.nbytes
+
+    def test_session_closed_between_passes_returns_its_blocks(self):
+        """Closing one session of a ragged group between two passes frees its
+        blocks at once; the rest of the group keeps equal to its solo calls
+        and the pool drains when they close."""
+        mask = LocalMask(window=3)
+        pool = BlockPool(32, 4, key_dim=6, batch_shape=(2,))
+        data = [random_qkv(16, 6, heads=2, dtype=np.float32, seed=110 + i) for i in range(3)]
+        group = [DecodeSession.start(mask, 16, pool=pool) for _ in range(3)]
+        solo = [DecodeSession.start(mask, 16) for _ in range(3)]
+        stacked_prefill(group, *zip(*[[x[..., :7, :] for x in d] for d in data]))
+        for session, d in zip(solo, data):
+            session.prefill(*(x[..., :7, :] for x in d))
+        held = pool.blocks_in_use
+        victim = group.pop(1)
+        victim_blocks = victim.cache.blocks_used
+        victim.close()
+        assert victim_blocks == 2 and pool.blocks_in_use == held - victim_blocks
+        del solo[1], data[1]
+        for i in range(7, 16):
+            results = stacked_decode_step(group, *zip(*[[x[..., i, :] for x in d] for d in data]))
+            for result, session, d in zip(results, solo, data):
+                expected = session.step(*(x[..., i, :] for x in d))
+                assert result.meta["coalesced"] == 2
+                np.testing.assert_array_equal(result.output, expected.output)
+        for session in group:
+            session.close()
+        assert pool.blocks_in_use == 0
+        assert all(pool.refcount(block) == 0 for block in range(pool.num_blocks))
+        pool.check_consistency()
 
     def test_numpy_chunks_split_inside_and_across_sessions(self, monkeypatch):
         """The fallback's row chunks end inside one session's rows or span
@@ -423,11 +439,6 @@ class TestRaggedPasses:
         with compiled.force_backend("numpy"):
             solo_sessions, solo_data = _ragged_fleet()
             solo_passes = _drive_solo(solo_sessions, solo_data)
-            solo_scored = _scored_rows(solo_sessions, solo_data)
-            solo_scores = [
-                _edge_attention(*([part[i]] for part in solo_scored), return_scores=True)[0]
-                for i in range(len(RAGGED_FLEET))
-            ]
             # about 24 edges per chunk: a few rows of a prefill chunk, or a
             # few sessions' decode rows
             monkeypatch.setattr(compiled, "_FALLBACK_CHUNK_ELEMENTS", 24 * RAGGED_HEADS * RAGGED_DIM)
@@ -435,18 +446,14 @@ class TestRaggedPasses:
             for ragged_pass, solo_pass in zip(_drive_ragged(sessions, data), solo_passes):
                 for actual, expected in zip(ragged_pass, solo_pass):
                     _assert_results_equal(actual, expected)
-            ragged_scores = _edge_attention(*_scored_rows(sessions, data), return_scores=True)
-        for actual, expected in zip(ragged_scores, solo_scores):
-            for a, b in zip(actual, expected):
-                np.testing.assert_array_equal(a, b)
 
 
 class TestKernelReadsKVInPlace:
     """Every attention pass reads K/V where the cache keeps it.
 
     With the C kernel active the gathers are off the hot path altogether:
-    they raise here, and decode, prefill, stacked groups and the speculative
-    draft and verify passes still serve, matching the one-shot oracle.
+    they raise here, and decode, prefill and stacked groups still serve,
+    matching the one-shot oracle.
     """
 
     MASK = longformer_mask(reach=4, global_tokens=(0,))
@@ -465,15 +472,13 @@ class TestKernelReadsKVInPlace:
             monkeypatch.setattr(cls, "gather_values", refuse)
 
     def _drive(self, sessions, q, k, v):
-        """Solo and stacked prefill, stacked steps, a speculative pass, solo steps."""
+        """Solo and stacked prefill, stacked steps, solo steps."""
         first, rest = sessions[0], sessions[1:]
         first.prefill(q[..., :8, :], k[..., :8, :], v[..., :8, :])
         stacked_prefill(rest, *([x[..., :8, :]] * len(rest) for x in (q, k, v)))
         stacked_prefill(sessions, *([x[..., 8:16, :]] * len(sessions) for x in (q, k, v)))
         for i in range(16, 20):
             stacked_decode_step(sessions, *([x[..., i, :]] * len(sessions) for x in (q, k, v)))
-        outcomes = speculative_decode_steps(sessions, *([x[..., 20:24, :]] * len(sessions) for x in (q, k, v)))
-        assert all(outcome.emitted >= 1 for outcome in outcomes)
         for session in sessions:
             for i in range(session.position, self.LENGTH):
                 session.step(q[..., i, :], k[..., i, :], v[..., i, :])

@@ -257,61 +257,67 @@ class TestCancellation:
         asyncio.run(run())
         assert pool.blocks_in_use == 0
 
-    def test_cancel_between_draft_and_verify_retracts_blocks_and_quota(self):
-        """Client disconnect landing inside the speculative window.
+    def test_disconnect_between_passes_of_one_iteration(self):
+        """A client disconnect inside a scheduler iteration.
 
-        Two speculative streams share one tenant.  The disconnect fires
-        through the draft/verify seam — after the victim's draft pass
-        proposed candidates, before the verify pass publishes the
-        multi-token append — so the cancellation races the widest KV write
-        the stack performs.  The victim's blocks and quota slot must
-        retract, the survivor must stay bit-exact, and the pool must drain
-        to zero.
+        The survivor decodes while the victim is still prefilling, so the
+        iteration runs a decode pass and then a prefill pass.  The disconnect
+        fires between the two: the victim's blocks and quota slot must
+        retract, its prefill chunk must not run, the survivor must stay
+        bit-exact, and the pool must drain to zero.
         """
-        import repro.serve.speculate as speculate_mod
-
         scheduler = _scheduler(24, policy="fcfs")
         pool = scheduler.pool
         config = {"t": TenantConfig(max_streams=2)}
-        victim_req = _request(24, 4, seed=40, speculate_k=4)
-        survivor_req = _request(24, 4, seed=41, speculate_k=4)
+        survivor_req = _request(24, 4, seed=41)
+        victim_req = _request(24, 16, seed=40)
         survivor_oracle = _oracle(survivor_req)
-        fired = []
+        decode_steps, prefill_chunks = scheduler.server.decode_steps, scheduler.server.prefill_chunks
+        fired, prefilled_after = [], []
 
         async def run():
             async with AsyncServingEdge(scheduler, tenants=config) as edge:
-                victim = await edge.submit(victim_req, tenant="t")
                 survivor = await edge.submit(survivor_req, tenant="t")
+                victim = await edge.submit(victim_req, tenant="t")
+                victim_session = []
 
-                def disconnect():
-                    # runs synchronously inside scheduler.step, between the
-                    # draft pass and the verify pass of the first window
-                    if not fired:
+                def decode_then_disconnect(steps):
+                    responses = decode_steps(steps)
+                    stream = scheduler._streams.get(victim.request_id)
+                    if not fired and stream is not None and stream.prompt_remaining > 0:
+                        victim_session.append(stream.session)
                         fired.append(pool.blocks_in_use)
                         edge._teardown_stream(
                             edge._streams[victim.request_id],
-                            error=StreamCancelled("client vanished mid-window"),
+                            error=StreamCancelled("client vanished mid-iteration"),
                         )
+                    return responses
 
-                speculate_mod._between_draft_and_verify = disconnect
-                try:
-                    survivor_task = asyncio.create_task(survivor.collect())
-                    with pytest.raises(StreamCancelled):
-                        await victim.collect()
-                    assert scheduler.telemetry[victim.request_id].cancelled
-                    output = await survivor_task
-                finally:
-                    speculate_mod._between_draft_and_verify = None
-                assert fired, "the draft/verify window was never entered"
+                def record_prefill(chunks):
+                    if fired:
+                        prefilled_after.extend(chunk[0] for chunk in chunks)
+                    return prefill_chunks(chunks)
+
+                scheduler.server.decode_steps = decode_then_disconnect
+                scheduler.server.prefill_chunks = record_prefill
+                survivor_task = asyncio.create_task(survivor.collect())
+                with pytest.raises(StreamCancelled):
+                    await victim.collect()
+                assert scheduler.telemetry[victim.request_id].cancelled
+                output = await survivor_task
+                assert fired, "no iteration ran a decode pass before the victim's prefill"
+                assert not any(session is victim_session[0] for session in prefilled_after)
                 assert edge.stats.cancelled == 1
                 # quota retraction: the tenant's slot frees for a third stream
                 replacement = await edge.submit(_request(8, 4, seed=42), tenant="t")
                 await replacement.collect()
                 return output
 
-        output = asyncio.run(run())
+        # a pass that raises inside the edge's scheduling task leaves the
+        # consumers waiting, so the run gets a wall-clock limit of its own
+        output = asyncio.run(asyncio.wait_for(run(), timeout=60))
         np.testing.assert_array_equal(output, survivor_oracle)
-        assert fired[0] > 0  # the victim held blocks when the race fired
+        assert fired[0] > 0  # the victim held blocks when the disconnect fired
         assert pool.blocks_in_use == 0
         assert len(scheduler.swap_store) == 0
         assert scheduler.active == 0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from harness.simulation import (
+    PROFILES,
     build_workload,
     run_simulation,
     sample_workload,
@@ -92,6 +93,34 @@ def test_acceptance_workload_exercises_preemption_and_swap_in():
     assert report.swap_stats.bytes_in == report.swap_stats.bytes_out
 
 
+@pytest.mark.parametrize("profile", range(len(PROFILES)), ids=PROFILES)
+def test_every_tensor_profile_survives_a_swap_storm(profile):
+    """The acceptance storm with every stream on one tensor profile.
+
+    Peaked rows rescale the online softmax's running maximum at every key and
+    collapse rows cross to flat ones mid-stream; swapped out and restored
+    mid-decode, each stream must still equal its replay bit for bit (the
+    harness's invariants), whatever its profile.
+    """
+    workload = build_workload(
+        [
+            {"mask": 0, "prompt": 8, "decode": 8, "gap": 0.0, "seed": seed, "profile": profile}
+            for seed in (1, 2, 3)
+        ],
+        extra_blocks=0,
+        block_size=4,
+        max_streams=3,
+        prefill_chunk=4,
+        policy="fcfs",
+        preemption="swap",
+    )
+    assert {spec.profile for spec in workload.specs} == {PROFILES[profile]}
+    report = run_simulation(workload)
+    assert report.loop_stats.preemptions >= 1
+    assert report.loop_stats.swap_ins >= 1
+    assert report.swap_stats.bytes_in == report.swap_stats.bytes_out
+
+
 def test_recompute_preemption_round_trip():
     """Same storm with recompute-from-prompt restores: still bit-exact."""
     workload = build_workload(
@@ -110,76 +139,6 @@ def test_recompute_preemption_round_trip():
     assert report.loop_stats.preemptions >= 1
     assert report.loop_stats.recompute_restores >= 1
     assert report.loop_stats.swap_outs == 0
-
-
-def _speculative_workload(profile, seed, *, speculate=4, extra_blocks=40):
-    """One 16-token stream decoding at depth 4 over the given tensor profile."""
-    return build_workload(
-        [
-            {
-                "mask": 0,
-                "prompt": 2,
-                "decode": 14,
-                "gap": 0.0,
-                "seed": seed,
-                "speculate": speculate,
-                "profile": profile,
-            }
-        ],
-        extra_blocks=extra_blocks,
-        block_size=4,
-        max_streams=2,
-        prefill_chunk=8,
-        policy="fcfs",
-    )
-
-
-def test_speculative_peaked_stream_accepts_every_draft():
-    """Pinned full-acceptance workload: every speculative pass accepts ``k``.
-
-    Peaked tensors make each row's attention peak its own newest column,
-    which every family's thinned draft row keeps — so zero rollbacks and
-    zero fallbacks prove every pass was a full-acceptance iteration (any
-    partial acceptance would have rolled tokens back).
-    """
-    report = run_simulation(_speculative_workload(1, 7))
-    stats = report.loop_stats
-    assert stats.speculate_passes >= 1
-    assert stats.speculate_drafted == stats.speculate_accepted > 0
-    assert stats.speculate_rolled_back == 0
-    assert stats.speculate_fallbacks == 0
-
-
-def test_speculative_iid_stream_hits_full_rejection_fallback():
-    """Pinned full-rejection workload: at least one pass accepts nothing.
-
-    ``speculate_fallbacks`` only increments when a verify pass accepts zero
-    drafted tokens and the loop falls back to a genuine single-token step,
-    so this seed provably exercises the full-rejection path end to end —
-    and the harness's bit-exactness invariants cover the fallback output.
-    """
-    report = run_simulation(_speculative_workload(0, 0))
-    stats = report.loop_stats
-    assert stats.speculate_fallbacks >= 1
-    assert stats.speculate_rolled_back >= 1
-
-
-def test_accept_rate_collapse_forces_fallback_and_auto_disable():
-    """Mid-run accept-rate collapse: peaked first half, iid second half.
-
-    The first speculative pass lands entirely in the peaked region and
-    accepts everything; once decoding crosses into the iid half the accept
-    rate collapses, forcing full-rejection fallbacks and, after enough
-    drafts, the break-even auto-disable — all on one deterministic stream.
-    """
-    report = run_simulation(_speculative_workload(2, 0))
-    stats = report.loop_stats
-    # the opening pass (candidates 2-5, all inside the peaked half) accepts k
-    assert stats.speculate_accepted >= 4
-    assert stats.speculate_fallbacks >= 1
-    assert stats.speculate_disabled >= 1
-    telemetry = next(iter(report.telemetry.values()))
-    assert telemetry.speculate_disabled
 
 
 def test_loop_coalesces_same_plan_streams():

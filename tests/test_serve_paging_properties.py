@@ -375,3 +375,81 @@ class TestPoolInvariants:
         with pytest.raises(ValueError):
             cache.gather_keys(np.array([-1]))
         cache.release()
+
+
+class TestPlanExtend:
+    """``plan_extend`` sizes the reservation a multi-session pass hands to
+    ``extend``: never short, and exact unless a chunk turns out shared."""
+
+    @given(
+        block_size=st.integers(min_value=1, max_value=5),
+        shared=st.integers(min_value=0, max_value=12),
+        counts=st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_reservation_covers_every_extend(self, block_size, shared, counts, seed):
+        rng = np.random.default_rng(seed)
+        total = shared + sum(counts)
+        k = rng.standard_normal((total, DIM)).astype(np.float32)
+        v = rng.standard_normal((total, DIM)).astype(np.float32)
+        pool = BlockPool(64, block_size, key_dim=DIM)
+        sibling = PagedKVCache(pool)
+        if shared:
+            # publish the prefix: the cache below maps it, partial tail
+            # included, so its next extend must copy that tail on write
+            sibling.extend(k[:shared], v[:shared])
+        cache = PagedKVCache(pool)
+        position = 0
+        for count in ([shared] if shared else []) + counts:
+            planned = cache.plan_extend(count)
+            reserved = pool.reserve(planned)
+            hits = cache.share_hits
+            cache.extend(k[position : position + count], v[position : position + count], reserved=reserved)
+            if cache.share_hits == hits:
+                assert reserved == []  # exact when nothing was shared
+            pool.release(reserved)
+            position += count
+        np.testing.assert_array_equal(cache.keys(), k)
+        np.testing.assert_array_equal(cache.values(), v)
+        cache.release()
+        sibling.release()
+        assert pool.blocks_in_use == 0
+        pool.check_consistency()
+
+    def test_shared_tail_costs_one_copy_on_write_block(self):
+        pool = BlockPool(8, 4, key_dim=DIM)
+        k = np.random.default_rng(17).standard_normal((8, DIM)).astype(np.float32)
+        a, b = PagedKVCache(pool), PagedKVCache(pool)
+        a.extend(k[:6], k[:6])  # blocks: [full, partial fill=2]
+        b.extend(k[:6], k[:6])  # maps both, the tail now referenced twice
+        assert b.block_table == a.block_table
+        assert b.plan_extend(1) == 1  # the tail write copies first
+        assert b.plan_extend(3) == 2  # ... and spills past the copied tail
+        reserved = pool.reserve(b.plan_extend(1))
+        b.extend(k[6:7], k[6:7], reserved=reserved)
+        assert reserved == [] and b.cow_copies == 1
+        assert b.block_table[-1] != a.block_table[-1]
+        # b's copy dropped its reference: a's tail is a's alone again
+        assert a.plan_extend(2) == 0 and a.plan_extend(3) == 1
+        a.extend(k[6:8] + 1.0, k[6:8] + 1.0, reserved=[])
+        assert a.cow_copies == 0
+        np.testing.assert_array_equal(a.keys()[:6], b.keys()[:6])
+        a.release()
+        b.release()
+        pool.check_consistency()
+
+    def test_prereserved_blocks_are_netted_out(self):
+        pool = BlockPool(6, 4, key_dim=DIM)
+        cache = PagedKVCache(pool)
+        cache.prereserve(2)
+        assert cache.plan_extend(0) == 0
+        assert cache.plan_extend(5) == 0
+        assert cache.plan_extend(9) == 1
+        with pytest.raises(ValueError, match="non-negative"):
+            cache.plan_extend(-1)
+        reserved = pool.reserve(cache.plan_extend(9))
+        cache.extend(np.ones((9, DIM)), np.ones((9, DIM)), reserved=reserved)
+        assert reserved == [] and cache.prereserved_blocks == 0
+        assert cache.blocks_used == 3 and pool.blocks_in_use == 3
+        cache.release()
+        pool.check_consistency()

@@ -9,6 +9,7 @@ from repro.utils.validation import (
     allclose_report,
     assert_allclose_paper,
     check_finite,
+    check_real_finite,
     require,
 )
 
@@ -33,6 +34,32 @@ class TestCheckFinite:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             check_finite(np.array([np.inf]))
+
+
+class TestCheckRealFinite:
+    """Attention inputs must be real floating point: integers and booleans
+    truncate, complex values lose their imaginary part in a real arena."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_accepts_finite_real_floats(self, dtype):
+        check_real_finite(np.linspace(-2.0, 2.0, 12).reshape(3, 4).astype(dtype), "q")
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int64, np.uint8, np.bool_, np.complex64, np.complex128, object]
+    )
+    def test_refuses_other_dtypes_by_name(self, dtype):
+        # zeros: every value is representable, so only the dtype is at fault
+        array = np.zeros((3, 4), dtype=dtype)
+        message = f"k must be a real floating-point array, got {array.dtype}"
+        with pytest.raises(ValueError, match=message):
+            check_real_finite(array, "k")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_entries(self, value):
+        array = np.ones((3, 4), dtype=np.float32)
+        array[1, 2] = value
+        with pytest.raises(ValueError, match="v contains 1 non-finite entries"):
+            check_real_finite(array, "v")
 
 
 class TestAllcloseReport:
