@@ -5,10 +5,11 @@ the one-shot CSR/COO kernels (every plan's ``csr`` step) and the serving
 stack's prefill, decode and stacked passes.  It runs Algorithm 1
 per query row: one sweep over the row's CSR edges does one dot product per
 edge, a float64 online softmax and the value accumulation, reading the K/V
-rows *in place* from an arena by row index.  Nothing per edge is
-materialised, so memory stays O(L·d) — Q/K/V/O plus the two O(L) softmax
-statistics, the paper's own bound (Section IV-B, Table II) — where gathering
-per-edge K/V copies costs O(nnz·d).
+rows *in place* from an arena by row index.  No K/V row is copied per edge,
+so memory stays O(L·d) — Q/K/V/O plus the two O(L) softmax statistics, the
+paper's own bound (Section IV-B, Table II) — where gathering per-edge K/V
+copies costs O(nnz·d).  (An int8 call also holds one float32 copy of each
+distinct row it reads and O(nnz) row indices; see below.)
 
 Two backends:
 
@@ -26,13 +27,25 @@ Two backends:
 Exactness: each row's reduction is sequential and independent of every
 other row of the call, so within one backend a row's result depends only on
 its own query and K/V rows — stacked == individual and paged == private
-hold by construction.  The C kernel sums each
-dot product in a fixed order (four interleaved partial sums) and is built
-with ``-ffp-contract=off``, so no target fuses it or the int8 dequant
-``(float(q) - zero) * scale`` into FMAs; across backends results agree to
-float64 round-off.  :func:`gather_dequant_int8` (the paged cache's
-``gather_keys``/``gather_values`` on int8 storage) is bit-identical across
-backends.
+hold by construction.  The C kernel sums each dot product in a fixed order
+(four interleaved partial sums) and is built with ``-ffp-contract=off``, so
+no target fuses it into FMAs; across backends results agree to float64
+round-off.  On an int8 arena the C kernel first dequantizes each distinct
+row the call reads, once, into per-call float32 scratch with the loop behind
+:func:`gather_dequant_int8` (``(float(q) - zero) * scale``), then runs its
+fp32 sweep over that scratch: an int8 arena gives exactly what an fp32
+arena of the dequantized rows gives.  :func:`gather_dequant_int8` (the paged
+cache's ``gather_keys``/``gather_values`` on int8 storage) is bit-identical
+across backends.
+
+Threads: a C call whose work, slices x edges x (d_k + d_v), reaches a
+fixed size (``_SPLIT_WORK``, 2**18) sweeps its (slice, row) items on up to
+``_MAX_THREADS`` (4) threads, and never on more than the CPUs the calling
+thread's affinity mask allows (read on each such call; ``taskset -c 0``
+therefore runs the one-thread path).  The threads claim chunks of rows from
+a shared counter and are all joined before the call returns.  Each row is
+still reduced by exactly one thread with unchanged arithmetic, so no thread
+count or schedule can change a result.
 
 Backend selection honours ``REPRO_COMPILED``:
 
@@ -65,10 +78,30 @@ from repro.core.online_softmax import (
 )
 from repro.utils.validation import require
 
-_C_SOURCE = r"""
+#: A call whose work, slices x edges x (d_k + d_v), reaches this sweeps its
+#: rows on threads; a smaller call stays on the calling thread.
+_SPLIT_WORK = 1 << 18
+#: threads per call at most, and never more than the caller's usable CPUs
+_MAX_THREADS = 4
+#: rows are claimed in chunks sized so each thread claims about this many,
+#: so a descheduled thread delays the call by about one chunk
+_CHUNKS_PER_THREAD = 16
+
+_C_DEFINES = (
+    f"#define SPLIT_WORK {_SPLIT_WORK}\n"
+    f"#define MAX_THREADS {_MAX_THREADS}\n"
+    f"#define CHUNKS_PER_THREAD {_CHUNKS_PER_THREAD}\n"
+)
+
+_C_SOURCE = _C_DEFINES + r"""
+#define _GNU_SOURCE
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <unistd.h>
 
 void gather_dequant_i8(const int8_t *arena, const float *scale,
                        const float *zero, const int64_t *rows,
@@ -92,99 +125,219 @@ void gather_dequant_i8(const int8_t *arena, const float *scale,
 
 enum { ARENA_F32 = 0, ARENA_F64 = 1, ARENA_I8 = 2 };
 
-#define LOAD_F32(p, j) ((double)(p)[j])
-#define LOAD_F64(p, j) ((p)[j])
-#define LOAD_I8(p, j) ((double)(((float)(p)[j] - zero) * scale))
-
 /* dot(q, p) summed in a fixed order: four interleaved partial sums, then the
    tail; fold: acc = acc * keep + weight * p (keep == 1 skips an exact no-op) */
-#define ROW_LOOPS(SUFFIX, T, LOAD)                                            \
-static double dot_##SUFFIX(const double *q, const T *p, int64_t n,            \
-                           float scale, float zero)                           \
+#define ROW_LOOPS(SUFFIX, T)                                                  \
+static double dot_##SUFFIX(const double *q, const T *p, int64_t n)            \
 {                                                                             \
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;                            \
     int64_t j = 0;                                                            \
     for (; j + 4 <= n; j += 4) {                                              \
-        a0 += q[j] * LOAD(p, j);                                              \
-        a1 += q[j + 1] * LOAD(p, j + 1);                                      \
-        a2 += q[j + 2] * LOAD(p, j + 2);                                      \
-        a3 += q[j + 3] * LOAD(p, j + 3);                                      \
+        a0 += q[j] * (double)p[j];                                            \
+        a1 += q[j + 1] * (double)p[j + 1];                                    \
+        a2 += q[j + 2] * (double)p[j + 2];                                    \
+        a3 += q[j + 3] * (double)p[j + 3];                                    \
     }                                                                         \
     for (; j < n; j++)                                                        \
-        a0 += q[j] * LOAD(p, j);                                              \
+        a0 += q[j] * (double)p[j];                                            \
     return (a0 + a1) + (a2 + a3);                                             \
 }                                                                             \
 static void fold_##SUFFIX(double *acc, double keep, double weight,           \
-                          const T *p, int64_t n, float scale, float zero)     \
+                          const T *p, int64_t n)                              \
 {                                                                             \
     if (keep == 1.0) {                                                        \
         for (int64_t j = 0; j < n; j++)                                       \
-            acc[j] += weight * LOAD(p, j);                                    \
+            acc[j] += weight * (double)p[j];                                  \
     } else {                                                                  \
         for (int64_t j = 0; j < n; j++)                                       \
-            acc[j] = acc[j] * keep + weight * LOAD(p, j);                     \
+            acc[j] = acc[j] * keep + weight * (double)p[j];                   \
     }                                                                         \
 }
 
-ROW_LOOPS(f32, float, LOAD_F32)
-ROW_LOOPS(f64, double, LOAD_F64)
-ROW_LOOPS(i8, int8_t, LOAD_I8)
+ROW_LOOPS(f32, float)
+ROW_LOOPS(f64, double)
 
-/* one arena slice: its K or V rows and, for int8, the per-row scale/zero */
-typedef struct {
-    const void *data;
-    const float *scale;
-    const float *zero;
-} slice_t;
-
-static double dot_row(int kind, slice_t s, int64_t row, int64_t n,
+static double dot_row(int f64, const char *slice, int64_t row, int64_t n,
                       const double *q)
 {
-    switch (kind) {
-    case ARENA_F32:
-        return dot_f32(q, (const float *)s.data + row * n, n, 0.0f, 0.0f);
-    case ARENA_F64:
-        return dot_f64(q, (const double *)s.data + row * n, n, 0.0f, 0.0f);
-    default:
-        return dot_i8(q, (const int8_t *)s.data + row * n, n, s.scale[row],
-                      s.zero[row]);
-    }
+    if (f64)
+        return dot_f64(q, (const double *)slice + row * n, n);
+    return dot_f32(q, (const float *)slice + row * n, n);
 }
 
-static void fold_row(int kind, slice_t s, int64_t row, int64_t n,
+static void fold_row(int f64, const char *slice, int64_t row, int64_t n,
                      double *acc, double keep, double weight)
 {
-    switch (kind) {
-    case ARENA_F32:
-        fold_f32(acc, keep, weight, (const float *)s.data + row * n, n,
-                 0.0f, 0.0f);
-        break;
-    case ARENA_F64:
-        fold_f64(acc, keep, weight, (const double *)s.data + row * n, n,
-                 0.0f, 0.0f);
-        break;
-    default:
-        fold_i8(acc, keep, weight, (const int8_t *)s.data + row * n, n,
-                s.scale[row], s.zero[row]);
-    }
+    if (f64)
+        fold_f64(acc, keep, weight, (const double *)slice + row * n, n);
+    else
+        fold_f32(acc, keep, weight, (const float *)slice + row * n, n);
 }
 
-static slice_t arena_slice(int kind, const void *data, const float *scale,
-                           const float *zero, int64_t a, int64_t arena_rows,
-                           int64_t dim)
+/* One call's sweep over its items, the (slice, query row) pairs: threads
+   claim chunks of consecutive items from `next` until none is left. */
+typedef struct {
+    const void *q;
+    int q_f64;
+    const char *k, *v;       /* float32 (f64 == 0) or float64 arenas */
+    int f64;
+    const void *rows;
+    int rows_i64;
+    const int64_t *indptr;
+    int64_t num_rows, arena_rows, dk, dv, items, chunk;
+    double scale;
+    double *out, *row_max, *row_sum;
+    _Atomic int64_t next;    /* first item of the next unclaimed chunk */
+    atomic_int failed;       /* a thread could not allocate its query row */
+} sweep_t;
+
+/* Algorithm 1 for item `at`: slice b, query row i, reading arena slice b */
+static void sweep_row(const sweep_t *w, int64_t at, double *qrow)
 {
-    static const int64_t itemsize[] = {4, 8, 1};
-    slice_t s;
-    s.data = (const char *)data + a * arena_rows * dim * itemsize[kind];
-    s.scale = scale ? scale + a * arena_rows : NULL;
-    s.zero = zero ? zero + a * arena_rows : NULL;
-    return s;
+    const int64_t b = at / w->num_rows, i = at % w->num_rows;
+    const int64_t dk = w->dk, dv = w->dv;
+    const size_t itemsize = w->f64 ? sizeof(double) : sizeof(float);
+    const char *ks = w->k + (size_t)(b * w->arena_rows * dk) * itemsize;
+    const char *vs = w->v + (size_t)(b * w->arena_rows * dv) * itemsize;
+    const int32_t *rows32 = (const int32_t *)w->rows;
+    const int64_t *rows64 = (const int64_t *)w->rows;
+    if (w->q_f64) {
+        const double *src = (const double *)w->q + at * dk;
+        for (int64_t j = 0; j < dk; j++)
+            qrow[j] = src[j];
+    } else {
+        const float *src = (const float *)w->q + at * dk;
+        for (int64_t j = 0; j < dk; j++)
+            qrow[j] = (double)src[j];
+    }
+    double *acc = w->out + at * dv;
+    for (int64_t j = 0; j < dv; j++)
+        acc[j] = 0.0;
+    double m = -INFINITY, l = 0.0;
+    for (int64_t e = w->indptr[i]; e < w->indptr[i + 1]; e++) {
+        const int64_t r = w->rows_i64 ? rows64[e] : (int64_t)rows32[e];
+        const double s = dot_row(w->f64, ks, r, dk, qrow) * w->scale;
+        if (s > m) {
+            /* the running max grows: rescale what is folded so far */
+            const double keep = exp(m - s);
+            l = l * keep + 1.0;
+            fold_row(w->f64, vs, r, dv, acc, keep, 1.0);
+            m = s;
+        } else {
+            const double weight = exp(s - m);
+            l += weight;
+            fold_row(w->f64, vs, r, dv, acc, 1.0, weight);
+        }
+    }
+    w->row_max[at] = m;
+    w->row_sum[at] = l;
+    if (l != 0.0)
+        for (int64_t j = 0; j < dv; j++)
+            acc[j] /= l;
+}
+
+static void *sweep_chunks(void *arg)
+{
+    sweep_t *w = arg;
+    double *qrow = malloc((size_t)(w->dk > 0 ? w->dk : 1) * sizeof(double));
+    if (qrow == NULL) {
+        atomic_store(&w->failed, 1);
+        return NULL;
+    }
+    for (;;) {
+        const int64_t lo = atomic_fetch_add(&w->next, w->chunk);
+        if (lo >= w->items)
+            break;
+        const int64_t hi = w->items - lo > w->chunk ? lo + w->chunk : w->items;
+        for (int64_t at = lo; at < hi; at++)
+            sweep_row(w, at, qrow);
+    }
+    free(qrow);
+    return NULL;
+}
+
+/* CPUs the calling thread may run on (its affinity mask, where there is one) */
+static int64_t usable_cpus(void)
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return CPU_COUNT(&set);
+#endif
+    const long online = sysconf(_SC_NPROCESSORS_ONLN);
+    return online > 0 ? online : 1;
+}
+
+/* Sweep every item: on the calling thread alone below SPLIT_WORK, else on
+   up to MAX_THREADS threads (the caller among them), all joined before this
+   returns.  Each row is reduced by one thread with the same arithmetic, so
+   no thread count or schedule changes a result; a helper that fails to
+   start leaves its chunks to the threads that did.  Returns 0, or 3 when a
+   thread could not allocate its query row. */
+static int run_sweep(sweep_t *w, int64_t work)
+{
+    int64_t threads = 1;
+    if (work >= SPLIT_WORK) { /* so some row has an edge: items >= 1 */
+        threads = usable_cpus();
+        if (threads > MAX_THREADS)
+            threads = MAX_THREADS;
+        if (threads > w->items)
+            threads = w->items;
+    }
+    const int64_t chunks = threads * CHUNKS_PER_THREAD;
+    w->chunk = (w->items + chunks - 1) / chunks;
+    atomic_init(&w->next, 0);
+    atomic_init(&w->failed, 0);
+    pthread_t helpers[MAX_THREADS];
+    int64_t started = 0;
+    for (int64_t t = 1; t < threads; t++)
+        if (pthread_create(&helpers[started], NULL, sweep_chunks, w) == 0)
+            started++;
+    sweep_chunks(w);
+    for (int64_t t = 0; t < started; t++)
+        pthread_join(helpers[t], NULL);
+    return atomic_load(&w->failed) ? 3 : 0;
+}
+
+/* The distinct arena rows the edges read: uniq[] lists them in first-read
+   order and local[e] is edge e's index into uniq.  The open-addressing table
+   holds at most `bound` = min(edges, arena rows) keys at load <= 1/2, so
+   this costs O(edges) however large the arena.  Returns the distinct count,
+   or -1 when out of memory. */
+static int64_t distinct_rows(const void *rows, int rows_i64, int64_t num_edges,
+                             int64_t bound, int64_t *uniq, int64_t *local)
+{
+    int bits = 1;
+    while (((int64_t)1 << bits) < 2 * bound)
+        bits++;
+    const uint64_t mask = ((uint64_t)1 << bits) - 1;
+    int64_t *slots = calloc(mask + 1, sizeof(int64_t)); /* index + 1; 0 = free */
+    if (slots == NULL)
+        return -1;
+    int64_t count = 0;
+    for (int64_t e = 0; e < num_edges; e++) {
+        const int64_t r = rows_i64 ? ((const int64_t *)rows)[e]
+                                   : (int64_t)((const int32_t *)rows)[e];
+        uint64_t h = ((uint64_t)r * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+        while (slots[h] != 0 && uniq[slots[h] - 1] != r)
+            h = (h + 1) & mask;
+        if (slots[h] == 0) {
+            uniq[count] = r;
+            slots[h] = ++count;
+        }
+        local[e] = slots[h] - 1;
+    }
+    free(slots);
+    return count;
 }
 
 /* Algorithm 1 for num_rows query rows of each of slices query slices.
-   Slice b reads arena slice b; edge e of a row reads arena row rows[e].
+   Slice b reads arena slice b; edge e of a row reads arena row rows[e].  An
+   int8 arena's distinct rows are dequantized once, into float32 scratch the
+   fp32 sweep then reads: the same float32 values per element.
    Returns 0, or 1 for a malformed indptr, 2 for an arena row out of range,
-   3 when the per-call scratch cannot be allocated (nothing is read then). */
+   3 when the per-call scratch cannot be allocated.  Both checks run before
+   anything is read. */
 int edge_attention(const void *q, int q_f64,
                    const void *k, const void *v, int kind,
                    const float *k_scale, const float *k_zero,
@@ -206,53 +359,41 @@ int edge_attention(const void *q, int q_f64,
         if (r < 0 || r >= arena_rows)
             return 2;
     }
-    double *qrow = malloc((size_t)(dk > 0 ? dk : 1) * sizeof(double));
-    if (qrow == NULL)
-        return 3;
-    for (int64_t b = 0; b < slices; b++) {
-        const slice_t ks = arena_slice(kind, k, k_scale, k_zero, b,
-                                       arena_rows, dk);
-        const slice_t vs = arena_slice(kind, v, v_scale, v_zero, b,
-                                       arena_rows, dv);
-        for (int64_t i = 0; i < num_rows; i++) {
-            const int64_t at = b * num_rows + i;
-            if (q_f64) {
-                const double *src = (const double *)q + at * dk;
-                for (int64_t j = 0; j < dk; j++)
-                    qrow[j] = src[j];
-            } else {
-                const float *src = (const float *)q + at * dk;
-                for (int64_t j = 0; j < dk; j++)
-                    qrow[j] = (double)src[j];
-            }
-            double *acc = out + at * dv;
-            for (int64_t j = 0; j < dv; j++)
-                acc[j] = 0.0;
-            double m = -INFINITY, l = 0.0;
-            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-                const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
-                const double s = dot_row(kind, ks, r, dk, qrow) * scale;
-                if (s > m) {
-                    /* the running max grows: rescale what is folded so far */
-                    const double keep = exp(m - s);
-                    l = l * keep + 1.0;
-                    fold_row(kind, vs, r, dv, acc, keep, 1.0);
-                    m = s;
-                } else {
-                    const double w = exp(s - m);
-                    l += w;
-                    fold_row(kind, vs, r, dv, acc, 1.0, w);
-                }
-            }
-            row_max[at] = m;
-            row_sum[at] = l;
-            if (l != 0.0)
-                for (int64_t j = 0; j < dv; j++)
-                    acc[j] /= l;
-        }
+    sweep_t w = {
+        .q = q, .q_f64 = q_f64, .k = k, .v = v, .f64 = kind == ARENA_F64,
+        .rows = rows, .rows_i64 = rows_i64, .indptr = indptr,
+        .num_rows = num_rows, .arena_rows = arena_rows, .dk = dk, .dv = dv,
+        .items = slices * num_rows, .scale = scale,
+        .out = out, .row_max = row_max, .row_sum = row_sum,
+    };
+    const int64_t work = slices * num_edges * (dk + dv);
+    if (kind != ARENA_I8)
+        return run_sweep(&w, work);
+    /* int8: dequantize each distinct row once, into float32 scratch, and run
+       the fp32 sweep over that scratch with the edges remapped onto it */
+    const int64_t bound = num_edges < arena_rows ? num_edges : arena_rows;
+    int64_t *uniq = malloc((size_t)(bound > 0 ? bound : 1) * sizeof(int64_t));
+    int64_t *local = malloc((size_t)(num_edges > 0 ? num_edges : 1) * sizeof(int64_t));
+    const int64_t distinct = uniq && local ? distinct_rows(rows, rows_i64, num_edges, bound, uniq, local) : -1;
+    const size_t held = (size_t)(slices * (distinct > 0 ? distinct : 1));
+    float *kd = distinct >= 0 ? malloc(held * (size_t)(dk > 0 ? dk : 1) * sizeof(float)) : NULL;
+    float *vd = distinct >= 0 ? malloc(held * (size_t)(dv > 0 ? dv : 1) * sizeof(float)) : NULL;
+    int status = 3;
+    if (kd != NULL && vd != NULL) {
+        gather_dequant_i8(k, k_scale, k_zero, uniq, slices, arena_rows, distinct, dk, kd);
+        gather_dequant_i8(v, v_scale, v_zero, uniq, slices, arena_rows, distinct, dv, vd);
+        w.k = (const char *)kd;
+        w.v = (const char *)vd;
+        w.arena_rows = distinct;
+        w.rows = local;
+        w.rows_i64 = 1;
+        status = run_sweep(&w, work);
     }
-    free(qrow);
-    return 0;
+    free(uniq);
+    free(local);
+    free(kd);
+    free(vd);
+    return status;
 }
 """
 
@@ -262,7 +403,7 @@ int edge_attention(const void *q, int q_f64,
 #: products into FMAs.  ``-ftree-vectorize`` only packs independent lanes
 #: (the value fold, the four dot-product partial sums); without
 #: reassociation flags it never reorders a sum, so results stay bit-equal.
-_CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
+_CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 _LIB_NAME = "repro_compiled.so"
 
 _P = ctypes.c_void_p
@@ -278,7 +419,7 @@ _ARGTYPES = {
 _KERNEL_ERRORS = {
     1: "indptr must start at 0, never decrease and end at the edge count",
     2: "an edge reads an arena row out of range",
-    3: "out of memory for the kernel's scratch row",
+    3: "out of memory for the kernel's per-call scratch",
 }
 _ARENA_KINDS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _ARENA_I8 = 2
@@ -497,8 +638,10 @@ class Arena:
     ``keys``/``values`` are ``(..., N, d_k)`` / ``(..., N, d_v)``.  An int8
     arena carries per-row float32 ``(scale, zero)`` pairs shaped ``(..., N)``
     and dequantizes as ``(float(q) - zero) * scale`` in float32, exactly like
-    :func:`gather_dequant_int8`.  A block pool builds its arena once, so the
-    C kernel's view of it (:attr:`c_operands`) is made once too.
+    :func:`gather_dequant_int8`: the C kernel dequantizes each distinct row a
+    call reads once, into per-call scratch, whatever the arena's size.  A
+    block pool builds its arena once, so the C kernel's view of it
+    (:attr:`c_operands`) is made once too.
     """
 
     keys: np.ndarray
@@ -538,18 +681,22 @@ def gather_dequant_int8(
 
     ``arena`` is ``(..., R, d)`` int8; ``scale``/``zero`` are ``(..., R)``
     float32 per-row affine parameters sharing the arena's row indexing;
-    ``rows`` is 1-D int64.  The C backend fuses the gather and the two
-    float32 ops into one pass and is bit-identical to the NumPy fallback
-    (same operations, same order, per element).
+    ``rows`` is 1-D int64, each in ``[0, R)``; any other row raises
+    :exc:`ValueError` on both backends.  The C backend fuses the gather and
+    the two float32 ops into one pass and is bit-identical to the NumPy
+    fallback (same operations, same order, per element).
     """
     rows = np.ascontiguousarray(rows, dtype=np.int64)
+    arena_rows = arena.shape[-2]
+    if rows.size and (rows.min() < 0 or rows.max() >= arena_rows):
+        raise ValueError(f"gather_dequant_int8: a row is out of range [0, {arena_rows})")
     if _ensure_backend() == "numpy":
         gathered = arena[..., rows, :].astype(np.float32)
         z = zero[..., rows]
         s = scale[..., rows]
         return (gathered - z[..., None]) * s[..., None]
     flat = _flat3(arena)
-    batch, arena_rows, dim = flat.shape
+    batch, _, dim = flat.shape
     scale2 = np.ascontiguousarray(scale, dtype=np.float32).reshape(batch, arena_rows)
     zero2 = np.ascontiguousarray(zero, dtype=np.float32).reshape(batch, arena_rows)
     out = np.empty((batch, rows.size, dim), dtype=np.float32)

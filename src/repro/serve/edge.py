@@ -21,6 +21,9 @@
 * **Graceful drain** — ``await edge.shutdown(drain=True)`` rejects new
   submissions with :class:`EdgeClosed` while in-flight streams run to
   completion; ``drain=False`` cancels them, releasing their blocks.
+* **Failure** — if a scheduler step raises, every open stream's consumer
+  raises that exception, the edge refuses new streams with
+  :class:`EdgeClosed`, and ``shutdown()`` re-raises the exception once.
 
 The edge never spawns threads: one asyncio task drives ``scheduler.step()``
 and cooperatively yields after every iteration, so consumers interleave with
@@ -54,7 +57,7 @@ class TenantThrottled(RuntimeError):
 
 
 class EdgeClosed(RuntimeError):
-    """The edge is shut down (or draining) and accepts no new streams."""
+    """The edge is shut down, draining or failed, and accepts no new streams."""
 
 
 class StreamCancelled(RuntimeError):
@@ -239,6 +242,8 @@ class AsyncServingEdge:
         self._idle: Optional[asyncio.Event] = None
         self._draining = False
         self._closed = False
+        #: the exception a scheduler step raised; the edge is dead after it
+        self._failure: Optional[Exception] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -348,6 +353,9 @@ class AsyncServingEdge:
             "tenant= disagrees with request.tenant",
         )
         name = tenant or request.tenant or "default"
+        if self._failure is not None:
+            self._record_outcome(name, "closed")
+            raise EdgeClosed("the edge's scheduler failed; no new streams accepted") from self._failure
         if self._draining or self._closed:
             self._record_outcome(name, "closed")
             raise EdgeClosed("the edge is draining; no new streams accepted")
@@ -462,6 +470,14 @@ class AsyncServingEdge:
                 await asyncio.sleep(0)
         except asyncio.CancelledError:
             pass
+        except Exception as error:
+            # a step raised (a kernel error, say): every open stream's
+            # consumer raises it rather than wait forever, no new stream is
+            # accepted, and the task ends with it, so shutdown() re-raises it
+            self._failure = error
+            for stream in list(self._streams.values()):
+                self._teardown_stream(stream, error=error)
+            raise
 
     # ------------------------------------------------------------------ #
     # Completion / cancellation

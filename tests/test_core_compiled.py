@@ -3,11 +3,13 @@
 The contract under test: the fused row kernel ``edge_attention`` agrees with
 its NumPy fallback to float64 round-off on every arena storage, layout and
 row shape, and exactly with itself across the layouts the serving stack
-relies on (ragged == per-session, int8 == fp32 fed the dequantized rows);
-its memory stays O(L·d); the int8 dequant-gather is bit-identical across
-backends; the C library is built once per source hash and never loaded from
-an untrusted or corrupt cache; and ``REPRO_COMPILED`` forces the NumPy
-fallback so the whole stack runs without any compiler present.
+relies on (ragged == per-session, int8 == fp32 fed the dequantized rows) and
+across thread counts, for calls large enough to run on threads; its memory
+stays O(L·d); the int8 dequant-gather is bit-identical across backends and
+refuses rows outside the arena; the C library is built once per source hash
+and never loaded from an untrusted or corrupt cache; and ``REPRO_COMPILED``
+forces the NumPy fallback so the whole stack runs without any compiler
+present.
 """
 
 import hashlib
@@ -85,6 +87,20 @@ class TestGatherDequantInt8:
             slow = compiled.gather_dequant_int8(arena, scale, zero, rows)
         assert fast.dtype == np.float32
         assert_array_equal(fast, slow)
+
+    @pytest.mark.parametrize("backend_name", ["cext", "numpy"])
+    def test_rows_outside_the_arena_are_refused(self, backend_name):
+        if backend_name == "cext" and _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        rng = np.random.default_rng(3)
+        arena, scale, zero = quantize_rows(rng.normal(size=(2, 6, 4)).astype(np.float32))
+        with compiled.force_backend(backend_name):
+            for bad in ([-1], [6], [0, 6]):
+                with pytest.raises(ValueError, match="out of range"):
+                    compiled.gather_dequant_int8(arena, scale, zero, np.array(bad))
+            out = compiled.gather_dequant_int8(arena, scale, zero, np.array([5]))
+        expect = (arena[:, [5]].astype(np.float32) - zero[:, [5], None]) * scale[:, [5], None]
+        assert_array_equal(out, expect)
 
     def test_matches_manual_dequant(self):
         rng = np.random.default_rng(2)
@@ -190,15 +206,24 @@ def _layout(rng):
     return np.concatenate(picks).astype(np.int32), indptr
 
 
-def _arena(rng, batch_shape, storage):
-    keys = rng.standard_normal(batch_shape + (LENGTH, KEY_DIM)).astype(np.float32)
-    values = rng.standard_normal(batch_shape + (LENGTH, VALUE_DIM)).astype(np.float32)
+def _arena(rng, batch_shape, storage, length=LENGTH, key_dim=KEY_DIM, value_dim=VALUE_DIM):
+    keys = rng.standard_normal(batch_shape + (length, key_dim)).astype(np.float32)
+    values = rng.standard_normal(batch_shape + (length, value_dim)).astype(np.float32)
     if storage == "int8":
         k8, k_scale, k_zero = quantize_rows(keys)
         v8, v_scale, v_zero = quantize_rows(values)
         return compiled.Arena(k8, v8, (k_scale, k_zero), (v_scale, v_zero))
     dtype = {"fp32": np.float32, "fp64": np.float64, "fp16": np.float16}[storage]
     return compiled.Arena(keys.astype(dtype), values.astype(dtype))
+
+
+def _dequantized(arena):
+    """The fp32 arena of an int8 arena's dequantized rows."""
+    (k_scale, k_zero), (v_scale, v_zero) = arena.k_params, arena.v_params
+    return compiled.Arena(
+        (arena.keys.astype(np.float32) - k_zero[..., None]) * k_scale[..., None],
+        (arena.values.astype(np.float32) - v_zero[..., None]) * v_scale[..., None],
+    )
 
 
 def _assert_round_off(fast, slow):
@@ -267,15 +292,10 @@ class TestEdgeAttentionExactness:
         rng = np.random.default_rng(5)
         cols, indptr = _layout(rng)
         arena = _arena(rng, (2,), "int8")
-        (k_scale, k_zero), (v_scale, v_zero) = arena.k_params, arena.v_params
-        dequantized = compiled.Arena(
-            (arena.keys.astype(np.float32) - k_zero[..., None]) * k_scale[..., None],
-            (arena.values.astype(np.float32) - v_zero[..., None]) * v_scale[..., None],
-        )
         q = rng.standard_normal((2, LENGTH, KEY_DIM)).astype(np.float32)
         with compiled.force_backend(backend_name):
             quantized = compiled.edge_attention(q, arena, cols, indptr, 0.4)
-            oracle = compiled.edge_attention(q, dequantized, cols, indptr, 0.4)
+            oracle = compiled.edge_attention(q, _dequantized(arena), cols, indptr, 0.4)
         for a, b in zip(quantized, oracle):
             assert_array_equal(a, b)
 
@@ -357,3 +377,177 @@ class TestMemoryBound:
         assert peaks[64] <= 64 * 2**20, peaks
         assert peaks[64] < 1.1 * peaks[32], peaks
 
+
+# --------------------------------------------------------------------------- #
+# Calls large enough to sweep on threads
+# --------------------------------------------------------------------------- #
+BIG_LENGTH, BIG_KEY_DIM, BIG_VALUE_DIM = 1024, 19, 13  # d_k = 19 runs the tail
+
+
+def _work(q, rows, arena):
+    """A call's work as the kernel measures it: slices x edges x (d_k + d_v)."""
+    slices = int(np.prod(q.shape[:-2], dtype=np.int64))
+    return slices * rows.size * (arena.keys.shape[-1] + arena.values.shape[-1])
+
+
+def _one_thread_then_all(call):
+    """``call()`` with this process pinned to one CPU, then on its whole mask.
+
+    The kernel reads the calling thread's CPU affinity on every threaded
+    call, so the first result comes from the one-thread path."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this platform")
+    mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        pytest.skip("one CPU in this process's mask: nothing to compare")
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        single = call()
+    finally:
+        os.sched_setaffinity(0, mask)
+    return single, call()
+
+
+def _assert_same(left, right):
+    for a, b in zip(left, right):
+        assert a.shape == b.shape
+        assert_array_equal(a, b)
+
+
+def _big_layout(rng, rows_dtype):
+    """Rows of mixed degree: empty rows, one-edge rows, a degree-L row."""
+    degrees = rng.integers(0, 48, size=BIG_LENGTH)
+    degrees[::97] = 0
+    degrees[5] = BIG_LENGTH
+    degrees[6] = 1
+    picks = [np.arange(BIG_LENGTH) if n == BIG_LENGTH else rng.integers(0, BIG_LENGTH, size=n) for n in degrees]
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    return np.concatenate(picks).astype(rows_dtype), indptr
+
+
+def _big_arena(rng, batch_shape, storage):
+    return _arena(rng, batch_shape, storage, BIG_LENGTH, BIG_KEY_DIM, BIG_VALUE_DIM)
+
+
+class TestThreadedCalls:
+    """Above the split size: one thread and all threads give bit-equal
+    outputs, ``row_max`` and ``row_sum``, and int8 stays exactly fp32 fed
+    the dequantized rows."""
+
+    @pytest.mark.parametrize("storage", ["fp32", "fp64", "int8"])
+    @pytest.mark.parametrize("q_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("batch_shape", [(), (2,)])
+    def test_one_thread_equals_all_threads(self, batch_shape, rows_dtype, q_dtype, storage):
+        rng = np.random.default_rng(17)
+        rows, indptr = _big_layout(rng, rows_dtype)
+        arena = _big_arena(rng, batch_shape, storage)
+        q = rng.standard_normal(batch_shape + (BIG_LENGTH, BIG_KEY_DIM)).astype(q_dtype)
+        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
+        single, threaded = _one_thread_then_all(lambda: compiled.edge_attention(q, arena, rows, indptr, 0.3))
+        _assert_same(single, threaded)
+        output, row_max, row_sum = threaded
+        empty = np.diff(indptr) == 0
+        assert np.all(output[..., empty, :] == 0)
+        assert np.all(row_max[..., empty] == -np.inf) and np.all(row_sum[..., empty] == 0)
+        assert np.all(row_sum[..., ~empty] >= 1)
+
+    @pytest.mark.parametrize("storage", ["fp32", "int8"])
+    def test_ragged_sessions_one_thread_equals_all_threads(self, storage):
+        """A ragged pass: prefill chunks and decode rows of sessions at
+        different positions, laid end to end in one call, equal one call per
+        session on any thread count."""
+        rng = np.random.default_rng(19)
+        arena = _big_arena(rng, (2,), storage)
+        sessions = []
+        for count, position in ((300, 400), (1, 1000), (128, 64), (1, 7), (200, 900)):
+            starts = np.maximum(0, np.arange(position, position + count) - 96)
+            degrees = np.arange(position, position + count) - starts + 1
+            local = np.concatenate([np.arange(lo, lo + n) for lo, n in zip(starts, degrees)])
+            physical = rng.permutation(BIG_LENGTH)[local % BIG_LENGTH]
+            q = rng.standard_normal((2, count, BIG_KEY_DIM)).astype(np.float32)
+            sessions.append((q, physical.astype(np.int64), np.concatenate([[0], np.cumsum(degrees)])))
+        shifts = np.cumsum([0] + [int(p[-1]) for _, _, p in sessions[:-1]])
+        q = np.concatenate([s[0] for s in sessions], axis=-2)
+        rows = np.concatenate([s[1] for s in sessions])
+        indptr = np.concatenate([[0]] + [p[1:] + shift for (_, _, p), shift in zip(sessions, shifts)])
+        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
+        single, threaded = _one_thread_then_all(lambda: compiled.edge_attention(q, arena, rows, indptr, 0.3))
+        _assert_same(single, threaded)
+        output, row_max, row_sum = threaded
+        row = 0
+        for session_q, session_rows, session_indptr in sessions:
+            alone = compiled.edge_attention(session_q, arena, session_rows, session_indptr, 0.3)
+            count = session_q.shape[-2]
+            part = (output[..., row : row + count, :], row_max[..., row : row + count], row_sum[..., row : row + count])
+            _assert_same(alone, part)
+            row += count
+
+    def test_int8_over_a_shared_prefix_equals_fp32_of_the_dequantized_rows(self):
+        """A prefill over a shared prefix reads each prefix row from every
+        query row: each int8 row is read hundreds of times in one call."""
+        rng = np.random.default_rng(23)
+        arena = _big_arena(rng, (4,), "int8")
+        prefix, count = 512, 256
+        positions = np.arange(prefix, prefix + count)
+        rows = np.concatenate([np.arange(p + 1) for p in positions]).astype(np.int64)
+        indptr = np.concatenate([[0], np.cumsum(positions + 1)])
+        q = rng.standard_normal((4, count, BIG_KEY_DIM)).astype(np.float32)
+        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
+        assert rows.size > 100 * np.unique(rows).size
+        quantized, oracle = (compiled.edge_attention(q, a, rows, indptr, 0.3) for a in (arena, _dequantized(arena)))
+        _assert_same(quantized, oracle)
+        _assert_same(*_one_thread_then_all(lambda: compiled.edge_attention(q, arena, rows, indptr, 0.3)))
+
+    def test_int8_arena_of_a_million_rows_touched_at_a_few(self):
+        """The dequantized copy holds only the rows a call reads: a call on a
+        2**20-row int8 arena equals an fp32 arena holding just those rows."""
+        rng = np.random.default_rng(29)
+        arena_rows, dim, touched = 1 << 20, 8, 48
+        hot = np.sort(rng.choice(arena_rows, size=touched, replace=False))
+        hot[-1] = arena_rows - 1  # the arena's last row among them
+        keys = np.zeros((arena_rows, dim), dtype=np.int8)
+        values = np.zeros((arena_rows, dim), dtype=np.int8)
+        k_scale, v_scale = np.ones(arena_rows, np.float32), np.ones(arena_rows, np.float32)
+        k_zero, v_zero = np.zeros(arena_rows, np.float32), np.zeros(arena_rows, np.float32)
+        for array in (keys, values):
+            array[hot] = rng.integers(-128, 128, size=(touched, dim))
+        for scale in (k_scale, v_scale):
+            scale[hot] = rng.uniform(0.01, 0.1, size=touched)
+        for zero in (k_zero, v_zero):
+            zero[hot] = rng.uniform(-5, 5, size=touched)
+        arena = compiled.Arena(keys, values, (k_scale, k_zero), (v_scale, v_zero))
+        count, degree = 2048, 24
+        rows = hot[rng.integers(0, touched, size=count * degree)]
+        indptr = np.arange(0, count * degree + 1, degree)
+        q = rng.standard_normal((count, dim)).astype(np.float32)
+        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
+        compact = _dequantized(
+            compiled.Arena(keys[hot], values[hot], (k_scale[hot], k_zero[hot]), (v_scale[hot], v_zero[hot]))
+        )
+        quantized = compiled.edge_attention(q, arena, rows, indptr, 0.3)
+        oracle = compiled.edge_attention(q, compact, np.searchsorted(hot, rows), indptr, 0.3)
+        _assert_same(quantized, oracle)
+
+    @pytest.mark.parametrize("storage", ["fp32", "int8"])
+    @pytest.mark.parametrize("rows_dtype", [np.int32, np.int64])
+    def test_refusals_at_the_split_size(self, rows_dtype, storage):
+        if _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        rng = np.random.default_rng(31)
+        rows, indptr = _big_layout(rng, rows_dtype)
+        arena = _big_arena(rng, (2,), storage)
+        q = rng.standard_normal((2, BIG_LENGTH, BIG_KEY_DIM)).astype(np.float32)
+        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
+        for at, bad in ((rows.size - 1, BIG_LENGTH), (rows.size // 2, -1)):
+            broken = rows.copy()
+            broken[at] = bad
+            with pytest.raises(ValueError, match="out of range"):
+                compiled.edge_attention(q, arena, broken, indptr, 0.3)
+        decreasing = indptr.copy()
+        decreasing[BIG_LENGTH // 2] = decreasing[BIG_LENGTH // 2 + 1] + 1
+        short = indptr.copy()
+        short[-1] -= 1
+        for broken in (decreasing, short):
+            with pytest.raises(ValueError, match="indptr"):
+                compiled.edge_attention(q, arena, rows, broken, 0.3)

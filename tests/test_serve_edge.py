@@ -313,8 +313,7 @@ class TestCancellation:
                 await replacement.collect()
                 return output
 
-        # a pass that raises inside the edge's scheduling task leaves the
-        # consumers waiting, so the run gets a wall-clock limit of its own
+        # wait_for only guards the run against a consumer left waiting
         output = asyncio.run(asyncio.wait_for(run(), timeout=60))
         np.testing.assert_array_equal(output, survivor_oracle)
         assert fired[0] > 0  # the victim held blocks when the disconnect fired
@@ -384,3 +383,41 @@ class TestShutdown:
                 await edge.submit(_request(8, 4, seed=31))
 
         asyncio.run(run())
+
+
+class TestSchedulerFailure:
+    def test_a_step_that_raises_fails_every_open_stream(self):
+        """A scheduler step that raises (a kernel error, say) reaches every
+        open stream's consumer, closes the edge to new streams and is
+        re-raised once by shutdown; the blocks of the torn-down streams
+        return to the pool."""
+        scheduler = _scheduler(24)
+        step, calls = scheduler.step, []
+
+        def step_failing_on_second_call():
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("kernel failed mid-iteration")
+            return step()
+
+        scheduler.step = step_failing_on_second_call
+
+        async def run():
+            edge = await AsyncServingEdge(scheduler).start()
+            streams = [await edge.submit(_request(24, 4, seed=60 + i)) for i in range(3)]
+            for stream in streams:
+                # wait_for only guards the run: a consumer left waiting times out
+                with pytest.raises(RuntimeError, match="kernel failed"):
+                    await asyncio.wait_for(stream.collect(), timeout=5)
+            assert not edge.running
+            with pytest.raises(EdgeClosed):
+                await edge.submit(_request(8, 4, seed=63))
+            with pytest.raises(RuntimeError, match="kernel failed"):
+                await asyncio.wait_for(edge.shutdown(drain=True), timeout=5)
+            await edge.shutdown()  # re-raised once only
+            assert edge.stats.cancelled == 3
+
+        asyncio.run(run())
+        assert len(calls) == 2
+        assert scheduler.pool.blocks_in_use == 0
+        assert scheduler.active == 0
