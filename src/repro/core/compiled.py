@@ -30,22 +30,14 @@ its own query and K/V rows — stacked == individual and paged == private
 hold by construction.  The C kernel sums each dot product in a fixed order
 (four interleaved partial sums) and is built with ``-ffp-contract=off``, so
 no target fuses it into FMAs; across backends results agree to float64
-round-off.  On an int8 arena the C kernel first dequantizes each distinct
-row the call reads, once, into per-call float32 scratch with the loop behind
-:func:`gather_dequant_int8` (``(float(q) - zero) * scale``), then runs its
-fp32 sweep over that scratch: an int8 arena gives exactly what an fp32
-arena of the dequantized rows gives.  :func:`gather_dequant_int8` (the paged
-cache's ``gather_keys``/``gather_values`` on int8 storage) is bit-identical
-across backends.
-
-Threads: a C call whose work, slices x edges x (d_k + d_v), reaches a
-fixed size (``_SPLIT_WORK``, 2**18) sweeps its (slice, row) items on up to
-``_MAX_THREADS`` (4) threads, and never on more than the CPUs the calling
-thread's affinity mask allows (read on each such call; ``taskset -c 0``
-therefore runs the one-thread path).  The threads claim chunks of rows from
-a shared counter and are all joined before the call returns.  Each row is
-still reduced by exactly one thread with unchanged arithmetic, so no thread
-count or schedule can change a result.
+round-off.  The C kernel reads float32 and float64 arenas only: on an int8
+arena, :func:`edge_attention` first dequantizes each distinct row the call
+reads, once, with :func:`gather_dequant_int8` (``(float(q) - zero) * scale``
+in float32), and runs the kernel over those rows with the edges renumbered
+onto them.  An int8 arena therefore gives exactly what an fp32 arena of the
+dequantized rows gives.  :func:`gather_dequant_int8` (also the paged cache's
+``gather_keys``/``gather_values`` on int8 storage) is bit-identical across
+backends.
 
 Backend selection honours ``REPRO_COMPILED``:
 
@@ -78,30 +70,10 @@ from repro.core.online_softmax import (
 )
 from repro.utils.validation import require
 
-#: A call whose work, slices x edges x (d_k + d_v), reaches this sweeps its
-#: rows on threads; a smaller call stays on the calling thread.
-_SPLIT_WORK = 1 << 18
-#: threads per call at most, and never more than the caller's usable CPUs
-_MAX_THREADS = 4
-#: rows are claimed in chunks sized so each thread claims about this many,
-#: so a descheduled thread delays the call by about one chunk
-_CHUNKS_PER_THREAD = 16
-
-_C_DEFINES = (
-    f"#define SPLIT_WORK {_SPLIT_WORK}\n"
-    f"#define MAX_THREADS {_MAX_THREADS}\n"
-    f"#define CHUNKS_PER_THREAD {_CHUNKS_PER_THREAD}\n"
-)
-
-_C_SOURCE = _C_DEFINES + r"""
-#define _GNU_SOURCE
+_C_SOURCE = r"""
 #include <math.h>
-#include <pthread.h>
-#include <sched.h>
-#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <unistd.h>
 
 void gather_dequant_i8(const int8_t *arena, const float *scale,
                        const float *zero, const int64_t *rows,
@@ -122,8 +94,6 @@ void gather_dequant_i8(const int8_t *arena, const float *scale,
         }
     }
 }
-
-enum { ARENA_F32 = 0, ARENA_F64 = 1, ARENA_I8 = 2 };
 
 /* dot(q, p) summed in a fixed order: four interleaved partial sums, then the
    tail; fold: acc = acc * keep + weight * p (keep == 1 skips an exact no-op) */
@@ -157,7 +127,7 @@ static void fold_##SUFFIX(double *acc, double keep, double weight,           \
 ROW_LOOPS(f32, float)
 ROW_LOOPS(f64, double)
 
-static double dot_row(int f64, const char *slice, int64_t row, int64_t n,
+static double dot_row(int f64, const void *slice, int64_t row, int64_t n,
                       const double *q)
 {
     if (f64)
@@ -165,7 +135,7 @@ static double dot_row(int f64, const char *slice, int64_t row, int64_t n,
     return dot_f32(q, (const float *)slice + row * n, n);
 }
 
-static void fold_row(int f64, const char *slice, int64_t row, int64_t n,
+static void fold_row(int f64, const void *slice, int64_t row, int64_t n,
                      double *acc, double keep, double weight)
 {
     if (f64)
@@ -174,178 +144,17 @@ static void fold_row(int f64, const char *slice, int64_t row, int64_t n,
         fold_f32(acc, keep, weight, (const float *)slice + row * n, n);
 }
 
-/* One call's sweep over its items, the (slice, query row) pairs: threads
-   claim chunks of consecutive items from `next` until none is left. */
-typedef struct {
-    const void *q;
-    int q_f64;
-    const char *k, *v;       /* float32 (f64 == 0) or float64 arenas */
-    int f64;
-    const void *rows;
-    int rows_i64;
-    const int64_t *indptr;
-    int64_t num_rows, arena_rows, dk, dv, items, chunk;
-    double scale;
-    double *out, *row_max, *row_sum;
-    _Atomic int64_t next;    /* first item of the next unclaimed chunk */
-    atomic_int failed;       /* a thread could not allocate its query row */
-} sweep_t;
-
-/* Algorithm 1 for item `at`: slice b, query row i, reading arena slice b */
-static void sweep_row(const sweep_t *w, int64_t at, double *qrow)
-{
-    const int64_t b = at / w->num_rows, i = at % w->num_rows;
-    const int64_t dk = w->dk, dv = w->dv;
-    const size_t itemsize = w->f64 ? sizeof(double) : sizeof(float);
-    const char *ks = w->k + (size_t)(b * w->arena_rows * dk) * itemsize;
-    const char *vs = w->v + (size_t)(b * w->arena_rows * dv) * itemsize;
-    const int32_t *rows32 = (const int32_t *)w->rows;
-    const int64_t *rows64 = (const int64_t *)w->rows;
-    if (w->q_f64) {
-        const double *src = (const double *)w->q + at * dk;
-        for (int64_t j = 0; j < dk; j++)
-            qrow[j] = src[j];
-    } else {
-        const float *src = (const float *)w->q + at * dk;
-        for (int64_t j = 0; j < dk; j++)
-            qrow[j] = (double)src[j];
-    }
-    double *acc = w->out + at * dv;
-    for (int64_t j = 0; j < dv; j++)
-        acc[j] = 0.0;
-    double m = -INFINITY, l = 0.0;
-    for (int64_t e = w->indptr[i]; e < w->indptr[i + 1]; e++) {
-        const int64_t r = w->rows_i64 ? rows64[e] : (int64_t)rows32[e];
-        const double s = dot_row(w->f64, ks, r, dk, qrow) * w->scale;
-        if (s > m) {
-            /* the running max grows: rescale what is folded so far */
-            const double keep = exp(m - s);
-            l = l * keep + 1.0;
-            fold_row(w->f64, vs, r, dv, acc, keep, 1.0);
-            m = s;
-        } else {
-            const double weight = exp(s - m);
-            l += weight;
-            fold_row(w->f64, vs, r, dv, acc, 1.0, weight);
-        }
-    }
-    w->row_max[at] = m;
-    w->row_sum[at] = l;
-    if (l != 0.0)
-        for (int64_t j = 0; j < dv; j++)
-            acc[j] /= l;
-}
-
-static void *sweep_chunks(void *arg)
-{
-    sweep_t *w = arg;
-    double *qrow = malloc((size_t)(w->dk > 0 ? w->dk : 1) * sizeof(double));
-    if (qrow == NULL) {
-        atomic_store(&w->failed, 1);
-        return NULL;
-    }
-    for (;;) {
-        const int64_t lo = atomic_fetch_add(&w->next, w->chunk);
-        if (lo >= w->items)
-            break;
-        const int64_t hi = w->items - lo > w->chunk ? lo + w->chunk : w->items;
-        for (int64_t at = lo; at < hi; at++)
-            sweep_row(w, at, qrow);
-    }
-    free(qrow);
-    return NULL;
-}
-
-/* CPUs the calling thread may run on (its affinity mask, where there is one) */
-static int64_t usable_cpus(void)
-{
-#ifdef __linux__
-    cpu_set_t set;
-    if (sched_getaffinity(0, sizeof set, &set) == 0)
-        return CPU_COUNT(&set);
-#endif
-    const long online = sysconf(_SC_NPROCESSORS_ONLN);
-    return online > 0 ? online : 1;
-}
-
-/* Sweep every item: on the calling thread alone below SPLIT_WORK, else on
-   up to MAX_THREADS threads (the caller among them), all joined before this
-   returns.  Each row is reduced by one thread with the same arithmetic, so
-   no thread count or schedule changes a result; a helper that fails to
-   start leaves its chunks to the threads that did.  Returns 0, or 3 when a
-   thread could not allocate its query row. */
-static int run_sweep(sweep_t *w, int64_t work)
-{
-    int64_t threads = 1;
-    if (work >= SPLIT_WORK) { /* so some row has an edge: items >= 1 */
-        threads = usable_cpus();
-        if (threads > MAX_THREADS)
-            threads = MAX_THREADS;
-        if (threads > w->items)
-            threads = w->items;
-    }
-    const int64_t chunks = threads * CHUNKS_PER_THREAD;
-    w->chunk = (w->items + chunks - 1) / chunks;
-    atomic_init(&w->next, 0);
-    atomic_init(&w->failed, 0);
-    pthread_t helpers[MAX_THREADS];
-    int64_t started = 0;
-    for (int64_t t = 1; t < threads; t++)
-        if (pthread_create(&helpers[started], NULL, sweep_chunks, w) == 0)
-            started++;
-    sweep_chunks(w);
-    for (int64_t t = 0; t < started; t++)
-        pthread_join(helpers[t], NULL);
-    return atomic_load(&w->failed) ? 3 : 0;
-}
-
-/* The distinct arena rows the edges read: uniq[] lists them in first-read
-   order and local[e] is edge e's index into uniq.  The open-addressing table
-   holds at most `bound` = min(edges, arena rows) keys at load <= 1/2, so
-   this costs O(edges) however large the arena.  Returns the distinct count,
-   or -1 when out of memory. */
-static int64_t distinct_rows(const void *rows, int rows_i64, int64_t num_edges,
-                             int64_t bound, int64_t *uniq, int64_t *local)
-{
-    int bits = 1;
-    while (((int64_t)1 << bits) < 2 * bound)
-        bits++;
-    const uint64_t mask = ((uint64_t)1 << bits) - 1;
-    int64_t *slots = calloc(mask + 1, sizeof(int64_t)); /* index + 1; 0 = free */
-    if (slots == NULL)
-        return -1;
-    int64_t count = 0;
-    for (int64_t e = 0; e < num_edges; e++) {
-        const int64_t r = rows_i64 ? ((const int64_t *)rows)[e]
-                                   : (int64_t)((const int32_t *)rows)[e];
-        uint64_t h = ((uint64_t)r * 0x9E3779B97F4A7C15ull) >> (64 - bits);
-        while (slots[h] != 0 && uniq[slots[h] - 1] != r)
-            h = (h + 1) & mask;
-        if (slots[h] == 0) {
-            uniq[count] = r;
-            slots[h] = ++count;
-        }
-        local[e] = slots[h] - 1;
-    }
-    free(slots);
-    return count;
-}
-
-/* Algorithm 1 for num_rows query rows of each of slices query slices.
-   Slice b reads arena slice b; edge e of a row reads arena row rows[e].  An
-   int8 arena's distinct rows are dequantized once, into float32 scratch the
-   fp32 sweep then reads: the same float32 values per element.
+/* Algorithm 1 for num_rows query rows of each of slices query slices over
+   float32 (f64 == 0) or float64 K/V arenas.  Slice b reads arena slice b;
+   edge e of a row reads arena row rows[e].
    Returns 0, or 1 for a malformed indptr, 2 for an arena row out of range,
-   3 when the per-call scratch cannot be allocated.  Both checks run before
-   anything is read. */
-int edge_attention(const void *q, int q_f64,
-                   const void *k, const void *v, int kind,
-                   const float *k_scale, const float *k_zero,
-                   const float *v_scale, const float *v_zero,
-                   const void *rows, int rows_i64, const int64_t *indptr,
-                   int64_t slices, int64_t arena_rows, int64_t num_rows,
-                   int64_t num_edges, int64_t dk, int64_t dv, double scale,
-                   double *out, double *row_max, double *row_sum)
+   3 when the per-call scratch cannot be allocated (nothing is read then). */
+int edge_attention(const void *q, int q_f64, const void *k, const void *v,
+                   int f64, const void *rows, int rows_i64,
+                   const int64_t *indptr, int64_t slices, int64_t arena_rows,
+                   int64_t num_rows, int64_t num_edges, int64_t dk,
+                   int64_t dv, double scale, double *out, double *row_max,
+                   double *row_sum)
 {
     const int32_t *rows32 = (const int32_t *)rows;
     const int64_t *rows64 = (const int64_t *)rows;
@@ -359,41 +168,52 @@ int edge_attention(const void *q, int q_f64,
         if (r < 0 || r >= arena_rows)
             return 2;
     }
-    sweep_t w = {
-        .q = q, .q_f64 = q_f64, .k = k, .v = v, .f64 = kind == ARENA_F64,
-        .rows = rows, .rows_i64 = rows_i64, .indptr = indptr,
-        .num_rows = num_rows, .arena_rows = arena_rows, .dk = dk, .dv = dv,
-        .items = slices * num_rows, .scale = scale,
-        .out = out, .row_max = row_max, .row_sum = row_sum,
-    };
-    const int64_t work = slices * num_edges * (dk + dv);
-    if (kind != ARENA_I8)
-        return run_sweep(&w, work);
-    /* int8: dequantize each distinct row once, into float32 scratch, and run
-       the fp32 sweep over that scratch with the edges remapped onto it */
-    const int64_t bound = num_edges < arena_rows ? num_edges : arena_rows;
-    int64_t *uniq = malloc((size_t)(bound > 0 ? bound : 1) * sizeof(int64_t));
-    int64_t *local = malloc((size_t)(num_edges > 0 ? num_edges : 1) * sizeof(int64_t));
-    const int64_t distinct = uniq && local ? distinct_rows(rows, rows_i64, num_edges, bound, uniq, local) : -1;
-    const size_t held = (size_t)(slices * (distinct > 0 ? distinct : 1));
-    float *kd = distinct >= 0 ? malloc(held * (size_t)(dk > 0 ? dk : 1) * sizeof(float)) : NULL;
-    float *vd = distinct >= 0 ? malloc(held * (size_t)(dv > 0 ? dv : 1) * sizeof(float)) : NULL;
-    int status = 3;
-    if (kd != NULL && vd != NULL) {
-        gather_dequant_i8(k, k_scale, k_zero, uniq, slices, arena_rows, distinct, dk, kd);
-        gather_dequant_i8(v, v_scale, v_zero, uniq, slices, arena_rows, distinct, dv, vd);
-        w.k = (const char *)kd;
-        w.v = (const char *)vd;
-        w.arena_rows = distinct;
-        w.rows = local;
-        w.rows_i64 = 1;
-        status = run_sweep(&w, work);
+    double *qrow = malloc((size_t)(dk > 0 ? dk : 1) * sizeof(double));
+    if (qrow == NULL)
+        return 3;
+    const size_t itemsize = f64 ? sizeof(double) : sizeof(float);
+    for (int64_t b = 0; b < slices; b++) {
+        const char *ks = (const char *)k + (size_t)(b * arena_rows * dk) * itemsize;
+        const char *vs = (const char *)v + (size_t)(b * arena_rows * dv) * itemsize;
+        for (int64_t i = 0; i < num_rows; i++) {
+            const int64_t at = b * num_rows + i;
+            if (q_f64) {
+                const double *src = (const double *)q + at * dk;
+                for (int64_t j = 0; j < dk; j++)
+                    qrow[j] = src[j];
+            } else {
+                const float *src = (const float *)q + at * dk;
+                for (int64_t j = 0; j < dk; j++)
+                    qrow[j] = (double)src[j];
+            }
+            double *acc = out + at * dv;
+            for (int64_t j = 0; j < dv; j++)
+                acc[j] = 0.0;
+            double m = -INFINITY, l = 0.0;
+            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
+                const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
+                const double s = dot_row(f64, ks, r, dk, qrow) * scale;
+                if (s > m) {
+                    /* the running max grows: rescale what is folded so far */
+                    const double keep = exp(m - s);
+                    l = l * keep + 1.0;
+                    fold_row(f64, vs, r, dv, acc, keep, 1.0);
+                    m = s;
+                } else {
+                    const double w = exp(s - m);
+                    l += w;
+                    fold_row(f64, vs, r, dv, acc, 1.0, w);
+                }
+            }
+            row_max[at] = m;
+            row_sum[at] = l;
+            if (l != 0.0)
+                for (int64_t j = 0; j < dv; j++)
+                    acc[j] /= l;
+        }
     }
-    free(uniq);
-    free(local);
-    free(kd);
-    free(vd);
-    return status;
+    free(qrow);
+    return 0;
 }
 """
 
@@ -403,7 +223,7 @@ int edge_attention(const void *q, int q_f64,
 #: products into FMAs.  ``-ftree-vectorize`` only packs independent lanes
 #: (the value fold, the four dot-product partial sums); without
 #: reassociation flags it never reorders a sum, so results stay bit-equal.
-_CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
+_CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
 _LIB_NAME = "repro_compiled.so"
 
 _P = ctypes.c_void_p
@@ -412,17 +232,17 @@ _I64 = ctypes.c_int64
 _ARGTYPES = {
     "gather_dequant_i8": ([_P] * 4 + [_I64] * 4 + [_P], None),
     "edge_attention": (
-        [_P, _INT, _P, _P, _INT] + [_P] * 4 + [_P, _INT, _P] + [_I64] * 6 + [ctypes.c_double] + [_P] * 3,
+        [_P, _INT, _P, _P, _INT, _P, _INT, _P] + [_I64] * 6 + [ctypes.c_double] + [_P] * 3,
         _INT,
     ),
 }
 _KERNEL_ERRORS = {
     1: "indptr must start at 0, never decrease and end at the edge count",
     2: "an edge reads an arena row out of range",
-    3: "out of memory for the kernel's per-call scratch",
+    3: "out of memory for the kernel's scratch row",
 }
-_ARENA_KINDS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_ARENA_I8 = 2
+#: the dtypes the C kernel reads queries and K/V arenas in
+_C_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 
 _lock = threading.Lock()
 _backend: Optional[str] = None  # resolved lazily: "cext" | "numpy"
@@ -637,11 +457,10 @@ class Arena:
 
     ``keys``/``values`` are ``(..., N, d_k)`` / ``(..., N, d_v)``.  An int8
     arena carries per-row float32 ``(scale, zero)`` pairs shaped ``(..., N)``
-    and dequantizes as ``(float(q) - zero) * scale`` in float32, exactly like
-    :func:`gather_dequant_int8`: the C kernel dequantizes each distinct row a
-    call reads once, into per-call scratch, whatever the arena's size.  A
-    block pool builds its arena once, so the C kernel's view of it
-    (:attr:`c_operands`) is made once too.
+    and dequantizes as ``(float(q) - zero) * scale`` in float32 with
+    :func:`gather_dequant_int8`, once per distinct row a call reads, whatever
+    the arena's size.  A block pool builds its arena once, so the C
+    functions' view of it (:attr:`c_operands`) is made once too.
     """
 
     keys: np.ndarray
@@ -650,10 +469,10 @@ class Arena:
     v_params: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @cached_property
-    def c_operands(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[Optional[int], ...]]:
-        """Contiguous arrays for the C kernel (held here) and their six addresses:
-        keys, values, then the int8 scale/zero of keys and values (``None``
-        when the arena is not quantized)."""
+    def c_operands(self) -> Tuple[Tuple[np.ndarray, ...], Tuple[int, int]]:
+        """Contiguous arrays for the C functions (held here): keys, values,
+        then for an int8 arena the float32 scale/zero of keys and of values;
+        and the addresses of keys and values."""
         arrays = [np.ascontiguousarray(self.keys), np.ascontiguousarray(self.values)]
         if self.k_params is not None:
             arrays += [np.ascontiguousarray(p, dtype=np.float32) for p in (*self.k_params, *self.v_params)]
@@ -661,14 +480,27 @@ class Arena:
                 all(p.shape == self.keys.shape[:-1] for p in arrays[2:]),
                 "int8 scale/zero must be shaped like the arena's rows",
             )
-        addresses = [a.ctypes.data for a in arrays]
-        return tuple(arrays), tuple(addresses + [None] * (6 - len(addresses)))
+        return tuple(arrays), (arrays[0].ctypes.data, arrays[1].ctypes.data)
 
 
-def _flat3(array: np.ndarray) -> np.ndarray:
-    """View ``(..., R, d)`` as contiguous ``(B, R, d)`` (copying only if needed)."""
-    rows, dim = array.shape[-2], array.shape[-1]
-    return np.ascontiguousarray(array).reshape(-1, rows, dim)
+def _dequant_rows(arena: np.ndarray, scale: np.ndarray, zero: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The C gather-dequant of int64 ``rows`` already known to be in range:
+    contiguous ``(..., R, d)`` int8 and ``(..., R)`` float32 in,
+    ``(..., rows.size, d)`` float32 out."""
+    out = np.empty(arena.shape[:-2] + (rows.size, arena.shape[-1]), dtype=np.float32)
+    if rows.size:
+        _cext.gather_dequant_i8(
+            arena.ctypes.data,
+            scale.ctypes.data,
+            zero.ctypes.data,
+            rows.ctypes.data,
+            prod(arena.shape[:-2]),
+            arena.shape[-2],
+            rows.size,
+            arena.shape[-1],
+            out.ctypes.data,
+        )
+    return out
 
 
 def gather_dequant_int8(
@@ -695,34 +527,36 @@ def gather_dequant_int8(
         z = zero[..., rows]
         s = scale[..., rows]
         return (gathered - z[..., None]) * s[..., None]
-    flat = _flat3(arena)
-    batch, _, dim = flat.shape
-    scale2 = np.ascontiguousarray(scale, dtype=np.float32).reshape(batch, arena_rows)
-    zero2 = np.ascontiguousarray(zero, dtype=np.float32).reshape(batch, arena_rows)
-    out = np.empty((batch, rows.size, dim), dtype=np.float32)
-    if rows.size:
-        _cext.gather_dequant_i8(
-            flat.ctypes.data,
-            scale2.ctypes.data,
-            zero2.ctypes.data,
-            rows.ctypes.data,
-            batch,
-            arena_rows,
-            rows.size,
-            dim,
-            out.ctypes.data,
-        )
-    return out.reshape(arena.shape[:-2] + (rows.size, dim))
+    scale, zero = (np.ascontiguousarray(p, dtype=np.float32).reshape(arena.shape[:-1]) for p in (scale, zero))
+    return _dequant_rows(np.ascontiguousarray(arena), scale, zero, rows)
 
 
-def _arena_kind(q: np.ndarray, arena: Arena) -> Optional[int]:
-    """The C kernel's arena code, or ``None`` when it must run on NumPy."""
-    if q.dtype not in _ARENA_KINDS or arena.keys.dtype != arena.values.dtype:
+def _arena_kind(q: np.ndarray, arena: Arena) -> Optional[str]:
+    """How the C kernel runs the call: ``"float"`` on the arena itself,
+    ``"int8"`` on its dequantized rows, ``None`` not at all (NumPy only)."""
+    if q.dtype not in _C_FLOATS or arena.keys.dtype != arena.values.dtype:
         return None  # fp16 compute accumulates in float32: NumPy only
     if arena.k_params is not None or arena.v_params is not None:
         quantized = arena.k_params is not None and arena.v_params is not None
-        return _ARENA_I8 if quantized and arena.keys.dtype == np.int8 else None
-    return _ARENA_KINDS.get(arena.keys.dtype)
+        return "int8" if quantized and arena.keys.dtype == np.int8 else None
+    return "float" if arena.keys.dtype in _C_FLOATS else None
+
+
+def _dequantize_once(arena: Arena, rows: np.ndarray) -> Tuple[Arena, np.ndarray]:
+    """An int8 call's distinct rows, each dequantized once, as a float32 arena,
+    and the call's edges renumbered onto it: the kernel then reads the same
+    float32 values per element as a float32 arena of the dequantized rows.
+    Costs O(edges log edges), never O(arena rows)."""
+    distinct, local = np.unique(rows, return_inverse=True)
+    if distinct.size and (distinct[0] < 0 or distinct[-1] >= arena.keys.shape[-2]):
+        raise ValueError(f"edge_attention: {_KERNEL_ERRORS[2]}")
+    distinct = distinct.astype(np.int64, copy=False)
+    keys, values, k_scale, k_zero, v_scale, v_zero = arena.c_operands[0]
+    dequantized = Arena(
+        _dequant_rows(keys, k_scale, k_zero, distinct),
+        _dequant_rows(values, v_scale, v_zero, distinct),
+    )
+    return dequantized, local
 
 
 def edge_attention(
@@ -762,12 +596,14 @@ def edge_attention(
     if kind is None or _ensure_backend() == "numpy":
         return _edge_attention_numpy(q, arena, rows, indptr, scale)
 
+    if kind == "int8":
+        arena, rows = _dequantize_once(arena, rows)
     q = np.ascontiguousarray(q)
     if rows.dtype != np.int32:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
     else:
         rows = np.ascontiguousarray(rows)
-    _, arena_addresses = arena.c_operands
+    _, (keys_address, values_address) = arena.c_operands
     num_rows, num_edges, value_dim = q.shape[-2], rows.size, values.shape[-1]
     output = np.empty(q.shape[:-1] + (value_dim,), dtype=np.float64)
     # one buffer holds row_max and row_sum: one address to take
@@ -777,14 +613,14 @@ def edge_attention(
     status = _cext.edge_attention(
         q.ctypes.data,
         int(q.dtype == np.float64),
-        *arena_addresses[:2],
-        kind,
-        *arena_addresses[2:],
+        keys_address,
+        values_address,
+        int(arena.keys.dtype == np.float64),
         rows.ctypes.data,
         int(rows.dtype == np.int64),
         indptr.ctypes.data,
         prod(slices_shape),
-        keys.shape[-2],
+        arena.keys.shape[-2],
         num_rows,
         num_edges,
         keys.shape[-1],

@@ -40,8 +40,8 @@ gathered copy in between.
 (``"fp32"`` / ``"fp16"`` / ``"int8"``) decouples what the arenas hold from
 the compute dtype its gathers return.  Chunks are encoded on write (int8
 rows carry per-row float32 scale/zero parameters in parallel arenas) and
-dequantized inside the attention kernel, once per distinct row a call
-reads, or on gather (:mod:`repro.core.compiled`); fingerprints hash the *encoded* payload, so
+dequantized once per distinct row an attention call reads, or on gather
+(:mod:`repro.core.compiled`); fingerprints hash the *encoded* payload, so
 prefix sharing, copy-on-write and byte-exact swap restores all operate on
 quantized blocks without ever inflating them to fp32.
 """

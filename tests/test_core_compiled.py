@@ -3,13 +3,12 @@
 The contract under test: the fused row kernel ``edge_attention`` agrees with
 its NumPy fallback to float64 round-off on every arena storage, layout and
 row shape, and exactly with itself across the layouts the serving stack
-relies on (ragged == per-session, int8 == fp32 fed the dequantized rows) and
-across thread counts, for calls large enough to run on threads; its memory
-stays O(L·d); the int8 dequant-gather is bit-identical across backends and
-refuses rows outside the arena; the C library is built once per source hash
-and never loaded from an untrusted or corrupt cache; and ``REPRO_COMPILED``
-forces the NumPy fallback so the whole stack runs without any compiler
-present.
+relies on (ragged == per-session, int8 == fp32 fed the dequantized rows);
+its memory stays O(L·d); the int8 dequant-gather is bit-identical across
+backends and refuses rows outside the arena; the C library is built once per
+source hash and never loaded from an untrusted or corrupt cache; and
+``REPRO_COMPILED`` forces the NumPy fallback so the whole stack runs without
+any compiler present.
 """
 
 import hashlib
@@ -379,33 +378,9 @@ class TestMemoryBound:
 
 
 # --------------------------------------------------------------------------- #
-# Calls large enough to sweep on threads
+# int8 calls: each distinct row dequantized once per call
 # --------------------------------------------------------------------------- #
 BIG_LENGTH, BIG_KEY_DIM, BIG_VALUE_DIM = 1024, 19, 13  # d_k = 19 runs the tail
-
-
-def _work(q, rows, arena):
-    """A call's work as the kernel measures it: slices x edges x (d_k + d_v)."""
-    slices = int(np.prod(q.shape[:-2], dtype=np.int64))
-    return slices * rows.size * (arena.keys.shape[-1] + arena.values.shape[-1])
-
-
-def _one_thread_then_all(call):
-    """``call()`` with this process pinned to one CPU, then on its whole mask.
-
-    The kernel reads the calling thread's CPU affinity on every threaded
-    call, so the first result comes from the one-thread path."""
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no CPU affinity on this platform")
-    mask = os.sched_getaffinity(0)
-    if len(mask) < 2:
-        pytest.skip("one CPU in this process's mask: nothing to compare")
-    os.sched_setaffinity(0, {min(mask)})
-    try:
-        single = call()
-    finally:
-        os.sched_setaffinity(0, mask)
-    return single, call()
 
 
 def _assert_same(left, right):
@@ -429,34 +404,38 @@ def _big_arena(rng, batch_shape, storage):
     return _arena(rng, batch_shape, storage, BIG_LENGTH, BIG_KEY_DIM, BIG_VALUE_DIM)
 
 
-class TestThreadedCalls:
-    """Above the split size: one thread and all threads give bit-equal
-    outputs, ``row_max`` and ``row_sum``, and int8 stays exactly fp32 fed
-    the dequantized rows."""
+class TestInt8Calls:
+    """An int8 call reads each distinct row's dequantized float32 values, so
+    it equals an fp32 arena of the dequantized rows exactly, on any layout."""
 
-    @pytest.mark.parametrize("storage", ["fp32", "fp64", "int8"])
     @pytest.mark.parametrize("q_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("batch_shape", [(), (2,)])
-    def test_one_thread_equals_all_threads(self, batch_shape, rows_dtype, q_dtype, storage):
+    def test_equals_fp32_of_the_dequantized_rows(self, batch_shape, rows_dtype, q_dtype):
         rng = np.random.default_rng(17)
         rows, indptr = _big_layout(rng, rows_dtype)
-        arena = _big_arena(rng, batch_shape, storage)
+        arena = _big_arena(rng, batch_shape, "int8")
         q = rng.standard_normal(batch_shape + (BIG_LENGTH, BIG_KEY_DIM)).astype(q_dtype)
-        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
-        single, threaded = _one_thread_then_all(lambda: compiled.edge_attention(q, arena, rows, indptr, 0.3))
-        _assert_same(single, threaded)
-        output, row_max, row_sum = threaded
+        quantized = compiled.edge_attention(q, arena, rows, indptr, 0.3)
+        _assert_same(quantized, compiled.edge_attention(q, _dequantized(arena), rows, indptr, 0.3))
+        output, row_max, row_sum = quantized
         empty = np.diff(indptr) == 0
         assert np.all(output[..., empty, :] == 0)
         assert np.all(row_max[..., empty] == -np.inf) and np.all(row_sum[..., empty] == 0)
         assert np.all(row_sum[..., ~empty] >= 1)
 
+    def test_a_call_with_no_edges(self):
+        arena = _big_arena(np.random.default_rng(37), (2,), "int8")
+        q = np.ones((2, 3, BIG_KEY_DIM), dtype=np.float32)
+        output, row_max, row_sum = compiled.edge_attention(q, arena, np.zeros(0, np.int64), np.zeros(4, np.int64), 1.0)
+        assert output.shape == (2, 3, BIG_VALUE_DIM) and not output.any()
+        assert np.all(row_max == -np.inf) and not row_sum.any()
+
     @pytest.mark.parametrize("storage", ["fp32", "int8"])
-    def test_ragged_sessions_one_thread_equals_all_threads(self, storage):
+    def test_ragged_sessions_equal_per_session_calls(self, storage):
         """A ragged pass: prefill chunks and decode rows of sessions at
         different positions, laid end to end in one call, equal one call per
-        session on any thread count."""
+        session, although the call's distinct rows are the union of theirs."""
         rng = np.random.default_rng(19)
         arena = _big_arena(rng, (2,), storage)
         sessions = []
@@ -471,10 +450,7 @@ class TestThreadedCalls:
         q = np.concatenate([s[0] for s in sessions], axis=-2)
         rows = np.concatenate([s[1] for s in sessions])
         indptr = np.concatenate([[0]] + [p[1:] + shift for (_, _, p), shift in zip(sessions, shifts)])
-        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
-        single, threaded = _one_thread_then_all(lambda: compiled.edge_attention(q, arena, rows, indptr, 0.3))
-        _assert_same(single, threaded)
-        output, row_max, row_sum = threaded
+        output, row_max, row_sum = compiled.edge_attention(q, arena, rows, indptr, 0.3)
         row = 0
         for session_q, session_rows, session_indptr in sessions:
             alone = compiled.edge_attention(session_q, arena, session_rows, session_indptr, 0.3)
@@ -483,7 +459,7 @@ class TestThreadedCalls:
             _assert_same(alone, part)
             row += count
 
-    def test_int8_over_a_shared_prefix_equals_fp32_of_the_dequantized_rows(self):
+    def test_over_a_shared_prefix_equals_fp32_of_the_dequantized_rows(self):
         """A prefill over a shared prefix reads each prefix row from every
         query row: each int8 row is read hundreds of times in one call."""
         rng = np.random.default_rng(23)
@@ -493,13 +469,11 @@ class TestThreadedCalls:
         rows = np.concatenate([np.arange(p + 1) for p in positions]).astype(np.int64)
         indptr = np.concatenate([[0], np.cumsum(positions + 1)])
         q = rng.standard_normal((4, count, BIG_KEY_DIM)).astype(np.float32)
-        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
         assert rows.size > 100 * np.unique(rows).size
         quantized, oracle = (compiled.edge_attention(q, a, rows, indptr, 0.3) for a in (arena, _dequantized(arena)))
         _assert_same(quantized, oracle)
-        _assert_same(*_one_thread_then_all(lambda: compiled.edge_attention(q, arena, rows, indptr, 0.3)))
 
-    def test_int8_arena_of_a_million_rows_touched_at_a_few(self):
+    def test_arena_of_a_million_rows_touched_at_a_few(self):
         """The dequantized copy holds only the rows a call reads: a call on a
         2**20-row int8 arena equals an fp32 arena holding just those rows."""
         rng = np.random.default_rng(29)
@@ -521,7 +495,6 @@ class TestThreadedCalls:
         rows = hot[rng.integers(0, touched, size=count * degree)]
         indptr = np.arange(0, count * degree + 1, degree)
         q = rng.standard_normal((count, dim)).astype(np.float32)
-        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
         compact = _dequantized(
             compiled.Arena(keys[hot], values[hot], (k_scale[hot], k_zero[hot]), (v_scale[hot], v_zero[hot]))
         )
@@ -531,14 +504,15 @@ class TestThreadedCalls:
 
     @pytest.mark.parametrize("storage", ["fp32", "int8"])
     @pytest.mark.parametrize("rows_dtype", [np.int32, np.int64])
-    def test_refusals_at_the_split_size(self, rows_dtype, storage):
+    def test_refusals(self, rows_dtype, storage):
+        """Rows outside the arena and malformed ``indptr`` are refused on a
+        large call too, whether the arena is read in place or dequantized."""
         if _compiled_name() is None:
             pytest.skip("no compiled backend available")
         rng = np.random.default_rng(31)
         rows, indptr = _big_layout(rng, rows_dtype)
         arena = _big_arena(rng, (2,), storage)
         q = rng.standard_normal((2, BIG_LENGTH, BIG_KEY_DIM)).astype(np.float32)
-        assert _work(q, rows, arena) >= 2 * compiled._SPLIT_WORK
         for at, bad in ((rows.size - 1, BIG_LENGTH), (rows.size // 2, -1)):
             broken = rows.copy()
             broken[at] = bad
