@@ -15,10 +15,13 @@ Rows come in two flavours, mirroring :meth:`repro.masks.base.MaskSpec.row`:
 * :meth:`RowProgram.causal_row` — the same row clipped to keys ``j <= i``,
   the set an autoregressive decode step actually attends (only tokens
   ``0..i`` exist in the KV cache when token ``i`` is generated).
-* :meth:`RowProgram.causal_rows` — a range of causal rows as one CSR layout
-  ``(indptr, cols)``, the shape a prefill chunk hands the attention kernel;
-  stencil, global and union programs build it vectorised instead of row by
-  row.
+* :func:`causal_layout` — the causal rows of many ``(program, start,
+  count)`` segments as one CSR layout ``(indptr, cols)``, the shape a ragged
+  serving pass hands the attention kernel (a decode step is a one-row
+  segment, a prefill chunk a segment of its length).  Stencil, global and
+  union programs build all their segments vectorised in one go, whatever
+  mix of programs a pass holds; :meth:`RowProgram.causal_rows` is its
+  one-segment form.
 
 Composites union their component programs at extraction time; masks with no
 specialised shape fall back to calling ``spec.row`` directly, which is still
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from repro.masks.composite import UnionMask
 from repro.masks.dilated2d import Dilated2DMask
 from repro.masks.explicit import ExplicitMask
 from repro.masks.global_ import GlobalMask, GlobalNonLocalMask
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, concatenated_ranges
 from repro.utils.dtypes import INDEX_DTYPE
 from repro.utils.validation import require
 
@@ -50,6 +53,11 @@ class RowProgram(abc.ABC):
         require(horizon > 0, "horizon must be positive")
         self.horizon = int(horizon)
         self._causal_nnz: int = -1  # computed lazily; -1 = not yet derived
+        #: programs with one key have the same causal rows at every position
+        #: (stencil, global and union rows do not depend on the horizon), so
+        #: :func:`causal_layout` builds their rows together; None keys a
+        #: program by itself
+        self._rows_key: Optional[Hashable] = None
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -69,12 +77,25 @@ class RowProgram(abc.ABC):
         """Causal rows ``start..stop-1`` as one CSR layout ``(indptr, cols)``.
 
         ``cols`` is the concatenation of the :meth:`causal_row` outputs and
-        ``indptr`` (int64, ``stop - start + 1`` entries) delimits them.  The
-        base class loops over :meth:`causal_row`; structured programs
-        override it with a vectorised construction of the same arrays.
+        ``indptr`` (int64, ``stop - start + 1`` entries) delimits them: the
+        one-segment form of :func:`causal_layout`.
         """
-        self._check_range(start, stop)
-        return _csr_layout([self.causal_row(i) for i in range(start, stop)])
+        return causal_layout([(self, start, stop - start)])
+
+    def _row_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """The causal rows at positions ``rows`` as one ``(R, W)`` int64 matrix.
+
+        Row ``r`` holds :meth:`causal_row` of ``rows[r]`` in that method's
+        order, its negative entries standing for no column (padding, or a
+        candidate clipped at 0).  The base class loops over
+        :meth:`causal_row`; stencil, global and union programs override it
+        with one vectorised construction.
+        """
+        cols = [self.causal_row(i) for i in rows.tolist()]
+        matrix = np.full((len(cols), max((c.size for c in cols), default=0)), -1, dtype=np.int64)
+        for row, c in zip(matrix, cols):
+            row[: c.size] = c
+        return matrix
 
     # ------------------------------------------------------------------ #
     def _check_row(self, i: int) -> int:
@@ -94,18 +115,61 @@ class RowProgram(abc.ABC):
         return self._causal_nnz
 
 
-def _csr_layout(rows) -> Tuple[np.ndarray, np.ndarray]:
-    """``(indptr, cols)`` of per-row column arrays laid end to end."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
-    cols = np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
-    return indptr, cols
+#: ``count`` causal rows of ``program`` from row ``start`` on: one decode
+#: step (``count == 1``) or one prefill chunk of a ragged serving pass.
+Segment = Tuple[RowProgram, int, int]
 
 
 def _indptr(degrees: np.ndarray) -> np.ndarray:
     indptr = np.zeros(degrees.size + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     return indptr
+
+
+def causal_layout(segments: Sequence[Segment]) -> Tuple[np.ndarray, np.ndarray]:
+    """The causal rows of ``(program, start, count)`` segments as one CSR layout.
+
+    The segments' rows lie end to end in segment order: ``cols`` is the
+    concatenation of every row's :meth:`RowProgram.causal_row` output, in
+    exactly that method's column order (offset order for stencils, sorted for
+    unions), and ``indptr`` (int64, one entry per row plus one) delimits
+    them.  Segments may mix programs of every class and horizon: the rows of
+    programs with one row key are built together as one padded matrix
+    (:meth:`RowProgram._row_matrix`), each matrix drops its padding, and the
+    groups' columns are merged back into segment order.
+    """
+    if not segments:
+        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=INDEX_DTYPE)
+    groups: Dict[Hashable, Tuple[RowProgram, List[int]]] = {}
+    one_row = True  # a decode pass: one row per segment
+    for index, (program, start, count) in enumerate(segments):
+        program._check_range(start, start + count)
+        key = program._rows_key
+        groups.setdefault(program if key is None else key, (program, []))[1].append(index)
+        one_row = one_row and count == 1
+    rows = np.array([start for _, start, _ in segments], dtype=np.int64)
+    if not one_row:
+        counts = np.array([count for _, _, count in segments], dtype=np.int64)
+        firsts = np.cumsum(counts) - counts
+        rows = concatenated_ranges(rows, counts)
+    if len(groups) == 1:
+        ((program, _),) = groups.values()
+        matrix = program._row_matrix(rows)
+        keep = matrix >= 0
+        return _indptr(keep.sum(axis=1)), matrix[keep].astype(INDEX_DTYPE)
+    # each group's columns with the row each belongs to, then every column
+    # moved to its row's place in segment order (a stable sort keeps each
+    # row's own order)
+    edge_rows, cols = [], []
+    for program, members in groups.values():
+        index = np.array(members) if one_row else concatenated_ranges(firsts[members], counts[members])
+        matrix = program._row_matrix(rows[index])
+        keep = matrix >= 0
+        edge_rows.append(np.broadcast_to(index[:, None], matrix.shape)[keep])
+        cols.append(matrix[keep])
+    edge_rows = np.concatenate(edge_rows)
+    order = np.argsort(edge_rows, kind="stable")
+    return _indptr(np.bincount(edge_rows, minlength=rows.size)), np.concatenate(cols)[order].astype(INDEX_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -123,6 +187,7 @@ class StencilRowProgram(RowProgram):
         super().__init__(horizon)
         offsets = np.asarray(spec.offsets(), dtype=np.int64)
         self.stencil = _StencilSpec(offsets=offsets, past=offsets[offsets <= 0])
+        self._rows_key = ("stencil", self.stencil.past.tobytes())
 
     def row(self, i: int) -> np.ndarray:
         i = self._check_row(i)
@@ -134,11 +199,8 @@ class StencilRowProgram(RowProgram):
         cols = i + self.stencil.past
         return cols[cols >= 0].astype(INDEX_DTYPE)
 
-    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_range(start, stop)
-        cols = np.arange(start, stop, dtype=np.int64)[:, None] + self.stencil.past
-        keep = cols >= 0
-        return _indptr(keep.sum(axis=1)), cols[keep].astype(INDEX_DTYPE)
+    def _row_matrix(self, rows: np.ndarray) -> np.ndarray:
+        return rows[:, None] + self.stencil.past
 
     def causal_degrees(self) -> np.ndarray:
         # offset -o (o >= 0) contributes to every row i >= o
@@ -160,6 +222,8 @@ class GlobalRowProgram(RowProgram):
         )
         self.window = int(window)
         self._token_set = frozenset(int(t) for t in self.tokens)
+        self._last_token = int(self.tokens[-1])
+        self._rows_key = ("global", self.tokens.tobytes(), self.window)
 
     def row(self, i: int) -> np.ndarray:
         i = self._check_row(i)
@@ -180,23 +244,19 @@ class GlobalRowProgram(RowProgram):
         cols = self.tokens[self.tokens <= upper]
         return cols.astype(INDEX_DTYPE)
 
-    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_range(start, stop)
-        rows = np.arange(start, stop, dtype=np.int64)
-        upper = rows - self.window if self.window else rows
-        # a token row attends the whole prefix 0..upper, any other row the
-        # global tokens up to upper
-        is_token = np.isin(rows, self.tokens)
-        degrees = np.where(
-            is_token,
-            np.maximum(upper + 1, 0),
-            np.searchsorted(self.tokens, upper, side="right"),
-        )
-        indptr = _indptr(degrees)
-        within = np.arange(indptr[-1], dtype=np.int64) - np.repeat(indptr[:-1], degrees)
-        prefix = np.repeat(is_token, degrees)
-        cols = np.where(prefix, within, self.tokens[np.minimum(within, self.tokens.size - 1)])
-        return indptr, cols.astype(INDEX_DTYPE)
+    def _row_matrix(self, rows: np.ndarray) -> np.ndarray:
+        # any other row attends the global tokens up to upper, a token row
+        # the whole prefix 0..upper
+        upper = rows - self.window
+        matrix = np.where(self.tokens <= upper[:, None], self.tokens, -1)
+        if rows.size == 0 or rows.min() > self._last_token:
+            return matrix
+        is_token = (rows[:, None] == self.tokens).any(axis=1)
+        if is_token.any():
+            prefix = np.arange(max(int(upper[is_token].max()) + 1, self.tokens.size))
+            matrix = np.concatenate([matrix, np.full((rows.size, prefix.size - self.tokens.size), -1)], axis=1)
+            matrix[is_token] = np.where(prefix <= upper[is_token, None], prefix, -1)
+        return matrix
 
     def causal_degrees(self) -> np.ndarray:
         rows = np.arange(self.horizon, dtype=np.int64)
@@ -268,6 +328,9 @@ class UnionRowProgram(RowProgram):
         super().__init__(horizon)
         require(len(programs) >= 1, "union program needs at least one component")
         self.programs = tuple(programs)
+        keys = tuple(program._rows_key for program in self.programs)
+        if None not in keys:
+            self._rows_key = ("union",) + keys
 
     def row(self, i: int) -> np.ndarray:
         return merge_neighbor_sets(p.row(i) for p in self.programs)
@@ -275,19 +338,14 @@ class UnionRowProgram(RowProgram):
     def causal_row(self, i: int) -> np.ndarray:
         return merge_neighbor_sets(p.causal_row(i) for p in self.programs)
 
-    def causal_rows(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_range(start, stop)
-        count = stop - start
-        # each row's sorted union: unique (row, col) keys, row-major
-        keys = []
-        for program in self.programs:
-            indptr, cols = program.causal_rows(start, stop)
-            rows = np.repeat(np.arange(count, dtype=np.int64), np.diff(indptr))
-            keys.append(rows * self.horizon + cols)
-        merged = np.unique(np.concatenate(keys))
-        rows = merged // self.horizon
-        cols = (merged - rows * self.horizon).astype(INDEX_DTYPE)
-        return _indptr(np.bincount(rows, minlength=count)), cols
+    def _row_matrix(self, rows: np.ndarray) -> np.ndarray:
+        # each row's sorted union: the components' columns sorted, every
+        # repeat of a column dropped
+        parts = [program._row_matrix(rows) for program in self.programs]
+        matrix = np.sort(np.concatenate(parts, axis=1), axis=1, kind="stable")
+        later = matrix[:, 1:]
+        later[later == matrix[:, :-1]] = -1
+        return matrix
 
     def causal_degrees(self) -> np.ndarray:
         # upper bound: overlapping component edges are deduplicated at

@@ -18,7 +18,9 @@ that path:
 * :func:`stacked_decode_step` / :func:`stacked_prefill` — the
   continuous-batching primitives: the decode steps (or prompt chunks) of
   any sessions, whatever their masks, horizons, positions and chunk
-  lengths, run as one ragged kernel pass per arena — each session's rows
+  lengths, run as one ragged kernel pass per arena — one KV write
+  (:func:`~repro.serve.paging.write_pass`) and one row layout
+  (:func:`~repro.masks.rows.causal_layout`) per pass, each session's rows
   from its own program, laid end to end in one CSR (used by
   :meth:`repro.serve.scheduler.AttentionServer.decode_steps` /
   :meth:`~repro.serve.scheduler.AttentionServer.prefill_chunks`, the
@@ -37,9 +39,8 @@ run over :func:`decode_reference_mask`.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from math import prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,9 +49,9 @@ from repro.core.dense import resolve_scale
 from repro.core.engine import MaskInput
 from repro.core.result import AttentionResult, OpCounts
 from repro.masks.base import as_mask_spec
-from repro.masks.rows import compile_row_program
+from repro.masks.rows import causal_layout, compile_row_program
 from repro.masks.structured import DenseMask
-from repro.serve.paging import BlockPool, PagedKVCache
+from repro.serve.paging import BlockPool, PagedKVCache, _write_blocks
 from repro.serve.plan import ExecutionPlan, compile_plan
 from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import require
@@ -213,71 +214,64 @@ class KVCache:
 # Row attention core
 # --------------------------------------------------------------------------- #
 #: Either cache flavour a session may own: the private contiguous buffer or a
-#: block-table view over a shared pool.  Both hand the kernel their arena and
-#: the rows to read (:meth:`KVCache.attention_operands`).
+#: block-table view over a shared pool.  Both hand the kernel an arena and the
+#: rows to read (:meth:`KVCache.attention_operands`, and for all a pass's
+#: caches on one pool :meth:`~repro.serve.paging.BlockPool.attention_operands`).
 AnyKVCache = Union[KVCache, PagedKVCache]
-
-#: One session's query rows as CSR over its logical key positions:
-#: ``(indptr, cols)``.
-Layout = Tuple[np.ndarray, np.ndarray]
-
-
-def _ragged_indptr(indptrs: Sequence[np.ndarray]) -> np.ndarray:
-    """One ``indptr`` for sessions' rows laid end to end: each session's
-    offsets shift by the edge count of the sessions before it."""
-    shifts = np.cumsum([0] + [int(p[-1]) for p in indptrs[:-1]])
-    tails = np.concatenate([p[1:] for p in indptrs])
-    return np.concatenate(([0], tails + np.repeat(shifts, [p.size - 1 for p in indptrs])))
 
 
 def _edge_attention(
+    sessions: Sequence["DecodeSession"],
     q_blocks: Sequence[np.ndarray],
-    caches: Sequence[AnyKVCache],
-    layouts: Sequence[Layout],
-    scales: Sequence[float],
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """One ragged pass of Algorithm 1 over several sessions' query rows.
+    positions: Sequence[int],
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], List[int]]:
+    """One ragged pass of Algorithm 1 over several sessions' new rows.
 
     Session ``s`` brings its query block ``q_blocks[s]``
-    (``batch_shape + (R_s, d_k)``), its cache, its own ``(indptr, cols)``
-    layout of logical key positions and its scale, so sessions may differ in
-    mask, horizon, position and row count.  Sessions whose caches read one
-    arena with one query dtype and scale run as a single
-    :func:`~repro.core.compiled.edge_attention` call: their query rows
-    concatenated along the row axis, their physical rows concatenated and
-    their ``indptr`` arrays offset by the running edge count.  Every other arena
-    (a private cache, a second pool) gets its own call.  Empty rows (fully
-    masked queries) finalise to zero exactly like the one-shot kernels.
+    (``batch_shape + (R_s, d_k)``) for its rows ``positions[s]`` onward, so
+    sessions may differ in mask, horizon, position and row count.  Sessions
+    whose caches read one arena (one pool, or one private cache) with one
+    query dtype and scale run as a single
+    :func:`~repro.core.compiled.edge_attention` call: one
+    :func:`~repro.masks.rows.causal_layout` of all their rows, one
+    block-table lookup of its columns
+    (:meth:`~repro.serve.paging.BlockPool.attention_operands`) and their
+    query rows concatenated.  Empty rows (fully masked queries) finalise to
+    zero exactly like the one-shot kernels.
 
     Returns one ``(output, row_max, row_sum)`` per session, the output in
-    the session's query dtype.  Each session's arrays are copies of its own
-    rows of the call, so a retained output never pins the other sessions'
-    rows of the pass.
+    the session's query dtype, and every session's edge count.  Each
+    session's arrays are copies of its own rows of the call, so a retained
+    output never pins the other sessions' rows of the pass.
     """
-    operands = [cache.attention_operands(cols) for cache, (_, cols) in zip(caches, layouts)]
     calls: Dict[Tuple, List[int]] = {}
-    for index, (arena, _) in enumerate(operands):
-        key = (id(arena.keys), q_blocks[index].dtype, scales[index])
-        calls.setdefault(key, []).append(index)
-    parts: List = [None] * len(caches)
-    for members in calls.values():
-        first = members[0]
-        if len(members) == 1:
-            q, rows, indptr = q_blocks[first], operands[first][1], layouts[first][0]
+    for index, (session, q) in enumerate(zip(sessions, q_blocks)):
+        cache = session.cache
+        arena = cache.pool if isinstance(cache, PagedKVCache) else cache
+        calls.setdefault((id(arena), q.dtype, session.plan.scale, q.shape[-1]), []).append(index)
+    parts: List = [None] * len(sessions)
+    edges: List[int] = [0] * len(sessions)
+    for (_, _, scale, key_dim), members in calls.items():
+        counts = [q_blocks[i].shape[-2] for i in members]
+        indptr, cols = causal_layout([(sessions[i].program, positions[i], n) for i, n in zip(members, counts)])
+        bounds = np.cumsum([0, *counts])
+        member_edges = np.diff(indptr[bounds])
+        cache = sessions[members[0]].cache
+        if isinstance(cache, PagedKVCache):
+            caches = [sessions[i].cache for i in members]
+            arena, rows = cache.pool.attention_operands(caches, cols, member_edges)
         else:
-            q = np.concatenate([q_blocks[i] for i in members], axis=-2)
-            rows = np.concatenate([operands[i][1] for i in members])
-            indptr = _ragged_indptr([layouts[i][0] for i in members])
-        output, row_max, row_sum = compiled.edge_attention(q, operands[first][0], rows, indptr, scales[first])
-        row = 0
-        for i in members:
-            lo, row = row, row + q_blocks[i].shape[-2]
+            arena, rows = cache.attention_operands(cols)
+        q = q_blocks[members[0]] if len(members) == 1 else np.concatenate([q_blocks[i] for i in members], axis=-2)
+        output, row_max, row_sum = compiled.edge_attention(q, arena, rows, indptr, resolve_scale(scale, key_dim))
+        for i, lo, hi, count in zip(members, bounds[:-1].tolist(), bounds[1:].tolist(), member_edges.tolist()):
             parts[i] = (
-                output[..., lo:row, :].astype(q.dtype),
-                row_max[..., lo:row].copy(),
-                row_sum[..., lo:row].copy(),
+                output[..., lo:hi, :].astype(q.dtype),
+                row_max[..., lo:hi].copy(),
+                row_sum[..., lo:hi].copy(),
             )
-    return parts
+            edges[i] = count
+    return parts, edges
 
 
 # --------------------------------------------------------------------------- #
@@ -320,7 +314,8 @@ class DecodeSession:
         #: PagedKVCache` over a shared pool — was injected at open.
         self.cache: Optional[AnyKVCache] = cache
         self.closed = False
-        self.ops = OpCounts()
+        self._dot_products = 0  # op totals of every pass this session ran in
+        self._flops = 0
         self.steps_taken = 0
         self.prefilled_tokens = 0
         #: Whether the plan came from a warm cache (set by the server at open).
@@ -386,15 +381,17 @@ class DecodeSession:
     # ------------------------------------------------------------------ #
     def _check_layout(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
         """Refuse a block whose batch shape or head dims differ from the cache's."""
-        if self.cache is not None:
-            require(
-                k_block.shape[:-2] == self.cache.batch_shape
-                and k_block.shape[-1] == self.cache.key_dim
-                and v_block.shape[-1] == self.cache.value_dim,
+        cache = self.cache
+        if cache is not None and not (
+            k_block.shape[:-2] == cache.batch_shape
+            and k_block.shape[-1] == cache.key_dim
+            and v_block.shape[-1] == cache.value_dim
+        ):
+            raise ValueError(
                 f"token batch shape {k_block.shape[:-2]} / dims "
                 f"({k_block.shape[-1]}, {v_block.shape[-1]}) do not match the "
-                f"cache layout {self.cache.batch_shape} + "
-                f"({self.cache.key_dim}, {self.cache.value_dim})",
+                f"cache layout {cache.batch_shape} + "
+                f"({cache.key_dim}, {cache.value_dim})"
             )
 
     def _ensure_cache(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
@@ -410,34 +407,38 @@ class DecodeSession:
             max_length=self.horizon,
         )
 
-    def _absorb(self, result: AttentionResult) -> None:
-        self.ops = self.ops + result.ops
-        if self.retain_outputs:
-            self._outputs.append(result.output)
+    @property
+    def ops(self) -> OpCounts:
+        """Op counts summed over every step and prefill this session ran."""
+        return OpCounts(dot_products=self._dot_products, flops=self._flops, exp_evaluations=self._dot_products)
 
-    def _as_token_slice(self, array: np.ndarray) -> np.ndarray:
-        """Normalise a single-token input to ``batch_shape + (1, d)``."""
-        array = np.asarray(array)
-        if self.cache is not None:
-            row_ndim = len(self.cache.batch_shape) + 1
-            if array.ndim == row_ndim:
-                return array[..., None, :]
-            require(
-                array.ndim == row_ndim + 1 and array.shape[-2] == 1,
-                "decode steps take exactly one token: (..., d) or (..., 1, d)",
-            )
-            return array
-        # before the cache exists, the batch shape is unknown: a bare (d,)
-        # vector is a row, anything batched must carry the explicit token
-        # axis — (..., 1, d) — or the leading axes would be ambiguous
-        if array.ndim == 1:
-            return array[None, :]
-        require(
-            array.ndim >= 2 and array.shape[-2] == 1,
-            "first decode step with batch axes needs an explicit token axis: "
-            "pass (..., 1, d) (or prefill first)",
-        )
-        return array
+    def _as_token_slices(self, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Normalise single-token inputs to ``batch_shape + (1, d)``."""
+        slices = []
+        row_ndim = None if self.cache is None else len(self.cache.batch_shape) + 1
+        for array in arrays:
+            array = np.asarray(array)
+            if row_ndim is not None:
+                if array.ndim == row_ndim:
+                    array = array[..., None, :]
+                else:
+                    require(
+                        array.ndim == row_ndim + 1 and array.shape[-2] == 1,
+                        "decode steps take exactly one token: (..., d) or (..., 1, d)",
+                    )
+            # before the cache exists, the batch shape is unknown: a bare (d,)
+            # vector is a row, anything batched must carry the explicit token
+            # axis — (..., 1, d) — or the leading axes would be ambiguous
+            elif array.ndim == 1:
+                array = array[None, :]
+            else:
+                require(
+                    array.ndim >= 2 and array.shape[-2] == 1,
+                    "first decode step with batch axes needs an explicit token axis: "
+                    "pass (..., 1, d) (or prefill first)",
+                )
+            slices.append(array)
+        return tuple(slices)
 
     # ------------------------------------------------------------------ #
     def prefill(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> AttentionResult:
@@ -488,56 +489,26 @@ class DecodeSession:
 # --------------------------------------------------------------------------- #
 # Continuous batching: ragged passes over any sessions
 # --------------------------------------------------------------------------- #
-@contextmanager
-def _pass_reservation(
-    sessions: Sequence["DecodeSession"], counts: Sequence[int]
-) -> Iterator[Dict[BlockPool, List[int]]]:
-    """Reserve, per pool and all-or-nothing, every block a pass's appends need.
-
-    Yields ``{pool: blocks}``, which paged appends draw from.  Everything is
-    reserved BEFORE any cache advances, so pool exhaustion fails the whole
-    pass with no block table advanced.  Prefix-share hits consume no
-    reservation; whatever is left returns to its pool on exit.
-    """
-    pending: Dict[BlockPool, int] = {}
-    for session, count in zip(sessions, counts):
-        if isinstance(session.cache, PagedKVCache):
-            pool = session.cache.pool
-            pending[pool] = pending.get(pool, 0) + session.cache.plan_extend(count)
-    reservations: Dict[BlockPool, List[int]] = {pool: [] for pool in pending}
-    try:
-        for pool, count in pending.items():
-            reservations[pool].extend(pool.reserve(count))
-        yield reservations
-    finally:
-        for pool, blocks in reservations.items():
-            if blocks:
-                pool.release(blocks)
-
-
-def _stacked_extend(
+def _append(
     sessions: Sequence["DecodeSession"],
     k_blocks: Sequence[np.ndarray],
     v_blocks: Sequence[np.ndarray],
 ) -> None:
     """Atomically extend every session's cache by its own block.
 
-    A lone session's extend is atomic by itself and reserves only what its
-    prefix-share probe leaves unmet; several sessions share one
-    :func:`_pass_reservation`.
+    The paged caches take one :func:`~repro.serve.paging.write_pass` (its
+    layout checks already made by :func:`_check_blocks`), which advances all
+    of them or none; private caches follow, and can no longer fail once
+    :func:`_check_blocks` passed.
     """
-    if len(sessions) == 1:
-        sessions[0]._ensure_cache(k_blocks[0], v_blocks[0])
-        sessions[0].cache.extend(k_blocks[0], v_blocks[0])
-        return
-    with _pass_reservation(sessions, [k.shape[-2] for k in k_blocks]) as reserved:
+    paged = [index for index, session in enumerate(sessions) if isinstance(session.cache, PagedKVCache)]
+    if paged:
+        _write_blocks([sessions[i].cache for i in paged], [k_blocks[i] for i in paged], [v_blocks[i] for i in paged])
+    if len(paged) < len(sessions):
         for session, k, v in zip(sessions, k_blocks, v_blocks):
-            session._ensure_cache(k, v)
-            cache = session.cache
-            if isinstance(cache, PagedKVCache):
-                cache.extend(k, v, reserved=reserved[cache.pool])
-            else:
-                cache.extend(k, v)
+            if not isinstance(session.cache, PagedKVCache):
+                session._ensure_cache(k, v)
+                session.cache.extend(k, v)
 
 
 def _check_blocks(
@@ -548,48 +519,50 @@ def _check_blocks(
     *,
     verb: str,
     one_token: bool = False,
-) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
+) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], List[int]]:
     """Validate every session's block before any cache advances.
 
     A failure on a later session must not leave earlier sessions' caches
     advanced with orphan tokens.  ``one_token`` blocks are decode steps
-    (:meth:`DecodeSession._as_token_slice`); the rest are
+    (:meth:`DecodeSession._as_token_slices`); the rest are
     ``batch_shape + (R, d)`` blocks.  Returns the normalised ``(q, k, v)``
-    blocks.
+    blocks and every session's position.  Refusal messages are formatted
+    only on refusal.
     """
     require(len(sessions) >= 1, "need at least one session")
     require(
         len(sessions) == len(qs) == len(ks) == len(vs),
         "sessions and token blocks must align",
     )
-    require(
-        len({id(session) for session in sessions}) == len(sessions),
-        f"a session may appear at most once per {verb} pass",
-    )
+    if len({id(session) for session in sessions}) != len(sessions):
+        raise ValueError(f"a session may appear at most once per {verb} pass")
     q_list: List[np.ndarray] = []
     k_list: List[np.ndarray] = []
     v_list: List[np.ndarray] = []
+    positions: List[int] = []
     for session, q, k, v in zip(sessions, qs, ks, vs):
-        require(not session.closed, f"{verb} on a closed session")
+        if session.closed:
+            raise ValueError(f"{verb} on a closed session")
         if one_token:
-            q, k, v = (session._as_token_slice(x) for x in (q, k, v))
+            q, k, v = session._as_token_slices(q, k, v)
         else:
             q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-            require(q.ndim >= 2, f"{verb} takes (..., R, d) blocks")
+            if q.ndim < 2:
+                raise ValueError(f"{verb} takes (..., R, d) blocks")
         require(q.shape == k.shape, "q and k must have matching shapes")
         require(v.shape[:-1] == q.shape[:-1], "v must cover the same rows as q")
-        count = int(q.shape[-2])
-        require(count >= 1, f"{verb} needs at least one token")
+        count = q.shape[-2]
+        if count < 1:
+            raise ValueError(f"{verb} needs at least one token")
         session._check_layout(k, v)
-        require(
-            session.position + count <= session.horizon,
-            f"{verb} of {count} token(s) at position {session.position} "
-            f"exceeds horizon {session.horizon}",
-        )
+        position = session.position
+        if position + count > session.horizon:
+            raise ValueError(f"{verb} of {count} token(s) at position {position} exceeds horizon {session.horizon}")
         q_list.append(q)
         k_list.append(k)
         v_list.append(v)
-    return q_list, k_list, v_list
+        positions.append(position)
+    return q_list, k_list, v_list, positions
 
 
 def _ragged_pass(
@@ -604,47 +577,45 @@ def _ragged_pass(
     ragged kernel pass per arena (:func:`_edge_attention`).
 
     A step attends :meth:`~repro.masks.rows.RowProgram.causal_row` of the
-    new token's position, a prefill chunk
-    :meth:`~repro.masks.rows.RowProgram.causal_rows` of its positions, each
-    under the session's own program.  Each result is exactly what the
-    session's solo call produces.
+    new token's position, a prefill chunk the causal rows of its positions,
+    each under the session's own program; the pass lays them all out in one
+    :func:`~repro.masks.rows.causal_layout` per kernel call.  Each result is
+    exactly what the session's solo call produces.
     """
     verb = "decode step" if step else "prefill"
-    q_list, k_list, v_list = _check_blocks(sessions, qs, ks, vs, verb=verb, one_token=step)
-    positions = [session.position for session in sessions]
-    _stacked_extend(sessions, k_list, v_list)
-    layouts: List[Layout] = []
-    for session, position, q in zip(sessions, positions, q_list):
-        if step:
-            cols = session.program.causal_row(position)
-            layouts.append((np.array([0, cols.size], dtype=np.int64), cols))
-        else:
-            layouts.append(session.program.causal_rows(position, position + q.shape[-2]))
-    scales = [resolve_scale(session.plan.scale, q.shape[-1]) for session, q in zip(sessions, q_list)]
-    parts = _edge_attention(q_list, [session.cache for session in sessions], layouts, scales)
+    q_list, k_list, v_list, positions = _check_blocks(sessions, qs, ks, vs, verb=verb, one_token=step)
+    _append(sessions, k_list, v_list)
+    parts, edges = _edge_attention(sessions, q_list, positions)
 
     results: List[AttentionResult] = []
-    for session, position, q, (_, cols), (output, row_max, row_sum) in zip(
-        sessions, positions, q_list, layouts, parts
-    ):
-        edges, count = int(cols.size), int(q.shape[-2])
-        ops = OpCounts.for_edges(edges, q.shape[-1], output.shape[-1], batch=prod(session.cache.batch_shape))
+    coalesced = len(sessions)
+    for session, position, q, edge_count, (output, row_max, row_sum) in zip(sessions, positions, q_list, edges, parts):
+        count = q.shape[-2]
+        # the counts of OpCounts.for_edges(edge_count, d_k, d_v, batch=slices)
+        dots = edge_count * prod(session.cache.batch_shape)
+        flops = 2 * dots * (q.shape[-1] + output.shape[-1])
+        session._dot_products += dots
+        session._flops += flops
         if step:
-            algorithm, where = "decode-step", {"position": position}
+            algorithm, meta = "decode-step", {"position": position}
             session.steps_taken += 1
         else:
-            algorithm, where = "decode-prefill", {"positions": (position, position + count)}
+            algorithm, meta = "decode-prefill", {"positions": (position, position + count)}
             session.prefilled_tokens += count
-        result = AttentionResult(
-            output=output,
-            row_max=row_max,
-            row_sum=row_sum,
-            ops=ops,
-            algorithm=algorithm,
-            meta={**where, "edges": edges, "coalesced": len(sessions)},
+        meta["edges"] = edge_count
+        meta["coalesced"] = coalesced
+        if session.retain_outputs:
+            session._outputs.append(output)
+        results.append(
+            AttentionResult(
+                output=output,
+                row_max=row_max,
+                row_sum=row_sum,
+                ops=OpCounts(dot_products=dots, flops=flops, exp_evaluations=dots),
+                algorithm=algorithm,
+                meta=meta,
+            )
         )
-        session._absorb(result)
-        results.append(result)
     return results
 
 

@@ -21,17 +21,26 @@ recipe applied to the repo's numpy serving stack:
   the same prompt map the same physical blocks (*prefix sharing*), including
   a partially-filled tail block.  Appending into a block mapped by more than
   one session copies it first (*copy-on-write on divergence*).
+* :func:`write_pass` — the KV write of one serving pass: the new rows of
+  every session on a pool are encoded in one call, probed session by session
+  (share lookups, partial-tail claims, and chunks an earlier session of the
+  same pass writes), covered by one reservation of only the blocks the probe
+  left unmet, and scattered into the arenas at once.
+  :meth:`PagedKVCache.extend` and :meth:`PagedKVCache.restore` are its
+  one-cache calls.
 * :exc:`PoolExhausted` — raised when an allocation (or a server admission
   check) cannot be satisfied even after evicting every unreferenced block;
   the serving layer turns it into reject-or-queue admission control.
 
 All pool mutations happen under one lock, so concurrent sessions on a thread
 pool can share a pool; reservation (:meth:`BlockPool.reserve`) is
-all-or-nothing, which is what lets a batched decode step fail *before*
-touching any session's block table.
+all-or-nothing and a pass's write rolls every cache back on failure, which
+is what lets a batched decode step fail *before* advancing any session's
+block table.
 
-The block table keeps decoding bit-exact: a lookup maps logical token
-positions to physical arena rows, and the attention kernel
+The block table keeps decoding bit-exact: one vectorised lookup
+(:meth:`BlockPool.attention_operands`) maps the logical token positions of
+all a pass's sessions to physical arena rows, and the attention kernel
 (:func:`repro.core.compiled.edge_attention`) reads exactly those rows in
 place — the same values it would have read from a contiguous cache, with no
 gathered copy in between.
@@ -61,7 +70,6 @@ import numpy as np
 
 from repro.core import compiled
 from repro.obs.recorder import NULL_OBS, Observability
-from repro.perfmodel.decode import blocks_for_tokens
 from repro.serve.quant import (
     STORAGE_DTYPES,
     EncodedChunk,
@@ -70,6 +78,7 @@ from repro.serve.quant import (
     resolve_storage,
     storage_param_bytes_per_token,
 )
+from repro.sparse.csr import concatenated_ranges
 from repro.utils.dtypes import INDEX_DTYPE, resolve_dtype
 from repro.utils.validation import require
 
@@ -505,21 +514,24 @@ class BlockPool:
         """
         with self._lock:
             block = self._fingerprint_to_block.get(fingerprint)
-            if block is None:
-                return None
-            if self._refcounts[block] == 0:
-                self._evictable.pop(block, None)
-                self._refcounts[block] = 1
-                self._in_use += 1
-            else:
-                self._refcounts[block] += 1
-            self.stats.share_hits += 1
-            self.stats.shared_tokens_saved += int(tokens)
-            if self.obs.enabled:
-                self._obs_share.inc()
-                self._obs_shared_tokens.inc(int(tokens))
-            self._refresh_gauges()
+            if block is not None:
+                self._share_locked(block, tokens)
             return block
+
+    def _share_locked(self, block: int, tokens: int) -> None:
+        """Map one more reference to ``block`` and credit the share (lock held)."""
+        if self._refcounts[block] == 0:
+            self._evictable.pop(block, None)
+            self._refcounts[block] = 1
+            self._in_use += 1
+        else:
+            self._refcounts[block] += 1
+        self.stats.share_hits += 1
+        self.stats.shared_tokens_saved += int(tokens)
+        if self.obs.enabled:
+            self._obs_share.inc()
+            self._obs_shared_tokens.inc(int(tokens))
+        self._refresh_gauges()
 
     def register(self, fingerprint: str, block: int) -> None:
         """Publish a block under its chained fingerprint for future sharing.
@@ -552,22 +564,6 @@ class BlockPool:
             if self.obs.enabled:
                 self._obs_retract.inc(int(hits))
 
-    def prepare_append(self, block: int) -> bool:
-        """Atomically claim ``block`` for an in-place write.
-
-        Returns ``True`` after withdrawing its fingerprint (no new sharer can
-        map it anymore) when this caller is the sole reference; ``False`` when
-        the block is shared, in which case the caller must copy-on-write.
-        The check and the invalidation happen under one lock — a concurrent
-        :meth:`lookup` either shares the block *before* (forcing the COW
-        path) or misses *after*, never in between.
-        """
-        with self._lock:
-            if self._refcounts[block] > 1:
-                return False
-            self.invalidate(block)
-            return True
-
     # ------------------------------------------------------------------ #
     # Data plane
     # ------------------------------------------------------------------ #
@@ -575,25 +571,15 @@ class BlockPool:
         """Encode compute-dtype K/V rows into this pool's storage format."""
         return encode_chunk(k_rows, v_rows, self.storage)
 
-    def write_encoded(self, block: int, offset: int, chunk: EncodedChunk) -> None:
-        """Scatter an encoded chunk into ``block`` starting at ``offset``."""
-        count = chunk.tokens
-        require(offset >= 0 and offset + count <= self.block_size, "write exceeds block")
-        start = block * self.block_size + offset
-        stop = start + count
-        self._keys[..., start:stop, :] = chunk.k
-        self._values[..., start:stop, :] = chunk.v
+    def write_rows(self, physical: np.ndarray, chunk: EncodedChunk) -> None:
+        """Scatter an encoded chunk's rows into arena rows ``physical``, in order."""
+        self._keys[..., physical, :] = chunk.k
+        self._values[..., physical, :] = chunk.v
         if self._k_scale is not None:
-            self._k_scale[..., start:stop] = chunk.k_scale
-            self._k_zero[..., start:stop] = chunk.k_zero
-            self._v_scale[..., start:stop] = chunk.v_scale
-            self._v_zero[..., start:stop] = chunk.v_zero
-
-    def write(
-        self, block: int, offset: int, k_rows: np.ndarray, v_rows: np.ndarray
-    ) -> None:
-        """Scatter compute-dtype token rows into ``block`` (encodes on the way)."""
-        self.write_encoded(block, offset, self.encode(k_rows, v_rows))
+            self._k_scale[..., physical] = chunk.k_scale
+            self._k_zero[..., physical] = chunk.k_zero
+            self._v_scale[..., physical] = chunk.v_scale
+            self._v_zero[..., physical] = chunk.v_zero
 
     def copy_block(self, src: int, dst: int, fill: int) -> None:
         """Copy the first ``fill`` rows of ``src`` into ``dst`` (the COW copy).
@@ -691,6 +677,51 @@ class BlockPool:
         """Value rows at ``physical`` arena indices, decoded to the compute dtype."""
         return self._decode_gather(self._values, self._v_scale, self._v_zero, physical)
 
+    def physical_rows(
+        self,
+        caches: Sequence["PagedKVCache"],
+        positions: np.ndarray,
+        counts: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Arena rows of logical token ``positions`` of caches on this pool.
+
+        ``positions`` holds ``counts[s]`` positions of cache ``s``, cache
+        after cache (all of them for a single cache).  One vectorised lookup
+        through the caches' block tables laid end to end, after one check
+        that every position lies in its own cache's ``[0, length)``.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if len(caches) == 1:
+            table, limits, shifts = caches[0]._table(), caches[0].length, 0
+        else:
+            tables = [cache._table() for cache in caches]
+            blocks = np.array([table.size for table in tables], dtype=np.int64)
+            table = np.concatenate(tables)
+            limits = np.repeat([cache.length for cache in caches], counts)
+            shifts = np.repeat((np.cumsum(blocks) - blocks) * self.block_size, counts)
+        if positions.size:
+            require(int(positions.min()) >= 0, "gather with negative positions")
+            require(bool(np.all(positions < limits)), "gather past the live token range")
+        logical = positions + shifts
+        return table[logical // self.block_size] * self.block_size + logical % self.block_size
+
+    def attention_operands(
+        self, caches: Sequence["PagedKVCache"], positions: np.ndarray, counts: np.ndarray
+    ) -> Tuple[compiled.Arena, np.ndarray]:
+        """``(arena, rows)`` the attention kernel reads the caches' positions through.
+
+        ``positions`` and ``counts`` as in :meth:`physical_rows`.  The pool's
+        own arenas and the positions' physical rows (O(E) integers), so the
+        kernel reads K/V in place.  Storage the kernel cannot read (fp16, or
+        int8 under a non-fp32 compute dtype) decodes all the rows in one
+        gather and hands over the copy as the arena.
+        """
+        physical = self.physical_rows(caches, positions, counts)
+        if self._kernel_arena is not None:
+            return self._kernel_arena, physical
+        arena = compiled.Arena(self.decode_key_rows(physical), self.decode_value_rows(physical))
+        return arena, np.arange(physical.size, dtype=np.int64)
+
     # ------------------------------------------------------------------ #
     def check_consistency(self) -> None:
         """Assert pool invariants (test hook): no leaks, no double mapping."""
@@ -722,23 +753,6 @@ class BlockPool:
 # --------------------------------------------------------------------------- #
 # Paged cache
 # --------------------------------------------------------------------------- #
-@dataclass
-class _Tail:
-    """Mutable state of the (single) partially-filled tail block."""
-
-    fill: int = 0  # tokens in the last block; 0 means the table is block-aligned
-
-
-class _Step(NamedTuple):
-    """One probed extend chunk, executed verbatim by the commit phase."""
-
-    kind: str  # "tail" (append into the partial tail), "share", or "fresh"
-    take: int  # tokens this chunk covers
-    fingerprint: Optional[str]  # registered on commit; None for a partial tail
-    block: Optional[int] = None  # share: the physical block to map
-    chunk: Optional[EncodedChunk] = None  # tail/fresh: the rows to scatter
-
-
 class PagedKVCache:
     """Block-table KV cache over a shared :class:`BlockPool`.
 
@@ -754,7 +768,8 @@ class PagedKVCache:
     session copies it first (copy-on-write), so divergence after a shared
     prefix never corrupts a sibling stream.  :meth:`release` returns every
     block reference; released caches refuse further writes, which is what
-    makes double-free structurally impossible.
+    makes double-free structurally impossible.  Appends of many caches at
+    once go through :func:`write_pass`; :meth:`extend` is its one-cache call.
     """
 
     def __init__(self, pool: BlockPool, *, max_length: Optional[int] = None) -> None:
@@ -773,9 +788,7 @@ class PagedKVCache:
         self._table_dirty = False
         self._length = 0
         self._chain = "root"  # fingerprint of the full-block prefix
-        self._tail = _Tail()
-        #: pending prepare_append outcome from plan_extend (None = not claimed)
-        self._tail_claimed: Optional[bool] = None
+        self._fill = 0  # tokens in the partial tail block; 0 = block-aligned
         #: admission-reserved blocks, consumed before any pool allocation
         self._prereserved: List[int] = []
         self.released = False
@@ -832,22 +845,15 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     # Views
     # ------------------------------------------------------------------ #
-    def _physical(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=np.int64)
-        if positions.size:
-            require(
-                int(positions.min(initial=0)) >= 0,
-                "gather with negative positions",
-            )
-            require(
-                int(positions.max(initial=0)) < self._length,
-                "gather past the live token range",
-            )
-        size = self.pool.block_size
+    def _table(self) -> np.ndarray:
+        """The block table as an int64 array (rebuilt after it changed)."""
         if self._table_dirty:
             self._table_cache = np.asarray(self._blocks, dtype=np.int64)
             self._table_dirty = False
-        return self._table_cache[positions // size] * size + positions % size
+        return self._table_cache
+
+    def _physical(self, positions: np.ndarray) -> np.ndarray:
+        return self.pool.physical_rows([self], positions)
 
     def gather_keys(self, positions: np.ndarray) -> np.ndarray:
         """Key rows of logical token ``positions``, ``batch_shape + (E, d_k)``.
@@ -855,28 +861,13 @@ class PagedKVCache:
         Rows come back in the pool's *compute* dtype: identity storage is the
         same single fancy-index as before, quantized storage dequantizes
         through the compiled gather path.  The attention paths read rows in
-        place instead (:meth:`attention_operands`).
+        place instead (:meth:`BlockPool.attention_operands`).
         """
         return self.pool.decode_key_rows(self._physical(positions))
 
     def gather_values(self, positions: np.ndarray) -> np.ndarray:
         """Value rows of logical token ``positions``, ``batch_shape + (E, d_v)``."""
         return self.pool.decode_value_rows(self._physical(positions))
-
-    def attention_operands(self, positions: np.ndarray) -> Tuple[compiled.Arena, np.ndarray]:
-        """``(arena, rows)`` the attention kernel reads ``positions`` through.
-
-        The pool's own arenas and the positions' physical rows (O(E)
-        integers), so the kernel reads K/V in place.  Storage the kernel
-        cannot read (fp16, or int8 under a non-fp32 compute dtype) decodes
-        through the gathers first and hands over the copy as the arena.
-        """
-        arena = self.pool._kernel_arena
-        if arena is not None:
-            return arena, self._physical(positions)
-        keys = self.gather_keys(positions)
-        rows = np.arange(keys.shape[-2], dtype=np.int64)
-        return compiled.Arena(keys, self.gather_values(positions)), rows
 
     def keys(self) -> np.ndarray:
         """All live key rows gathered contiguously (copy, for inspection/tests)."""
@@ -889,61 +880,29 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     # Growth
     # ------------------------------------------------------------------ #
-    def plan_extend(self, count: int) -> int:
-        """Exact physical blocks an ``extend`` of ``count`` tokens will need.
-
-        When a partially-filled tail block exists, this *claims* it: the pool
-        atomically either withdraws its fingerprint (no new sharer can map it
-        anymore — the extend will write in place) or reports it shared (the
-        extend will copy-on-write into one extra block).  The decision is
-        remembered and consumed by the next :meth:`extend`, so the
-        reservation a batched caller makes from this count can never run dry
-        under concurrent sharing.  Chunks that end up shared via fingerprint
-        hits consume no reservation; callers release what ``extend`` leaves
-        in the list.
-        """
-        require(count >= 0, "count must be non-negative")
-        if count == 0:
-            return 0
-        size = self.pool.block_size
-        fill = self._tail.fill
-        if fill == 0:
-            raw = blocks_for_tokens(count, size)
-        else:
-            if self._tail_claimed is None:
-                self._tail_claimed = self.pool.prepare_append(self._blocks[-1])
-            remaining = count - (size - fill)
-            fresh = blocks_for_tokens(remaining, size) if remaining > 0 else 0
-            raw = fresh + (0 if self._tail_claimed else 1)
-        return max(0, raw - len(self._prereserved))
-
-    def _take(self, reserved: List[int]) -> int:
-        require(len(reserved) > 0, "reservation exhausted mid-extend")
-        return reserved.pop()
-
-    def extend(
-        self,
-        k_block: np.ndarray,
-        v_block: np.ndarray,
-        *,
-        reserved: Optional[List[int]] = None,
-    ) -> int:
+    def extend(self, k_block: np.ndarray, v_block: np.ndarray) -> int:
         """Append a block of tokens; returns the first appended position.
 
-        Two phases keep this atomic without sacrificing sharing: a *probe*
-        fingerprints every chunk and takes share references first (reviving
-        parked prefixes — lookup strictly precedes allocation), then the
-        exact fresh-block shortfall is reserved all-or-nothing before any
-        write.  A :exc:`PoolExhausted` therefore leaves the cache (and the
-        pool) exactly as they were — a failed multi-block prefill neither
-        writes a row nor cascade-evicts the warm prefix LRU.  Pass
-        ``reserved`` (from :meth:`BlockPool.reserve`, sized by
-        :meth:`plan_extend`) to move the reservation out to a batch instead;
-        unused entries then stay in the list for the caller to release.
+        The one-cache call of :func:`write_pass`: a probe fingerprints every
+        chunk and takes share references first (reviving parked prefixes —
+        lookup strictly precedes allocation), then the exact fresh-block
+        shortfall is reserved all-or-nothing before any write.  A
+        :exc:`PoolExhausted` therefore leaves the cache (and the pool)
+        exactly as they were — a failed multi-block prefill neither writes a
+        row nor cascade-evicts the warm prefix LRU.
         """
-        require(not self.released, "cache was released back to the pool")
-        k_block = np.asarray(k_block)
-        v_block = np.asarray(v_block)
+        start = self._length
+        write_pass([self], [k_block], [v_block])
+        return start
+
+    def append(self, k_row: np.ndarray, v_row: np.ndarray) -> int:
+        """Append one token (rows shaped ``batch_shape + (d,)``); returns its position."""
+        return self.extend(
+            np.asarray(k_row)[..., None, :], np.asarray(v_row)[..., None, :]
+        )
+
+    def _check_block(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
+        """Refuse a block whose layout this cache cannot take."""
         require(k_block.ndim >= 2, "key block must be batch_shape + (T, d_k)")
         count = int(k_block.shape[-2])
         require(
@@ -954,237 +913,27 @@ class PagedKVCache:
             v_block.shape == self.batch_shape + (count, self.value_dim),
             "value block shape does not match the pool layout",
         )
-        if count == 0:
-            return self._length
-        # one whole-extend encode; per-row coding means slicing the payload
-        # per block below is identical to encoding each block separately
-        k_compute = np.ascontiguousarray(k_block, dtype=self.pool.dtype)
-        v_compute = np.ascontiguousarray(v_block, dtype=self.pool.dtype)
-        return self._extend_encoded(self.pool.encode(k_compute, v_compute), count, reserved)
 
-    def _extend_encoded(
-        self,
-        payload: EncodedChunk,
-        count: int,
-        reserved: Optional[List[int]],
-    ) -> int:
-        """Probe/commit an already-encoded payload (extend and swap restore)."""
-        require(
-            self.max_length is None or self._length + count <= self.max_length,
-            f"KV cache full: {self._length + count} tokens exceed the decode "
-            f"horizon {self.max_length}",
-        )
-        start = self._length
-        owns_reservation = reserved is None
-        snapshot = (
-            list(self._blocks),
-            self._length,
-            self._chain,
-            self._tail.fill,
-            self.share_hits,
-            self.cow_copies,
-        )
-        acquired: List[int] = []  # references this extend took (alloc or share)
-        held: List[int] = []  # blocks drawn from the admission prereserve
-        deferred: List[int] = []  # COW'd old tails, released only on success
-        pending: List[Tuple[str, int]] = []  # fingerprints published on commit
-        shares: List[int] = []  # token counts credited per probe share hit
-        try:
-            steps, fresh_needed, chain = self._probe_extend(payload, count, acquired, shares)
-            if owns_reservation:
-                shortfall = max(0, fresh_needed - len(self._prereserved))
-                reserved = self.pool.reserve(shortfall) if shortfall else []
-            self._commit_extend(steps, reserved, acquired, held, deferred, pending)
-            self._chain = chain
-        except Exception:
-            # full rollback: restore the table, return every new reference and
-            # put admission-held blocks back, so a failed extend advances
-            # nothing (evictions and fingerprint invalidations that already
-            # happened are harmless metadata loss).  Fingerprints are only
-            # published below, after the commit — a failed extend must never
-            # leave a fingerprint pointing at a block it just rolled back
-            # into the free pool or the admission prereserve, or a retry
-            # could share that block while _acquire hands it out again
-            (
-                self._blocks,
-                self._length,
-                self._chain,
-                self._tail.fill,
-                self.share_hits,
-                self.cow_copies,
-            ) = snapshot
-            self._blocks_set = set(self._blocks)
-            self._table_dirty = True
-            self._tail_claimed = None
-            self._prereserved.extend(held)
-            if acquired:
-                self.pool.release(acquired)
-            if shares:
-                # shares that never materialized must not skew the telemetry
-                self.pool.retract_shares(len(shares), sum(shares))
-            if owns_reservation and reserved:
-                self.pool.release(reserved)  # entries _take never popped
-            raise
-        for fingerprint, block in pending:
-            self.pool.register(fingerprint, block)
-        if deferred:
-            self.pool.release(deferred)
-        if owns_reservation and reserved:
-            self.pool.release(reserved)  # exact on success, so normally empty
-        return start
+    def _map(self, block: int) -> None:
+        """Append ``block`` to the table."""
+        self._blocks.append(block)
+        self._blocks_set.add(block)
+        self._table_dirty = True
 
-    def append(self, k_row: np.ndarray, v_row: np.ndarray) -> int:
-        """Append one token (rows shaped ``batch_shape + (d,)``); returns its position."""
-        return self.extend(
-            np.asarray(k_row)[..., None, :], np.asarray(v_row)[..., None, :]
-        )
+    def _retail(self, block: int) -> None:
+        """Replace the tail block with ``block`` (its copy on write)."""
+        self._blocks_set.discard(self._blocks[-1])
+        self._blocks[-1] = block
+        self._blocks_set.add(block)
+        self._table_dirty = True
 
-    # ------------------------------------------------------------------ #
-    def _acquire(
-        self, reserved: Optional[List[int]], acquired: List[int], held: List[int]
-    ) -> int:
-        if self._prereserved:
-            block = self._prereserved.pop()
-            held.append(block)
-        else:
-            block = (
-                self._take(reserved) if reserved is not None else self.pool.reserve(1)[0]
-            )
-            acquired.append(block)
-        # a write target must be private to this call: a block already in the
-        # table would be silently overwritten by the coming pool.write
-        require(
-            block not in self._blocks_set,
-            f"pool handed out block {block} already mapped by this cache",
-        )
-        return block
+    def _snapshot(self) -> tuple:
+        return (list(self._blocks), self._length, self._chain, self._fill, self.share_hits, self.cow_copies)
 
-    def _probe_extend(
-        self,
-        payload: EncodedChunk,
-        count: int,
-        acquired: List[int],
-        shares: List[int],
-    ) -> Tuple[List[_Step], int, str]:
-        """Dry-run an extend: fingerprint every chunk, write nothing.
-
-        Returns ``(steps, fresh_needed, chain)``: the step list
-        :meth:`_commit_extend` executes, the exact number of physical blocks
-        the commit will acquire (tail copy-on-write included), and the chain
-        fingerprint after the extend.  Share hits are increfed *here* —
-        lookup strictly precedes any allocation, so a prefix parked in the
-        evictable LRU is revived rather than evicted to make room for its
-        own copy; the references land in ``acquired`` (and their token
-        counts in ``shares``) so a failed reservation rolls back both the
-        references and the share credit.
-
-        Fingerprints hash the *encoded* payload (quantized bytes plus their
-        per-row parameters), so two sessions share a block exactly when its
-        stored content matches — and a swap restore of the same payload
-        regenerates the same chain.
-        """
-        size = self.pool.block_size
-        steps: List[_Step] = []
-        fresh_needed = 0
-        chain = self._chain
-        fill = self._tail.fill
-        pos = 0
-        if fill:
-            # the leading segment lands in the existing partial tail: claim
-            # it now (atomically, no new sharer can map it afterwards) or
-            # learn we must copy-on-write into one extra block
-            if self._tail_claimed is None:
-                self._tail_claimed = self.pool.prepare_append(self._blocks[-1])
-            if not self._tail_claimed:
-                fresh_needed += 1
-            take = min(size - fill, count)
-            chunk = payload.slice(0, take)
-            fingerprint = None
-            if fill + take == size:
-                full = self.pool.encoded_block_rows(self._blocks[-1], fill).concat(
-                    chunk
-                )
-                fingerprint = self.pool.chunk_fingerprint(chain, full, size)
-                chain = fingerprint
-            steps.append(_Step("tail", take, fingerprint, chunk=chunk))
-            pos = take
-        while pos < count:
-            take = min(size, count - pos)
-            chunk = payload.slice(pos, pos + take)
-            fingerprint = self.pool.chunk_fingerprint(chain, chunk, take)
-            shared = self.pool.lookup(fingerprint, tokens=take)
-            if shared is not None:
-                acquired.append(shared)
-                shares.append(take)
-                steps.append(_Step("share", take, fingerprint, block=shared))
-            else:
-                fresh_needed += 1
-                steps.append(_Step("fresh", take, fingerprint, chunk=chunk))
-            if take == size:
-                chain = fingerprint
-            pos += take
-        return steps, fresh_needed, chain
-
-    def _commit_extend(
-        self,
-        steps: List[_Step],
-        reserved: Optional[List[int]],
-        acquired: List[int],
-        held: List[int],
-        deferred: List[int],
-        pending: List[Tuple[str, int]],
-    ) -> None:
-        """Execute a probe's step list: acquire blocks, scatter rows.
-
-        Partial fresh chunks are queued for registration (a prompt's tail is
-        shareable, COW on divergence); the tail-append step deliberately
-        leaves a still-partial tail unregistered — re-fingerprinting it
-        every single-token decode step would be pure per-token hashing
-        overhead, invalidated by the very next step's claim.
-        """
-        size = self.pool.block_size
-        for step in steps:
-            take = step.take
-            if step.kind == "share":
-                block = step.block
-                self._blocks.append(block)
-                self._blocks_set.add(block)
-                self._table_dirty = True
-                self.share_hits += 1
-                self._tail.fill = 0 if take == size else take
-            elif step.kind == "fresh":
-                block = self._acquire(reserved, acquired, held)
-                self.pool.write_encoded(block, 0, step.chunk)
-                if step.fingerprint is not None:
-                    pending.append((step.fingerprint, block))
-                self._blocks.append(block)
-                self._blocks_set.add(block)
-                self._table_dirty = True
-                self._tail.fill = 0 if take == size else take
-            else:  # tail append
-                fill = self._tail.fill
-                tail = self._blocks[-1]
-                claimed = self._tail_claimed
-                self._tail_claimed = None
-                if not claimed:
-                    # copy-on-write: divergence after a shared partial prefix;
-                    # the old tail is released only if the whole extend lands
-                    fresh = self._acquire(reserved, acquired, held)
-                    self.pool.copy_block(tail, fresh, fill)
-                    deferred.append(tail)
-                    self._blocks[-1] = fresh
-                    self._blocks_set.discard(tail)
-                    self._blocks_set.add(fresh)
-                    self._table_dirty = True
-                    tail = fresh
-                    self.cow_copies += 1
-                self.pool.write_encoded(tail, fill, step.chunk)
-                if step.fingerprint is not None:
-                    pending.append((step.fingerprint, tail))
-                    self._tail.fill = 0
-                else:
-                    self._tail.fill = fill + take
-            self._length += take
+    def _roll_back(self, snapshot: tuple) -> None:
+        self._blocks, self._length, self._chain, self._fill, self.share_hits, self.cow_copies = snapshot
+        self._blocks_set = set(self._blocks)
+        self._table_dirty = True
 
     # ------------------------------------------------------------------ #
     def release(self) -> None:
@@ -1201,8 +950,7 @@ class PagedKVCache:
         self._blocks_set = set()
         self._table_dirty = True
         self._length = 0
-        self._tail.fill = 0
-        self._tail_claimed = None
+        self._fill = 0
         self.pool.release(blocks)
 
     def swap_out(self) -> "SwapHandle":
@@ -1233,13 +981,13 @@ class PagedKVCache:
     def restore(self, handle: "SwapHandle") -> None:
         """Map a swap handle's encoded payload into this (empty) cache.
 
-        The payload re-enters block-by-block through the same probe/commit
-        machinery as :meth:`extend`; identical stored bytes regenerate
-        identical chain fingerprints, so blocks still parked in the pool's
-        evictable LRU are re-shared instead of rewritten.  The rows are
-        never decoded to the compute dtype on the way — a quantized stream
-        resumes with exactly the bytes it swapped out, with zero added
-        quantization error.
+        The payload re-enters through the same probe/commit machinery as
+        :meth:`extend` (a one-cache :func:`write_pass` of rows already
+        encoded); identical stored bytes regenerate identical chain
+        fingerprints, so blocks still parked in the pool's evictable LRU are
+        re-shared instead of rewritten.  The rows are never decoded to the
+        compute dtype on the way — a quantized stream resumes with exactly
+        the bytes it swapped out, with zero added quantization error.
         """
         require(not self.released, "cache was released back to the pool")
         require(self._length == 0, "restore requires an empty cache")
@@ -1255,9 +1003,313 @@ class PagedKVCache:
             == self.batch_shape + (handle.length, self.value_dim),
             "swap handle layout does not match the pool",
         )
-        if handle.length == 0:
-            return
-        self._extend_encoded(handle.payload, handle.length, None)
+        _commit_writes([_PoolWrite(self.pool, [self], handle.payload, [handle.length])])
+
+
+# --------------------------------------------------------------------------- #
+# Pass writes
+# --------------------------------------------------------------------------- #
+def write_pass(
+    caches: Sequence[PagedKVCache],
+    k_blocks: Sequence[np.ndarray],
+    v_blocks: Sequence[np.ndarray],
+) -> None:
+    """Append each cache's own ``batch_shape + (T, d)`` token block, all or nothing.
+
+    The KV write of one serving pass.  Per pool, the new rows of all its
+    caches are encoded in one call (per-row coding, so the stored bytes equal
+    per-cache encodes); probed cache by cache in pass order — partial tails
+    claimed under one lock hold, chunks looked up in the pool and in the map
+    of chunks earlier caches of this pass write; covered by one
+    all-or-nothing :meth:`BlockPool.reserve` of only the blocks the probe
+    left unmet, net of admission prereserves; and scattered into the arenas
+    at once.  Fingerprints are published after every pool committed.  Any
+    failure — :exc:`PoolExhausted` included — rolls every cache and pool
+    back, so a failed pass advances nothing.
+
+    The result equals the caches' one-cache :meth:`PagedKVCache.extend`
+    calls in pass order, with two exceptions.  The reservation follows every
+    probe, so a block a later cache shares is never evicted or reserved
+    first.  And caches of one pass that all append into one shared partial
+    tail each copy it on write, where sequential calls copy one time fewer
+    (the last finds the tail its own, unless a cache outside the pass maps
+    it too).
+    """
+    k_blocks = [np.asarray(k) for k in k_blocks]
+    v_blocks = [np.asarray(v) for v in v_blocks]
+    for cache, k, v in zip(caches, k_blocks, v_blocks):
+        cache._check_block(k, v)
+    _write_blocks(caches, k_blocks, v_blocks)
+
+
+def _write_blocks(
+    caches: Sequence[PagedKVCache],
+    k_blocks: Sequence[np.ndarray],
+    v_blocks: Sequence[np.ndarray],
+) -> None:
+    """:func:`write_pass` of blocks already checked against their caches' layouts."""
+    require(len({id(cache) for cache in caches}) == len(caches), "a cache may appear at most once per write")
+    members: Dict[int, List[int]] = {}
+    for index, cache in enumerate(caches):
+        members.setdefault(id(cache.pool), []).append(index)
+    writes = []
+    for indices in members.values():
+        pool = caches[indices[0]].pool
+        k = _stack_rows([k_blocks[i] for i in indices], pool.dtype)
+        v = _stack_rows([v_blocks[i] for i in indices], pool.dtype)
+        counts = [k_blocks[i].shape[-2] for i in indices]
+        writes.append(_PoolWrite(pool, [caches[i] for i in indices], pool.encode(k, v), counts))
+    _commit_writes(writes)
+
+
+def _stack_rows(blocks: Sequence[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """Token blocks end to end along the token axis, contiguous, in ``dtype``."""
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0], dtype=dtype)
+    return np.concatenate(blocks, axis=-2, dtype=dtype, casting="unsafe")
+
+
+def _commit_writes(writes: Sequence["_PoolWrite"]) -> None:
+    """Probe, reserve and commit every pool's write, then publish; all or nothing."""
+    try:
+        for write in writes:
+            write.probe()
+        for write in writes:
+            write.reserve()
+        for write in writes:
+            write.commit()
+    except BaseException:
+        for write in writes:
+            write.roll_back()
+        raise
+    for write in writes:
+        write.publish()
+
+
+class _Step(NamedTuple):
+    """One probed chunk of a cache's append, executed verbatim by the commit."""
+
+    #: "tail" (into the partial tail in place), "cow" (into a copy of the
+    #: shared partial tail), "fresh" (a new block), "share" (a published
+    #: block) or "pending" (a block an earlier cache of the pass writes)
+    kind: str
+    take: int  # tokens this chunk covers
+    fingerprint: Optional[str]  # published after the commit; None for a partial tail
+    row: int = 0  # tail/cow/fresh: the chunk's first row in the encoded payload
+    block: int = -1  # share: the physical block to map
+    source: Tuple[int, int] = (-1, -1)  # pending: (plan, step) of the writing chunk
+
+
+class _PoolWrite:
+    """One pool's part of a :func:`write_pass`: probe, reserve, commit, publish."""
+
+    def __init__(
+        self,
+        pool: BlockPool,
+        caches: Sequence[PagedKVCache],
+        payload: EncodedChunk,
+        counts: Sequence[int],
+    ) -> None:
+        for cache, count in zip(caches, counts):
+            require(not cache.released, "cache was released back to the pool")
+            if cache.max_length is not None and cache.length + count > cache.max_length:
+                raise ValueError(
+                    f"KV cache full: {cache.length + count} tokens exceed the decode horizon {cache.max_length}"
+                )
+        self.pool = pool
+        self.caches = caches
+        self.payload = payload
+        self.counts = counts
+        #: caches whose rows all land in place in their own partial tail (the
+        #: common decode step): ``(cache, count)``, advanced after the scatter
+        self.tails: List[Tuple[PagedKVCache, int]] = []
+        #: every other cache: ``(cache, steps, chain after, blocks acquired)``
+        self.plans: List[Tuple[PagedKVCache, List[_Step], str, int]] = []
+        #: ``(payload row, arena row, rows)`` of every chunk the scatter writes
+        self.chunks: List[Tuple[int, int, int]] = []
+        self.refs: List[int] = []  # references taken: share hits and the reservation
+        self.credit = [0, 0]  # share hits and shared tokens credited to the pool
+        self.reserved: List[int] = []
+        self.held: List[Tuple[PagedKVCache, int]] = []  # blocks drawn from prereserves
+        self.snapshots: List[tuple] = []  # of the planned caches, as committed
+        self.committed = False
+        self.deferred: List[int] = []  # copied-on-write tails, released on success
+        self.published: List[Tuple[str, int]] = []
+
+    def probe(self) -> None:
+        """Fingerprint every chunk and take share references; write nothing.
+
+        Share hits are increfed *here*, before any reservation, so a prefix
+        parked in the evictable LRU is revived rather than evicted to make
+        room for its own copy.  Fingerprints hash the *encoded* payload
+        (quantized bytes plus their per-row parameters), so two caches share
+        a block exactly when its stored content matches — and a swap restore
+        of the same payload regenerates the same chain.
+        """
+        pool, payload = self.pool, self.payload
+        size, refcounts = pool.block_size, pool._refcounts
+        written: Dict[str, Tuple[int, int]] = {}  # chunks this pass writes: (plan, step)
+        row = 0
+        with pool._lock:
+            for cache, count in zip(self.caches, self.counts):
+                steps: List[_Step] = []
+                chain, fill, pos, acquires = cache._chain, cache._fill, 0, 0
+                if fill and count:
+                    # the leading rows land in the partial tail.  Held by this
+                    # cache alone, it is claimed for an in-place write (its
+                    # fingerprint withdrawn, so no new sharer can map it; under
+                    # the lock a concurrent lookup shares it before or misses
+                    # after, never in between); mapped by others too, it is
+                    # copied on write
+                    tail = cache._blocks[-1]
+                    claimed = refcounts[tail] == 1
+                    if claimed and tail in pool._block_to_fingerprint:
+                        pool.invalidate(tail)
+                    if claimed and fill + count < size:
+                        self.tails.append((cache, count))
+                        self.chunks.append((row, tail * size + fill, count))
+                        row += count
+                        continue
+                    take = min(size - fill, count)
+                    fingerprint = None
+                    if fill + take == size:
+                        full = pool.encoded_block_rows(tail, fill).concat(payload.slice(row, row + take))
+                        fingerprint = chain = pool.chunk_fingerprint(chain, full, size)
+                        written.setdefault(fingerprint, (len(self.plans), 0))
+                    steps.append(_Step("tail" if claimed else "cow", take, fingerprint, row))
+                    acquires += not claimed
+                    pos = take
+                while pos < count:
+                    take = min(size, count - pos)
+                    chunk = payload.slice(row + pos, row + pos + take)
+                    fingerprint = pool.chunk_fingerprint(chain, chunk, take)
+                    source = written.get(fingerprint)
+                    shared = None if source is not None else pool.lookup(fingerprint, tokens=take)
+                    if source is not None:
+                        # an earlier cache of this pass writes this very chunk:
+                        # map its block, as sequential extends would
+                        steps.append(_Step("pending", take, fingerprint, source=source))
+                    elif shared is not None:
+                        self.refs.append(shared)
+                        self.credit[0] += 1
+                        self.credit[1] += take
+                        steps.append(_Step("share", take, fingerprint, block=shared))
+                    else:
+                        written[fingerprint] = (len(self.plans), len(steps))
+                        steps.append(_Step("fresh", take, fingerprint, row + pos))
+                        acquires += 1
+                    if take == size:
+                        chain = fingerprint
+                    pos += take
+                self.plans.append((cache, steps, chain, acquires))
+                row += count
+
+    def reserve(self) -> None:
+        """Reserve, all or nothing, the blocks prereserves do not cover."""
+        shortfall = sum(max(0, acquires - len(cache._prereserved)) for cache, _, _, acquires in self.plans)
+        if shortfall:
+            self.reserved = self.pool.reserve(shortfall)
+            self.refs.extend(self.reserved)
+
+    def _acquire(self, cache: PagedKVCache) -> int:
+        if cache._prereserved:
+            block = cache._prereserved.pop()
+            self.held.append((cache, block))
+        else:
+            block = self.reserved.pop()
+        # a write target must be private to this call: a block already in the
+        # table would be silently overwritten by the coming scatter
+        require(
+            block not in cache._blocks_set,
+            f"pool handed out block {block} already mapped by this cache",
+        )
+        return block
+
+    def commit(self) -> None:
+        """Map every chunk's block, copy shared tails, scatter the rows at once."""
+        pool = self.pool
+        size = pool.block_size
+        blocks: Dict[Tuple[int, int], int] = {}  # block of every (plan, step)
+        for number, (cache, steps, chain, _) in enumerate(self.plans):
+            self.snapshots.append(cache._snapshot())
+            for index, step in enumerate(steps):
+                take, kind = step.take, step.kind
+                if kind == "tail" or kind == "cow":
+                    block, offset = cache._blocks[-1], cache._fill
+                    if kind == "cow":
+                        # divergence after a shared partial prefix: the old
+                        # tail is released only once the whole pass landed
+                        copy = self._acquire(cache)
+                        pool.copy_block(block, copy, offset)
+                        self.deferred.append(block)
+                        cache._retail(copy)
+                        cache.cow_copies += 1
+                        block = copy
+                    cache._fill = (offset + take) % size
+                else:
+                    if kind == "fresh":
+                        block = self._acquire(cache)
+                    elif kind == "share":
+                        block = step.block
+                    else:
+                        block = blocks[step.source]
+                        with pool._lock:
+                            pool._share_locked(block, take)
+                        self.refs.append(block)
+                        self.credit[0] += 1
+                        self.credit[1] += take
+                    if kind != "fresh":
+                        cache.share_hits += 1
+                    cache._map(block)
+                    offset = 0
+                    cache._fill = take % size
+                if kind != "share" and kind != "pending":
+                    self.chunks.append((step.row, block * size + offset, take))
+                    if step.fingerprint is not None:
+                        self.published.append((step.fingerprint, block))
+                blocks[(number, index)] = block
+                cache._length += take
+            cache._chain = chain
+        if self.chunks:
+            rows, targets, takes = zip(*sorted(self.chunks))
+            if max(takes) == 1:  # a decode pass: a row per chunk
+                source, physical = np.array(rows), np.array(targets)
+            else:
+                source, physical = concatenated_ranges(rows, takes), concatenated_ranges(targets, takes)
+            pool.write_rows(physical, self.payload if source.size == self.payload.tokens else self.payload.take(source))
+        for cache, count in self.tails:
+            cache._fill += count
+            cache._length += count
+        self.committed = True
+
+    def roll_back(self) -> None:
+        """Undo everything: tables, references, prereserves and share credit.
+
+        Evictions and tail claims that already happened are harmless
+        metadata loss.  Nothing was published yet — a failed write must
+        never leave a fingerprint pointing at a block it just rolled back
+        into the free pool or an admission prereserve, or a retry could
+        share that block while it is handed out again.
+        """
+        for (cache, _, _, _), snapshot in zip(self.plans, self.snapshots):
+            cache._roll_back(snapshot)
+        if self.committed:
+            for cache, count in self.tails:
+                cache._fill -= count
+                cache._length -= count
+        for cache, block in self.held:
+            cache._prereserved.append(block)
+        if self.refs:
+            self.pool.release(self.refs)
+        if self.credit[0]:
+            self.pool.retract_shares(*self.credit)
+
+    def publish(self) -> None:
+        """Register the written chunks' fingerprints; release copied tails."""
+        for fingerprint, block in self.published:
+            self.pool.register(fingerprint, block)
+        if self.deferred:
+            self.pool.release(self.deferred)
 
 
 # --------------------------------------------------------------------------- #
@@ -1357,4 +1409,5 @@ __all__ = [
     "SwapHandle",
     "SwapStore",
     "SwapStoreStats",
+    "write_pass",
 ]

@@ -173,6 +173,19 @@ class EncodedChunk(NamedTuple):
             v_zero=self.v_zero[..., start:stop],
         )
 
+    def take(self, rows: np.ndarray) -> "EncodedChunk":
+        """Rows ``rows`` of this chunk (copies, in the order given)."""
+        if not self.quantized:
+            return EncodedChunk(k=self.k[..., rows, :], v=self.v[..., rows, :])
+        return EncodedChunk(
+            k=self.k[..., rows, :],
+            v=self.v[..., rows, :],
+            k_scale=self.k_scale[..., rows],
+            k_zero=self.k_zero[..., rows],
+            v_scale=self.v_scale[..., rows],
+            v_zero=self.v_zero[..., rows],
+        )
+
     def concat(self, other: "EncodedChunk") -> "EncodedChunk":
         """This chunk's rows followed by ``other``'s (for tail fingerprints)."""
         if not self.quantized:

@@ -39,7 +39,6 @@ import dataclasses
 import itertools
 import threading
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -168,6 +167,9 @@ class AttentionServer:
             pool=block_pool.stats if block_pool is not None else None,
         )
         self._ids = itertools.count()
+        #: ``server_kernel_seconds`` children by (plan key, phase), each
+        #: resolved once; streaming passes record through them
+        self._kernel_seconds: Dict[Tuple[str, str], object] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         #: guards creating and shutting down ``_pool``: concurrent ``serve``
         #: calls must share one executor, and ``close`` must reach it
@@ -523,11 +525,13 @@ class AttentionServer:
         ]
 
     def _observe_kernel_seconds(self, sessions: Sequence[DecodeSession], latency: float, phase: str) -> None:
-        streams_per_plan = Counter(session.plan.key or "adhoc" for session in sessions)
-        for plan_key, streams in streams_per_plan.items():
-            kernel = self.obs.kernel_seconds.labels(plan=plan_key, phase=phase)
-            for _ in range(streams):
-                kernel.observe(latency)
+        children = self._kernel_seconds
+        for session in sessions:
+            key = (session.plan.key or "adhoc", phase)
+            kernel = children.get(key)
+            if kernel is None:
+                kernel = children[key] = self.obs.kernel_seconds.labels(plan=key[0], phase=phase)
+            kernel.observe(latency)
 
     def _process(self, requests: List[AttentionRequest]) -> List[AttentionResponse]:
         if not requests:

@@ -17,6 +17,14 @@ from repro.utils.dtypes import INDEX_DTYPE, dtype_bytes, resolve_dtype
 from repro.utils.validation import require
 
 
+def concatenated_ranges(starts, lengths) -> np.ndarray:
+    """``arange(starts[i], starts[i] + lengths[i])`` for every ``i``, end to end (int64)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    shifts = np.asarray(starts, dtype=np.int64) - (ends - lengths)
+    return np.repeat(shifts, lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
 @dataclass(frozen=True)
 class CSRMatrix:
     """Compressed sparse row matrix with canonical (sorted) column indices."""

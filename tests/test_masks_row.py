@@ -22,6 +22,7 @@ from repro.masks.rows import (
     SpecRowProgram,
     StencilRowProgram,
     UnionRowProgram,
+    causal_layout,
     compile_row_program,
 )
 from repro.masks.structured import BlockDiagonalMask, CausalMask, DenseMask, StridedMask
@@ -141,9 +142,21 @@ class TestProgramSpecialisation:
             compile_row_program(GlobalMask((40,)), 16)
 
 
+def _assert_layout(layout, segments):
+    """``layout`` is the segments' ``causal_row`` outputs end to end."""
+    indptr, cols = layout
+    rows = [program.causal_row(i) for program, start, count in segments for i in range(start, start + count)]
+    expected = np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
+    assert cols.dtype == expected.dtype == INDEX_DTYPE
+    np.testing.assert_array_equal(cols, expected)
+    assert indptr.dtype == np.int64
+    np.testing.assert_array_equal(indptr, np.cumsum([0] + [r.size for r in rows]))
+
+
 @pytest.mark.parametrize("length", LENGTHS)
 class TestCausalRows:
-    """``causal_rows`` is the concatenated ``causal_row`` outputs, bit for bit."""
+    """``causal_rows`` and the batched :func:`causal_layout` are the
+    concatenated ``causal_row`` outputs, bit for bit."""
 
     def _programs(self, length):
         explicit = as_mask_spec(RandomMask(sparsity=0.3, seed=7).to_csr(length))
@@ -163,15 +176,21 @@ class TestCausalRows:
         rng = np.random.default_rng(length)
         ranges = [(0, length), (0, 0), (length, length), (0, 1), (length - 1, length)]
         ranges += [tuple(sorted(rng.integers(0, length + 1, size=2))) for _ in range(8)]
-        for program in self._programs(length):
+        programs = self._programs(length)
+        for program in programs:
             for start, stop in ranges:
-                indptr, cols = program.causal_rows(int(start), int(stop))
-                rows = [program.causal_row(i) for i in range(start, stop)]
-                expected = np.concatenate(rows) if rows else np.empty(0, dtype=INDEX_DTYPE)
-                assert cols.dtype == expected.dtype == INDEX_DTYPE
-                np.testing.assert_array_equal(cols, expected)
-                assert indptr.dtype == np.int64
-                np.testing.assert_array_equal(indptr, np.cumsum([0] + [r.size for r in rows]))
+                _assert_layout(program.causal_rows(int(start), int(stop)), [(program, start, stop - start)])
+        # the batched form: every program class (and a second horizon) mixed
+        # in one call, runs of one-row segments as a decode pass lays out
+        # beside prefill-sized chunks
+        programs += [compile_row_program(spec, length + 7) for spec in PRESET_SPECS]
+        for _ in range(24):
+            segments = []
+            for program in rng.choice(programs, size=rng.integers(1, 2 * len(programs))):
+                start = int(rng.integers(0, program.horizon + 1))
+                count = 1 if start < program.horizon and rng.random() < 0.5 else int(rng.integers(0, 9))
+                segments.append((program, start, min(count, program.horizon - start)))
+            _assert_layout(causal_layout(segments), segments)
 
     def test_range_bounds_enforced(self, length):
         program = compile_row_program(LocalMask(window=3), length)

@@ -23,7 +23,7 @@ from repro.serve.decode import (
     stacked_prefill,
 )
 from repro.serve.client import ServingClient
-from repro.serve.paging import BlockPool, PagedKVCache
+from repro.serve.paging import BlockPool, PagedKVCache, PoolExhausted
 from repro.serve.quant import decode_chunk, encode_chunk
 from repro.serve.scheduler import AttentionServer
 from repro.utils.rng import random_qkv
@@ -432,6 +432,50 @@ class TestRaggedPasses:
         assert pool.blocks_in_use == 0
         assert all(pool.refcount(block) == 0 for block in range(pool.num_blocks))
         pool.check_consistency()
+
+    @pytest.mark.parametrize("free", [0, 4])
+    def test_a_pass_reserves_only_what_its_shares_leave_unmet(self, free):
+        """Two sessions prefilling a parked 4-block prompt in one pass map its
+        warm blocks, as two solo prefills would: the pass reserves after its
+        probe, so an empty free list refuses nothing and free blocks are not
+        spent evicting the prompt to write it again."""
+        mask, heads, dim = LocalMask(window=3), 2, 6
+        pool = BlockPool(4 + free, 4, key_dim=dim, batch_shape=(heads,))
+        q, k, v = random_qkv(16, dim, heads=heads, dtype=np.float32, seed=130)
+        warm = DecodeSession.start(mask, 16, pool=pool)
+        warm.prefill(q, k, v)
+        warm.close()
+        assert (pool.free_blocks, pool.evictable_blocks) == (free, 4)
+        sessions = [DecodeSession.start(mask, 16, pool=pool) for _ in range(2)]
+        results = stacked_prefill(sessions, [q, q], [k, k], [v, v])
+        expected = DecodeSession.start(mask, 16).prefill(q, k, v)
+        for result in results:
+            _assert_results_equal(result, expected)
+        stats = pool.stats_snapshot()
+        assert (stats.share_hits, stats.shared_tokens_saved) == (8, 32)
+        assert (stats.evictions, stats.failed_reservations) == (0, 0)
+        assert sessions[0].cache.block_table == sessions[1].cache.block_table
+        assert pool.blocks_in_use == 4
+        for session in sessions:
+            session.close()
+        pool.check_consistency()
+
+    def test_a_pool_that_cannot_reserve_fails_the_whole_pass(self):
+        """A pass over two pools whose second pool is exhausted advances no
+        session on either pool, and every block goes back."""
+        mask, heads, dim = LocalMask(window=3), 2, 6
+        roomy, tight = (BlockPool(blocks, 4, key_dim=dim, batch_shape=(heads,)) for blocks in (8, 1))
+        q, k, v = random_qkv(8, dim, heads=heads, dtype=np.float32, seed=131)
+        sessions = [DecodeSession.start(mask, 8, pool=pool) for pool in (roomy, roomy, tight)]
+        with pytest.raises(PoolExhausted):
+            stacked_prefill(sessions, [q, q + 1.0, q], [k, k + 1.0, k], [v, v + 1.0, v])
+        assert [session.position for session in sessions] == [0, 0, 0]
+        assert roomy.blocks_in_use == tight.blocks_in_use == 0
+        assert roomy.stats.share_hits == 0
+        results = stacked_prefill(sessions[:2], [q, q + 1.0], [k, k + 1.0], [v, v + 1.0])
+        assert [result.meta["positions"] for result in results] == [(0, 8), (0, 8)]
+        roomy.check_consistency()
+        tight.check_consistency()
 
     def test_numpy_chunks_split_inside_and_across_sessions(self, monkeypatch):
         """The fallback's row chunks end inside one session's rows or span
