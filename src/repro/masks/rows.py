@@ -58,6 +58,12 @@ class RowProgram(abc.ABC):
         #: :func:`causal_layout` builds their rows together; None keys a
         #: program by itself
         self._rows_key: Optional[Hashable] = None
+        #: the last position whose causal row may span a whole prefix (a
+        #: global token's row), or None: :func:`causal_layout` builds such
+        #: rows one by one through :meth:`causal_row`, so they never widen
+        #: the padded matrix of the others, and :meth:`_row_matrix` never
+        #: sees one
+        self._last_token: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -140,30 +146,44 @@ def causal_layout(segments: Sequence[Segment]) -> Tuple[np.ndarray, np.ndarray]:
     """
     if not segments:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=INDEX_DTYPE)
-    groups: Dict[Hashable, Tuple[RowProgram, List[int]]] = {}
+    groups: Dict[Hashable, List] = {}  # key -> [program, segment indices]
     one_row = True  # a decode pass: one row per segment
     for index, (program, start, count) in enumerate(segments):
         program._check_range(start, start + count)
         key = program._rows_key
-        groups.setdefault(program if key is None else key, (program, []))[1].append(index)
+        group = groups.setdefault(program if key is None else key, [program, []])
+        if program.horizon > group[0].horizon:
+            group[0] = program  # the widest range holds every row of the group
+        group[1].append(index)
         one_row = one_row and count == 1
     rows = np.array([start for _, start, _ in segments], dtype=np.int64)
     if not one_row:
         counts = np.array([count for _, _, count in segments], dtype=np.int64)
         firsts = np.cumsum(counts) - counts
         rows = concatenated_ranges(rows, counts)
-    if len(groups) == 1:
-        ((program, _),) = groups.values()
-        matrix = program._row_matrix(rows)
+    blocks = []  # (the rows' places in segment order, or None for all; matrix)
+    for program, members in groups.values():
+        index = None
+        if len(groups) > 1:
+            index = np.array(members) if one_row else concatenated_ranges(firsts[members], counts[members])
+        group_rows = rows if index is None else rows[index]
+        last = program._last_token
+        if last is not None and min(segments[i][1] for i in members) <= last:
+            wide = program._wide_rows(group_rows)
+            if wide.any():
+                index = np.arange(rows.size) if index is None else index
+                blocks.append((index[wide], RowProgram._row_matrix(program, group_rows[wide])))
+                index, group_rows = index[~wide], group_rows[~wide]
+        blocks.append((index, program._row_matrix(group_rows)))
+    if len(blocks) == 1:
+        matrix = blocks[0][1]
         keep = matrix >= 0
         return _indptr(keep.sum(axis=1)), matrix[keep].astype(INDEX_DTYPE)
-    # each group's columns with the row each belongs to, then every column
+    # each block's columns with the row each belongs to, then every column
     # moved to its row's place in segment order (a stable sort keeps each
     # row's own order)
     edge_rows, cols = [], []
-    for program, members in groups.values():
-        index = np.array(members) if one_row else concatenated_ranges(firsts[members], counts[members])
-        matrix = program._row_matrix(rows[index])
+    for index, matrix in blocks:
         keep = matrix >= 0
         edge_rows.append(np.broadcast_to(index[:, None], matrix.shape)[keep])
         cols.append(matrix[keep])
@@ -245,18 +265,13 @@ class GlobalRowProgram(RowProgram):
         return cols.astype(INDEX_DTYPE)
 
     def _row_matrix(self, rows: np.ndarray) -> np.ndarray:
-        # any other row attends the global tokens up to upper, a token row
-        # the whole prefix 0..upper
-        upper = rows - self.window
-        matrix = np.where(self.tokens <= upper[:, None], self.tokens, -1)
-        if rows.size == 0 or rows.min() > self._last_token:
-            return matrix
-        is_token = (rows[:, None] == self.tokens).any(axis=1)
-        if is_token.any():
-            prefix = np.arange(max(int(upper[is_token].max()) + 1, self.tokens.size))
-            matrix = np.concatenate([matrix, np.full((rows.size, prefix.size - self.tokens.size), -1)], axis=1)
-            matrix[is_token] = np.where(prefix <= upper[is_token, None], prefix, -1)
-        return matrix
+        # a row that is no global token attends the tokens up to upper
+        return np.where(self.tokens <= (rows - self.window)[:, None], self.tokens, -1)
+
+    def _wide_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the positions ``rows`` are token rows (each attends the
+        whole prefix ``0..upper``)."""
+        return (rows[:, None] == self.tokens).any(axis=1)
 
     def causal_degrees(self) -> np.ndarray:
         rows = np.arange(self.horizon, dtype=np.int64)
@@ -331,12 +346,19 @@ class UnionRowProgram(RowProgram):
         keys = tuple(program._rows_key for program in self.programs)
         if None not in keys:
             self._rows_key = ("union",) + keys
+        lasts = [program._last_token for program in self.programs if program._last_token is not None]
+        self._last_token = max(lasts) if lasts else None
 
     def row(self, i: int) -> np.ndarray:
         return merge_neighbor_sets(p.row(i) for p in self.programs)
 
     def causal_row(self, i: int) -> np.ndarray:
         return merge_neighbor_sets(p.causal_row(i) for p in self.programs)
+
+    def _wide_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Which of the positions ``rows`` are wide rows of some component."""
+        wide = [program._wide_rows(rows) for program in self.programs if program._last_token is not None]
+        return np.logical_or.reduce(wide)
 
     def _row_matrix(self, rows: np.ndarray) -> np.ndarray:
         # each row's sorted union: the components' columns sorted, every

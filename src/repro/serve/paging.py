@@ -1031,9 +1031,9 @@ def write_pass(
     calls in pass order, with two exceptions.  The reservation follows every
     probe, so a block a later cache shares is never evicted or reserved
     first.  And caches of one pass that all append into one shared partial
-    tail each copy it on write, where sequential calls copy one time fewer
-    (the last finds the tail its own, unless a cache outside the pass maps
-    it too).
+    tail each copy it on write, where sequential calls can copy one time
+    fewer (the last finds the tail its own unless another cache maps it by
+    then).
     """
     k_blocks = [np.asarray(k) for k in k_blocks]
     v_blocks = [np.asarray(v) for v in v_blocks]

@@ -485,9 +485,10 @@ class TestPassWriter:
 
     One case differs, as it did before the writer: sessions of one pass that
     all append into one shared partial tail each copy it on write, where
-    one-session passes copy one fewer time (the last finds the tail its
-    own).  The test asserts that difference where it arises and stops
-    comparing the pools' bookkeeping from then on.
+    one-session passes can copy one time fewer (the last finds the tail its
+    own unless another session maps it by then).  The test bounds that
+    difference where it arises and stops comparing the pools' bookkeeping
+    once the copies differ.
     """
 
     @given(
@@ -546,8 +547,8 @@ class TestPassWriter:
                 np.testing.assert_array_equal(a.cache.values(), b.cache.values())
             if extra_copies:
                 copies = pool.stats.cow_copies - cow_copies[0], solo_pool.stats.cow_copies - cow_copies[1]
-                assert copies[0] == copies[1] + extra_copies
-                diverged = True
+                assert copies[1] <= copies[0] <= copies[1] + extra_copies
+                diverged = diverged or copies[0] != copies[1]
             if not diverged:
                 assert _pool_state(pool, together) == _pool_state(solo_pool, apart)
         assert pool.stats.evictions == solo_pool.stats.evictions == 0
