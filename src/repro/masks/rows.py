@@ -147,7 +147,6 @@ def causal_layout(segments: Sequence[Segment]) -> Tuple[np.ndarray, np.ndarray]:
     if not segments:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=INDEX_DTYPE)
     groups: Dict[Hashable, List] = {}  # key -> [program, segment indices]
-    one_row = True  # a decode pass: one row per segment
     for index, (program, start, count) in enumerate(segments):
         program._check_range(start, start + count)
         key = program._rows_key
@@ -155,23 +154,17 @@ def causal_layout(segments: Sequence[Segment]) -> Tuple[np.ndarray, np.ndarray]:
         if program.horizon > group[0].horizon:
             group[0] = program  # the widest range holds every row of the group
         group[1].append(index)
-        one_row = one_row and count == 1
-    rows = np.array([start for _, start, _ in segments], dtype=np.int64)
-    if not one_row:
-        counts = np.array([count for _, _, count in segments], dtype=np.int64)
-        firsts = np.cumsum(counts) - counts
-        rows = concatenated_ranges(rows, counts)
-    blocks = []  # (the rows' places in segment order, or None for all; matrix)
+    counts = np.array([count for _, _, count in segments], dtype=np.int64)
+    firsts = np.cumsum(counts) - counts
+    rows = concatenated_ranges([start for _, start, _ in segments], counts)
+    blocks = []  # (the rows' places in segment order, matrix)
     for program, members in groups.values():
-        index = None
-        if len(groups) > 1:
-            index = np.array(members) if one_row else concatenated_ranges(firsts[members], counts[members])
-        group_rows = rows if index is None else rows[index]
+        index = concatenated_ranges(firsts[members], counts[members])
+        group_rows = rows[index]
         last = program._last_token
         if last is not None and min(segments[i][1] for i in members) <= last:
             wide = program._wide_rows(group_rows)
             if wide.any():
-                index = np.arange(rows.size) if index is None else index
                 blocks.append((index[wide], RowProgram._row_matrix(program, group_rows[wide])))
                 index, group_rows = index[~wide], group_rows[~wide]
         blocks.append((index, program._row_matrix(group_rows)))

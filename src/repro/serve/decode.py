@@ -19,7 +19,7 @@ that path:
   continuous-batching primitives: the decode steps (or prompt chunks) of
   any sessions, whatever their masks, horizons, positions and chunk
   lengths, run as one ragged kernel pass per arena — one KV write
-  (:func:`~repro.serve.paging.write_pass`) and one row layout
+  per pool (:mod:`repro.serve.paging`'s pass writer) and one row layout
   (:func:`~repro.masks.rows.causal_layout`) per pass, each session's rows
   from its own program, laid end to end in one CSR (used by
   :meth:`repro.serve.scheduler.AttentionServer.decode_steps` /
@@ -155,9 +155,9 @@ class KVCache:
         """``(arena, rows)`` the attention kernel reads ``positions`` through.
 
         The private buffers are the arena and the checked positions its rows
-        — same contract as :meth:`PagedKVCache.attention_operands
-        <repro.serve.paging.PagedKVCache.attention_operands>`, so contiguous
-        and paged caches interchange.
+        — the one-cache counterpart of :meth:`BlockPool.attention_operands
+        <repro.serve.paging.BlockPool.attention_operands>`, which does the
+        same for all a pass's paged caches on one pool.
         """
         return compiled.Arena(self._keys, self._values), self._check_live(positions)
 
@@ -262,7 +262,7 @@ def _edge_attention(
             arena, rows = cache.pool.attention_operands(caches, cols, member_edges)
         else:
             arena, rows = cache.attention_operands(cols)
-        q = q_blocks[members[0]] if len(members) == 1 else np.concatenate([q_blocks[i] for i in members], axis=-2)
+        q = np.concatenate([q_blocks[i] for i in members], axis=-2)
         output, row_max, row_sum = compiled.edge_attention(q, arena, rows, indptr, resolve_scale(scale, key_dim))
         for i, lo, hi, count in zip(members, bounds[:-1].tolist(), bounds[1:].tolist(), member_edges.tolist()):
             parts[i] = (
@@ -314,8 +314,7 @@ class DecodeSession:
         #: PagedKVCache` over a shared pool — was injected at open.
         self.cache: Optional[AnyKVCache] = cache
         self.closed = False
-        self._dot_products = 0  # op totals of every pass this session ran in
-        self._flops = 0
+        self.ops = OpCounts()  # summed over every pass this session ran in
         self.steps_taken = 0
         self.prefilled_tokens = 0
         #: Whether the plan came from a warm cache (set by the server at open).
@@ -407,11 +406,6 @@ class DecodeSession:
             max_length=self.horizon,
         )
 
-    @property
-    def ops(self) -> OpCounts:
-        """Op counts summed over every step and prefill this session ran."""
-        return OpCounts(dot_products=self._dot_products, flops=self._flops, exp_evaluations=self._dot_products)
-
     def _as_token_slices(self, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Normalise single-token inputs to ``batch_shape + (1, d)``."""
         slices = []
@@ -496,10 +490,9 @@ def _append(
 ) -> None:
     """Atomically extend every session's cache by its own block.
 
-    The paged caches take one :func:`~repro.serve.paging.write_pass` (its
-    layout checks already made by :func:`_check_blocks`), which advances all
-    of them or none; private caches follow, and can no longer fail once
-    :func:`_check_blocks` passed.
+    The paged caches take one pass write (its layout checks already made
+    by :func:`_check_blocks`), which advances all of them or none; private
+    caches follow, and can no longer fail once :func:`_check_blocks` passed.
     """
     paged = [index for index, session in enumerate(sessions) if isinstance(session.cache, PagedKVCache)]
     if paged:
@@ -591,11 +584,8 @@ def _ragged_pass(
     coalesced = len(sessions)
     for session, position, q, edge_count, (output, row_max, row_sum) in zip(sessions, positions, q_list, edges, parts):
         count = q.shape[-2]
-        # the counts of OpCounts.for_edges(edge_count, d_k, d_v, batch=slices)
-        dots = edge_count * prod(session.cache.batch_shape)
-        flops = 2 * dots * (q.shape[-1] + output.shape[-1])
-        session._dot_products += dots
-        session._flops += flops
+        ops = OpCounts.for_edges(edge_count, q.shape[-1], output.shape[-1], batch=prod(session.cache.batch_shape))
+        session.ops = session.ops + ops
         if step:
             algorithm, meta = "decode-step", {"position": position}
             session.steps_taken += 1
@@ -611,7 +601,7 @@ def _ragged_pass(
                 output=output,
                 row_max=row_max,
                 row_sum=row_sum,
-                ops=OpCounts(dot_products=dots, flops=flops, exp_evaluations=dots),
+                ops=ops,
                 algorithm=algorithm,
                 meta=meta,
             )

@@ -21,8 +21,10 @@ recipe applied to the repo's numpy serving stack:
   the same prompt map the same physical blocks (*prefix sharing*), including
   a partially-filled tail block.  Appending into a block mapped by more than
   one session copies it first (*copy-on-write on divergence*).
-* :func:`write_pass` — the KV write of one serving pass: the new rows of
-  every session on a pool are encoded in one call, probed session by session
+* The pass writer — the KV write of one serving pass
+  (:func:`~repro.serve.decode.stacked_decode_step` /
+  :func:`~repro.serve.decode.stacked_prefill`): the new rows of every
+  session on a pool are encoded in one call, probed session by session
   (share lookups, partial-tail claims, and chunks an earlier session of the
   same pass writes), covered by one reservation of only the blocks the probe
   left unmet, and scattered into the arenas at once.
@@ -678,27 +680,21 @@ class BlockPool:
         return self._decode_gather(self._values, self._v_scale, self._v_zero, physical)
 
     def physical_rows(
-        self,
-        caches: Sequence["PagedKVCache"],
-        positions: np.ndarray,
-        counts: Optional[np.ndarray] = None,
+        self, caches: Sequence["PagedKVCache"], positions: np.ndarray, counts: Sequence[int]
     ) -> np.ndarray:
         """Arena rows of logical token ``positions`` of caches on this pool.
 
         ``positions`` holds ``counts[s]`` positions of cache ``s``, cache
-        after cache (all of them for a single cache).  One vectorised lookup
-        through the caches' block tables laid end to end, after one check
-        that every position lies in its own cache's ``[0, length)``.
+        after cache.  One vectorised lookup through the caches' block tables
+        laid end to end, after one check that every position lies in its own
+        cache's ``[0, length)``.
         """
         positions = np.asarray(positions, dtype=np.int64)
-        if len(caches) == 1:
-            table, limits, shifts = caches[0]._table(), caches[0].length, 0
-        else:
-            tables = [cache._table() for cache in caches]
-            blocks = np.array([table.size for table in tables], dtype=np.int64)
-            table = np.concatenate(tables)
-            limits = np.repeat([cache.length for cache in caches], counts)
-            shifts = np.repeat((np.cumsum(blocks) - blocks) * self.block_size, counts)
+        tables = [cache._table() for cache in caches]
+        blocks = np.array([table.size for table in tables], dtype=np.int64)
+        table = np.concatenate(tables)
+        limits = np.repeat([cache.length for cache in caches], counts)
+        shifts = np.repeat((np.cumsum(blocks) - blocks) * self.block_size, counts)
         if positions.size:
             require(int(positions.min()) >= 0, "gather with negative positions")
             require(bool(np.all(positions < limits)), "gather past the live token range")
@@ -768,8 +764,8 @@ class PagedKVCache:
     session copies it first (copy-on-write), so divergence after a shared
     prefix never corrupts a sibling stream.  :meth:`release` returns every
     block reference; released caches refuse further writes, which is what
-    makes double-free structurally impossible.  Appends of many caches at
-    once go through :func:`write_pass`; :meth:`extend` is its one-cache call.
+    makes double-free structurally impossible.  A serving pass appends to
+    all its caches in one write; :meth:`extend` is that write for one cache.
     """
 
     def __init__(self, pool: BlockPool, *, max_length: Optional[int] = None) -> None:
@@ -853,7 +849,8 @@ class PagedKVCache:
         return self._table_cache
 
     def _physical(self, positions: np.ndarray) -> np.ndarray:
-        return self.pool.physical_rows([self], positions)
+        positions = np.asarray(positions, dtype=np.int64)
+        return self.pool.physical_rows([self], positions, [positions.size])
 
     def gather_keys(self, positions: np.ndarray) -> np.ndarray:
         """Key rows of logical token ``positions``, ``batch_shape + (E, d_k)``.
@@ -883,7 +880,7 @@ class PagedKVCache:
     def extend(self, k_block: np.ndarray, v_block: np.ndarray) -> int:
         """Append a block of tokens; returns the first appended position.
 
-        The one-cache call of :func:`write_pass`: a probe fingerprints every
+        The one-cache call of the pass writer: a probe fingerprints every
         chunk and takes share references first (reviving parked prefixes —
         lookup strictly precedes allocation), then the exact fresh-block
         shortfall is reserved all-or-nothing before any write.  A
@@ -891,8 +888,10 @@ class PagedKVCache:
         exactly as they were — a failed multi-block prefill neither writes a
         row nor cascade-evicts the warm prefix LRU.
         """
+        k_block, v_block = np.asarray(k_block), np.asarray(v_block)
+        self._check_block(k_block, v_block)
         start = self._length
-        write_pass([self], [k_block], [v_block])
+        _write_blocks([self], [k_block], [v_block])
         return start
 
     def append(self, k_row: np.ndarray, v_row: np.ndarray) -> int:
@@ -982,10 +981,10 @@ class PagedKVCache:
         """Map a swap handle's encoded payload into this (empty) cache.
 
         The payload re-enters through the same probe/commit machinery as
-        :meth:`extend` (a one-cache :func:`write_pass` of rows already
-        encoded); identical stored bytes regenerate identical chain
-        fingerprints, so blocks still parked in the pool's evictable LRU are
-        re-shared instead of rewritten.  The rows are never decoded to the
+        :meth:`extend` (a one-cache pass write of rows already encoded);
+        identical stored bytes regenerate identical chain fingerprints, so
+        blocks still parked in the pool's evictable LRU are re-shared instead
+        of rewritten.  The rows are never decoded to the
         compute dtype on the way — a quantized stream resumes with exactly
         the bytes it swapped out, with zero added quantization error.
         """
@@ -1009,23 +1008,24 @@ class PagedKVCache:
 # --------------------------------------------------------------------------- #
 # Pass writes
 # --------------------------------------------------------------------------- #
-def write_pass(
+def _write_blocks(
     caches: Sequence[PagedKVCache],
     k_blocks: Sequence[np.ndarray],
     v_blocks: Sequence[np.ndarray],
 ) -> None:
     """Append each cache's own ``batch_shape + (T, d)`` token block, all or nothing.
 
-    The KV write of one serving pass.  Per pool, the new rows of all its
-    caches are encoded in one call (per-row coding, so the stored bytes equal
-    per-cache encodes); probed cache by cache in pass order — partial tails
-    claimed under one lock hold, chunks looked up in the pool and in the map
-    of chunks earlier caches of this pass write; covered by one
-    all-or-nothing :meth:`BlockPool.reserve` of only the blocks the probe
-    left unmet, net of admission prereserves; and scattered into the arenas
-    at once.  Fingerprints are published after every pool committed.  Any
-    failure — :exc:`PoolExhausted` included — rolls every cache and pool
-    back, so a failed pass advances nothing.
+    The KV write of one serving pass, on blocks already checked against
+    their caches' layouts.  Per pool, the new rows of all its caches are
+    encoded in one call (per-row coding, so the stored bytes equal per-cache
+    encodes); probed cache by cache in pass order — partial tails claimed
+    under one lock hold, chunks looked up in the pool and in the map of
+    chunks earlier caches of this pass write; covered by one all-or-nothing
+    :meth:`BlockPool.reserve` of only the blocks the probe left unmet, net
+    of admission prereserves; and scattered into the arenas at once.
+    Fingerprints are published after every pool committed.  Any failure —
+    :exc:`PoolExhausted` included — rolls every cache and pool back, so a
+    failed pass advances nothing.
 
     The result equals the caches' one-cache :meth:`PagedKVCache.extend`
     calls in pass order, with two exceptions.  The reservation follows every
@@ -1035,19 +1035,6 @@ def write_pass(
     fewer (the last finds the tail its own unless another cache maps it by
     then).
     """
-    k_blocks = [np.asarray(k) for k in k_blocks]
-    v_blocks = [np.asarray(v) for v in v_blocks]
-    for cache, k, v in zip(caches, k_blocks, v_blocks):
-        cache._check_block(k, v)
-    _write_blocks(caches, k_blocks, v_blocks)
-
-
-def _write_blocks(
-    caches: Sequence[PagedKVCache],
-    k_blocks: Sequence[np.ndarray],
-    v_blocks: Sequence[np.ndarray],
-) -> None:
-    """:func:`write_pass` of blocks already checked against their caches' layouts."""
     require(len({id(cache) for cache in caches}) == len(caches), "a cache may appear at most once per write")
     members: Dict[int, List[int]] = {}
     for index, cache in enumerate(caches):
@@ -1055,18 +1042,11 @@ def _write_blocks(
     writes = []
     for indices in members.values():
         pool = caches[indices[0]].pool
-        k = _stack_rows([k_blocks[i] for i in indices], pool.dtype)
-        v = _stack_rows([v_blocks[i] for i in indices], pool.dtype)
+        k = np.concatenate([k_blocks[i] for i in indices], axis=-2, dtype=pool.dtype, casting="unsafe")
+        v = np.concatenate([v_blocks[i] for i in indices], axis=-2, dtype=pool.dtype, casting="unsafe")
         counts = [k_blocks[i].shape[-2] for i in indices]
         writes.append(_PoolWrite(pool, [caches[i] for i in indices], pool.encode(k, v), counts))
     _commit_writes(writes)
-
-
-def _stack_rows(blocks: Sequence[np.ndarray], dtype: np.dtype) -> np.ndarray:
-    """Token blocks end to end along the token axis, contiguous, in ``dtype``."""
-    if len(blocks) == 1:
-        return np.ascontiguousarray(blocks[0], dtype=dtype)
-    return np.concatenate(blocks, axis=-2, dtype=dtype, casting="unsafe")
 
 
 def _commit_writes(writes: Sequence["_PoolWrite"]) -> None:
@@ -1101,7 +1081,7 @@ class _Step(NamedTuple):
 
 
 class _PoolWrite:
-    """One pool's part of a :func:`write_pass`: probe, reserve, commit, publish."""
+    """One pool's part of :func:`_write_blocks`: probe, reserve, commit, publish."""
 
     def __init__(
         self,
@@ -1120,19 +1100,13 @@ class _PoolWrite:
         self.caches = caches
         self.payload = payload
         self.counts = counts
-        #: caches whose rows all land in place in their own partial tail (the
-        #: common decode step): ``(cache, count)``, advanced after the scatter
-        self.tails: List[Tuple[PagedKVCache, int]] = []
-        #: every other cache: ``(cache, steps, chain after, blocks acquired)``
+        #: per cache: ``(cache, steps, chain after, blocks acquired)``
         self.plans: List[Tuple[PagedKVCache, List[_Step], str, int]] = []
-        #: ``(payload row, arena row, rows)`` of every chunk the scatter writes
-        self.chunks: List[Tuple[int, int, int]] = []
         self.refs: List[int] = []  # references taken: share hits and the reservation
         self.credit = [0, 0]  # share hits and shared tokens credited to the pool
         self.reserved: List[int] = []
         self.held: List[Tuple[PagedKVCache, int]] = []  # blocks drawn from prereserves
         self.snapshots: List[tuple] = []  # of the planned caches, as committed
-        self.committed = False
         self.deferred: List[int] = []  # copied-on-write tails, released on success
         self.published: List[Tuple[str, int]] = []
 
@@ -1165,11 +1139,6 @@ class _PoolWrite:
                     claimed = refcounts[tail] == 1
                     if claimed and tail in pool._block_to_fingerprint:
                         pool.invalidate(tail)
-                    if claimed and fill + count < size:
-                        self.tails.append((cache, count))
-                        self.chunks.append((row, tail * size + fill, count))
-                        row += count
-                        continue
                     take = min(size - fill, count)
                     fingerprint = None
                     if fill + take == size:
@@ -1230,6 +1199,7 @@ class _PoolWrite:
         pool = self.pool
         size = pool.block_size
         blocks: Dict[Tuple[int, int], int] = {}  # block of every (plan, step)
+        chunks: List[Tuple[int, int, int]] = []  # (payload row, arena row, rows) the scatter writes
         for number, (cache, steps, chain, _) in enumerate(self.plans):
             self.snapshots.append(cache._snapshot())
             for index, step in enumerate(steps):
@@ -1264,23 +1234,16 @@ class _PoolWrite:
                     offset = 0
                     cache._fill = take % size
                 if kind != "share" and kind != "pending":
-                    self.chunks.append((step.row, block * size + offset, take))
+                    chunks.append((step.row, block * size + offset, take))
                     if step.fingerprint is not None:
                         self.published.append((step.fingerprint, block))
                 blocks[(number, index)] = block
                 cache._length += take
             cache._chain = chain
-        if self.chunks:
-            rows, targets, takes = zip(*sorted(self.chunks))
-            if max(takes) == 1:  # a decode pass: a row per chunk
-                source, physical = np.array(rows), np.array(targets)
-            else:
-                source, physical = concatenated_ranges(rows, takes), concatenated_ranges(targets, takes)
-            pool.write_rows(physical, self.payload if source.size == self.payload.tokens else self.payload.take(source))
-        for cache, count in self.tails:
-            cache._fill += count
-            cache._length += count
-        self.committed = True
+        if chunks:
+            rows, targets, takes = zip(*chunks)
+            source, physical = concatenated_ranges(rows, takes), concatenated_ranges(targets, takes)
+            pool.write_rows(physical, self.payload.take(source))
 
     def roll_back(self) -> None:
         """Undo everything: tables, references, prereserves and share credit.
@@ -1293,10 +1256,6 @@ class _PoolWrite:
         """
         for (cache, _, _, _), snapshot in zip(self.plans, self.snapshots):
             cache._roll_back(snapshot)
-        if self.committed:
-            for cache, count in self.tails:
-                cache._fill -= count
-                cache._length -= count
         for cache, block in self.held:
             cache._prereserved.append(block)
         if self.refs:
@@ -1409,5 +1368,4 @@ __all__ = [
     "SwapHandle",
     "SwapStore",
     "SwapStoreStats",
-    "write_pass",
 ]

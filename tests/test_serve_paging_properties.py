@@ -22,7 +22,7 @@ from repro.masks.presets import longformer_mask
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import LocalMask
 from repro.serve.decode import DecodeSession, decode_reference_mask, stacked_decode_step, stacked_prefill
-from repro.serve.paging import BlockPool, PagedKVCache, PoolExhausted, write_pass
+from repro.serve.paging import BlockPool, PagedKVCache, PoolExhausted
 from repro.utils.rng import random_qkv
 
 DIM = 4
@@ -398,14 +398,16 @@ class TestPassReservation:
             # publish the prefix: the cache below maps it, partial tail
             # included, so its next extend must copy that tail on write
             sibling.extend(k[:shared], v[:shared])
-        cache, other = PagedKVCache(pool), PagedKVCache(pool)
+        first, second = (DecodeSession.start(CausalMask(), total, pool=pool) for _ in range(2))
+        cache, other = first.cache, second.cache
         position = 0
         for count in ([shared] if shared else []) + counts:
             mapped = set(cache.block_table) | set(other.block_table) | set(sibling.block_table)
             allocations = pool.stats.allocations
             rows = slice(position, position + count)
-            # the second cache writes other rows in the same pass
-            write_pass([cache, other], [k[rows], v[rows] + 1.0], [v[rows], k[rows]])
+            # the second session writes other rows in the same pass
+            keys = [k[rows], v[rows] + 1.0]
+            stacked_prefill([first, second], keys, keys, [v[rows], k[rows]])
             fresh = set(cache.block_table) | set(other.block_table)
             assert pool.stats.allocations - allocations == len(fresh - mapped)
             assert pool.blocks_in_use == len(fresh | set(sibling.block_table))
