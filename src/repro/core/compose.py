@@ -41,9 +41,9 @@ def disjoint_union_components(
     covered earlier; a component whose remainder equals its full mask can keep
     its specialised kernel, a trimmed one must fall back to CSR.
 
-    This is the expensive half of composed dispatch (``to_csr`` plus CSR set
-    algebra); the plan compiler calls it once per mask shape and caches the
-    result inside the :class:`~repro.serve.plan.ExecutionPlan`.
+    It runs ``to_csr`` and CSR set algebra, both O(edges); the plan compiler
+    calls it once per mask shape and caches the result inside the
+    :class:`~repro.serve.plan.ExecutionPlan`, so requests never repeat it.
     """
     covered: Optional[CSRMatrix] = None
     triples: List[Tuple[MaskSpec, CSRMatrix, CSRMatrix]] = []

@@ -20,12 +20,12 @@ builds the composite Longformer / BigBird patterns of Fig. 2.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, concatenated_ranges
 from repro.utils.dtypes import INDEX_DTYPE
 from repro.utils.validation import require
 
@@ -151,13 +151,29 @@ class TranslationInvariantMask(MaskSpec):
         cols = cols[(cols >= 0) & (cols < length)]
         return cols.astype(INDEX_DTYPE)
 
+    def _row_slices(self, length: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The offsets and, per row ``i``, the ``[first, stop)`` slice of them in range.
+
+        The offsets are sorted, so ``i + offsets[first:stop]`` are exactly the
+        columns in ``[0, length)``: O(L) memory, not an ``(L, offsets)`` matrix.
+        """
+        offsets = self.offsets()
+        rows = np.arange(length, dtype=np.int64)
+        return offsets, np.searchsorted(offsets, -rows), np.searchsorted(offsets, length - rows)
+
     def row_degrees(self, length: int) -> np.ndarray:
         self.validate_length(length)
-        offsets = self.offsets()
-        rows = np.arange(length, dtype=np.int64)[:, None]
-        cols = rows + offsets[None, :]
-        valid = (cols >= 0) & (cols < length)
-        return valid.sum(axis=1)
+        _, first, stop = self._row_slices(length)
+        return stop - first
+
+    def to_csr(self, length: int, *, dtype=np.float32) -> CSRMatrix:
+        """Every row's in-range slice of the offsets, laid end to end (O(edges))."""
+        self.validate_length(length)
+        offsets, first, stop = self._row_slices(length)
+        counts = stop - first
+        cols = offsets[concatenated_ranges(first, counts)]
+        cols += np.repeat(np.arange(length, dtype=np.int64), counts)
+        return CSRMatrix.from_row_counts((length, length), counts, cols, dtype=dtype)
 
     def nnz(self, length: int) -> int:
         """Exact edge count: each offset ``d`` contributes ``L - |d|`` pairs."""

@@ -15,6 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.masks.base import MaskSpec, merge_neighbor_sets
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.utils.dtypes import INDEX_DTYPE
 from repro.utils.validation import require
@@ -41,10 +42,20 @@ class UnionMask(MaskSpec):
         return merge_neighbor_sets(c.neighbors(i, length) for c in self.components)
 
     def to_csr(self, length: int, *, dtype=np.float32) -> CSRMatrix:
-        result = self.components[0].to_csr(length, dtype=dtype)
-        for comp in self.components[1:]:
-            result = result.union(comp.to_csr(length, dtype=dtype))
-        return result
+        """Every component's edges canonicalised by one sort.
+
+        Where components share a coordinate the earliest one's value is kept,
+        as in a chain of pairwise :meth:`CSRMatrix.union` calls.
+        """
+        first, *rest = parts = [c.to_csr(length, dtype=dtype) for c in self.components]
+        if not rest:
+            return first
+        return COOMatrix(
+            shape=first.shape,
+            rows=np.concatenate([p.expanded_rows() for p in parts]),
+            cols=np.concatenate([p.indices for p in parts]),
+            values=np.concatenate([np.asarray(p.values, dtype=np.float64) for p in parts]).astype(first.dtype),
+        ).to_csr()
 
     def nnz(self, length: int) -> int:
         if len(self.components) == 1:

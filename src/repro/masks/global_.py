@@ -13,11 +13,12 @@ the non-local variant are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.masks.base import MaskSpec
+from repro.sparse.csr import CSRMatrix, concatenated_ranges
 from repro.utils.dtypes import INDEX_DTYPE
 from repro.utils.validation import require
 
@@ -25,6 +26,32 @@ from repro.utils.validation import require
 def _normalise_tokens(tokens: Sequence[int]) -> tuple:
     arr = np.unique(np.asarray(list(tokens), dtype=np.int64))
     return tuple(int(t) for t in arr)
+
+
+def _row_slices(tokens: tuple, window: int, length: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of a global pattern minus ``|j - i| < window``, as two slices of one source.
+
+    The source is ``tokens ++ arange(length)``.  Row ``i`` keeps the columns
+    below ``i - window + 1`` and those from ``i + max(window, 1)`` on (so
+    ``window=0`` excludes nothing): taken from the tokens for an ordinary row,
+    from the whole row for a global token's own row.  Returns the source and
+    ``(length, 2)`` slice starts and lengths.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    rows = np.arange(length, dtype=np.int64)
+    below, above = rows - window + 1, rows + max(window, 1)
+    num = tokens.size
+    starts = np.stack([np.zeros(length, np.int64), np.searchsorted(tokens, above)], axis=1)
+    stops = np.stack([np.searchsorted(tokens, below), np.full(length, num)], axis=1)
+    starts[tokens] = num + np.stack([np.zeros(num, np.int64), np.minimum(above[tokens], length)], axis=1)
+    stops[tokens] = num + np.stack([np.maximum(below[tokens], 0), np.full(num, length)], axis=1)
+    return np.concatenate([tokens, rows]), starts, stops - starts
+
+
+def _global_csr(tokens: tuple, window: int, length: int, dtype) -> CSRMatrix:
+    source, starts, lengths = _row_slices(tokens, window, length)
+    cols = source[concatenated_ranges(starts.ravel(), lengths.ravel())]
+    return CSRMatrix.from_row_counts((length, length), lengths.sum(axis=1), cols, dtype=dtype)
 
 
 @dataclass(frozen=True, repr=False)
@@ -69,6 +96,10 @@ class GlobalMask(MaskSpec):
         self.validate_length(length)
         g = self.num_global
         return int(g * length + g * (length - g))
+
+    def to_csr(self, length: int, *, dtype=np.float32) -> CSRMatrix:
+        self.validate_length(length)
+        return _global_csr(self.global_tokens, 0, length, dtype)
 
     def describe(self) -> str:
         return f"global_tokens={list(self.global_tokens)}"
@@ -118,17 +149,12 @@ class GlobalNonLocalMask(MaskSpec):
 
     def row_degrees(self, length: int) -> np.ndarray:
         self.validate_length(length)
-        globals_arr = np.asarray(self.global_tokens, dtype=np.int64)
-        rows = np.arange(length, dtype=np.int64)
-        # non-global rows: global columns outside the window
-        dist = np.abs(rows[:, None] - globals_arr[None, :])
-        degrees = (dist >= self.window).sum(axis=1)
-        # global rows: whole row outside the window
-        for g in self.global_tokens:
-            lo = max(0, g - self.window + 1)
-            hi = min(length, g + self.window)
-            degrees[g] = length - (hi - lo)
-        return degrees
+        _, _, lengths = _row_slices(self.global_tokens, self.window, length)
+        return lengths.sum(axis=1)
+
+    def to_csr(self, length: int, *, dtype=np.float32) -> CSRMatrix:
+        self.validate_length(length)
+        return _global_csr(self.global_tokens, self.window, length, dtype)
 
     def describe(self) -> str:
         return f"global_tokens={list(self.global_tokens)}, window={self.window}"

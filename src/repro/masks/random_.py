@@ -20,8 +20,6 @@ from typing import Optional
 import numpy as np
 
 from repro.masks.base import MaskSpec
-from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
 from repro.utils.dtypes import INDEX_DTYPE
 from repro.utils.validation import require
 
@@ -77,15 +75,6 @@ class RandomMask(MaskSpec):
         if self.include_diagonal and i not in cols:
             cols = np.concatenate([cols, [i]])
         return np.sort(cols).astype(INDEX_DTYPE)
-
-    def to_csr(self, length: int, *, dtype=np.float32) -> CSRMatrix:
-        """Vectorised materialisation (avoids the per-row Python loop)."""
-        self.validate_length(length)
-        lists = [self.neighbors(i, length) for i in range(length)]
-        return CSRMatrix.from_row_lists((length, length), lists, dtype=dtype)
-
-    def to_coo(self, length: int, *, dtype=np.float32) -> COOMatrix:
-        return self.to_csr(length, dtype=dtype).to_coo()
 
     def nnz(self, length: int) -> int:
         if not self.include_diagonal:

@@ -45,9 +45,9 @@ class COOMatrix:
     # Construction
     # ------------------------------------------------------------------ #
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=INDEX_DTYPE).ravel()
-        cols = np.asarray(self.cols, dtype=INDEX_DTYPE).ravel()
-        values = np.asarray(self.values).ravel()
+        rows = np.array(self.rows, dtype=INDEX_DTYPE).ravel()
+        cols = np.array(self.cols, dtype=INDEX_DTYPE).ravel()
+        values = np.array(self.values).ravel()
         require(len(self.shape) == 2, "shape must be a (rows, cols) pair")
         n_rows, n_cols = int(self.shape[0]), int(self.shape[1])
         require(n_rows >= 0 and n_cols >= 0, "shape entries must be non-negative")
@@ -59,14 +59,17 @@ class COOMatrix:
             require(int(rows.min()) >= 0 and int(rows.max()) < n_rows, "row index out of range")
             require(int(cols.min()) >= 0 and int(cols.max()) < n_cols, "column index out of range")
         # Canonicalise: group by row, sort columns within rows, drop duplicates
-        # (keeping the last occurrence, matching scipy's sum-free behaviour for
-        # binary masks where duplicates carry no information).
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            keys = rows.astype(np.int64) * n_cols + cols.astype(np.int64)
-            unique_mask = np.concatenate(([True], np.diff(keys) != 0))
-            rows, cols, values = rows[unique_mask], cols[unique_mask], values[unique_mask]
+        # keeping the first occurrence (so a union keeps its left operand's
+        # value).  Keys already in order, as the set algebra's results are,
+        # are only checked, not sorted.
+        keys = rows.astype(np.int64) * n_cols + cols
+        if np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            rows, cols, values, keys = rows[order], cols[order], values[order], keys[order]
+        repeats = keys[1:] == keys[:-1]
+        if repeats.any():
+            first = np.concatenate(([True], ~repeats))
+            rows, cols, values = rows[first], cols[first], values[first]
         object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -186,15 +189,8 @@ class COOMatrix:
         from repro.sparse.csr import CSRMatrix
 
         indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        if self.nnz:
-            counts = np.bincount(self.rows, minlength=self.shape[0])
-            indptr[1:] = np.cumsum(counts)
-        return CSRMatrix(
-            shape=self.shape,
-            indptr=indptr,
-            indices=self.cols.copy(),
-            values=self.values.copy(),
-        )
+        np.cumsum(np.bincount(self.rows, minlength=self.shape[0]), out=indptr[1:])
+        return CSRMatrix(shape=self.shape, indptr=indptr, indices=self.cols, values=self.values)
 
     def transpose(self) -> "COOMatrix":
         """Swap rows and columns (reverse every edge of the graph)."""
@@ -206,7 +202,10 @@ class COOMatrix:
         )
 
     def union(self, other: "COOMatrix") -> "COOMatrix":
-        """Union of two binary masks on the same shape (logical OR)."""
+        """Union of two masks on the same shape (logical OR).
+
+        Where both store a coordinate, ``self``'s value is kept.
+        """
         require(self.shape == other.shape, "shape mismatch in union")
         rows = np.concatenate([self.rows, other.rows])
         cols = np.concatenate([self.cols, other.cols])
@@ -216,15 +215,25 @@ class COOMatrix:
         # canonicalisation in __post_init__ drops duplicate coordinates
         return COOMatrix(shape=self.shape, rows=rows, cols=cols, values=values.astype(self.dtype))
 
+    def _keys(self) -> np.ndarray:
+        """``row * cols + col`` of every entry: int64, sorted and duplicate-free."""
+        return self.rows.astype(np.int64) * self.shape[1] + self.cols
+
+    def _stored_in(self, other: "COOMatrix") -> np.ndarray:
+        """Whether each entry's coordinate is also an entry of non-empty ``other``.
+
+        Both key vectors are sorted, so one binary search per entry decides.
+        """
+        mine, theirs = self._keys(), other._keys()
+        found = np.minimum(np.searchsorted(theirs, mine), theirs.size - 1)
+        return theirs[found] == mine
+
     def difference(self, other: "COOMatrix") -> "COOMatrix":
         """Entries of ``self`` whose coordinates are absent from ``other``."""
         require(self.shape == other.shape, "shape mismatch in difference")
         if not self.nnz or not other.nnz:
             return self
-        n_cols = self.shape[1]
-        mine = self.rows.astype(np.int64) * n_cols + self.cols.astype(np.int64)
-        theirs = other.rows.astype(np.int64) * n_cols + other.cols.astype(np.int64)
-        keep = ~np.isin(mine, theirs)
+        keep = ~self._stored_in(other)
         return COOMatrix(
             shape=self.shape, rows=self.rows[keep], cols=self.cols[keep], values=self.values[keep]
         )
@@ -234,10 +243,7 @@ class COOMatrix:
         require(self.shape == other.shape, "shape mismatch in intersection")
         if not self.nnz or not other.nnz:
             return COOMatrix.empty(self.shape, dtype=self.dtype)
-        n_cols = self.shape[1]
-        mine = self.rows.astype(np.int64) * n_cols + self.cols.astype(np.int64)
-        theirs = other.rows.astype(np.int64) * n_cols + other.cols.astype(np.int64)
-        keep = np.isin(mine, theirs)
+        keep = self._stored_in(other)
         return COOMatrix(
             shape=self.shape, rows=self.rows[keep], cols=self.cols[keep], values=self.values[keep]
         )

@@ -22,7 +22,9 @@ def concatenated_ranges(starts, lengths) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
     shifts = np.asarray(starts, dtype=np.int64) - (ends - lengths)
-    return np.repeat(shifts, lengths) + np.arange(ends[-1] if ends.size else 0)
+    ranges = np.repeat(shifts, lengths)
+    ranges += np.arange(ranges.size)
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class CSRMatrix:
         require(len(self.shape) == 2, "shape must be a (rows, cols) pair")
         n_rows, n_cols = int(self.shape[0]), int(self.shape[1])
         indptr = np.asarray(self.indptr, dtype=np.int64).ravel()
-        indices = np.asarray(self.indices, dtype=INDEX_DTYPE).ravel()
-        values = np.asarray(self.values).ravel()
+        indices = np.array(self.indices, dtype=INDEX_DTYPE).ravel()
+        values = np.array(self.values).ravel()
         require(indptr.size == n_rows + 1, "indptr must have length rows + 1")
         require(indptr[0] == 0, "indptr must start at 0")
         require(int(indptr[-1]) == indices.size, "indptr[-1] must equal nnz")
@@ -47,19 +49,18 @@ class CSRMatrix:
         require(indices.shape == values.shape, "indices and values must have equal length")
         if indices.size:
             require(int(indices.min()) >= 0 and int(indices.max()) < n_cols, "column index out of range")
-        # sort column indices within each row for deterministic iteration
-        sorted_indices = indices.copy()
-        sorted_values = values.copy()
-        for start, stop in zip(indptr[:-1], indptr[1:]):
-            if stop - start > 1:
-                segment = indices[start:stop]
-                order = np.argsort(segment, kind="stable")
-                sorted_indices[start:stop] = segment[order]
-                sorted_values[start:stop] = values[start:stop][order]
+        # sort column indices within each row for deterministic iteration: one
+        # stable sort by (row, column), made only when some row is out of order
+        row_start = np.zeros(indices.size + 1, dtype=bool)
+        row_start[indptr] = True
+        if np.any((indices[1:] < indices[:-1]) & ~row_start[1:-1]):
+            rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
+            order = np.argsort(rows * n_cols + indices, kind="stable")
+            indices, values = indices[order], values[order]
         object.__setattr__(self, "shape", (n_rows, n_cols))
         object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", sorted_indices)
-        object.__setattr__(self, "values", sorted_values)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -80,16 +81,27 @@ class CSRMatrix:
         dtype: Union[str, np.dtype] = np.float32,
     ) -> "CSRMatrix":
         """Build a binary mask from per-row neighbour index lists."""
-        n_rows, n_cols = shape
-        require(len(neighbor_lists) == n_rows, "need one neighbour list per row")
+        require(len(neighbor_lists) == shape[0], "need one neighbour list per row")
         counts = np.array([len(lst) for lst in neighbor_lists], dtype=np.int64)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(counts)
-        if indptr[-1]:
+        if counts.sum():
             indices = np.concatenate([np.asarray(lst, dtype=INDEX_DTYPE) for lst in neighbor_lists if len(lst)])
         else:
             indices = np.empty(0, dtype=INDEX_DTYPE)
-        values = np.ones(indices.shape, dtype=resolve_dtype(dtype))
+        return cls.from_row_counts(shape, counts, indices, dtype=dtype)
+
+    @classmethod
+    def from_row_counts(
+        cls,
+        shape: Tuple[int, int],
+        counts: np.ndarray,
+        indices: np.ndarray,
+        *,
+        dtype: Union[str, np.dtype] = np.float32,
+    ) -> "CSRMatrix":
+        """Build a binary mask whose row ``i`` holds the next ``counts[i]`` of ``indices``."""
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        values = np.ones(len(indices), dtype=resolve_dtype(dtype))
         return cls(shape=shape, indptr=indptr, indices=indices, values=values)
 
     @classmethod
@@ -183,8 +195,7 @@ class CSRMatrix:
     def to_coo(self) -> "COOMatrix":
         from repro.sparse.coo import COOMatrix
 
-        rows = np.repeat(np.arange(self.shape[0], dtype=INDEX_DTYPE), np.diff(self.indptr))
-        return COOMatrix(shape=self.shape, rows=rows, cols=self.indices.copy(), values=self.values.copy())
+        return COOMatrix(shape=self.shape, rows=self.expanded_rows(), cols=self.indices, values=self.values)
 
     def expanded_rows(self) -> np.ndarray:
         """Row index of every stored non-zero (the COO row vector)."""

@@ -3,8 +3,8 @@
 Invariants:
 * analytic ``nnz`` always equals the materialised edge count;
 * ``neighbors`` always returns sorted, unique, in-range indices;
-* the translation-invariant masks' vectorised ``row_degrees`` matches per-row
-  neighbour counts;
+* the translation-invariant and global masks' vectorised ``row_degrees`` and
+  ``to_csr`` match the per-row neighbour lists;
 * union upper bound >= exact nnz.
 """
 
@@ -13,13 +13,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.masks.dilated2d import Dilated2DMask
-from repro.masks.global_ import GlobalNonLocalMask
+from repro.masks.global_ import GlobalMask, GlobalNonLocalMask
 from repro.masks.structured import BlockDiagonalMask, CausalMask, StridedMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
+from repro.sparse.csr import CSRMatrix
 
 # hypothesis profile (ci/nightly) is selected globally in tests/conftest.py
 
 lengths = st.integers(min_value=1, max_value=48)
+dtypes = st.sampled_from((np.float16, np.float32, np.float64))
+
+
+def _check_csr_matches_rows(mask, length, dtype):
+    """``to_csr`` equals the CSR built from the per-row neighbour lists, array for array."""
+    csr = mask.to_csr(length, dtype=dtype)
+    reference = CSRMatrix.from_row_lists((length, length), mask.neighbor_lists(length), dtype=dtype)
+    for name in ("indptr", "indices", "values"):
+        got, want = getattr(csr, name), getattr(reference, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert csr.indices.dtype == np.int32 and csr.values.dtype == dtype
 
 
 def _check_neighbors_contract(mask, length):
@@ -31,21 +44,26 @@ def _check_neighbors_contract(mask, length):
             assert cols.min() >= 0 and cols.max() < length
 
 
-@given(lengths, st.integers(1, 16))
-def test_local_mask_invariants(length, window):
+@given(lengths, st.integers(1, 16), dtypes)
+def test_local_mask_invariants(length, window, dtype):
     mask = LocalMask(window=window)
     assert mask.nnz(length) == int(mask.to_dense(length).sum())
     _check_neighbors_contract(mask, length)
+    _check_csr_matches_rows(mask, length, dtype)
     np.testing.assert_array_equal(
         mask.row_degrees(length), [mask.neighbors(i, length).size for i in range(length)]
     )
 
 
-@given(lengths, st.integers(1, 16), st.integers(0, 4))
-def test_dilated1d_mask_invariants(length, window, dilation):
+@given(lengths, st.integers(1, 16), st.integers(0, 4), dtypes)
+def test_dilated1d_mask_invariants(length, window, dilation, dtype):
     mask = Dilated1DMask(window=window, dilation=dilation)
     assert mask.nnz(length) == int(mask.to_dense(length).sum())
     _check_neighbors_contract(mask, length)
+    _check_csr_matches_rows(mask, length, dtype)
+    np.testing.assert_array_equal(
+        mask.row_degrees(length), [mask.neighbors(i, length).size for i in range(length)]
+    )
 
 
 @given(lengths, st.integers(1, 12), st.integers(0, 3))
@@ -58,12 +76,17 @@ def test_dilated2d_mask_invariants(length, block, dilation):
     )
 
 
-@given(st.integers(4, 48), st.integers(1, 4), st.integers(1, 6))
-def test_global_non_local_invariants(length, num_global, window):
+@given(st.integers(4, 48), st.integers(1, 4), st.integers(1, 6), dtypes)
+def test_global_non_local_invariants(length, num_global, window, dtype):
     tokens = np.linspace(0, length - 1, num_global).astype(int)
     mask = GlobalNonLocalMask(tokens, window=window)
     assert mask.nnz(length) == int(mask.to_dense(length).sum())
     _check_neighbors_contract(mask, length)
+    _check_csr_matches_rows(mask, length, dtype)
+    _check_csr_matches_rows(GlobalMask(tokens), length, dtype)
+    np.testing.assert_array_equal(
+        mask.row_degrees(length), [mask.neighbors(i, length).size for i in range(length)]
+    )
     # disjoint from the matching local window by construction
     local = LocalMask(window=window)
     overlap = mask.to_csr(length).to_coo().intersection(local.to_csr(length).to_coo())

@@ -1,5 +1,7 @@
 """Tests for the Local and 1-D dilated window masks (paper Section II-C predicates)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ class TestLocalMask:
         degrees = mask.row_degrees(20)
         expected = [mask.neighbors(i, 20).size for i in range(20)]
         np.testing.assert_array_equal(degrees, expected)
+
+    def test_row_degrees_memory_is_linear_in_length(self):
+        # 16 KiB of degrees; an (L, 2w - 1) matrix of columns would take 64 MiB
+        mask = LocalMask(window=2048)
+        tracemalloc.start()
+        try:
+            mask.row_degrees(2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the execution-plan compiler (repro.serve.plan)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from repro.core.dense import sdp_attention
 from repro.core.engine import GraphAttentionEngine
 from repro.core.explicit_kernels import materialize_explicit
 from repro.masks.explicit import ExplicitMask
-from repro.masks.presets import bigbird_mask, longformer_mask
+from repro.masks.global_ import GlobalMask, GlobalNonLocalMask
+from repro.masks.presets import bigbird_mask, longformer_dilated_mask, longformer_mask
 from repro.masks.random_ import RandomMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.perfmodel.devices import A100_SXM4_80GB, L40_48GB
@@ -102,6 +105,34 @@ class TestCompilation:
         mask = longformer_mask(reach=4, global_tokens=(0, 30))
         plan = compile_plan(mask, 64)
         assert plan.nnz == mask.to_csr(64).nnz  # disjoint steps sum to the union
+        # global tokens at both ends; the dilated window leaves the global step
+        # a trimmed CSR, and BigBird's random step is trimmed by both others
+        for mask, algorithm in (
+            (longformer_dilated_mask(reach=4, global_tokens=(0, 63)), "auto"),
+            (bigbird_mask(reach=4, global_tokens=(0, 63), random_sparsity=0.1), "composed"),
+        ):
+            plan = compile_plan(mask, 64, algorithm=algorithm)
+            assert plan.algorithm == "composed" and plan.kernels[-1] == "csr"
+            step_edges = []
+            for step in plan.steps:
+                csr = step.csr if step.kernel == "csr" else step.spec.to_csr(64)
+                step_edges.append(set(zip(csr.expanded_rows().tolist(), csr.indices.tolist())))
+            for a, b in itertools.combinations(step_edges, 2):
+                assert not a & b
+            union = mask.to_csr(64)
+            assert set().union(*step_edges) == set(zip(union.expanded_rows().tolist(), union.indices.tolist()))
+
+    def test_longformer_plans_compile_without_per_row_neighbors(self, monkeypatch):
+        def one_row(self, i, length):
+            raise AssertionError(f"compilation asked {self!r} for row {i}")
+
+        for spec in (LocalMask, Dilated1DMask, GlobalMask, GlobalNonLocalMask):
+            monkeypatch.setattr(spec, "neighbors", one_row)
+        for mask in (
+            longformer_mask(reach=64, global_tokens=(0, 4095)),
+            longformer_dilated_mask(reach=64, global_tokens=(0, 4095)),
+        ):
+            assert compile_plan(mask, 4096).algorithm == "composed"
 
     def test_dense_array_mask_compiles(self, small_qkv):
         q, k, v = small_qkv

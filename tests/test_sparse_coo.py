@@ -26,6 +26,11 @@ class TestConstruction:
     def test_duplicate_coordinates_collapsed(self):
         coo = COOMatrix.from_edges((4, 4), rows=[1, 1, 1], cols=[2, 2, 3])
         assert coo.nnz == 2
+        # the first occurrence of a coordinate is kept, in order or not
+        in_order = COOMatrix(shape=(2, 2), rows=[0, 0], cols=[1, 1], values=[5, 7])
+        np.testing.assert_array_equal(in_order.values, [5])
+        shuffled = COOMatrix(shape=(4, 4), rows=[1, 0, 1, 1], cols=[2, 0, 3, 2], values=[5.0, 1.0, 6.0, 7.0])
+        np.testing.assert_array_equal(shuffled.values, [1.0, 5.0, 6.0])
 
     def test_empty(self):
         coo = COOMatrix.empty((8, 8))
@@ -111,6 +116,9 @@ class TestConversionsAndAlgebra:
         b = _sample_dense(rng)
         union = COOMatrix.from_dense(a).union(COOMatrix.from_dense(b))
         np.testing.assert_array_equal(union.to_dense() > 0, (a + b) > 0)
+        # weighted operands: on a shared coordinate the value of ``self`` is kept
+        weighted = COOMatrix.from_dense(2 * a).union(COOMatrix.from_dense(3 * b))
+        np.testing.assert_array_equal(weighted.to_dense(), np.where(a > 0, 2 * a, 3 * b))
 
     def test_difference(self, rng):
         a = _sample_dense(rng)
