@@ -16,12 +16,16 @@ Each kernel offers two executors:
 
 * ``"streamed"`` — the literal Algorithm 1 loop (specification / verification).
 * ``"vectorized"`` — a batched work-optimal evaluation.  Local and 1-D dilated
-  kernels exploit translation invariance; wide stencils additionally switch to
-  a banded-GEMM strategy (dense tiles over the band, BLAS matmuls, masked
-  softmax) whose extra dot products are reported as ``wasted_dot_products``.
-  The 2-D dilated kernel iterates blocks; the global kernel splits the work
-  into the dense global rows and the thin global columns, which is also what
-  makes its load imbalance visible to the runtime model.
+  kernels exploit translation invariance: a dilation of ``r`` lets a row of
+  residue ``p`` mod ``r + 1`` see only keys of that residue, so the dilated
+  stencil runs as ``r + 1`` interleaved local bands, each at the local
+  kernel's rate.  Wide bands switch to a banded-GEMM strategy (dense tiles
+  over the band, BLAS matmuls, a softmax masked by one additive band
+  template per call) whose extra dot products are reported as
+  ``wasted_dot_products``.  The 2-D dilated kernel iterates blocks; the
+  global kernel splits the work into the dense global rows and the thin
+  global columns, which is also what makes its load imbalance visible to the
+  runtime model.
 """
 
 from __future__ import annotations
@@ -49,31 +53,26 @@ from repro.utils.validation import require
 #: window size and batch width.
 _CHUNK_ELEMENT_BUDGET = 1 << 22
 
-#: Minimum stencil width before the banded-GEMM strategy pays off (below it,
-#: the exact gather path has less overhead than dense band tiles).
+#: Minimum offsets per band before the banded-GEMM strategy pays off (below
+#: it, the exact gather path has less overhead than dense band tiles).
 _GEMM_MIN_OFFSETS = 32
 
-#: Maximum band-span/offset-count ratio the GEMM strategy tolerates: beyond
-#: it (strongly dilated stencils) the dense band wastes too much work.
-_GEMM_MAX_SPAN_RATIO = 4
 
-
-def _stencil_gather(q3, k3, v3, offsets, length, scale_value, row_chunk):
+def _stencil_gather(q3, k3, v3, offsets, scale_value, row_chunk, outputs, row_max, row_sum):
     """Exact gather executor: one einsum entry per stencil offset.
 
     Work per chunk is exactly ``rows x offsets`` score entries (boundary
     positions masked), so the only waste is the ``O(w^2)`` boundary padding.
+    Writes each row's output and statistics into ``outputs``, ``row_max`` and
+    ``row_sum`` and returns the number of score entries evaluated per slice.
     """
-    slices, _, head_dim = q3.shape
+    slices, length, head_dim = q3.shape
     value_dim = v3.shape[-1]
     n_off = offsets.size
     if row_chunk is None:
         per_row = max(1, slices * n_off * max(head_dim, value_dim))
         row_chunk = max(1, min(length, _CHUNK_ELEMENT_BUDGET // per_row))
 
-    outputs = np.zeros((slices, length, value_dim), dtype=q3.dtype)
-    row_max = np.full((slices, length), -np.inf, dtype=q3.dtype)
-    row_sum = np.zeros((slices, length), dtype=q3.dtype)
     computed = 0
     for start in range(0, length, row_chunk):
         stop = min(start + row_chunk, length)
@@ -93,21 +92,26 @@ def _stencil_gather(q3, k3, v3, offsets, length, scale_value, row_chunk):
         row_max[:, rows] = chunk_max
         row_sum[:, rows] = chunk_sum
         computed += int(valid.size)
-    return outputs, row_max, row_sum, computed
+    return computed
 
 
-def _stencil_gemm(q3, k3, v3, offsets, length, scale_value):
+def _stencil_gemm(q3, k3, v3, offsets, scale_value, outputs, row_max, row_sum):
     """Banded-GEMM executor: dense score tiles over the stencil's band.
 
-    For wide stencils the band ``[i + min_off, i + max_off]`` of a chunk of
-    rows is computed as one dense BLAS matmul against a contiguous K slice,
-    the off-stencil entries are masked to ``-inf``, and the value product is a
-    second dense matmul.  The dense tiles perform up to ``(rows + span) /
-    span`` times the stencil's true work — reported as wasted dot products —
-    in exchange for BLAS throughput on every batch slice at once.
+    The band ``[i + min_off, i + max_off]`` of a chunk of rows is computed as
+    one dense BLAS matmul against a contiguous K slice, and the value product
+    is a second dense matmul.  The off-stencil entries are masked by adding a
+    0/``-inf`` template built once per call: row ``r`` of a chunk sees
+    template columns ``r + offsets - min_off``, and a chunk starting at
+    ``start`` adds the slice at ``col_lo - (start + min_off)``, so clipping
+    the key columns to ``[0, L)`` drops exactly the out-of-range offsets.  The
+    dense tiles perform up to ``(rows + span - 1) / span`` times the band's
+    true work — reported as wasted dot products — in exchange for BLAS
+    throughput on every batch slice at once.  Like :func:`_stencil_gather`,
+    it writes into ``outputs``, ``row_max`` and ``row_sum`` and returns the
+    score entries evaluated per slice.
     """
-    slices, _, _ = q3.shape
-    value_dim = v3.shape[-1]
+    slices, length, _ = q3.shape
     min_off, max_off = int(offsets[0]), int(offsets[-1])
     span = max_off - min_off + 1
 
@@ -117,27 +121,21 @@ def _stencil_gemm(q3, k3, v3, offsets, length, scale_value):
     budget_rows = int((math.sqrt(span * span + 4.0 * budget) - span) / 2.0)
     row_chunk = max(16, min(length, span, budget_rows))
 
-    outputs = np.zeros((slices, length, value_dim), dtype=q3.dtype)
-    row_max = np.full((slices, length), -np.inf, dtype=q3.dtype)
-    row_sum = np.zeros((slices, length), dtype=q3.dtype)
+    local_rows = np.arange(row_chunk, dtype=np.int64)[:, None]
+    template = np.full((row_chunk, row_chunk + span - 1), -np.inf, dtype=q3.dtype)
+    template[local_rows, local_rows + (offsets - min_off)] = 0.0
+
     computed = 0
-    local_rows = np.arange(row_chunk, dtype=np.int64)
     for start in range(0, length, row_chunk):
         stop = min(start + row_chunk, length)
-        rows = local_rows[: stop - start]
         col_lo = max(0, start + min_off)
         col_hi = min(length, stop - 1 + max_off + 1)
-        width = col_hi - col_lo
+        shift = col_lo - (start + min_off)
 
         scores = (
             q3[:, start:stop] @ k3[:, col_lo:col_hi].transpose(0, 2, 1)
         ) * scale_value
-        band = (start + rows)[:, None] + offsets[None, :]
-        valid = (band >= 0) & (band < length)
-        dense_valid = np.zeros((rows.size, width), dtype=bool)
-        row_idx = np.broadcast_to(rows[:, None], band.shape)
-        dense_valid[row_idx[valid], band[valid] - col_lo] = True
-        scores = np.where(dense_valid, scores, -np.inf)
+        scores += template[: stop - start, shift : shift + col_hi - col_lo]
 
         chunk_max = scores.max(axis=-1)
         safe_max = np.where(np.isfinite(chunk_max), chunk_max, 0.0)
@@ -148,8 +146,8 @@ def _stencil_gemm(q3, k3, v3, offsets, length, scale_value):
         outputs[:, start:stop] = chunk_out / safe[..., None]
         row_max[:, start:stop] = chunk_max
         row_sum[:, start:stop] = chunk_sum
-        computed += int(rows.size * width)
-    return outputs, row_max, row_sum, computed
+        computed += (stop - start) * (col_hi - col_lo)
+    return computed
 
 
 def _stencil_attention(
@@ -158,6 +156,7 @@ def _stencil_attention(
     v: np.ndarray,
     offsets: np.ndarray,
     nnz: int,
+    stride: int,
     *,
     scale: Optional[float],
     algorithm: str,
@@ -166,8 +165,14 @@ def _stencil_attention(
 ) -> AttentionResult:
     """Vectorised executor for translation-invariant (offset stencil) masks.
 
-    Narrow stencils run the exact gather strategy (``row + offsets`` columns,
-    out-of-range positions masked); wide, dense-enough stencils switch to the
+    ``offsets`` are multiples of ``stride`` (1 for a local window, ``r + 1``
+    for a dilation of ``r``), so a row of residue ``p`` mod ``stride`` sees
+    only keys of that residue.  The stencil therefore runs as ``stride``
+    interleaved local bands: rows and keys ``p::stride`` with the contiguous
+    offsets ``offsets // stride``, each band writing its output and
+    statistics back into rows ``p::stride``.  Narrow bands run the exact
+    gather strategy (``row + offsets`` columns, out-of-range positions
+    masked); bands of at least ``_GEMM_MIN_OFFSETS`` offsets run the
     banded-GEMM strategy.  Both execute every leading batch axis in the same
     pass; extra score entries beyond the mask's nnz are reported per slice as
     ``wasted_dot_products``.  Passing ``row_chunk`` pins the gather strategy
@@ -178,27 +183,25 @@ def _stencil_attention(
     length, head_dim = q.shape[-2], q.shape[-1]
     value_dim = v.shape[-1]
     slices = batch_size(q)
-    offsets = np.sort(np.asarray(offsets, dtype=np.int64))
-    n_off = offsets.size
+    band = np.sort(np.asarray(offsets, dtype=np.int64)) // stride
 
     q3 = q_acc.reshape(slices, length, head_dim)
     k3 = k_acc.reshape(slices, length, head_dim)
     v3 = v_acc.reshape(slices, length, value_dim)
+    outputs = np.zeros((slices, length, value_dim), dtype=acc_dtype)
+    row_max = np.full((slices, length), -np.inf, dtype=acc_dtype)
+    row_sum = np.zeros((slices, length), dtype=acc_dtype)
 
-    span = int(offsets[-1] - offsets[0]) + 1 if n_off else 0
-    use_gemm = (
-        row_chunk is None
-        and n_off >= _GEMM_MIN_OFFSETS
-        and span <= _GEMM_MAX_SPAN_RATIO * n_off
-    )
-    if use_gemm:
-        outputs, row_max, row_sum, computed = _stencil_gemm(
-            q3, k3, v3, offsets, length, scale_value
-        )
-    else:
-        outputs, row_max, row_sum, computed = _stencil_gather(
-            q3, k3, v3, offsets, length, scale_value, row_chunk
-        )
+    use_gemm = row_chunk is None and band.size >= _GEMM_MIN_OFFSETS
+    computed = 0
+    for residue in range(min(stride, length)):
+        rows = slice(residue, None, stride)
+        inputs = (q3[:, rows], k3[:, rows], v3[:, rows], band, scale_value)
+        results = (outputs[:, rows], row_max[:, rows], row_sum[:, rows])
+        if use_gemm:
+            computed += _stencil_gemm(*inputs, *results)
+        else:
+            computed += _stencil_gather(*inputs, row_chunk, *results)
 
     wasted = computed - nnz
     ops = OpCounts.for_edges(
@@ -239,7 +242,7 @@ def local_attention(
             q, k, v, lambda i: mask.neighbors(i, length), scale=scale, algorithm="local", meta=meta
         )
     return _stencil_attention(
-        q, k, v, mask.offsets(), mask.nnz(length),
+        q, k, v, mask.offsets(), mask.nnz(length), 1,
         scale=scale, algorithm="local", meta=meta, row_chunk=row_chunk,
     )
 
@@ -270,7 +273,7 @@ def dilated1d_attention(
             q, k, v, lambda i: mask.neighbors(i, length), scale=scale, algorithm="dilated1d", meta=meta
         )
     return _stencil_attention(
-        q, k, v, mask.offsets(), mask.nnz(length),
+        q, k, v, mask.offsets(), mask.nnz(length), mask.stride,
         scale=scale, algorithm="dilated1d", meta=meta, row_chunk=row_chunk,
     )
 

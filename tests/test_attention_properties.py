@@ -12,7 +12,7 @@ Invariants:
 """
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.dense import sdp_attention
@@ -44,6 +44,35 @@ def test_dilated_kernel_matches_reference(length, dim, window, dilation, seed):
     expected = sdp_attention(q, k, v, mask).output
     result = dilated1d_attention(q, k, v, window, dilation).output
     np.testing.assert_allclose(result, expected, atol=1e-9)
+
+
+# windows of at least 16 * (dilation + 1) + 1 reach the banded path (32 or
+# more offsets per band) and the narrower ones the gather path; lengths below
+# the stride leave residues empty, and other lengths leave ragged ones
+@given(st.integers(2, 400), dims, st.integers(32, 200), st.integers(0, 3), st.integers(0, 2**31 - 1))
+@example(length=3, dim=4, window=200, dilation=3, seed=0)
+@example(length=301, dim=5, window=200, dilation=3, seed=1)
+def test_wide_dilated_kernel_matches_reference(length, dim, window, dilation, seed):
+    q, k, v = random_qkv(length, dim, dtype=np.float64, seed=seed)
+    mask = Dilated1DMask(window=window, dilation=dilation)
+    expected = sdp_attention(q, k, v, mask).output
+    result = dilated1d_attention(q, k, v, window, dilation).output
+    np.testing.assert_allclose(result, expected, atol=1e-9)
+
+
+def test_wide_dilated_kernel_stack_equals_single_slices():
+    # 65 offsets per band (banded path) over a length that is not a multiple
+    # of the stride
+    q, k, v = random_qkv(301, 8, dtype=np.float64, batch=2, heads=3, seed=11)
+    stacked = dilated1d_attention(q, k, v, 97, 2)
+    for b in range(2):
+        for h in range(3):
+            single = dilated1d_attention(q[b, h], k[b, h], v[b, h], 97, 2)
+            np.testing.assert_array_equal(stacked.output[b, h], single.output)
+            np.testing.assert_array_equal(stacked.row_max[b, h], single.row_max)
+            np.testing.assert_array_equal(stacked.row_sum[b, h], single.row_sum)
+    assert single.ops.wasted_dot_products > 0
+    assert stacked.ops.wasted_dot_products == 6 * single.ops.wasted_dot_products
 
 
 @given(lengths, dims, st.floats(min_value=0.05, max_value=1.0), st.integers(0, 2**31 - 1))

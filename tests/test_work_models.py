@@ -1,15 +1,21 @@
 """Tests for the work-counting, work-optimality and PRAM cost models (Section IV-B)."""
 
+import numpy as np
 import pytest
 
 from repro.core.dense import sdp_attention
 from repro.core.explicit_kernels import csr_attention
 from repro.core.flash import flash_attention
-from repro.core.implicit_kernels import dilated2d_attention, local_attention
+from repro.core.implicit_kernels import (
+    dilated1d_attention,
+    dilated2d_attention,
+    local_attention,
+)
 from repro.masks.dilated2d import Dilated2DMask
 from repro.masks.random_ import RandomMask
-from repro.masks.windowed import LocalMask
+from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.sparse.block import blockify
+from repro.utils.rng import random_qkv
 from repro.work.counting import (
     dense_dot_products,
     dense_flops,
@@ -62,6 +68,20 @@ class TestWorkOptimality:
             report = check_work_optimality(result, nnz, dim)
             assert report.is_work_optimal
             assert report.excess_ratio == pytest.approx(1.0, rel=0.2)
+
+    def test_wide_dilated_kernel_is_work_optimal(self):
+        # 65 offsets spanning 193 columns: the banded path runs on each of the
+        # three residue bands, so the dense tiles never cover the gaps between
+        # dilated offsets
+        length = 512
+        q, k, v = random_qkv(length, 16, dtype=np.float64, seed=3)
+        mask = Dilated1DMask(window=97, dilation=2)
+        nnz = mask.nnz(length)
+        result = dilated1d_attention(q, k, v, 97, 2)
+        report = check_work_optimality(result, nnz, q.shape[1])
+        assert report.is_work_optimal
+        assert report.overhead_fraction <= 1.0
+        assert result.ops.dot_products - result.ops.wasted_dot_products == nnz
 
     def test_streamed_kernels_are_strictly_work_optimal(self, small_qkv):
         q, k, v = small_qkv
