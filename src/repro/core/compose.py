@@ -10,12 +10,19 @@ Merging is possible because every kernel returns its final online-softmax
 statistics ``(m, l)`` alongside the (normalised) partial output; as long as
 the component masks are edge-disjoint, combining the statistics reproduces the
 softmax over the union mask exactly.  :func:`merge_results` implements that
-combination and :func:`composed_attention` runs an arbitrary component list.
+combination, :func:`composed_attention` runs an arbitrary component list, and
+:func:`longformer_attention` / :func:`bigbird_attention` are the Fig. 6
+"Loc + Glo" and "Loc + Glo + CSR" sequences.
+
+The serving plans (:mod:`repro.serve.plan`) split a union in two parts
+instead: its stencil components on their own kernels, and every other edge —
+global and random alike — in one CSR remainder, folded into one float64
+state as each step finishes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,38 +30,8 @@ from repro.core.explicit_kernels import csr_attention
 from repro.core.implicit_kernels import global_attention, local_attention
 from repro.core.online_softmax import rescale_factor
 from repro.core.result import AttentionResult, OpCounts
-from repro.masks.base import MaskSpec
 from repro.masks.random_ import RandomMask
-from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import require
-
-
-def disjoint_union_components(
-    components: Sequence[MaskSpec], length: int
-) -> List[Tuple[MaskSpec, CSRMatrix, CSRMatrix]]:
-    """Reduce union components to pairwise-disjoint edge sets.
-
-    Online-softmax merging is only exact when no edge is processed twice, so
-    each component is trimmed to the edges not already covered by the
-    components before it.  Returns ``(component, component_csr, remainder)``
-    triples where ``remainder`` is the component's CSR mask minus everything
-    covered earlier; a component whose remainder equals its full mask can keep
-    its specialised kernel, a trimmed one must fall back to CSR.
-
-    It runs ``to_csr`` and CSR set algebra, both O(edges); the plan compiler
-    calls it once per mask shape and caches the result inside the
-    :class:`~repro.serve.plan.ExecutionPlan`, so requests never repeat it.
-    """
-    covered: Optional[CSRMatrix] = None
-    triples: List[Tuple[MaskSpec, CSRMatrix, CSRMatrix]] = []
-    last = len(components) - 1
-    for index, component in enumerate(components):
-        component_csr = component.to_csr(length)
-        remainder = component_csr if covered is None else component_csr.difference(covered)
-        triples.append((component, component_csr, remainder))
-        if index < last:  # the final component's covered set is never read
-            covered = component_csr if covered is None else covered.union(component_csr)
-    return triples
 
 
 def merge_results(results: Sequence[AttentionResult], *, algorithm: str = "composed") -> AttentionResult:

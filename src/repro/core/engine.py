@@ -3,8 +3,8 @@
 :class:`GraphAttentionEngine` is the user-facing entry point: given Q/K/V and
 a mask specification it picks the most specialised kernel available —
 the implicit ordered-sparsity kernels when the spec advertises a
-``kernel_hint``, a sequence of specialised kernels for disjoint composites, or
-the explicit CSR/COO kernels for arbitrary masks — and returns the
+``kernel_hint``, a union's stencil kernels plus one CSR call on the rest of
+its edges, or the explicit CSR/COO kernels for arbitrary masks — and returns the
 :class:`~repro.core.result.AttentionResult` together with the op counts the
 work model consumes.  The dense SDP and FlashAttention baselines are exposed
 through the same interface so experiments can swap algorithms by name.
@@ -108,16 +108,6 @@ def has_specialised_kernel(spec: MaskSpec) -> bool:
     return isinstance(spec, PLANNABLE_SPECS)
 
 
-def composable_in_plan(spec: MaskSpec) -> bool:
-    """Whether a union component may join an auto-composed plan.
-
-    Since every specialised kernel now executes its spec's edge set exactly
-    (the global kernel's ``window=0`` mode covers :class:`GlobalMask`'s
-    self-edges), this coincides with :func:`has_specialised_kernel`.
-    """
-    return has_specialised_kernel(spec)
-
-
 def spec_kernel_name(spec: MaskSpec) -> str:
     """Name of the implicit kernel that executes ``spec`` (its ``kernel_hint``)."""
     _kernel_runner(spec)  # raises TypeError for specs without a kernel
@@ -149,9 +139,11 @@ class GraphAttentionEngine:
     scale:
         Attention scale; ``None`` means ``1/sqrt(d_k)``.
     prefer_composition:
-        When dispatching a :class:`UnionMask` whose components all have
-        specialised kernels, run them sequentially and merge (the paper's
-        "Loc + Glo" strategy) instead of collapsing to a single CSR call.
+        When dispatching a :class:`UnionMask`, run each stencil component
+        (local, dilated 1-D or 2-D) on its own kernel unless an earlier kept
+        stencil overlaps it, run every other edge as one CSR remainder, and
+        fold the partial results (the paper's "Loc + Glo (+ CSR)" strategy
+        of Section V-F), instead of collapsing to a single CSR call.
     """
 
     executor: str = "vectorized"
@@ -208,8 +200,8 @@ class GraphAttentionEngine:
     ):
         """Compile ``mask`` at ``length`` into an immutable execution plan.
 
-        The plan pins the kernel choice and precomputes any CSR remainders for
-        composed unions, so it can be cached and re-executed for many Q/K/V
+        The plan pins the kernel choice and precomputes a union's CSR
+        remainder, so it can be cached and re-executed for many Q/K/V
         batches without repeating the dispatch or mask-materialisation work
         (see :mod:`repro.serve`).  ``device`` (a
         :class:`~repro.perfmodel.devices.DeviceSpec`) enables the predicted

@@ -22,10 +22,12 @@ Each kernel offers two executors:
   kernel's rate.  Wide bands switch to a banded-GEMM strategy (dense tiles
   over the band, BLAS matmuls, a softmax masked by one additive band
   template per call) whose extra dot products are reported as
-  ``wasted_dot_products``.  The 2-D dilated kernel iterates blocks; the
-  global kernel splits the work into the dense global rows and the thin
-  global columns, which is also what makes its load imbalance visible to the
-  runtime model.
+  ``wasted_dot_products``.  Both strategies size their row chunks from the
+  band alone and take the slices of a stack in groups, so a stacked call
+  tiles every slice exactly as a single-slice call does and returns the same
+  bits.  The 2-D dilated kernel iterates blocks; the global kernel splits the
+  work into the dense global rows and the thin global columns, which is also
+  what makes its load imbalance visible to the runtime model.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.utils.validation import require
 
 #: Upper bound on the number of gathered score entries held at once by the
-#: chunked stencil executors (rows-per-chunk is derived from it, including the
-#: leading batch axes).  Keeps the working set cache-friendly regardless of
-#: window size and batch width.
+#: chunked stencil executors: rows per chunk are derived from it for one
+#: slice, and the slices of a stack are taken in groups that fit it together.
+#: Keeps the working set cache-friendly regardless of window size and batch
+#: width.
 _CHUNK_ELEMENT_BUDGET = 1 << 22
 
 #: Minimum offsets per band before the banded-GEMM strategy pays off (below
@@ -63,15 +66,17 @@ def _stencil_gather(q3, k3, v3, offsets, scale_value, row_chunk, outputs, row_ma
 
     Work per chunk is exactly ``rows x offsets`` score entries (boundary
     positions masked), so the only waste is the ``O(w^2)`` boundary padding.
+    The row chunk is sized for one slice (unless ``row_chunk`` pins it), and
+    the slices go in groups whose gathered K/V rows fit the element budget.
     Writes each row's output and statistics into ``outputs``, ``row_max`` and
     ``row_sum`` and returns the number of score entries evaluated per slice.
     """
     slices, length, head_dim = q3.shape
     value_dim = v3.shape[-1]
-    n_off = offsets.size
+    per_row = offsets.size * max(head_dim, value_dim, 1)
     if row_chunk is None:
-        per_row = max(1, slices * n_off * max(head_dim, value_dim))
         row_chunk = max(1, min(length, _CHUNK_ELEMENT_BUDGET // per_row))
+    group = max(1, _CHUNK_ELEMENT_BUDGET // (min(row_chunk, length) * per_row))
 
     computed = 0
     for start in range(0, length, row_chunk):
@@ -80,17 +85,23 @@ def _stencil_gather(q3, k3, v3, offsets, scale_value, row_chunk, outputs, row_ma
         cols = rows[:, None] + offsets[None, :]
         valid = (cols >= 0) & (cols < length)
         safe_cols = np.clip(cols, 0, length - 1)
-        scores = np.einsum("brd,brod->bro", q3[:, rows], k3[:, safe_cols]) * scale_value
-        scores = np.where(valid, scores, -np.inf)
-        chunk_max = scores.max(axis=-1)
-        safe_max = np.where(np.isfinite(chunk_max), chunk_max, 0.0)
-        weights = np.exp(np.where(valid, scores - safe_max[..., None], -np.inf))
-        chunk_sum = weights.sum(axis=-1)
-        chunk_out = np.einsum("bro,brod->brd", weights, v3[:, safe_cols])
-        safe = np.where(chunk_sum == 0, 1.0, chunk_sum)
-        outputs[:, rows] = chunk_out / safe[..., None]
-        row_max[:, rows] = chunk_max
-        row_sum[:, rows] = chunk_sum
+        for lo in range(0, slices, group):
+            part = slice(lo, lo + group)
+            # C-ordered results: the gathered rows come out slice-innermost,
+            # and reductions over that layout would depend on the group width
+            scores = np.einsum(
+                "brd,brod->bro", q3[part, rows], k3[part, safe_cols], order="C"
+            ) * scale_value
+            scores = np.where(valid, scores, -np.inf)
+            chunk_max = scores.max(axis=-1)
+            safe_max = np.where(np.isfinite(chunk_max), chunk_max, 0.0)
+            weights = np.exp(np.where(valid, scores - safe_max[..., None], -np.inf))
+            chunk_sum = weights.sum(axis=-1)
+            chunk_out = np.einsum("bro,brod->brd", weights, v3[part, safe_cols], order="C")
+            safe = np.where(chunk_sum == 0, 1.0, chunk_sum)
+            outputs[part, rows] = chunk_out / safe[..., None]
+            row_max[part, rows] = chunk_max
+            row_sum[part, rows] = chunk_sum
         computed += int(valid.size)
     return computed
 
@@ -115,11 +126,13 @@ def _stencil_gemm(q3, k3, v3, offsets, scale_value, outputs, row_max, row_sum):
     min_off, max_off = int(offsets[0]), int(offsets[-1])
     span = max_off - min_off + 1
 
-    # chunk rows R so the (B, R, R + span) score tile fits the element budget,
-    # but no wider than the span itself (keeps dense work within 2x the band)
-    budget = max(1, _CHUNK_ELEMENT_BUDGET // max(1, slices))
-    budget_rows = int((math.sqrt(span * span + 4.0 * budget) - span) / 2.0)
+    # chunk rows R from the band alone — no wider than the span (keeps dense
+    # work within 2x the band), and one slice's (R, R + span - 1) score tile
+    # within the element budget — so each slice of a stack tiles as a
+    # single-slice call does; the slices go in groups whose tiles fit it
+    budget_rows = int((math.sqrt(span * span + 4.0 * _CHUNK_ELEMENT_BUDGET) - span) / 2.0)
     row_chunk = max(16, min(length, span, budget_rows))
+    group = max(1, _CHUNK_ELEMENT_BUDGET // (row_chunk * (row_chunk + span - 1)))
 
     local_rows = np.arange(row_chunk, dtype=np.int64)[:, None]
     template = np.full((row_chunk, row_chunk + span - 1), -np.inf, dtype=q3.dtype)
@@ -131,21 +144,25 @@ def _stencil_gemm(q3, k3, v3, offsets, scale_value, outputs, row_max, row_sum):
         col_lo = max(0, start + min_off)
         col_hi = min(length, stop - 1 + max_off + 1)
         shift = col_lo - (start + min_off)
-
-        scores = (
-            q3[:, start:stop] @ k3[:, col_lo:col_hi].transpose(0, 2, 1)
-        ) * scale_value
-        scores += template[: stop - start, shift : shift + col_hi - col_lo]
-
-        chunk_max = scores.max(axis=-1)
-        safe_max = np.where(np.isfinite(chunk_max), chunk_max, 0.0)
-        weights = np.exp(scores - safe_max[..., None])
-        chunk_sum = weights.sum(axis=-1)
-        chunk_out = weights @ v3[:, col_lo:col_hi]
-        safe = np.where(chunk_sum == 0, 1.0, chunk_sum)
-        outputs[:, start:stop] = chunk_out / safe[..., None]
-        row_max[:, start:stop] = chunk_max
-        row_sum[:, start:stop] = chunk_sum
+        band = template[: stop - start, shift : shift + col_hi - col_lo]
+        for lo in range(0, slices, group):
+            part = slice(lo, lo + group)
+            # the score tile is the one budget-sized temporary: scale, mask,
+            # shift and exponentiate it in place
+            scores = q3[part, start:stop] @ k3[part, col_lo:col_hi].transpose(0, 2, 1)
+            scores *= scale_value
+            scores += band
+            chunk_max = scores.max(axis=-1)
+            safe_max = np.where(np.isfinite(chunk_max), chunk_max, 0.0)
+            scores -= safe_max[..., None]
+            weights = np.exp(scores, out=scores)
+            chunk_sum = weights.sum(axis=-1)
+            chunk_out = weights @ v3[part, col_lo:col_hi]
+            safe = np.where(chunk_sum == 0, 1.0, chunk_sum)
+            outputs[part, start:stop] = chunk_out / safe[..., None]
+            row_max[part, start:stop] = chunk_max
+            row_sum[part, start:stop] = chunk_sum
+            del scores, weights  # before the next tile is allocated
         computed += (stop - start) * (col_hi - col_lo)
     return computed
 
@@ -208,11 +225,11 @@ def _stencil_attention(
         nnz, head_dim, value_dim, wasted_dot_products=wasted, batch=slices
     )
     return AttentionResult(
-        output=outputs.reshape(batch_shape + (length, value_dim)).astype(q.dtype),
+        output=outputs.reshape(batch_shape + (length, value_dim)).astype(q.dtype, copy=False),
         row_max=np.where(np.isfinite(row_max), row_max, -np.inf)
         .reshape(batch_shape + (length,))
-        .astype(np.float64),
-        row_sum=row_sum.reshape(batch_shape + (length,)).astype(np.float64),
+        .astype(np.float64, copy=False),
+        row_sum=row_sum.reshape(batch_shape + (length,)).astype(np.float64, copy=False),
         ops=ops,
         algorithm=algorithm,
         meta=meta,
@@ -331,9 +348,9 @@ def dilated2d_attention(
         row_sum[:, idx] = block_sum
     ops = OpCounts.for_edges(mask.nnz(length), head_dim, value_dim, batch=slices)
     return AttentionResult(
-        output=outputs.reshape(batch_shape + (length, value_dim)).astype(q.dtype),
-        row_max=row_max.reshape(batch_shape + (length,)).astype(np.float64),
-        row_sum=row_sum.reshape(batch_shape + (length,)).astype(np.float64),
+        output=outputs.reshape(batch_shape + (length, value_dim)).astype(q.dtype, copy=False),
+        row_max=row_max.reshape(batch_shape + (length,)).astype(np.float64, copy=False),
+        row_sum=row_sum.reshape(batch_shape + (length,)).astype(np.float64, copy=False),
         ops=ops,
         algorithm="dilated2d",
         meta=meta,

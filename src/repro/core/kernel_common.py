@@ -159,9 +159,9 @@ def csr_ordered_attention(
     )
     ops = OpCounts.for_edges(int(cols.size), head_dim, value_dim, search_steps=search_steps, batch=batch_size(q))
     return AttentionResult(
-        output=output.astype(q.dtype),
-        row_max=row_max.astype(np.float64),
-        row_sum=row_sum.astype(np.float64),
+        output=output.astype(q.dtype, copy=False),
+        row_max=row_max.astype(np.float64, copy=False),
+        row_sum=row_sum.astype(np.float64, copy=False),
         ops=ops,
         algorithm=algorithm,
         meta=dict(meta or {}),

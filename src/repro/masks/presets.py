@@ -8,9 +8,10 @@ Fig. 2 and the Section V-F experiments use three named patterns:
   random connections.
 
 Each preset returns a :class:`~repro.masks.composite.UnionMask` whose
-components are kept separate so the engine can run them as a sequence of
-specialised kernels (the "Loc + Glo" / "Loc + Glo + CSR" curves of Fig. 6) or
-collapse them into a single CSR mask (the "CSR" curves).
+components are kept separate so they can run as a sequence of kernels (the
+"Loc + Glo" / "Loc + Glo + CSR" curves of Fig. 6, or a plan's window kernel
+plus one CSR call on the rest) or collapse into a single CSR mask (the "CSR"
+curves).
 
 The LongNet helpers expose the geometric segment/dilation schedule the paper
 uses to justify its sparsity-factor analysis (Section II-D) and the Table III

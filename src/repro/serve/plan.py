@@ -2,19 +2,32 @@
 
 Dispatching one :class:`~repro.core.engine.GraphAttentionEngine` call involves
 real work that has nothing to do with the Q/K/V at hand: inspecting the mask,
-choosing kernels and — for composed unions — materialising every component as
-CSR and running the ``difference``/``union`` set algebra that keeps the
-sequential kernels edge-disjoint.  For a serving workload that sees the same
-mask shapes over and over, that work should happen **once**.
+choosing kernels and — for unions — splitting the edges between kernels.  For
+a serving workload that sees the same mask shapes over and over, that work
+should happen **once**.
 
 :func:`compile_plan` performs it ahead of time and freezes the outcome into an
 :class:`ExecutionPlan`: an immutable list of :class:`PlanStep`\\ s (each either
 an implicit-kernel invocation of a spec or a CSR call on a precomputed
-remainder matrix), a canonical cache key derived from the mask parameters, and
-— when a :class:`~repro.perfmodel.devices.DeviceSpec` is supplied — the
-predicted runtime from :mod:`repro.perfmodel.runtime`.  Executing the plan is
-then a pure kernel sequence: ``plan.execute(q, k, v)`` for as many request
-tensors as desired.
+matrix), a canonical cache key derived from the mask parameters, and — when a
+:class:`~repro.perfmodel.devices.DeviceSpec` is supplied — the predicted
+runtime from :mod:`repro.perfmodel.runtime`.  Executing the plan is then a
+pure kernel sequence: ``plan.execute(q, k, v)`` for as many request tensors as
+desired.
+
+A :class:`~repro.masks.composite.UnionMask` compiles in two parts:
+
+* each dense-tile stencil component (:class:`~repro.masks.windowed.LocalMask`,
+  :class:`~repro.masks.windowed.Dilated1DMask`,
+  :class:`~repro.masks.dilated2d.Dilated2DMask`) keeps its own kernel unless
+  an earlier kept stencil overlaps it;
+* every other edge — global, random and explicit components, and stencils
+  that overlap a kept one — goes into **one** CSR remainder that the compiled
+  row kernel runs.  Each component's edges are tested against the kept
+  stencils by offset, so the union itself is never materialised.
+
+The steps are edge-disjoint, and execution folds each one into a single
+float64 ``(output, row_max, row_sum)`` state, cast to the query dtype once.
 """
 
 from __future__ import annotations
@@ -26,22 +39,23 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.compose import disjoint_union_components, merge_results
 from repro.core.engine import (
     MaskInput,
-    composable_in_plan,
     has_specialised_kernel,
     run_spec_kernel,
     spec_kernel_name,
 )
 from repro.core.explicit_kernels import csr_attention, materialize_explicit
 from repro.core.flash import flash_attention
-from repro.core.result import AttentionResult
-from repro.masks.base import MaskSpec, as_mask_spec
+from repro.core.online_softmax import rescale_factor
+from repro.core.result import AttentionResult, OpCounts
+from repro.masks.base import MaskSpec, TranslationInvariantMask, as_mask_spec
 from repro.masks.composite import DifferenceMask, IntersectionMask, UnionMask
+from repro.masks.dilated2d import Dilated2DMask
 from repro.masks.explicit import ExplicitMask
 from repro.masks.rows import RowProgram, compile_row_program
 from repro.masks.structured import DenseMask
+from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.perfmodel.devices import DeviceSpec
 from repro.perfmodel.runtime import RuntimeEstimate, RuntimeModel, combine_estimates
 from repro.sparse.coo import COOMatrix
@@ -50,6 +64,10 @@ from repro.utils.validation import require
 
 #: Head dimension assumed by runtime prediction when the caller gives none.
 DEFAULT_HEAD_DIM = 64
+
+#: Union components that keep their own (dense-tile) kernel in a union plan;
+#: every other component's edges join the plan's one CSR remainder.
+_STENCIL_SPECS = (LocalMask, Dilated1DMask, Dilated2DMask)
 
 
 # --------------------------------------------------------------------------- #
@@ -132,7 +150,7 @@ class PlanStep:
     ``kernel`` names the kernel (``flash``, ``local``, ``dilated1d``,
     ``dilated2d``, ``global`` or ``csr``); implicit kernels carry the ``spec``
     they execute, the CSR kernel carries its precomputed ``csr`` operand
-    (for composed unions this is the already-trimmed remainder).
+    (for a union, the remainder of every edge no kept stencil covers).
     """
 
     kernel: str
@@ -214,6 +232,12 @@ class ExecutionPlan:
         stack of batch/head slices — every kernel step executes the whole
         stack in one vectorized pass, so one compiled plan amortises over the
         full ``(B, H)`` batch.
+
+        A multi-step plan folds each step's partial result into one float64
+        ``(output, row_max, row_sum)`` state and casts it to ``q``'s dtype
+        once.  Every kernel accumulates in float64 and casts its output to
+        the query dtype, so the steps run on float64 queries: each partial
+        reaches the fold unrounded.
         """
         require(
             self.mode == "full",
@@ -223,13 +247,37 @@ class ExecutionPlan:
             q.shape[-2] == self.length,
             f"plan compiled for L={self.length}, got q with L={q.shape[-2]}",
         )
-        results = [
-            step.execute(q, k, v, scale=self.scale, executor=self.executor)
-            for step in self.steps
-        ]
-        if self.algorithm == "composed":
-            return merge_results(results)
-        return results[0]
+        if len(self.steps) == 1:
+            return self.steps[0].execute(q, k, v, scale=self.scale, executor=self.executor)
+        q64 = np.asarray(q, dtype=np.float64)
+        output = row_max = row_sum = None
+        ops = OpCounts()
+        components = []
+        for step in self.steps:
+            part = step.execute(q64, k, v, scale=self.scale, executor=self.executor)
+            ops = ops + part.ops
+            components.append(part.algorithm)
+            if output is None:
+                output, row_max, row_sum = part.output, part.row_max, part.row_sum
+                continue
+            # both partials are normalised: weight each by its share of the
+            # combined softmax normaliser (0 for a row neither reaches)
+            new_max = np.maximum(row_max, part.row_max)
+            kept = rescale_factor(row_max, new_max) * row_sum
+            added = rescale_factor(part.row_max, new_max) * part.row_sum
+            row_max, row_sum = new_max, kept + added
+            safe = np.where(row_sum == 0, 1.0, row_sum)
+            output *= (kept / safe)[..., None]
+            np.multiply(part.output, (added / safe)[..., None], out=part.output)
+            output += part.output
+        return AttentionResult(
+            output=output.astype(q.dtype, copy=False),
+            row_max=row_max,
+            row_sum=row_sum,
+            ops=ops,
+            algorithm=self.algorithm,
+            meta={"components": components},
+        )
 
     def describe(self) -> str:
         if self.mode == "decode":
@@ -246,21 +294,63 @@ class ExecutionPlan:
 # --------------------------------------------------------------------------- #
 # Compilation
 # --------------------------------------------------------------------------- #
-def _composed_steps(mask: UnionMask, length: int) -> List[PlanStep]:
-    """Steps executing a union as disjoint sequential kernels (hoisted algebra)."""
-    steps: List[PlanStep] = []
-    for component, component_csr, remainder in disjoint_union_components(
-        mask.components, length
-    ):
-        if remainder.nnz == component_csr.nnz and has_specialised_kernel(component):
-            steps.append(
-                PlanStep(
-                    kernel=spec_kernel_name(component),
-                    spec=component,
-                    nnz=component_csr.nnz,
-                )
+def _stencil_edges(stencils: List[MaskSpec], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether each in-range edge ``(rows[e], cols[e])`` belongs to one of ``stencils``.
+
+    A translation-invariant stencil holds an edge iff its offset ``j - i`` is
+    one of the stencil's offsets; a 2-D dilated one iff both ends share a
+    block and sit on its dilation grid.  O(edges), with no stencil edge
+    materialised.
+    """
+    covered = np.zeros(rows.size, dtype=bool)
+    for spec in stencils:
+        if isinstance(spec, TranslationInvariantMask):
+            covered |= np.isin(cols - rows, spec.offsets())
+        else:
+            block, stride = spec.block_size, spec.stride
+            covered |= (
+                (rows // block == cols // block)
+                & (rows % block % stride == 0)
+                & (cols % block % stride == 0)
             )
-        elif remainder.nnz:
+    return covered
+
+
+def _union_steps(mask: UnionMask, length: int) -> List[PlanStep]:
+    """A union's stencil kernels plus one CSR remainder, edge-disjoint.
+
+    A stencil component keeps its kernel unless an earlier kept stencil
+    overlaps it.  Every other component's edges, minus those of the kept
+    stencils, go into one deduplicated CSR remainder.
+    """
+    kept: List[MaskSpec] = []
+    others: List[CSRMatrix] = []
+    for component in mask.components:
+        stencil = isinstance(component, _STENCIL_SPECS)
+        if stencil and not kept:
+            kept.append(component)
+            continue
+        csr = component.to_csr(length)
+        if stencil and not _stencil_edges(kept, csr.expanded_rows(), csr.indices).any():
+            kept.append(component)
+        else:
+            others.append(csr)
+
+    steps = [
+        PlanStep(kernel=spec_kernel_name(spec), spec=spec, nnz=spec.nnz(length))
+        for spec in kept
+    ]
+    rows, cols = [], []
+    for csr in others:
+        csr_rows = csr.expanded_rows()
+        outside = ~_stencil_edges(kept, csr_rows, csr.indices)
+        rows.append(csr_rows[outside])
+        cols.append(csr.indices[outside])
+    if others:
+        remainder = COOMatrix.from_edges(
+            (length, length), np.concatenate(rows), np.concatenate(cols)
+        ).to_csr()
+        if remainder.nnz:
             steps.append(PlanStep(kernel="csr", csr=remainder, nnz=remainder.nnz))
     return steps
 
@@ -320,12 +410,13 @@ def compile_plan(
 ) -> ExecutionPlan:
     """Compile a mask at a context length into an :class:`ExecutionPlan`.
 
-    ``algorithm`` is ``"auto"`` (mirror the engine's dispatch rules) or
-    ``"composed"`` (force sequential disjoint execution of a
-    :class:`~repro.masks.composite.UnionMask`, even when some components need
-    the CSR fallback).  The kernel choice is identical to what
-    ``GraphAttentionEngine.run`` performed before plans existed, so plan
-    execution is numerically identical to direct engine dispatch.
+    ``algorithm`` is ``"auto"`` or ``"composed"``.  Under ``"auto"`` a
+    :class:`~repro.masks.composite.UnionMask` runs as its stencil kernels
+    plus one CSR remainder (see the module docstring) unless
+    ``prefer_composition`` is off, which collapses it into one CSR call;
+    ``"composed"`` splits a union even then.  ``GraphAttentionEngine.run``
+    dispatches through this compiler, so plan execution is numerically
+    identical to direct engine dispatch.
 
     ``mode="decode"`` compiles for incremental autoregressive decoding
     instead: no kernel steps are materialised (no CSR remainders, no set
@@ -396,14 +487,14 @@ def compile_plan(
             require(isinstance(mask, UnionMask), "composed execution requires a UnionMask")
 
         compose = isinstance(mask, UnionMask) and (
-            algorithm == "composed"
-            or (prefer_composition and all(composable_in_plan(c) for c in mask.components))
+            algorithm == "composed" or prefer_composition
         )
         if compose:
-            composed = _composed_steps(mask, length)
-            if composed:
-                steps = tuple(composed)
+            steps = tuple(_union_steps(mask, length))
+            if len(steps) > 1:
                 plan_algorithm = "composed"
+            elif steps:  # one kernel covers the whole union
+                plan_algorithm = steps[0].kernel
             else:  # every component was empty — degrade to one CSR call
                 union_csr = materialize_explicit(mask, length, "csr")
                 steps = (PlanStep(kernel="csr", csr=union_csr, nnz=union_csr.nnz),)

@@ -60,11 +60,13 @@ class TestAutoDispatch:
         assert result.algorithm == "composed"
         assert_allclose_paper(result.output, sdp_attention(q, k, v, mask).output)
 
-    def test_union_with_random_component_collapses_to_csr(self, engine, medium_qkv):
+    def test_union_with_random_component_runs_local_plus_one_csr(self, engine, medium_qkv):
         q, k, v = medium_qkv
         mask = bigbird_mask(reach=10, global_tokens=(0,), random_sparsity=0.01, seed=1)
         result = engine.run(q, k, v, mask)
-        assert result.algorithm == "csr"
+        assert result.algorithm == "composed"
+        assert result.meta["components"] == ["local", "csr"]
+        assert_allclose_paper(result.output, sdp_attention(q, k, v, mask).output)
 
     def test_composition_can_be_disabled(self, medium_qkv):
         q, k, v = medium_qkv

@@ -1,10 +1,13 @@
 """Tests for the implicit ordered-sparsity kernels (Local, Dilated-1D/2D, Global)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.dense import sdp_attention
 from repro.core.implicit_kernels import (
+    _CHUNK_ELEMENT_BUDGET,
     dilated1d_attention,
     dilated2d_attention,
     global_attention,
@@ -13,6 +16,7 @@ from repro.core.implicit_kernels import (
 from repro.masks.dilated2d import Dilated2DMask
 from repro.masks.global_ import GlobalNonLocalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
+from repro.utils.rng import random_qkv
 from repro.utils.validation import assert_allclose_paper
 
 
@@ -171,3 +175,50 @@ class TestGlobalKernel:
         # with a huge window every global column is excluded for nearby rows
         result = global_attention(q, k, v, [0], window=q.shape[0])
         assert result.empty_rows().size == q.shape[0]
+
+
+#: Stencil calls by strategy: bands of 193 and 129 offsets run the banded
+#: GEMM, bands of 31 offsets the exact gather.
+STENCIL_CALLS = {
+    "local-gemm": lambda q, k, v: local_attention(q, k, v, 97),
+    "dilated-gemm": lambda q, k, v: dilated1d_attention(q, k, v, 193, 2),
+    "local-gather": lambda q, k, v: local_attention(q, k, v, 16),
+    "dilated-gather": lambda q, k, v: dilated1d_attention(q, k, v, 46, 2),
+}
+
+
+class TestStackWidth:
+    """A stack of any width tiles every slice exactly as a single-slice call."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        # 160 slices: past the width where a stack-sized row chunk would
+        # shrink below the 193-offset band (about 56 slices)
+        return random_qkv(2048, 8, dtype=np.float64, batch=160, seed=7)
+
+    @pytest.mark.parametrize("case", sorted(STENCIL_CALLS))
+    def test_wide_stacks_equal_single_slice_calls(self, stack, case):
+        run = STENCIL_CALLS[case]
+        q, k, v = stack
+        singles = [run(q[b], k[b], v[b]) for b in range(q.shape[0])]
+        wasted = singles[0].ops.wasted_dot_products
+        assert wasted > 0
+        for width in (64, 160):
+            stacked = run(q[:width], k[:width], v[:width])
+            for field in ("output", "row_max", "row_sum"):
+                expected = np.stack([getattr(single, field) for single in singles[:width]])
+                np.testing.assert_array_equal(getattr(stacked, field), expected)
+            assert stacked.ops.wasted_dot_products == width * wasted
+
+    def test_wide_stack_temporaries_fit_the_element_budget(self, stack):
+        q, k, v = stack
+        tracemalloc.start()
+        try:
+            result = local_attention(q, k, v, 97)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = result.output.nbytes + result.row_max.nbytes + result.row_sum.nbytes
+        # the score tile is the one budget-sized temporary; the rest (a
+        # group's chunk outputs and row statistics) is a small fraction
+        assert peak - held <= 1.25 * _CHUNK_ELEMENT_BUDGET * q.itemsize

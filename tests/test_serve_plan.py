@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.dense import sdp_attention
 from repro.core.engine import GraphAttentionEngine
 from repro.core.explicit_kernels import materialize_explicit
+from repro.masks.composite import UnionMask
+from repro.masks.dilated2d import Dilated2DMask
 from repro.masks.explicit import ExplicitMask
 from repro.masks.global_ import GlobalMask, GlobalNonLocalMask
 from repro.masks.presets import bigbird_mask, longformer_dilated_mask, longformer_mask
@@ -17,7 +21,18 @@ from repro.perfmodel.devices import A100_SXM4_80GB, L40_48GB
 from repro.serve.plan import compile_plan, mask_key, plan_cache_key
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
+from repro.utils.rng import random_qkv
 from repro.utils.validation import assert_allclose_paper
+
+
+def _edges(csr):
+    """A CSR mask's edges as ``(row, col)`` pairs."""
+    return set(zip(csr.expanded_rows().tolist(), csr.indices.tolist()))
+
+
+def _step_edges(plan, length):
+    """Each step's edge set."""
+    return [_edges(step.csr if step.kernel == "csr" else step.spec.to_csr(length)) for step in plan.steps]
 
 
 class TestCompilation:
@@ -39,10 +54,12 @@ class TestCompilation:
         assert plan.steps[0].csr is not None
 
     def test_union_of_specialised_masks_compiles_to_composed(self):
+        # the local band keeps its kernel; the global part is the CSR remainder
         mask = longformer_mask(reach=4, global_tokens=(0, 30))
         plan = compile_plan(mask, 64)
         assert plan.algorithm == "composed"
-        assert plan.kernels == ("local", "global")
+        assert plan.kernels == ("local", "csr")
+        assert plan.steps[1].nnz == GlobalNonLocalMask((0, 30), window=5).nnz(64)
 
     def test_global_mask_plans_to_its_implicit_kernel(self, small_qkv):
         # the global kernel's window=0 mode executes GlobalMask exactly
@@ -77,18 +94,40 @@ class TestCompilation:
             plan.execute(q, k, v).output, sdp_attention(q, k, v, mask).output, atol=1e-8
         )
 
-    def test_union_with_random_component_collapses_to_csr(self):
+    def test_union_with_random_component_runs_local_plus_one_csr(self):
         mask = bigbird_mask(reach=4, global_tokens=(0,), random_sparsity=0.02, seed=1)
         plan = compile_plan(mask, 64)
-        assert plan.algorithm == "csr"
+        assert plan.algorithm == "composed"
+        assert plan.kernels == ("local", "csr")
 
     def test_forced_composed_keeps_remainder_csr_step(self):
         mask = bigbird_mask(reach=4, global_tokens=(0,), random_sparsity=0.02, seed=1)
         plan = compile_plan(mask, 64, algorithm="composed")
         assert plan.algorithm == "composed"
-        assert plan.kernels == ("local", "global", "csr")
-        # the random component's remainder was materialised at compile time
+        assert plan.kernels == ("local", "csr")
+        # the global and random edges outside the band were materialised at
+        # compile time, as one remainder
+        local = LocalMask(window=5)
         assert plan.steps[-1].csr is not None
+        assert _edges(plan.steps[-1].csr) == _edges(mask.to_csr(64)) - _edges(local.to_csr(64))
+
+    def test_stencil_after_other_components_still_keeps_its_kernel(self, small_qkv):
+        # the band comes last; the earlier components' edges inside it are
+        # dropped from the remainder, and a second (overlapping) stencil
+        # joins the remainder
+        q, k, v = small_qkv
+        length = q.shape[0]
+        mask = UnionMask(
+            [GlobalMask([3]), RandomMask(sparsity=0.1, seed=2), LocalMask(window=4), Dilated1DMask(9, 1)]
+        )
+        plan = compile_plan(mask, length)
+        assert plan.kernels == ("local", "csr")
+        first, second = _step_edges(plan, length)
+        assert not first & second
+        assert first | second == _edges(mask.to_csr(length))
+        np.testing.assert_allclose(
+            plan.execute(q, k, v).output, sdp_attention(q, k, v, mask).output, atol=1e-9
+        )
 
     def test_composed_requires_union(self):
         with pytest.raises(ValueError):
@@ -126,13 +165,21 @@ class TestCompilation:
         def one_row(self, i, length):
             raise AssertionError(f"compilation asked {self!r} for row {i}")
 
+        def whole_union(self, length, **kwargs):
+            raise AssertionError("compilation materialised the whole union")
+
         for spec in (LocalMask, Dilated1DMask, GlobalMask, GlobalNonLocalMask):
             monkeypatch.setattr(spec, "neighbors", one_row)
+        monkeypatch.setattr(UnionMask, "to_csr", whole_union)
+        # RandomMask draws its rows one at a time; nothing else does
         for mask in (
             longformer_mask(reach=64, global_tokens=(0, 4095)),
             longformer_dilated_mask(reach=64, global_tokens=(0, 4095)),
+            bigbird_mask(reach=64, global_tokens=(0, 4095), random_sparsity=5e-4),
         ):
-            assert compile_plan(mask, 4096).algorithm == "composed"
+            plan = compile_plan(mask, 4096)
+            assert plan.algorithm == "composed"
+            assert plan.kernels[-1] == "csr" and plan.kernels.count("csr") == 1
 
     def test_dense_array_mask_compiles(self, small_qkv):
         q, k, v = small_qkv
@@ -176,6 +223,22 @@ class TestExecution:
         plan = compile_plan(LocalMask(window=4), q.shape[0] + 1)
         with pytest.raises(ValueError):
             plan.execute(q, k, v)
+
+    def test_stacked_bigbird_plan_equals_per_slice_executions(self):
+        length = 256
+        mask = bigbird_mask(reach=20, global_tokens=(0, 100), random_sparsity=0.02, seed=4)
+        plan = compile_plan(mask, length)
+        assert plan.kernels == ("local", "csr")
+        q, k, v = random_qkv(length, 16, dtype=np.float32, batch=2, heads=3, seed=5)
+        stacked = plan.execute(q, k, v)
+        assert stacked.output.dtype == np.float32
+        for b in range(2):
+            for h in range(3):
+                single = plan.execute(q[b, h], k[b, h], v[b, h])
+                np.testing.assert_array_equal(stacked.output[b, h], single.output)
+                np.testing.assert_array_equal(stacked.row_max[b, h], single.row_max)
+                np.testing.assert_array_equal(stacked.row_sum[b, h], single.row_sum)
+        assert stacked.ops.dot_products == 6 * single.ops.dot_products
 
     def test_plan_is_immutable(self):
         plan = compile_plan(LocalMask(window=4), 64)
@@ -304,3 +367,55 @@ class TestMaterializeExplicit:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             materialize_explicit(LocalMask(window=3), 32, "bsr")
+
+
+@st.composite
+def union_masks(draw):
+    """A length and a union of 1-4 stencil, global, random and explicit parts."""
+    length = draw(st.integers(4, 40))
+    tokens = st.lists(st.integers(0, length - 1), min_size=1, max_size=3)
+    components = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(
+            st.sampled_from(
+                ["local", "dilated1d", "dilated2d", "global", "nonlocal", "random", "explicit"]
+            )
+        )
+        if kind == "local":
+            components.append(LocalMask(window=draw(st.integers(1, 8))))
+        elif kind == "dilated1d":
+            components.append(Dilated1DMask(draw(st.integers(1, 12)), draw(st.integers(0, 3))))
+        elif kind == "dilated2d":
+            components.append(Dilated2DMask(draw(st.integers(1, 16)), draw(st.integers(0, 2))))
+        elif kind == "global":
+            components.append(GlobalMask(draw(tokens)))
+        elif kind == "nonlocal":
+            components.append(GlobalNonLocalMask(draw(tokens), window=draw(st.integers(1, 6))))
+        elif kind == "random":
+            components.append(
+                RandomMask(sparsity=draw(st.floats(0.02, 0.3)), seed=draw(st.integers(0, 999)))
+            )
+        else:
+            picks = np.random.default_rng(draw(st.integers(0, 999))).random((length, length))
+            components.append(ExplicitMask(CSRMatrix.from_dense(picks < draw(st.floats(0.0, 0.2)))))
+    return length, UnionMask(components)
+
+
+@given(union_masks(), st.integers(0, 2**31 - 1))
+def test_union_plans_split_into_stencils_and_one_csr_remainder(case, seed):
+    length, mask = case
+    plan = compile_plan(mask, length)
+    assert plan.kernels.count("csr") <= 1
+    assert set(plan.kernels) <= {"local", "dilated1d", "dilated2d", "csr"}
+    # a union that needs one kernel is labelled with it (stencil-free: one CSR call)
+    assert plan.algorithm == ("composed" if len(plan.steps) > 1 else plan.kernels[0])
+    step_edges = _step_edges(plan, length)
+    for a, b in itertools.combinations(step_edges, 2):
+        assert not a & b
+    union = _edges(mask.to_csr(length))
+    assert set().union(*step_edges) == union
+    assert plan.nnz == len(union)
+    q, k, v = random_qkv(length, 4, dtype=np.float64, seed=seed)
+    np.testing.assert_allclose(
+        plan.execute(q, k, v).output, sdp_attention(q, k, v, mask).output, atol=1e-9
+    )

@@ -125,9 +125,12 @@ class TestCorrectness:
         q, k, v = random_qkv(96, 12, seed=21)
         auto = server.handle(q, k, v, mask)
         forced = server.handle(q, k, v, mask, algorithm="composed")
-        assert auto.result.algorithm == "csr"
-        assert forced.result.algorithm == "composed"
-        np.testing.assert_allclose(auto.output, forced.output, atol=1e-5, rtol=1e-5)
+        # auto and forced composition compile the same local + CSR plan
+        assert auto.result.algorithm == forced.result.algorithm == "composed"
+        assert auto.result.meta["components"] == ["local", "csr"]
+        np.testing.assert_array_equal(auto.output, forced.output)
+        reference = sdp_attention(q, k, v, mask).output
+        np.testing.assert_allclose(auto.output, reference, atol=1e-5, rtol=1e-5)
 
     def test_dense_requests_supported(self, server):
         q, k, v = random_qkv(64, 8, seed=31)
