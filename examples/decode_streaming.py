@@ -25,8 +25,7 @@ import numpy as np
 
 from repro import AttentionServer, GraphAttentionEngine, random_qkv
 from repro.masks import longformer_mask
-from repro.perfmodel.decode import DecodeRuntimeModel, kv_cache_bytes
-from repro.perfmodel.devices import A100_SXM4_80GB
+from repro.perfmodel.decode import kv_cache_bytes
 from repro.serve import ServingClient
 from repro.serve.decode import decode_reference_mask
 
@@ -106,16 +105,6 @@ def main() -> None:
         max_err = float(np.abs(sessions[0].outputs() - reference.output).max())
         print(f"   one-shot reference check on stream 0: max abs err {max_err:.2e}")
         assert max_err < 1e-6, "incremental decode diverged from the one-shot reference"
-
-        # 5) what the analytical A100 model says about this configuration
-        model = DecodeRuntimeModel(A100_SXM4_80GB)
-        row_edges = int(sessions[0].program.causal_row(horizon - 1).size)
-        step = model.estimate_step(row_edges, dim, batch=streams)
-        print(
-            f"   modelled A100 step ({streams} coalesced streams): "
-            f"{step.seconds * 1e6:.1f} us -> "
-            f"{streams / step.seconds:,.0f} tokens/s aggregate"
-        )
     print("Done.")
 
 

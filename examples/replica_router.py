@@ -16,8 +16,6 @@ Walks the PR's placement layer end to end:
    as K/V-parallel attention across the replicas, online-softmax partials
    merged at the router, with the communication volume priced by the same
    stats the ``repro.distributed`` layer reports.
-5. ``repro.perfmodel.router_throughput_scaling`` — the analytical scaling
-   curve next to what the router just did.
 
 Run:  PYTHONPATH=src python examples/replica_router.py [--quick]
 """
@@ -27,7 +25,6 @@ import argparse
 import numpy as np
 
 from repro.masks import CausalMask
-from repro.perfmodel import router_throughput_scaling, routing_cost
 from repro.serve import LoopRequest, ReplicaRouter, ServingClient
 
 DIM = 8
@@ -85,13 +82,6 @@ def main() -> None:
         np.testing.assert_array_equal(got, want)
     print(f"   all {len(routed)} routed outputs bit-identical to the 1-replica run")
 
-    # routing economics: what did each placement decision cost?
-    estimate = routing_cost(PROMPT, DIM, block_size=BLOCK_SIZE)
-    print(
-        f"   routing tax per request: {estimate.hashed_bytes} hashed bytes, "
-        f"{estimate.seconds * 1e6:.1f} us — repaid by skipping any shared prefill"
-    )
-
     # 3) rebalancing under adversarial skew: one family, every stream warm
     # on one replica, max_streams=1 so the rest wait — until the partitioner
     # spreads them
@@ -137,15 +127,6 @@ def main() -> None:
         f"moved in {router.comm_stats.messages} messages"
     )
     router.close()
-
-    # 5) the analytical scaling curve at this workload's operating point
-    for hit_rate in (0.0, 0.75, 1.0):
-        scaling = router_throughput_scaling(
-            4, route_hit_rate=hit_rate, shared_prefill_fraction=PROMPT / TOTAL
-        )
-        print(
-            f"   modelled 4-replica scaling at hit rate {hit_rate:.2f}: {scaling:.2f}x"
-        )
     print("Done.")
 
 

@@ -10,8 +10,6 @@ Walks the PR's public API end to end:
    least-slack-first policy.
 3. Tenant isolation — the chat tenant's token bucket throttles a burst at
    admission; the batch tenant cannot starve chat deadlines.
-4. ``repro.perfmodel.min_feasible_slo`` — the analytical floor that says
-   which deadlines were achievable in the first place.
 
 Run:  PYTHONPATH=src python examples/serving_edge.py [--quick]
 """
@@ -22,7 +20,6 @@ import asyncio
 import numpy as np
 
 from repro.masks import longformer_mask
-from repro.perfmodel import get_device, min_feasible_slo
 from repro.serve import (
     DecodeSession,
     LoopRequest,
@@ -123,18 +120,6 @@ def main() -> None:
         f"{attained} SLOs attained"
     )
     client.close()
-
-    # 4) what deadline was achievable at all?
-    estimate = min_feasible_slo(
-        get_device("a100"), prompt_tokens=prompt, decode_tokens=decode, head_dim=dim
-    )
-    print(
-        f"   modelled A100 floor for this shape: prefill "
-        f"{estimate.prefill_seconds * 1e3:.2f} ms + {decode} steps x "
-        f"{estimate.decode_step_seconds * 1e6:.0f} us = "
-        f"{estimate.min_latency_seconds * 1e3:.2f} ms minimum latency "
-        f"(recommended SLO {estimate.recommended_slo() * 1e3:.2f} ms)"
-    )
     print("Done.")
 
 

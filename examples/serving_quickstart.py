@@ -33,7 +33,6 @@ def main() -> None:
     parser.add_argument("--length", type=int, default=None, help="context length L")
     parser.add_argument("--dim", type=int, default=32, help="embedded dimension d_k")
     parser.add_argument("--requests", type=int, default=None, help="requests to serve")
-    parser.add_argument("--workers", type=int, default=1, help="scheduler thread-pool size")
     args = parser.parse_args()
 
     length = args.length or (512 if args.quick else 2_048)
@@ -46,12 +45,7 @@ def main() -> None:
     print(f"   mask: {mask.describe()}")
 
     # 1) compile the execution plan once, with a predicted A100 runtime
-    server = AttentionServer(
-        cache_capacity=8,
-        device=A100_SXM4_80GB,
-        head_dim=dim,
-        max_workers=args.workers if args.workers > 1 else None,
-    )
+    server = AttentionServer(cache_capacity=8, device=A100_SXM4_80GB, head_dim=dim)
     start = time.perf_counter()
     plan, _ = server.plan_for(mask, length)
     compile_seconds = time.perf_counter() - start

@@ -56,7 +56,6 @@ ALGORITHMS = (
     "dilated1d",
     "dilated2d",
     "global",
-    "composed",
 )
 
 MaskInput = Union[MaskSpec, np.ndarray, COOMatrix, CSRMatrix, None]
@@ -131,6 +130,12 @@ def run_spec_kernel(
 class GraphAttentionEngine:
     """Dispatches attention computations to the most appropriate kernel.
 
+    Auto dispatch runs a :class:`UnionMask` as its stencil components
+    (local, dilated 1-D or 2-D), each on its own kernel unless an earlier
+    kept stencil overlaps it, plus every other edge as one CSR remainder,
+    and folds the partial results (the paper's "Loc + Glo (+ CSR)" strategy
+    of Section V-F).
+
     Parameters
     ----------
     executor:
@@ -138,17 +143,10 @@ class GraphAttentionEngine:
         kernels.
     scale:
         Attention scale; ``None`` means ``1/sqrt(d_k)``.
-    prefer_composition:
-        When dispatching a :class:`UnionMask`, run each stencil component
-        (local, dilated 1-D or 2-D) on its own kernel unless an earlier kept
-        stencil overlaps it, run every other edge as one CSR remainder, and
-        fold the partial results (the paper's "Loc + Glo (+ CSR)" strategy
-        of Section V-F), instead of collapsing to a single CSR call.
     """
 
     executor: str = "vectorized"
     scale: Optional[float] = None
-    prefer_composition: bool = True
     history: List[AttentionResult] = field(default_factory=list, repr=False)
     #: observability recorder; the shared no-op recorder unless one is injected
     obs: Observability = field(default=NULL_OBS, repr=False)
@@ -191,7 +189,6 @@ class GraphAttentionEngine:
         mask: MaskInput,
         length: int,
         *,
-        algorithm: str = "auto",
         device=None,
         head_dim: Optional[int] = None,
         batch: int = 1,
@@ -218,8 +215,6 @@ class GraphAttentionEngine:
             length,
             executor=self.executor,
             scale=self.scale,
-            prefer_composition=self.prefer_composition,
-            algorithm=algorithm,
             device=device,
             head_dim=head_dim,
             batch=batch,
@@ -284,10 +279,6 @@ class GraphAttentionEngine:
                 scale=self.scale,
                 executor=self.executor,
             )
-        if algorithm == "composed":
-            return self.plan(
-                mask, length, algorithm="composed", compute_key=False
-            ).execute(q, k, v)
         # implicit kernels: the mask must be (convertible to) the right spec type
         require(isinstance(mask, MaskSpec), f"{algorithm} kernel requires a MaskSpec input")
         return run_spec_kernel(q, k, v, mask, scale=self.scale, executor=self.executor)

@@ -96,7 +96,7 @@ class Scenario:
     max_iteration_tokens: Optional[int] = None
     policy: str = "fcfs"
     policy_seed: int = 0
-    preemption: str = "auto"
+    preemption: str = "swap"
 
     @property
     def num_blocks(self) -> int:

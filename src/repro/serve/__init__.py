@@ -10,8 +10,8 @@ Three layers turn the paper's kernels into a serving stack:
   statistics so repeated mask shapes skip compilation entirely.
 * :mod:`repro.serve.scheduler` / :mod:`repro.serve.session` — an
   :class:`AttentionServer` that batches :class:`AttentionRequest`\\ s by plan
-  key, executes them (optionally on a load-balanced thread pool) and returns
-  per-request latencies plus aggregate throughput stats.
+  key, executes each plan's same-shape requests as one stacked kernel pass
+  and returns per-request latencies plus aggregate throughput stats.
 * :mod:`repro.serve.decode` — incremental autoregressive decoding:
   :class:`DecodeSession` KV-cache streams whose per-token steps cost O(edges
   of the new token's mask row), with the steps of concurrent sessions —

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core.engine import MaskInput
 from repro.obs.recorder import Observability
-from repro.perfmodel.devices import DeviceSpec
 from repro.serve.edge import AsyncServingEdge, TenantConfig, TokenStream
 from repro.serve.loop import (
     ContinuousBatchingScheduler,
@@ -88,7 +87,7 @@ class ServingClient:
         pool, one is created (sized by ``num_blocks`` — default 64 — or
         ``memory_budget_bytes``) with the requested ``storage`` format.
     max_streams, prefill_chunk, max_iteration_tokens, preemption,
-    swap_store, device:
+    swap_store:
         Passed to the :class:`~repro.serve.loop.ContinuousBatchingScheduler`
         the client builds lazily on first loop-routed call.
     tenants, default_tenant, max_buffered_chunks:
@@ -123,9 +122,8 @@ class ServingClient:
         max_streams: int = 8,
         prefill_chunk: int = 32,
         max_iteration_tokens: Optional[int] = None,
-        preemption: str = "auto",
+        preemption: str = "swap",
         swap_store: Optional[SwapStore] = None,
-        device: Optional[DeviceSpec] = None,
         tenants: Optional[Dict[str, TenantConfig]] = None,
         default_tenant: Optional[TenantConfig] = None,
         max_buffered_chunks: int = 8,
@@ -174,7 +172,6 @@ class ServingClient:
                 prefill_chunk=prefill_chunk,
                 max_iteration_tokens=max_iteration_tokens,
                 preemption=preemption,
-                device=device,
                 rebalance_interval=rebalance_interval,
             )
             self.server = None
@@ -245,7 +242,6 @@ class ServingClient:
             max_iteration_tokens=max_iteration_tokens,
             preemption=preemption,
             swap_store=swap_store,
-            device=device,
         )
         self._tenants = tenants
         self._default_tenant = default_tenant

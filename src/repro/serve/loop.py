@@ -25,8 +25,8 @@ the field:
    LRU while the live K/V serialize to a host-side
    :class:`~repro.serve.paging.SwapStore`, restored on resume — usually by
    re-sharing the very blocks it parked) or *recompute-from-prompt* (store
-   nothing, replay the causal prefill on resume), chosen per victim by
-   :func:`repro.perfmodel.decode.preemption_cost`.
+   nothing, replay the causal prefill on resume), as the loop's
+   ``preemption`` mode says.
 4. **Policy** — :class:`FCFSPolicy`, :class:`PriorityPolicy`, or
    :class:`WeightedFairPolicy`: the last orders streams by
    priority-weighted sampling without replacement (one vectorised draw), the
@@ -46,7 +46,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,8 +53,7 @@ import numpy as np
 from repro.core.engine import MaskInput
 from repro.obs.recorder import NULL_OBS, Observability
 from repro.obs.tracing import Span
-from repro.perfmodel.decode import blocks_for_tokens, preemption_cost
-from repro.perfmodel.devices import DeviceSpec
+from repro.perfmodel.decode import blocks_for_tokens
 from repro.serve.decode import DecodeSession
 from repro.serve.paging import PagedKVCache, PoolExhausted, SwapStore
 from repro.utils.rng import default_rng
@@ -621,15 +619,11 @@ class ContinuousBatchingScheduler:
         Optional global token budget per iteration, spent in policy order
         (decode steps cost one token, prefill chunks their length).
     preemption:
-        ``"swap"``, ``"recompute"``, or ``"auto"`` (pick per victim via
-        :func:`repro.perfmodel.decode.preemption_cost`; needs ``device`` or
-        a device-carrying server, else auto falls back to swap).
+        ``"swap"`` (the default: keep the victim's computed K/V in the swap
+        store) or ``"recompute"`` (drop it and replay the prompt on resume).
     swap_store:
         Host-side :class:`~repro.serve.paging.SwapStore` for swapped caches
         (a fresh one by default; pass a shared store to meter host memory).
-    device:
-        :class:`~repro.perfmodel.devices.DeviceSpec` for the preemption cost
-        model (defaults to the server's device).
     obs:
         An :class:`~repro.obs.recorder.Observability` recorder for lifecycle
         metrics and trace spans (defaults to the server's recorder, which
@@ -654,9 +648,8 @@ class ContinuousBatchingScheduler:
         max_streams: int = 8,
         prefill_chunk: int = 32,
         max_iteration_tokens: Optional[int] = None,
-        preemption: str = "auto",
+        preemption: str = "swap",
         swap_store: Optional[SwapStore] = None,
-        device: Optional[DeviceSpec] = None,
         obs: Optional[Observability] = None,
         on_emit=None,
     ) -> None:
@@ -671,8 +664,8 @@ class ContinuousBatchingScheduler:
             "max_iteration_tokens must be >= 1 when given",
         )
         require(
-            preemption in ("auto", "swap", "recompute"),
-            "preemption must be auto, swap, or recompute",
+            preemption in ("swap", "recompute"),
+            "preemption must be swap or recompute",
         )
         self.server = server
         self.pool = server.block_pool
@@ -688,7 +681,6 @@ class ContinuousBatchingScheduler:
         self.max_iteration_tokens = max_iteration_tokens
         self.preemption = preemption
         self.swap_store = swap_store if swap_store is not None else SwapStore()
-        self.device = device if device is not None else server.device
         self.on_emit = on_emit
         self.stats = LoopStats()
         self.results: Dict[int, np.ndarray] = {}
@@ -1097,8 +1089,8 @@ class ContinuousBatchingScheduler:
                 # residency is rebuilt, at recompute cost).  The replay is
                 # chunked like regular prefill so no single kernel pass
                 # covers an arbitrarily long prefix; it still completes
-                # within this admission, which the preemption cost model
-                # prices and ``recompute_replayed_tokens`` makes visible.
+                # within this admission, which ``recompute_replayed_tokens``
+                # makes visible.
                 session.cache = cache
                 for start in range(0, stream.emitted, self.prefill_chunk):
                     stop = min(start + self.prefill_chunk, stream.emitted)
@@ -1298,12 +1290,9 @@ class ContinuousBatchingScheduler:
 
     def _preempt(self, victim: _Stream, report: IterationReport) -> None:
         started = time.perf_counter()
-        mode = self.preemption
-        if mode == "auto":
-            mode = self._choose_preemption(victim)
         session = victim.session
         cache = session.cache
-        if mode == "swap" and victim.emitted > 0:
+        if self.preemption == "swap" and victim.emitted > 0:
             handle = cache.swap_out()
             victim.swap_key = victim.request.request_id
             self.swap_store.put(victim.swap_key, handle)
@@ -1338,27 +1327,6 @@ class ContinuousBatchingScheduler:
                 victim.queue_span = obs.trace.start_span(
                     "queue", now, request_id=rid, parent=victim.span, cause="preempt"
                 )
-
-    def _choose_preemption(self, victim: _Stream) -> str:
-        """Price swap vs. recompute for this victim via the decode cost model."""
-        if self.device is None:
-            return "swap"  # no cost model: preserving finished work is the safe default
-        session = victim.session
-        degrees = session.program.causal_degrees()
-        prefix_nnz = int(degrees[: victim.emitted].sum())
-        cache = session.cache
-        estimate = preemption_cost(
-            self.device,
-            victim.emitted,
-            prefix_nnz=prefix_nnz,
-            head_dim=cache.key_dim,
-            value_dim=cache.value_dim,
-            batch=prod(cache.batch_shape) if cache.batch_shape else 1,
-            dtype=cache.dtype,
-            block_size=self.pool.block_size,
-            storage=self.pool.storage,
-        )
-        return estimate.preferred
 
     # ------------------------------------------------------------------ #
     # Completion

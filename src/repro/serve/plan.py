@@ -118,8 +118,6 @@ def plan_cache_key(
     *,
     executor: str = "vectorized",
     scale: Optional[float] = None,
-    prefer_composition: bool = True,
-    algorithm: str = "auto",
     device: Optional[DeviceSpec] = None,
     head_dim: Optional[int] = None,
     batch: int = 1,
@@ -134,8 +132,8 @@ def plan_cache_key(
     """
     device_name = device.name if device is not None else "-"
     return (
-        f"L={length}|alg={algorithm}|mode={mode}|exec={executor}|scale={scale}"
-        f"|compose={prefer_composition}|dev={device_name}|hd={head_dim}|b={batch}"
+        f"L={length}|mode={mode}|exec={executor}|scale={scale}"
+        f"|dev={device_name}|hd={head_dim}|b={batch}"
         f"|mask={mask_key(mask, length)}"
     )
 
@@ -400,8 +398,6 @@ def compile_plan(
     *,
     executor: str = "vectorized",
     scale: Optional[float] = None,
-    prefer_composition: bool = True,
-    algorithm: str = "auto",
     device: Optional[DeviceSpec] = None,
     head_dim: Optional[int] = None,
     batch: int = 1,
@@ -410,11 +406,10 @@ def compile_plan(
 ) -> ExecutionPlan:
     """Compile a mask at a context length into an :class:`ExecutionPlan`.
 
-    ``algorithm`` is ``"auto"`` or ``"composed"``.  Under ``"auto"`` a
-    :class:`~repro.masks.composite.UnionMask` runs as its stencil kernels
-    plus one CSR remainder (see the module docstring) unless
-    ``prefer_composition`` is off, which collapses it into one CSR call;
-    ``"composed"`` splits a union even then.  ``GraphAttentionEngine.run``
+    A :class:`~repro.masks.composite.UnionMask` runs as its stencil kernels
+    plus one CSR remainder (see the module docstring); a mask with a
+    specialised kernel runs on it; every other mask runs as one CSR call,
+    and ``mask=None`` as dense FlashAttention.  ``GraphAttentionEngine.run``
     dispatches through this compiler, so plan execution is numerically
     identical to direct engine dispatch.
 
@@ -438,7 +433,6 @@ def compile_plan(
     """
     require(length > 0, "context length must be positive")
     require(batch >= 1, "batch must be >= 1")
-    require(algorithm in ("auto", "composed"), f"cannot compile algorithm {algorithm!r}")
     require(mode in ("full", "decode"), f"unknown plan mode {mode!r}")
     # coerce materialised inputs once, before keying: mask_key would coerce an
     # ndarray/COO/CSR itself, and the compilation below needs the spec anyway
@@ -450,8 +444,6 @@ def compile_plan(
             length,
             executor=executor,
             scale=scale,
-            prefer_composition=prefer_composition,
-            algorithm=algorithm,
             device=device,
             head_dim=head_dim,
             batch=batch,
@@ -459,7 +451,6 @@ def compile_plan(
         )
 
     if mode == "decode":
-        require(algorithm == "auto", "decode plans always dispatch per row (auto)")
         program = compile_row_program(DenseMask() if mask is None else mask, length)
         return ExecutionPlan(
             key=key,
@@ -477,37 +468,29 @@ def compile_plan(
         )
 
     if mask is None:
-        require(algorithm == "auto", "composed execution requires a UnionMask")
         steps: Tuple[PlanStep, ...] = (
             PlanStep(kernel="flash", nnz=length * length),
         )
         plan_algorithm = "flash"
-    else:
-        if algorithm == "composed":
-            require(isinstance(mask, UnionMask), "composed execution requires a UnionMask")
-
-        compose = isinstance(mask, UnionMask) and (
-            algorithm == "composed" or prefer_composition
-        )
-        if compose:
-            steps = tuple(_union_steps(mask, length))
-            if len(steps) > 1:
-                plan_algorithm = "composed"
-            elif steps:  # one kernel covers the whole union
-                plan_algorithm = steps[0].kernel
-            else:  # every component was empty — degrade to one CSR call
-                union_csr = materialize_explicit(mask, length, "csr")
-                steps = (PlanStep(kernel="csr", csr=union_csr, nnz=union_csr.nnz),)
-                plan_algorithm = "csr"
-        elif has_specialised_kernel(mask):
-            steps = (
-                PlanStep(kernel=spec_kernel_name(mask), spec=mask, nnz=mask.nnz(length)),
-            )
-            plan_algorithm = spec_kernel_name(mask)
-        else:
-            csr = materialize_explicit(mask, length, "csr")
-            steps = (PlanStep(kernel="csr", csr=csr, nnz=csr.nnz),)
+    elif isinstance(mask, UnionMask):
+        steps = tuple(_union_steps(mask, length))
+        if len(steps) > 1:
+            plan_algorithm = "composed"
+        elif steps:  # one kernel covers the whole union
+            plan_algorithm = steps[0].kernel
+        else:  # every component was empty — degrade to one CSR call
+            union_csr = materialize_explicit(mask, length, "csr")
+            steps = (PlanStep(kernel="csr", csr=union_csr, nnz=union_csr.nnz),)
             plan_algorithm = "csr"
+    elif has_specialised_kernel(mask):
+        steps = (
+            PlanStep(kernel=spec_kernel_name(mask), spec=mask, nnz=mask.nnz(length)),
+        )
+        plan_algorithm = spec_kernel_name(mask)
+    else:
+        csr = materialize_explicit(mask, length, "csr")
+        steps = (PlanStep(kernel="csr", csr=csr, nnz=csr.nnz),)
+        plan_algorithm = "csr"
 
     return ExecutionPlan(
         key=key,

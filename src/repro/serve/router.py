@@ -56,7 +56,6 @@ from repro.distributed.partition_balance import balanced_worker_bins
 from repro.distributed.sequence_parallel import kv_parallel_attention
 from repro.obs.recorder import Observability
 from repro.perfmodel.decode import blocks_for_tokens
-from repro.perfmodel.devices import DeviceSpec
 from repro.serve.decode import decode_reference_mask
 from repro.serve.loop import (
     ContinuousBatchingScheduler,
@@ -215,7 +214,7 @@ class ReplicaRouter:
     clock, obs:
         Shared clock (ticked once per router step) and observability
         recorder, threaded through every replica.
-    max_streams, prefill_chunk, max_iteration_tokens, preemption, device:
+    max_streams, prefill_chunk, max_iteration_tokens, preemption:
         Forwarded to each replica's scheduler.
     rebalance_interval:
         Run :meth:`rebalance` every this many steps (0 disables the
@@ -251,8 +250,7 @@ class ReplicaRouter:
         max_streams: int = 8,
         prefill_chunk: int = 32,
         max_iteration_tokens: Optional[int] = None,
-        preemption: str = "auto",
-        device: Optional[DeviceSpec] = None,
+        preemption: str = "swap",
         rebalance_interval: int = 8,
         rebalance_threshold: float = 1.5,
         shard_oversized: bool = True,
@@ -289,7 +287,7 @@ class ReplicaRouter:
         replica_clock = _ReplicaClock(self.clock)
         self.replicas: List[ReplicaHandle] = []
         for index in range(self.num_replicas):
-            server = AttentionServer(obs=self.obs, device=device)
+            server = AttentionServer(obs=self.obs)
             server.create_block_pool(
                 key_dim=key_dim,
                 value_dim=value_dim,
@@ -310,7 +308,6 @@ class ReplicaRouter:
                 max_iteration_tokens=max_iteration_tokens,
                 preemption=preemption,
                 swap_store=swap_store,
-                device=device,
                 obs=self.obs,
             )
             self.replicas.append(

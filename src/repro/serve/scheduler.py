@@ -13,14 +13,7 @@ executes the whole stack in a single vectorized kernel pass (the kernels
 treat leading axes as first-class batch dimensions), after which the stacked
 result is sliced back into per-request responses.  Requests with ragged
 shapes simply form singleton groups and take the same code path one slice at
-a time.
-
-Execution is serial by default; with ``max_workers > 1`` coalesced groups are
-spread over a thread pool using the greedy longest-processing-time balancing
-of :func:`repro.distributed.partition_balance.balanced_worker_bins`, with
-each group's plan edge count times its stacked width as its load — the same
-pick-work-by-expected-cost idea the distributed partitioners apply to query
-rows.
+a time.  Groups execute one after another on the calling thread.
 
 Autoregressive decoding streams through the same front-end: the
 continuous-batching loop and :meth:`repro.serve.client.ServingClient.open_session`
@@ -37,9 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +38,6 @@ import numpy as np
 
 from repro.core.engine import MaskInput
 from repro.core.result import AttentionResult
-from repro.distributed.partition_balance import balanced_worker_bins
 from repro.masks.base import as_mask_spec
 from repro.obs.recorder import Observability, default_observability
 from repro.sparse.coo import COOMatrix
@@ -110,12 +100,11 @@ class AttentionServer:
     lock, so threads opening sessions over one mask compile its plan once;
     the capacity grant behind a paged session open is all-or-nothing under
     the block pool's own lock, so concurrent opens can be refused but never
-    over-commit the pool.  Kernel execution is parallelised internally via
-    ``max_workers``.
+    over-commit the pool.
 
     Parameters
     ----------
-    executor, scale, prefer_composition:
+    executor, scale:
         Kernel execution knobs, identical to
         :class:`~repro.core.engine.GraphAttentionEngine`.
     cache_capacity:
@@ -126,9 +115,6 @@ class AttentionServer:
     head_dim:
         Head dimension assumed by runtime prediction (defaults to the plan
         compiler's constant).
-    max_workers:
-        ``None`` or ``1`` executes serially; larger values execute each
-        :meth:`serve` call on a thread pool with load-balanced request bins.
     obs:
         An :class:`~repro.obs.recorder.Observability` recorder shared with
         the plan cache, any pool created by :meth:`create_block_pool`, and
@@ -142,21 +128,16 @@ class AttentionServer:
         *,
         executor: str = "vectorized",
         scale: Optional[float] = None,
-        prefer_composition: bool = True,
         cache_capacity: int = 64,
         device: Optional[DeviceSpec] = None,
         head_dim: Optional[int] = None,
-        max_workers: Optional[int] = None,
         block_pool: Optional[BlockPool] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        require(max_workers is None or max_workers >= 1, "max_workers must be >= 1")
         self.executor = executor
         self.scale = scale
-        self.prefer_composition = prefer_composition
         self.device = device
         self.head_dim = head_dim
-        self.max_workers = max_workers
         # fall back to the process-wide recorder so REPRO_OBS=1 instruments
         # any serving stack without code changes (NULL_OBS when unset)
         self.obs = obs if obs is not None else default_observability()
@@ -170,42 +151,32 @@ class AttentionServer:
         #: ``server_kernel_seconds`` children by (plan key, phase), each
         #: resolved once; streaming passes record through them
         self._kernel_seconds: Dict[Tuple[str, str], object] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
-        #: guards creating and shutting down ``_pool``: concurrent ``serve``
-        #: calls must share one executor, and ``close`` must reach it
-        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Planning
     # ------------------------------------------------------------------ #
-    def key_for(
-        self, mask: MaskInput, length: int, *, algorithm: str = "auto", mode: str = "full"
-    ) -> str:
+    def key_for(self, mask: MaskInput, length: int, *, mode: str = "full") -> str:
         """Canonical plan key a request with this mask/length resolves to."""
         return plan_cache_key(
             mask,
             length,
             executor=self.executor,
             scale=self.scale,
-            prefer_composition=self.prefer_composition,
-            algorithm=algorithm,
             device=self.device,
             head_dim=self.head_dim,
             mode=mode,
         )
 
-    def plan_for(
-        self, mask: MaskInput, length: int, *, algorithm: str = "auto", mode: str = "full"
-    ) -> Tuple[ExecutionPlan, bool]:
+    def plan_for(self, mask: MaskInput, length: int, *, mode: str = "full") -> Tuple[ExecutionPlan, bool]:
         """Fetch or compile the plan for one mask shape; returns ``(plan, was_hit)``.
 
         Useful for warming the cache ahead of a traffic burst.
         """
-        key = self.key_for(mask, length, algorithm=algorithm, mode=mode)
-        return self._plan_for_key(key, mask, length, algorithm, mode=mode)
+        key = self.key_for(mask, length, mode=mode)
+        return self._plan_for_key(key, mask, length, mode=mode)
 
     def _plan_for_key(
-        self, key: str, mask: MaskInput, length: int, algorithm: str, *, mode: str = "full"
+        self, key: str, mask: MaskInput, length: int, *, mode: str = "full"
     ) -> Tuple[ExecutionPlan, bool]:
         def _compile() -> ExecutionPlan:
             with self.stats.lock:
@@ -215,8 +186,6 @@ class AttentionServer:
                 length,
                 executor=self.executor,
                 scale=self.scale,
-                prefer_composition=self.prefer_composition,
-                algorithm=algorithm,
                 device=self.device,
                 head_dim=self.head_dim,
                 mode=mode,
@@ -246,11 +215,9 @@ class AttentionServer:
         k: np.ndarray,
         v: np.ndarray,
         mask: MaskInput = None,
-        *,
-        algorithm: str = "auto",
     ) -> AttentionResponse:
         """Serve a single ad-hoc request."""
-        return self.serve([AttentionRequest(q=q, k=k, v=v, mask=mask, algorithm=algorithm)])[0]
+        return self.serve([AttentionRequest(q=q, k=k, v=v, mask=mask)])[0]
 
     # ------------------------------------------------------------------ #
     # Streaming decode
@@ -401,7 +368,7 @@ class AttentionServer:
         a rejected stream on a later iteration.
         """
         key = self.key_for(mask, horizon, mode="decode")
-        plan, hit = self._plan_for_key(key, mask, horizon, "auto", mode="decode")
+        plan, hit = self._plan_for_key(key, mask, horizon, mode="decode")
         if paged:
             require(
                 self.block_pool is not None,
@@ -543,20 +510,20 @@ class AttentionServer:
         # key derivation coerces and content-hashes materialised masks, so
         # requests sharing one mask object (the common repeated-traffic shape)
         # do that once, and the coerced spec is reused for compilation too
-        key_memo: Dict[Tuple[int, int, str], Tuple[str, MaskInput]] = {}
+        key_memo: Dict[Tuple[int, int], Tuple[str, MaskInput]] = {}
         for index, request in enumerate(requests):
-            memo = (id(request.mask), request.length, request.algorithm)
+            memo = (id(request.mask), request.length)
             entry = key_memo.get(memo)
             if entry is None:
                 mask = request.mask
                 if isinstance(mask, (np.ndarray, COOMatrix, CSRMatrix)):
                     mask = as_mask_spec(mask)
-                key = self.key_for(mask, request.length, algorithm=request.algorithm)
+                key = self.key_for(mask, request.length)
                 entry = key_memo[memo] = (key, mask)
             key, mask = entry
             batch = batches.get(key)
             if batch is None:
-                plan, hit = self._plan_for_key(key, mask, request.length, request.algorithm)
+                plan, hit = self._plan_for_key(key, mask, request.length)
                 batch = batches[key] = RequestBatch(plan=plan, cache_hit=hit)
             batch.requests.append(request)
             # requests coalesce only when every tensor matches in shape and
@@ -575,19 +542,14 @@ class AttentionServer:
             group.positions.append(index)
             group.requests.append(request)
 
-        # coalescing stats are counted here, on the intake thread — the group
-        # executors may run on pool workers, where unsynchronised increments
-        # of the shared counters would race
+        ordered = [pair for group in groups.values() for pair in self._execute_group(group)]
+        responses = [response for _, response in sorted(ordered, key=lambda pair: pair[0])]
+
         with self.stats.lock:
             for group in groups.values():
                 if group.size > 1:
                     self.stats.stacked_executions += 1
                     self.stats.coalesced_requests += group.size
-
-        ordered = self._execute_groups(list(groups.values()))
-        responses = [response for _, response in sorted(ordered, key=lambda pair: pair[0])]
-
-        with self.stats.lock:
             self.stats.requests += len(requests)
             self.stats.batches += len(batches)
             self.stats.flushes += 1
@@ -598,29 +560,6 @@ class AttentionServer:
         return responses
 
     # ------------------------------------------------------------------ #
-    def _execute_groups(
-        self, groups: Sequence[ExecutionGroup]
-    ) -> List[Tuple[int, AttentionResponse]]:
-        workers = self.max_workers or 1
-        workers = min(workers, len(groups))
-        if workers <= 1:
-            return [pair for group in groups for pair in self._execute_group(group)]
-        loads = np.asarray(
-            [max(group.batch.plan.nnz, 1) * group.size for group in groups],
-            dtype=np.int64,
-        )
-        bins = balanced_worker_bins(loads, workers)
-
-        def _run_bin(indices: np.ndarray) -> List[Tuple[int, AttentionResponse]]:
-            return [pair for i in indices for pair in self._execute_group(groups[i])]
-
-        with self._pool_lock:
-            if self._pool is None:  # lazily created, reused across serve calls
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            pool = self._pool
-        chunks = list(pool.map(_run_bin, [b for b in bins if b.size]))
-        return [pair for chunk in chunks for pair in chunk]
-
     def _execute_group(self, group: ExecutionGroup) -> List[Tuple[int, AttentionResponse]]:
         if group.size == 1:
             return [(group.positions[0], self._execute_one(group.requests[0], group.batch))]
@@ -655,32 +594,17 @@ class AttentionServer:
         return responses
 
     def close(self) -> None:
-        """Release the worker pool (the server stays usable; it re-creates one).
+        """No-op: the server holds no threads or other resources to release.
 
-        Idempotent; also invoked by the context-manager exit and, as a last
-        resort, by :meth:`__del__` — a lazily created pool must not outlive
-        the server, since its worker threads would otherwise leak until
-        interpreter shutdown.
+        Kept so callers and the context manager end every serving object the
+        same way.
         """
-        lock = getattr(self, "_pool_lock", None)
-        if lock is None:  # __init__ failed before the pool could exist
-            return
-        with lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
     def __enter__(self) -> "AttentionServer":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing is interpreter-specific
-        try:
-            self.close()
-        except Exception:
-            pass  # never raise during garbage collection
 
     def _execute_one(
         self, request: AttentionRequest, batch: RequestBatch

@@ -32,15 +32,13 @@ class AttentionRequest:
     multi-head layer) sharing one mask — the plan executes every leading axis
     in one vectorized kernel pass; they must be real floating point and
     finite.  ``request_id`` may be left ``None``; the server assigns one at
-    submission.  ``algorithm`` chooses between the engine's auto dispatch
-    (``"auto"``) and forced composed execution (``"composed"``).
+    submission.
     """
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     mask: MaskInput = None
-    algorithm: str = "auto"
     request_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -51,7 +49,6 @@ class AttentionRequest:
             self.v.shape[:-1] == self.q.shape[:-1],
             "v must cover the same batch axes and rows as q",
         )
-        require(self.algorithm in ("auto", "composed"), "requests dispatch auto or composed")
         for name in ("q", "k", "v"):
             check_real_finite(getattr(self, name), name)
 

@@ -84,7 +84,10 @@ MASKS = [
 STREAM_MASKS = len(MASKS) - 1
 
 POLICIES = ("fcfs", "priority", "weighted")
-PREEMPTION_MODES = ("auto", "swap", "recompute")
+#: Preemption modes a sampled workload can run.  ``"swap"`` fills two slots:
+#: the first stood for the retired ``"auto"`` mode, which ran as swap with no
+#: device given, so every seed keeps the draw and the workload it had.
+PREEMPTION_MODES = ("swap", "swap", "recompute")
 PRIORITIES = (0.5, 1.0, 2.0, 4.0)
 #: Replica counts a sampled workload can route across (1 = plain loop);
 #: 1 is over-weighted so most seeds still exercise the single-loop driver.
@@ -179,7 +182,7 @@ class SimWorkload:
     max_iteration_tokens: Optional[int] = None
     policy: str = "fcfs"
     policy_seed: int = 0
-    preemption: str = "auto"
+    preemption: str = "swap"
     dim: int = DIM
     #: base seed this workload was sampled from (None for hand-built ones);
     #: failure messages print it for one-variable replay
@@ -217,7 +220,7 @@ def build_workload(
     max_iteration_tokens: Optional[int] = None,
     policy: str = "fcfs",
     policy_seed: int = 0,
-    preemption: str = "auto",
+    preemption: str = "swap",
     seed: Optional[int] = None,
 ) -> SimWorkload:
     """Assemble a :class:`SimWorkload` from plain spec dictionaries.

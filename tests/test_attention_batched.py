@@ -228,15 +228,3 @@ class TestServerCoalescing:
         solo = server.handle(*random_qkv(LENGTH, DIM, seed=99), mask)
         for response in responses:
             assert response.result.ops.dot_products == solo.result.ops.dot_products
-
-    def test_threaded_coalescing_matches_serial(self):
-        mask = longformer_mask(reach=6, global_tokens=(0,))
-        data = [random_qkv(LENGTH, DIM, seed=70 + i) for i in range(6)]
-        serial = AttentionServer(cache_capacity=4).serve(
-            [AttentionRequest(q=q, k=k, v=v, mask=mask) for q, k, v in data]
-        )
-        threaded = AttentionServer(cache_capacity=4, max_workers=3).serve(
-            [AttentionRequest(q=q, k=k, v=v, mask=mask) for q, k, v in data]
-        )
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.output, b.output)

@@ -68,12 +68,6 @@ class TestAutoDispatch:
         assert result.meta["components"] == ["local", "csr"]
         assert_allclose_paper(result.output, sdp_attention(q, k, v, mask).output)
 
-    def test_composition_can_be_disabled(self, medium_qkv):
-        q, k, v = medium_qkv
-        engine = GraphAttentionEngine(prefer_composition=False)
-        mask = longformer_mask(reach=10, global_tokens=(0,))
-        assert engine.run(q, k, v, mask).algorithm == "csr"
-
 
 class TestNamedAlgorithms:
     def test_algorithm_names_exported(self):
@@ -86,18 +80,6 @@ class TestNamedAlgorithms:
         for name in ("sdp", "csr", "coo", "local"):
             result = engine.run(q, k, v, spec, algorithm=name)
             np.testing.assert_allclose(result.output, reference, atol=1e-8)
-
-    def test_composed_requires_union(self, engine, small_qkv):
-        q, k, v = small_qkv
-        with pytest.raises(ValueError):
-            engine.run(q, k, v, LocalMask(window=2), algorithm="composed")
-
-    def test_composed_execution_of_bigbird(self, engine, medium_qkv):
-        q, k, v = medium_qkv
-        mask = bigbird_mask(reach=8, global_tokens=(0,), random_sparsity=0.01, seed=2)
-        result = engine.run(q, k, v, mask, algorithm="composed")
-        assert result.algorithm == "composed"
-        assert_allclose_paper(result.output, sdp_attention(q, k, v, mask).output)
 
     def test_flash_rejects_mask(self, engine, small_qkv):
         q, k, v = small_qkv

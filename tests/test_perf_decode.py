@@ -1,20 +1,22 @@
-"""Tests for the decode-step runtime/memory model (repro.perfmodel.decode)."""
+"""Tests for the KV-cache memory model (repro.perfmodel.decode)."""
 
+import dataclasses
+from math import prod
+
+import numpy as np
 import pytest
 
 from repro.perfmodel.decode import (
-    DecodeRuntimeModel,
     blocks_for_tokens,
-    decode_step_flops,
     kv_block_bytes,
     kv_cache_bytes,
     max_cached_tokens,
     paged_kv_cache_bytes,
     paged_sessions_supported,
     paging_fragmentation_overhead,
-    preemption_cost,
 )
 from repro.perfmodel.devices import A100_SXM4_80GB, V100_SXM2_32GB
+from repro.serve.paging import BlockPool, PagedKVCache, PoolExhausted
 
 
 class TestKVCacheBytes:
@@ -34,54 +36,6 @@ class TestKVCacheBytes:
             kv_cache_bytes(-1, 64)
         with pytest.raises(ValueError):
             kv_cache_bytes(16, 0)
-
-
-class TestDecodeStepFlops:
-    def test_work_optimal_step_cost(self):
-        # 2 d_k per dot product + 2 d_v per value accumulation, per edge
-        assert decode_step_flops(100, 64) == 100 * (2 * 64 + 2 * 64)
-        assert decode_step_flops(100, 64, value_dim=32) == 100 * (2 * 64 + 2 * 32)
-        assert decode_step_flops(100, 64, heads=8, batch=2) == 16 * decode_step_flops(100, 64)
-
-    def test_empty_row_costs_nothing(self):
-        assert decode_step_flops(0, 64) == 0
-
-
-class TestDecodeRuntimeModel:
-    def test_step_estimate_components(self):
-        model = DecodeRuntimeModel(A100_SXM4_80GB)
-        estimate = model.estimate_step(128, 64)
-        assert estimate.seconds > 0
-        assert estimate.seconds >= estimate.overhead_seconds
-        assert estimate.flops == decode_step_flops(128, 64)
-        assert estimate.tokens_per_second() == pytest.approx(1.0 / estimate.seconds)
-
-    def test_step_cost_grows_with_row_edges(self):
-        model = DecodeRuntimeModel(A100_SXM4_80GB)
-        small = model.estimate_step(64, 64)
-        large = model.estimate_step(64 * 1024, 64)
-        assert large.seconds > small.seconds
-        assert large.bytes_moved > small.bytes_moved
-
-    def test_speedup_vs_recompute_widens_with_length(self):
-        # fixed window: row edges stay constant while the prefix edge count
-        # grows linearly, so the incremental advantage must widen
-        model = DecodeRuntimeModel(A100_SXM4_80GB)
-        window_edges = 129
-        speedups = [
-            model.speedup_vs_recompute(
-                window_edges, window_edges * length, length, 64
-            )
-            for length in (1024, 8192, 65536)
-        ]
-        assert speedups[0] > 1.0
-        assert speedups == sorted(speedups)
-
-    def test_recompute_matches_csr_runtime_model(self):
-        model = DecodeRuntimeModel(A100_SXM4_80GB)
-        estimate = model.estimate_recompute(100_000, 2048, 64)
-        assert estimate.algorithm == "csr"
-        assert estimate.seconds > 0
 
 
 class TestMaxCachedTokens:
@@ -202,16 +156,6 @@ class TestStorageAccounting:
         int8 = paged_sessions_supported(budget, storage="int8", **kwargs)
         assert int8 >= 2 * fp32 > 0
 
-    def test_preemption_swap_ships_the_encoded_payload(self):
-        kwargs = dict(prefix_nnz=50_000, head_dim=64, dtype="fp32")
-        fp32 = preemption_cost(A100_SXM4_80GB, 1024, **kwargs)
-        int8 = preemption_cost(A100_SXM4_80GB, 1024, storage="int8", **kwargs)
-        # int8 payload + 16B/token params vs 8B/token of fp32 K+V rows... the
-        # dense path: (64+64)·1 + 16 = 144 B/token vs (64+64)·4 = 512 B/token
-        assert int8.swap_bytes == 1024 * 144
-        assert int8.swap_bytes < fp32.swap_bytes
-        assert int8.swap_seconds < fp32.swap_seconds
-
     def test_max_cached_tokens_grows_with_quantized_storage(self):
         dense = max_cached_tokens(A100_SXM4_80GB, head_dim=64, dtype="fp32")
         quant = max_cached_tokens(
@@ -224,50 +168,201 @@ class TestStorageAccounting:
         assert paged <= quant and quant - paged < 16
 
 
-class TestPreemptionCost:
-    def test_swap_cost_is_a_round_trip_over_the_cache_bytes(self):
-        estimate = preemption_cost(A100_SXM4_80GB, 1024, prefix_nnz=50_000, head_dim=64)
-        assert estimate.swap_bytes == kv_cache_bytes(1024, 64, dtype="fp16")
-        assert estimate.swap_out_seconds == estimate.swap_in_seconds
-        assert estimate.swap_seconds == pytest.approx(
-            estimate.swap_out_seconds + estimate.swap_in_seconds
+# --------------------------------------------------------------------------- #
+# The model against the live allocator: every figure above is a prediction
+# of what repro.serve.paging does, so each one is replayed on a real pool
+# --------------------------------------------------------------------------- #
+def _rows(batch_shape, count, dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(tuple(batch_shape) + (count, dim)).astype(np.float32)
+
+
+def _model_geometry(key_dim, value_dim, batch_shape):
+    """kv_block_bytes keyword arguments for a pool's layout."""
+    # the model counts heads · batch slices; a pool counts prod(batch_shape)
+    heads = batch_shape[-1] if batch_shape else 1
+    batch = prod(batch_shape[:-1]) if len(batch_shape) > 1 else 1
+    return dict(value_dim=value_dim, heads=heads, batch=batch, dtype="fp32")
+
+
+class TestLivePoolReplay:
+    @pytest.mark.parametrize(
+        "block_size, key_dim, value_dim, batch_shape, storage",
+        [
+            (1, 8, 8, (), "fp32"),
+            (16, 64, 64, (), "fp16"),
+            (16, 64, 64, (), "int8"),
+            (8, 32, 16, (), "fp32"),
+            (8, 32, 16, (), "int8"),
+            (4, 8, 8, (2, 3), "fp32"),
+            (4, 8, 8, (2, 3), "int8"),
+            (32, 16, 16, (4,), "fp16"),
+        ],
+    )
+    def test_block_bytes_and_budget_blocks_match_the_pool(
+        self, block_size, key_dim, value_dim, batch_shape, storage
+    ):
+        geometry = _model_geometry(key_dim, value_dim, batch_shape)
+        block_bytes = kv_block_bytes(block_size, key_dim, storage=storage, **geometry)
+        pool = BlockPool(
+            3,
+            block_size,
+            key_dim=key_dim,
+            value_dim=value_dim,
+            batch_shape=batch_shape,
+            storage=storage,
         )
-
-    def test_block_padding_inflates_the_swap_bytes(self):
-        dense = preemption_cost(A100_SXM4_80GB, 17, prefix_nnz=100, head_dim=64)
-        paged = preemption_cost(
-            A100_SXM4_80GB, 17, prefix_nnz=100, head_dim=64, block_size=16
-        )
-        assert paged.swap_bytes == paged_kv_cache_bytes(17, 64, block_size=16)
-        assert paged.swap_bytes > dense.swap_bytes
-
-    def test_preferred_mode_tracks_the_cheaper_path(self):
-        # a sparse long stream's prefix replays almost for free: recompute wins
-        sparse = preemption_cost(A100_SXM4_80GB, 4096, prefix_nnz=100, head_dim=64)
-        assert sparse.preferred == "recompute"
-        # an edge-heavy prefix costs a full kernel pass to replay: swap wins
-        dense = preemption_cost(A100_SXM4_80GB, 1024, prefix_nnz=10**7, head_dim=64)
-        assert dense.preferred == "swap"
-        assert dense.recompute_seconds > dense.swap_seconds
-
-    def test_recompute_cost_grows_with_the_prefix_edges(self):
-        small = preemption_cost(A100_SXM4_80GB, 512, prefix_nnz=10_000, head_dim=64)
-        large = preemption_cost(A100_SXM4_80GB, 512, prefix_nnz=1_000_000, head_dim=64)
-        assert large.recompute_seconds > small.recompute_seconds
-        assert large.swap_seconds == small.swap_seconds  # bytes don't depend on edges
-
-    def test_zero_tokens_cost_nothing(self):
-        estimate = preemption_cost(A100_SXM4_80GB, 0, prefix_nnz=0, head_dim=64)
-        assert estimate.swap_bytes == 0
-        assert estimate.swap_seconds == 0.0
-        assert estimate.recompute_seconds == 0.0
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            preemption_cost(A100_SXM4_80GB, -1, prefix_nnz=0, head_dim=64)
-        with pytest.raises(ValueError):
-            preemption_cost(A100_SXM4_80GB, 1, prefix_nnz=-1, head_dim=64)
-        with pytest.raises(ValueError):
-            preemption_cost(
-                A100_SXM4_80GB, 1, prefix_nnz=0, head_dim=64, swap_bandwidth_fraction=0.0
+        assert pool.block_bytes == block_bytes
+        assert pool.nbytes == 3 * block_bytes  # arenas plus int8 parameters
+        # a budget one byte short of a whole block buys one block fewer
+        for budget in (7 * block_bytes, 7 * block_bytes - 1):
+            sized = BlockPool.from_budget(
+                budget,
+                block_size,
+                key_dim=key_dim,
+                value_dim=value_dim,
+                batch_shape=batch_shape,
+                storage=storage,
             )
+            assert sized.num_blocks == budget // block_bytes
+            assert sized.nbytes <= budget
+
+    @pytest.mark.parametrize("storage", ["fp32", "int8"])
+    @pytest.mark.parametrize("block_size", [1, 4, 16])
+    def test_growing_cache_maps_blocks_for_tokens(self, block_size, storage):
+        key_dim = 8
+        pool = BlockPool(80, block_size, key_dim=key_dim, storage=storage)
+        cache = PagedKVCache(pool)
+        chunks = [1, 3, 7, 16, 2, 1, 15, 5, 20]  # 70 tokens, crossing blocks unevenly
+        for seed, count in enumerate(chunks):
+            cache.extend(
+                _rows((), count, key_dim, seed), _rows((), count, key_dim, 100 + seed)
+            )
+            length = cache.length
+            assert cache.blocks_used == blocks_for_tokens(length, block_size)
+            expected = paged_kv_cache_bytes(
+                length, key_dim, block_size=block_size, dtype="fp32", storage=storage
+            )
+            assert cache.nbytes == pool.used_bytes == expected
+            slack = (cache.capacity - length) / length
+            assert slack == paging_fragmentation_overhead(length, block_size)
+
+    @pytest.mark.parametrize(
+        "prompt, shared, decode, block_size, storage, batch_shape",
+        [
+            (24, 0, 0, 8, "fp32", ()),  # nothing shared, block-aligned prompts
+            (30, 0, 5, 8, "fp32", ()),  # nothing shared, decode past the prompt
+            (64, 48, 8, 16, "fp32", ()),  # block-aligned shared prefix
+            (40, 37, 3, 8, "fp32", ()),  # only the prefix's 4 whole blocks share
+            (20, 20, 6, 8, "fp32", ()),  # shared partial tail copied on write
+            (32, 32, 1, 16, "fp32", ()),  # whole prompt shared, one decode token
+            (64, 48, 8, 16, "int8", ()),
+            (40, 32, 4, 4, "fp16", (2,)),
+            (33, 16, 2, 1, "int8", ()),
+        ],
+    )
+    def test_sessions_supported_equals_live_admissions(
+        self, prompt, shared, decode, block_size, storage, batch_shape
+    ):
+        key_dim = 8
+        geometry = _model_geometry(key_dim, key_dim, batch_shape)
+        block_bytes = kv_block_bytes(block_size, key_dim, storage=storage, **geometry)
+        budget = 60 * block_bytes + block_bytes // 2
+        expected = paged_sessions_supported(
+            budget,
+            prompt_tokens=prompt,
+            shared_prefix_tokens=shared,
+            decode_tokens=decode,
+            block_size=block_size,
+            head_dim=key_dim,
+            storage=storage,
+            **geometry,
+        )
+        pool = BlockPool.from_budget(
+            budget, block_size, key_dim=key_dim, batch_shape=batch_shape, storage=storage
+        )
+        prefix_k = _rows(batch_shape, shared, key_dim, 0)
+        prefix_v = _rows(batch_shape, shared, key_dim, 1)
+        admitted = 0
+        while admitted <= expected:  # one attempt past the model's count
+            seed = 10 * (admitted + 1)
+            cache = PagedKVCache(pool)
+            tail = prompt - shared
+            try:
+                cache.extend(
+                    np.concatenate([prefix_k, _rows(batch_shape, tail, key_dim, seed)], -2),
+                    np.concatenate([prefix_v, _rows(batch_shape, tail, key_dim, seed + 1)], -2),
+                )
+                for step in range(decode):
+                    cache.append(
+                        _rows(batch_shape, 1, key_dim, seed + 2 + step)[..., 0, :],
+                        _rows(batch_shape, 1, key_dim, seed + 5 + step)[..., 0, :],
+                    )
+            except PoolExhausted:
+                break
+            assert cache.length == prompt + decode
+            admitted += 1
+        assert admitted == expected > 0
+
+    @pytest.mark.parametrize(
+        "block_size, storage, reserved, batch_shape",
+        [
+            (16, "fp32", 0, ()),
+            (16, "int8", 0, ()),
+            (8, "fp16", 4096, ()),
+            (1, "fp32", 1000, ()),
+            (4, "int8", 0, (2,)),
+        ],
+    )
+    def test_max_cached_tokens_fills_one_live_stream(
+        self, block_size, storage, reserved, batch_shape
+    ):
+        key_dim = 8
+        device = dataclasses.replace(A100_SXM4_80GB, memory_bytes=40_000)
+        geometry = _model_geometry(key_dim, key_dim, batch_shape)
+        expected = max_cached_tokens(
+            device,
+            head_dim=key_dim,
+            storage=storage,
+            reserved_bytes=reserved,
+            block_size=block_size,
+            **geometry,
+        )
+        dense = max_cached_tokens(
+            device, head_dim=key_dim, storage=storage, reserved_bytes=reserved, **geometry
+        )
+        pool = BlockPool.from_budget(
+            device.memory_bytes - reserved,
+            block_size,
+            key_dim=key_dim,
+            batch_shape=batch_shape,
+            storage=storage,
+        )
+        cache = PagedKVCache(pool)
+        for count in (5, 1):  # chunked prefill, then token by token to the end
+            while True:
+                try:
+                    cache.extend(
+                        _rows(batch_shape, count, key_dim, cache.length),
+                        _rows(batch_shape, count, key_dim, cache.length + 1),
+                    )
+                except PoolExhausted:
+                    break
+        assert cache.length == expected > 0
+        assert 0 <= dense - expected < block_size  # paging drops a partial block
+
+    @pytest.mark.parametrize("batch_shape", [(), (2,)])
+    @pytest.mark.parametrize("storage", ["fp32", "fp16", "int8"])
+    def test_swap_out_parks_the_priced_bytes_per_token(self, storage, batch_shape):
+        key_dim, length = 16, 13
+        pool = BlockPool(8, 4, key_dim=key_dim, batch_shape=batch_shape, storage=storage)
+        cache = PagedKVCache(pool)
+        cache.extend(
+            _rows(batch_shape, length, key_dim, 0), _rows(batch_shape, length, key_dim, 1)
+        )
+        handle = cache.swap_out()
+        geometry = _model_geometry(key_dim, key_dim, batch_shape)
+        # a one-token block is one token's stored K/V rows plus int8 parameters
+        per_token = kv_block_bytes(1, key_dim, storage=storage, **geometry)
+        assert handle.nbytes == length * per_token
+        assert pool.blocks_in_use == 0

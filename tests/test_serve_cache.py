@@ -137,17 +137,13 @@ class TestCachedPlanCorrectness:
         cache = PlanCache(capacity=4)
 
         mask = mask_factory()
-        key = plan_cache_key(mask, length, algorithm="composed")
-        plan, hit = cache.get_or_compile(
-            key, lambda: compile_plan(mask, length, algorithm="composed")
-        )
+        key = plan_cache_key(mask, length)
+        plan, hit = cache.get_or_compile(key, lambda: compile_plan(mask, length))
         assert not hit
-        cached_plan, hit = cache.get_or_compile(
-            key, lambda: compile_plan(mask, length, algorithm="composed")
-        )
+        cached_plan, hit = cache.get_or_compile(key, lambda: compile_plan(mask, length))
         assert hit and cached_plan is plan
 
-        uncached = engine.run(q, k, v, mask_factory(), algorithm="composed")
+        uncached = engine.run(q, k, v, mask_factory())
         served = cached_plan.execute(q, k, v)
         assert served.algorithm == uncached.algorithm == "composed"
         np.testing.assert_array_equal(served.output, uncached.output)

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import perfmodel
 from repro.core import compiled
+from repro.core.engine import ALGORITHMS, GraphAttentionEngine
 from repro.masks.base import MaskSpec
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.obs.recorder import Observability
 from repro.obs.scenarios import run_scenario
+from repro.perfmodel import A100_SXM4_80GB
+from repro.perfmodel import decode as perfmodel_decode
 from repro.serve import (
     AttentionRequest,
     AttentionServer,
@@ -25,6 +29,7 @@ from repro.serve import (
     LoopRequest,
     PagedKVCache,
     PoolExhausted,
+    ReplicaRouter,
     ServingClient,
     SlackPolicy,
     VirtualClock,
@@ -265,6 +270,59 @@ class TestSessionFacade:
         with pytest.raises(TypeError):
             compiled.edge_attention(q, arena, np.arange(8), np.arange(9), 0.5, return_scores=True)
         assert len(compiled.edge_attention(q, arena, np.arange(8), np.arange(9), 0.5)) == 3
+
+    def test_gpu_serving_models_and_their_knobs_are_gone(self):
+        # no analytical GPU serving model is left, and no option that only
+        # such a model or a test set: the loop swaps or recomputes as told,
+        # servers run serially, and every union compiles the one auto way
+        with pytest.raises(ImportError):
+            import repro.perfmodel.router  # noqa: F401
+        for name in (
+            "DecodeRuntimeModel",
+            "DecodeStepEstimate",
+            "PreemptionCostEstimate",
+            "RebalanceEstimate",
+            "RoutingCostEstimate",
+            "SloEstimate",
+            "balanced_makespan",
+            "decode_step_flops",
+            "fingerprint_seconds",
+            "min_feasible_slo",
+            "preemption_cost",
+            "rebalance_gain",
+            "router_throughput_scaling",
+            "routing_cost",
+        ):
+            assert not hasattr(perfmodel, name), name
+            assert name not in perfmodel.__all__
+        for name in ("DECODE_ROW_EFFICIENCY", "SWAP_BANDWIDTH_FRACTION"):
+            assert not hasattr(perfmodel_decode, name), name
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=8)
+        with pytest.raises(ValueError):
+            ContinuousBatchingScheduler(server, preemption="auto")
+        with pytest.raises(TypeError):
+            ContinuousBatchingScheduler(server, device=A100_SXM4_80GB)
+        with pytest.raises(TypeError):
+            _client(device=A100_SXM4_80GB)
+        with pytest.raises(TypeError):
+            ReplicaRouter(2, key_dim=DIM, device=A100_SXM4_80GB)
+        with pytest.raises(TypeError):
+            AttentionServer(max_workers=2)
+        with pytest.raises(TypeError):
+            AttentionServer(prefer_composition=False)
+        with pytest.raises(TypeError):
+            GraphAttentionEngine(prefer_composition=False)
+        with pytest.raises(TypeError):
+            compile_plan(MASK, 8, prefer_composition=False)
+        assert "composed" not in ALGORITHMS
+        q, k, v = _data(8, seed=23)
+        with pytest.raises(TypeError):
+            compile_plan(MASK, 8, algorithm="composed")
+        with pytest.raises(TypeError):
+            AttentionRequest(q=q, k=k, v=v, mask=MASK, algorithm="composed")
+        with pytest.raises(TypeError):
+            server.handle(q, k, v, MASK, algorithm="composed")
 
     def test_client_paths_do_not_warn(self):
         with warnings.catch_warnings():

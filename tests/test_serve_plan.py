@@ -75,7 +75,7 @@ class TestCompilation:
         np.testing.assert_allclose(
             plan.execute(q, k, v).output, sdp_attention(q, k, v, spec).output, atol=1e-8
         )
-        composed = compile_plan(spec | LocalMask(window=3), q.shape[0], algorithm="composed")
+        composed = compile_plan(spec | LocalMask(window=3), q.shape[0])
         reference = sdp_attention(q, k, v, spec | LocalMask(window=3)).output
         np.testing.assert_allclose(composed.execute(q, k, v).output, reference, atol=1e-8)
 
@@ -97,12 +97,6 @@ class TestCompilation:
     def test_union_with_random_component_runs_local_plus_one_csr(self):
         mask = bigbird_mask(reach=4, global_tokens=(0,), random_sparsity=0.02, seed=1)
         plan = compile_plan(mask, 64)
-        assert plan.algorithm == "composed"
-        assert plan.kernels == ("local", "csr")
-
-    def test_forced_composed_keeps_remainder_csr_step(self):
-        mask = bigbird_mask(reach=4, global_tokens=(0,), random_sparsity=0.02, seed=1)
-        plan = compile_plan(mask, 64, algorithm="composed")
         assert plan.algorithm == "composed"
         assert plan.kernels == ("local", "csr")
         # the global and random edges outside the band were materialised at
@@ -129,28 +123,17 @@ class TestCompilation:
             plan.execute(q, k, v).output, sdp_attention(q, k, v, mask).output, atol=1e-9
         )
 
-    def test_composed_requires_union(self):
-        with pytest.raises(ValueError):
-            compile_plan(LocalMask(window=2), 64, algorithm="composed")
-        with pytest.raises(ValueError):
-            compile_plan(None, 64, algorithm="composed")
-
-    def test_prefer_composition_false_collapses_to_csr(self):
-        mask = longformer_mask(reach=4, global_tokens=(0,))
-        plan = compile_plan(mask, 64, prefer_composition=False)
-        assert plan.algorithm == "csr"
-
     def test_composed_steps_are_edge_disjoint(self):
         mask = longformer_mask(reach=4, global_tokens=(0, 30))
         plan = compile_plan(mask, 64)
         assert plan.nnz == mask.to_csr(64).nnz  # disjoint steps sum to the union
         # global tokens at both ends; the dilated window leaves the global step
         # a trimmed CSR, and BigBird's random step is trimmed by both others
-        for mask, algorithm in (
-            (longformer_dilated_mask(reach=4, global_tokens=(0, 63)), "auto"),
-            (bigbird_mask(reach=4, global_tokens=(0, 63), random_sparsity=0.1), "composed"),
+        for mask in (
+            longformer_dilated_mask(reach=4, global_tokens=(0, 63)),
+            bigbird_mask(reach=4, global_tokens=(0, 63), random_sparsity=0.1),
         ):
-            plan = compile_plan(mask, 64, algorithm=algorithm)
+            plan = compile_plan(mask, 64)
             assert plan.algorithm == "composed" and plan.kernels[-1] == "csr"
             step_edges = []
             for step in plan.steps:
@@ -270,7 +253,6 @@ class TestCacheKeys:
         assert plan_cache_key(mask, 256) != base
         assert plan_cache_key(mask, 128, executor="streamed") != base
         assert plan_cache_key(mask, 128, scale=0.5) != base
-        assert plan_cache_key(mask, 128, prefer_composition=False) != base
         assert plan_cache_key(mask, 128, device=A100_SXM4_80GB) != base
         assert plan_cache_key(mask, 128, head_dim=64) != base
 

@@ -347,12 +347,12 @@ class TestPoolExhaustion:
 # Rebalancing: partitioner-driven moves, recorded and bit-preserving
 # --------------------------------------------------------------------------- #
 class TestRebalance:
-    def _skewed_router(self, specs):
+    def _skewed_router(self, specs, replicas=4):
         # identical prefixes + affinity pile every stream onto one replica;
         # max_streams=1 keeps most of them waiting (withdrawable) so the
         # first rebalance pass has real work to spread
         router = ReplicaRouter(
-            4,
+            replicas,
             key_dim=DIM,
             num_blocks=16,
             block_size=4,
@@ -376,6 +376,33 @@ class TestRebalance:
         assert record.moved >= 1
         assert router.stats.moved_streams >= record.moved
         assert router.stats.rebalance_passes >= 1
+        router.run()
+        router.close()
+
+    @pytest.mark.parametrize("streams", [5, 8])
+    @pytest.mark.parametrize("replicas", [2, 3, 4])
+    def test_rebalance_pass_lands_each_bin_on_its_replica(self, replicas, streams):
+        # the immovable base load stays put and bin rank r's weight lands on
+        # replica_order[r], so the pass's makespan is known before it runs
+        specs = _family_specs(CausalMask(), num_families=1, per_family=streams, seed=61)
+        router, _ = self._skewed_router(specs, replicas)
+        before = router.replica_loads()
+        origins, costs = [], []
+        for handle in router.replicas:
+            for local_id in handle.scheduler.withdrawable():
+                origins.append(handle.index)
+                costs.append(handle.scheduler.telemetry[local_id].total_tokens)
+        moved = router.rebalance()
+        record = router.last_rebalance
+        assert moved == record.moved > 0
+        assert_array_equal(record.costs, costs)
+        expected = before - np.bincount(origins, weights=costs, minlength=router.num_replicas)
+        weights = sorted((record.costs[b].sum() for b in record.bins), reverse=True)
+        for replica, weight in zip(record.replica_order, weights):
+            expected[replica] += weight
+        after = router.replica_loads()
+        assert_array_equal(after, expected)
+        assert after.max() == expected.max() < before.max()
         router.run()
         router.close()
 

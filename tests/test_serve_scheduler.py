@@ -1,9 +1,7 @@
 """Tests for the batched request scheduler (repro.serve.scheduler)."""
 
-import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,9 +11,10 @@ from repro.core.engine import GraphAttentionEngine
 from repro.distributed.partition_balance import balanced_worker_bins
 from repro.masks.presets import longformer_mask
 from repro.masks.windowed import LocalMask
+from repro.perfmodel.devices import A100_SXM4_80GB, L40_48GB, V100_SXM2_32GB
 from repro.serve.client import ServingClient
-from repro.serve import scheduler as scheduler_module
 from repro.serve.paging import PoolExhausted
+from repro.serve.plan import compile_plan
 from repro.serve.scheduler import AttentionServer
 from repro.serve.session import AttentionRequest
 from repro.utils.rng import random_qkv
@@ -123,14 +122,12 @@ class TestCorrectness:
 
         mask = bigbird_mask(reach=4, global_tokens=(0,), random_sparsity=0.02, seed=3)
         q, k, v = random_qkv(96, 12, seed=21)
-        auto = server.handle(q, k, v, mask)
-        forced = server.handle(q, k, v, mask, algorithm="composed")
-        # auto and forced composition compile the same local + CSR plan
-        assert auto.result.algorithm == forced.result.algorithm == "composed"
-        assert auto.result.meta["components"] == ["local", "csr"]
-        np.testing.assert_array_equal(auto.output, forced.output)
+        response = server.handle(q, k, v, mask)
+        # the union runs as its local band plus one CSR remainder
+        assert response.result.algorithm == "composed"
+        assert response.result.meta["components"] == ["local", "csr"]
         reference = sdp_attention(q, k, v, mask).output
-        np.testing.assert_allclose(auto.output, reference, atol=1e-5, rtol=1e-5)
+        np.testing.assert_allclose(response.output, reference, atol=1e-5, rtol=1e-5)
 
     def test_dense_requests_supported(self, server):
         q, k, v = random_qkv(64, 8, seed=31)
@@ -138,108 +135,78 @@ class TestCorrectness:
         assert response.result.algorithm == "flash"
 
 
-class TestThreadPool:
-    def test_threaded_execution_matches_serial(self):
-        mask = longformer_mask(reach=4, global_tokens=(0,))
-        reqs_serial = _requests(6, mask=mask)
-        reqs_threaded = _requests(6, mask=mask)
-        with AttentionServer(cache_capacity=4) as serial_server:
-            serial = serial_server.serve(reqs_serial)
-        with AttentionServer(cache_capacity=4, max_workers=3) as threaded_server:
-            threaded = threaded_server.serve(reqs_threaded)
-        assert threaded_server._pool is None  # context exit released the pool
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.output, b.output)
-        assert [r.request_id for r in threaded] == [r.request_id for r in serial]
-
-    def test_more_workers_than_requests(self):
-        with AttentionServer(max_workers=8) as server:
-            responses = server.serve(_requests(2, mask=LocalMask(window=5)))
-            assert len(responses) == 2
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            AttentionServer(max_workers=0)
-
-    def test_pool_is_reused_across_flushes_and_survives_close(self):
-        with AttentionServer(max_workers=2) as server:
-            server.serve(_requests(3, mask=LocalMask(window=5)))
-            pool = server._pool
-            server.serve(_requests(3, mask=LocalMask(window=5), seed0=30))
-            assert server._pool is pool
-            server.close()
-            assert server._pool is None
-            responses = server.serve(_requests(2, mask=LocalMask(window=5), seed0=40))
-            assert len(responses) == 2
-
-    def test_close_is_idempotent(self):
-        server = AttentionServer(max_workers=2)
-        server.serve(_requests(2, mask=LocalMask(window=5)))
+class TestLifecycle:
+    def test_close_is_idempotent_and_the_server_keeps_serving(self):
+        server = AttentionServer(cache_capacity=4)
+        first = server.serve(_requests(2, mask=LocalMask(window=5)))
         server.close()
-        server.close()  # second close must be a no-op, not an error
-        assert server._pool is None
+        server.close()  # a second close is a no-op, not an error
+        again = server.serve(_requests(2, mask=LocalMask(window=5)))
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.output, b.output)
+        assert again[0].cache_hit  # close keeps the plan cache warm
+        assert server.stats.plans_compiled == 1
 
-    def test_pool_released_when_server_is_garbage_collected(self):
-        server = AttentionServer(max_workers=2)
-        # two distinct masks -> two execution groups, so the pool spins up
-        server.serve(
-            _requests(2, mask=LocalMask(window=5)) + _requests(2, mask=LocalMask(window=7))
-        )
-        pool = server._pool
-        assert pool is not None
-        threads = list(pool._threads)
-        del server  # __del__ must shut the lazily created pool down
-        for thread in threads:
-            thread.join(timeout=5.0)
-        assert not any(thread.is_alive() for thread in threads)
+    def test_context_manager_yields_the_server(self):
+        with AttentionServer(cache_capacity=4) as server:
+            assert isinstance(server, AttentionServer)
+            inside = server.serve(_requests(3, mask=LocalMask(window=5)))
+        after = server.serve(_requests(3, mask=LocalMask(window=5)))
+        for a, b in zip(inside, after):
+            np.testing.assert_array_equal(a.output, b.output)
 
-    def test_concurrent_serves_build_one_pool_and_close_shuts_it(self, monkeypatch):
-        """Concurrent ``serve`` calls share one lazily built executor.
+    def test_concurrent_serves_match_serial_and_count_every_request(self):
+        mask = longformer_mask(reach=4, global_tokens=(0,))
+        serial = [
+            AttentionServer(cache_capacity=4).serve(_requests(3, mask=mask, seed0=10 * i))
+            for i in range(4)
+        ]
+        server = AttentionServer(cache_capacity=4)
+        start = threading.Barrier(4)
+        results, errors = [None] * 4, []
 
-        The constructor sleeps, so unlocked check-then-act would let every
-        thread see no pool and build its own; ``close`` could then shut down
-        only the last one.
-        """
-        built, shut = [], []
-
-        class SlowExecutor(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                time.sleep(0.05)
-                built.append(self)
-                super().__init__(*args, **kwargs)
-
-            def shutdown(self, *args, **kwargs):
-                shut.append(self)
-                super().shutdown(*args, **kwargs)
-
-        monkeypatch.setattr(scheduler_module, "ThreadPoolExecutor", SlowExecutor)
-        server = AttentionServer(max_workers=2)
-        errors = []
-
-        def serve(seed0):
+        def serve(i):
             try:
-                # two masks -> two execution groups, so the pool path runs
-                reqs = _requests(2, length=48, mask=LocalMask(window=5), seed0=seed0)
-                reqs += _requests(2, length=48, mask=LocalMask(window=7), seed0=seed0 + 2)
-                assert len(server.serve(reqs)) == 4
+                reqs = _requests(3, mask=mask, seed0=10 * i)
+                start.wait(timeout=30.0)
+                results[i] = server.serve(reqs)
             except Exception as exc:  # reported below, not lost in the thread
                 errors.append(exc)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=serve, args=(10 * i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=serve, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        assert len(built) == 1
-        server.close()
-        assert shut == built
+        for want, got in zip(serial, results):
+            for a, b in zip(want, got):
+                np.testing.assert_array_equal(a.output, b.output)
+        assert server.stats.requests == 12 and server.stats.flushes == 4
+        assert server.stats.stacked_executions == 4
+        assert server.stats.coalesced_requests == 12
+        assert server.stats.plans_compiled == 1
+
+
+class TestDevicePrediction:
+    @pytest.mark.parametrize("device", [A100_SXM4_80GB, L40_48GB, V100_SXM2_32GB])
+    def test_server_plans_carry_the_compiled_prediction(self, device):
+        mask = longformer_mask(reach=8, global_tokens=(0,))
+        server = AttentionServer(cache_capacity=2, device=device, head_dim=12)
+        plan, hit = server.plan_for(mask, 96)
+        assert not hit
+        direct = compile_plan(mask, 96, device=device, head_dim=12)
+        assert plan.device == device.name
+        assert plan.predicted.seconds == direct.predicted.seconds > 0
+        # requests resolve to the same predicted plan, and serve unchanged
+        response = server.serve(_requests(1, mask=mask))[0]
+        assert response.cache_hit and response.plan_key == server.key_for(mask, 96)
+        plain = AttentionServer(cache_capacity=2)
+        np.testing.assert_array_equal(
+            response.output, plain.serve(_requests(1, mask=mask))[0].output
+        )
+        assert plain.plan_for(mask, 96)[0].predicted is None
 
 
 class TestWorkerBins:
@@ -280,6 +247,22 @@ class TestStats:
         assert stats.throughput_rps > 0
         assert stats.mean_latency_s > 0
         assert stats.cache is server.cache.stats
+
+    def test_coalescing_counters_count_each_stacked_group_once(self, server):
+        # two stackable groups (3 and 2 requests) and one singleton
+        reqs = (
+            _requests(3, mask=LocalMask(window=5))
+            + _requests(2, mask=LocalMask(window=7), seed0=10)
+            + _requests(1, length=64, mask=LocalMask(window=5), seed0=20)
+        )
+        server.serve(reqs)
+        assert server.stats.batches == 3
+        assert server.stats.stacked_executions == 2
+        assert server.stats.coalesced_requests == 5
+        server.serve(reqs[:3])
+        assert server.stats.stacked_executions == 3
+        assert server.stats.coalesced_requests == 8
+        assert server.stats.requests == 9 and server.stats.flushes == 2
 
     def test_warm_serving_beats_per_request_engine_dispatch(self):
         """Acceptance check: a warm plan cache amortises compilation.

@@ -33,11 +33,6 @@ class TestAttentionRequest:
         assert request.length == 48
         assert request.batch_shape == (2, 4)
 
-    def test_algorithm_validation(self):
-        q, k, v = random_qkv(48, 8, seed=0)
-        with pytest.raises(ValueError):
-            AttentionRequest(q=q, k=k, v=v, algorithm="sdp")
-
 
 class TestServerStats:
     def test_zero_state_is_safe(self):
