@@ -3,23 +3,29 @@
 Every vectorised attention core in the package ends in :func:`edge_attention`:
 the one-shot CSR/COO kernels (every plan's ``csr`` step) and the serving
 stack's prefill, decode and stacked passes.  It runs Algorithm 1
-per query row: one sweep over the row's CSR edges does one dot product per
-edge, a float64 online softmax and the value accumulation, reading the K/V
-rows *in place* from an arena by row index.  No K/V row is copied per edge,
-so memory stays O(L·d) — Q/K/V/O plus the two O(L) softmax statistics, the
-paper's own bound (Section IV-B, Table II) — where gathering per-edge K/V
-copies costs O(nnz·d).  (An int8 call also holds one float32 copy of each
-distinct row it reads and O(nnz) row indices; see below.)
+per query row in two passes over the row's CSR edges: the first does one
+dot product per edge into a score buffer and takes the row's maximum, the
+second one float64 ``exp`` and one value fold per edge, so the accumulator
+is never rescaled.  It reads the K/V rows *in place* from an arena by row
+index.  No K/V row is copied per edge, so memory stays O(L·d) — Q/K/V/O
+plus the two O(L) softmax statistics and one score per edge of the widest
+row, the paper's own bound (Section IV-B, Table II) — where gathering
+per-edge K/V copies costs O(nnz·d).  (An int8 call also holds one float32
+copy of each distinct row it reads and O(nnz) row indices; see below.)
 
 Two backends:
 
 * **cext** — a small C file compiled with the system C compiler at first use
-  and loaded through :mod:`ctypes` (no build step, no install).  The library
-  is cached per hash of its source, flags and compiler path in
+  and loaded through :mod:`ctypes` (no build step, no install).  It is
+  built for the host's ISA (``-march=native``) when the compiler resolves
+  that flag to a target, and with the portable flags when it does not or
+  cannot build with it.  The library is cached per hash of its source,
+  flags, resolved host target and compiler path in
   ``<tempdir>/repro-compiled-<sha256>/``, so only the first process on a
-  host pays the build; a cache directory that is not the user's own with
-  mode 0700 is never trusted (the library is then built privately, in a
-  temporary directory removed once it is loaded).
+  host pays the build and a shared cache never loads a library built for
+  another CPU; a cache directory that is not the user's own with mode 0700
+  is never trusted (the library is then built privately, in a temporary
+  directory removed once it is loaded).
 * **numpy** — the pure-NumPy fallback, always available, and the tests'
   reference.  It gathers, scores and reduces one chunk of rows at a time
   (:data:`_FALLBACK_CHUNK_ELEMENTS`), so its memory is bounded too.
@@ -28,16 +34,18 @@ Exactness: each row's reduction is sequential and independent of every
 other row of the call, so within one backend a row's result depends only on
 its own query and K/V rows — stacked == individual and paged == private
 hold by construction.  The C kernel sums each dot product in a fixed order
-(four interleaved partial sums) and is built with ``-ffp-contract=off``, so
-no target fuses it into FMAs; across backends results agree to float64
-round-off.  The C kernel reads float32 and float64 arenas only: on an int8
-arena, :func:`edge_attention` first dequantizes each distinct row the call
-reads, once, with :func:`gather_dequant_int8` (``(float(q) - zero) * scale``
-in float32), and runs the kernel over those rows with the edges renumbered
-onto them.  An int8 arena therefore gives exactly what an fp32 arena of the
-dequantized rows gives.  :func:`gather_dequant_int8` (also the paged cache's
-``gather_keys``/``gather_values`` on int8 storage) is bit-identical across
-backends.
+(eight lanes, element ``j`` into lane ``j % 8``, reduced as
+``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``) and is built with
+``-ffp-contract=off``, so no target fuses it into FMAs: the host and
+portable builds return the same bits.  Across backends results agree to
+float64 round-off.  The C kernel reads float32 and float64 arenas only: on
+an int8 arena, :func:`edge_attention` first dequantizes each distinct row
+the call reads, once, with :func:`gather_dequant_int8` (``(float(q) -
+zero) * scale`` in float32), and runs the kernel over those rows with the
+edges renumbered onto them.  An int8 arena therefore gives exactly what an
+fp32 arena of the dequantized rows gives.  :func:`gather_dequant_int8` (also
+the paged cache's ``gather_keys``/``gather_values`` on int8 storage) is
+bit-identical across backends.
 
 Backend selection honours ``REPRO_COMPILED``:
 
@@ -51,13 +59,14 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shlex
 import shutil
 import stat
 import subprocess
 import tempfile
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import prod
 from typing import Optional, Tuple
 
@@ -95,33 +104,25 @@ void gather_dequant_i8(const int8_t *arena, const float *scale,
     }
 }
 
-/* dot(q, p) summed in a fixed order: four interleaved partial sums, then the
-   tail; fold: acc = acc * keep + weight * p (keep == 1 skips an exact no-op) */
+/* dot(q, p) in eight lanes: element j adds into lane j % 8, the tail into
+   lanes 0, 1, ..., and the lanes reduce in one fixed order;
+   fold: acc += weight * p */
 #define ROW_LOOPS(SUFFIX, T)                                                  \
 static double dot_##SUFFIX(const double *q, const T *p, int64_t n)            \
 {                                                                             \
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;                            \
+    double a[8] = {0.0};                                                      \
     int64_t j = 0;                                                            \
-    for (; j + 4 <= n; j += 4) {                                              \
-        a0 += q[j] * (double)p[j];                                            \
-        a1 += q[j + 1] * (double)p[j + 1];                                    \
-        a2 += q[j + 2] * (double)p[j + 2];                                    \
-        a3 += q[j + 3] * (double)p[j + 3];                                    \
-    }                                                                         \
-    for (; j < n; j++)                                                        \
-        a0 += q[j] * (double)p[j];                                            \
-    return (a0 + a1) + (a2 + a3);                                             \
+    for (; j + 8 <= n; j += 8)                                                \
+        for (int t = 0; t < 8; t++)                                           \
+            a[t] += q[j + t] * (double)p[j + t];                              \
+    for (int t = 0; j < n; j++, t++)                                          \
+        a[t] += q[j] * (double)p[j];                                          \
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])); \
 }                                                                             \
-static void fold_##SUFFIX(double *acc, double keep, double weight,           \
-                          const T *p, int64_t n)                              \
+static void fold_##SUFFIX(double *acc, double weight, const T *p, int64_t n)  \
 {                                                                             \
-    if (keep == 1.0) {                                                        \
-        for (int64_t j = 0; j < n; j++)                                       \
-            acc[j] += weight * (double)p[j];                                  \
-    } else {                                                                  \
-        for (int64_t j = 0; j < n; j++)                                       \
-            acc[j] = acc[j] * keep + weight * (double)p[j];                   \
-    }                                                                         \
+    for (int64_t j = 0; j < n; j++)                                           \
+        acc[j] += weight * (double)p[j];                                      \
 }
 
 ROW_LOOPS(f32, float)
@@ -136,17 +137,26 @@ static double dot_row(int f64, const void *slice, int64_t row, int64_t n,
 }
 
 static void fold_row(int f64, const void *slice, int64_t row, int64_t n,
-                     double *acc, double keep, double weight)
+                     double *acc, double weight)
 {
     if (f64)
-        fold_f64(acc, keep, weight, (const double *)slice + row * n, n);
+        fold_f64(acc, weight, (const double *)slice + row * n, n);
     else
-        fold_f32(acc, keep, weight, (const float *)slice + row * n, n);
+        fold_f32(acc, weight, (const float *)slice + row * n, n);
+}
+
+static int64_t edge_row(const void *rows, int rows_i64, int64_t e)
+{
+    if (rows_i64)
+        return ((const int64_t *)rows)[e];
+    return (int64_t)((const int32_t *)rows)[e];
 }
 
 /* Algorithm 1 for num_rows query rows of each of slices query slices over
    float32 (f64 == 0) or float64 K/V arenas.  Slice b reads arena slice b;
-   edge e of a row reads arena row rows[e].
+   edge e of a row reads arena row rows[e].  A row runs in two passes: its
+   scores into the score buffer, with their maximum, then one exp and one
+   fold per edge, so the accumulator is never rescaled.
    Returns 0, or 1 for a malformed indptr, 2 for an arena row out of range,
    3 when the per-call scratch cannot be allocated (nothing is read then). */
 int edge_attention(const void *q, int q_f64, const void *k, const void *v,
@@ -156,21 +166,25 @@ int edge_attention(const void *q, int q_f64, const void *k, const void *v,
                    int64_t dv, double scale, double *out, double *row_max,
                    double *row_sum)
 {
-    const int32_t *rows32 = (const int32_t *)rows;
-    const int64_t *rows64 = (const int64_t *)rows;
     if (indptr[0] != 0 || indptr[num_rows] != num_edges)
         return 1;
-    for (int64_t i = 0; i < num_rows; i++)
+    int64_t widest = 0;
+    for (int64_t i = 0; i < num_rows; i++) {
         if (indptr[i] > indptr[i + 1])
             return 1;
+        if (indptr[i + 1] - indptr[i] > widest)
+            widest = indptr[i + 1] - indptr[i];
+    }
     for (int64_t e = 0; e < num_edges; e++) {
-        const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
+        const int64_t r = edge_row(rows, rows_i64, e);
         if (r < 0 || r >= arena_rows)
             return 2;
     }
-    double *qrow = malloc((size_t)(dk > 0 ? dk : 1) * sizeof(double));
+    /* the query row in float64, then the widest row's scores (never 0 bytes) */
+    double *qrow = malloc((size_t)(dk + widest + 1) * sizeof(double));
     if (qrow == NULL)
         return 3;
+    double *score = qrow + dk;
     const size_t itemsize = f64 ? sizeof(double) : sizeof(float);
     for (int64_t b = 0; b < slices; b++) {
         const char *ks = (const char *)k + (size_t)(b * arena_rows * dk) * itemsize;
@@ -186,24 +200,20 @@ int edge_attention(const void *q, int q_f64, const void *k, const void *v,
                 for (int64_t j = 0; j < dk; j++)
                     qrow[j] = (double)src[j];
             }
+            const int64_t lo = indptr[i], degree = indptr[i + 1] - lo;
+            double m = -INFINITY, l = 0.0;
+            for (int64_t e = 0; e < degree; e++) {
+                score[e] = dot_row(f64, ks, edge_row(rows, rows_i64, lo + e), dk, qrow) * scale;
+                if (score[e] > m)
+                    m = score[e];
+            }
             double *acc = out + at * dv;
             for (int64_t j = 0; j < dv; j++)
                 acc[j] = 0.0;
-            double m = -INFINITY, l = 0.0;
-            for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-                const int64_t r = rows_i64 ? rows64[e] : (int64_t)rows32[e];
-                const double s = dot_row(f64, ks, r, dk, qrow) * scale;
-                if (s > m) {
-                    /* the running max grows: rescale what is folded so far */
-                    const double keep = exp(m - s);
-                    l = l * keep + 1.0;
-                    fold_row(f64, vs, r, dv, acc, keep, 1.0);
-                    m = s;
-                } else {
-                    const double w = exp(s - m);
-                    l += w;
-                    fold_row(f64, vs, r, dv, acc, 1.0, w);
-                }
+            for (int64_t e = 0; e < degree; e++) {
+                const double w = exp(score[e] - m);
+                l += w;
+                fold_row(f64, vs, edge_row(rows, rows_i64, lo + e), dv, acc, w);
             }
             row_max[at] = m;
             row_sum[at] = l;
@@ -217,13 +227,16 @@ int edge_attention(const void *q, int q_f64, const void *k, const void *v,
 }
 """
 
-#: compiler flags, hashed into the cache key with the source and compiler
-#: path.  No ``-ffast-math``: the int8 dequant keeps IEEE float32 semantics,
-#: and ``-ffp-contract=off`` keeps every target from fusing it or the dot
-#: products into FMAs.  ``-ftree-vectorize`` only packs independent lanes
-#: (the value fold, the four dot-product partial sums); without
-#: reassociation flags it never reorders a sum, so results stay bit-equal.
+#: the portable build's compiler flags; the host build adds :data:`_NATIVE`.
+#: Both are hashed into the cache key with the source, the resolved host
+#: target and the compiler path.  No ``-ffast-math``: the int8 dequant keeps
+#: IEEE float32 semantics, and ``-ffp-contract=off`` keeps every target from
+#: fusing it, the dot products or the value fold into FMAs.
+#: ``-ftree-vectorize`` only packs independent lanes (the value fold, the
+#: dot product's eight lanes); without reassociation flags it never reorders
+#: a sum, so the portable and host builds return the same bits.
 _CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
+_NATIVE = "-march=native"
 _LIB_NAME = "repro_compiled.so"
 
 _P = ctypes.c_void_p
@@ -239,7 +252,7 @@ _ARGTYPES = {
 _KERNEL_ERRORS = {
     1: "indptr must start at 0, never decrease and end at the edge count",
     2: "an edge reads an arena row out of range",
-    3: "out of memory for the kernel's scratch row",
+    3: "out of memory for the kernel's scratch query row and score buffer",
 }
 #: the dtypes the C kernel reads queries and K/V arenas in
 _C_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
@@ -265,15 +278,52 @@ def _find_cc() -> Optional[str]:
     return None
 
 
-def _build_key(cc_path: str) -> str:
+def _flags(target: Optional[str]) -> Tuple[str, ...]:
+    """The build's flags: the host build's for a resolved target, else the portable ones."""
+    return _CFLAGS if target is None else _CFLAGS + (_NATIVE,)
+
+
+@cache
+def _host_target(cc_path: str) -> Optional[str]:
+    """What ``-march=native`` resolves to for this compiler on this CPU, or
+    ``None`` when the compiler refuses the flag or names no target.
+
+    Read from the driver's dry run (``-###`` compiles nothing): the ``-m``
+    flags and ``--param`` values gcc hands ``cc1``, or the triple, CPU and
+    features clang hands ``-cc1``.  Cached per compiler: a process asks once.
+    """
+    try:
+        result = subprocess.run(
+            [cc_path, "-###", _NATIVE, "-x", "c", "-c", os.devnull],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if result.returncode != 0:
+        return None
+    for line in result.stderr.splitlines():
+        try:
+            words = shlex.split(line)
+        except ValueError:
+            continue
+        if words and (os.path.basename(words[0]) == "cc1" or "-cc1" in words):
+            valued = {"--param", "-triple", "-target-cpu", "-target-feature", "-tune-cpu"}
+            target = [word for before, word in zip([""] + words, words) if word.startswith("-m") or before in valued]
+            return " ".join(target) or None
+    return None
+
+
+def _build_key(cc_path: str, target: Optional[str]) -> str:
     digest = hashlib.sha256()
-    for part in (_C_SOURCE, " ".join(_CFLAGS), cc_path):
+    for part in (_C_SOURCE, " ".join(_flags(target)), target or "", cc_path):
         digest.update(part.encode())
         digest.update(b"\0")
     return digest.hexdigest()
 
 
-def _cache_dir(cc_path: str) -> Optional[str]:
+def _cache_dir(cc_path: str, target: Optional[str]) -> Optional[str]:
     """The shared build directory, or ``None`` when it cannot be trusted.
 
     Trusted means a real directory (not a symlink) owned by this user with
@@ -281,7 +331,7 @@ def _cache_dir(cc_path: str) -> Optional[str]:
     """
     if not hasattr(os, "getuid"):
         return None
-    path = os.path.join(tempfile.gettempdir(), "repro-compiled-" + _build_key(cc_path))
+    path = os.path.join(tempfile.gettempdir(), "repro-compiled-" + _build_key(cc_path, target))
     try:
         os.mkdir(path, 0o700)
     except FileExistsError:
@@ -301,14 +351,14 @@ class _BuildError(Exception):
     """The C compiler rejected the source (its message is the reason)."""
 
 
-def _compile(cc: str, build_dir: str, lib_path: str) -> None:
+def _compile(cc: str, build_dir: str, lib_path: str, target: Optional[str]) -> None:
     """Compile the source to ``lib_path`` (raises :exc:`_BuildError`)."""
     fd, src = tempfile.mkstemp(prefix="build-", suffix=".c", dir=build_dir)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(_C_SOURCE)
         result = subprocess.run(
-            [cc, *_CFLAGS, "-o", lib_path, src, "-lm"],
+            [cc, *_flags(target), "-o", lib_path, src, "-lm"],
             capture_output=True,
             text=True,
             timeout=120,
@@ -319,7 +369,7 @@ def _compile(cc: str, build_dir: str, lib_path: str) -> None:
         raise _BuildError(f"{cc} failed: {result.stderr.strip()[:500]}")
 
 
-def _load_or_build_cached(cc: str, cache_dir: str):
+def _load_or_build_cached(cc: str, cache_dir: str, target: Optional[str]):
     """Load the cached library if its digest checks out, else build it in.
 
     The library and its digest are written under unique temporary names and
@@ -340,7 +390,7 @@ def _load_or_build_cached(cc: str, cache_dir: str):
     os.close(fd)
     tmp_digest = tmp_lib + ".sha256"
     try:
-        _compile(cc, cache_dir, tmp_lib)
+        _compile(cc, cache_dir, tmp_lib, target)
         with open(tmp_digest, "w", encoding="ascii") as handle:
             handle.write(_sha256_file(tmp_lib))
         os.replace(tmp_lib, lib_path)
@@ -352,33 +402,54 @@ def _load_or_build_cached(cc: str, cache_dir: str):
     return ctypes.CDLL(lib_path)
 
 
-def _build_private(cc: str):
+def _build_private(cc: str, target: Optional[str]):
     # the build directory goes once the library is loaded: the process keeps
     # its mapping of the unlinked file (POSIX), and nothing is left behind
     with tempfile.TemporaryDirectory(prefix="repro-private-") as build_dir:
         lib_path = os.path.join(build_dir, _LIB_NAME)
-        _compile(cc, build_dir, lib_path)
+        _compile(cc, build_dir, lib_path, target)
         return ctypes.CDLL(lib_path)
 
 
+def _load(cc: str, cc_path: str, target: Optional[str]):
+    """The library built for ``target`` (``None``: portable), cached when the
+    shared directory can be trusted, else built privately."""
+    cache_dir = _cache_dir(cc_path, target)
+    if cache_dir is None:
+        return _build_private(cc, target)
+    return _load_or_build_cached(cc, cache_dir, target)
+
+
+def _bind(lib):
+    """Declare the C functions' signatures on a loaded library, and return it."""
+    for name, (argtypes, restype) in _ARGTYPES.items():
+        function = getattr(lib, name)
+        function.argtypes = argtypes
+        function.restype = restype
+    return lib
+
+
 def _try_cext() -> bool:
-    """Load (building if needed) the C kernels; False, with the reason, on failure."""
+    """Load (building if needed) the C kernels; False, with the reason, on failure.
+
+    The library is built for the host's ISA when the compiler resolves
+    ``-march=native``, and portable when it does not or cannot build with it.
+    """
     global _cext, _backend_error
     cc = _find_cc()
     if cc is None:
         _backend_error = "no C compiler on PATH"
         return False
     try:
-        cache_dir = _cache_dir(shutil.which(cc))
-        if cache_dir is not None:
-            lib = _load_or_build_cached(cc, cache_dir)
-        else:
-            lib = _build_private(cc)
-        for name, (argtypes, restype) in _ARGTYPES.items():
-            function = getattr(lib, name)
-            function.argtypes = argtypes
-            function.restype = restype
-        _cext = lib
+        cc_path = shutil.which(cc)
+        target = _host_target(cc_path)
+        try:
+            lib = _load(cc, cc_path, target)
+        except _BuildError:
+            if target is None:
+                raise
+            lib = _load(cc, cc_path, None)
+        _cext = _bind(lib)
         return True
     except _BuildError as exc:
         _backend_error = str(exc)

@@ -6,11 +6,14 @@ row shape, and exactly with itself across the layouts the serving stack
 relies on (ragged == per-session, int8 == fp32 fed the dequantized rows);
 its memory stays O(L·d); the int8 dequant-gather is bit-identical across
 backends and refuses rows outside the arena; the C library is built once per
-source hash and never loaded from an untrusted or corrupt cache; and
-``REPRO_COMPILED`` forces the NumPy fallback so the whole stack runs without
-any compiler present.
+hash of its source, flags, host target and compiler, falls back to the
+portable build when the compiler refuses the host target, returns the same
+bits in both builds, and is never loaded from an untrusted or corrupt cache;
+and ``REPRO_COMPILED`` forces the NumPy fallback so the whole stack runs
+without any compiler present.
 """
 
+import ctypes
 import hashlib
 import os
 import pathlib
@@ -129,19 +132,33 @@ for a, b in zip(fast, slow):
 """
 
 
-@pytest.fixture
-def wrapped_cc(tmp_path):
-    """A ``CC`` that logs one line per compile, then runs the real compiler."""
+def _cc_wrapper(tmp_path, refuse=None):
+    """A ``CC`` that exits 1 when its arguments contain the run of arguments
+    ``refuse``, logs one line per library it builds (an invocation with
+    ``-shared``: the host target probe is not a build), then runs the real
+    compiler."""
     real = compiled._find_cc()
     if real is None:
         pytest.skip("no C compiler on PATH")
     log = tmp_path / "compiles.log"
     wrapper = tmp_path / "cc-wrapper"
-    wrapper.write_text(f'#!/bin/sh\necho compile >> "{log}"\nexec "{shutil.which(real)}" "$@"\n')
+    lines = ["#!/bin/sh"]
+    if refuse:
+        lines.append(f'case " $* " in *" {refuse} "*) exit 1;; esac')
+    lines += [
+        f'for arg in "$@"; do [ "$arg" = -shared ] && echo compile >> "{log}"; done',
+        f'exec "{shutil.which(real)}" "$@"',
+    ]
+    wrapper.write_text("\n".join(lines) + "\n")
     wrapper.chmod(0o755)
     temp = tmp_path / "tmp"
     temp.mkdir()
     return wrapper, log, temp
+
+
+@pytest.fixture
+def wrapped_cc(tmp_path):
+    return _cc_wrapper(tmp_path)
 
 
 def _run_child(wrapper, temp):
@@ -164,6 +181,8 @@ class TestBuildCache:
         _run_child(wrapper, temp)  # loads the first process's library
         assert _compiles(log) == 1
         (cache_dir,) = temp.glob("repro-compiled-*")
+        target = compiled._host_target(str(wrapper))
+        assert cache_dir.name == "repro-compiled-" + compiled._build_key(str(wrapper), target)
         assert stat.S_IMODE(cache_dir.stat().st_mode) == 0o700
         assert sorted(p.name for p in cache_dir.iterdir()) == [
             "repro_compiled.so",
@@ -178,7 +197,8 @@ class TestBuildCache:
 
     def test_untrusted_cache_directory_is_never_loaded_from(self, wrapped_cc):
         wrapper, log, temp = wrapped_cc
-        planted = temp / ("repro-compiled-" + compiled._build_key(str(wrapper)))
+        key = compiled._build_key(str(wrapper), compiled._host_target(str(wrapper)))
+        planted = temp / ("repro-compiled-" + key)
         planted.mkdir()
         planted.chmod(0o777)  # world-writable: anyone could have put this here
         payload = b"\x7fELF planted"
@@ -188,6 +208,23 @@ class TestBuildCache:
         assert _compiles(log) == 1
         assert (planted / "repro_compiled.so").read_bytes() == payload
         assert list(temp.glob("repro-*")) == [planted]
+
+    @pytest.mark.parametrize("refuse", ["-march=native", "-shared -march=native"], ids=["flag", "build"])
+    def test_a_compiler_refusing_the_host_target_builds_the_portable_library(self, tmp_path, refuse):
+        """Refused in the target probe too ("flag"), or only when building
+        with it ("build"): either way the portable library is built and run."""
+        wrapper, log, temp = _cc_wrapper(tmp_path, refuse=refuse)
+        _run_child(wrapper, temp)  # the child asserts backend() == "cext"
+        assert _compiles(log) == 1
+        portable = temp / ("repro-compiled-" + compiled._build_key(str(wrapper), None))
+        assert sorted(p.name for p in portable.iterdir()) == ["repro_compiled.so", "repro_compiled.so.sha256"]
+        target = compiled._host_target(str(wrapper))
+        assert (target is None) == (refuse == "-march=native")
+        assert [p for d in temp.glob("repro-compiled-*") if d != portable for p in d.iterdir()] == []
+
+    def test_build_key_changes_with_the_resolved_target(self):
+        targets = (None, "-march=skylake", "-march=skylake -mavx512f", "-march=znver3")
+        assert len({compiled._build_key("/usr/bin/cc", target) for target in targets}) == len(targets)
 
 
 # --------------------------------------------------------------------------- #
@@ -281,6 +318,38 @@ class TestEdgeAttentionAgainstFallback:
         with compiled.force_backend("numpy"):
             slow = compiled.edge_attention(q, arena, rows, indptr, 0.4)
         _assert_round_off(ragged, slow)
+
+
+class TestHostBuild:
+    """The host-ISA build returns the portable build's bits: the dot product's
+    eight lanes reduce in one fixed order and neither build fuses into FMAs."""
+
+    @pytest.mark.parametrize("key_dim, value_dim", [(KEY_DIM, VALUE_DIM), (67, 33)])
+    def test_host_and_portable_builds_are_bit_identical(self, tmp_path, monkeypatch, key_dim, value_dim):
+        cc = compiled._find_cc()
+        if cc is None or _compiled_name() is None:
+            pytest.skip("no compiled backend available")
+        target = compiled._host_target(shutil.which(cc))
+        if target is None:
+            pytest.skip("the compiler resolves no host target")
+        libraries = []
+        for name, build_target in (("portable", None), ("host", target)):
+            path = tmp_path / f"{name}.so"
+            compiled._compile(cc, str(tmp_path), str(path), build_target)
+            libraries.append(compiled._bind(ctypes.CDLL(str(path))))
+        rng = np.random.default_rng(17)
+        cols, indptr = _layout(rng)
+        for storage in ("fp32", "fp64", "int8"):
+            arena = _arena(rng, (2,), storage, key_dim=key_dim, value_dim=value_dim)
+            for q_dtype in (np.float32, np.float64):
+                q = rng.standard_normal((2, LENGTH, key_dim)).astype(q_dtype)
+                results = []
+                with compiled.force_backend("cext"):
+                    for library in libraries:
+                        monkeypatch.setattr(compiled, "_cext", library)
+                        results.append(compiled.edge_attention(q, arena, cols, indptr, 0.4))
+                for portable, host in zip(*results):
+                    assert_array_equal(portable, host)
 
 
 class TestEdgeAttentionExactness:

@@ -97,7 +97,7 @@ def test_acceptance_workload_exercises_preemption_and_swap_in():
 def test_every_tensor_profile_survives_a_swap_storm(profile):
     """The acceptance storm with every stream on one tensor profile.
 
-    Peaked rows rescale the online softmax's running maximum at every key and
+    Peaked rows raise the softmax's row maximum at every key and
     collapse rows cross to flat ones mid-stream; swapped out and restored
     mid-decode, each stream must still equal its replay bit for bit (the
     harness's invariants), whatever its profile.
