@@ -5,13 +5,14 @@ Demonstrates the incremental decoding subsystem (``repro.serve.decode``):
 1. build a composed Longformer mask (local window + global tokens),
 2. open several concurrent ``DecodeSession`` streams against one
    ``AttentionServer`` — the decode-mode plan (per-row stencil program) is
-   compiled once and shared through the plan cache,
+   compiled once and shared through the plan cache; the server has no block
+   pool, so each session pages through a pool of its own,
 3. prefill each stream's prompt, then stream new tokens through
    ``server.decode_steps`` — every stream's step runs in one ragged kernel
    pass, whatever its mask and position (continuous batching),
 4. verify a stream against a one-shot ``engine.run`` over the causally
    clipped reference mask,
-5. report per-token cost, KV-cache growth and coalescing statistics.
+5. report per-token cost, KV blocks used and coalescing statistics.
 
 Run:  python examples/decode_streaming.py [--quick]
 """
@@ -93,9 +94,8 @@ def main() -> None:
         )
         cache = sessions[0].cache
         print(
-            f"   KV cache/stream: {cache.length} tokens, capacity {cache.capacity} "
-            f"after {cache.grows} geometric doublings ({cache.nbytes / 1024:.0f} KiB; "
-            f"A100 fp16 would hold "
+            f"   KV cache/stream: {cache.length} tokens in {cache.blocks_used} blocks of "
+            f"{cache.pool.block_size} ({cache.nbytes / 1024:.0f} KiB mapped; fp16 would hold "
             f"{kv_cache_bytes(horizon, dim, dtype='fp16') / 1024:.0f} KiB)"
         )
 

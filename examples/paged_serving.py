@@ -9,10 +9,10 @@ Demonstrates the paged KV-cache subsystem (``repro.serve.paging``):
    blocks via chained-hash prefix sharing, so the prompt is resident once,
 3. decode a divergent continuation per stream — the shared partial tail
    block is copied-on-write at the first divergent token,
-4. verify one stream bit-exactly against a private-cache session and the
-   one-shot oracle,
-5. print the occupancy / share-hit / copy-on-write statistics, plus what the
-   same budget holds with private per-stream buffers,
+4. verify one stream bit-exactly against the same stream decoded alone on a
+   pool of its own, and against the one-shot oracle,
+5. print the occupancy / share-hit / copy-on-write statistics, plus what
+   unshared per-stream copies would need,
 6. repeat one stream on an **int8-quantized pool** (``storage="int8"``): the
    same budget carves ~3.5x the token slots, and the output error stays
    inside the documented bound (``repro.serve.attention_tolerance``).
@@ -55,18 +55,18 @@ def main() -> None:
         f"+{decode_tokens} tokens each, d_k={dim}, block_size={block_size}"
     )
 
-    # budget: roughly 40% of what private copies of every stream would need —
+    # budget: roughly 40% of what unshared copies of every stream would need —
     # prefix sharing is what makes the fan-out fit
-    private_need = streams * kv_cache_bytes(horizon, dim, dtype="fp32")
-    budget = int(private_need * 0.4)
+    unshared_need = streams * kv_cache_bytes(horizon, dim, dtype="fp32")
+    budget = int(unshared_need * 0.4)
     server = AttentionServer(cache_capacity=8)
     pool = server.create_block_pool(
         key_dim=dim, memory_budget_bytes=budget, block_size=block_size
     )
     print(
         f"   budget {budget / 1e6:.2f} MB -> {pool.num_blocks} blocks "
-        f"({pool.num_blocks * block_size:,} token slots); private buffers for "
-        f"{streams} streams would need {private_need / 1e6:.2f} MB"
+        f"({pool.num_blocks * block_size:,} token slots); unshared copies for "
+        f"{streams} streams would need {unshared_need / 1e6:.2f} MB"
     )
 
     # one shared prompt, one divergent continuation per stream
@@ -80,9 +80,7 @@ def main() -> None:
     sessions = []
     for s in range(streams):
         try:
-            session = client.open_session(
-                mask, horizon, retain_outputs=True, paged=True, reserve_tokens=0
-            )
+            session = client.open_session(mask, horizon, retain_outputs=True, reserve_tokens=0)
         except PoolExhausted:
             print(f"   admission rejected stream {s} — budget truly exhausted")
             break
@@ -108,18 +106,18 @@ def main() -> None:
         f"({pool.used_bytes / 1e6:.2f} MB of {budget / 1e6:.2f} MB)"
     )
 
-    # verification: stream 0 == private-cache decode == one-shot oracle
+    # verification: stream 0 == stream 0 alone on its own pool == one-shot oracle
     q = np.concatenate([pq, continuations[0][0]])
     k = np.concatenate([pk, continuations[0][1]])
     v = np.concatenate([pv, continuations[0][2]])
-    private = DecodeSession.start(mask, horizon, retain_outputs=True)
-    private.prefill(pq, pk, pv)
+    alone = DecodeSession.start(mask, horizon, retain_outputs=True)
+    alone.prefill(pq, pk, pv)
     for i in range(decode_tokens):
-        private.step(continuations[0][0][i], continuations[0][1][i], continuations[0][2][i])
-    np.testing.assert_array_equal(sessions[0].outputs(), private.outputs())
+        alone.step(continuations[0][0][i], continuations[0][1][i], continuations[0][2][i])
+    np.testing.assert_array_equal(sessions[0].outputs(), alone.outputs())
     oracle = GraphAttentionEngine().run(q, k, v, decode_reference_mask(mask, horizon))
     np.testing.assert_allclose(sessions[0].outputs(), oracle.output, atol=1e-5, rtol=1e-5)
-    print("   verified: paged == private cache (bit-exact) == one-shot oracle")
+    print("   verified: shared pool == own pool (bit-exact) == one-shot oracle")
 
     for session in sessions:
         server.close_decode_session(session)
@@ -140,9 +138,7 @@ def main() -> None:
         f"{int8_pool.num_blocks} blocks vs {pool.num_blocks} at fp32 "
         f"({int8_pool.num_blocks / pool.num_blocks:.2f}x the token slots)"
     )
-    int8_session = ServingClient(int8_server).open_session(
-        mask, horizon, retain_outputs=True, paged=True, reserve_tokens=0
-    )
+    int8_session = ServingClient(int8_server).open_session(mask, horizon, retain_outputs=True, reserve_tokens=0)
     int8_session.prefill(pq, pk, pv)
     cq, ck, cv = continuations[0]
     for i in range(decode_tokens):

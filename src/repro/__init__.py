@@ -49,7 +49,6 @@ from repro.serve import (
     BlockPool,
     DecodeSession,
     ExecutionPlan,
-    KVCache,
     PagedKVCache,
     PlanCache,
     PoolExhausted,
@@ -75,7 +74,6 @@ __all__ = [
     "DecodeSession",
     "ExecutionPlan",
     "GraphAttentionEngine",
-    "KVCache",
     "OpCounts",
     "PagedKVCache",
     "PlanCache",

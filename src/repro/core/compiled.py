@@ -32,7 +32,7 @@ Two backends:
 
 Exactness: each row's reduction is sequential and independent of every
 other row of the call, so within one backend a row's result depends only on
-its own query and K/V rows — stacked == individual and paged == private
+its own query and K/V rows — stacked == individual and paged == contiguous
 hold by construction.  The C kernel sums each dot product in a fixed order
 (eight lanes, element ``j`` into lane ``j % 8``, reduced as
 ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``) and is built with

@@ -230,8 +230,9 @@ class GraphAttentionEngine:
     ):
         """Open a :class:`~repro.serve.decode.DecodeSession` for ``mask``.
 
-        The session holds a growing KV cache and compiles a decode-mode plan
-        with this engine's execution knobs; feed it a prompt via
+        The session pages its KV cache through a block pool of its own,
+        sized to ``horizon``, and compiles a decode-mode plan with this
+        engine's execution knobs; feed it a prompt via
         ``session.prefill`` and new tokens via :meth:`decode_step`.
         ``horizon`` is the pattern length mask rows are evaluated at (the
         maximum number of tokens the session may hold).

@@ -17,9 +17,9 @@ Three layers turn the paper's kernels into a serving stack:
   of the new token's mask row), with the steps of concurrent sessions —
   whatever their masks, horizons and positions — run as one ragged kernel
   pass (continuous batching).
-* :mod:`repro.serve.paging` — paged KV memory: a refcounted
-  :class:`BlockPool` of fixed-size K/V blocks shared by every paged session,
-  :class:`PagedKVCache` block tables with chained-hash prefix sharing and
+* :mod:`repro.serve.paging` — paged KV memory, the one KV cache every
+  session holds: a refcounted :class:`BlockPool` of fixed-size K/V blocks
+  shared by a server's sessions, :class:`PagedKVCache` block tables with chained-hash prefix sharing and
   copy-on-write divergence, LRU eviction of finished sessions' blocks,
   all-or-nothing admission grants on the server, and a host-side
   :class:`SwapStore` parking preempted sessions' serialized caches.
@@ -65,7 +65,6 @@ from repro.serve.cache import CacheStats, PlanCache
 from repro.serve.client import GenerationResult, ServingClient
 from repro.serve.decode import (
     DecodeSession,
-    KVCache,
     decode_reference_mask,
     stacked_decode_step,
     stacked_prefill,
@@ -162,7 +161,6 @@ __all__ = [
     "GenerationResult",
     "InfeasibleRequest",
     "IterationReport",
-    "KVCache",
     "LoopRequest",
     "LoopStats",
     "LoopStatsSnapshot",

@@ -11,10 +11,10 @@ Every way to get attention served goes through one object:
   the current event loop (tenant limits and SLO scheduling included).
 * :meth:`ServingClient.open_session` / :meth:`ServingClient.close_session`
   — the session-level escape hatch for callers that drive
-  :class:`~repro.serve.decode.DecodeSession` steps themselves.  A paged
-  open is admitted or rejected at once; requests that should wait for
-  capacity go through the loop, whose policy-ranked queue is the one
-  admission queue.
+  :class:`~repro.serve.decode.DecodeSession` steps themselves.  An open
+  on the server's pool is admitted or rejected at once; requests that
+  should wait for capacity go through the loop, whose policy-ranked queue
+  is the one admission queue.
 
 Constructor keywords follow the stack-wide normalized style (``obs=``,
 ``clock=``, ``policy=``, ``storage=``), validated by the shared
@@ -471,14 +471,14 @@ class ServingClient:
         horizon: int,
         *,
         retain_outputs: bool = False,
-        paged: bool = False,
         reserve_tokens: Optional[int] = None,
     ) -> DecodeSession:
-        """Open a decode session (reject-mode admission for paged sessions).
+        """Open a decode session (reject-mode admission on the server's pool).
 
-        ``paged=True`` draws the KV cache from the server's block pool and
+        The session's KV cache pages through the server's block pool and
         holds blocks for ``reserve_tokens`` tokens (default: one block) up
-        front, or raises :exc:`~repro.serve.paging.PoolExhausted`; see
+        front, or the open raises :exc:`~repro.serve.paging.PoolExhausted`.
+        A server without a pool gives the session a pool of its own; see
         :meth:`AttentionServer._open_decode_session
         <repro.serve.scheduler.AttentionServer._open_decode_session>`.
         """
@@ -491,7 +491,6 @@ class ServingClient:
             mask,
             horizon,
             retain_outputs=retain_outputs,
-            paged=paged,
             reserve_tokens=reserve_tokens,
         )
 

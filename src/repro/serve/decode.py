@@ -7,18 +7,17 @@ paper's per-edge work argument (Section IV-B) applied to the streaming
 pattern of the sequence-parallel systems it surveys.  This module provides
 that path:
 
-* :class:`KVCache` — preallocated, geometrically-doubling ``(..., L, d)``
-  key/value buffers with batch/head leading axes, so appending a token is an
-  O(d) copy and growth is amortised O(1).
 * :class:`DecodeSession` — one decoding stream: a decode-mode
   :class:`~repro.serve.plan.ExecutionPlan` (whose precompiled
   :class:`~repro.masks.rows.RowProgram` yields each new token's neighbour
-  set), the growing KV cache, and the incremental attention step that runs
-  Algorithm 1 for the new query row against the cached keys in place.
+  set), its KV cache — a :class:`~repro.serve.paging.PagedKVCache` over a
+  server's shared block pool or a pool of the session's own — and the
+  incremental attention step that runs Algorithm 1 for the new query row
+  against the cached keys in place.
 * :func:`stacked_decode_step` / :func:`stacked_prefill` — the
   continuous-batching primitives: the decode steps (or prompt chunks) of
   any sessions, whatever their masks, horizons, positions and chunk
-  lengths, run as one ragged kernel pass per arena — one KV write
+  lengths, run as one ragged kernel pass per pool — one KV write
   per pool (:mod:`repro.serve.paging`'s pass writer) and one row layout
   (:func:`~repro.masks.rows.causal_layout`) per pass, each session's rows
   from its own program, laid end to end in one CSR (used by
@@ -40,7 +39,7 @@ run over :func:`decode_reference_mask`.
 from __future__ import annotations
 
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,175 +50,16 @@ from repro.core.result import AttentionResult, OpCounts
 from repro.masks.base import as_mask_spec
 from repro.masks.rows import causal_layout, compile_row_program
 from repro.masks.structured import DenseMask
-from repro.serve.paging import BlockPool, PagedKVCache, _write_blocks
+from repro.perfmodel.decode import blocks_for_tokens
+from repro.serve.paging import DEFAULT_BLOCK_SIZE, BlockPool, PagedKVCache, _write_blocks
 from repro.serve.plan import ExecutionPlan, compile_plan
 from repro.sparse.csr import CSRMatrix
 from repro.utils.validation import require
-
-#: Initial KV-cache capacity (tokens) before the first geometric doubling.
-DEFAULT_INITIAL_CAPACITY = 16
-
-
-class KVCache:
-    """Growing key/value buffers for one decoding stream.
-
-    Buffers are ``batch_shape + (capacity, d)`` with the batch/head axes
-    leading, matching the layout every kernel treats as first-class; only the
-    first :attr:`length` rows are live.  Appending beyond capacity reallocates
-    at twice the size (geometric doubling, amortised O(1) per token), capped
-    at ``max_length`` when given.
-    """
-
-    def __init__(
-        self,
-        batch_shape: Tuple[int, ...],
-        key_dim: int,
-        value_dim: int,
-        *,
-        dtype=np.float32,
-        capacity: int = DEFAULT_INITIAL_CAPACITY,
-        max_length: Optional[int] = None,
-    ) -> None:
-        require(key_dim > 0 and value_dim > 0, "key/value dims must be positive")
-        require(capacity >= 1, "initial capacity must be >= 1")
-        self.batch_shape = tuple(int(s) for s in batch_shape)
-        self.key_dim = int(key_dim)
-        self.value_dim = int(value_dim)
-        self.max_length = int(max_length) if max_length is not None else None
-        require(
-            self.max_length is None or self.max_length >= 1,
-            "max_length must be >= 1 when given",
-        )
-        if self.max_length is not None:
-            capacity = min(capacity, self.max_length)
-        self._keys = np.empty(self.batch_shape + (capacity, self.key_dim), dtype=dtype)
-        self._values = np.empty(self.batch_shape + (capacity, self.value_dim), dtype=dtype)
-        self._length = 0
-        self.grows = 0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def length(self) -> int:
-        """Number of live tokens."""
-        return self._length
-
-    @property
-    def capacity(self) -> int:
-        """Allocated token slots."""
-        return int(self._keys.shape[-2])
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._keys.dtype
-
-    @property
-    def nbytes(self) -> int:
-        """Allocated buffer bytes (capacity, not just live tokens)."""
-        return int(self._keys.nbytes + self._values.nbytes)
-
-    def keys(self) -> np.ndarray:
-        """View of the live key rows, ``batch_shape + (length, d_k)``."""
-        return self._keys[..., : self._length, :]
-
-    def values(self) -> np.ndarray:
-        """View of the live value rows, ``batch_shape + (length, d_v)``."""
-        return self._values[..., : self._length, :]
-
-    def _check_live(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions)
-        if positions.size:
-            require(
-                int(positions.min(initial=0)) >= 0,
-                "gather with negative positions",
-            )
-            require(
-                int(positions.max(initial=0)) < self._length,
-                "gather past the live token range",
-            )
-        return positions
-
-    def gather_keys(self, positions: np.ndarray) -> np.ndarray:
-        """Key rows of live token ``positions``, ``batch_shape + (E, d_k)``.
-
-        Same contract as :meth:`PagedKVCache.gather_keys
-        <repro.serve.paging.PagedKVCache.gather_keys>`, including the refusal
-        to read past the live rows into slack capacity.
-        """
-        return self._keys[..., self._check_live(positions), :]
-
-    def gather_values(self, positions: np.ndarray) -> np.ndarray:
-        """Value rows of live token ``positions``, ``batch_shape + (E, d_v)``."""
-        return self._values[..., self._check_live(positions), :]
-
-    def attention_operands(self, positions: np.ndarray) -> Tuple[compiled.Arena, np.ndarray]:
-        """``(arena, rows)`` the attention kernel reads ``positions`` through.
-
-        The private buffers are the arena and the checked positions its rows
-        — the one-cache counterpart of :meth:`BlockPool.attention_operands
-        <repro.serve.paging.BlockPool.attention_operands>`, which does the
-        same for all a pass's paged caches on one pool.
-        """
-        return compiled.Arena(self._keys, self._values), self._check_live(positions)
-
-    # ------------------------------------------------------------------ #
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._length + extra
-        require(
-            self.max_length is None or needed <= self.max_length,
-            f"KV cache full: {needed} tokens exceed the decode horizon {self.max_length}",
-        )
-        if needed <= self.capacity:
-            return
-        new_capacity = self.capacity
-        while new_capacity < needed:
-            new_capacity *= 2
-        if self.max_length is not None:
-            new_capacity = min(new_capacity, self.max_length)
-        keys = np.empty(self.batch_shape + (new_capacity, self.key_dim), dtype=self.dtype)
-        values = np.empty(self.batch_shape + (new_capacity, self.value_dim), dtype=self.dtype)
-        keys[..., : self._length, :] = self.keys()
-        values[..., : self._length, :] = self.values()
-        self._keys, self._values = keys, values
-        self.grows += 1
-
-    def extend(self, k_block: np.ndarray, v_block: np.ndarray) -> int:
-        """Append a block of tokens; returns the first appended position."""
-        k_block = np.asarray(k_block)
-        v_block = np.asarray(v_block)
-        require(k_block.ndim >= 2, "key block must be batch_shape + (T, d_k)")
-        count = int(k_block.shape[-2])
-        require(
-            k_block.shape == self.batch_shape + (count, self.key_dim),
-            "key block shape does not match the cache layout",
-        )
-        require(
-            v_block.shape == self.batch_shape + (count, self.value_dim),
-            "value block shape does not match the cache layout",
-        )
-        self._ensure_capacity(count)
-        start = self._length
-        self._keys[..., start : start + count, :] = k_block
-        self._values[..., start : start + count, :] = v_block
-        self._length += count
-        return start
-
-    def append(self, k_row: np.ndarray, v_row: np.ndarray) -> int:
-        """Append one token (rows shaped ``batch_shape + (d,)``); returns its position."""
-        return self.extend(
-            np.asarray(k_row)[..., None, :], np.asarray(v_row)[..., None, :]
-        )
 
 
 # --------------------------------------------------------------------------- #
 # Row attention core
 # --------------------------------------------------------------------------- #
-#: Either cache flavour a session may own: the private contiguous buffer or a
-#: block-table view over a shared pool.  Both hand the kernel an arena and the
-#: rows to read (:meth:`KVCache.attention_operands`, and for all a pass's
-#: caches on one pool :meth:`~repro.serve.paging.BlockPool.attention_operands`).
-AnyKVCache = Union[KVCache, PagedKVCache]
-
-
 def _edge_attention(
     sessions: Sequence["DecodeSession"],
     q_blocks: Sequence[np.ndarray],
@@ -230,9 +70,8 @@ def _edge_attention(
     Session ``s`` brings its query block ``q_blocks[s]``
     (``batch_shape + (R_s, d_k)``) for its rows ``positions[s]`` onward, so
     sessions may differ in mask, horizon, position and row count.  Sessions
-    whose caches read one arena (one pool, or one private cache) with one
-    query dtype and scale run as a single
-    :func:`~repro.core.compiled.edge_attention` call: one
+    whose caches page through one pool with one query dtype and scale run as
+    a single :func:`~repro.core.compiled.edge_attention` call: one
     :func:`~repro.masks.rows.causal_layout` of all their rows, one
     block-table lookup of its columns
     (:meth:`~repro.serve.paging.BlockPool.attention_operands`) and their
@@ -246,9 +85,7 @@ def _edge_attention(
     """
     calls: Dict[Tuple, List[int]] = {}
     for index, (session, q) in enumerate(zip(sessions, q_blocks)):
-        cache = session.cache
-        arena = cache.pool if isinstance(cache, PagedKVCache) else cache
-        calls.setdefault((id(arena), q.dtype, session.plan.scale, q.shape[-1]), []).append(index)
+        calls.setdefault((id(session.cache.pool), q.dtype, session.plan.scale, q.shape[-1]), []).append(index)
     parts: List = [None] * len(sessions)
     edges: List[int] = [0] * len(sessions)
     for (_, _, scale, key_dim), members in calls.items():
@@ -256,12 +93,8 @@ def _edge_attention(
         indptr, cols = causal_layout([(sessions[i].program, positions[i], n) for i, n in zip(members, counts)])
         bounds = np.cumsum([0, *counts])
         member_edges = np.diff(indptr[bounds])
-        cache = sessions[members[0]].cache
-        if isinstance(cache, PagedKVCache):
-            caches = [sessions[i].cache for i in members]
-            arena, rows = cache.pool.attention_operands(caches, cols, member_edges)
-        else:
-            arena, rows = cache.attention_operands(cols)
+        caches = [sessions[i].cache for i in members]
+        arena, rows = caches[0].pool.attention_operands(caches, cols, member_edges)
         q = np.concatenate([q_blocks[i] for i in members], axis=-2)
         output, row_max, row_sum = compiled.edge_attention(q, arena, rows, indptr, resolve_scale(scale, key_dim))
         for i, lo, hi, count in zip(members, bounds[:-1].tolist(), bounds[1:].tolist(), member_edges.tolist()):
@@ -280,8 +113,7 @@ def _edge_attention(
 class DecodeSession:
     """One autoregressive decoding stream over a decode-mode execution plan.
 
-    The session owns a :class:`KVCache` (allocated lazily from the first
-    tokens it sees, so batch shape, head dims and dtype are inferred) and the
+    The session holds a :class:`~repro.serve.paging.PagedKVCache` and the
     plan's precompiled :class:`~repro.masks.rows.RowProgram`.  ``prefill``
     processes the prompt in one vectorized pass over its causal rows;
     ``step`` appends a single token and attends only that token's mask row —
@@ -289,6 +121,20 @@ class DecodeSession:
 
     ``plan.length`` is the session's *horizon*: the pattern length mask rows
     are evaluated at, and the maximum number of tokens the session may hold.
+
+    The cache pages through the pool it is given at open (a server's shared
+    pool, or ``pool=`` of :meth:`start`).  A session opened without one
+    pages through a :class:`~repro.serve.paging.BlockPool` of its own,
+    ``ceil(horizon / DEFAULT_BLOCK_SIZE)`` blocks laid out (batch shape,
+    head dims, dtype) like the first tokens it sees.  That pool maps the
+    whole horizon at once: its arenas are ``np.zeros``, so only touched
+    pages become resident, but NumPy asks for huge pages on arrays of 4 MB
+    or more, so where the kernel grants them each 2 MB region a write
+    touches is resident whole (128 tokens at horizon 65,536, 4 heads, d=64
+    fp32 cost about 12.6 MB of RSS on Linux with transparent huge pages in
+    ``madvise`` mode).
+    Serving traffic pages through its server's pool; sessions without one
+    are for tests, examples and oracles.
     """
 
     def __init__(
@@ -296,9 +142,8 @@ class DecodeSession:
         plan: ExecutionPlan,
         *,
         retain_outputs: bool = False,
-        initial_capacity: int = DEFAULT_INITIAL_CAPACITY,
         session_id: Optional[int] = None,
-        cache: Optional[AnyKVCache] = None,
+        cache: Optional[PagedKVCache] = None,
     ) -> None:
         require(
             plan.mode == "decode" and plan.decode is not None,
@@ -307,12 +152,10 @@ class DecodeSession:
         self.plan = plan
         self.program = plan.decode
         self.retain_outputs = bool(retain_outputs)
-        self.initial_capacity = int(initial_capacity)
         self.session_id = session_id
-        #: ``None`` until the first tokens arrive (layout is inferred), unless
-        #: a pre-built cache — typically a :class:`~repro.serve.paging.
-        #: PagedKVCache` over a shared pool — was injected at open.
-        self.cache: Optional[AnyKVCache] = cache
+        #: ``None`` until the first tokens open a pool of the session's own,
+        #: unless a cache over a given pool was injected at open.
+        self.cache: Optional[PagedKVCache] = cache
         self.closed = False
         self.ops = OpCounts()  # summed over every pass this session ran in
         self.steps_taken = 0
@@ -331,25 +174,17 @@ class DecodeSession:
         scale: Optional[float] = None,
         executor: str = "vectorized",
         retain_outputs: bool = False,
-        initial_capacity: int = DEFAULT_INITIAL_CAPACITY,
         pool: Optional[BlockPool] = None,
     ) -> "DecodeSession":
         """Compile a decode plan for ``mask`` at ``horizon`` and open a session.
 
         The plan keeps its canonical cache key, so independently started
-        sessions over the same mask shape share it.  Passing ``pool`` backs
-        the session
-        with a :class:`~repro.serve.paging.PagedKVCache` over that shared
-        block pool instead of a private buffer.
+        sessions over the same mask shape share it.  The session pages
+        through ``pool`` when one is given, else through a pool of its own.
         """
         plan = compile_plan(mask, horizon, executor=executor, scale=scale, mode="decode")
         cache = PagedKVCache(pool, max_length=horizon) if pool is not None else None
-        return cls(
-            plan,
-            retain_outputs=retain_outputs,
-            initial_capacity=initial_capacity,
-            cache=cache,
-        )
+        return cls(plan, retain_outputs=retain_outputs, cache=cache)
 
     # ------------------------------------------------------------------ #
     @property
@@ -367,16 +202,6 @@ class DecodeSession:
         """Leading batch/head axes (empty until the first tokens arrive)."""
         return self.cache.batch_shape if self.cache is not None else ()
 
-    @property
-    def kv_cache_bytes(self) -> int:
-        """Bytes currently allocated (private) or mapped (paged) by the cache."""
-        return self.cache.nbytes if self.cache is not None else 0
-
-    @property
-    def paged(self) -> bool:
-        """Whether the session's KV cache lives in a shared block pool."""
-        return isinstance(self.cache, PagedKVCache)
-
     # ------------------------------------------------------------------ #
     def _check_layout(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
         """Refuse a block whose batch shape or head dims differ from the cache's."""
@@ -393,18 +218,16 @@ class DecodeSession:
                 f"({cache.key_dim}, {cache.value_dim})"
             )
 
-    def _ensure_cache(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
-        if self.cache is not None:
-            self._check_layout(k_block, v_block)
-            return
-        self.cache = KVCache(
-            k_block.shape[:-2],
-            k_block.shape[-1],
-            v_block.shape[-1],
+    def _open_cache(self, k_block: np.ndarray, v_block: np.ndarray) -> None:
+        """Page through a pool of the session's own, laid out like its first tokens."""
+        pool = BlockPool(
+            blocks_for_tokens(self.horizon, DEFAULT_BLOCK_SIZE),
+            key_dim=k_block.shape[-1],
+            value_dim=v_block.shape[-1],
+            batch_shape=k_block.shape[:-2],
             dtype=k_block.dtype,
-            capacity=self.initial_capacity,
-            max_length=self.horizon,
         )
+        self.cache = PagedKVCache(pool, max_length=self.horizon)
 
     def _as_token_slices(self, *arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Normalise single-token inputs to ``batch_shape + (1, d)``."""
@@ -455,18 +278,16 @@ class DecodeSession:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Finish the stream: release paged blocks back to their pool.
+        """Finish the stream: release its blocks back to their pool.
 
         Idempotent.  A closed session refuses further prefills and steps;
-        retained outputs stay readable.  For a private-cache session this
-        only marks the stream finished (the buffer is garbage-collected with
-        the session); for a paged session every block reference returns to
+        retained outputs stay readable.  Every block reference returns to
         the pool, where prefix-registered blocks park in the evictable LRU.
         """
         if self.closed:
             return
         self.closed = True
-        if isinstance(self.cache, PagedKVCache):
+        if self.cache is not None:
             self.cache.release()
 
     def outputs(self) -> np.ndarray:
@@ -490,18 +311,23 @@ def _append(
 ) -> None:
     """Atomically extend every session's cache by its own block.
 
-    The paged caches take one pass write (its layout checks already made
-    by :func:`_check_blocks`), which advances all of them or none; private
-    caches follow, and can no longer fail once :func:`_check_blocks` passed.
+    A session's first tokens open its own pool if it has no cache yet
+    (:meth:`DecodeSession._open_cache`).  Then one pass write, its layout
+    checks already made by :func:`_check_blocks`, advances every cache or
+    none; a failed write also drops the pools it opened, so a refused pass
+    leaves no session's layout fixed.
     """
-    paged = [index for index, session in enumerate(sessions) if isinstance(session.cache, PagedKVCache)]
-    if paged:
-        _write_blocks([sessions[i].cache for i in paged], [k_blocks[i] for i in paged], [v_blocks[i] for i in paged])
-    if len(paged) < len(sessions):
-        for session, k, v in zip(sessions, k_blocks, v_blocks):
-            if not isinstance(session.cache, PagedKVCache):
-                session._ensure_cache(k, v)
-                session.cache.extend(k, v)
+    opened = []
+    for session, k, v in zip(sessions, k_blocks, v_blocks):
+        if session.cache is None:
+            session._open_cache(k, v)
+            opened.append(session)
+    try:
+        _write_blocks([session.cache for session in sessions], k_blocks, v_blocks)
+    except BaseException:
+        for session in opened:
+            session.cache = None
+        raise
 
 
 def _check_blocks(
@@ -567,7 +393,7 @@ def _ragged_pass(
     step: bool,
 ) -> List[AttentionResult]:
     """Append every session's block, then attend all their new rows in one
-    ragged kernel pass per arena (:func:`_edge_attention`).
+    ragged kernel pass per pool (:func:`_edge_attention`).
 
     A step attends :meth:`~repro.masks.rows.RowProgram.causal_row` of the
     new token's position, a prefill chunk the causal rows of its positions,
@@ -620,7 +446,7 @@ def stacked_prefill(
     The chunked-prefill twin of :func:`stacked_decode_step`: each session
     appends its own ``batch_shape + (P_s, d)`` prompt chunk at its own
     position, whatever its mask and horizon, and all the chunks' causal rows
-    run through one fused kernel call per arena.  Block reservation is
+    run through one fused kernel call per pool.  Block reservation is
     atomic per pool, so exhaustion fails the whole pass before any block
     table advances.  Returns one per-session
     :class:`~repro.core.result.AttentionResult`, exactly equal to what
@@ -639,7 +465,7 @@ def stacked_decode_step(
 
     Sessions may differ in mask, horizon and position: each new token's row
     comes from its own session's program, the rows lie end to end, and the
-    pass makes one fused kernel call per arena, reading each session's K/V
+    pass makes one fused kernel call per pool, reading each session's K/V
     rows in place — the continuous-batching shape of decode serving.
     Returns one per-session :class:`~repro.core.result.AttentionResult`,
     exactly equal to what individual :meth:`DecodeSession.step` calls would

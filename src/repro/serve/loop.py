@@ -1020,7 +1020,6 @@ class ContinuousBatchingScheduler:
             stream.session = self.server._open_decode_session(
                 request.mask,
                 request.total_tokens,
-                paged=True,
                 reserve_tokens=first_chunk,
             )
             readmission = False

@@ -1,10 +1,9 @@
 """Paged KV-cache: block pools, block tables, prefix sharing, copy-on-write.
 
-PR 3's :class:`~repro.serve.decode.KVCache` gives every decoding stream a
-private geometrically-doubling buffer, so N concurrent streams with one
-shared prompt store N copies of its keys and values and the server has no
-global notion of memory.  This module pages the cache instead — the vLLM
-recipe applied to the repo's numpy serving stack:
+Every decoding stream's KV cache pages through this module.  A contiguous
+buffer per stream would store N copies of a prompt that N streams share,
+and leave the server no global notion of memory; a block pool does neither
+— the vLLM recipe applied to the repo's numpy serving stack:
 
 * :class:`BlockPool` — one preallocated pair of K/V arenas shaped
   ``batch_shape + (num_blocks · block_size, d)``, carved into fixed-size
@@ -13,13 +12,14 @@ recipe applied to the repo's numpy serving stack:
   zero while still registered under a prefix fingerprint parks in an LRU of
   *evictable* blocks — a finished session's prompt stays warm for the next
   identical prompt until memory pressure actually reclaims it.
-* :class:`PagedKVCache` — the drop-in replacement for ``KVCache``: the same
-  ``extend``/``append``/``gather`` API, but backed by a *block table* of
-  physical block ids instead of a contiguous buffer.  Prefill chunks are
-  fingerprinted with a chained content hash (hash of this block's bytes
-  chained onto the hash of everything before it), so two sessions prefilling
-  the same prompt map the same physical blocks (*prefix sharing*), including
-  a partially-filled tail block.  Appending into a block mapped by more than
+* :class:`PagedKVCache` — the KV cache of every
+  :class:`~repro.serve.decode.DecodeSession`: ``extend``/``append``/
+  ``gather`` over a *block table* of physical block ids instead of a
+  contiguous buffer.  Prefill chunks are fingerprinted with a chained
+  content hash (hash of this block's bytes chained onto the hash of
+  everything before it), so two sessions prefilling the same prompt map the
+  same physical blocks (*prefix sharing*), including a partially-filled
+  tail block.  Appending into a block mapped by more than
   one session copies it first (*copy-on-write on divergence*).
 * The pass writer — the KV write of one serving pass
   (:func:`~repro.serve.decode.stacked_decode_step` /
@@ -752,10 +752,10 @@ class BlockPool:
 class PagedKVCache:
     """Block-table KV cache over a shared :class:`BlockPool`.
 
-    Exposes the same surface a :class:`~repro.serve.decode.DecodeSession`
-    drives on the private :class:`~repro.serve.decode.KVCache` — ``extend``/
-    ``append``, ``length``, ``gather_keys``/``gather_values``,
-    ``keys``/``values`` — but the storage is a list of physical block ids.
+    The one KV cache a :class:`~repro.serve.decode.DecodeSession` holds —
+    ``extend``/``append``, ``length``, ``gather_keys``/``gather_values``,
+    ``keys``/``values`` — stored as a list of physical block ids.  A session
+    without a shared pool pages through a pool of its own.
 
     Prefill chunks are fingerprinted block-by-block with a chained content
     hash; a fingerprint already published in the pool maps the existing

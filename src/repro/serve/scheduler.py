@@ -21,9 +21,11 @@ open :class:`~repro.serve.decode.DecodeSession` objects whose decode-mode
 plans share the server's plan cache, and :meth:`AttentionServer.decode_steps`
 runs the steps of concurrent sessions — whatever their masks, horizons and
 positions — as one ragged kernel pass (:meth:`~AttentionServer.prefill_chunks`
-likewise).  A paged open is one capacity grant against the shared block
-pool, admitted or rejected at once; the loop's policy-ranked waiting queue
-is the only place a request waits for capacity.
+likewise).  Every session pages its KV cache through a block pool: the
+server's shared pool when it has one, else a pool of the session's own.  An
+open on the shared pool is one capacity grant, admitted or rejected at once;
+the loop's policy-ranked waiting queue is the only place a request waits for
+capacity.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ class AttentionServer:
     One-shot requests go through :meth:`serve` (or :meth:`handle`), which
     executes exactly the requests it is given.  The plan cache takes its own
     lock, so threads opening sessions over one mask compile its plan once;
-    the capacity grant behind a paged session open is all-or-nothing under
-    the block pool's own lock, so concurrent opens can be refused but never
-    over-commit the pool.
+    the capacity grant behind a session open on the shared block pool is
+    all-or-nothing under the pool's own lock, so concurrent opens can be
+    refused but never over-commit the pool.
 
     Parameters
     ----------
@@ -239,7 +241,7 @@ class AttentionServer:
 
         Size it either by ``memory_budget_bytes`` (the global KV memory the
         server may spend — blocks are carved until the budget is full) or by
-        an explicit ``num_blocks``.  Every paged session the server opens
+        an explicit ``num_blocks``.  Every session the server opens
         afterwards draws from this pool and shares identical prefixes.
         ``storage`` selects the arena format (``"fp32"``/``"fp16"``/
         ``"int8"``); a byte budget then buys proportionally more blocks.
@@ -286,22 +288,14 @@ class AttentionServer:
             )
         return snapshot
 
-    def _grant_paged(
-        self,
-        plan: ExecutionPlan,
-        hit: bool,
-        horizon: int,
-        *,
-        retain_outputs: bool,
-        reserve_tokens: Optional[int],
-    ) -> DecodeSession:
-        """The admission capacity grant: prereserve blocks, build the session.
+    def _grant_paged(self, horizon: int, reserve_tokens: Optional[int]) -> PagedKVCache:
+        """The admission capacity grant: a cache over the pool, blocks prereserved.
 
         The cache prereserves ``ceil(reserve_tokens / block_size)`` blocks up
         front, all-or-nothing under the pool's own lock, so admission is a
         real capacity grant — a racing stream cannot take the blocks between
         admission and prefill.  A refusal is counted once and re-raised as
-        :exc:`~repro.serve.paging.PoolExhausted`.  Callers compile ``plan``
+        :exc:`~repro.serve.paging.PoolExhausted`.  Callers compile the plan
         first, so an invalid mask fails with no blocks held (repeated bad
         opens would otherwise leak the pool dry).
         """
@@ -325,21 +319,7 @@ class AttentionServer:
             if self.obs.enabled:
                 self.obs.server_rejections.inc()
             raise
-        try:
-            session = DecodeSession(
-                plan,
-                retain_outputs=retain_outputs,
-                session_id=self.next_request_id(),
-                cache=cache,
-            )
-        except Exception:
-            cache.release()
-            raise
-        session.plan_cache_hit = hit
-        with self.stats.lock:
-            self.stats.decode_sessions += 1
-            self.stats.paged_sessions += 1
-        return session
+        return cache
 
     def _open_decode_session(
         self,
@@ -347,7 +327,6 @@ class AttentionServer:
         horizon: int,
         *,
         retain_outputs: bool = False,
-        paged: bool = False,
         reserve_tokens: Optional[int] = None,
     ) -> DecodeSession:
         """Open an autoregressive decoding stream against this server.
@@ -357,33 +336,27 @@ class AttentionServer:
         concurrent sessions over one mask shape pay compilation once and can
         coalesce their steps in :meth:`decode_steps`.
 
-        With ``paged=True`` the session's KV cache is a
-        :class:`~repro.serve.paging.PagedKVCache` over the server's shared
-        block pool — identical prompts map the same physical blocks.
-        Admission is a real capacity grant (:meth:`_grant_paged`): blocks for
-        ``reserve_tokens`` tokens (default: one block) are held by the
-        session up front, or the session is *rejected* with
-        :exc:`~repro.serve.paging.PoolExhausted`.  Waiting for capacity is
-        the continuous-batching loop's job: its policy-ranked queue retries
-        a rejected stream on a later iteration.
+        On a server with a block pool (:meth:`create_block_pool`) the
+        session pages through it — identical prompts map the same physical
+        blocks.  Admission is then a real capacity grant
+        (:meth:`_grant_paged`): blocks for ``reserve_tokens`` tokens
+        (default: one block) are held by the session up front, or the
+        session is *rejected* with :exc:`~repro.serve.paging.PoolExhausted`.
+        Waiting for capacity is the continuous-batching loop's job: its
+        policy-ranked queue retries a rejected stream on a later iteration.
+        Without a server pool the session pages through a pool of its own,
+        sized to its horizon (:class:`~repro.serve.decode.DecodeSession`),
+        and ``reserve_tokens`` is unused.
         """
         key = self.key_for(mask, horizon, mode="decode")
         plan, hit = self._plan_for_key(key, mask, horizon, mode="decode")
-        if paged:
-            require(
-                self.block_pool is not None,
-                "paged sessions need a shared pool: call create_block_pool first",
-            )
-            return self._grant_paged(
-                plan,
-                hit,
-                horizon,
-                retain_outputs=retain_outputs,
-                reserve_tokens=reserve_tokens,
-            )
-        session = DecodeSession(
-            plan, retain_outputs=retain_outputs, session_id=self.next_request_id()
-        )
+        cache = None if self.block_pool is None else self._grant_paged(horizon, reserve_tokens)
+        try:
+            session = DecodeSession(plan, retain_outputs=retain_outputs, session_id=self.next_request_id(), cache=cache)
+        except Exception:
+            if cache is not None:
+                cache.release()
+            raise
         session.plan_cache_hit = hit
         with self.stats.lock:
             self.stats.decode_sessions += 1
@@ -392,8 +365,8 @@ class AttentionServer:
     def close_decode_session(self, session: DecodeSession) -> None:
         """Finish a stream and release its blocks.
 
-        A paged session's prefix-registered blocks park in the pool's
-        evictable LRU (the prompt stays warm for the next identical prompt).
+        The session's prefix-registered blocks park in the pool's evictable
+        LRU (the prompt stays warm for the next identical prompt).
         """
         already_closed = session.closed
         session.close()

@@ -98,7 +98,6 @@ _SERVER_COUNTER_FIELDS = (
     "prefill_stacked_executions",
     "prefill_coalesced_chunks",
     "prefill_wall_seconds",
-    "paged_sessions",
     "sessions_closed",
     "admission_rejected",
 )
@@ -132,7 +131,6 @@ class ServerStats:
     prefill_stacked_executions: int = 0
     prefill_coalesced_chunks: int = 0
     prefill_wall_seconds: float = 0.0
-    paged_sessions: int = 0
     sessions_closed: int = 0
     admission_rejected: int = 0
     cache: CacheStats = field(default_factory=CacheStats)
@@ -204,7 +202,6 @@ class ServerStatsSnapshot:
     prefill_stacked_executions: int
     prefill_coalesced_chunks: int
     prefill_wall_seconds: float
-    paged_sessions: int
     sessions_closed: int
     admission_rejected: int
     cache: CacheStats

@@ -19,7 +19,7 @@ from repro.perfmodel.devices import A100_SXM4_80GB, V100_SXM2_32GB
 from repro.serve.paging import BlockPool, PagedKVCache, PoolExhausted
 
 
-class TestKVCacheBytes:
+class TestKvCacheBytes:
     def test_per_token_accounting(self):
         # one token, one head: d_k + d_v elements at the dtype width
         assert kv_cache_bytes(1, 64, dtype="fp16") == (64 + 64) * 2

@@ -25,7 +25,6 @@ from repro.serve import (
     DecodeSession,
     FCFSPolicy,
     GenerationResult,
-    KVCache,
     LoopRequest,
     PagedKVCache,
     PoolExhausted,
@@ -215,13 +214,11 @@ class TestConstructorKeywords:
 class TestSessionFacade:
     def test_refused_open_succeeds_on_retry_after_close(self):
         client = _client(num_blocks=5, block_size=4)
-        hog = client.open_session(MASK, 16, paged=True, reserve_tokens=16)
+        hog = client.open_session(MASK, 16, reserve_tokens=16)
         with pytest.raises(PoolExhausted):
-            client.open_session(MASK, 8, paged=True, reserve_tokens=8)
+            client.open_session(MASK, 8, reserve_tokens=8)
         client.close_session(hog)
-        session = client.open_session(
-            MASK, 8, retain_outputs=True, paged=True, reserve_tokens=8
-        )
+        session = client.open_session(MASK, 8, retain_outputs=True, reserve_tokens=8)
         q, k, v = _data(8, seed=13)
         session.prefill(q[:4], k[:4], v[:4])
         for i in range(4, 8):
@@ -263,7 +260,6 @@ class TestSessionFacade:
             with pytest.raises(TypeError):
                 client.generate(q, k, v, MASK, prompt_tokens=4, speculate_k=2)
         assert not hasattr(AttentionServer, "speculate_steps")
-        assert not hasattr(KVCache, "truncate")
         assert not hasattr(PagedKVCache, "begin_speculative")
         assert not hasattr(MaskSpec, "draft_variant")
         arena = compiled.Arena(k, v)

@@ -17,7 +17,6 @@ from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.serve.decode import (
     DecodeSession,
-    KVCache,
     decode_reference_mask,
     stacked_decode_step,
     stacked_prefill,
@@ -54,42 +53,62 @@ def _run_decode_loop(mask, q, k, v, prompt):
     return session
 
 
-class TestKVCache:
-    def test_geometric_doubling(self):
-        cache = KVCache((), 4, 4, capacity=2)
-        for i in range(9):
-            position = cache.append(np.full(4, float(i)), np.full(4, float(i)))
-            assert position == i
-        assert cache.length == 9
-        assert cache.capacity == 16  # 2 -> 4 -> 8 -> 16
-        assert cache.grows == 3
-        np.testing.assert_array_equal(cache.keys()[3], np.full(4, 3.0))
+class TestPagedKVCache:
+    """The cache contract every session relies on, on a pool of the test's own."""
 
-    def test_capacity_capped_at_max_length(self):
-        cache = KVCache((), 4, 4, capacity=2, max_length=11)
+    def test_append_past_max_length_refused(self):
+        cache = PagedKVCache(BlockPool(1, 16, key_dim=4), max_length=11)
         cache.extend(np.zeros((10, 4)), np.zeros((10, 4)))
-        assert cache.capacity == 11  # doubling clipped to the horizon
         cache.append(np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError):
             cache.append(np.zeros(4), np.zeros(4))
+        assert cache.length == 11
 
     def test_batched_layout_and_views(self):
-        cache = KVCache((2, 3), 4, 6, dtype=np.float64, capacity=4)
+        pool = BlockPool(2, 4, key_dim=4, value_dim=6, batch_shape=(2, 3), dtype=np.float64)
+        cache = PagedKVCache(pool)
         k = np.random.default_rng(0).random((2, 3, 5, 4))
         v = np.random.default_rng(1).random((2, 3, 5, 6))
         cache.extend(k, v)
         assert cache.keys().shape == (2, 3, 5, 4)
         assert cache.values().shape == (2, 3, 5, 6)
+        np.testing.assert_array_equal(cache.keys(), k)
         np.testing.assert_array_equal(cache.values(), v)
 
     def test_shape_mismatch_rejected(self):
-        cache = KVCache((2,), 4, 4)
+        cache = PagedKVCache(BlockPool(4, key_dim=4, batch_shape=(2,)))
         with pytest.raises(ValueError):
             cache.extend(np.zeros((3, 2, 4)), np.zeros((3, 2, 4)))
 
     def test_nbytes_tracks_allocation(self):
-        cache = KVCache((), 8, 8, dtype=np.float32, capacity=4)
-        assert cache.nbytes == 2 * 4 * 8 * 4
+        pool = BlockPool(4, 4, key_dim=8, dtype=np.float32)
+        cache = PagedKVCache(pool)
+        assert cache.nbytes == 0
+        cache.extend(np.zeros((5, 8)), np.zeros((5, 8)))
+        assert cache.nbytes == 2 * pool.block_bytes == 2 * (2 * 4 * 8 * 4)
+
+    def test_extend_zero_tokens_is_a_noop(self):
+        cache = PagedKVCache(BlockPool(2, 2, key_dim=4))
+        cache.append(np.ones(4), np.ones(4))
+        start = cache.extend(np.empty((0, 4)), np.empty((0, 4)))
+        assert start == 1 and cache.length == 1
+
+    def test_extend_rejects_bare_vectors(self):
+        cache = PagedKVCache(BlockPool(2, key_dim=4))
+        with pytest.raises(ValueError):
+            cache.extend(np.ones(4), np.ones(4))  # missing the token axis
+
+    def test_append_exactly_at_capacity_and_max_length(self):
+        cache = PagedKVCache(BlockPool(2, 4, key_dim=4), max_length=4)
+        cache.extend(np.zeros((3, 4)), np.zeros((3, 4)))
+        cache.append(np.ones(4), np.ones(4))  # lands exactly on the cap
+        assert cache.length == cache.capacity == 4
+        with pytest.raises(ValueError):
+            cache.append(np.ones(4), np.ones(4))
+
+    def test_nonpositive_max_length_rejected(self):
+        with pytest.raises(ValueError):
+            PagedKVCache(BlockPool(1, key_dim=4), max_length=0)
 
 
 @pytest.mark.parametrize("spec", DECODE_SPECS, ids=_ids)
@@ -284,9 +303,9 @@ class TestStackedDecode:
         assert all(r.meta["position"] == 1 for r in good)
 
 
-#: One session per row: (mask, horizon, arena, query dtype).  Every
-#: RowProgram class, four arenas (an fp32 pool, an int8 pool, a second fp32
-#: pool, a private cache) and both query dtypes, so one pass mixes them all
+#: One session per row: (mask, horizon, pool, query dtype).  Every
+#: RowProgram class, four pools (an fp32 pool, an int8 pool, a second fp32
+#: pool, one session's own) and both query dtypes, so one pass mixes them all
 #: and most of its kernel calls carry several sessions.
 RAGGED_FLEET = [
     (LocalMask(window=5), 30, "fp32", np.float32),  # stencil
@@ -296,7 +315,7 @@ RAGGED_FLEET = [
     (Dilated2DMask(block_size=8, dilation=1), 32, "fp32", np.float64),  # 2-D dilated
     (np.random.default_rng(3).random((31, 31)) < 0.3, 31, "int8", np.float32),  # explicit CSR
     (CausalMask(), 33, "fp32", np.float32),  # spec fallback
-    (LocalMask(window=3), 40, "private", np.float64),  # stencil again, other horizon
+    (LocalMask(window=3), 40, "own", np.float64),  # stencil again, other horizon
 ]
 RAGGED_HEADS, RAGGED_DIM = 2, 6
 
@@ -308,8 +327,8 @@ def _ragged_fleet():
         for name, storage in (("fp32", "fp32"), ("int8", "int8"), ("fp32-b", "fp32"))
     }
     sessions, data = [], []
-    for index, (mask, horizon, arena, dtype) in enumerate(RAGGED_FLEET):
-        sessions.append(DecodeSession.start(mask, horizon, retain_outputs=True, pool=pools.get(arena)))
+    for index, (mask, horizon, pool, dtype) in enumerate(RAGGED_FLEET):
+        sessions.append(DecodeSession.start(mask, horizon, retain_outputs=True, pool=pools.get(pool)))
         data.append(random_qkv(horizon, RAGGED_DIM, heads=RAGGED_HEADS, dtype=dtype, seed=200 + index))
     return sessions, data
 
@@ -396,7 +415,7 @@ class TestRaggedPasses:
 
     def test_each_session_owns_its_rows_across_arenas(self, backend):
         """The same over the mixed fleet: calls of several sessions and of one,
-        on fp32, int8 and private arenas, with fp32 and fp64 queries."""
+        on fp32 and int8 pools and a session's own, with fp32 and fp64 queries."""
         sessions, data = _ragged_fleet()
         for results in _drive_ragged(sessions, data):
             for result in results:
@@ -462,14 +481,16 @@ class TestRaggedPasses:
 
     def test_a_pool_that_cannot_reserve_fails_the_whole_pass(self):
         """A pass over two pools whose second pool is exhausted advances no
-        session on either pool, and every block goes back."""
+        session on either pool, and every block goes back.  A session whose
+        first tokens would have opened its own pool is left without one."""
         mask, heads, dim = LocalMask(window=3), 2, 6
         roomy, tight = (BlockPool(blocks, 4, key_dim=dim, batch_shape=(heads,)) for blocks in (8, 1))
         q, k, v = random_qkv(8, dim, heads=heads, dtype=np.float32, seed=131)
-        sessions = [DecodeSession.start(mask, 8, pool=pool) for pool in (roomy, roomy, tight)]
+        sessions = [DecodeSession.start(mask, 8, pool=pool) for pool in (roomy, roomy, tight, None)]
         with pytest.raises(PoolExhausted):
-            stacked_prefill(sessions, [q, q + 1.0, q], [k, k + 1.0, k], [v, v + 1.0, v])
-        assert [session.position for session in sessions] == [0, 0, 0]
+            stacked_prefill(sessions, [q, q + 1.0, q, q], [k, k + 1.0, k, k], [v, v + 1.0, v, v])
+        assert [session.position for session in sessions] == [0, 0, 0, 0]
+        assert sessions[3].cache is None
         assert roomy.blocks_in_use == tight.blocks_in_use == 0
         assert roomy.stats.share_hits == 0
         results = stacked_prefill(sessions[:2], [q, q + 1.0], [k, k + 1.0], [v, v + 1.0])
@@ -511,9 +532,8 @@ class TestKernelReadsKVInPlace:
         def refuse(self, positions):
             raise AssertionError("K/V gathered on the attention path")
 
-        for cls in (KVCache, PagedKVCache):
-            monkeypatch.setattr(cls, "gather_keys", refuse)
-            monkeypatch.setattr(cls, "gather_values", refuse)
+        monkeypatch.setattr(PagedKVCache, "gather_keys", refuse)
+        monkeypatch.setattr(PagedKVCache, "gather_values", refuse)
 
     def _drive(self, sessions, q, k, v):
         """Solo and stacked prefill, stacked steps, solo steps."""
@@ -542,8 +562,9 @@ class TestKernelReadsKVInPlace:
             np.testing.assert_allclose(session.outputs(), reference.output, atol=1e-6, rtol=1e-6)
 
     def test_group_spanning_arenas_equals_individual_steps(self):
-        """Sessions of one group on two pools and a private cache: one kernel
-        call per arena, and each session's rows exactly its solo step's."""
+        """Sessions of one group on two pools and a pool of one session's own:
+        one kernel call per pool, and each session's rows exactly its solo
+        step's."""
         length, dim = 24, 6
         q, k, v = random_qkv(length, dim, heads=self.HEADS, seed=9)
         pools = [BlockPool(32, 4, key_dim=dim, batch_shape=(self.HEADS,)) for _ in range(2)]
@@ -624,8 +645,8 @@ class TestServerStreaming:
     def test_ragged_sessions_form_one_stacked_pass(self):
         with AttentionServer(cache_capacity=8) as server:
             server.create_block_pool(key_dim=4, num_blocks=16, block_size=4)
-            a = ServingClient(server).open_session(LocalMask(window=3), 16, paged=True)
-            b = ServingClient(server).open_session(LocalMask(window=5), 12, paged=True)
+            a = ServingClient(server).open_session(LocalMask(window=3), 16)
+            b = ServingClient(server).open_session(LocalMask(window=5), 12)
             q, k, v = random_qkv(3, 4, dtype=np.float32, seed=91)
             server.prefill_chunks([(a, q[:2], k[:2], v[:2])])
             responses = server.decode_steps([(a, q[2], k[2], v[2]), (b, q[0], k[0], v[0])])
@@ -651,38 +672,8 @@ class TestServerStreaming:
                 )
 
 
-class TestKVCacheEdgeCases:
-    """Regressions for the capacity/shape edge cases the paging work exposed."""
-
-    def test_extend_zero_tokens_is_a_noop(self):
-        cache = KVCache((), 4, 4, capacity=2)
-        cache.append(np.ones(4), np.ones(4))
-        start = cache.extend(np.empty((0, 4)), np.empty((0, 4)))
-        assert start == 1 and cache.length == 1
-
-    def test_extend_rejects_bare_vectors(self):
-        cache = KVCache((), 4, 4)
-        with pytest.raises(ValueError):
-            cache.extend(np.ones(4), np.ones(4))  # missing the token axis
-
-    def test_append_exactly_at_capacity_and_max_length(self):
-        cache = KVCache((), 4, 4, capacity=4, max_length=4)
-        cache.extend(np.zeros((3, 4)), np.zeros((3, 4)))
-        cache.append(np.ones(4), np.ones(4))  # lands exactly on the cap
-        assert cache.length == cache.capacity == 4
-        assert cache.grows == 0
-        with pytest.raises(ValueError):
-            cache.append(np.ones(4), np.ones(4))
-
-    def test_doubling_clipped_exactly_to_max_length(self):
-        cache = KVCache((), 4, 4, capacity=3, max_length=8)
-        cache.extend(np.zeros((3, 4)), np.zeros((3, 4)))
-        cache.extend(np.zeros((5, 4)), np.zeros((5, 4)))  # 3 -> 6 -> clip 8
-        assert cache.capacity == 8 and cache.length == 8
-
-    def test_nonpositive_max_length_rejected(self):
-        with pytest.raises(ValueError):
-            KVCache((), 4, 4, max_length=0)
+class TestDecodeEdgeCases:
+    """Regressions for the shape edge cases the paging work exposed."""
 
     def test_zero_length_prefill_rejected_cleanly(self):
         session = DecodeSession.start(LocalMask(window=3), 8)

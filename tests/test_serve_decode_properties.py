@@ -6,8 +6,8 @@ shapes through the invariants the deterministic decode tests spot-check:
 * any prefill/step split of a stream equals one-shot ``engine.run`` over the
   causally clipped reference mask;
 * stacked same-plan steps are exactly the per-session steps;
-* the KV cache preserves every appended row verbatim across random
-  append/extend sequences, and its capacity never exceeds ``max_length``.
+* the paged KV cache preserves every appended row verbatim across random
+  append/extend sequences, and maps no more blocks than its rows fill.
 """
 
 import numpy as np
@@ -23,10 +23,10 @@ from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.serve.decode import (
     DecodeSession,
-    KVCache,
     decode_reference_mask,
     stacked_decode_step,
 )
+from repro.serve.paging import BlockPool, PagedKVCache
 from repro.utils.rng import random_qkv
 
 DIM = 4
@@ -152,15 +152,16 @@ class TestStackedSteps:
             )
 
 
-class TestKVCacheProperties:
+class TestPagedKVCacheProperties:
     @given(
         max_length=st.integers(min_value=1, max_value=40),
-        capacity=st.integers(min_value=1, max_value=8),
+        block_size=st.integers(min_value=1, max_value=8),
         data=st.data(),
     )
-    def test_random_extends_preserve_content_and_cap(self, max_length, capacity, data):
+    def test_random_extends_preserve_content_and_cap(self, max_length, block_size, data):
         rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=999)))
-        cache = KVCache((), DIM, DIM, capacity=capacity, max_length=max_length)
+        pool = BlockPool(-(-max_length // block_size), block_size, key_dim=DIM)
+        cache = PagedKVCache(pool, max_length=max_length)
         expected_k, expected_v = [], []
         budget = max_length
         while budget > 0:
@@ -174,8 +175,8 @@ class TestKVCacheProperties:
             budget -= count
             if count == 0:
                 break
-        assert cache.length == len(expected_k)
-        assert cache.length <= cache.capacity <= max_length
+        assert cache.length == len(expected_k) <= max_length
+        assert cache.capacity == -(-cache.length // block_size) * block_size
         if expected_k:
             np.testing.assert_array_equal(cache.keys(), np.stack(expected_k))
             np.testing.assert_array_equal(cache.values(), np.stack(expected_v))
@@ -187,7 +188,7 @@ class TestKVCacheProperties:
             )
 
     def test_gather_rejects_positions_outside_live_range(self):
-        cache = KVCache((), DIM, DIM, capacity=4)
+        cache = PagedKVCache(BlockPool(1, 4, key_dim=DIM))
         cache.extend(np.ones((3, DIM)), np.ones((3, DIM)))
         with pytest.raises(ValueError):
             cache.gather_keys(np.array([3]))  # past the live rows

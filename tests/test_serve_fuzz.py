@@ -68,7 +68,7 @@ def _run_workload(requests, streams, *, flush_every, engine):
     for spec in streams:
         mask = MASKS[spec["mask"]]
         length = spec["length"]
-        session = ServingClient(server).open_session(mask, length, retain_outputs=True, paged=True)
+        session = ServingClient(server).open_session(mask, length, retain_outputs=True)
         q, k, v = stream_tensors(spec)
         prompt = min(spec["prompt"], length)
         if prompt:

@@ -241,8 +241,8 @@ class TestStackedPrefill:
         with AttentionServer() as server:
             pool = server.create_block_pool(key_dim=DIM, num_blocks=64, block_size=4)
             q, k, v = random_qkv(12, DIM, dtype=np.float32, seed=6)
-            a = ServingClient(server).open_session(MASK, 12, paged=True)
-            b = ServingClient(server).open_session(MASK, 12, paged=True)
+            a = ServingClient(server).open_session(MASK, 12)
+            b = ServingClient(server).open_session(MASK, 12)
             responses = server.prefill_chunks(
                 [(a, q[:6], k[:6], v[:6]), (b, q[:6], k[:6], v[:6])]
             )
@@ -356,7 +356,7 @@ class TestSchedulerMechanics:
         server = AttentionServer()
         pool = server.create_block_pool(key_dim=DIM, num_blocks=2, block_size=4)
         client = ServingClient(server)
-        hog = client.open_session(MASK, 8, paged=True, reserve_tokens=8)
+        hog = client.open_session(MASK, 8, reserve_tokens=8)
         scheduler = ContinuousBatchingScheduler(server, clock=VirtualClock(), prefill_chunk=4)
         request = self._request(8, 4, seed=40)
         rid = scheduler.submit(request)
@@ -394,7 +394,7 @@ class TestSchedulerMechanics:
         server = AttentionServer()
         server.create_block_pool(key_dim=DIM, num_blocks=3, block_size=4)
         client = ServingClient(server)
-        hog = client.open_session(MASK, 8, paged=True, reserve_tokens=8)
+        hog = client.open_session(MASK, 8, reserve_tokens=8)
         scheduler = ContinuousBatchingScheduler(
             server, policy=FCFSPolicy(), clock=VirtualClock(), prefill_chunk=8
         )
@@ -419,7 +419,7 @@ class TestSchedulerMechanics:
         scheduler.step()
         assert scheduler.waiting == 1
         assert server.stats.admission_rejected == 1  # the loop's refusal
-        session = client.open_session(MASK, 4, paged=True, reserve_tokens=4)
+        session = client.open_session(MASK, 4, reserve_tokens=4)
         assert server.block_pool.blocks_in_use == 3
         assert server.stats.admission_rejected == 1
         client.close_session(session)
@@ -485,7 +485,7 @@ class TestIterationBatching:
         client = ServingClient(server)
         sessions = []
         for q, k, v in data:
-            session = client.open_session(self.MASK, horizon, retain_outputs=True, paged=True)
+            session = client.open_session(self.MASK, horizon, retain_outputs=True)
             server.prefill_chunks(
                 [(session, q[: self.PROMPT], k[: self.PROMPT], v[: self.PROMPT])]
             )

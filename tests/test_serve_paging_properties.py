@@ -3,8 +3,9 @@
 The load-bearing invariants, driven by hypothesis over random block sizes,
 shared-prefix lengths and session interleavings:
 
-* paged decode is **bit-identical** to private-``KVCache`` decode and matches
-  one-shot ``engine.run`` over the causal reference mask;
+* paged decode — on a shared pool or a session's own — is **bit-identical**
+  to one kernel call over contiguous K/V and the causal reference mask, and
+  matches one-shot ``engine.run`` on that mask;
 * after every session closes, no block is referenced (refcounts all zero)
   and ``free + evictable + referenced == num_blocks`` — nothing leaks;
 * the pool never double-frees (releasing an unreferenced block raises);
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import compiled
+from repro.core.dense import resolve_scale
 from repro.core.engine import GraphAttentionEngine
 from repro.masks.presets import longformer_mask
 from repro.masks.structured import CausalMask
@@ -42,7 +45,19 @@ def _decode(session, q, k, v, prompt, length):
     return session.outputs()
 
 
+def _contiguous(mask, q, k, v):
+    """The decode loop's exact read: one kernel call over contiguous K/V."""
+    ref = decode_reference_mask(mask, q.shape[-2])
+    scale = resolve_scale(None, q.shape[-1])
+    output, _, _ = compiled.edge_attention(q, compiled.Arena(k, v), ref.indices, ref.indptr, scale)
+    return output.astype(q.dtype)
+
+
 class TestPagedEqualsPrivate:
+    """Paged == contiguous: a session paging through a shared pool, and one
+    paging through a pool of its own, each read exactly the K/V rows and
+    edges one kernel call over the contiguous tensors reads."""
+
     @given(
         mask=mask_strategy,
         length=st.integers(min_value=1, max_value=32),
@@ -56,11 +71,12 @@ class TestPagedEqualsPrivate:
         pool = BlockPool(2 * length // block_size + 4, block_size, key_dim=DIM)
 
         paged = DecodeSession.start(mask, length, retain_outputs=True, pool=pool)
-        private = DecodeSession.start(mask, length, retain_outputs=True)
+        own = DecodeSession.start(mask, length, retain_outputs=True)
         out_paged = _decode(paged, q, k, v, prompt, length)
-        out_private = _decode(private, q, k, v, prompt, length)
-        # same gathered rows, same kernel, same accumulation order: bit-exact
-        np.testing.assert_array_equal(out_paged, out_private)
+        # same rows, same kernel, same accumulation order: bit-exact
+        contiguous = _contiguous(mask, q, k, v)
+        np.testing.assert_array_equal(out_paged, contiguous)
+        np.testing.assert_array_equal(_decode(own, q, k, v, prompt, length), contiguous)
 
         reference = GraphAttentionEngine().run(
             q, k, v, decode_reference_mask(mask, length)
@@ -84,12 +100,11 @@ class TestPagedEqualsPrivate:
             length // block_size + 2, block_size, key_dim=DIM, batch_shape=(batch, heads)
         )
         paged = DecodeSession.start(mask, length, retain_outputs=True, pool=pool)
-        private = DecodeSession.start(mask, length, retain_outputs=True)
+        own = DecodeSession.start(mask, length, retain_outputs=True)
         prompt = length // 2
-        np.testing.assert_array_equal(
-            _decode(paged, q, k, v, prompt, length),
-            _decode(private, q, k, v, prompt, length),
-        )
+        contiguous = _contiguous(mask, q, k, v)
+        np.testing.assert_array_equal(_decode(paged, q, k, v, prompt, length), contiguous)
+        np.testing.assert_array_equal(_decode(own, q, k, v, prompt, length), contiguous)
 
 
 class TestPrefixSharing:

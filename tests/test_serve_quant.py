@@ -6,8 +6,8 @@ The invariants this file pins down:
   *explicit function of the storage dtype* (hypothesis over random rows);
 * the per-row codec is compositional — slicing commutes with encoding — so
   chunked prefill, appends and swap restores never requantize a stored row;
-* an int8 paged decode session is **bit-identical** to an fp32 private
-  session fed the dequantized rows (the exact oracle: quantization error
+* an int8 paged decode session is **bit-identical** to an fp32 session
+  fed the dequantized rows (the exact oracle: quantization error
   enters only through the codec, never through the serving machinery);
 * copy-on-write on quantized blocks moves raw bytes (sibling unchanged,
   zero added error), and SwapStore round-trips preserve the quantized
@@ -24,6 +24,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from repro.core import compiled
+from repro.core.dense import resolve_scale
 from repro.core.engine import GraphAttentionEngine
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import LocalMask
@@ -155,7 +157,7 @@ class TestQuantizedServingExactness:
         self, mask, length, block_size, data
     ):
         """The exact invariant: an int8 paged session must be bit-identical
-        to an fp32 private session fed the *dequantized* K/V rows — chunked
+        to an fp32 session fed the *dequantized* K/V rows — chunked
         prefill, tail appends, prefix sharing and COW add zero error on top
         of the per-row codec."""
         prompt = data.draw(st.integers(min_value=0, max_value=length))
@@ -188,9 +190,9 @@ class TestQuantizedServingExactness:
             2 * length // block_size + 4, block_size, key_dim=DIM, storage="fp32"
         )
         paged = DecodeSession.start(CausalMask(), length, retain_outputs=True, pool=pool)
-        private = DecodeSession.start(CausalMask(), length, retain_outputs=True)
+        own = DecodeSession.start(CausalMask(), length, retain_outputs=True)
         assert_array_equal(
-            _decode(paged, q, k, v, 0, length), _decode(private, q, k, v, 0, length)
+            _decode(paged, q, k, v, 0, length), _decode(own, q, k, v, 0, length)
         )
 
 
@@ -364,9 +366,7 @@ class TestSharedPrefixCapacity:
             )
             sessions = []
             for q, k, v in streams:
-                session = client.open_session(
-                    self.MASK, horizon, retain_outputs=True, paged=True, reserve_tokens=0
-                )
+                session = client.open_session(self.MASK, horizon, retain_outputs=True, reserve_tokens=0)
                 session.prefill(q[: self.PROMPT], k[: self.PROMPT], v[: self.PROMPT])
                 sessions.append(session)
             for i in range(self.PROMPT, horizon):
@@ -391,13 +391,14 @@ class TestSharedPrefixCapacity:
         assert runs["fp32"][0] >= 2 * runs["int8"][0]
 
     def test_fp32_paged_equals_a_private_session(self, served):
+        # paged == contiguous: the shared fp32 pool reads exactly the rows one
+        # kernel call over the stream's contiguous K/V reads
         streams, runs = served
-        horizon = self.PROMPT + self.DECODE
-        private = DecodeSession.start(self.MASK, horizon, retain_outputs=True)
         q, k, v = streams[0]
-        assert_array_equal(
-            runs["fp32"][1], _decode(private, q, k, v, self.PROMPT, horizon)
-        )
+        ref = decode_reference_mask(self.MASK, self.PROMPT + self.DECODE)
+        scale = resolve_scale(None, self.HEAD_DIM)
+        output, _, _ = compiled.edge_attention(q, compiled.Arena(k, v), ref.indices, ref.indptr, scale)
+        assert_array_equal(runs["fp32"][1], output.astype(q.dtype))
 
     def test_every_storage_within_its_tolerance_of_the_oracle(self, served):
         streams, runs = served

@@ -317,10 +317,33 @@ class TestPagedAdmission:
         )
         return server
 
-    def test_paged_session_requires_a_pool(self):
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_a_server_without_a_pool_gives_each_session_its_own(self, dtype):
         with AttentionServer() as server:
-            with pytest.raises(ValueError):
-                ServingClient(server).open_session(LocalMask(window=3), 8, paged=True)
+            session = ServingClient(server).open_session(LocalMask(window=3), 40)
+            assert session.cache is None
+            q, k, v = random_qkv(5, self.DIM, dtype=dtype, seed=5)
+            session.prefill(q, k, v)
+            pool = session.cache.pool
+            assert (pool.num_blocks, pool.block_size) == (3, 16)  # ceil(40 / 16)
+            assert pool.dtype == dtype and pool.storage_dtype == dtype
+            assert session.position == 5 and pool.blocks_in_use == 1
+            server.close_decode_session(session)
+            assert pool.blocks_in_use == 0
+
+    def test_a_session_on_the_server_pool_holds_its_reservation(self):
+        with self._server(num_blocks=4, block_size=4) as server:
+            client = ServingClient(server)
+            session = client.open_session(LocalMask(window=3), 16, reserve_tokens=9)
+            assert session.cache.pool is server.block_pool
+            assert session.cache.prereserved_blocks == 3  # ceil(9 / 4)
+            assert server.block_pool.blocks_in_use == 3
+            with pytest.raises(PoolExhausted):
+                client.open_session(LocalMask(window=3), 16, reserve_tokens=8)
+            assert server.stats.admission_rejected == 1
+            assert server.block_pool.blocks_in_use == 3
+            server.close_decode_session(session)
+            assert server.block_pool.blocks_in_use == 0
 
     def test_create_block_pool_needs_exactly_one_sizing(self):
         with AttentionServer() as server:
@@ -338,26 +361,22 @@ class TestPagedAdmission:
             )
             assert pool.nbytes <= 1 << 16
             assert server.stats.block_occupancy == 0.0
-            session = ServingClient(server).open_session(LocalMask(window=3), 16, paged=True)
+            session = ServingClient(server).open_session(LocalMask(window=3), 16)
             q, k, v = random_qkv(8, self.DIM, seed=1)
             session.prefill(q, k, v)
             assert server.stats.block_occupancy > 0.0
-            assert server.stats.paged_sessions == 1
+            assert session.cache.pool is pool
             server.close_decode_session(session)
             assert server.stats.block_occupancy == 0.0
             assert server.stats.sessions_closed == 1
 
     def test_admission_rejects_when_pool_is_full(self):
         with self._server(num_blocks=2, block_size=4) as server:
-            first = ServingClient(server).open_session(
-                LocalMask(window=3), 8, paged=True, reserve_tokens=8
-            )
+            first = ServingClient(server).open_session(LocalMask(window=3), 8, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=2)
             first.prefill(q, k, v)  # owns both blocks
             with pytest.raises(PoolExhausted):
-                ServingClient(server).open_session(
-                    LocalMask(window=3), 8, paged=True, reserve_tokens=8
-                )
+                ServingClient(server).open_session(LocalMask(window=3), 8, reserve_tokens=8)
             assert server.stats.admission_rejected == 1
 
     @pytest.mark.parametrize("close", ["server", "session"])
@@ -366,16 +385,16 @@ class TestPagedAdmission:
         # blocks freed by either close path are grantable at once
         with self._server(num_blocks=2, block_size=4) as server:
             client = ServingClient(server)
-            first = client.open_session(LocalMask(window=3), 8, paged=True, reserve_tokens=8)
+            first = client.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=3)
             first.prefill(q, k, v)
             with pytest.raises(PoolExhausted):
-                client.open_session(LocalMask(window=3), 8, paged=True, reserve_tokens=8)
+                client.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             if close == "server":
                 server.close_decode_session(first)
             else:
                 first.close()  # bypasses the server's bookkeeping
-            second = client.open_session(LocalMask(window=3), 8, paged=True, reserve_tokens=8)
+            second = client.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=4)
             second.prefill(q, k, v)
             assert second.position == 8
@@ -390,13 +409,9 @@ class TestPagedAdmission:
         with self._server(num_blocks=2, block_size=4) as server:
             too_big = 2 * 4 + 1  # needs 3 blocks of 2
             with pytest.raises(ValueError):
-                ServingClient(server).open_session(
-                    LocalMask(window=3), 16, paged=True, reserve_tokens=too_big
-                )
+                ServingClient(server).open_session(LocalMask(window=3), 16, reserve_tokens=too_big)
             # a feasible request still sails through afterwards
-            session = ServingClient(server).open_session(
-                LocalMask(window=3), 8, paged=True, reserve_tokens=8
-            )
+            session = ServingClient(server).open_session(LocalMask(window=3), 8, reserve_tokens=8)
             server.close_decode_session(session)
 
     def test_failed_open_with_invalid_mask_leaks_no_blocks(self):
@@ -405,8 +420,8 @@ class TestPagedAdmission:
         with self._server(num_blocks=4, block_size=4) as server:
             for _ in range(6):
                 with pytest.raises(ValueError):
-                    ServingClient(server).open_session(np.ones((3, 5)), 8, paged=True)
+                    ServingClient(server).open_session(np.ones((3, 5)), 8)
             assert server.block_pool.blocks_in_use == 0
-            session = ServingClient(server).open_session(LocalMask(window=3), 8, paged=True)
-            assert session.paged
+            session = ServingClient(server).open_session(LocalMask(window=3), 8)
+            assert session.cache.pool is server.block_pool
             server.close_decode_session(session)

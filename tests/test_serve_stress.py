@@ -86,10 +86,7 @@ def test_threaded_streams_tiny_pool_no_deadlock_no_leaks():
             for _ in range(10_000):  # bounded retry; a deadlock trips the bound
                 try:
                     with admission_lock:
-                        session = client.open_session(
-                            MASK, LENGTH, retain_outputs=True, paged=True,
-                            reserve_tokens=LENGTH,
-                        )
+                        session = client.open_session(MASK, LENGTH, retain_outputs=True, reserve_tokens=LENGTH)
                 except PoolExhausted:
                     time.sleep(0.0002)  # back off while others hold the pool
                     continue
@@ -149,7 +146,7 @@ def test_unserialised_paged_opens_never_overcommit_the_pool():
         for _ in range(pool.num_blocks + 1):
             try:
                 sessions.append(
-                    client.open_session(MASK, LENGTH, paged=True, reserve_tokens=8)
+                    client.open_session(MASK, LENGTH, reserve_tokens=8)
                 )
             except PoolExhausted:
                 return sessions
@@ -189,7 +186,7 @@ def test_shared_prompt_under_pressure_all_streams_correct():
     oracle = _oracle(q, k, v)
     sessions = []
     for _ in range(8):
-        session = client.open_session(MASK, LENGTH, retain_outputs=True, paged=True)
+        session = client.open_session(MASK, LENGTH, retain_outputs=True)
         session.prefill(q[:PROMPT], k[:PROMPT], v[:PROMPT])
         sessions.append(session)
     assert pool.blocks_in_use <= 2 + len(sessions)  # shared prompt paid once
