@@ -238,6 +238,8 @@ int edge_attention(const void *q, int q_f64, const void *k, const void *v,
 _CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-fPIC", "-shared")
 _NATIVE = "-march=native"
 _LIB_NAME = "repro_compiled.so"
+#: a key's record that the compiler refused its build (the compiler's message)
+_REFUSED_NAME = _LIB_NAME + ".refused"
 
 _P = ctypes.c_void_p
 _INT = ctypes.c_int
@@ -376,9 +378,15 @@ def _load_or_build_cached(cc: str, cache_dir: str, target: Optional[str]):
     moved in with ``os.replace``, so a concurrent process never loads a
     half-written file; a library whose bytes do not match the recorded digest
     (corrupt, or caught between two replaces) is rebuilt, never loaded.
+
+    A compiler that refuses the build refuses it for every process: the key
+    covers the source, the flags, the target and the compiler.  The refusal
+    is recorded in the key's directory, and later processes raise it without
+    compiling.  Timeouts and ``OSError`` are not refusals and leave no record.
     """
     lib_path = os.path.join(cache_dir, _LIB_NAME)
     digest_path = lib_path + ".sha256"
+    refused_path = os.path.join(cache_dir, _REFUSED_NAME)
     try:
         with open(digest_path, encoding="ascii") as handle:
             expected = handle.read().strip()
@@ -386,17 +394,25 @@ def _load_or_build_cached(cc: str, cache_dir: str, target: Optional[str]):
             return ctypes.CDLL(lib_path)
     except (OSError, UnicodeDecodeError):
         pass  # missing, unreadable or not loadable: build it again
+    if os.path.exists(refused_path):
+        with open(refused_path, encoding="utf-8", errors="replace") as handle:
+            raise _BuildError(handle.read())
     fd, tmp_lib = tempfile.mkstemp(prefix="build-", suffix=".so", dir=cache_dir)
     os.close(fd)
-    tmp_digest = tmp_lib + ".sha256"
+    tmp_digest, tmp_refused = tmp_lib + ".sha256", tmp_lib + ".refused"
     try:
         _compile(cc, cache_dir, tmp_lib, target)
         with open(tmp_digest, "w", encoding="ascii") as handle:
             handle.write(_sha256_file(tmp_lib))
         os.replace(tmp_lib, lib_path)
         os.replace(tmp_digest, digest_path)
+    except _BuildError as exc:
+        with open(tmp_refused, "w", encoding="utf-8") as handle:
+            handle.write(str(exc))
+        os.replace(tmp_refused, refused_path)
+        raise
     finally:
-        for leftover in (tmp_lib, tmp_digest):
+        for leftover in (tmp_lib, tmp_digest, tmp_refused):
             if os.path.exists(leftover):
                 os.unlink(leftover)
     return ctypes.CDLL(lib_path)

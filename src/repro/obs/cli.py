@@ -107,13 +107,12 @@ def _render_summary_lines(summary: dict) -> List[str]:
             f"  {key}: count={q['count']} p50={_fmt(q['p50'])} "
             f"p95={_fmt(q['p95'])} p99={_fmt(q['p99'])}"
         )
-    router = summary.get("router")
-    if router is not None:
-        lines.append(
-            f"  router: replicas={router['replicas']} routed={router['routed']} "
-            f"hit_rate={_fmt(router['route_hit_rate'])} "
-            f"rebalances={router['rebalance_passes']} moved={router['moved_streams']}"
-        )
+    router = summary["router"]
+    lines.append(
+        f"  router: replicas={router['replicas']} routed={router['routed']} "
+        f"hit_rate={_fmt(router['route_hit_rate'])} "
+        f"rebalances={router['rebalance_passes']} moved={router['moved_streams']}"
+    )
     slo = summary.get("slo")
     if slo is not None:
         per_tenant = " ".join(
@@ -228,7 +227,8 @@ def scenarios() -> None:
     default=1,
     show_default=True,
     type=click.IntRange(min=1),
-    help="Serve through a prefix-affinity replica router instead of one loop.",
+    help="Replicas of the prefix-affinity router the scenario runs through "
+    "(1: a router of one, which is one loop).",
 )
 @click.option(
     "--router-policy",

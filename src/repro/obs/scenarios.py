@@ -2,8 +2,9 @@
 
 Each scenario is a deterministic workload — request arrivals, prompt/decode
 lengths, masks, priorities, pool sizing, scheduling policy — driven through
-a :class:`~repro.serve.ContinuousBatchingScheduler` on a
-:class:`~repro.serve.VirtualClock` with an
+a :class:`~repro.serve.ReplicaRouter` (of one replica unless asked for more:
+a router of one is one :class:`~repro.serve.ContinuousBatchingScheduler`)
+on a :class:`~repro.serve.VirtualClock` with an
 :class:`~repro.obs.recorder.Observability` recorder attached.  Everything
 that reaches the trace buffer is stamped from the virtual clock, so running
 the same scenario twice produces **bit-identical** trace JSONL (host wall
@@ -38,15 +39,7 @@ from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.obs.recorder import Observability
 from repro.perfmodel.decode import blocks_for_tokens
-from repro.serve import (
-    AttentionServer,
-    ContinuousBatchingScheduler,
-    LoopRequest,
-    ReplicaRouter,
-    VirtualClock,
-    resolve_serving_kwargs,
-    scheduling_policy,
-)
+from repro.serve import LoopRequest, ReplicaRouter, VirtualClock
 from repro.utils.rng import random_qkv
 from repro.utils.validation import require
 
@@ -322,13 +315,14 @@ class ScenarioResult:
     scenario: Scenario
     seed: int
     obs: Observability
+    #: loop counters summed over the replicas
     loop_stats: object
-    server_stats: object
+    #: one server stats snapshot per replica
+    server_stats: Tuple[object, ...]
     telemetry: Dict[int, object]
     iterations: int
-    #: set when the scenario ran through a multi-replica router
-    router_stats: Optional[object] = None
-    replicas: int = 1
+    router_stats: object
+    replicas: int
 
     def summary(self) -> dict:
         """The derived serving numbers the ops CLI leads with."""
@@ -357,15 +351,14 @@ class ScenarioResult:
             "queue_seconds": _percentiles("serving_queue_seconds"),
             "per_token_seconds": _percentiles("serving_per_token_seconds"),
             "preemption_stall_seconds": _percentiles("serving_preemption_stall_seconds"),
-        }
-        if self.router_stats is not None:
-            summary["router"] = {
+            "router": {
                 "replicas": self.replicas,
                 "routed": self.router_stats.routed,
                 "route_hit_rate": self.router_stats.route_hit_rate,
                 "rebalance_passes": self.router_stats.rebalance_passes,
                 "moved_streams": self.router_stats.moved_streams,
-            }
+            },
+        }
         slo = self.slo_attainment()
         if slo is not None:
             summary["slo"] = slo
@@ -418,133 +411,26 @@ def run_scenario(
 ) -> ScenarioResult:
     """Drive one scenario to drain on a virtual clock; returns its result.
 
+    The workload runs through a :class:`~repro.serve.ReplicaRouter` of
+    ``replicas`` replicas, each with its own ``num_blocks``-sized pool and a
+    ``router_policy``-routed share of the streams; one replica is one loop.
     ``obs`` defaults to a fresh enabled recorder (metrics + tracing);
-    ``storage`` selects the block pool's KV storage format (``"fp32"`` /
+    ``storage`` selects the block pools' KV storage format (``"fp32"`` /
     ``"fp16"`` / ``"int8"``) so operators can compare registry snapshots
-    across storage dtypes at identical workloads; ``policy`` (a name or a
-    :class:`~repro.serve.SchedulingPolicy` instance) overrides the
-    scenario's baked-in policy — how the CLI and bench compare FCFS vs.
-    slack on the same workload — and ``clock`` overrides the default fresh
-    :class:`~repro.serve.VirtualClock` (both validated by the same
-    :func:`~repro.serve.resolve_serving_kwargs` helper the scheduler and
-    client use); ``on_iteration(iteration, obs)`` is invoked after every
-    scheduler step so a live renderer can refresh mid-run.
-
-    ``replicas > 1`` drives the same workload through a
-    :class:`~repro.serve.ReplicaRouter` (each replica gets its own
-    ``num_blocks``-sized pool and a ``router_policy``-routed share of the
-    streams); outputs and per-request telemetry stay deterministic, and the
-    summary gains a ``router`` block with the placement counters.
+    across storage dtypes at identical workloads; ``policy`` (a name, or
+    for one replica a :class:`~repro.serve.SchedulingPolicy` instance)
+    overrides the scenario's baked-in policy — how the CLI and bench compare
+    FCFS vs. slack on the same workload — and ``clock`` overrides the
+    default fresh :class:`~repro.serve.VirtualClock`;
+    ``on_iteration(iteration, obs)`` is invoked after every router step so a
+    live renderer can refresh mid-run.  Outputs and per-request telemetry
+    are deterministic, and the summary's ``router`` block carries the
+    placement counters.
     """
-    require(replicas >= 1, "replicas must be >= 1")
     scenario = (
         name_or_scenario
         if isinstance(name_or_scenario, Scenario)
         else build_scenario(name_or_scenario, seed=seed)
-    )
-    if replicas > 1:
-        return _run_scenario_routed(
-            scenario,
-            seed=seed,
-            storage=storage,
-            obs=obs,
-            policy=policy,
-            clock=clock,
-            max_iterations=max_iterations,
-            on_iteration=on_iteration,
-            replicas=replicas,
-            router_policy=router_policy,
-        )
-    policy, clock, obs = resolve_serving_kwargs(
-        policy=policy,
-        clock=clock if clock is not None else VirtualClock(),
-        obs=obs if obs is not None else Observability(),
-        policy_seed=scenario.policy_seed,
-        default_policy=scheduling_policy(scenario.policy, seed=scenario.policy_seed),
-    )
-    server = AttentionServer(cache_capacity=32, obs=obs)
-    server.create_block_pool(
-        key_dim=DIM,
-        num_blocks=scenario.num_blocks,
-        block_size=scenario.block_size,
-        storage=storage,
-        # fixed label: repeated in-process runs must emit identical series
-        name=f"{scenario.name}-pool",
-    )
-    scheduler = ContinuousBatchingScheduler(
-        server,
-        policy=policy,
-        clock=clock,
-        max_streams=scenario.max_streams,
-        prefill_chunk=scenario.prefill_chunk,
-        max_iteration_tokens=scenario.max_iteration_tokens,
-        preemption=scenario.preemption,
-        obs=obs,
-    )
-    pending = deque(sorted(scenario.requests, key=lambda r: (r.arrival, r.seed)))
-    while pending or scheduler.active:
-        now = clock.now()
-        while pending and pending[0].arrival <= now:
-            scheduler.submit(_loop_request(pending.popleft()))
-        if not scheduler.active:
-            clock.advance(pending[0].arrival - now)
-            continue
-        require(
-            scheduler.stats.iterations < max_iterations,
-            f"scenario {scenario.name!r} exceeded {max_iterations} iterations",
-        )
-        scheduler.step()
-        if on_iteration is not None:
-            on_iteration(scheduler.stats.iterations, obs)
-
-    loop_stats = scheduler.stats.snapshot()
-    result = ScenarioResult(
-        scenario=scenario,
-        seed=int(seed),
-        obs=obs,
-        loop_stats=loop_stats,
-        server_stats=server.stats_snapshot(),
-        telemetry=dict(scheduler.telemetry),
-        iterations=loop_stats.iterations,
-    )
-    server.close()
-    return result
-
-
-def _loop_request(request: ScenarioRequest) -> LoopRequest:
-    """Materialize one scenario entry into the loop request it describes."""
-    q, k, v = random_qkv(request.total, DIM, dtype=np.float32, seed=request.seed)
-    return LoopRequest(
-        q=q,
-        k=k,
-        v=v,
-        mask=MASKS[request.mask_index],
-        prompt_tokens=min(request.prompt, request.total),
-        priority=request.priority,
-        tenant=request.tenant,
-        slo_latency_seconds=request.slo,
-    )
-
-
-def _run_scenario_routed(
-    scenario: Scenario,
-    *,
-    seed: int,
-    storage: Optional[str],
-    obs: Optional[Observability],
-    policy,
-    clock,
-    max_iterations: int,
-    on_iteration: Optional[Callable[[int, Observability], None]],
-    replicas: int,
-    router_policy: str,
-) -> ScenarioResult:
-    """The ``replicas > 1`` half of :func:`run_scenario`: same arrivals, same
-    virtual clock, placed across a replica router instead of one loop."""
-    require(
-        policy is None or isinstance(policy, str),
-        "replicas>1 builds one policy instance per replica; pass a registry "
-        "name, not an instance",
     )
     clock = clock if clock is not None else VirtualClock()
     obs = obs if obs is not None else Observability()
@@ -563,7 +449,8 @@ def _run_scenario_routed(
         prefill_chunk=scenario.prefill_chunk,
         max_iteration_tokens=scenario.max_iteration_tokens,
         preemption=scenario.preemption,
-        name=f"{scenario.name}",
+        # fixed label: repeated in-process runs must emit identical series
+        name=scenario.name,
     )
     pending = deque(sorted(scenario.requests, key=lambda r: (r.arrival, r.seed)))
     while pending or router.active:
@@ -581,22 +468,34 @@ def _run_scenario_routed(
         if on_iteration is not None:
             on_iteration(router.iterations, obs)
 
-    loop_stats = router.loop_stats()
     result = ScenarioResult(
         scenario=scenario,
         seed=int(seed),
         obs=obs,
-        loop_stats=loop_stats,
-        server_stats=tuple(
-            handle.server.stats_snapshot() for handle in router.replicas
-        ),
+        loop_stats=router.loop_stats(),
+        server_stats=tuple(handle.server.stats_snapshot() for handle in router.replicas),
         telemetry=dict(router.telemetry),
         iterations=router.iterations,
         router_stats=router.stats,
-        replicas=int(replicas),
+        replicas=router.num_replicas,
     )
     router.close()
     return result
+
+
+def _loop_request(request: ScenarioRequest) -> LoopRequest:
+    """Materialize one scenario entry into the loop request it describes."""
+    q, k, v = random_qkv(request.total, DIM, dtype=np.float32, seed=request.seed)
+    return LoopRequest(
+        q=q,
+        k=k,
+        v=v,
+        mask=MASKS[request.mask_index],
+        prompt_tokens=min(request.prompt, request.total),
+        priority=request.priority,
+        tenant=request.tenant,
+        slo_latency_seconds=request.slo,
+    )
 
 
 __all__ = [

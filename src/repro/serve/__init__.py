@@ -93,6 +93,7 @@ from repro.serve.loop import (
     VirtualClock,
     WallClock,
     WeightedFairPolicy,
+    drain,
     resolve_serving_kwargs,
     scheduling_policy,
 )
@@ -197,6 +198,7 @@ __all__ = [
     "attention_tolerance",
     "compile_plan",
     "decode_reference_mask",
+    "drain",
     "mask_key",
     "plan_cache_key",
     "prefix_fingerprints",

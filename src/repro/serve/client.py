@@ -19,14 +19,14 @@ Every way to get attention served goes through one object:
 Constructor keywords follow the stack-wide normalized style (``obs=``,
 ``clock=``, ``policy=``, ``storage=``), validated by the shared
 :func:`~repro.serve.loop.resolve_serving_kwargs` helper — the same one the
-scheduler and the scenario runner use.
+scheduler and the router use.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.serve.loop import (
     ContinuousBatchingScheduler,
     LoopRequest,
     RequestTelemetry,
+    drain,
     resolve_serving_kwargs,
 )
 from repro.serve.paging import DEFAULT_BLOCK_SIZE, SwapStore
@@ -92,7 +93,7 @@ class ServingClient:
         the client builds lazily on first loop-routed call.
     tenants, default_tenant, max_buffered_chunks:
         Tenant isolation config for the async edge ``agenerate`` uses.
-    replicas, router_policy, router_seed, rebalance_interval:
+    replicas, router_policy, rebalance_interval:
         ``replicas > 1`` assembles a :class:`~repro.serve.router.ReplicaRouter`
         instead of a single scheduler: each replica gets its own server and
         ``num_blocks``-sized pool, and ``generate``/``generate_many`` route
@@ -129,7 +130,6 @@ class ServingClient:
         max_buffered_chunks: int = 8,
         replicas: int = 1,
         router_policy: str = "affinity",
-        router_seed: int = 0,
         rebalance_interval: int = 8,
     ) -> None:
         require(replicas >= 1, "replicas must be >= 1")
@@ -148,11 +148,6 @@ class ServingClient:
                 "multi-replica pools are sized per replica by num_blocks=, "
                 "not a global byte budget",
             )
-            require(
-                policy is None or isinstance(policy, str),
-                "replicas>1 builds one policy instance per replica; pass a "
-                "registry name, not an instance",
-            )
             self._router = ReplicaRouter(
                 replicas,
                 key_dim=key_dim,
@@ -165,7 +160,6 @@ class ServingClient:
                 policy=policy if policy is not None else "fcfs",
                 policy_seed=policy_seed,
                 router_policy=router_policy,
-                router_seed=router_seed,
                 clock=clock,
                 obs=obs,
                 max_streams=max_streams,
@@ -345,7 +339,7 @@ class ServingClient:
             slo_latency_seconds=slo_latency_seconds,
         )
         rid = self.submit(request)
-        self._drive({rid}, max_iterations)
+        drain(self._engine(), until=(rid,), max_iterations=max_iterations)
         return self._result(rid)
 
     def generate_many(
@@ -353,36 +347,12 @@ class ServingClient:
     ) -> List[GenerationResult]:
         """Submit a batch and drive the loop until all of them finish."""
         rids = [self.submit(request) for request in requests]
-        self._drive(set(rids), max_iterations)
+        drain(self._engine(), until=rids, max_iterations=max_iterations)
         return [self._result(rid) for rid in rids]
 
     def _engine(self):
         """Whatever executes streams: the router, or the single loop."""
         return self._router if self._router is not None else self.scheduler
-
-    def _drive(self, rids: Set[int], max_iterations: Optional[int]) -> None:
-        engine = self._engine()
-        # a router rebalance pass may legitimately produce one zero-token
-        # step, so the stall tolerance is one strike wider there
-        strikes = 3 if self._router is not None else 2
-        stalled = 0
-        iterations = 0  # max_iterations bounds this call, not the loop's lifetime
-        while any(rid not in engine.results for rid in rids):
-            if max_iterations is not None and iterations >= max_iterations:
-                raise RuntimeError(
-                    f"generation exceeded {max_iterations} iterations with "
-                    f"{engine.active} streams still active"
-                )
-            report = engine.step()
-            iterations += 1
-            if report.tokens == 0 and not report.admitted and not report.finished:
-                stalled += 1
-                require(
-                    stalled < strikes,
-                    "serving loop stalled: no admission, tokens, or finishes",
-                )
-            else:
-                stalled = 0
 
     def _result(self, rid: int) -> GenerationResult:
         engine = self._engine()

@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -434,8 +434,8 @@ def resolve_serving_kwargs(
     """The one shared validator behind the uniform constructor keywords.
 
     :class:`ContinuousBatchingScheduler`, :class:`~repro.serve.client.ServingClient`
-    and :func:`repro.obs.scenarios.run_scenario` all accept ``policy=`` (name
-    or instance), ``clock=`` and ``obs=``; this helper normalizes them
+    and :class:`~repro.serve.router.ReplicaRouter` all accept ``policy=``
+    (name or instance), ``clock=`` and ``obs=``; this helper normalizes them
     identically instead of each call site re-implementing the checks.
     Returns ``(policy, clock, obs)`` with defaults applied.
     """
@@ -718,6 +718,14 @@ class ContinuousBatchingScheduler:
                 f"blocks of {self.pool.block_size} tokens"
             )
         request.request_id = self.server.next_request_id()
+        return self._enqueue(request)
+
+    def _enqueue(self, request: LoopRequest) -> int:
+        """Queue a request that already carries its id; returns the id.
+
+        :meth:`submit`'s tail, and how a router queues a stream it moved
+        here from another replica: the stream keeps the id it was given.
+        """
         rid = request.request_id
         now = self.clock.now()
         telemetry = RequestTelemetry(
@@ -889,14 +897,14 @@ class ContinuousBatchingScheduler:
 
         The rebalancing primitive: a placement layer can pull a stream that
         has not yet touched this replica — still waiting, never activated,
-        nothing emitted, no swap payload, not held — and resubmit it to
-        another scheduler.  The request comes back with ``request_id``
-        cleared so the next ``submit`` assigns a fresh id; this scheduler's
-        telemetry for the withdrawn id is dropped (the stream never ran
-        here).  Returns ``None`` for anything ineligible — unknown ids,
-        running or preempted streams, streams with emitted tokens — so
-        callers racing a natural activation simply leave the stream where
-        it is.
+        nothing emitted, no swap payload, not held — and queue it on another
+        scheduler whose server draws ids from the same counter.  The request
+        comes back with its ``request_id`` still set, so the stream keeps
+        its id across the move; this scheduler's telemetry for the id is
+        dropped (the stream never ran here).  Returns ``None`` for anything
+        ineligible — unknown ids, running or preempted streams, streams with
+        emitted tokens — so callers racing a natural activation simply leave
+        the stream where it is.
         """
         stream = self._streams.get(request_id)
         if (
@@ -926,9 +934,7 @@ class ContinuousBatchingScheduler:
                 if stream.span is not None:
                     obs.trace.end_span(stream.span, now, tokens=0)
                     stream.span = None
-        request = stream.request
-        request.request_id = None
-        return request
+        return stream.request
 
     # ------------------------------------------------------------------ #
     # The iteration
@@ -967,29 +973,9 @@ class ContinuousBatchingScheduler:
         return report
 
     def run(self, *, max_iterations: Optional[int] = None) -> Dict[int, np.ndarray]:
-        """Iterate until every submitted stream finishes; returns the outputs.
-
-        ``max_iterations`` bounds this call's iterations, counted from its
-        first.  Guards forward progress: an iteration that admits nothing,
-        emits nothing and finishes nothing twice in a row can never unwedge
-        itself, so the loop fails loudly instead of spinning.
-        """
-        stalled = 0
-        iterations = 0
-        while self._waiting or self._running:
-            if max_iterations is not None and iterations >= max_iterations:
-                raise RuntimeError(
-                    f"loop exceeded {max_iterations} iterations with "
-                    f"{self.active} streams still active"
-                )
-            report = self.step()
-            iterations += 1
-            if report.tokens == 0 and not report.admitted and not report.finished:
-                stalled += 1
-                require(stalled < 2, "scheduler stalled: no admission, tokens, or finishes")
-            else:
-                stalled = 0
-        return self.results
+        """Iterate until every submitted stream finishes; returns the outputs
+        (see :func:`drain`)."""
+        return drain(self, max_iterations=max_iterations)
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -1390,6 +1376,48 @@ class ContinuousBatchingScheduler:
             report.finished.append(rid)
 
 
+#: Steps in a row that admit, emit and finish nothing before :func:`drain`
+#: gives up.  A router's rebalance step may be empty once, so two are not
+#: yet a stall.
+STALL_STEPS = 3
+
+
+def drain(
+    engine,
+    *,
+    until: Optional[Collection[int]] = None,
+    max_iterations: Optional[int] = None,
+) -> Dict[int, np.ndarray]:
+    """Step ``engine`` until it is idle, or until every id in ``until`` has
+    a result; returns ``engine.results``.
+
+    ``engine`` is a :class:`ContinuousBatchingScheduler` or a
+    :class:`~repro.serve.router.ReplicaRouter`: its ``step()`` returns a
+    report with ``tokens``, ``admitted`` and ``finished``.
+    ``max_iterations`` bounds this call's steps, counted from its first, and
+    raises :exc:`RuntimeError` when reached.  :data:`STALL_STEPS` empty steps
+    in a row can never unwedge themselves, so the last of them raises
+    :exc:`ValueError` instead of spinning.
+    """
+    wanted = None if until is None else set(until)
+    steps = stalled = 0
+    while engine.active if wanted is None else wanted - engine.results.keys():
+        if max_iterations is not None and steps >= max_iterations:
+            raise RuntimeError(
+                f"exceeded {max_iterations} steps with {engine.active} streams still active"
+            )
+        report = engine.step()
+        steps += 1
+        if report.tokens or report.admitted or report.finished:
+            stalled = 0
+        else:
+            stalled += 1
+            require(
+                stalled < STALL_STEPS, "serving stalled: no admission, tokens, or finishes"
+            )
+    return engine.results
+
+
 __all__ = [
     "ContinuousBatchingScheduler",
     "FCFSPolicy",
@@ -1400,11 +1428,13 @@ __all__ = [
     "LoopStatsSnapshot",
     "PriorityPolicy",
     "RequestTelemetry",
+    "STALL_STEPS",
     "SchedulingPolicy",
     "SlackPolicy",
     "VirtualClock",
     "WallClock",
     "WeightedFairPolicy",
+    "drain",
     "resolve_serving_kwargs",
     "scheduling_policy",
 ]

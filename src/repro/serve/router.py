@@ -34,11 +34,20 @@ Two more `repro.distributed` wires complete the layer:
   scatter, Q broadcasts, and per-replica partial online-softmax states merge
   at the root.  Communication volume lands in :attr:`ReplicaRouter.comm_stats`.
 
+Ids: the replicas' servers draw request ids from one counter the router
+owns, so a stream's id is the one its replica assigned, unique across the
+router, and it survives a rebalance move.  :attr:`ReplicaRouter.results`,
+:attr:`ReplicaRouter.telemetry`, every report and every trace span carry
+that one id.  A router of one replica is therefore one loop that numbers
+streams the way a bare :class:`~repro.serve.loop.ContinuousBatchingScheduler`
+does.
+
 Determinism: all replicas share one injected clock, ticked once per router
 step (replicas run "concurrently" in virtual time), and each replica's
 scheduler is fully deterministic given its policy seed.  ``threaded=True``
 steps replicas on a thread pool — outputs are unchanged because replicas
-share no mutable state beyond the thread-safe metrics registry.
+share no mutable state beyond the id counter and the thread-safe metrics
+registry.
 """
 
 from __future__ import annotations
@@ -60,10 +69,11 @@ from repro.serve.decode import decode_reference_mask
 from repro.serve.loop import (
     ContinuousBatchingScheduler,
     InfeasibleRequest,
-    IterationReport,
     LoopRequest,
     LoopStatsSnapshot,
     RequestTelemetry,
+    SchedulingPolicy,
+    drain,
     resolve_serving_kwargs,
     scheduling_policy,
 )
@@ -80,6 +90,10 @@ ROUTER_POLICIES = ("affinity", "weighted", "round_robin")
 
 #: Fingerprint -> replica entries the affinity map retains (LRU).
 DEFAULT_AFFINITY_CAPACITY = 4096
+
+#: Skew trigger: a rebalance pass moves streams only when the busiest
+#: replica's pending tokens exceed this multiple of the mean.
+REBALANCE_THRESHOLD = 1.5
 
 
 class _ReplicaClock:
@@ -156,7 +170,7 @@ class RebalanceRecord:
 
 @dataclass
 class RouterReport:
-    """What one :meth:`ReplicaRouter.step` accomplished, in router ids."""
+    """What one :meth:`ReplicaRouter.step` accomplished, across replicas."""
 
     step: int
     admitted: List[int] = field(default_factory=list)
@@ -164,17 +178,14 @@ class RouterReport:
     preempted: List[int] = field(default_factory=list)
     tokens: int = 0
     moved: int = 0
-    replica_reports: List[IterationReport] = field(default_factory=list)
 
 
 @dataclass
 class _Placement:
-    """Router-private record of where one stream lives."""
+    """Router-private record of where one unfinished stream lives."""
 
     replica: int
-    local_id: Optional[int]
     fingerprints: List[str]
-    sharded: bool = False
 
 
 def aggregate_loop_stats(snapshots: Sequence[LoopStatsSnapshot]) -> LoopStatsSnapshot:
@@ -205,12 +216,14 @@ class ReplicaRouter:
         Per-replica block-pool geometry (same meaning as
         :meth:`AttentionServer.create_block_pool`).
     policy, policy_seed:
-        Scheduling policy *name* for the replica loops; replica ``i`` seeds
+        Scheduling policy name for the replica loops; replica ``i`` seeds
         its policy at ``policy_seed + i`` so weighted sampling streams stay
-        independent (instances cannot be shared across replicas).
-    router_policy, router_seed:
-        Placement policy (see :data:`ROUTER_POLICIES`) and the seed of the
-        weighted fallback's generator.
+        independent.  One replica also takes a
+        :class:`~repro.serve.loop.SchedulingPolicy` instance: an instance
+        can serve one loop, not several.
+    router_policy:
+        Placement policy (see :data:`ROUTER_POLICIES`); the weighted
+        fallback draws from a generator seeded at 0.
     clock, obs:
         Shared clock (ticked once per router step) and observability
         recorder, threaded through every replica.
@@ -219,13 +232,6 @@ class ReplicaRouter:
     rebalance_interval:
         Run :meth:`rebalance` every this many steps (0 disables the
         automatic trigger; manual calls always work).
-    rebalance_threshold:
-        Skew trigger: rebalance only when the max replica's pending tokens
-        exceed this multiple of the mean.
-    shard_oversized:
-        When a 2-D prompt-only request cannot fit one replica's pool, run it
-        sharded across all replicas via :func:`kv_parallel_attention`
-        instead of raising :class:`InfeasibleRequest`.
     threaded:
         Step replicas concurrently on a thread pool (outputs unchanged).
     """
@@ -241,10 +247,9 @@ class ReplicaRouter:
         batch_shape: Tuple[int, ...] = (),
         pool_dtype=np.float32,
         storage: Optional[str] = None,
-        policy: str = "fcfs",
+        policy="fcfs",
         policy_seed: int = 0,
         router_policy: str = "affinity",
-        router_seed: int = 0,
         clock=None,
         obs: Optional[Observability] = None,
         max_streams: int = 8,
@@ -252,10 +257,7 @@ class ReplicaRouter:
         max_iteration_tokens: Optional[int] = None,
         preemption: str = "swap",
         rebalance_interval: int = 8,
-        rebalance_threshold: float = 1.5,
-        shard_oversized: bool = True,
         threaded: bool = False,
-        affinity_capacity: int = DEFAULT_AFFINITY_CAPACITY,
         name: str = "router",
     ) -> None:
         require(num_replicas >= 1, "need at least one replica")
@@ -264,12 +266,11 @@ class ReplicaRouter:
             f"unknown router policy {router_policy!r}; valid: {ROUTER_POLICIES}",
         )
         require(
-            isinstance(policy, str),
-            "the router builds one policy instance per replica; pass a "
-            "registry name, not an instance",
+            num_replicas == 1 or not isinstance(policy, SchedulingPolicy),
+            "a policy instance can serve one loop; pass a registry name for "
+            "more than one replica",
         )
         require(rebalance_interval >= 0, "rebalance_interval must be >= 0")
-        require(rebalance_threshold >= 1.0, "rebalance_threshold must be >= 1.0")
         self.num_replicas = int(num_replicas)
         self.name = name
         _, self.clock, self.obs = resolve_serving_kwargs(clock=clock, obs=obs)
@@ -279,10 +280,11 @@ class ReplicaRouter:
         self.storage = resolve_storage(storage, self.pool_dtype)
         self.router_policy = router_policy
         self.rebalance_interval = int(rebalance_interval)
-        self.rebalance_threshold = float(rebalance_threshold)
-        self.shard_oversized = bool(shard_oversized)
-        self._rng = np.random.default_rng(router_seed)
+        self._rng = np.random.default_rng(0)
         self._round_robin = 0
+        # every replica's server draws from this counter; next() on it is one
+        # C call, atomic under the GIL, so threaded replicas can share it
+        self._ids = itertools.count()
 
         replica_clock = _ReplicaClock(self.clock)
         self.replicas: List[ReplicaHandle] = []
@@ -298,6 +300,7 @@ class ReplicaRouter:
                 block_size=block_size,
                 name=f"{name}-replica{index}",
             )
+            server._ids = self._ids
             swap_store = SwapStore()
             scheduler = ContinuousBatchingScheduler(
                 server,
@@ -321,13 +324,8 @@ class ReplicaRouter:
         self.last_rebalance: Optional[RebalanceRecord] = None
         self.results: Dict[int, np.ndarray] = {}
         self.telemetry: Dict[int, RequestTelemetry] = {}
-        self._rid = itertools.count(1)
         self._placements: Dict[int, _Placement] = {}
-        self._local_to_global: List[Dict[int, int]] = [
-            {} for _ in range(self.num_replicas)
-        ]
         self._affinity: "OrderedDict[str, int]" = OrderedDict()
-        self._affinity_capacity = int(affinity_capacity)
         self._steps = 0
         self._executor: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(
@@ -345,11 +343,11 @@ class ReplicaRouter:
     # Intake
     # ------------------------------------------------------------------ #
     def submit(self, request: LoopRequest) -> int:
-        """Place one stream on a replica (or shard it); returns the router id.
+        """Place one stream on a replica (or shard it); returns its id.
 
-        Router ids are globally monotonic and distinct from the per-replica
-        request ids each scheduler assigns; :attr:`results` and
-        :attr:`telemetry` are keyed by router id.
+        The id is the one the replica's loop assigned from the router's
+        counter: :attr:`results`, :attr:`telemetry`, the replicas' iteration
+        reports and the trace spans all carry it.
         """
         require(
             request.request_id is None,
@@ -357,11 +355,7 @@ class ReplicaRouter:
         )
         needed = blocks_for_tokens(request.total_tokens, self.block_size)
         if needed > self.pool_blocks_per_replica:
-            if (
-                self.shard_oversized
-                and request.batch_shape == ()
-                and request.decode_tokens == 0
-            ):
+            if request.batch_shape == () and request.decode_tokens == 0:
                 return self._submit_sharded(request)
             raise InfeasibleRequest(
                 f"stream of {request.total_tokens} tokens needs {needed} KV "
@@ -379,13 +373,9 @@ class ReplicaRouter:
         )
         replica_index, hit = self._route(fingerprints)
         replica = self.replicas[replica_index]
-        local_id = replica.scheduler.submit(request)
-        rid = next(self._rid)
-        self._placements[rid] = _Placement(
-            replica=replica_index, local_id=local_id, fingerprints=fingerprints
-        )
-        self._local_to_global[replica_index][local_id] = rid
-        self.telemetry[rid] = replica.scheduler.telemetry[local_id]
+        rid = replica.scheduler.submit(request)
+        self._placements[rid] = _Placement(replica=replica_index, fingerprints=fingerprints)
+        self.telemetry[rid] = replica.scheduler.telemetry[rid]
         self._remember(fingerprints, replica_index)
         self.stats.routed += 1
         if hit:
@@ -427,7 +417,7 @@ class ReplicaRouter:
         for fingerprint in fingerprints:
             self._affinity[fingerprint] = replica
             self._affinity.move_to_end(fingerprint)
-        while len(self._affinity) > self._affinity_capacity:
+        while len(self._affinity) > DEFAULT_AFFINITY_CAPACITY:
             self._affinity.popitem(last=False)
 
     # ------------------------------------------------------------------ #
@@ -445,7 +435,7 @@ class ReplicaRouter:
         bit-identical to a single-replica run, and the differential suite
         checks it at float tolerance instead).
         """
-        rid = next(self._rid)
+        rid = next(self._ids)
         length = request.total_tokens
         world = SimulatedWorld(self.num_replicas)
         result = kv_parallel_attention(
@@ -471,9 +461,6 @@ class ReplicaRouter:
         telemetry.tokens_emitted = length
         self.results[rid] = result.output
         self.telemetry[rid] = telemetry
-        self._placements[rid] = _Placement(
-            replica=-1, local_id=None, fingerprints=[], sharded=True
-        )
         self.stats.sharded_requests += 1
         self.comm_stats = self.comm_stats.merge(world.stats)
         obs = self.obs
@@ -508,13 +495,11 @@ class ReplicaRouter:
             )
         else:
             replica_reports = [handle.scheduler.step() for handle in busy]
-        for handle, replica_report in zip(busy, replica_reports):
-            mapping = self._local_to_global[handle.index]
-            report.replica_reports.append(replica_report)
+        for replica_report in replica_reports:
             report.tokens += replica_report.tokens
-            report.admitted.extend(mapping[lid] for lid in replica_report.admitted)
-            report.finished.extend(mapping[lid] for lid in replica_report.finished)
-            report.preempted.extend(mapping[lid] for lid in replica_report.preempted)
+            report.admitted.extend(replica_report.admitted)
+            report.finished.extend(replica_report.finished)
+            report.preempted.extend(replica_report.preempted)
         self._harvest()
         self.clock.tick()
         if self.obs.enabled:
@@ -522,46 +507,28 @@ class ReplicaRouter:
         return report
 
     def run(self, *, max_iterations: Optional[int] = None) -> Dict[int, np.ndarray]:
-        """Step until every placed stream finishes; returns :attr:`results`.
-
-        ``max_iterations`` bounds this call's steps, counted from its first.
-        """
-        stalled = 0
-        steps = 0
-        while self.active:
-            if max_iterations is not None and steps >= max_iterations:
-                raise RuntimeError(
-                    f"router exceeded {max_iterations} steps with "
-                    f"{self.active} streams still active"
-                )
-            report = self.step()
-            steps += 1
-            if report.tokens == 0 and not report.admitted and not report.finished:
-                stalled += 1
-                require(
-                    stalled < 3, "router stalled: no admission, tokens, or finishes"
-                )
-            else:
-                stalled = 0
-        return self.results
+        """Step until every placed stream finishes; returns :attr:`results`
+        (see :func:`~repro.serve.loop.drain`)."""
+        return drain(self, max_iterations=max_iterations)
 
     def _harvest(self) -> None:
+        """Move finished outputs into :attr:`results`; their placements go."""
         for handle in self.replicas:
-            if not handle.scheduler.results:
-                continue
-            mapping = self._local_to_global[handle.index]
-            for local_id in list(handle.scheduler.results):
-                self.results[mapping[local_id]] = handle.scheduler.results.pop(local_id)
+            finished = handle.scheduler.results
+            for rid in finished:
+                del self._placements[rid]
+            self.results.update(finished)
+            finished.clear()
 
     def cancel(self, rid: int) -> bool:
-        """Cancel a routed stream mid-flight (router-id flavoured)."""
+        """Cancel a routed stream mid-flight; ``False`` for finished,
+        sharded or unknown ids."""
         placement = self._placements.get(rid)
-        if placement is None or placement.sharded or rid in self.results:
+        if placement is None or not self.replicas[placement.replica].scheduler.cancel(rid):
             return False
-        cancelled = self.replicas[placement.replica].scheduler.cancel(placement.local_id)
-        if cancelled:
-            self.stats.cancelled += 1
-        return cancelled
+        del self._placements[rid]
+        self.stats.cancelled += 1
+        return True
 
     # ------------------------------------------------------------------ #
     # Rebalancing
@@ -584,13 +551,13 @@ class ReplicaRouter:
         if self.obs.enabled:
             self.obs.router_rebalances.inc()
         mean = loads.mean()
-        if mean <= 0 or loads.max() <= self.rebalance_threshold * mean:
+        if mean <= 0 or loads.max() <= REBALANCE_THRESHOLD * mean:
             return 0
-        movable: List[Tuple[int, int, int]] = []  # (replica, local_id, cost)
+        movable: List[Tuple[int, int, int]] = []  # (replica, id, cost)
         for handle in self.replicas:
-            for local_id in handle.scheduler.withdrawable():
-                cost = handle.scheduler.telemetry[local_id].total_tokens
-                movable.append((handle.index, local_id, cost))
+            for rid in handle.scheduler.withdrawable():
+                cost = handle.scheduler.telemetry[rid].total_tokens
+                movable.append((handle.index, rid, cost))
         if not movable:
             return 0
         costs = np.array([cost for _, _, cost in movable], dtype=np.float64)
@@ -613,19 +580,17 @@ class ReplicaRouter:
         for bin_rank, target in zip(heavy_first, light_first):
             replica_order.append(int(target))
             for item in bins[bin_rank]:
-                source, local_id, _ = movable[item]
+                source, rid, _ = movable[item]
                 if source == target:
                     continue
-                request = self.replicas[source].scheduler.withdraw(local_id)
+                request = self.replicas[source].scheduler.withdraw(rid)
                 if request is None:  # raced a natural activation; leave it
                     continue
-                rid = self._local_to_global[source].pop(local_id)
-                new_local = self.replicas[target].scheduler.submit(request)
+                scheduler = self.replicas[target].scheduler
+                scheduler._enqueue(request)  # the stream keeps its id
                 placement = self._placements[rid]
                 placement.replica = int(target)
-                placement.local_id = new_local
-                self._local_to_global[target][new_local] = rid
-                self.telemetry[rid] = self.replicas[target].scheduler.telemetry[new_local]
+                self.telemetry[rid] = scheduler.telemetry[rid]
                 self._remember(placement.fingerprints, int(target))
                 moved += 1
         self.stats.moved_streams += moved
@@ -700,6 +665,7 @@ class ReplicaRouter:
 
 __all__ = [
     "DEFAULT_AFFINITY_CAPACITY",
+    "REBALANCE_THRESHOLD",
     "ROUTER_POLICIES",
     "RebalanceRecord",
     "ReplicaHandle",

@@ -174,11 +174,6 @@ class ServerStats:
         """Fraction of the shared pool's blocks mapped by live sessions."""
         return self.pool.occupancy if self.pool is not None else 0.0
 
-    @property
-    def block_share_hits(self) -> int:
-        """Prefix-sharing hits in the shared pool (blocks mapped, not copied)."""
-        return self.pool.share_hits if self.pool is not None else 0
-
 
 @dataclass(frozen=True)
 class ServerStatsSnapshot:
@@ -211,5 +206,4 @@ class ServerStatsSnapshot:
     mean_latency_s = ServerStats.mean_latency_s
     decode_steps_per_second = ServerStats.decode_steps_per_second
     block_occupancy = ServerStats.block_occupancy
-    block_share_hits = ServerStats.block_share_hits
 

@@ -7,9 +7,11 @@ policy, a preemption mode, a per-request tensor profile and a pool sized
 anywhere from comfortable to storm-tight all come from one ``numpy``
 generator, so every run is addressable by a single integer seed.
 
-:func:`run_simulation` drives a :class:`~repro.serve.ContinuousBatchingScheduler`
-to completion and then checks the global invariants every workload must
-satisfy, failing with the replay seed in the message:
+:func:`run_simulation` drives a :class:`~repro.serve.ReplicaRouter` of the
+workload's replica count (one replica is one
+:class:`~repro.serve.ContinuousBatchingScheduler`) to completion and then
+checks the global invariants every workload must satisfy, failing with the
+replay seed in the message:
 
 * **no lost or duplicated tokens** — every request's recorded outputs cover
   exactly its ``total`` rows, and the loop's token counters sum to the
@@ -19,16 +21,16 @@ satisfy, failing with the replay seed in the message:
   preemption, swap-in and recompute restores) and match the one-shot
   ``engine.run`` oracle over :func:`~repro.serve.decode_reference_mask`
   within float tolerance;
-* **clean drain** — pool refcounts zero, pool consistency, empty swap store.
+* **clean drain** — on every replica: pool refcounts zero, pool
+  consistency, empty swap store;
+* **conservation across replicas** — no stream lost or duplicated, the
+  metrics registry equal to the summed per-replica loop counters (moved
+  streams re-count as submissions), and route-decision accounting closed
+  (hits + misses = routed = requests).
 
 Workloads also sample a **replica count** and **router policy** (the last
 draws of the seed's rng sequence, so pre-router seeds reproduce identical
-workloads): ``replicas > 1`` drives the same arrivals through a
-:class:`~repro.serve.ReplicaRouter` and adds the cross-replica conservation
-invariants — no stream lost or duplicated across replicas, every replica's
-pool and swap store drained, the metrics registry equal to the summed
-per-replica loop counters (moved streams re-count as submissions), and
-route-decision accounting closed (hits + misses = routed = requests).
+workloads).
 
 Seed plumbing: ``REPRO_FUZZ_SEED`` (comma-separated list) pins the base
 seeds everywhere; ``REPRO_SIM_SEED_COUNT`` expands each base seed into a
@@ -42,7 +44,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -53,15 +55,11 @@ from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.perfmodel.decode import blocks_for_tokens
 from repro.serve import (
-    AttentionServer,
-    ContinuousBatchingScheduler,
     DecodeSession,
     LoopRequest,
     ReplicaRouter,
-    SwapStore,
     VirtualClock,
     decode_reference_mask,
-    scheduling_policy,
 )
 from repro.utils.rng import random_qkv
 
@@ -89,8 +87,8 @@ POLICIES = ("fcfs", "priority", "weighted")
 #: device given, so every seed keeps the draw and the workload it had.
 PREEMPTION_MODES = ("swap", "swap", "recompute")
 PRIORITIES = (0.5, 1.0, 2.0, 4.0)
-#: Replica counts a sampled workload can route across (1 = plain loop);
-#: 1 is over-weighted so most seeds still exercise the single-loop driver.
+#: Replica counts a sampled workload can route across; 1 is over-weighted so
+#: most seeds run a router of one, which is one loop.
 REPLICA_CHOICES = (1, 1, 2, 4)
 ROUTER_POLICY_CHOICES = ("affinity", "weighted", "round_robin")
 
@@ -187,10 +185,10 @@ class SimWorkload:
     #: base seed this workload was sampled from (None for hand-built ones);
     #: failure messages print it for one-variable replay
     seed: Optional[int] = None
-    #: replica count: 1 drives one ContinuousBatchingScheduler, >1 drives a
-    #: ReplicaRouter with this many replicas (each pool sized ``num_blocks``)
+    #: replicas of the ReplicaRouter the workload runs through (each pool
+    #: sized ``num_blocks``)
     replicas: int = 1
-    #: placement policy when ``replicas > 1``
+    #: placement policy across the replicas
     router_policy: str = "affinity"
 
     @property
@@ -432,21 +430,25 @@ class SimulationReport:
     workload: SimWorkload
     outputs: Dict[int, np.ndarray]
     telemetry: Dict[int, object]
+    #: loop counters summed over the replicas
     loop_stats: object
-    server_stats: object
-    pool_stats: object
-    swap_stats: object
+    #: one live ``LoopStats`` per replica
+    replica_loop_stats: Tuple[object, ...]
+    #: per-replica server stats, pool snapshots and swap-store stats
+    server_stats: Tuple[object, ...]
+    pool_stats: Tuple[object, ...]
+    swap_stats: Tuple[object, ...]
+    #: router steps taken
     iterations: int
+    router_stats: object
     #: request id -> spec, in submission order
     requests: Dict[int, SimRequestSpec] = field(default_factory=dict)
     #: the observability recorder the run was driven with (None = disabled)
     obs: Optional[object] = None
-    #: RouterStats when the workload routed across replicas (None = one loop)
-    router_stats: Optional[object] = None
 
 
 def _verify_request_outputs(requests, tensors, results, telemetry, replay) -> int:
-    """Per-request oracle block shared by the one-loop and routed drivers.
+    """Per-request oracle block of :func:`run_simulation`.
 
     Asserts every request finished with exactly ``total`` rows, bit-equal to
     a private :class:`DecodeSession` replay and float-close to the one-shot
@@ -491,65 +493,29 @@ def _verify_request_outputs(requests, tensors, results, telemetry, replay) -> in
     return emitted_total
 
 
-def run_simulation(
+def drive_arrivals(
     workload: SimWorkload,
+    clock: VirtualClock,
+    submit,
+    engine,
     *,
     max_iterations: int = 20_000,
-    check: bool = True,
-    obs=None,
-) -> SimulationReport:
-    """Run one workload to drain on a virtual clock; verify global invariants.
-
-    ``check=False`` skips the invariant block (for tests asserting failure
-    behaviour or collecting raw telemetry); everything else is identical.
-    ``obs`` (an :class:`repro.obs.Observability`) threads a recorder through
-    the server, pool and loop; when given, the invariant block additionally
-    cross-checks the metrics registry against the loop's own counters.
-
-    Workloads with ``replicas > 1`` route the same arrivals through a
-    :class:`ReplicaRouter` instead (see :func:`_run_routed_simulation`).
-    """
-    if workload.replicas > 1:
-        return _run_routed_simulation(
-            workload, max_iterations=max_iterations, check=check, obs=obs
-        )
-    replay = (
-        ""
-        if workload.seed is None
-        else (
-            f" (replay: REPRO_FUZZ_SEED={workload.seed} PYTHONPATH=src"
-            f" python -m pytest tests/test_serve_loop_properties.py -k seed_sweep -q)"
-        )
-    )
-    server = AttentionServer(cache_capacity=32, obs=obs)
-    pool = server.create_block_pool(
-        key_dim=workload.dim,
-        num_blocks=workload.num_blocks,
-        block_size=workload.block_size,
-        name="sim",
-    )
-    clock = VirtualClock()
-    swap_store = SwapStore()
-    scheduler = ContinuousBatchingScheduler(
-        server,
-        policy=scheduling_policy(workload.policy, seed=workload.policy_seed),
-        clock=clock,
-        max_streams=workload.max_streams,
-        prefill_chunk=workload.prefill_chunk,
-        max_iteration_tokens=workload.max_iteration_tokens,
-        preemption=workload.preemption,
-        swap_store=swap_store,
-    )
-
+    replay: str = "",
+):
+    """Submit each spec at its arrival time on ``clock`` and step ``engine``
+    (a router or a bare loop) until it drains; ``submit(request)`` returns
+    the stream's id.  Returns ``(requests, tensors)``, both keyed by id in
+    submission order."""
     pending = deque(sorted(workload.specs, key=lambda s: (s.arrival, s.seed)))
     requests: Dict[int, SimRequestSpec] = {}
     tensors: Dict[int, tuple] = {}
-    while pending or scheduler.active:
+    steps = 0
+    while pending or engine.active:
         now = clock.now()
         while pending and pending[0].arrival <= now:
             spec = pending.popleft()
             q, k, v = spec.tensors(workload.dim)
-            rid = scheduler.submit(
+            rid = submit(
                 LoopRequest(
                     q=q,
                     k=k,
@@ -561,79 +527,33 @@ def run_simulation(
             )
             requests[rid] = spec
             tensors[rid] = (q, k, v)
-        if not scheduler.active:
+        if not engine.active:
             clock.advance(pending[0].arrival - now)
             continue
-        assert scheduler.stats.iterations < max_iterations, (
+        assert steps < max_iterations, (
             f"simulation exceeded {max_iterations} iterations{replay}"
         )
-        scheduler.step()
-
-    report = SimulationReport(
-        workload=workload,
-        outputs=dict(scheduler.results),
-        telemetry=dict(scheduler.telemetry),
-        loop_stats=scheduler.stats,
-        server_stats=server.stats,
-        pool_stats=pool.stats.snapshot(),
-        swap_stats=swap_store.stats,
-        iterations=scheduler.stats.iterations,
-        requests=requests,
-        obs=obs,
-    )
-    if check:
-        emitted_total = _verify_request_outputs(
-            requests, tensors, scheduler.results, scheduler.telemetry, replay
-        )
-        assert emitted_total == workload.total_tokens, f"token conservation broke{replay}"
-        assert scheduler.stats.tokens_total == workload.total_tokens, (
-            f"loop counters disagree with the workload token count{replay}"
-        )
-        stats = scheduler.stats
-        # clean drain: every block accounted for, nothing left swapped
-        assert pool.blocks_in_use == 0, f"blocks leaked at drain{replay}"
-        pool.check_consistency()
-        assert len(swap_store) == 0, f"streams left in the swap store{replay}"
-        if obs is not None and obs.enabled:
-            # the metrics registry must agree with the loop's own counters
-            snap = obs.snapshot()
-
-            def metric(name, **labels):
-                sample = snap.get(name, **labels)
-                return 0.0 if sample is None else sample.value
-
-            assert metric("loop_requests_submitted_total") == len(requests), replay
-            assert metric("loop_requests_finished_total") == len(requests), replay
-            assert metric("loop_iterations_total") == stats.iterations, replay
-            assert metric("loop_prefill_tokens_total") == stats.prefill_tokens, replay
-            assert metric("loop_decode_tokens_total") == stats.decode_tokens, replay
-            preempted = sum(
-                sample.value
-                for sample in snap.with_name("loop_preemptions_total")
-            )
-            assert preempted == stats.preemptions, replay
-            ttft = snap.get("serving_ttft_seconds")
-            assert ttft is not None and ttft.count == len(requests), replay
-    server.close()
-    return report
+        engine.step()
+        steps += 1
+    return requests, tensors
 
 
-def _run_routed_simulation(
+def run_simulation(
     workload: SimWorkload,
     *,
     max_iterations: int = 20_000,
     check: bool = True,
     obs=None,
 ) -> SimulationReport:
-    """Route one workload across replicas to drain; verify conservation.
+    """Run one workload to drain on a virtual clock; verify global invariants.
 
-    Same arrivals, same per-request oracles as :func:`run_simulation`, plus
-    the cross-replica invariants: no stream lost or duplicated across
-    replicas, every replica's pool and swap store drained, the summed
-    per-replica counters closing against the workload (moved streams
-    re-count as submissions and withdrawals), and every route decision
-    accounted for (hits + misses = routed = requests; nothing sharded —
-    simulated pools always fit their largest stream).
+    The arrivals go through a :class:`ReplicaRouter` of ``workload.replicas``
+    replicas.  ``check=False`` skips the invariant block (for tests asserting
+    failure behaviour or collecting raw telemetry); everything else is
+    identical.  ``obs`` (an :class:`repro.obs.Observability`) threads a
+    recorder through the servers, pools and loops; when given, the invariant
+    block additionally cross-checks the metrics registry against the loops'
+    own counters.
     """
     replay = (
         ""
@@ -659,36 +579,11 @@ def _run_routed_simulation(
         prefill_chunk=workload.prefill_chunk,
         max_iteration_tokens=workload.max_iteration_tokens,
         preemption=workload.preemption,
-        name="sim-router",
+        name="sim",
     )
-
-    pending = deque(sorted(workload.specs, key=lambda s: (s.arrival, s.seed)))
-    requests: Dict[int, SimRequestSpec] = {}
-    tensors: Dict[int, tuple] = {}
-    while pending or router.active:
-        now = clock.now()
-        while pending and pending[0].arrival <= now:
-            spec = pending.popleft()
-            q, k, v = spec.tensors(workload.dim)
-            rid = router.submit(
-                LoopRequest(
-                    q=q,
-                    k=k,
-                    v=v,
-                    mask=spec.mask,
-                    prompt_tokens=spec.prompt,
-                    priority=spec.priority,
-                )
-            )
-            requests[rid] = spec
-            tensors[rid] = (q, k, v)
-        if not router.active:
-            clock.advance(pending[0].arrival - now)
-            continue
-        assert router.iterations < max_iterations, (
-            f"routed simulation exceeded {max_iterations} iterations{replay}"
-        )
-        router.step()
+    requests, tensors = drive_arrivals(
+        workload, clock, router.submit, router, max_iterations=max_iterations, replay=replay
+    )
 
     stats = router.loop_stats()
     report = SimulationReport(
@@ -696,13 +591,14 @@ def _run_routed_simulation(
         outputs=dict(router.results),
         telemetry=dict(router.telemetry),
         loop_stats=stats,
+        replica_loop_stats=tuple(handle.scheduler.stats for handle in router.replicas),
         server_stats=tuple(handle.server.stats for handle in router.replicas),
         pool_stats=tuple(handle.pool.stats.snapshot() for handle in router.replicas),
         swap_stats=tuple(handle.swap_store.stats for handle in router.replicas),
         iterations=router.iterations,
+        router_stats=router.stats,
         requests=requests,
         obs=obs,
-        router_stats=router.stats,
     )
     if check:
         emitted_total = _verify_request_outputs(
@@ -724,7 +620,7 @@ def _run_routed_simulation(
             f"route accounting broke{replay}"
         )
         assert rstats.sharded_requests == 0, replay
-        # each rebalance move is exactly one withdraw + one resubmit
+        # each rebalance move is exactly one withdraw + one re-queue
         assert stats.withdrawn == rstats.moved_streams, (
             f"withdrawals disagree with moved streams{replay}"
         )

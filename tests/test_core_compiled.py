@@ -133,22 +133,20 @@ for a, b in zip(fast, slow):
 
 
 def _cc_wrapper(tmp_path, refuse=None):
-    """A ``CC`` that exits 1 when its arguments contain the run of arguments
-    ``refuse``, logs one line per library it builds (an invocation with
-    ``-shared``: the host target probe is not a build), then runs the real
-    compiler."""
+    """A ``CC`` that logs one line per library it is asked to build (an
+    invocation with ``-shared``: the host target probe is not a build):
+    ``refused`` and exit 1 when its arguments contain the run of arguments
+    ``refuse``, else ``compile`` before it runs the real compiler."""
     real = compiled._find_cc()
     if real is None:
         pytest.skip("no C compiler on PATH")
     log = tmp_path / "compiles.log"
     wrapper = tmp_path / "cc-wrapper"
+    builds = 'for arg in "$@"; do [ "$arg" = -shared ] && echo {} >> "%s"; done' % log
     lines = ["#!/bin/sh"]
     if refuse:
-        lines.append(f'case " $* " in *" {refuse} "*) exit 1;; esac')
-    lines += [
-        f'for arg in "$@"; do [ "$arg" = -shared ] && echo compile >> "{log}"; done',
-        f'exec "{shutil.which(real)}" "$@"',
-    ]
+        lines.append(f'case " $* " in *" {refuse} "*) {builds.format("refused")}; exit 1;; esac')
+    lines += [builds.format("compile"), f'exec "{shutil.which(real)}" "$@"']
     wrapper.write_text("\n".join(lines) + "\n")
     wrapper.chmod(0o755)
     temp = tmp_path / "tmp"
@@ -169,8 +167,8 @@ def _run_child(wrapper, temp):
     assert completed.returncode == 0, completed.stderr[-2000:]
 
 
-def _compiles(log):
-    return len(log.read_text().splitlines()) if log.exists() else 0
+def _compiles(log, outcome="compile"):
+    return log.read_text().splitlines().count(outcome) if log.exists() else 0
 
 
 class TestBuildCache:
@@ -212,15 +210,20 @@ class TestBuildCache:
     @pytest.mark.parametrize("refuse", ["-march=native", "-shared -march=native"], ids=["flag", "build"])
     def test_a_compiler_refusing_the_host_target_builds_the_portable_library(self, tmp_path, refuse):
         """Refused in the target probe too ("flag"), or only when building
-        with it ("build"): either way the portable library is built and run."""
+        with it ("build"): either way the portable library is built and run.
+        A refused build is recorded in its key's directory, so the next
+        process neither compiles nor asks for the refused build again."""
         wrapper, log, temp = _cc_wrapper(tmp_path, refuse=refuse)
-        _run_child(wrapper, temp)  # the child asserts backend() == "cext"
-        assert _compiles(log) == 1
-        portable = temp / ("repro-compiled-" + compiled._build_key(str(wrapper), None))
-        assert sorted(p.name for p in portable.iterdir()) == ["repro_compiled.so", "repro_compiled.so.sha256"]
         target = compiled._host_target(str(wrapper))
         assert (target is None) == (refuse == "-march=native")
-        assert [p for d in temp.glob("repro-compiled-*") if d != portable for p in d.iterdir()] == []
+        refused = int(target is not None)
+        for _ in range(2):
+            _run_child(wrapper, temp)  # the child asserts backend() == "cext"
+            assert (_compiles(log), _compiles(log, "refused")) == (1, refused)
+        portable = temp / ("repro-compiled-" + compiled._build_key(str(wrapper), None))
+        assert sorted(p.name for p in portable.iterdir()) == ["repro_compiled.so", "repro_compiled.so.sha256"]
+        hosts = [sorted(p.name for p in d.iterdir()) for d in temp.glob("repro-compiled-*") if d != portable]
+        assert hosts == [["repro_compiled.so.refused"]] * refused
 
     def test_build_key_changes_with_the_resolved_target(self):
         targets = (None, "-march=skylake", "-march=skylake -mavx512f", "-march=znver3")

@@ -52,26 +52,14 @@ def test_trace_spans_are_well_formed_and_closed(seed):
     records = obs.trace.drain()
     validate_trace(records)
     assert obs.trace.open_spans() == [], "spans left open after drain"
-    # one root request span per request, each carrying its token count
+    # one root request span per request, plus one per rebalance move: the
+    # move closes the stream's span on its old replica with tokens=0 and
+    # opens one on the new replica under the same request id
     roots = [r for r in records if r.get("kind") == "span" and r["name"] == "request"]
-    if report.workload.replicas > 1:
-        # replica loops stamp replica-local request ids (which collide across
-        # replicas), and a rebalance move withdraws + resubmits — the old
-        # root span closes with tokens=0 and a fresh one opens on the target
-        # replica.  Match finished spans to telemetry by their stamps.
-        moved = report.router_stats.moved_streams
-        finished = [r for r in roots if r["attrs"]["tokens"] > 0]
-        assert len(roots) == len(report.telemetry) + moved
-        assert len(finished) == len(report.telemetry)
-        got = sorted((r["attrs"]["tokens"], r["start"], r["end"]) for r in finished)
-        want = sorted(
-            (t.tokens_emitted, t.arrival_time, t.finish_time)
-            for t in report.telemetry.values()
-        )
-        assert got == want
-        return
-    assert len(roots) == len(report.telemetry)
-    for root in roots:
+    assert len(roots) == len(report.telemetry) + report.router_stats.moved_streams
+    finished = [root for root in roots if root["attrs"]["tokens"] > 0]
+    assert sorted(root["request"] for root in finished) == sorted(report.telemetry)
+    for root in finished:
         telemetry = report.telemetry[root["request"]]
         assert root["attrs"]["tokens"] == telemetry.tokens_emitted
         assert root["start"] == telemetry.arrival_time
@@ -117,22 +105,29 @@ def test_pool_gauges_return_to_baseline_after_drain():
     workload = build_workload(STORM, extra_blocks=2, max_streams=2)
     run_simulation(workload, obs=obs)
     snap = obs.snapshot()
-    assert snap.get("pool_blocks", pool="sim", state="in_use").value == 0.0
-    free = snap.get("pool_blocks", pool="sim", state="free").value
-    evictable = snap.get("pool_blocks", pool="sim", state="evictable").value
+    pool = "sim-replica0"  # the one replica of the harness's router named "sim"
+    assert snap.get("pool_blocks", pool=pool, state="in_use").value == 0.0
+    free = snap.get("pool_blocks", pool=pool, state="free").value
+    evictable = snap.get("pool_blocks", pool=pool, state="evictable").value
     assert free + evictable == workload.num_blocks
 
 
 def test_loop_stats_snapshot_is_frozen_and_consistent():
     report = run_simulation(sample_workload(1))
-    snapshot = report.loop_stats.snapshot()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        snapshot.iterations = 0
-    assert snapshot.tokens_total == report.workload.total_tokens
-    assert snapshot.iterations == report.iterations
-    assert snapshot.tokens_per_iteration == pytest.approx(
-        snapshot.tokens_total / snapshot.iterations
-    )
+    snapshots = [stats.snapshot() for stats in report.replica_loop_stats]
+    assert len(snapshots) == report.workload.replicas
+    for snapshot in snapshots:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot.iterations = 0
+        # a replica steps only in router steps that find it busy
+        assert snapshot.iterations <= report.iterations
+        if snapshot.iterations:
+            assert snapshot.tokens_per_iteration == pytest.approx(
+                snapshot.tokens_total / snapshot.iterations
+            )
+    if len(snapshots) == 1:
+        assert snapshots[0].iterations == report.iterations
+    assert sum(s.tokens_total for s in snapshots) == report.workload.total_tokens
 
 
 def test_server_stats_snapshot_is_tear_free_under_concurrent_steps():

@@ -14,8 +14,9 @@ one environment variable:
     REPRO_FUZZ_SEED=<seed> pytest tests/test_serve_fuzz.py -k replay
 
 The replica sweep rides the same sampler: one sampled workload is replayed
-at 1, 2 and 4 replicas and every stream's output must be bit-identical
-across the three runs — routing is placement, never computation.
+at 1, 2 and 4 replicas and through a bare loop, and every stream's output
+must be bit-identical across the four runs — routing is placement, never
+computation.
 """
 
 from dataclasses import replace
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from harness.simulation import (
     DIM,
     MASKS,
+    drive_arrivals,
     fuzz_seeds,
     run_simulation,
     sample_oneshot_specs,
@@ -39,7 +41,7 @@ from harness.simulation import (
     stream_tensors,
 )
 from repro.core.engine import GraphAttentionEngine
-from repro.serve import AttentionRequest, AttentionServer, ServingClient
+from repro.serve import AttentionRequest, AttentionServer, ServingClient, VirtualClock
 from repro.serve.decode import decode_reference_mask
 
 
@@ -139,32 +141,61 @@ def test_seed_replay(seed):
         ) from error
 
 
+def _serve_on_one_loop(workload):
+    """The workload's arrivals through a one-loop ``ServingClient``: the bare
+    loop's ``(requests, outputs)``, both keyed by id."""
+    clock = VirtualClock()
+    with ServingClient(
+        key_dim=workload.dim,
+        num_blocks=workload.num_blocks,
+        block_size=workload.block_size,
+        policy=workload.policy,
+        policy_seed=workload.policy_seed,
+        clock=clock,
+        max_streams=workload.max_streams,
+        prefill_chunk=workload.prefill_chunk,
+        max_iteration_tokens=workload.max_iteration_tokens,
+        preemption=workload.preemption,
+    ) as client:
+        requests, _ = drive_arrivals(workload, clock, client.submit, client.scheduler)
+        return requests, dict(client.scheduler.results)
+
+
 @pytest.mark.parametrize("seed", fuzz_seeds(default_count=4))
 def test_replica_counts_agree_bitwise(seed):
-    """One sampled workload, three replica counts, identical bits throughout.
+    """One sampled workload, three replica counts and a bare loop, identical
+    bits throughout.
 
     The drivers submit arrivals in the same order and assign monotonically
     increasing ids, so matching submission ranks across runs pairs the same
     stream with itself; every pair must be ``assert_array_equal``-identical
     (the run_simulation invariant block already pinned each run to its own
-    DecodeSession replay — this closes the loop *between* replica counts).
+    DecodeSession replay — this closes the loop *between* replica counts,
+    and between a router of one and the loop it wraps).
     """
     workload = sample_workload(seed)
-    reports = [
-        run_simulation(replace(workload, replicas=n, router_policy="affinity"))
-        for n in (1, 2, 4)
+    runs = [
+        (report.requests, report.outputs)
+        for report in (
+            run_simulation(replace(workload, replicas=n, router_policy="affinity"))
+            for n in (1, 2, 4)
+        )
     ]
-    base = reports[0]
-    base_order = sorted(base.requests)
-    for other in reports[1:]:
-        other_order = sorted(other.requests)
-        assert [base.requests[r] for r in base_order] == [
-            other.requests[r] for r in other_order
+    loop_requests, loop_outputs = _serve_on_one_loop(workload)
+    # a router of one numbers streams exactly as the loop it wraps
+    assert list(loop_requests) == list(runs[0][0])
+    runs.append((loop_requests, loop_outputs))
+    base_requests, base_outputs = runs[0]
+    base_order = sorted(base_requests)
+    for requests, outputs in runs[1:]:
+        order = sorted(requests)
+        assert [base_requests[r] for r in base_order] == [
+            requests[r] for r in order
         ], f"submission order diverged across replica counts (seed {seed})"
-        for rid_a, rid_b in zip(base_order, other_order):
+        for rid_a, rid_b in zip(base_order, order):
             np.testing.assert_array_equal(
-                base.outputs[rid_a],
-                other.outputs[rid_b],
+                base_outputs[rid_a],
+                outputs[rid_b],
                 err_msg=(
                     f"stream diverged between replica counts; replay with"
                     f" REPRO_FUZZ_SEED={seed}"

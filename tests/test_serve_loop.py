@@ -20,6 +20,7 @@ from repro.serve import (
     DecodeSession,
     FCFSPolicy,
     InfeasibleRequest,
+    IterationReport,
     LoopRequest,
     PriorityPolicy,
     SwapStore,
@@ -27,10 +28,11 @@ from repro.serve import (
     WallClock,
     WeightedFairPolicy,
     decode_reference_mask,
+    drain,
     scheduling_policy,
     stacked_prefill,
 )
-from repro.serve.loop import RequestTelemetry, _Stream
+from repro.serve.loop import STALL_STEPS, RequestTelemetry, _Stream
 from repro.serve.paging import BlockPool, PagedKVCache
 from repro.utils.rng import random_qkv
 
@@ -446,6 +448,50 @@ class TestSchedulerMechanics:
             < scheduler.telemetry[low].first_scheduled_time
         )
         server.close()
+
+
+class _IdleEngine:
+    """An engine with one stream that never moves: every step is empty."""
+
+    active = 1
+    results: dict = {}
+
+    def __init__(self, useful_steps=0):
+        self.steps = 0
+        self.useful_steps = useful_steps
+
+    def step(self):
+        self.steps += 1
+        return IterationReport(
+            iteration=self.steps, decode_tokens=int(self.steps <= self.useful_steps)
+        )
+
+
+class TestDrain:
+    def test_the_third_empty_step_in_a_row_is_a_stall(self):
+        engine = _IdleEngine()
+        with pytest.raises(ValueError, match="stalled"):
+            drain(engine)
+        assert engine.steps == STALL_STEPS == 3
+
+    def test_a_useful_step_resets_the_stall_count(self):
+        engine = _IdleEngine(useful_steps=4)
+        with pytest.raises(ValueError, match="stalled"):
+            drain(engine)
+        assert engine.steps == 4 + STALL_STEPS
+
+    def test_max_iterations_counts_from_each_call(self):
+        engine = _IdleEngine(useful_steps=100)
+        for calls in (1, 2):
+            with pytest.raises(RuntimeError, match="exceeded 5 steps"):
+                drain(engine, max_iterations=5)
+            assert engine.steps == 5 * calls
+
+    def test_until_stops_once_every_id_has_a_result(self):
+        engine = _IdleEngine(useful_steps=100)
+        engine.results = {7: np.zeros(1)}
+        assert drain(engine, until=[7]) is engine.results
+        assert engine.steps == 0
 
 
 def _kernel_passes(stats, kind=None):

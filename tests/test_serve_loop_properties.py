@@ -90,7 +90,8 @@ def test_acceptance_workload_exercises_preemption_and_swap_in():
     assert report.loop_stats.preemptions >= 1
     assert report.loop_stats.swap_outs >= 1
     assert report.loop_stats.swap_ins >= 1
-    assert report.swap_stats.bytes_in == report.swap_stats.bytes_out
+    (swap,) = report.swap_stats  # a built workload runs on one replica
+    assert swap.bytes_in == swap.bytes_out
 
 
 @pytest.mark.parametrize("profile", range(len(PROFILES)), ids=PROFILES)
@@ -118,7 +119,8 @@ def test_every_tensor_profile_survives_a_swap_storm(profile):
     report = run_simulation(workload)
     assert report.loop_stats.preemptions >= 1
     assert report.loop_stats.swap_ins >= 1
-    assert report.swap_stats.bytes_in == report.swap_stats.bytes_out
+    (swap,) = report.swap_stats
+    assert swap.bytes_in == swap.bytes_out
 
 
 def test_recompute_preemption_round_trip():
@@ -156,6 +158,7 @@ def test_loop_coalesces_same_plan_streams():
     )
     report = run_simulation(workload)
     assert report.loop_stats.preemptions == 0
-    assert report.server_stats.decode_stacked_executions > 0
-    assert report.server_stats.decode_coalesced_steps > 0
-    assert report.server_stats.prefill_stacked_executions > 0
+    (server,) = report.server_stats
+    assert server.decode_stacked_executions > 0
+    assert server.decode_coalesced_steps > 0
+    assert server.prefill_stacked_executions > 0

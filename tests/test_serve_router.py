@@ -33,6 +33,7 @@ from repro.serve import (
     LoopRequest,
     ReplicaRouter,
     ServingClient,
+    SlackPolicy,
     VirtualClock,
     aggregate_loop_stats,
     decode_reference_mask,
@@ -298,6 +299,22 @@ class TestCancellation:
         router.close()
         oracle_router.close()
 
+    def test_placements_go_with_finished_and_cancelled_streams(self):
+        specs = _family_specs(LocalMask(window=5), num_families=2, per_family=3, seed=53)
+        router = ReplicaRouter(2, key_dim=DIM, num_blocks=16, block_size=4)
+        rids = [router.submit(_request(spec)) for spec in specs]
+        assert sorted(router._placements) == rids
+        router.step()
+        assert router.cancel(rids[0])
+        router.run()
+        for rid in rids[1:]:
+            router.results.pop(rid)
+        assert router._placements == {}
+        assert not router.cancel(rids[0])  # already cancelled
+        assert not router.cancel(rids[1])  # finished and popped
+        assert not router.cancel(max(rids) + 1)  # never existed
+        router.close()
+
     def test_cancel_unknown_and_finished_ids_return_false(self):
         specs = _family_specs(CausalMask(), num_families=1, per_family=1, seed=1)
         router = ReplicaRouter(2, key_dim=DIM, num_blocks=16, block_size=4)
@@ -389,9 +406,9 @@ class TestRebalance:
         before = router.replica_loads()
         origins, costs = [], []
         for handle in router.replicas:
-            for local_id in handle.scheduler.withdrawable():
+            for rid in handle.scheduler.withdrawable():
                 origins.append(handle.index)
-                costs.append(handle.scheduler.telemetry[local_id].total_tokens)
+                costs.append(handle.scheduler.telemetry[rid].total_tokens)
         moved = router.rebalance()
         record = router.last_rebalance
         assert moved == record.moved > 0
@@ -411,6 +428,8 @@ class TestRebalance:
         router, rids = self._skewed_router(specs)
         router.run()
         assert router.stats.moved_streams > 0  # skew forced real moves
+        # a moved stream keeps the id its first replica gave it
+        assert [router.telemetry[rid].request_id for rid in rids] == rids
         oracle, single = _run_routed(specs, replicas=1)
         for rid, want, spec in zip(rids, oracle, specs):
             assert_array_equal(router.results[rid], want)
@@ -465,14 +484,6 @@ class TestSharded:
             router.submit(request)
         router.close()
 
-    def test_sharding_can_be_disabled(self):
-        spec = self._oversized_spec()
-        router = ReplicaRouter(
-            2, key_dim=DIM, num_blocks=4, block_size=4, shard_oversized=False
-        )
-        with pytest.raises(InfeasibleRequest):
-            router.submit(_request(spec))
-        router.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -506,6 +517,32 @@ class TestTelemetry:
         submitted = snap.get("loop_requests_submitted_total")
         assert submitted.value == len(specs) + router.stats.moved_streams
         router.close()
+
+    def test_ids_are_the_replicas_ids(self):
+        specs = _family_specs(CausalMask(), num_families=2, per_family=2, seed=59)
+        obs = Observability()
+        router = ReplicaRouter(
+            2, key_dim=DIM, num_blocks=16, block_size=4, obs=obs, rebalance_interval=0
+        )
+        rids = [router.submit(_request(spec)) for spec in specs]
+        assert len(set(rids)) == len(rids)
+        for rid in rids:
+            handle = router.replicas[router._placements[rid].replica]
+            assert handle.scheduler.telemetry[rid] is router.telemetry[rid]
+        finished = []
+        while router.active:
+            finished += router.step().finished
+        assert sorted(finished) == rids == sorted(router.results)
+        spans = [r for r in obs.trace.drain() if r.get("kind") == "span" and r["name"] == "request"]
+        assert sorted(span["request"] for span in spans) == rids
+        router.close()
+
+    def test_one_replica_takes_a_policy_instance(self):
+        policy = SlackPolicy()
+        with ReplicaRouter(1, key_dim=DIM, policy=policy) as router:
+            assert router.replicas[0].scheduler.policy is policy
+        with pytest.raises(ValueError):
+            ReplicaRouter(2, key_dim=DIM, policy=SlackPolicy())
 
     def test_replica_loads_reports_pending_tokens(self):
         router = ReplicaRouter(3, key_dim=DIM, num_blocks=16, block_size=4)
