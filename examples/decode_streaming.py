@@ -27,7 +27,6 @@ import numpy as np
 from repro import AttentionServer, GraphAttentionEngine, random_qkv
 from repro.masks import longformer_mask
 from repro.perfmodel.decode import kv_cache_bytes
-from repro.serve import ServingClient
 from repro.serve.decode import decode_reference_mask
 
 
@@ -50,10 +49,9 @@ def main() -> None:
     )
 
     with AttentionServer(cache_capacity=8) as server:
-        client = ServingClient(server)
         # 1) open the sessions; the decode plan compiles once and is shared
         sessions = [
-            client.open_session(mask, horizon, retain_outputs=True)
+            server.open_session(mask, horizon, retain_outputs=True)
             for _ in range(streams)
         ]
         hits = sum(1 for s in sessions if s.plan_cache_hit)

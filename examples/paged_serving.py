@@ -29,7 +29,7 @@ import numpy as np
 from repro import AttentionServer, GraphAttentionEngine, random_qkv
 from repro.masks import longformer_mask
 from repro.perfmodel.decode import kv_cache_bytes
-from repro.serve import ServingClient, attention_tolerance
+from repro.serve import attention_tolerance
 from repro.serve.decode import DecodeSession, decode_reference_mask
 from repro.serve.paging import PoolExhausted
 
@@ -76,11 +76,10 @@ def main() -> None:
         for s in range(streams)
     ]
 
-    client = ServingClient(server)
     sessions = []
     for s in range(streams):
         try:
-            session = client.open_session(mask, horizon, retain_outputs=True, reserve_tokens=0)
+            session = server.open_session(mask, horizon, retain_outputs=True, reserve_tokens=0)
         except PoolExhausted:
             print(f"   admission rejected stream {s} — budget truly exhausted")
             break
@@ -138,7 +137,7 @@ def main() -> None:
         f"{int8_pool.num_blocks} blocks vs {pool.num_blocks} at fp32 "
         f"({int8_pool.num_blocks / pool.num_blocks:.2f}x the token slots)"
     )
-    int8_session = ServingClient(int8_server).open_session(mask, horizon, retain_outputs=True, reserve_tokens=0)
+    int8_session = int8_server.open_session(mask, horizon, retain_outputs=True, reserve_tokens=0)
     int8_session.prefill(pq, pk, pv)
     cq, ck, cv = continuations[0]
     for i in range(decode_tokens):

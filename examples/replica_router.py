@@ -1,6 +1,6 @@
-"""Multi-replica serving: prefix-affinity routing, rebalancing, sharding.
+"""Multi-replica serving: prefix-affinity routing and rebalancing.
 
-Walks the PR's placement layer end to end:
+Walks the placement layer end to end:
 
 1. ``ServingClient(replicas=4)`` — the one-line opt-in: the client builds a
    :class:`repro.serve.ReplicaRouter` fanning streams across four worker
@@ -12,10 +12,6 @@ Walks the PR's placement layer end to end:
 3. Rebalancing — an adversarial workload piles every stream onto one
    replica; the ``balanced_worker_bins`` partitioner spreads the waiting
    streams back out, moving only streams that have not computed anything.
-4. Sharded execution — a prompt too large for any one replica's pool runs
-   as K/V-parallel attention across the replicas, online-softmax partials
-   merged at the router, with the communication volume priced by the same
-   stats the ``repro.distributed`` layer reports.
 
 Run:  PYTHONPATH=src python examples/replica_router.py [--quick]
 """
@@ -108,25 +104,6 @@ def main() -> None:
     assert router.loop_stats().finished == 8
     router.close()
 
-    # 4) sharded execution: a prompt no single replica pool can hold
-    print("== Sharding: one 40-token prompt vs 4-block replica pools")
-    big = 40
-    router = ReplicaRouter(4, key_dim=DIM, num_blocks=4, block_size=BLOCK_SIZE)
-    rid = router.submit(
-        LoopRequest(
-            q=rng.normal(size=(big, DIM)).astype(np.float32),
-            k=rng.normal(size=(big, DIM)).astype(np.float32),
-            v=rng.normal(size=(big, DIM)).astype(np.float32),
-            mask=CausalMask(),
-            prompt_tokens=big,
-        )
-    )
-    print(
-        f"   sharded across {router.num_replicas} ranks: output "
-        f"{router.results[rid].shape}, {router.comm_stats.bytes_moved} bytes "
-        f"moved in {router.comm_stats.messages} messages"
-    )
-    router.close()
     print("Done.")
 
 

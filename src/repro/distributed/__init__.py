@@ -14,7 +14,7 @@ without MPI:
   slice.
 * :func:`kv_parallel_attention` — the FlashDecoding-style dual: K/V rows are
   scattered, Q is broadcast, and per-rank partial online-softmax states are
-  merged at the root.  The serving router shards oversized requests with it.
+  merged at the root.
 * load-balance analysis of partitioning strategies on skewed masks.
 """
 

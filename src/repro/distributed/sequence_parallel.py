@@ -161,9 +161,8 @@ def kv_parallel_attention(
     up to floating-point reassociation, because each rank owns a disjoint
     set of every row's neighbours.
 
-    This is the sharded-execution path the replica router uses for a
-    request whose KV cache exceeds any single replica's pool: the context is
-    what doesn't fit, so the context is what gets sharded.
+    It suits a request whose context exceeds one node's memory: the context
+    is what doesn't fit, so the context is what gets sharded.
     """
     require(num_ranks >= 1, "num_ranks must be >= 1")
     require(

@@ -189,8 +189,8 @@ class Observability:
         # -- replica router ----------------------------------------------- #
         self.router_routes = reg.counter(
             "router_routes_total",
-            "Routing decisions by outcome (hit = prefix affinity, miss = "
-            "load-based fallback, sharded = split across all replicas)",
+            "Placement decisions by outcome (hit = prefix affinity, miss = "
+            "load-based fallback, or any placement on a router of one)",
             labels=("outcome",),
         )
         self.router_replica_streams = reg.gauge(
@@ -210,10 +210,6 @@ class Observability:
         self.router_moved_streams = reg.counter(
             "router_moved_streams_total",
             "Waiting streams withdrawn and resubmitted to another replica",
-        )
-        self.router_comm_bytes = reg.counter(
-            "router_comm_bytes_total",
-            "Simulated bytes moved executing sharded requests across replicas",
         )
 
     def snapshot(self) -> MetricsSnapshot:

@@ -36,18 +36,21 @@ Three layers turn the paper's kernels into a serving stack:
   injected clock, so the whole loop is testable on virtual time.
 * :mod:`repro.serve.client` / :mod:`repro.serve.edge` — the public serving
   surface: :class:`ServingClient` consolidates every way to get served
-  (``generate`` sync, ``agenerate`` async, session-level escape hatches),
-  and :class:`AsyncServingEdge` is the asyncio front door — streaming
+  (``generate`` sync, ``agenerate``/``astream`` async) over a
+  :class:`ReplicaRouter` at every replica count, and
+  :class:`AsyncServingEdge` is the asyncio front door — streaming
   token responses over per-stream queues, consumer backpressure, per-tenant
   rate/stream/block quotas, SLO-aware slack scheduling, graceful drain.
-* :mod:`repro.serve.router` — multi-replica serving: a
+  Callers that step decode sessions themselves open them on a server
+  (:meth:`AttentionServer.open_session`).
+* :mod:`repro.serve.router` — multi-replica placement: a
   :class:`ReplicaRouter` fans streams out to N scheduler replicas by
   prompt-prefix fingerprint affinity (:func:`prefix_fingerprints`), falls
-  back to load-based placement, rebalances waiting streams along
-  :func:`~repro.distributed.balanced_worker_bins` under skew, and shards
-  oversized requests across replicas via
-  :func:`~repro.distributed.kv_parallel_attention` — routed outputs stay
-  bit-identical to a single-replica run (``ServingClient(replicas=N)``).
+  back to load-based placement, and rebalances waiting streams along
+  :func:`~repro.distributed.balanced_worker_bins` under skew.  It places
+  and nothing else, so routed outputs stay bit-identical to a
+  single-replica run (``ServingClient(replicas=N)``); a router of one
+  replica is its loop.
 
 Quick start::
 

@@ -458,6 +458,37 @@ def resolve_serving_kwargs(
     return resolved_policy, resolved_clock, resolved_obs
 
 
+def check_request(request: LoopRequest, pool) -> None:
+    """Refuse, before it takes an id, a stream no loop over ``pool`` can serve.
+
+    Every later pass would raise for it and stall every other stream, so
+    the submitter fails instead: a caller-set ``request_id`` (ids come from
+    one counter that also keys the swap store), a batch shape or head dims
+    unlike the pool's (:exc:`ValueError`), or more tokens than the pool
+    could hold running alone (:exc:`InfeasibleRequest`).  First-chunk
+    reservations never exceed the whole stream, so the last bound also
+    keeps admission's reserve within what the pool could ever grant.
+    """
+    require(
+        request.request_id is None,
+        "request ids are assigned at submit; leave request_id unset",
+    )
+    layout = (request.batch_shape, request.k.shape[-1], request.v.shape[-1])
+    if layout != (pool.batch_shape, pool.key_dim, pool.value_dim):
+        raise ValueError(
+            f"request batch shape {layout[0]} / dims ({layout[1]}, {layout[2]}) "
+            f"do not match the pool layout {pool.batch_shape} + "
+            f"({pool.key_dim}, {pool.value_dim})"
+        )
+    needed = blocks_for_tokens(request.total_tokens, pool.block_size)
+    if needed > pool.num_blocks:
+        raise InfeasibleRequest(
+            f"stream of {request.total_tokens} tokens needs {needed} KV "
+            f"blocks but the pool holds only {pool.num_blocks} "
+            f"blocks of {pool.block_size} tokens"
+        )
+
+
 # --------------------------------------------------------------------------- #
 # Loop statistics
 # --------------------------------------------------------------------------- #
@@ -697,26 +728,11 @@ class ContinuousBatchingScheduler:
     # Intake
     # ------------------------------------------------------------------ #
     def submit(self, request: LoopRequest) -> int:
-        """Queue one stream; returns its newly assigned request id."""
-        # ids always come from the server's monotonic counter: a caller-chosen
-        # id could collide with a later auto-assigned one (and with the swap
-        # store's keys), so preset ids are refused rather than trusted
-        require(
-            request.request_id is None,
-            "the loop assigns request ids at submit; leave request_id unset",
-        )
-        # structural feasibility up front: a stream that cannot fit the pool
-        # even running alone must fail its submitter with a typed error, not
-        # crash the loop mid-iteration for every other stream (first-chunk
-        # reservations are always <= the whole stream, so this bound also
-        # keeps admission's reserve within what the pool could ever grant)
-        needed = blocks_for_tokens(request.total_tokens, self.pool.block_size)
-        if needed > self.pool.num_blocks:
-            raise InfeasibleRequest(
-                f"stream of {request.total_tokens} tokens needs {needed} KV "
-                f"blocks but the pool holds only {self.pool.num_blocks} "
-                f"blocks of {self.pool.block_size} tokens"
-            )
+        """Queue one stream; returns its newly assigned request id.
+
+        :func:`check_request` refuses a stream this loop's pool cannot serve.
+        """
+        check_request(request, self.pool)
         request.request_id = self.server.next_request_id()
         return self._enqueue(request)
 
@@ -1003,7 +1019,7 @@ class ContinuousBatchingScheduler:
             # fresh stream: PR-4 admission — first-chunk blocks prereserved
             # atomically, or the open rejects and the stream keeps waiting
             first_chunk = min(self.prefill_chunk, request.prompt_tokens) or 1
-            stream.session = self.server._open_decode_session(
+            stream.session = self.server.open_session(
                 request.mask,
                 request.total_tokens,
                 reserve_tokens=first_chunk,
@@ -1434,6 +1450,7 @@ __all__ = [
     "VirtualClock",
     "WallClock",
     "WeightedFairPolicy",
+    "check_request",
     "drain",
     "resolve_serving_kwargs",
     "scheduling_policy",

@@ -1,4 +1,4 @@
-"""Multi-replica serving: prefix-affinity routing over scheduler replicas.
+"""Multi-replica serving: prefix-affinity placement over scheduler replicas.
 
 One :class:`~repro.serve.loop.ContinuousBatchingScheduler` owns one block
 pool, so a single process caps out at one pool's worth of streams.  This
@@ -6,7 +6,9 @@ module is the placement layer above that ceiling: a :class:`ReplicaRouter`
 fronts N worker replicas — each a private
 :class:`~repro.serve.scheduler.AttentionServer` + paged
 :class:`~repro.serve.paging.BlockPool` + scheduler + swap store — and decides
-*where* every stream runs while the replicas decide *when*.
+*where* every stream runs while the replicas decide *when*.  It places and
+does nothing else, so a routed stream is bit-identical to the same stream on
+one replica.
 
 Routing is prefix-affine: the router computes the prompt's chained block
 fingerprints with :func:`~repro.serve.paging.prefix_fingerprints` (the exact
@@ -19,60 +21,54 @@ sampling (probability inversely proportional to current load — the same
 motif as :class:`~repro.serve.loop.WeightedFairPolicy`), or plain
 round-robin.
 
-Two more `repro.distributed` wires complete the layer:
+Under skewed load (one hot prefix family pinning one replica), the router
+rebalances: it withdraws still-waiting streams via
+:meth:`~repro.serve.loop.ContinuousBatchingScheduler.withdraw` and re-places
+them along :func:`~repro.distributed.balanced_worker_bins` (greedy LPT over
+pending-token costs), pairing the heaviest bin with the lightest replica.
+Moving a stream that never ran cannot change its output, so rebalancing
+preserves bit-exactness by construction.
 
-* **Rebalancing** — under skewed load (one hot prefix family pinning one
-  replica), the router withdraws still-waiting streams via
-  :meth:`~repro.serve.loop.ContinuousBatchingScheduler.withdraw` and
-  re-places them along :func:`~repro.distributed.balanced_worker_bins`
-  (greedy LPT over pending-token costs), pairing the heaviest bin with the
-  lightest replica.  Moving a stream that never ran cannot change its
-  output, so rebalancing preserves bit-exactness by construction.
-* **Sharded execution** — a single request too large for any one replica's
-  pool runs through :func:`~repro.distributed.kv_parallel_attention` on a
-  :class:`~repro.distributed.SimulatedWorld` spanning the replicas: K/V rows
-  scatter, Q broadcasts, and per-replica partial online-softmax states merge
-  at the root.  Communication volume lands in :attr:`ReplicaRouter.comm_stats`.
+Every replica's pool has one layout, so :func:`~repro.serve.loop.check_request`
+refuses a request before any placement state changes: one laid out unlike
+the pools raises :exc:`ValueError`, and one larger than a replica's pool
+raises :exc:`~repro.serve.loop.InfeasibleRequest`.
 
 Ids: the replicas' servers draw request ids from one counter the router
-owns, so a stream's id is the one its replica assigned, unique across the
-router, and it survives a rebalance move.  :attr:`ReplicaRouter.results`,
-:attr:`ReplicaRouter.telemetry`, every report and every trace span carry
-that one id.  A router of one replica is therefore one loop that numbers
-streams the way a bare :class:`~repro.serve.loop.ContinuousBatchingScheduler`
-does.
+owns, and the replicas' loops write into the router's :attr:`results` and
+:attr:`telemetry` maps.  A stream's id is therefore the one its replica
+assigned, unique across the router, and it survives a rebalance move; every
+report and every trace span carries that one id.
 
-Determinism: all replicas share one injected clock, ticked once per router
-step (replicas run "concurrently" in virtual time), and each replica's
-scheduler is fully deterministic given its policy seed.  ``threaded=True``
-steps replicas on a thread pool — outputs are unchanged because replicas
-share no mutable state beyond the id counter and the thread-safe metrics
-registry.
+A router of one replica is its loop: it computes no fingerprints (each
+placement counts as a miss), never rebalances, exports no per-replica load
+gauges (the rebalancer's signal), keeps nothing per stream, and hands the
+loop the clock itself, leaving the ticking to it.  Whoever steps
+that loop directly (the async edge, a closed-loop driver) sees the same
+streams, results and time as the router does.  With more replicas, all of
+them share one injected clock, ticked once per router step (replicas run
+"concurrently" in virtual time), and each replica's scheduler is fully
+deterministic given its policy seed.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distributed.comm import CommunicationStats, SimulatedWorld
 from repro.distributed.partition_balance import balanced_worker_bins
-from repro.distributed.sequence_parallel import kv_parallel_attention
-from repro.obs.recorder import Observability
-from repro.perfmodel.decode import blocks_for_tokens
-from repro.serve.decode import decode_reference_mask
+from repro.obs.recorder import Observability, default_observability
 from repro.serve.loop import (
     ContinuousBatchingScheduler,
-    InfeasibleRequest,
     LoopRequest,
     LoopStatsSnapshot,
     RequestTelemetry,
     SchedulingPolicy,
+    check_request,
     drain,
     resolve_serving_kwargs,
     scheduling_policy,
@@ -103,7 +99,8 @@ class _ReplicaClock:
     ``step()``; with N replicas sharing one :class:`VirtualClock` that would
     advance N iteration-seconds per router step.  Replicas run concurrently,
     so the router ticks the base clock exactly once per step and the
-    replicas' ticks are swallowed here.
+    replicas' ticks are swallowed here.  A router of one has nothing to
+    swallow: its loop gets the clock itself.
     """
 
     def __init__(self, base) -> None:
@@ -141,7 +138,6 @@ class RouterStats:
     routed: int = 0
     route_hits: int = 0
     route_misses: int = 0
-    sharded_requests: int = 0
     rebalance_passes: int = 0
     moved_streams: int = 0
     cancelled: int = 0
@@ -225,15 +221,17 @@ class ReplicaRouter:
         Placement policy (see :data:`ROUTER_POLICIES`); the weighted
         fallback draws from a generator seeded at 0.
     clock, obs:
-        Shared clock (ticked once per router step) and observability
-        recorder, threaded through every replica.
+        Shared clock and observability recorder, threaded through every
+        replica.  One replica's loop ticks the clock itself; more replicas
+        see a view whose ticks the router replaces with one per step.
+        ``obs`` defaults to
+        :func:`~repro.obs.recorder.default_observability`, as a server's
+        does.
     max_streams, prefill_chunk, max_iteration_tokens, preemption:
         Forwarded to each replica's scheduler.
     rebalance_interval:
-        Run :meth:`rebalance` every this many steps (0 disables the
-        automatic trigger; manual calls always work).
-    threaded:
-        Step replicas concurrently on a thread pool (outputs unchanged).
+        With more than one replica, run :meth:`rebalance` every this many
+        steps (0 disables the automatic trigger; manual calls always work).
     """
 
     def __init__(
@@ -257,7 +255,6 @@ class ReplicaRouter:
         max_iteration_tokens: Optional[int] = None,
         preemption: str = "swap",
         rebalance_interval: int = 8,
-        threaded: bool = False,
         name: str = "router",
     ) -> None:
         require(num_replicas >= 1, "need at least one replica")
@@ -273,20 +270,23 @@ class ReplicaRouter:
         require(rebalance_interval >= 0, "rebalance_interval must be >= 0")
         self.num_replicas = int(num_replicas)
         self.name = name
-        _, self.clock, self.obs = resolve_serving_kwargs(clock=clock, obs=obs)
+        _, self.clock, self.obs = resolve_serving_kwargs(
+            clock=clock, obs=obs, default_obs=default_observability()
+        )
         self.block_size = int(block_size)
-        self.pool_blocks_per_replica = int(num_blocks)
         self.pool_dtype = resolve_dtype(pool_dtype)
         self.storage = resolve_storage(storage, self.pool_dtype)
         self.router_policy = router_policy
         self.rebalance_interval = int(rebalance_interval)
         self._rng = np.random.default_rng(0)
         self._round_robin = 0
-        # every replica's server draws from this counter; next() on it is one
-        # C call, atomic under the GIL, so threaded replicas can share it
+        # every replica's server draws from this counter, and every replica's
+        # loop writes into these maps: ids are unique across the router
         self._ids = itertools.count()
+        self.results: Dict[int, np.ndarray] = {}
+        self.telemetry: Dict[int, RequestTelemetry] = {}
 
-        replica_clock = _ReplicaClock(self.clock)
+        replica_clock = self.clock if self.num_replicas == 1 else _ReplicaClock(self.clock)
         self.replicas: List[ReplicaHandle] = []
         for index in range(self.num_replicas):
             server = AttentionServer(obs=self.obs)
@@ -313,6 +313,8 @@ class ReplicaRouter:
                 swap_store=swap_store,
                 obs=self.obs,
             )
+            scheduler.results = self.results
+            scheduler.telemetry = self.telemetry
             self.replicas.append(
                 ReplicaHandle(
                     index=index, server=server, scheduler=scheduler, swap_store=swap_store
@@ -320,63 +322,43 @@ class ReplicaRouter:
             )
 
         self.stats = RouterStats()
-        self.comm_stats = CommunicationStats()
         self.last_rebalance: Optional[RebalanceRecord] = None
-        self.results: Dict[int, np.ndarray] = {}
-        self.telemetry: Dict[int, RequestTelemetry] = {}
         self._placements: Dict[int, _Placement] = {}
         self._affinity: "OrderedDict[str, int]" = OrderedDict()
         self._steps = 0
-        self._executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=self.num_replicas, thread_name_prefix=f"{name}-replica"
-            )
-            if threaded and self.num_replicas > 1
-            else None
-        )
         if self.obs.enabled:
             self._obs_hit = self.obs.router_routes.labels(outcome="hit")
             self._obs_miss = self.obs.router_routes.labels(outcome="miss")
-            self._obs_sharded = self.obs.router_routes.labels(outcome="sharded")
 
     # ------------------------------------------------------------------ #
     # Intake
     # ------------------------------------------------------------------ #
     def submit(self, request: LoopRequest) -> int:
-        """Place one stream on a replica (or shard it); returns its id.
+        """Place one stream on a replica; returns its id.
 
-        The id is the one the replica's loop assigned from the router's
-        counter: :attr:`results`, :attr:`telemetry`, the replicas' iteration
-        reports and the trace spans all carry it.
+        :func:`~repro.serve.loop.check_request` refuses a request no replica
+        could serve before any placement state changes (a router of one
+        leaves that to its loop's ``submit``).  The id is the one the
+        replica's loop assigned from the router's counter: :attr:`results`,
+        :attr:`telemetry`, the replicas' iteration reports and the trace
+        spans all carry it.
         """
-        require(
-            request.request_id is None,
-            "the router assigns request ids at submit; leave request_id unset",
-        )
-        needed = blocks_for_tokens(request.total_tokens, self.block_size)
-        if needed > self.pool_blocks_per_replica:
-            if request.batch_shape == () and request.decode_tokens == 0:
-                return self._submit_sharded(request)
-            raise InfeasibleRequest(
-                f"stream of {request.total_tokens} tokens needs {needed} KV "
-                f"blocks but each replica pool holds only "
-                f"{self.pool_blocks_per_replica} blocks of {self.block_size} "
-                f"tokens (sharded execution covers 2-D prompt-only requests)"
+        if self.num_replicas == 1:
+            rid, hit = self.replicas[0].scheduler.submit(request), False
+        else:
+            check_request(request, self.replicas[0].pool)
+            prompt = request.prompt_tokens
+            fingerprints = prefix_fingerprints(
+                request.k[..., :prompt, :],
+                request.v[..., :prompt, :],
+                block_size=self.block_size,
+                storage=self.storage,
+                dtype=self.pool_dtype,
             )
-        prompt = request.prompt_tokens
-        fingerprints = prefix_fingerprints(
-            request.k[..., :prompt, :],
-            request.v[..., :prompt, :],
-            block_size=self.block_size,
-            storage=self.storage,
-            dtype=self.pool_dtype,
-        )
-        replica_index, hit = self._route(fingerprints)
-        replica = self.replicas[replica_index]
-        rid = replica.scheduler.submit(request)
-        self._placements[rid] = _Placement(replica=replica_index, fingerprints=fingerprints)
-        self.telemetry[rid] = replica.scheduler.telemetry[rid]
-        self._remember(fingerprints, replica_index)
+            replica_index, hit = self._route(fingerprints)
+            rid = self.replicas[replica_index].scheduler.submit(request)
+            self._placements[rid] = _Placement(replica=replica_index, fingerprints=fingerprints)
+            self._remember(fingerprints, replica_index)
         self.stats.routed += 1
         if hit:
             self.stats.route_hits += 1
@@ -384,7 +366,8 @@ class ReplicaRouter:
             self.stats.route_misses += 1
         if self.obs.enabled:
             (self._obs_hit if hit else self._obs_miss).inc()
-            self._update_replica_gauges()
+            if self.num_replicas > 1:
+                self._update_replica_gauges()
         return rid
 
     def submit_many(self, requests: Sequence[LoopRequest]) -> List[int]:
@@ -421,89 +404,36 @@ class ReplicaRouter:
             self._affinity.popitem(last=False)
 
     # ------------------------------------------------------------------ #
-    # Sharded execution of oversized requests
-    # ------------------------------------------------------------------ #
-    def _submit_sharded(self, request: LoopRequest) -> int:
-        """Run one oversized prompt across all replicas, synchronously.
-
-        The context is what exceeds a single pool, so the context is what
-        shards: K/V rows scatter over a :class:`SimulatedWorld` spanning the
-        replicas and the per-replica partial online-softmax states merge at
-        the router.  The finished output lands in :attr:`results`
-        immediately (equal to the one-shot kernel up to float
-        reassociation — sharded requests are the one path that is *not*
-        bit-identical to a single-replica run, and the differential suite
-        checks it at float tolerance instead).
-        """
-        rid = next(self._ids)
-        length = request.total_tokens
-        world = SimulatedWorld(self.num_replicas)
-        result = kv_parallel_attention(
-            request.q,
-            request.k,
-            request.v,
-            decode_reference_mask(request.mask, length),
-            num_ranks=self.num_replicas,
-            world=world,
-        )
-        now = self.clock.now()
-        telemetry = RequestTelemetry(
-            request_id=rid,
-            priority=request.priority,
-            prompt_tokens=request.prompt_tokens,
-            total_tokens=length,
-            arrival_time=now,
-            tenant=request.tenant,
-        )
-        telemetry.first_scheduled_time = now
-        telemetry.first_token_time = now
-        telemetry.finish_time = now
-        telemetry.tokens_emitted = length
-        self.results[rid] = result.output
-        self.telemetry[rid] = telemetry
-        self.stats.sharded_requests += 1
-        self.comm_stats = self.comm_stats.merge(world.stats)
-        obs = self.obs
-        if obs.enabled:
-            self._obs_sharded.inc()
-            obs.router_comm_bytes.inc(world.stats.bytes_moved)
-            if obs.trace is not None:
-                obs.trace.event(
-                    "sharded",
-                    now,
-                    request_id=rid,
-                    tokens=length,
-                    ranks=self.num_replicas,
-                    bytes_moved=world.stats.bytes_moved,
-                )
-        return rid
-
-    # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
     def step(self) -> RouterReport:
-        """Advance every busy replica one iteration (concurrently in virtual
-        time); harvest finished outputs; tick the shared clock once."""
+        """Advance every busy replica one iteration; finished streams'
+        placements go.
+
+        With more than one replica the router also rebalances every
+        ``rebalance_interval`` steps, ticks the shared clock once, since the
+        replicas run concurrently in virtual time, and sets the per-replica
+        load gauges; one replica's loop ticks the clock itself.
+        """
         self._steps += 1
         report = RouterReport(step=self._steps)
-        if self.rebalance_interval and self._steps % self.rebalance_interval == 0:
+        placing = self.num_replicas > 1
+        if placing and self.rebalance_interval and self._steps % self.rebalance_interval == 0:
             report.moved = self.rebalance()
-        busy = [handle for handle in self.replicas if handle.scheduler.active]
-        if self._executor is not None and len(busy) > 1:
-            replica_reports = list(
-                self._executor.map(lambda handle: handle.scheduler.step(), busy)
-            )
-        else:
-            replica_reports = [handle.scheduler.step() for handle in busy]
-        for replica_report in replica_reports:
+        for handle in self.replicas:
+            if not handle.scheduler.active:
+                continue
+            replica_report = handle.scheduler.step()
             report.tokens += replica_report.tokens
             report.admitted.extend(replica_report.admitted)
             report.finished.extend(replica_report.finished)
             report.preempted.extend(replica_report.preempted)
-        self._harvest()
-        self.clock.tick()
-        if self.obs.enabled:
-            self._update_replica_gauges()
+        for rid in report.finished:
+            self._placements.pop(rid, None)
+        if placing:
+            self.clock.tick()
+            if self.obs.enabled:
+                self._update_replica_gauges()
         return report
 
     def run(self, *, max_iterations: Optional[int] = None) -> Dict[int, np.ndarray]:
@@ -511,22 +441,11 @@ class ReplicaRouter:
         (see :func:`~repro.serve.loop.drain`)."""
         return drain(self, max_iterations=max_iterations)
 
-    def _harvest(self) -> None:
-        """Move finished outputs into :attr:`results`; their placements go."""
-        for handle in self.replicas:
-            finished = handle.scheduler.results
-            for rid in finished:
-                del self._placements[rid]
-            self.results.update(finished)
-            finished.clear()
-
     def cancel(self, rid: int) -> bool:
-        """Cancel a routed stream mid-flight; ``False`` for finished,
-        sharded or unknown ids."""
-        placement = self._placements.get(rid)
-        if placement is None or not self.replicas[placement.replica].scheduler.cancel(rid):
+        """Cancel a stream mid-flight; ``False`` for finished or unknown ids."""
+        if not any(handle.scheduler.cancel(rid) for handle in self.replicas):
             return False
-        del self._placements[rid]
+        self._placements.pop(rid, None)
         self.stats.cancelled += 1
         return True
 
@@ -590,7 +509,6 @@ class ReplicaRouter:
                 scheduler._enqueue(request)  # the stream keeps its id
                 placement = self._placements[rid]
                 placement.replica = int(target)
-                self.telemetry[rid] = scheduler.telemetry[rid]
                 self._remember(placement.fingerprints, int(target))
                 moved += 1
         self.stats.moved_streams += moved
@@ -650,9 +568,6 @@ class ReplicaRouter:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         for handle in self.replicas:
             handle.server.close()
 

@@ -16,8 +16,9 @@ shapes simply form singleton groups and take the same code path one slice at
 a time.  Groups execute one after another on the calling thread.
 
 Autoregressive decoding streams through the same front-end: the
-continuous-batching loop and :meth:`repro.serve.client.ServingClient.open_session`
-open :class:`~repro.serve.decode.DecodeSession` objects whose decode-mode
+continuous-batching loop, and callers that step sessions themselves, open
+:class:`~repro.serve.decode.DecodeSession` objects
+(:meth:`AttentionServer.open_session`) whose decode-mode
 plans share the server's plan cache, and :meth:`AttentionServer.decode_steps`
 runs the steps of concurrent sessions — whatever their masks, horizons and
 positions — as one ragged kernel pass (:meth:`~AttentionServer.prefill_chunks`
@@ -321,7 +322,7 @@ class AttentionServer:
             raise
         return cache
 
-    def _open_decode_session(
+    def open_session(
         self,
         mask: MaskInput,
         horizon: int,

@@ -117,68 +117,3 @@ class TestStats:
         assert merged.collectives == {"send": 1, "allgather": 1}
         a.reset()
         assert a.bytes_moved == 0 and a.messages == 0
-
-
-class TestServingIntegration:
-    """The router's sharded path reports exactly what the comm layer measured.
-
-    An oversized prompt submitted to a ReplicaRouter runs as K/V-parallel
-    attention over a SimulatedWorld spanning the replicas; re-running the
-    same kernel over a private world must reproduce both the output bits and
-    the byte/message/collective accounting the router merged into its
-    ``comm_stats`` — the telemetry is a faithful copy, not an estimate.
-    """
-
-    def _oversized(self, total=40, dim=4, seed=19):
-        rng = np.random.default_rng(seed)
-        return (
-            rng.normal(size=(total, dim)).astype(np.float32),
-            rng.normal(size=(total, dim)).astype(np.float32),
-            rng.normal(size=(total, dim)).astype(np.float32),
-        )
-
-    @pytest.mark.parametrize("replicas", [2, 4])
-    def test_sharded_router_stats_match_independent_world(self, replicas):
-        from repro.distributed.sequence_parallel import kv_parallel_attention
-        from repro.masks.structured import CausalMask
-        from repro.serve import LoopRequest, ReplicaRouter
-        from repro.serve.decode import decode_reference_mask
-
-        q, k, v = self._oversized()
-        router = ReplicaRouter(replicas, key_dim=4, num_blocks=4, block_size=4)
-        rid = router.submit(
-            LoopRequest(q=q, k=k, v=v, mask=CausalMask(), prompt_tokens=q.shape[0])
-        )
-        world = SimulatedWorld(replicas)
-        reference = kv_parallel_attention(
-            q,
-            k,
-            v,
-            decode_reference_mask(CausalMask(), q.shape[0]),
-            num_ranks=replicas,
-            world=world,
-        )
-        np.testing.assert_array_equal(router.results[rid], reference.output)
-        assert router.comm_stats.bytes_moved == world.stats.bytes_moved
-        assert router.comm_stats.messages == world.stats.messages
-        assert router.comm_stats.collectives == world.stats.collectives
-        assert router.comm_stats.bytes_moved > 0
-        router.close()
-
-    def test_sharded_stats_accumulate_across_requests(self):
-        from repro.masks.structured import CausalMask
-        from repro.serve import LoopRequest, ReplicaRouter
-
-        router = ReplicaRouter(2, key_dim=4, num_blocks=4, block_size=4)
-        q, k, v = self._oversized(seed=23)
-        router.submit(
-            LoopRequest(q=q, k=k, v=v, mask=CausalMask(), prompt_tokens=q.shape[0])
-        )
-        once = router.comm_stats.bytes_moved
-        q, k, v = self._oversized(seed=29)
-        router.submit(
-            LoopRequest(q=q, k=k, v=v, mask=CausalMask(), prompt_tokens=q.shape[0])
-        )
-        assert router.comm_stats.bytes_moved == 2 * once
-        assert router.stats.sharded_requests == 2
-        router.close()

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.dense import sdp_attention
+from repro.core.engine import GraphAttentionEngine
 from repro.distributed.comm import SimulatedWorld
-from repro.distributed.sequence_parallel import sequence_parallel_attention, shard_rows
+from repro.distributed.sequence_parallel import (
+    kv_parallel_attention,
+    sequence_parallel_attention,
+    shard_rows,
+)
 from repro.masks.global_ import GlobalNonLocalMask
 from repro.masks.presets import bigbird_mask, default_global_tokens, longformer_mask
+from repro.masks.structured import CausalMask
 from repro.masks.windowed import LocalMask
 from repro.utils.rng import random_qkv
 from repro.utils.validation import assert_allclose_paper
@@ -111,3 +117,46 @@ class TestCommunication:
         q, k, v = inputs
         with pytest.raises(ValueError):
             sequence_parallel_attention(q, k, v, LocalMask(window=4).to_csr(128), num_ranks=2)
+
+
+class TestKVParallel:
+    """K/V rows scatter, Q broadcasts, and per-rank partial online-softmax
+    states merge at rank 0: equal to the one-node kernel up to float
+    reassociation, with communication counted on the world it runs on."""
+
+    def _inputs(self, total=40, dim=4, seed=19):
+        rng = np.random.default_rng(seed)
+        q, k, v = (rng.normal(size=(total, dim)).astype(np.float32) for _ in range(3))
+        return q, k, v, CausalMask()
+
+    @pytest.mark.parametrize("num_ranks", [2, 4])
+    def test_matches_the_engine(self, num_ranks):
+        q, k, v, mask = self._inputs()
+        result = kv_parallel_attention(q, k, v, mask, num_ranks=num_ranks)
+        reference = GraphAttentionEngine().run(q, k, v, mask)
+        np.testing.assert_allclose(result.output, reference.output, atol=1e-6, rtol=1e-6)
+
+    @pytest.mark.parametrize("num_ranks", [2, 4])
+    def test_comm_stats_repeat_exactly(self, num_ranks):
+        q, k, v, mask = self._inputs()
+        first, second = (SimulatedWorld(num_ranks) for _ in range(2))
+        once = kv_parallel_attention(q, k, v, mask, num_ranks=num_ranks, world=first)
+        again = kv_parallel_attention(q, k, v, mask, num_ranks=num_ranks, world=second)
+        np.testing.assert_array_equal(once.output, again.output)
+        assert once.comm_stats is first.stats
+        assert first.stats.bytes_moved == second.stats.bytes_moved > 0
+        assert first.stats.messages == second.stats.messages
+        assert first.stats.collectives == second.stats.collectives
+
+    def test_stats_add_up_across_calls_on_one_world(self):
+        world, single = SimulatedWorld(2), SimulatedWorld(2)
+        q, k, v, mask = self._inputs(seed=23)
+        kv_parallel_attention(q, k, v, mask, num_ranks=2, world=single)
+        kv_parallel_attention(q, k, v, mask, num_ranks=2, world=world)
+        q, k, v, mask = self._inputs(seed=29)
+        kv_parallel_attention(q, k, v, mask, num_ranks=2, world=world)
+        assert world.stats.bytes_moved == 2 * single.stats.bytes_moved
+        assert world.stats.messages == 2 * single.stats.messages
+        assert world.stats.collectives == {
+            kind: 2 * count for kind, count in single.stats.collectives.items()
+        }

@@ -1,6 +1,7 @@
-"""ServingClient: the one public surface over sessions, loop, and edge."""
+"""ServingClient: the one public surface over the router, its loops, and the edge."""
 
 import asyncio
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.obs.scenarios import run_scenario
 from repro.perfmodel import A100_SXM4_80GB
 from repro.perfmodel import decode as perfmodel_decode
 from repro.serve import (
+    AsyncServingEdge,
     AttentionRequest,
     AttentionServer,
     BlockPool,
@@ -29,8 +31,12 @@ from repro.serve import (
     PagedKVCache,
     PoolExhausted,
     ReplicaRouter,
+    RouterStats,
     ServingClient,
     SlackPolicy,
+    SwapStore,
+    TenantConfig,
+    TenantThrottled,
     VirtualClock,
     compile_plan,
     resolve_serving_kwargs,
@@ -119,19 +125,102 @@ class TestIterationLimit:
             first = client.generate(q, k, v, MASK, prompt_tokens=4, max_iterations=12)
             second = client.generate(q, k, v, MASK, prompt_tokens=4, max_iterations=12)
             np.testing.assert_array_equal(second.output, first.output)
-            engine = client.router if replicas > 1 else client.scheduler
-            engine.submit(client._as_request(q, k, v, MASK, prompt_tokens=4))
-            outputs = engine.run(max_iterations=12)
+            client.submit(client._as_request(q, k, v, MASK, prompt_tokens=4))
+            outputs = client.router.run(max_iterations=12)
             assert len(outputs) == 1
+
+
+def _stamps(telemetry):
+    return (
+        telemetry.arrival_time,
+        telemetry.first_scheduled_time,
+        telemetry.first_token_time,
+        telemetry.finish_time,
+        telemetry.queue_seconds,
+    )
+
+
+class TestRouterOfOneClock:
+    """A client's router of one leaves the ticking to its loop, so the edge
+    stepping ``client.scheduler`` on a :class:`VirtualClock` sees time move
+    exactly as an edge over a bare loop does."""
+
+    #: one request per four virtual seconds: a stream's own iterations
+    #: refill the bucket, so a router that swallowed its loop's ticks would
+    #: throttle the second request and stamp every stream at time 0
+    TENANTS = {"metered": TenantConfig(rate_per_second=0.25, burst=1)}
+    #: (total tokens, virtual seconds the caller waits before submitting)
+    ARRIVALS = ((8, 0), (3, 0), (3, 0), (3, 2), (8, 0), (5, 3))
+
+    def _requests(self):
+        for index, (total, gap) in enumerate(self.ARRIVALS):
+            q, k, v = _data(total, seed=70 + index)
+            yield index, gap, LoopRequest(q=q, k=k, v=v, mask=MASK, prompt_tokens=2)
+
+    async def _through_client(self):
+        outcomes = []
+        with _client(tenants=self.TENANTS) as client:
+            for index, gap, request in self._requests():
+                client.clock.advance(gap)
+                try:
+                    if index % 2:
+                        result = await client.agenerate(
+                            request.q,
+                            request.k,
+                            request.v,
+                            MASK,
+                            prompt_tokens=request.prompt_tokens,
+                            tenant="metered",
+                        )
+                        output, telemetry = result.output, result.telemetry
+                    else:
+                        stream = await client.astream(request, tenant="metered")
+                        output = await stream.collect()
+                        telemetry = client.router.telemetry[stream.request_id]
+                    outcomes.append(("served", output, _stamps(telemetry)))
+                except TenantThrottled as error:
+                    outcomes.append((error.reason, None, client.clock.now()))
+            await client.edge.shutdown()
+        return outcomes
+
+    async def _through_bare_loop(self):
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=32, block_size=4)
+        scheduler = ContinuousBatchingScheduler(server, clock=VirtualClock())
+        edge = AsyncServingEdge(scheduler, tenants=self.TENANTS)
+        outcomes = []
+        for _, gap, request in self._requests():
+            scheduler.clock.advance(gap)
+            try:
+                stream = await edge.submit(request, tenant="metered")
+                output = await stream.collect()
+                outcomes.append(("served", output, _stamps(scheduler.telemetry[stream.request_id])))
+            except TenantThrottled as error:
+                outcomes.append((error.reason, None, scheduler.clock.now()))
+        await edge.shutdown()
+        server.close()
+        return outcomes
+
+    def test_edge_on_a_router_of_one_keeps_the_loops_clock(self):
+        routed = asyncio.run(self._through_client())
+        bare = asyncio.run(self._through_bare_loop())
+        kinds = [kind for kind, _, _ in bare]
+        assert "served" in kinds and "rate" in kinds  # both outcomes exercised
+        assert [kind for kind, _, _ in routed] == kinds
+        for (kind, output, stamps), (_, want, want_stamps) in zip(routed, bare):
+            assert stamps == want_stamps
+            if kind == "served":
+                np.testing.assert_array_equal(output, want)
+        assert max(stamps[3] for kind, _, stamps in bare if kind == "served") > 0.0
 
 
 class TestConstructorKeywords:
     """The uniform obs=/clock=/policy=/storage= surface (one shared validator)."""
 
     def test_policy_accepts_name_and_instance(self):
-        assert isinstance(_client(policy="slack")._policy, SlackPolicy)
+        assert isinstance(_client(policy="slack").scheduler.policy, SlackPolicy)
         custom = FCFSPolicy()
-        assert _client(policy=custom)._policy is custom
+        assert _client(policy=custom).scheduler.policy is custom
 
     def test_unknown_policy_name_lists_valid_names(self):
         with pytest.raises(ValueError) as info:
@@ -151,18 +240,11 @@ class TestConstructorKeywords:
 
     def test_storage_keyword_builds_quantized_pool(self):
         client = _client(storage="int8")
-        assert client.server.block_pool.storage == "int8"
+        assert client.scheduler.pool.storage == "int8"
         q, k, v = _data(8, seed=9)
         result = client.generate(q, k, v, MASK, prompt_tokens=4)
         assert result.output.shape == (8, DIM)
         client.close()
-
-    def test_storage_mismatch_with_existing_pool_rejected(self):
-        server = AttentionServer()
-        server.create_block_pool(key_dim=DIM, num_blocks=8, storage="fp16")
-        with pytest.raises(ValueError):
-            ServingClient(server, storage="int8")
-        server.close()
 
     def test_invalid_clock_and_obs_rejected(self):
         with pytest.raises(ValueError):
@@ -170,30 +252,17 @@ class TestConstructorKeywords:
         with pytest.raises(ValueError):
             _client(obs="yes please")
 
-    def test_adopting_a_scheduler_rejects_conflicting_keywords(self):
-        server = AttentionServer()
-        server.create_block_pool(key_dim=DIM, num_blocks=16, block_size=4)
-        scheduler = ContinuousBatchingScheduler(server, clock=VirtualClock())
-        client = ServingClient(scheduler=scheduler)
-        assert client.scheduler is scheduler
-        assert client.clock is scheduler.clock
-        with pytest.raises(ValueError):
-            ServingClient(scheduler=scheduler, policy="slack")
-        with pytest.raises(ValueError):
-            ServingClient(server, scheduler=scheduler)
-        server.close()
-
-    def test_session_only_client_needs_no_pool(self):
-        client = ServingClient()  # no key_dim: no pool, sessions still work
-        session = client.open_session(MASK, 8, retain_outputs=True)
-        q, k, v = _data(8, seed=11)
-        session.prefill(q[:4], k[:4], v[:4])
-        for i in range(4, 8):
-            session.step(q[i], k[i], v[i])
-        np.testing.assert_array_equal(session.outputs(), _oracle(q, k, v, MASK, 4))
-        with pytest.raises(ValueError):
-            _ = client.scheduler  # loop-routed generation does need the pool
-        client.close()
+    def test_session_on_a_server_without_a_pool_pages_through_its_own(self):
+        with AttentionServer() as server:  # no pool: the session brings one
+            session = server.open_session(MASK, 8, retain_outputs=True)
+            q, k, v = _data(8, seed=11)
+            session.prefill(q[:4], k[:4], v[:4])
+            for i in range(4, 8):
+                session.step(q[i], k[i], v[i])
+            np.testing.assert_array_equal(session.outputs(), _oracle(q, k, v, MASK, 4))
+            server.close_decode_session(session)
+        with pytest.raises(TypeError):
+            ServingClient()  # a client's loops need a pool layout
 
     def test_run_scenario_accepts_the_same_keywords(self):
         result = run_scenario(
@@ -211,22 +280,25 @@ class TestConstructorKeywords:
         assert not obs.enabled  # NULL_OBS default
 
 
-class TestSessionFacade:
+class TestSurface:
+    """Sessions open on the server, and what left the surface stays gone."""
+
     def test_refused_open_succeeds_on_retry_after_close(self):
-        client = _client(num_blocks=5, block_size=4)
-        hog = client.open_session(MASK, 16, reserve_tokens=16)
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=5, block_size=4)
+        hog = server.open_session(MASK, 16, reserve_tokens=16)
         with pytest.raises(PoolExhausted):
-            client.open_session(MASK, 8, reserve_tokens=8)
-        client.close_session(hog)
-        session = client.open_session(MASK, 8, retain_outputs=True, reserve_tokens=8)
+            server.open_session(MASK, 8, reserve_tokens=8)
+        server.close_decode_session(hog)
+        session = server.open_session(MASK, 8, retain_outputs=True, reserve_tokens=8)
         q, k, v = _data(8, seed=13)
         session.prefill(q[:4], k[:4], v[:4])
         for i in range(4, 8):
             session.step(q[i], k[i], v[i])
         np.testing.assert_array_equal(session.outputs(), _oracle(q, k, v, MASK, 4))
-        assert client.server.stats.admission_rejected == 1
-        client.close_session(session)
-        client.close()
+        assert server.stats.admission_rejected == 1
+        server.close_decode_session(session)
+        server.close()
 
     def test_ticket_queue_entry_points_are_gone(self):
         # the loop's waiting queue is the one admission queue
@@ -320,12 +392,41 @@ class TestSessionFacade:
         with pytest.raises(TypeError):
             server.handle(q, k, v, MASK, algorithm="composed")
 
+    def test_router_work_beyond_placement_and_the_client_loop_path_are_gone(self):
+        # the router places and nothing else: no sharded execution of
+        # oversized prompts, no thread pool; the client drives a router at
+        # every replica count and adopts no server, loop, budget or store
+        assert not hasattr(ReplicaRouter, "_submit_sharded")
+        obs = Observability()
+        with ReplicaRouter(2, key_dim=DIM, obs=obs) as router:
+            assert not hasattr(router, "comm_stats")
+        assert obs.snapshot().get("router_routes_total", outcome="sharded") is None
+        assert "sharded_requests" not in {spec.name for spec in dataclasses.fields(RouterStats)}
+        assert "router_comm_bytes_total" not in Observability().registry.names()
+        with pytest.raises(TypeError):
+            ReplicaRouter(2, key_dim=DIM, threaded=True)
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=8)
+        with pytest.raises(TypeError):
+            ServingClient(server)
+        with pytest.raises(TypeError):
+            ServingClient(server=server, key_dim=DIM)
+        for name, value in (
+            ("scheduler", ContinuousBatchingScheduler(server)),
+            ("memory_budget_bytes", 1 << 16),
+            ("swap_store", SwapStore()),
+            ("rebalance_interval", 2),
+        ):
+            with pytest.raises(TypeError):
+                _client(**{name: value})
+        for name in ("open_session", "close_session"):
+            assert not hasattr(ServingClient, name), name
+        server.close()
+
     def test_client_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             with _client() as client:
-                session = client.open_session(MASK, 8)
-                client.close_session(session)
                 q, k, v = _data(8, seed=17)
                 client.generate(q, k, v, MASK, prompt_tokens=4)
 
@@ -368,9 +469,68 @@ def _pool_replay(q, k, v, prompt):
     return session.outputs()
 
 
+@st.composite
+def _misshapen(draw):
+    """q/k/v of one short stream laid out unlike the client's pools (no
+    batch axes, ``d_k = d_v = DIM``): another batch shape, d_k or d_v."""
+    layout = draw(
+        st.tuples(
+            st.sampled_from([(), (1,), (2,), (2, 3)]),
+            st.sampled_from([DIM, 2, 8]),
+            st.sampled_from([DIM, 2, 8]),
+        ).filter(lambda layout: layout != ((), DIM, DIM))
+    )
+    batch, d_k, d_v = layout
+    total = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, k = (rng.standard_normal(batch + (total, d_k)).astype(np.float32) for _ in range(2))
+    v = rng.standard_normal(batch + (total, d_v)).astype(np.float32)
+    return q, k, v
+
+
 class TestInputValidation:
-    """Requests refuse q/k/v that are not finite real floating point, and
-    pass valid ones through unchanged."""
+    """Requests refuse q/k/v that are not finite real floating point, or
+    laid out unlike the pool, and pass valid ones through unchanged."""
+
+    GOOD_PROMPT = 3
+
+    def _good(self):
+        q, k, v = _data(8, seed=31)
+        return LoopRequest(q=q, k=k, v=v, mask=MASK, prompt_tokens=self.GOOD_PROMPT)
+
+    @pytest.mark.parametrize("replicas", [1, 2])
+    @given(inputs=_misshapen())
+    def test_misshapen_request_is_refused_at_submit(self, replicas, inputs):
+        q, k, v = inputs
+        good = self._good()
+        with _client(replicas=replicas) as client:
+            rid = client.submit(good)
+            with pytest.raises(ValueError, match="do not match the pool layout"):
+                client.submit(LoopRequest(q=q, k=k, v=v, mask=MASK))
+            output = client.router.run(max_iterations=50)[rid]
+            assert client.router.stats.routed == 1
+            for handle in client.router.replicas:
+                assert handle.pool.blocks_in_use == 0
+        np.testing.assert_array_equal(output, _pool_replay(good.q, good.k, good.v, self.GOOD_PROMPT))
+
+    @given(inputs=_misshapen())
+    def test_misshapen_request_is_refused_at_the_edge(self, inputs):
+        q, k, v = inputs
+        good = self._good()
+
+        async def serve(scheduler):
+            async with AsyncServingEdge(scheduler) as edge:
+                stream = await edge.submit(good)
+                with pytest.raises(ValueError, match="do not match the pool layout"):
+                    await edge.submit(LoopRequest(q=q, k=k, v=v, mask=MASK))
+                output = await stream.collect()
+                assert edge.running
+            return output
+
+        with _client() as client:
+            output = asyncio.run(serve(client.scheduler))
+            assert client.scheduler.pool.blocks_in_use == 0
+        np.testing.assert_array_equal(output, _pool_replay(good.q, good.k, good.v, self.GOOD_PROMPT))
 
     @given(inputs=_inputs())
     def test_generate_and_submit(self, inputs):

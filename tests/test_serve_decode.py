@@ -21,7 +21,6 @@ from repro.serve.decode import (
     stacked_decode_step,
     stacked_prefill,
 )
-from repro.serve.client import ServingClient
 from repro.serve.paging import BlockPool, PagedKVCache, PoolExhausted
 from repro.serve.quant import decode_chunk, encode_chunk
 from repro.serve.scheduler import AttentionServer
@@ -596,8 +595,8 @@ class TestServerStreaming:
     def test_sessions_share_cached_decode_plan(self):
         with AttentionServer(cache_capacity=8) as server:
             mask = longformer_mask(reach=3, global_tokens=(0,))
-            first = ServingClient(server).open_session(mask, 32)
-            second = ServingClient(server).open_session(mask, 32)
+            first = server.open_session(mask, 32)
+            second = server.open_session(mask, 32)
             assert not first.plan_cache_hit
             assert second.plan_cache_hit
             assert second.plan is first.plan
@@ -619,7 +618,7 @@ class TestServerStreaming:
         data = [random_qkv(length, dim, dtype=np.float32, seed=80 + s) for s in range(streams)]
         with AttentionServer(cache_capacity=8) as server:
             sessions = [
-                ServingClient(server).open_session(mask, length, retain_outputs=True)
+                server.open_session(mask, length, retain_outputs=True)
                 for _ in range(streams)
             ]
             for s, (q, k, v) in zip(sessions, data):
@@ -645,8 +644,8 @@ class TestServerStreaming:
     def test_ragged_sessions_form_one_stacked_pass(self):
         with AttentionServer(cache_capacity=8) as server:
             server.create_block_pool(key_dim=4, num_blocks=16, block_size=4)
-            a = ServingClient(server).open_session(LocalMask(window=3), 16)
-            b = ServingClient(server).open_session(LocalMask(window=5), 12)
+            a = server.open_session(LocalMask(window=3), 16)
+            b = server.open_session(LocalMask(window=5), 12)
             q, k, v = random_qkv(3, 4, dtype=np.float32, seed=91)
             server.prefill_chunks([(a, q[:2], k[:2], v[:2])])
             responses = server.decode_steps([(a, q[2], k[2], v[2]), (b, q[0], k[0], v[0])])
@@ -656,7 +655,7 @@ class TestServerStreaming:
 
     def test_single_session_step_helper(self):
         with AttentionServer(cache_capacity=8) as server:
-            session = ServingClient(server).open_session(LocalMask(window=3), 16)
+            session = server.open_session(LocalMask(window=3), 16)
             q, k, v = random_qkv(1, 4, dtype=np.float32, seed=93)
             response = server.decode_step(session, q[0], k[0], v[0])
             assert response.result.meta["position"] == 0
@@ -664,7 +663,7 @@ class TestServerStreaming:
 
     def test_duplicate_session_in_one_call_rejected(self):
         with AttentionServer(cache_capacity=8) as server:
-            session = ServingClient(server).open_session(LocalMask(window=3), 16)
+            session = server.open_session(LocalMask(window=3), 16)
             q, k, v = random_qkv(2, 4, dtype=np.float32, seed=97)
             with pytest.raises(ValueError):
                 server.decode_steps(

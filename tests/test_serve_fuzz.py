@@ -14,9 +14,9 @@ one environment variable:
     REPRO_FUZZ_SEED=<seed> pytest tests/test_serve_fuzz.py -k replay
 
 The replica sweep rides the same sampler: one sampled workload is replayed
-at 1, 2 and 4 replicas and through a bare loop, and every stream's output
-must be bit-identical across the four runs — routing is placement, never
-computation.
+at 1, 2 and 4 replicas, through a client's loop and through a bare loop, and
+every stream's output must be bit-identical across the five runs — routing
+is placement, never computation.
 """
 
 from dataclasses import replace
@@ -41,7 +41,13 @@ from harness.simulation import (
     stream_tensors,
 )
 from repro.core.engine import GraphAttentionEngine
-from repro.serve import AttentionRequest, AttentionServer, ServingClient, VirtualClock
+from repro.serve import (
+    AttentionRequest,
+    AttentionServer,
+    ContinuousBatchingScheduler,
+    ServingClient,
+    VirtualClock,
+)
 from repro.serve.decode import decode_reference_mask
 
 
@@ -70,7 +76,7 @@ def _run_workload(requests, streams, *, flush_every, engine):
     for spec in streams:
         mask = MASKS[spec["mask"]]
         length = spec["length"]
-        session = ServingClient(server).open_session(mask, length, retain_outputs=True)
+        session = server.open_session(mask, length, retain_outputs=True)
         q, k, v = stream_tensors(spec)
         prompt = min(spec["prompt"], length)
         if prompt:
@@ -141,9 +147,10 @@ def test_seed_replay(seed):
         ) from error
 
 
-def _serve_on_one_loop(workload):
-    """The workload's arrivals through a one-loop ``ServingClient``: the bare
-    loop's ``(requests, outputs)``, both keyed by id."""
+def _serve_on_client(workload):
+    """The workload's arrivals submitted through a ``ServingClient`` of one
+    replica whose loop is stepped directly, as a closed-loop driver steps
+    it: ``(requests, outputs)``, both keyed by id."""
     clock = VirtualClock()
     with ServingClient(
         key_dim=workload.dim,
@@ -161,10 +168,32 @@ def _serve_on_one_loop(workload):
         return requests, dict(client.scheduler.results)
 
 
+def _serve_on_bare_loop(workload):
+    """The same arrivals on a :class:`ContinuousBatchingScheduler` built
+    without a client or router: ``(requests, outputs)``, both keyed by id."""
+    clock = VirtualClock()
+    with AttentionServer() as server:
+        server.create_block_pool(
+            key_dim=workload.dim, num_blocks=workload.num_blocks, block_size=workload.block_size
+        )
+        loop = ContinuousBatchingScheduler(
+            server,
+            policy=workload.policy,
+            policy_seed=workload.policy_seed,
+            clock=clock,
+            max_streams=workload.max_streams,
+            prefill_chunk=workload.prefill_chunk,
+            max_iteration_tokens=workload.max_iteration_tokens,
+            preemption=workload.preemption,
+        )
+        requests, _ = drive_arrivals(workload, clock, loop.submit, loop)
+        return requests, dict(loop.results)
+
+
 @pytest.mark.parametrize("seed", fuzz_seeds(default_count=4))
 def test_replica_counts_agree_bitwise(seed):
-    """One sampled workload, three replica counts and a bare loop, identical
-    bits throughout.
+    """One sampled workload, three replica counts, a client's loop and a
+    bare loop, identical bits throughout.
 
     The drivers submit arrivals in the same order and assign monotonically
     increasing ids, so matching submission ranks across runs pairs the same
@@ -181,10 +210,13 @@ def test_replica_counts_agree_bitwise(seed):
             for n in (1, 2, 4)
         )
     ]
-    loop_requests, loop_outputs = _serve_on_one_loop(workload)
-    # a router of one numbers streams exactly as the loop it wraps
-    assert list(loop_requests) == list(runs[0][0])
-    runs.append((loop_requests, loop_outputs))
+    for loop_requests, loop_outputs in (
+        _serve_on_client(workload),
+        _serve_on_bare_loop(workload),
+    ):
+        # a router of one numbers streams exactly as a bare loop does
+        assert list(loop_requests) == list(runs[0][0])
+        runs.append((loop_requests, loop_outputs))
     base_requests, base_outputs = runs[0]
     base_order = sorted(base_requests)
     for requests, outputs in runs[1:]:

@@ -15,7 +15,6 @@ from repro.masks.windowed import Dilated1DMask, LocalMask
 from repro.obs.recorder import Observability
 from repro.serve import (
     AttentionServer,
-    ServingClient,
     ContinuousBatchingScheduler,
     DecodeSession,
     FCFSPolicy,
@@ -243,8 +242,8 @@ class TestStackedPrefill:
         with AttentionServer() as server:
             pool = server.create_block_pool(key_dim=DIM, num_blocks=64, block_size=4)
             q, k, v = random_qkv(12, DIM, dtype=np.float32, seed=6)
-            a = ServingClient(server).open_session(MASK, 12)
-            b = ServingClient(server).open_session(MASK, 12)
+            a = server.open_session(MASK, 12)
+            b = server.open_session(MASK, 12)
             responses = server.prefill_chunks(
                 [(a, q[:6], k[:6], v[:6]), (b, q[:6], k[:6], v[:6])]
             )
@@ -357,15 +356,14 @@ class TestSchedulerMechanics:
         # blocks come back admits it, whoever held them
         server = AttentionServer()
         pool = server.create_block_pool(key_dim=DIM, num_blocks=2, block_size=4)
-        client = ServingClient(server)
-        hog = client.open_session(MASK, 8, reserve_tokens=8)
+        hog = server.open_session(MASK, 8, reserve_tokens=8)
         scheduler = ContinuousBatchingScheduler(server, clock=VirtualClock(), prefill_chunk=4)
         request = self._request(8, 4, seed=40)
         rid = scheduler.submit(request)
         report = scheduler.step()
         assert report.admitted == [] and report.tokens == 0
         assert scheduler.waiting == 1 and scheduler.stats.admission_blocked == 1
-        client.close_session(hog)
+        server.close_decode_session(hog)
         results = scheduler.run(max_iterations=100)
         oracle = GraphAttentionEngine().run(
             request.q, request.k, request.v, decode_reference_mask(MASK, 8)
@@ -395,21 +393,20 @@ class TestSchedulerMechanics:
         FCFS loop whose head stream needs both of them for its first chunk."""
         server = AttentionServer()
         server.create_block_pool(key_dim=DIM, num_blocks=3, block_size=4)
-        client = ServingClient(server)
-        hog = client.open_session(MASK, 8, reserve_tokens=8)
+        hog = server.open_session(MASK, 8, reserve_tokens=8)
         scheduler = ContinuousBatchingScheduler(
             server, policy=FCFSPolicy(), clock=VirtualClock(), prefill_chunk=8
         )
         head = scheduler.submit(self._request(8, 8, seed=60))
-        return server, client, hog, scheduler, head
+        return server, hog, scheduler, head
 
     def test_blocked_head_is_not_jumped_by_a_stream_that_fits(self):
-        server, client, hog, scheduler, head = self._blocked_head()
+        server, hog, scheduler, head = self._blocked_head()
         small = scheduler.submit(self._request(4, 4, seed=61))  # one block: fits
         report = scheduler.step()
         assert report.admitted == [] and scheduler.waiting == 2
         assert server.block_pool.blocks_in_use == 2
-        client.close_session(hog)
+        server.close_decode_session(hog)
         report = scheduler.step()
         assert report.admitted == [head, small]
         server.close()
@@ -417,15 +414,15 @@ class TestSchedulerMechanics:
     def test_session_open_is_not_queued_behind_a_blocked_stream(self):
         # one capacity grant and no second queue: a reject-mode open takes
         # the free block at once while the loop's head waits for two
-        server, client, hog, scheduler, head = self._blocked_head()
+        server, hog, scheduler, head = self._blocked_head()
         scheduler.step()
         assert scheduler.waiting == 1
         assert server.stats.admission_rejected == 1  # the loop's refusal
-        session = client.open_session(MASK, 4, reserve_tokens=4)
+        session = server.open_session(MASK, 4, reserve_tokens=4)
         assert server.block_pool.blocks_in_use == 3
         assert server.stats.admission_rejected == 1
-        client.close_session(session)
-        client.close_session(hog)
+        server.close_decode_session(session)
+        server.close_decode_session(hog)
         assert head in scheduler.run(max_iterations=100)
         assert server.block_pool.blocks_in_use == 0
         server.close()
@@ -528,10 +525,9 @@ class TestIterationBatching:
         ]
 
         server = self._server()
-        client = ServingClient(server)
         sessions = []
         for q, k, v in data:
-            session = client.open_session(self.MASK, horizon, retain_outputs=True)
+            session = server.open_session(self.MASK, horizon, retain_outputs=True)
             server.prefill_chunks(
                 [(session, q[: self.PROMPT], k[: self.PROMPT], v[: self.PROMPT])]
             )
@@ -542,7 +538,7 @@ class TestIterationBatching:
         caller_passes = _kernel_passes(server.stats_snapshot())
         caller_outputs = [session.outputs() for session in sessions]
         for session in sessions:
-            client.close_session(session)
+            server.close_decode_session(session)
         server.close()
 
         server = self._server()

@@ -31,7 +31,6 @@ from repro.masks.structured import CausalMask
 from repro.masks.windowed import LocalMask
 from repro.obs.recorder import Observability
 from repro.perfmodel.decode import kv_block_bytes, kv_cache_bytes
-from repro.serve.client import ServingClient
 from repro.serve.decode import DecodeSession, decode_reference_mask
 from repro.serve.paging import BlockPool, PagedKVCache, SwapStore
 from repro.serve.quant import (
@@ -45,6 +44,7 @@ from repro.serve.quant import (
     roundtrip_bound,
     storage_param_bytes_per_token,
 )
+from repro.serve.scheduler import AttentionServer
 from repro.utils.rng import random_qkv
 
 DIM = 4
@@ -358,7 +358,8 @@ class TestSharedPrefixCapacity:
             streams.append([np.concatenate(pair) for pair in zip(shared, tail)])
         runs = {}
         for storage in STORAGE_DTYPES:
-            client = ServingClient(
+            server = AttentionServer()
+            pool = server.create_block_pool(
                 key_dim=self.HEAD_DIM,
                 num_blocks=self.STREAMS * (horizon // self.BLOCK_SIZE + 2),
                 block_size=self.BLOCK_SIZE,
@@ -366,17 +367,17 @@ class TestSharedPrefixCapacity:
             )
             sessions = []
             for q, k, v in streams:
-                session = client.open_session(self.MASK, horizon, retain_outputs=True, reserve_tokens=0)
+                session = server.open_session(self.MASK, horizon, retain_outputs=True, reserve_tokens=0)
                 session.prefill(q[: self.PROMPT], k[: self.PROMPT], v[: self.PROMPT])
                 sessions.append(session)
             for i in range(self.PROMPT, horizon):
-                client.server.decode_steps(
+                server.decode_steps(
                     [(s, q[i], k[i], v[i]) for s, (q, k, v) in zip(sessions, streams)]
                 )
-            runs[storage] = (client.server.block_pool.used_bytes, sessions[0].outputs())
+            runs[storage] = (pool.used_bytes, sessions[0].outputs())
             for session in sessions:
-                client.close_session(session)
-            client.close()
+                server.close_decode_session(session)
+            server.close()
         return streams, runs
 
     def test_fp32_pool_holds_the_streams_in_a_third_of_the_dense_bytes(self, served):

@@ -8,13 +8,9 @@ the same workload on one replica, and each stream equals its own private
 invariant survives everything the router can do to a stream: affinity and
 fallback placement, mid-decode cancellation of a neighbour, per-replica pool
 exhaustion (preempt/swap/restore), and rebalance moves (which only ever touch
-streams that have not computed anything yet).
-
-The one deliberate exception is the sharded path: an oversized prompt runs
-as FlashDecoding-style K/V-parallel attention across a
-:class:`~repro.distributed.SimulatedWorld`, whose online-softmax merge
-reassociates float additions — that path is checked at float tolerance, and
-its communication volume is checked against the comm layer's own stats.
+streams that have not computed anything yet).  There is no exception: the
+router runs no attention itself, and a request no replica pool can hold is
+refused at submit.
 """
 
 import numpy as np
@@ -25,9 +21,10 @@ from repro.distributed import balanced_worker_bins
 from repro.masks.presets import longformer_mask
 from repro.masks.structured import CausalMask
 from repro.masks.windowed import Dilated1DMask, LocalMask
-from repro.core.engine import GraphAttentionEngine
 from repro.obs import Observability
 from repro.serve import (
+    AttentionServer,
+    ContinuousBatchingScheduler,
     DecodeSession,
     InfeasibleRequest,
     LoopRequest,
@@ -36,7 +33,6 @@ from repro.serve import (
     SlackPolicy,
     VirtualClock,
     aggregate_loop_stats,
-    decode_reference_mask,
     prefix_fingerprints,
 )
 from repro.serve.paging import BlockPool
@@ -166,15 +162,6 @@ class TestRoutedBitExact:
             assert_array_equal(got, want)
         if router_policy == "round_robin":
             assert router.stats.route_hits == 0  # never consults the prefix map
-        router.close()
-        single.close()
-
-    def test_threaded_stepping_is_bit_exact(self):
-        specs = _family_specs(LocalMask(window=5), num_families=3, seed=3)
-        routed, router = _run_routed(specs, replicas=4, threaded=True, storage="fp32")
-        oracle, single = _run_routed(specs, replicas=1, storage="fp32")
-        for got, want in zip(routed, oracle):
-            assert_array_equal(got, want)
         router.close()
         single.close()
 
@@ -441,9 +428,9 @@ class TestRebalance:
 
 
 # --------------------------------------------------------------------------- #
-# Sharded execution of oversized prompts (the one float-tolerance path)
+# Refusal at submit: oversized or misshapen requests change no placement state
 # --------------------------------------------------------------------------- #
-class TestSharded:
+class TestRefusal:
     def _oversized_spec(self, total=40, seed=31):
         rng = np.random.default_rng(seed)
         return {
@@ -455,35 +442,110 @@ class TestSharded:
             "v": rng.normal(size=(total, DIM)).astype(np.float32),
         }
 
-    def test_oversized_prompt_shards_and_matches_engine(self):
+    @pytest.mark.parametrize("replicas", [1, 2, 4])
+    @pytest.mark.parametrize("prompt", [40, 8], ids=["prompt_only", "decode"])
+    def test_oversized_request_is_infeasible(self, replicas, prompt):
+        # 40 tokens need 10 blocks; each replica holds 4
         spec = self._oversized_spec()
-        # 40 tokens need 10 blocks; each replica holds 4 -> must shard
-        router = ReplicaRouter(4, key_dim=DIM, num_blocks=4, block_size=4)
-        rid = router.submit(_request(spec))
-        assert rid in router.results  # sharded requests finish synchronously
-        reference = GraphAttentionEngine().run(
-            spec["q"], spec["k"], spec["v"],
-            decode_reference_mask(spec["mask"], spec["total"]),
-        )
-        np.testing.assert_allclose(
-            router.results[rid], reference.output, atol=1e-6, rtol=1e-6
-        )
-        assert router.stats.sharded_requests == 1
-        assert router.stats.routed == 0  # sharding bypasses placement
-        assert router.comm_stats.bytes_moved > 0
-        telemetry = router.telemetry[rid]
-        assert telemetry.tokens_emitted == spec["total"]
-        router.close()
-
-    def test_oversized_decode_request_is_infeasible(self):
-        spec = self._oversized_spec()
-        router = ReplicaRouter(2, key_dim=DIM, num_blocks=4, block_size=4)
+        router = ReplicaRouter(replicas, key_dim=DIM, num_blocks=4, block_size=4)
         request = _request(spec)
-        request.prompt_tokens = 8  # decode tokens cannot shard
+        request.prompt_tokens = prompt
         with pytest.raises(InfeasibleRequest):
             router.submit(request)
+        assert request.request_id is None
+        assert router.stats.routed == 0 and router._placements == {}
+        assert router.results == {} and router.telemetry == {}
         router.close()
 
+    def test_refused_request_leaves_the_placement_order_untouched(self):
+        specs = _family_specs(CausalMask(), num_families=2, per_family=1, seed=67)
+        router = ReplicaRouter(
+            2, key_dim=DIM, num_blocks=16, block_size=4, router_policy="round_robin"
+        )
+        first = router.submit(_request(specs[0]))
+        good = _request(specs[1])
+        misshapen = LoopRequest(  # d_k twice the pools'
+            q=np.concatenate([good.q, good.q], axis=-1),
+            k=np.concatenate([good.k, good.k], axis=-1),
+            v=good.v,
+            mask=good.mask,
+            prompt_tokens=good.prompt_tokens,
+        )
+        with pytest.raises(ValueError, match="do not match the pool layout"):
+            router.submit(misshapen)
+        second = router.submit(good)
+        # the refusal did not advance round robin: replica 0, then replica 1
+        assert [router._placements[rid].replica for rid in (first, second)] == [0, 1]
+        assert second == first + 1  # and took no id
+        router.run()
+        router.close()
+
+
+# --------------------------------------------------------------------------- #
+# A router of one is its loop
+# --------------------------------------------------------------------------- #
+class TestRouterOfOne:
+    def test_places_without_fingerprints_or_rebalance(self, monkeypatch):
+        import repro.serve.router as router_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a router of one fingerprints nothing")
+
+        monkeypatch.setattr(router_module, "prefix_fingerprints", refuse)
+        specs = _family_specs(CausalMask(), num_families=2, per_family=3, seed=71)
+        obs = Observability()
+        outputs, router = _run_routed(
+            specs, replicas=1, rebalance_interval=1, max_streams=1, obs=obs
+        )
+        assert router.stats.routed == router.stats.route_misses == len(specs)
+        assert router.stats.route_hits == 0
+        assert router.stats.rebalance_passes == 0 and router.last_rebalance is None
+        assert router._placements == {} and len(router._affinity) == 0
+        snap = obs.snapshot()
+        assert snap.get("router_routes_total", outcome="miss").value == len(specs)
+        for gauge in ("router_replica_streams", "router_replica_pending_tokens"):
+            assert snap.with_name(gauge) == []  # the rebalancer's signal
+        for got, spec in zip(outputs, specs):
+            assert_array_equal(got, _replay(spec, "fp32"))
+        router.close()
+
+    def test_keeps_nothing_per_stream_when_its_loop_is_stepped_directly(self):
+        # a closed-loop driver may submit through the router and step the
+        # loop itself: results and telemetry are the loop's own maps
+        specs = _family_specs(CausalMask(), num_families=1, per_family=3, seed=73)
+        router = ReplicaRouter(1, key_dim=DIM, num_blocks=16, block_size=4)
+        loop = router.replicas[0].scheduler
+        rids = [router.submit(_request(spec)) for spec in specs]
+        loop.run()
+        assert router.results is loop.results and router.telemetry is loop.telemetry
+        assert sorted(router.results) == rids and router._placements == {}
+        assert router.cancel(rids[0]) is False  # finished
+        router.close()
+
+    @pytest.mark.parametrize("driver", ["router", "loop"])
+    def test_its_loop_ticks_the_clock(self, driver):
+        # stepped through the router or directly, the loop of a router of
+        # one keeps time exactly as a bare loop does
+        specs = _family_specs(LocalMask(window=5), num_families=1, per_family=2, seed=79)
+        server = AttentionServer()
+        server.create_block_pool(key_dim=DIM, num_blocks=16, block_size=4)
+        bare_clock = VirtualClock()
+        bare = ContinuousBatchingScheduler(server, clock=bare_clock, max_streams=4)
+        bare_rids = bare.submit_many([_request(spec) for spec in specs])
+        bare.run()
+        clock = VirtualClock()
+        router = ReplicaRouter(
+            1, key_dim=DIM, num_blocks=16, block_size=4, max_streams=4, clock=clock
+        )
+        rids = [router.submit(_request(spec)) for spec in specs]
+        (router if driver == "router" else router.replicas[0].scheduler).run()
+        assert rids == bare_rids
+        assert clock.now() == bare_clock.now() > 0
+        for rid in rids:
+            assert_array_equal(router.results[rid], bare.results[rid])
+            assert router.telemetry[rid].finish_time == bare.telemetry[rid].finish_time
+        router.close()
+        server.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -570,10 +632,10 @@ class TestClientReplicas:
         for got, want in zip(routed, plain):
             assert_array_equal(got.output, want.output)
 
-    def test_single_server_entry_points_are_guarded(self):
+    def test_one_loop_entry_point_is_guarded(self):
         with ServingClient(replicas=2, key_dim=DIM) as client:
-            assert client.router is not None
+            assert client.router.num_replicas == 2
             with pytest.raises(ValueError):
                 client.scheduler
-            with pytest.raises(ValueError):
-                client.open_session(CausalMask(), 8)
+        with ServingClient(key_dim=DIM) as client:
+            assert client.scheduler is client.router.replicas[0].scheduler

@@ -12,7 +12,6 @@ from repro.distributed.partition_balance import balanced_worker_bins
 from repro.masks.presets import longformer_mask
 from repro.masks.windowed import LocalMask
 from repro.perfmodel.devices import A100_SXM4_80GB, L40_48GB, V100_SXM2_32GB
-from repro.serve.client import ServingClient
 from repro.serve.paging import PoolExhausted
 from repro.serve.plan import compile_plan
 from repro.serve.scheduler import AttentionServer
@@ -94,7 +93,7 @@ class TestBatching:
         q, k, v = random_qkv(96, 12, seed=5)
         served = server.serve([AttentionRequest(q=q, k=k, v=v, mask=LocalMask(window=5))])
         handled = server.handle(q, k, v, LocalMask(window=5))
-        session = ServingClient(server).open_session(LocalMask(window=5), 8)
+        session = server.open_session(LocalMask(window=5), 8)
         ids = [served[0].request_id, handled.request_id, session.session_id]
         assert len(set(ids)) == 3
 
@@ -320,7 +319,7 @@ class TestPagedAdmission:
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     def test_a_server_without_a_pool_gives_each_session_its_own(self, dtype):
         with AttentionServer() as server:
-            session = ServingClient(server).open_session(LocalMask(window=3), 40)
+            session = server.open_session(LocalMask(window=3), 40)
             assert session.cache is None
             q, k, v = random_qkv(5, self.DIM, dtype=dtype, seed=5)
             session.prefill(q, k, v)
@@ -333,13 +332,12 @@ class TestPagedAdmission:
 
     def test_a_session_on_the_server_pool_holds_its_reservation(self):
         with self._server(num_blocks=4, block_size=4) as server:
-            client = ServingClient(server)
-            session = client.open_session(LocalMask(window=3), 16, reserve_tokens=9)
+            session = server.open_session(LocalMask(window=3), 16, reserve_tokens=9)
             assert session.cache.pool is server.block_pool
             assert session.cache.prereserved_blocks == 3  # ceil(9 / 4)
             assert server.block_pool.blocks_in_use == 3
             with pytest.raises(PoolExhausted):
-                client.open_session(LocalMask(window=3), 16, reserve_tokens=8)
+                server.open_session(LocalMask(window=3), 16, reserve_tokens=8)
             assert server.stats.admission_rejected == 1
             assert server.block_pool.blocks_in_use == 3
             server.close_decode_session(session)
@@ -361,7 +359,7 @@ class TestPagedAdmission:
             )
             assert pool.nbytes <= 1 << 16
             assert server.stats.block_occupancy == 0.0
-            session = ServingClient(server).open_session(LocalMask(window=3), 16)
+            session = server.open_session(LocalMask(window=3), 16)
             q, k, v = random_qkv(8, self.DIM, seed=1)
             session.prefill(q, k, v)
             assert server.stats.block_occupancy > 0.0
@@ -372,11 +370,11 @@ class TestPagedAdmission:
 
     def test_admission_rejects_when_pool_is_full(self):
         with self._server(num_blocks=2, block_size=4) as server:
-            first = ServingClient(server).open_session(LocalMask(window=3), 8, reserve_tokens=8)
+            first = server.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=2)
             first.prefill(q, k, v)  # owns both blocks
             with pytest.raises(PoolExhausted):
-                ServingClient(server).open_session(LocalMask(window=3), 8, reserve_tokens=8)
+                server.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             assert server.stats.admission_rejected == 1
 
     @pytest.mark.parametrize("close", ["server", "session"])
@@ -384,17 +382,16 @@ class TestPagedAdmission:
         # no server-side queue sits between the pool and the grant, so
         # blocks freed by either close path are grantable at once
         with self._server(num_blocks=2, block_size=4) as server:
-            client = ServingClient(server)
-            first = client.open_session(LocalMask(window=3), 8, reserve_tokens=8)
+            first = server.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=3)
             first.prefill(q, k, v)
             with pytest.raises(PoolExhausted):
-                client.open_session(LocalMask(window=3), 8, reserve_tokens=8)
+                server.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             if close == "server":
                 server.close_decode_session(first)
             else:
                 first.close()  # bypasses the server's bookkeeping
-            second = client.open_session(LocalMask(window=3), 8, reserve_tokens=8)
+            second = server.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             q, k, v = random_qkv(8, self.DIM, seed=4)
             second.prefill(q, k, v)
             assert second.position == 8
@@ -409,9 +406,9 @@ class TestPagedAdmission:
         with self._server(num_blocks=2, block_size=4) as server:
             too_big = 2 * 4 + 1  # needs 3 blocks of 2
             with pytest.raises(ValueError):
-                ServingClient(server).open_session(LocalMask(window=3), 16, reserve_tokens=too_big)
+                server.open_session(LocalMask(window=3), 16, reserve_tokens=too_big)
             # a feasible request still sails through afterwards
-            session = ServingClient(server).open_session(LocalMask(window=3), 8, reserve_tokens=8)
+            session = server.open_session(LocalMask(window=3), 8, reserve_tokens=8)
             server.close_decode_session(session)
 
     def test_failed_open_with_invalid_mask_leaks_no_blocks(self):
@@ -420,8 +417,8 @@ class TestPagedAdmission:
         with self._server(num_blocks=4, block_size=4) as server:
             for _ in range(6):
                 with pytest.raises(ValueError):
-                    ServingClient(server).open_session(np.ones((3, 5)), 8)
+                    server.open_session(np.ones((3, 5)), 8)
             assert server.block_pool.blocks_in_use == 0
-            session = ServingClient(server).open_session(LocalMask(window=3), 8)
+            session = server.open_session(LocalMask(window=3), 8)
             assert session.cache.pool is server.block_pool
             server.close_decode_session(session)

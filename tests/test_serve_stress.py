@@ -31,10 +31,7 @@ from repro.masks.windowed import LocalMask
 from repro.serve import (
     AttentionServer,
     BlockPool,
-    LoopRequest,
     PoolExhausted,
-    ReplicaRouter,
-    ServingClient,
 )
 from repro.serve.decode import DecodeSession, decode_reference_mask, stacked_decode_step
 from repro.utils.rng import derive_seed
@@ -74,7 +71,6 @@ def test_threaded_streams_tiny_pool_no_deadlock_no_leaks():
     # 18 blocks of 4 tokens: each 24-token stream wants 6, so at most 3
     # streams fit concurrently against 4 workers — permanent pressure
     pool = server.create_block_pool(key_dim=DIM, num_blocks=18, block_size=4)
-    client = ServingClient(server)
     failures = []
     admission_lock = threading.Lock()  # serialises open/close vs. admission
 
@@ -86,7 +82,7 @@ def test_threaded_streams_tiny_pool_no_deadlock_no_leaks():
             for _ in range(10_000):  # bounded retry; a deadlock trips the bound
                 try:
                     with admission_lock:
-                        session = client.open_session(MASK, LENGTH, retain_outputs=True, reserve_tokens=LENGTH)
+                        session = server.open_session(MASK, LENGTH, retain_outputs=True, reserve_tokens=LENGTH)
                 except PoolExhausted:
                     time.sleep(0.0002)  # back off while others hold the pool
                     continue
@@ -136,7 +132,6 @@ def test_unserialised_paged_opens_never_overcommit_the_pool():
     """
     server = AttentionServer(cache_capacity=8)
     pool = server.create_block_pool(key_dim=DIM, num_blocks=65, block_size=4)
-    client = ServingClient(server)
     start = threading.Barrier(WORKERS)
 
     def _worker():
@@ -146,7 +141,7 @@ def test_unserialised_paged_opens_never_overcommit_the_pool():
         for _ in range(pool.num_blocks + 1):
             try:
                 sessions.append(
-                    client.open_session(MASK, LENGTH, reserve_tokens=8)
+                    server.open_session(MASK, LENGTH, reserve_tokens=8)
                 )
             except PoolExhausted:
                 return sessions
@@ -168,7 +163,7 @@ def test_unserialised_paged_opens_never_overcommit_the_pool():
     pool.check_consistency()
     assert server.stats.admission_rejected == WORKERS
     for session in sessions:
-        client.close_session(session)
+        server.close_decode_session(session)
     assert pool.blocks_in_use == 0
     pool.check_consistency()
     assert server.stats.sessions_closed == len(sessions)
@@ -181,12 +176,11 @@ def test_shared_prompt_under_pressure_all_streams_correct():
     # 2 shared prompt blocks + one private tail block per stream: 8 streams
     # need 2 + 8 = 10 blocks; private copies would need 8 * 3 = 24
     pool = server.create_block_pool(key_dim=DIM, num_blocks=12, block_size=4)
-    client = ServingClient(server)
     q, k, v = _stream_qkv(77)
     oracle = _oracle(q, k, v)
     sessions = []
     for _ in range(8):
-        session = client.open_session(MASK, LENGTH, retain_outputs=True)
+        session = server.open_session(MASK, LENGTH, retain_outputs=True)
         session.prefill(q[:PROMPT], k[:PROMPT], v[:PROMPT])
         sessions.append(session)
     assert pool.blocks_in_use <= 2 + len(sessions)  # shared prompt paid once
@@ -234,51 +228,6 @@ def test_failed_step_batch_advances_no_block_table():
     sessions[1].close()
     result = sessions[0].step(q[4], k[4], v[4])
     assert result.meta["position"] == 4
-
-
-def test_threaded_router_under_pressure_matches_serial_router():
-    """Thread-stepped replicas == serially-stepped replicas, bit for bit.
-
-    Twelve streams over four replicas whose 8-block pools hold barely one
-    24-token stream each (6 blocks + slack), so every replica preempts and
-    retries throughout; the thread pool only changes *when* each replica's
-    step runs, never what it computes, so the two runs must be identical.
-    """
-
-    def _run(threaded):
-        router = ReplicaRouter(
-            4,
-            key_dim=DIM,
-            num_blocks=8,
-            block_size=4,
-            max_streams=2,
-            threaded=threaded,
-        )
-        rids = []
-        for stream in range(12):
-            q, k, v = _stream_qkv(900, stream)
-            rids.append(
-                router.submit(
-                    LoopRequest(q=q, k=k, v=v, mask=MASK, prompt_tokens=PROMPT)
-                )
-            )
-        router.run()
-        outputs = [router.results[rid] for rid in rids]
-        preemptions = router.loop_stats().preemptions
-        for handle in router.replicas:
-            assert handle.pool.blocks_in_use == 0
-            handle.pool.check_consistency()
-            assert len(handle.swap_store) == 0
-        router.close()
-        return outputs, preemptions
-
-    serial_outputs, serial_preemptions = _run(threaded=False)
-    threaded_outputs, threaded_preemptions = _run(threaded=True)
-    assert serial_preemptions == threaded_preemptions
-    for got, want in zip(threaded_outputs, serial_outputs):
-        np.testing.assert_array_equal(got, want)
-    # the pressure was real: tight pools forced actual preemption traffic
-    assert serial_preemptions > 0
 
 
 def test_failed_single_step_leaves_session_unchanged():
